@@ -5,6 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
+	"strconv"
+	"sync"
+	"unicode/utf8"
 
 	"scisparql/internal/rdf"
 	"scisparql/internal/sparql"
@@ -16,92 +20,148 @@ import (
 // results serialize through internal/turtle instead — they are graphs,
 // not solution tables.
 
-// JSONObject builds the SPARQL 1.1 JSON results document for a SELECT
-// or ASK result as a plain map, so callers may attach
-// implementation-specific top-level members (the protocol front door
-// adds "analyze") before encoding. Map encoding sorts keys, so the
-// output is deterministic.
-func JSONObject(r *Results) (map[string]any, error) {
-	if r.Form == sparql.FormAsk {
-		return map[string]any{
-			"head":    map[string]any{},
-			"boolean": r.Bool,
-		}, nil
-	}
-	bindings := make([]map[string]any, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		b := make(map[string]any, len(row))
-		for i, t := range row {
-			if t == nil {
-				continue // unbound: the variable is simply absent
-			}
-			obj, err := TermJSON(t)
-			if err != nil {
-				return nil, err
-			}
-			b[r.Vars[i]] = obj
-		}
-		bindings = append(bindings, b)
-	}
-	vars := r.Vars
-	if vars == nil {
-		vars = []string{}
-	}
-	return map[string]any{
-		"head":    map[string]any{"vars": vars},
-		"results": map[string]any{"bindings": bindings},
-	}, nil
-}
-
 // WriteJSON emits a SELECT or ASK result as SPARQL 1.1 Query Results
-// JSON. Control characters in literals are escaped by the JSON encoder
-// (\\uXXXX forms), so round-trips are lossless.
+// JSON. Control characters in literals are escaped (\\uXXXX forms), so
+// round-trips are lossless.
 func WriteJSON(w io.Writer, r *Results) error {
-	doc, err := JSONObject(r)
-	if err != nil {
+	return EncodeJSON(r, nil, func(doc []byte) error {
+		_, err := w.Write(doc)
 		return err
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(doc)
+	})
 }
 
-// TermJSON renders one RDF term as a SPARQL-results JSON term object:
-// {"type": "uri"|"literal"|"bnode", "value": ..., "datatype"?,
+// jsonBufs recycles EncodeJSON's document buffers; a buffer grown past
+// maxPooledJSON by one large result is dropped instead of pinned.
+var jsonBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledJSON = 1 << 20
+
+// EncodeJSON encodes the SPARQL 1.1 JSON results document for a SELECT
+// or ASK result into a pooled buffer and hands the finished,
+// newline-terminated document to emit; the bytes are valid only until
+// emit returns. A term that cannot be serialized is reported before
+// emit runs, so a caller never sees part of a document. analyze, when
+// non-nil, is an encoded JSON value attached as the top-level "analyze"
+// member. The bytes equal json.Encoder's for the same document held in
+// maps: members in sorted key order, strings escaped HTML-safe.
+func EncodeJSON(r *Results, analyze []byte, emit func(doc []byte) error) error {
+	bp := jsonBufs.Get().(*[]byte)
+	doc, err := appendJSON((*bp)[:0], r, analyze)
+	if err == nil {
+		err = emit(doc)
+	}
+	if cap(doc) <= maxPooledJSON {
+		*bp = doc
+		jsonBufs.Put(bp)
+	}
+	return err
+}
+
+func appendJSON(dst []byte, r *Results, analyze []byte) ([]byte, error) {
+	dst = append(dst, '{')
+	if analyze != nil {
+		dst = append(append(append(dst, `"analyze":`...), analyze...), ',')
+	}
+	if r.Form == sparql.FormAsk {
+		dst = strconv.AppendBool(append(dst, `"boolean":`...), r.Bool)
+		return append(dst, ",\"head\":{}}\n"...), nil
+	}
+	dst = append(dst, `"head":{"vars":[`...)
+	for i, v := range r.Vars {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendJSONString(dst, v)
+	}
+	dst = append(dst, `]},"results":{"bindings":[`...)
+	// A binding object lists its variables in name order; a name
+	// projected twice (adjacent in order) keeps its last bound cell.
+	order := make([]int, len(r.Vars))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return r.Vars[order[a]] < r.Vars[order[b]] })
+	for ri, row := range r.Rows {
+		if ri > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, '{')
+		open := len(dst)
+		for k := 0; k < len(order); {
+			name := r.Vars[order[k]]
+			var cell rdf.Term // stays nil when unbound: the variable is simply absent
+			for ; k < len(order) && r.Vars[order[k]] == name; k++ {
+				if i := order[k]; i < len(row) && row[i] != nil {
+					cell = row[i]
+				}
+			}
+			if cell == nil {
+				continue
+			}
+			if len(dst) > open {
+				dst = append(dst, ',')
+			}
+			dst = append(appendJSONString(dst, name), ':')
+			var err error
+			if dst, err = appendTermJSON(dst, cell); err != nil {
+				return dst, err
+			}
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, "]}}\n"...), nil
+}
+
+// appendTermJSON renders one RDF term as a SPARQL-results JSON term
+// object: {"type": "uri"|"literal"|"bnode", "value": ..., "datatype"?,
 // "xml:lang"?}.
-func TermJSON(t rdf.Term) (map[string]string, error) {
+func appendTermJSON(dst []byte, t rdf.Term) ([]byte, error) {
+	var dt rdf.IRI
 	switch v := t.(type) {
 	case rdf.IRI:
-		return map[string]string{"type": "uri", "value": string(v)}, nil
+		return append(appendJSONString(append(dst, `{"type":"uri","value":`...), string(v)), '}'), nil
 	case rdf.Blank:
-		return map[string]string{"type": "bnode", "value": string(v)}, nil
+		return append(appendJSONString(append(dst, `{"type":"bnode","value":`...), string(v)), '}'), nil
 	case rdf.String:
-		obj := map[string]string{"type": "literal", "value": v.Val}
+		dst = appendJSONString(append(dst, `{"type":"literal","value":`...), v.Val)
 		if v.Lang != "" {
-			obj["xml:lang"] = v.Lang
+			dst = appendJSONString(append(dst, `,"xml:lang":`...), v.Lang)
 		}
-		return obj, nil
+		return append(dst, '}'), nil
 	case rdf.Integer:
-		return typedLiteral(v.String(), rdf.XSDInteger), nil
+		dt = rdf.XSDInteger
 	case rdf.Float:
-		return typedLiteral(v.String(), rdf.XSDDouble), nil
+		dt = rdf.XSDDouble
 	case rdf.Boolean:
-		return typedLiteral(v.String(), rdf.XSDBoolean), nil
+		dt = rdf.XSDBoolean
 	case rdf.DateTime:
-		return typedLiteral(v.T.Format("2006-01-02T15:04:05Z07:00"), rdf.XSDDateTime), nil
+		dt = rdf.XSDDateTime
 	case rdf.Typed:
-		return typedLiteral(v.Lexical, v.Datatype), nil
+		dt = v.Datatype
 	case rdf.Array:
 		// Arrays are SSDM's extension: serialize the nested-collection
 		// rendering as a literal tagged with the ssdm:array datatype so
 		// standard clients keep a faithful lexical form.
-		return typedLiteral(v.A.String(), rdf.SSDMArray), nil
+		dt = rdf.SSDMArray
 	default:
-		return nil, fmt.Errorf("cannot serialize %T as a SPARQL-results term", t)
+		return dst, fmt.Errorf("cannot serialize %T as a SPARQL-results term", t)
 	}
+	dst = appendJSONString(append(dst, `{"datatype":`...), string(dt))
+	return append(appendJSONString(append(dst, `,"type":"literal","value":`...), TermLexical(t)), '}'), nil
 }
 
-func typedLiteral(lex string, dt rdf.IRI) map[string]string {
-	return map[string]string{"type": "literal", "value": lex, "datatype": string(dt)}
+// appendJSONString appends s as a JSON string. Printable ASCII with
+// nothing to escape is copied; any other string goes through
+// encoding/json itself (HTML-safe escaping, \ufffd for invalid UTF-8),
+// so the escaping cannot drift from the standard encoder's.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if b := s[i]; b < 0x20 || b >= utf8.RuneSelf || b == '"' || b == '\\' || b == '<' || b == '>' || b == '&' {
+			enc, _ := json.Marshal(s) // a string always marshals
+			return append(dst, enc...)
+		}
+	}
+	return append(append(append(dst, '"'), s...), '"')
 }
 
 // WriteCSV emits a SELECT result in the SPARQL 1.1 CSV format: a

@@ -68,33 +68,6 @@ func (b *colbatch) flushTo(yield vecSink) error {
 // the sink returns (they are operator-owned scratch or pooled slabs).
 type vecSink func(b *colbatch) error
 
-// decoder memoizes ID→Term resolution for one plan, so projection and
-// filters pay one Graph.TermOf (one RLock) per distinct term, not per
-// row. IDs are never reused, so entries stay valid across graph
-// mutations.
-type decoder struct {
-	g     *rdf.Graph
-	terms []rdf.Term
-}
-
-func (d *decoder) term(id rdf.ID) rdf.Term {
-	if id == rdf.Unbound {
-		return nil
-	}
-	if int(id) < len(d.terms) {
-		if t := d.terms[id]; t != nil {
-			return t
-		}
-	} else {
-		grown := make([]rdf.Term, int(id)+1024)
-		copy(grown, d.terms)
-		d.terms = grown
-	}
-	t := d.g.TermOf(id)
-	d.terms[id] = t
-	return t
-}
-
 // vecPos describes one triple-pattern position in a vec operator. A
 // position is exactly one of: a constant term (constTerm non-nil,
 // constID re-resolved per graph generation), a variable already bound
@@ -295,7 +268,7 @@ func (f *vecFilter) describe() (string, string) {
 }
 
 func (f *vecFilter) push(c *evalCtx, pl *vecPlan, in *colbatch, yield vecSink) error {
-	f.ev.pl = pl
+	f.ev.g = c.graph
 	f.ev.b = in
 	w := 0
 	for r := 0; r < in.n; r++ {
@@ -334,7 +307,7 @@ func (f *vecFilter) push(c *evalCtx, pl *vecPlan, in *colbatch, yield vecSink) e
 
 // vecEval is the row cursor a compiled filter expression reads from.
 type vecEval struct {
-	pl  *vecPlan
+	g   *rdf.Graph
 	b   *colbatch
 	row int
 }
@@ -365,7 +338,7 @@ func compileVecExpr(x sparql.Expression, colOf map[string]int) (vecExpr, bool) {
 				// error (a FILTER collapses it to false, §3.6).
 				return nil, errf("unbound variable ?%s", name)
 			}
-			return e.pl.dec.term(id), nil
+			return e.g.TermOf(id), nil
 		}, true
 	case sparql.ELit:
 		t := v.Term
@@ -568,7 +541,7 @@ func (o *vecOptional) describe() (string, string) {
 
 func (o *vecOptional) push(c *evalCtx, pl *vecPlan, in *colbatch, yield vecSink) error {
 	out := &o.out
-	o.ev.pl = pl
+	o.ev.g = c.graph
 	dead := o.pat.dead()
 	for r := 0; r < in.n; r++ {
 		matched := false
@@ -752,7 +725,6 @@ type vecPlan struct {
 	rest    []step
 	covered int
 	bs      int
-	dec     decoder
 
 	// nullable is schema-aligned: true when the column may hold
 	// rdf.Unbound (it was introduced under OPTIONAL, or is absent from —
@@ -770,10 +742,6 @@ type vecPlan struct {
 	// satisfied downstream must not materialize — and be guard-charged
 	// for — a full batch it will never read).
 	ebs int
-
-	// nums memoizes per-ID numeric coercion for batch aggregation; it
-	// fronts the graph-level cache with plan-local (lock-free) slices.
-	nums vecNumCache
 
 	// Constant-term IDs are baked in at compile; gen records the graph
 	// generation they were resolved at, and run() re-resolves them when
@@ -907,7 +875,7 @@ func (c *evalCtx) vecPlanFor(g *sparql.Group) *vecPlan {
 // bindings.
 func (c *evalCtx) buildVecPlan(g *sparql.Group, bs int) *vecPlan {
 	steps := c.compiledSteps(g)
-	pl := &vecPlan{group: g, bs: bs, dec: decoder{g: c.graph}}
+	pl := &vecPlan{group: g, bs: bs}
 	colOf := make(map[string]int)
 	covered := 0
 loop:
@@ -1226,7 +1194,7 @@ func (c *evalCtx) vecWhere(g *sparql.Group, budget int, yield func(Binding) erro
 			bind := make(Binding, len(pl.schema))
 			for i, name := range pl.schema {
 				if id := b.cols[i][r]; id != rdf.Unbound {
-					bind[name] = pl.dec.term(id)
+					bind[name] = c.graph.TermOf(id)
 				}
 			}
 			if err := runSteps(c, pl.rest, 0, bind, yield); err != nil {
@@ -1243,8 +1211,8 @@ func (c *evalCtx) vecWhere(g *sparql.Group, budget int, yield func(Binding) erro
 // variables (or *), so solutions never materialize as Bindings —
 // DISTINCT, ORDER BY, the incremental row cap, and LIMIT pushdown
 // operate on ID rows, and only surviving rows decode to terms. ORDER
-// BY sorts row indices over ID-resident keys (each distinct ID decodes
-// once through the plan decoder), and ORDER BY + LIMIT pushes down
+// BY sorts row indices over ID-resident keys (the comparator reads
+// terms straight from the dictionary), and ORDER BY + LIMIT pushes down
 // into a bounded top-K heap. Returns ok=false when any SELECT pipeline
 // stage below would behave differently, and the caller runs the
 // regular path.
@@ -1397,7 +1365,7 @@ func (c *evalCtx) vecSelect(q *sparql.Query, rowCap, earlyCap int) (*Results, bo
 			if ib == rdf.Unbound {
 				return sc.desc
 			}
-			cmp, err := Compare(pl.dec.term(ia), pl.dec.term(ib), false)
+			cmp, err := Compare(c.graph.TermOf(ia), c.graph.TermOf(ib), false)
 			if err != nil || cmp == 0 {
 				continue
 			}
@@ -1572,7 +1540,7 @@ func (c *evalCtx) vecSelect(q *sparql.Query, rowCap, earlyCap int) (*Results, bo
 			flat = flat[nProj:]
 			for i := 0; i < nProj; i++ {
 				if id := buf[base+i]; id != rdf.Unbound {
-					cells[i] = pl.dec.term(id)
+					cells[i] = c.graph.TermOf(id)
 				}
 			}
 			res.Rows = append(res.Rows, cells)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -420,7 +421,7 @@ func TestVecSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run() // warm scratch slabs and the decoder
+	run() // warm scratch slabs
 	if rows == 0 {
 		t.Fatal("pipeline produced no rows")
 	}
@@ -595,5 +596,78 @@ func TestTupleFallbackAllocsNoRegression(t *testing.T) {
 	})
 	if probe != 0 {
 		t.Errorf("tuple-path bound probe: %v allocs/op, want 0", probe)
+	}
+}
+
+// highIDEngine interns filler unrelated terms and then a small journal
+// graph, so every term an answer row carries sits at the top of the
+// dictionary's ID range.
+func highIDEngine(filler int) *Engine {
+	ds := rdf.NewDataset()
+	g := ds.Default
+	for i := 0; i < filler; i++ {
+		g.Intern(rdf.IRI("http://ex/unrelated" + itoa(i)))
+	}
+	for i := 0; i < 64; i++ {
+		doc := rdf.IRI("http://ex/doc" + itoa(i))
+		g.Add(doc, rdf.IRI("http://ex/journal"), rdf.IRI("http://ex/j"+itoa(i%4)))
+		g.Add(doc, rdf.IRI("http://ex/pages"), rdf.Integer(int64(1000+i)))
+	}
+	return New(ds)
+}
+
+// TestQueryBytesIndependentOfDictSize: the bytes a query allocates
+// follow the rows it returns, not the dictionary IDs those rows carry.
+// The allocation-count tests above cannot see this — a per-query table
+// sized by the largest ID touched is one allocation, however large — so
+// this one measures bytes: the same three queries over the same answer
+// rows, with and without 200 000 unrelated terms interned below them.
+func TestQueryBytesIndependentOfDictSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes are unstable under -race")
+	}
+	small, big := highIDEngine(0), highIDEngine(200000)
+	for _, src := range []string{
+		`PREFIX ex: <http://ex/> SELECT ?d ?p WHERE { ?d ex:journal ex:j1 . ?d ex:pages ?p }`,
+		`PREFIX ex: <http://ex/> SELECT ?d ?p WHERE { ?d ex:journal ex:j1 . ?d ex:pages ?p } ORDER BY DESC(?p) LIMIT 5`,
+		`PREFIX ex: <http://ex/> SELECT ?j (SUM(?p) AS ?t) WHERE { ?d ex:journal ?j . ?d ex:pages ?p } GROUP BY ?j`,
+	} {
+		q := mustParse(t, src)
+		bytesPerQuery := func(e *Engine) float64 {
+			const runs = 20
+			var before, after runtime.MemStats
+			for i := -1; i < runs; i++ { // the first run warms pools and the numeric memo
+				if i == 0 {
+					runtime.ReadMemStats(&before)
+				}
+				if res, err := e.Query(q); err != nil || res.Len() == 0 {
+					t.Fatalf("%s: %d rows, err %v", src, res.Len(), err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			return float64(after.TotalAlloc-before.TotalAlloc) / runs
+		}
+		s, b := bytesPerQuery(small), bytesPerQuery(big)
+		if b > 1.5*s || s > 1.5*b {
+			t.Errorf("%s\n\t%.0f B/query over a small dictionary, %.0f B/query with 200000 more terms below the answer's", src, s, b)
+		}
+	}
+}
+
+// BenchmarkProjectDecode pins the projection layer boundary: a
+// vectorized SELECT whose 64 rows decode from the top of a 200 000-term
+// dictionary. B/op is the number to watch.
+func BenchmarkProjectDecode(b *testing.B) {
+	e := highIDEngine(200000)
+	q, err := sparql.ParseQuery(`PREFIX ex: <http://ex/> SELECT ?d ?j ?p WHERE { ?d ex:journal ?j . ?d ex:pages ?p }`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Query(q); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

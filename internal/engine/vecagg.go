@@ -24,46 +24,6 @@ import (
 // array.Vector per group, so DEFINE AGGREGATE bodies (MAP/CONDENSE
 // kernels) consume the slab without a per-row Binding bridge.
 
-// vecNumCache is a plan-local, lock-free front for rdf.Graph.NumericOf:
-// dense ID-indexed state so the per-row aggregation loop never takes
-// the dictionary cache's lock. Valid for the plan's lifetime because
-// terms are immutable and IDs are never reused.
-type vecNumCache struct {
-	state []uint8 // 0 = unknown, 1 = numeric, 2 = non-numeric
-	vals  []array.Number
-}
-
-func (c *vecNumCache) numeric(g *rdf.Graph, id rdf.ID) (array.Number, bool) {
-	if id == rdf.Unbound {
-		return array.Number{}, false
-	}
-	if int(id) >= len(c.state) {
-		n := int(id) + 1024
-		if n < 2*len(c.state) {
-			n = 2 * len(c.state)
-		}
-		state := make([]uint8, n)
-		copy(state, c.state)
-		vals := make([]array.Number, n)
-		copy(vals, c.vals)
-		c.state, c.vals = state, vals
-	}
-	switch c.state[id] {
-	case 1:
-		return c.vals[id], true
-	case 2:
-		return array.Number{}, false
-	}
-	v, ok := g.NumericOf(id)
-	if ok {
-		c.state[id] = 1
-		c.vals[id] = v
-	} else {
-		c.state[id] = 2
-	}
-	return v, ok
-}
-
 // vecAggSpec is one aggregate register lowered onto the batch plan.
 type vecAggSpec struct {
 	fn        string // COUNT/SUM/AVG/MIN/MAX/SAMPLE; "" for user aggregates
@@ -219,14 +179,14 @@ func (e *Engine) vecAggregate(ctx *evalCtx, q *sparql.Query, initial Binding, sp
 					st.sample = id
 				}
 				if sp.user != nil {
-					if n, ok := pl.nums.numeric(ctx.graph, id); ok {
+					if n, ok := ctx.graph.NumericOf(id); ok {
 						st.values = append(st.values, n)
 					}
 					continue
 				}
 				switch sp.fn {
 				case "SUM", "AVG", "MIN", "MAX":
-					if n, ok := pl.nums.numeric(ctx.graph, id); ok {
+					if n, ok := ctx.graph.NumericOf(id); ok {
 						st.sum.Add(n)
 					} else {
 						st.errors = true
@@ -262,11 +222,11 @@ func (e *Engine) vecAggregate(ctx *evalCtx, q *sparql.Query, initial Binding, sp
 		b := Binding{}
 		for i, gv := range groupVars {
 			if id := gr.keys[i]; id != rdf.Unbound {
-				b[gv] = pl.dec.term(id)
+				b[gv] = ctx.graph.TermOf(id)
 			}
 		}
 		for i := range vspecs {
-			v, err := e.finishVecAgg(ctx, pl, &vspecs[i], &gr.states[i])
+			v, err := e.finishVecAgg(ctx, &vspecs[i], &gr.states[i])
 			if err != nil {
 				continue // register left unbound
 			}
@@ -291,7 +251,7 @@ func (e *Engine) vecAggregate(ctx *evalCtx, q *sparql.Query, initial Binding, sp
 // finishVecAgg extracts one register's value, mirroring finishAgg with
 // decode deferred to this point: only SAMPLE's winning ID and the
 // numeric fold results materialize as terms.
-func (e *Engine) finishVecAgg(ctx *evalCtx, pl *vecPlan, sp *vecAggSpec, st *vecAggState) (rdf.Term, error) {
+func (e *Engine) finishVecAgg(ctx *evalCtx, sp *vecAggSpec, st *vecAggState) (rdf.Term, error) {
 	if sp.user != nil {
 		if len(st.values) == 0 {
 			return nil, errf("empty group for user aggregate")
@@ -313,7 +273,7 @@ func (e *Engine) finishVecAgg(ctx *evalCtx, pl *vecPlan, sp *vecAggSpec, st *vec
 		if st.sample == rdf.Unbound {
 			return nil, errf("empty group")
 		}
-		return pl.dec.term(st.sample), nil
+		return ctx.graph.TermOf(st.sample), nil
 	case "SUM", "AVG", "MIN", "MAX":
 		if st.errors {
 			return nil, errf("non-numeric value in %s", sp.fn)

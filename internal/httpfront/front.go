@@ -32,6 +32,7 @@ package httpfront
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -501,16 +502,21 @@ func writeResults(w http.ResponseWriter, req *request, res *engine.Results, tr *
 		w.Header().Set("Content-Type", ctCSV+"; charset=utf-8")
 		_ = engine.WriteCSV(w, res)
 	default:
-		w.Header().Set("Content-Type", ctSPARQLJSON)
-		doc, err := engine.JSONObject(res)
+		var analyze []byte
+		if tr != nil {
+			analyze, _ = json.Marshal(analyzeJSON(tr)) // scalars only: cannot fail
+		}
+		// The document is complete before the first byte goes out, so an
+		// unencodable term still answers a clean 500.
+		err := engine.EncodeJSON(res, analyze, func(doc []byte) error {
+			w.Header().Set("Content-Type", ctSPARQLJSON)
+			w.Header().Set("Content-Length", strconv.Itoa(len(doc)))
+			_, _ = w.Write(doc) // a failed write means the client is gone
+			return nil
+		})
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, "internal", "serializing result: "+err.Error())
-			return
 		}
-		if tr != nil {
-			doc["analyze"] = analyzeJSON(tr)
-		}
-		writeJSONDoc(w, doc)
 	}
 }
 

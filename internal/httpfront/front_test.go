@@ -377,6 +377,53 @@ func TestPanicSanitized(t *testing.T) {
 	}
 }
 
+// opaqueTerm is a term the SPARQL-results formats cannot render.
+type opaqueTerm struct{}
+
+func (opaqueTerm) Kind() rdf.Kind { return rdf.KindTyped }
+func (opaqueTerm) Key() string    { return "opaque" }
+func (opaqueTerm) String() string { return "opaque" }
+
+// TestUnencodableTermIsClean500: a term that cannot be serialized,
+// deep inside a large result, answers 500 {"code":"internal"} with
+// nothing of the 200 document sent — the JSON writer finishes the
+// whole document before the first byte goes out.
+func TestUnencodableTermIsClean500(t *testing.T) {
+	f, db := newTestFront(t)
+	var data strings.Builder
+	for i := 0; i < 3000; i++ {
+		fmt.Fprintf(&data, "<http://ex/big%d> <http://ex/n> %d .\n", i, i)
+	}
+	if err := db.LoadTurtle(data.String(), ""); err != nil {
+		t.Fatal(err)
+	}
+	db.RegisterForeign("opaque", 1, 1, func(args []rdf.Term) (rdf.Term, error) {
+		if args[0] == rdf.Integer(2900) {
+			return opaqueTerm{}, nil
+		}
+		return args[0], nil
+	})
+	w := get(f, "/sparql", `SELECT ?s (opaque(?v) AS ?o) WHERE { ?s <http://ex/n> ?v }`, nil)
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500: %.200s", w.Code, w.Body.String())
+	}
+	if doc := jsonBody(t, w); doc["code"] != "internal" || len(doc) != 2 {
+		t.Fatalf("body is not the bare error document: %.200s", w.Body.String())
+	}
+	if cl := w.Header().Get("Content-Length"); cl != "" {
+		t.Fatalf("Content-Length %q of the abandoned document leaked into the error response", cl)
+	}
+	// The same query without the poisoned row is a 200 whose declared
+	// length is its body's.
+	w = get(f, "/sparql", `SELECT ?s (opaque(?v) AS ?o) WHERE { ?s <http://ex/n> ?v FILTER(?v < 2900) }`, nil)
+	if w.Code != http.StatusOK || w.Header().Get("Content-Length") != fmt.Sprint(w.Body.Len()) {
+		t.Fatalf("status %d, Content-Length %q, body %d bytes", w.Code, w.Header().Get("Content-Length"), w.Body.Len())
+	}
+	if n := len(jsonBody(t, w)["results"].(map[string]any)["bindings"].([]any)); n != 2900 {
+		t.Fatalf("%d bindings, want 2900", n)
+	}
+}
+
 // TestHandlerPanicTrapped: a panic in the handler itself (here: a
 // front misconfigured with no tenant registry) is trapped into a
 // sanitized 500, never a crashed connection.

@@ -20,11 +20,6 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg, "code": code})
 }
 
-// writeJSONDoc encodes a document with a trailing newline.
-func writeJSONDoc(w http.ResponseWriter, doc map[string]any) {
-	_ = json.NewEncoder(w).Encode(doc)
-}
-
 // negotiate resolves the Accept header to a response media type for
 // solution results. An absent header, */* or application/json accept
 // the SPARQL-JSON default; text/csv selects CSV; anything else that

@@ -17,6 +17,7 @@ type Parser struct {
 	lex      *lexer
 	tok      token
 	graph    *rdf.Graph
+	tx       *rdf.Tx // the document's triples, published together at the end
 	prefixes map[string]string
 	base     string
 	blanks   map[string]rdf.Blank
@@ -31,14 +32,18 @@ func Parse(r io.Reader, g *rdf.Graph) error {
 	return ParseString(string(src), g)
 }
 
-// ParseString parses a Turtle document given as a string into g.
+// ParseString parses a Turtle document given as a string into g. The
+// document loads as one transaction: lock-free readers of g see all of
+// its triples or none, and a document that fails to parse adds nothing.
 func ParseString(src string, g *rdf.Graph) error {
 	p := &Parser{
 		lex:      newLexer(src),
 		graph:    g,
+		tx:       g.Begin(),
 		prefixes: map[string]string{},
 		blanks:   map[string]rdf.Blank{},
 	}
+	defer p.tx.Abort() // a no-op once committed
 	if err := p.advance(); err != nil {
 		return err
 	}
@@ -47,6 +52,7 @@ func ParseString(src string, g *rdf.Graph) error {
 			return err
 		}
 	}
+	p.tx.Commit()
 	return nil
 }
 
@@ -199,7 +205,7 @@ func (p *Parser) predicateObjectList(subj rdf.Term) error {
 			if err != nil {
 				return err
 			}
-			p.graph.Add(subj, pred, obj)
+			p.tx.Add(subj, pred, obj)
 			if p.tok.kind == tokPunct && p.tok.text == "," {
 				if err := p.advance(); err != nil {
 					return err
@@ -403,12 +409,12 @@ func (p *Parser) collection() (rdf.Term, error) {
 	head := rdf.Term(p.graph.NewBlank())
 	cur := head
 	for i, item := range items {
-		p.graph.Add(cur, rdf.RDFFirst, item)
+		p.tx.Add(cur, rdf.RDFFirst, item)
 		if i == len(items)-1 {
-			p.graph.Add(cur, rdf.RDFRest, rdf.RDFNil)
+			p.tx.Add(cur, rdf.RDFRest, rdf.RDFNil)
 		} else {
 			next := p.graph.NewBlank()
-			p.graph.Add(cur, rdf.RDFRest, next)
+			p.tx.Add(cur, rdf.RDFRest, next)
 			cur = next
 		}
 	}

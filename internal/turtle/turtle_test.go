@@ -162,11 +162,15 @@ func TestParseErrors(t *testing.T) {
 		`<s <p> 1 .`,
 		`@prefix ex: <http://ex/> . ex:s ex:p "x"^^5 .`,
 		`@prefix ex: <http://ex/> . ex:s ex:p "x"^^ex:y extra .`,
+		`<http://ex/a> <http://ex/p> 1 . <http://ex/b> <http://ex/p> .`, // a good statement before the bad one
 	}
 	for i, src := range bad {
 		g := rdf.NewGraph()
 		if err := ParseString(src, g); err == nil {
 			t.Fatalf("case %d: expected error for %q", i, src)
+		}
+		if g.Size() != 0 {
+			t.Fatalf("case %d: a document that failed to parse left %d triples behind", i, g.Size())
 		}
 	}
 }
