@@ -75,6 +75,8 @@ func (s *SSDM) writeSnapshotBody(w *bufio.Writer) error {
 // the Turtle writer never has to pull external data.
 func (s *SSDM) snapshotView(g *rdf.Graph) (*rdf.Graph, error) {
 	out := rdf.NewGraph()
+	tx := out.Begin()
+	defer tx.Commit() // out is read only after this returns
 	var err error
 	g.Triples(func(sub, p, o rdf.Term) bool {
 		pi, ok := p.(rdf.IRI)
@@ -90,10 +92,10 @@ func (s *SSDM) snapshotView(g *rdf.Graph) (*rdf.Graph, error) {
 				Lexical:  strconv.FormatInt(at.A.Base.Proxy.ArrayID, 10),
 				Datatype: rdf.SSDMFileLink,
 			}
-			out.Add(sub, pi, link)
+			tx.Add(sub, pi, link)
 			return true
 		}
-		out.Add(sub, pi, o)
+		tx.Add(sub, pi, o)
 		return true
 	})
 	if err != nil {

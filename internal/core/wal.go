@@ -501,8 +501,19 @@ func (s *SSDM) applyWalRecord(typ byte, body []byte) error {
 func (s *SSDM) applyBatch(rec recBatch) error {
 	graph := rdf.IRI(rec.Graph)
 	hasLink := false
+	// The batch's triple ops replay as one transaction; a clear, which
+	// is its own published version (or replaces the graph), ends it.
+	var tx *rdf.Tx
+	commit := func() {
+		if tx != nil {
+			tx.Commit()
+			tx = nil
+		}
+	}
+	defer commit()
 	for _, op := range rec.Ops {
 		if rdf.OpKind(op.K) == rdf.OpClear {
+			commit()
 			if rec.Graph == "" {
 				s.Dataset.Default.Clear()
 			} else {
@@ -525,16 +536,19 @@ func (s *SSDM) applyBatch(rec recBatch) error {
 		if tt, ok := ot.(rdf.Typed); ok && tt.Datatype == rdf.SSDMFileLink {
 			hasLink = true
 		}
-		g := s.targetGraph(graph)
+		if tx == nil {
+			tx = s.targetGraph(graph).Begin()
+		}
 		switch rdf.OpKind(op.K) {
 		case rdf.OpAdd:
-			g.Add(st, pt, ot)
+			tx.Add(st, pt, ot)
 		case rdf.OpDelete:
-			g.Delete(st, pt, ot)
+			tx.Delete(st, pt, ot)
 		default:
 			return fmt.Errorf("unknown op kind %d", op.K)
 		}
 	}
+	commit()
 	if rec.Blank > 0 {
 		s.targetGraph(graph).EnsureBlankNo(rec.Blank)
 	}

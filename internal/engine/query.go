@@ -165,14 +165,16 @@ func (e *Engine) activeGraph(q *sparql.Query) *rdf.Graph {
 		return rdf.NewGraph()
 	}
 	merged := rdf.NewGraph()
+	tx := merged.Begin()
 	for _, name := range q.From {
 		if g := e.Dataset.Named(name, false); g != nil {
 			g.Triples(func(s, p, o rdf.Term) bool {
-				merged.Add(s, p, o)
+				tx.Add(s, p, o)
 				return true
 			})
 		}
 	}
+	tx.Commit()
 	return merged
 }
 
@@ -471,22 +473,24 @@ func (e *Engine) execAsk(ctx *evalCtx, q *sparql.Query) (*Results, error) {
 
 func (e *Engine) execConstruct(ctx *evalCtx, q *sparql.Query) (*Results, error) {
 	out := rdf.NewGraph()
+	tx := out.Begin()
 	stop := ctx.trace.startPhase(phaseWhere)
 	err := ctx.whereSolutions(q, Binding{}, -1, func(b Binding) error {
-		instantiateTemplate(out, q.ConstructTemplate, b)
+		instantiateTemplate(out, tx, q.ConstructTemplate, b)
 		return nil
 	})
 	stop()
+	tx.Commit()
 	if err != nil && err != errStop {
 		return nil, err
 	}
 	return &Results{Form: sparql.FormConstruct, Graph: out}, nil
 }
 
-// instantiateTemplate adds the template's triples under a solution;
-// template blank nodes become fresh nodes per solution, and triples
-// with unbound components are skipped.
-func instantiateTemplate(g *rdf.Graph, tpl []sparql.TriplePattern, b Binding) {
+// instantiateTemplate stages the template's triples under a solution
+// in tx, a transaction on g; template blank nodes become fresh nodes
+// per solution, and triples with unbound components are skipped.
+func instantiateTemplate(g *rdf.Graph, tx *rdf.Tx, tpl []sparql.TriplePattern, b Binding) {
 	blanks := map[string]rdf.Blank{}
 	resolve := func(n sparql.Node) rdf.Term {
 		if n.IsVar() {
@@ -516,19 +520,13 @@ func instantiateTemplate(g *rdf.Graph, tpl []sparql.TriplePattern, b Binding) {
 			continue
 		}
 		if pi, ok := p.(rdf.IRI); ok {
-			g.Add(s, pi, o)
+			tx.Add(s, pi, o)
 		}
 	}
 }
 
 func (e *Engine) execDescribe(ctx *evalCtx, q *sparql.Query) (*Results, error) {
 	out := rdf.NewGraph()
-	describe := func(t rdf.Term) {
-		ctx.graph.MatchTerms(t, nil, nil, func(s, p, o rdf.Term) bool {
-			out.Add(s, p, o)
-			return true
-		})
-	}
 	targets := map[string]rdf.Term{}
 	for _, de := range q.DescribeTerms {
 		switch v := de.(type) {
@@ -546,9 +544,14 @@ func (e *Engine) execDescribe(ctx *evalCtx, q *sparql.Query) (*Results, error) {
 			}
 		}
 	}
+	tx := out.Begin()
 	for _, t := range targets {
-		describe(t)
+		ctx.graph.MatchTerms(t, nil, nil, func(s, p, o rdf.Term) bool {
+			tx.Add(s, p, o)
+			return true
+		})
 	}
+	tx.Commit()
 	return &Results{Form: sparql.FormDescribe, Graph: out}, nil
 }
 

@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -130,5 +131,53 @@ func TestCountMatchConstant(t *testing.T) {
 	g.Match(0, p1, 0, func(Triple) bool { n++; return true })
 	if got := g.CountMatch(0, p1, 0); got != n {
 		t.Fatalf("CountMatch(p1) = %d, enumeration says %d", got, n)
+	}
+}
+
+// txBytesPerTriple runs one transaction adding the triples
+// (s<i/perSubj>, p<i%perSubj>, i) for i in [from, to) and returns the
+// bytes it allocated per triple, term interning excluded (the terms are
+// interned beforehand).
+func txBytesPerTriple(t *testing.T, g *Graph, from, to int) float64 {
+	t.Helper()
+	const perSubj = 10
+	ids := make([]Triple, 0, to-from)
+	for i := from; i < to; i++ {
+		ids = append(ids, Triple{
+			S: g.Intern(IRI(fmt.Sprintf("http://ex/s%d", i/perSubj))),
+			P: g.Intern(IRI(fmt.Sprintf("http://ex/p%d", i%perSubj))),
+			O: g.Intern(Integer(int64(i))),
+		})
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tx := g.Begin()
+	for _, tr := range ids {
+		if !tx.AddIDs(tr.S, tr.P, tr.O) {
+			t.Fatalf("triple %v already present", tr)
+		}
+	}
+	tx.Commit()
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(len(ids))
+}
+
+// TestTxAddBytesPerTriple pins what a transaction allocates per triple.
+// A bulk load edits the nodes it made in place; when every triple
+// path-copied all four indexes this load cost 8 201 B per triple (now
+// ≈ 1 100). A small transaction into a large graph is the other end:
+// every node it first touches is published, so it pays those path
+// copies (9 366 B per triple then, ≈ 6 250 now — its later triples
+// reuse the paths its first one copied).
+func TestTxAddBytesPerTriple(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocator overhead is not what this measures")
+	}
+	g := NewGraph()
+	if got := txBytesPerTriple(t, g, 0, 20000); got > 8201/5 {
+		t.Errorf("20000-triple Tx into an empty graph allocates %.0f B/triple, want <= %d", got, 8201/5)
+	}
+	if got := txBytesPerTriple(t, g, 20000, 20010); got > 9366 {
+		t.Errorf("10-triple Tx into a 20000-triple graph allocates %.0f B/triple, want <= 9366", got)
 	}
 }

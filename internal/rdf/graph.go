@@ -3,6 +3,7 @@ package rdf
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -47,15 +48,18 @@ func (st *graphState) has(s, p, o ID) bool {
 	return idxGet(st.spo, s).get(p).has(o)
 }
 
-// dict is the term dictionary: an append-only terms slice published
-// through an atomic pointer (IDs are never reused, so a stale header
-// still resolves every ID it covers) plus a mutex-guarded key index.
+// dict is the term dictionary: an append-only terms array plus a
+// mutex-guarded key index. Readers are lock-free: n counts the terms,
+// and the slice header is republished only when append moves the array,
+// so a reader loads n first and may then index any header it finds up
+// to n (IDs are never reused, and an entry below n is never rewritten).
 // The dictionary is shared between a live graph, its snapshots, and
 // its post-Clear states.
 type dict struct {
 	mu    sync.RWMutex
 	byKey map[string]ID
 	terms atomic.Pointer[[]Term]
+	n     atomic.Int64
 	bytes atomic.Int64
 
 	// num memoizes per-ID numeric coercions (numcache.go) so batch
@@ -94,33 +98,28 @@ func (d *dict) intern(t Term, key string) (ID, bool) {
 	}
 	var terms []Term
 	if p := d.terms.Load(); p != nil {
-		terms = *p
+		terms = (*p)[:d.n.Load()]
 	}
-	terms = append(terms, t)
-	id := ID(len(terms))
+	grown := append(terms, t)
+	if cap(grown) != cap(terms) {
+		moved := grown
+		d.terms.Store(&moved)
+	}
+	id := ID(d.n.Add(1))
 	d.byKey[key] = id
-	d.terms.Store(&terms)
 	d.bytes.Add(int64(len(key)) + termOverheadBytes)
 	return id, true
 }
 
 func (d *dict) termOf(id ID) Term {
-	var terms []Term
-	if p := d.terms.Load(); p != nil {
-		terms = *p
-	}
-	if id == 0 || int(id) > len(terms) {
+	n := d.n.Load()
+	if id == 0 || int64(id) > n {
 		panic(fmt.Sprintf("rdf: invalid term ID %d", id))
 	}
-	return terms[id-1]
+	return (*d.terms.Load())[:n][id-1]
 }
 
-func (d *dict) len() int {
-	if p := d.terms.Load(); p != nil {
-		return len(*p)
-	}
-	return 0
-}
+func (d *dict) len() int { return int(d.n.Load()) }
 
 // Graph is an in-memory RDF-with-Arrays triple store with
 // multi-version concurrency control: the triple content lives in an
@@ -272,30 +271,30 @@ func (g *Graph) publish(st *graphState) {
 }
 
 // add inserts into a state in place (the state must be a private,
-// not-yet-published copy).
-func (st *graphState) add(s, p, o ID) bool {
-	spo, added := idxAdd(st.spo, s, p, o)
+// not-yet-published copy); tag is the writer's edit tag (pmap.go).
+func (st *graphState) add(tag uint32, s, p, o ID) bool {
+	spo, added := idxAdd(st.spo, tag, s, p, o)
 	if !added {
 		return false
 	}
 	st.spo = spo
-	st.pos, _ = idxAdd(st.pos, p, o, s)
-	st.osp, _ = idxAdd(st.osp, o, s, p)
-	st.pso, _ = idxAdd(st.pso, p, s, o)
+	st.pos, _ = idxAdd(st.pos, tag, p, o, s)
+	st.osp, _ = idxAdd(st.osp, tag, o, s, p)
+	st.pso, _ = idxAdd(st.pso, tag, p, s, o)
 	st.size++
 	return true
 }
 
 // del removes from a state in place (same contract as add).
-func (st *graphState) del(s, p, o ID) bool {
-	spo, removed := idxDel(st.spo, s, p, o)
+func (st *graphState) del(tag uint32, s, p, o ID) bool {
+	spo, removed := idxDel(st.spo, tag, s, p, o)
 	if !removed {
 		return false
 	}
 	st.spo = spo
-	st.pos, _ = idxDel(st.pos, p, o, s)
-	st.osp, _ = idxDel(st.osp, o, s, p)
-	st.pso, _ = idxDel(st.pso, p, s, o)
+	st.pos, _ = idxDel(st.pos, tag, p, o, s)
+	st.osp, _ = idxDel(st.osp, tag, o, s, p)
+	st.pso, _ = idxDel(st.pso, tag, p, s, o)
 	st.size--
 	return true
 }
@@ -304,13 +303,7 @@ func (st *graphState) del(s, p, o ID) bool {
 // already present. The triple appears atomically to readers.
 func (g *Graph) Add(s, p, o Term) bool {
 	g.checkWritable()
-	si, fs := g.dict.intern(s, s.Key())
-	pi, fp := g.dict.intern(p, p.Key())
-	oi, fo := g.dict.intern(o, o.Key())
-	if fs || fp || fo {
-		g.gen.Add(1)
-	}
-	return g.AddIDs(si, pi, oi)
+	return g.AddIDs(g.Intern(s), g.Intern(p), g.Intern(o))
 }
 
 // AddIDs inserts a triple of already-interned IDs.
@@ -319,7 +312,7 @@ func (g *Graph) AddIDs(s, p, o ID) bool {
 	g.wmu.Lock()
 	defer g.wmu.Unlock()
 	st := *g.cur()
-	if !st.add(s, p, o) {
+	if !st.add(0, s, p, o) {
 		return false
 	}
 	g.publish(&st)
@@ -350,7 +343,7 @@ func (g *Graph) DeleteIDs(s, p, o ID) bool {
 	g.wmu.Lock()
 	defer g.wmu.Unlock()
 	st := *g.cur()
-	if !st.del(s, p, o) {
+	if !st.del(0, s, p, o) {
 		return false
 	}
 	g.publish(&st)
@@ -419,6 +412,7 @@ type Op struct {
 type Tx struct {
 	g    *Graph
 	st   graphState
+	tag  uint32 // edit tag: nodes carrying it are this transaction's to write
 	done bool
 
 	record bool
@@ -429,12 +423,21 @@ type Tx struct {
 	changed int
 }
 
+// txTags is the process-wide source of edit tags. It saturates: a tag
+// is never handed out twice, and once exhausted every transaction gets
+// tag 0, which owns nothing, so its edits are plain path copies.
+var txTags atomic.Uint32
+
 // Begin opens a write transaction. The caller must end it with Commit
 // or Abort; until then all other writers block.
 func (g *Graph) Begin() *Tx {
 	g.checkWritable()
 	g.wmu.Lock()
-	return &Tx{g: g, st: *g.cur()}
+	tag := txTags.Load() // at the ceiling, tag+1 below wraps to 0
+	for tag != math.MaxUint32 && !txTags.CompareAndSwap(tag, tag+1) {
+		tag = txTags.Load()
+	}
+	return &Tx{g: g, st: *g.cur(), tag: tag + 1}
 }
 
 // Record enables (or disables) operation recording for Ops.
@@ -453,18 +456,17 @@ func (t *Tx) Size() int { return t.st.size }
 // Add stages a triple insert; false when already present in the staged
 // state.
 func (t *Tx) Add(s, p, o Term) bool {
-	si, fs := t.g.dict.intern(s, s.Key())
-	pi, fp := t.g.dict.intern(p, p.Key())
-	oi, fo := t.g.dict.intern(o, o.Key())
-	if fs || fp || fo {
-		t.g.gen.Add(1)
-	}
-	if !t.st.add(si, pi, oi) {
+	return t.AddIDs(t.g.Intern(s), t.g.Intern(p), t.g.Intern(o))
+}
+
+// AddIDs is Add for a triple of already-interned IDs.
+func (t *Tx) AddIDs(s, p, o ID) bool {
+	if !t.st.add(t.tag, s, p, o) {
 		return false
 	}
 	t.changed++
 	if t.record {
-		t.ops = append(t.ops, Op{Kind: OpAdd, S: s, P: p, O: o})
+		t.ops = append(t.ops, Op{Kind: OpAdd, S: t.g.TermOf(s), P: t.g.TermOf(p), O: t.g.TermOf(o)})
 	}
 	return true
 }
@@ -484,7 +486,7 @@ func (t *Tx) Delete(s, p, o Term) bool {
 	if !ok {
 		return false
 	}
-	if !t.st.del(si, pi, oi) {
+	if !t.st.del(t.tag, si, pi, oi) {
 		return false
 	}
 	t.changed++

@@ -153,6 +153,8 @@ func (st *Store) SaveGraph(g *rdf.Graph, chunkElems int) (int, error) {
 // as lazy proxies over the store's array back-end.
 func (st *Store) LoadGraph(g *rdf.Graph) (int, error) {
 	n := 0
+	tx := g.Begin()
+	defer tx.Commit() // a failed load keeps the n triples read before the error
 	load := func(table string, make func(row []relstore.Value) (rdf.Term, error)) error {
 		res, err := st.DB.Exec(`SELECT * FROM ` + table)
 		if err != nil {
@@ -167,7 +169,7 @@ func (st *Store) LoadGraph(g *rdf.Graph) (int, error) {
 			if err != nil {
 				return err
 			}
-			g.Add(s, rdf.IRI(row[1].Str()), o)
+			tx.Add(s, rdf.IRI(row[1].Str()), o)
 			n++
 		}
 		return nil

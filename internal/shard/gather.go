@@ -26,18 +26,6 @@ type mask struct {
 	s, p, o rdf.Term
 }
 
-// key canonicalizes a mask for dedup.
-func (m mask) key() string {
-	k := ""
-	for _, t := range []rdf.Term{m.s, m.p, m.o} {
-		if t != nil {
-			k += t.Key()
-		}
-		k += "\x00"
-	}
-	return k
-}
-
 // covers reports whether m matches at least everything n does.
 func (m mask) covers(n mask) bool {
 	pos := func(a, b rdf.Term) bool {
@@ -281,24 +269,53 @@ func (c *Coordinator) runGather(ctx context.Context, q *sparql.Query, lim engine
 	ds := rdf.NewDataset()
 	scratch := ds.Default
 
-	// Shard scans run concurrently; adds serialize on one mutex (the
-	// scratch graph is single-writer). Blank labels are globally
-	// unique by construction (the coordinator rewrites them at load
-	// routing), so merging needs no renaming.
+	// The scratch graph is built by one transaction. Shard scans run
+	// concurrently and intern their rows lock-free — a position the mask
+	// binds is interned once per mask, not per row — then hand them to
+	// the transaction a batch at a time under mu. Blank labels are
+	// globally unique by construction (the coordinator rewrites them at
+	// load routing), so merging needs no renaming.
+	tx := scratch.Begin()
 	var mu sync.Mutex
+	intern := func(t rdf.Term) rdf.ID {
+		if t == nil {
+			return rdf.Unbound
+		}
+		return scratch.Intern(t)
+	}
 	err := c.scatter(ctx, func(ctx context.Context, i int, sh Shard) error {
+		batch := make([]rdf.Triple, 0, 512)
+		flush := func() {
+			mu.Lock()
+			for _, t := range batch {
+				tx.AddIDs(t.S, t.P, t.O)
+			}
+			mu.Unlock()
+			batch = batch[:0]
+		}
 		for _, m := range masks {
 			if err := engine.ContextErr(ctx); err != nil {
 				return err
 			}
 			qs.call()
 			c.perShard[i].calls.Add(1)
+			bound := rdf.Triple{S: intern(m.s), P: intern(m.p), O: intern(m.o)}
 			var n int64
 			err := sh.Scan(ctx, m.s, m.p, m.o, func(s, p, o rdf.Term) bool {
 				n++
-				mu.Lock()
-				scratch.Add(s, p, o)
-				mu.Unlock()
+				t := bound
+				if t.S == rdf.Unbound {
+					t.S = scratch.Intern(s)
+				}
+				if t.P == rdf.Unbound {
+					t.P = scratch.Intern(p)
+				}
+				if t.O == rdf.Unbound {
+					t.O = scratch.Intern(o)
+				}
+				if batch = append(batch, t); len(batch) == cap(batch) {
+					flush()
+				}
 				return true
 			})
 			c.perShard[i].rows.Add(n)
@@ -307,11 +324,14 @@ func (c *Coordinator) runGather(ctx context.Context, q *sparql.Query, lim engine
 				return err
 			}
 		}
+		flush()
 		return nil
 	})
 	if err != nil {
+		tx.Abort()
 		return nil, err
 	}
+	tx.Commit()
 
 	// A fresh engine over the scratch dataset, sharing the node's
 	// function registry (user-defined functions and aggregates) and
