@@ -164,20 +164,66 @@ func txBytesPerTriple(t *testing.T, g *Graph, from, to int) float64 {
 
 // TestTxAddBytesPerTriple pins what a transaction allocates per triple.
 // A bulk load edits the nodes it made in place; when every triple
-// path-copied all four indexes this load cost 8 201 B per triple (now
-// ≈ 1 100). A small transaction into a large graph is the other end:
-// every node it first touches is published, so it pays those path
-// copies (9 366 B per triple then, ≈ 6 250 now — its later triples
-// reuse the paths its first one copied).
+// path-copied all of the then four indexes this load cost 8 201 B per
+// triple, 1 062 once it edited in place, and ≈ 630 with three indexes
+// whose one-member sets need no allocation. A small transaction into a
+// large graph is the other end: every node it first touches is
+// published, so it pays those path copies (9 366 B per triple, then
+// 6 192, ≈ 3 980 now — its later triples reuse the paths its first one
+// copied).
 func TestTxAddBytesPerTriple(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's allocator overhead is not what this measures")
 	}
 	g := NewGraph()
-	if got := txBytesPerTriple(t, g, 0, 20000); got > 8201/5 {
-		t.Errorf("20000-triple Tx into an empty graph allocates %.0f B/triple, want <= %d", got, 8201/5)
+	if got := txBytesPerTriple(t, g, 0, 20000); got > 800 {
+		t.Errorf("20000-triple Tx into an empty graph allocates %.0f B/triple, want <= 800", got)
 	}
-	if got := txBytesPerTriple(t, g, 20000, 20010); got > 9366 {
-		t.Errorf("10-triple Tx into a 20000-triple graph allocates %.0f B/triple, want <= 9366", got)
+	if got := txBytesPerTriple(t, g, 20000, 20010); got > 5000 {
+		t.Errorf("10-triple Tx into a 20000-triple graph allocates %.0f B/triple, want <= 5000", got)
+	}
+}
+
+// TestNewPairAllocatesNoSet: a triple whose (a, b) pair is new to an
+// index puts its third component into a slot of that index — no pset,
+// no set node. Here every test triple is such a triple in all three
+// indexes, their keys fall into different slots of nodes the warmed
+// transaction already owns and has grown, and so adding and removing
+// them allocates nothing at all. (With a pset behind every set it was
+// three allocations per index and triple.)
+func TestNewPairAllocatesNoSet(t *testing.T) {
+	const n = 8
+	g := NewGraph()
+	var ids []ID
+	for i := 0; i < 6+2*n; i++ { // 22 IDs: no two share their low five bits
+		ids = append(ids, g.Intern(Integer(int64(i))))
+	}
+	s, pA, oA, sB, oB, sC, pC := ids[0], ids[1], ids[2], ids[3], ids[4], ids[5], ids[5]
+	preds, objs := ids[6:6+n], ids[6+n:]
+	tx := g.Begin()
+	defer tx.Abort()
+	// Anchors keep s, every predicate and every object present in the
+	// indexes they lead, with pairs the test triples do not share.
+	tx.AddIDs(s, pA, oA)
+	for j := range preds {
+		tx.AddIDs(sB, preds[j], oB)
+		tx.AddIDs(sC, pC, objs[j])
+	}
+	cycle := func() {
+		for j := range preds {
+			if !tx.AddIDs(s, preds[j], objs[j]) {
+				t.Fatal("test triple already present")
+			}
+		}
+		for j := range preds {
+			tx.st.del(tx.tag, s, preds[j], objs[j])
+		}
+	}
+	cycle() // grow the owned nodes' slot arrays once
+	if avg := testing.AllocsPerRun(20, cycle); avg != 0 {
+		t.Errorf("adding and removing %d triples with new pairs allocates %.1f times, want 0", n, avg)
+	}
+	if sl := pmFind(tx.st.subjects, uint32(preds[0])); sl == nil || sl.val != 1 {
+		t.Errorf("distinct-subject counter after the cycles: %v, want 1 (the anchor's)", sl)
 	}
 }

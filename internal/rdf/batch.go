@@ -73,193 +73,18 @@ func (g *Graph) MatchIDs(ctx context.Context, s, p, o ID, bs int, yield func(s, 
 	}
 	buf := getTripleBatch(bs)
 	defer putTripleBatch(buf)
-	st := g.cur()
-	switch {
-	case s != 0 && p != 0 && o != 0:
-		if st.has(s, p, o) {
-			buf.append(s, p, o)
-			yield(buf.S, buf.P, buf.O)
-		}
-	case s != 0 && p != 0:
-		matchSetIDs(ctx, idxGet(st.spo, s).get(p), Triple{S: s, P: p}, 2, bs, buf, yield)
-	case p != 0 && o != 0:
-		matchSetIDs(ctx, idxGet(st.pos, p).get(o), Triple{P: p, O: o}, 0, bs, buf, yield)
-	case s != 0 && o != 0:
-		matchSetIDs(ctx, idxGet(st.osp, o).get(s), Triple{S: s, O: o}, 1, bs, buf, yield)
-	case s != 0:
-		matchMidIDs(ctx, idxGet(st.spo, s), Triple{S: s}, 1, 2, bs, buf, yield)
-	case p != 0:
-		matchMidIDs(ctx, idxGet(st.pso, p), Triple{P: p}, 0, 2, bs, buf, yield)
-	case o != 0:
-		matchMidIDs(ctx, idxGet(st.osp, o), Triple{O: o}, 0, 1, bs, buf, yield)
-	default:
-		matchTopIDs(ctx, st.spo, bs, buf, yield)
-	}
-}
-
-// batchCol returns the destination column for a triple position.
-func (b *TripleBatch) col(pos int) *[]ID {
-	switch pos {
-	case 0:
-		return &b.S
-	case 1:
-		return &b.P
-	default:
-		return &b.O
-	}
-}
-
-// fillConst pads the batch's constant columns so all three stay
-// parallel: positions other than the filled one repeat their fixed
-// pattern value.
-func fillConst(col *[]ID, v ID, n int) {
-	for len(*col) < n {
-		*col = append(*col, v)
-	}
-}
-
-func posOf(t Triple, pos int) ID {
-	switch pos {
-	case 0:
-		return t.S
-	case 1:
-		return t.P
-	default:
-		return t.O
-	}
-}
-
-// padFixed pads every column except fillPos with its fixed pattern
-// value up to the filled column's length, then yields the batch.
-func padFixed(base Triple, fillPos int, buf *TripleBatch, yield func(s, p, o []ID) bool) bool {
-	n := len(*buf.col(fillPos))
-	if n == 0 {
-		return true
-	}
-	for pos := 0; pos < 3; pos++ {
-		if pos != fillPos {
-			fillConst(buf.col(pos), posOf(base, pos), n)
-		}
-	}
-	return yield(buf.S, buf.P, buf.O)
-}
-
-// matchSetIDs is the bound-pair case: the matches are the members of
-// one innermost set, yielded in batches.
-func matchSetIDs(ctx context.Context, set *pset, base Triple, fillPos, bs int, buf *TripleBatch, yield func(s, p, o []ID) bool) {
-	if set == nil {
-		return
-	}
-	var it pmIter[struct{}]
-	it.init(set.root)
-	fill := buf.col(fillPos)
-	for {
-		c, _, ok := it.next()
-		if !ok {
-			break
-		}
-		*fill = append(*fill, ID(c))
-		if len(*fill) >= bs {
-			if !padFixed(base, fillPos, buf, yield) {
-				return
-			}
+	stopped := false
+	g.cur().match(nil, s, p, o, func(t Triple) bool {
+		buf.append(t.S, t.P, t.O)
+		if buf.Len() >= bs {
+			stopped = !yield(buf.S, buf.P, buf.O) || ctxDone(ctx)
 			buf.Reset()
-			fill = buf.col(fillPos)
-			if ctxDone(ctx) {
-				return
-			}
 		}
+		return !stopped
+	})
+	if !stopped && buf.Len() > 0 {
+		yield(buf.S, buf.P, buf.O)
 	}
-	padFixed(base, fillPos, buf, yield)
-}
-
-// matchMidIDs is the single-bound case: (outer key, set member) pairs
-// under one top-level entry, yielded in batches.
-func matchMidIDs(ctx context.Context, mid *pmid, base Triple, outerPos, innerPos, bs int, buf *TripleBatch, yield func(s, p, o []ID) bool) {
-	if mid == nil {
-		return
-	}
-	constPos := 3 - outerPos - innerPos
-	outer, inner := buf.col(outerPos), buf.col(innerPos)
-	flush := func() bool {
-		n := len(*outer)
-		if n == 0 {
-			return true
-		}
-		fillConst(buf.col(constPos), posOf(base, constPos), n)
-		if !yield(buf.S, buf.P, buf.O) {
-			return false
-		}
-		buf.Reset()
-		outer, inner = buf.col(outerPos), buf.col(innerPos)
-		return !ctxDone(ctx)
-	}
-	var it pmIter[*pset]
-	it.init(mid.root)
-	for {
-		b, set, ok := it.next()
-		if !ok {
-			break
-		}
-		var is pmIter[struct{}]
-		is.init(set.root)
-		for {
-			c, _, ok := is.next()
-			if !ok {
-				break
-			}
-			*outer = append(*outer, ID(b))
-			*inner = append(*inner, ID(c))
-			if len(*outer) >= bs && !flush() {
-				return
-			}
-		}
-	}
-	flush()
-}
-
-// matchTopIDs enumerates the whole graph in column batches from the
-// SPO permutation.
-func matchTopIDs(ctx context.Context, root *pmNode[*pmid], bs int, buf *TripleBatch, yield func(s, p, o []ID) bool) {
-	flush := func() bool {
-		if buf.Len() == 0 {
-			return true
-		}
-		if !yield(buf.S, buf.P, buf.O) {
-			return false
-		}
-		buf.Reset()
-		return !ctxDone(ctx)
-	}
-	var it pmIter[*pmid]
-	it.init(root)
-	for {
-		s, mid, ok := it.next()
-		if !ok {
-			break
-		}
-		var im pmIter[*pset]
-		im.init(mid.root)
-		for {
-			p, set, ok := im.next()
-			if !ok {
-				break
-			}
-			var is pmIter[struct{}]
-			is.init(set.root)
-			for {
-				o, _, ok := is.next()
-				if !ok {
-					break
-				}
-				buf.append(ID(s), ID(p), ID(o))
-				if buf.Len() >= bs && !flush() {
-					return
-				}
-			}
-		}
-	}
-	flush()
 }
 
 // MatchAppend gathers every triple matching a pattern (0 = wildcard)
@@ -269,72 +94,11 @@ func matchTopIDs(ctx context.Context, root *pmNode[*pmid], bs int, buf *TripleBa
 // expected fan-out is the pattern's selectivity, not the graph size.
 func (g *Graph) MatchAppend(s, p, o ID, dst *TripleBatch) int {
 	before := dst.Len()
-	st := g.cur()
-	switch {
-	case s != 0 && p != 0 && o != 0:
-		if st.has(s, p, o) {
-			dst.append(s, p, o)
-		}
-	case s != 0 && p != 0:
-		appendSet(idxGet(st.spo, s).get(p), Triple{S: s, P: p}, 2, dst)
-	case p != 0 && o != 0:
-		appendSet(idxGet(st.pos, p).get(o), Triple{P: p, O: o}, 0, dst)
-	case s != 0 && o != 0:
-		appendSet(idxGet(st.osp, o).get(s), Triple{S: s, O: o}, 1, dst)
-	case s != 0:
-		appendMid(idxGet(st.spo, s), Triple{S: s}, 1, 2, dst)
-	case p != 0:
-		appendMid(idxGet(st.pso, p), Triple{P: p}, 0, 2, dst)
-	case o != 0:
-		appendMid(idxGet(st.osp, o), Triple{O: o}, 0, 1, dst)
-	default:
-		matchTop(nil, st.spo, func(t Triple) bool {
-			dst.append(t.S, t.P, t.O)
-			return true
-		})
-	}
+	g.cur().match(nil, s, p, o, func(t Triple) bool {
+		dst.append(t.S, t.P, t.O)
+		return true
+	})
 	return dst.Len() - before
-}
-
-func appendSet(set *pset, base Triple, fillPos int, dst *TripleBatch) {
-	if set == nil {
-		return
-	}
-	var it pmIter[struct{}]
-	it.init(set.root)
-	for {
-		c, _, ok := it.next()
-		if !ok {
-			return
-		}
-		full := setPos(base, fillPos, ID(c))
-		dst.append(full.S, full.P, full.O)
-	}
-}
-
-func appendMid(mid *pmid, base Triple, outerPos, innerPos int, dst *TripleBatch) {
-	if mid == nil {
-		return
-	}
-	var it pmIter[*pset]
-	it.init(mid.root)
-	for {
-		b, set, ok := it.next()
-		if !ok {
-			return
-		}
-		t := setPos(base, outerPos, ID(b))
-		var is pmIter[struct{}]
-		is.init(set.root)
-		for {
-			c, _, ok := is.next()
-			if !ok {
-				break
-			}
-			full := setPos(t, innerPos, ID(c))
-			dst.append(full.S, full.P, full.O)
-		}
-	}
 }
 
 // HasIDs reports whether the fully-bound ID triple is present — the

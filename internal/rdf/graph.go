@@ -26,17 +26,21 @@ type Triple struct {
 }
 
 // graphState is one immutable version of a graph's triple content:
-// four persistent index permutations (SPO, POS, OSP plus PSO for
-// optimizer statistics — the arrangement mirrors the indexing of
-// main-memory RDF stores discussed in §2.2.3) and the triple count.
-// States are published through an atomic pointer and never mutated
-// after publication; writers derive a successor by structural sharing
-// (pmap.go) and swing the pointer. Per-position cardinalities are not
-// separate counters: each middle index level carries its subtree's
-// triple total, so CountMatch/PredStats stay cheap.
+// three persistent index permutations (SPO, POS, OSP — every pattern
+// with a bound position finds it leading one of them; the arrangement
+// mirrors the indexing of main-memory RDF stores discussed in §2.2.3)
+// and the triple count. States are published through an atomic pointer
+// and never mutated after publication; writers derive a successor by
+// structural sharing (pmap.go) and swing the pointer. Per-position
+// cardinalities are not separate counters: each middle index level
+// carries its subtree's triple total, so CountMatch/PredStats stay
+// cheap. The one statistic no permutation carries is counted beside
+// them: subjects maps a predicate to the number of distinct subjects it
+// occurs with, kept in a persistent trie so pinned states stay exact.
 type graphState struct {
-	spo, pos, osp, pso *pmNode[*pmid]
-	size               int
+	spo, pos, osp *pmNode[*pmid]
+	subjects      *pmNode[int32]
+	size          int
 	// gen is the graph's mutation counter at the moment this state was
 	// published; a pinned snapshot reports it as its (stable) generation.
 	gen uint64
@@ -273,28 +277,45 @@ func (g *Graph) publish(st *graphState) {
 // add inserts into a state in place (the state must be a private,
 // not-yet-published copy); tag is the writer's edit tag (pmap.go).
 func (st *graphState) add(tag uint32, s, p, o ID) bool {
-	spo, added := idxAdd(st.spo, tag, s, p, o)
+	spo, added, fresh := idxAdd(st.spo, tag, s, p, o)
 	if !added {
 		return false
 	}
 	st.spo = spo
-	st.pos, _ = idxAdd(st.pos, tag, p, o, s)
-	st.osp, _ = idxAdd(st.osp, tag, o, s, p)
-	st.pso, _ = idxAdd(st.pso, tag, p, s, o)
+	st.pos, _, _ = idxAdd(st.pos, tag, p, o, s)
+	st.osp, _, _ = idxAdd(st.osp, tag, o, s, p)
+	if fresh {
+		st.countSubject(tag, p, 1)
+	}
 	st.size++
 	return true
 }
 
+// countSubject moves p's distinct-subject count by d: SPO has gained
+// its first, or lost its last, triple for some (subject, p) pair.
+func (st *graphState) countSubject(tag uint32, p ID, d int32) {
+	if sl := pmFind(st.subjects, uint32(p)); sl != nil {
+		d += sl.val
+	}
+	if d == 0 {
+		st.subjects, _ = pmDel(st.subjects, tag, 0, uint32(p))
+	} else {
+		st.subjects, _ = pmSet(st.subjects, tag, 0, pmSlot[int32]{key: uint32(p), val: d})
+	}
+}
+
 // del removes from a state in place (same contract as add).
 func (st *graphState) del(tag uint32, s, p, o ID) bool {
-	spo, removed := idxDel(st.spo, tag, s, p, o)
+	spo, removed, gone := idxDel(st.spo, tag, s, p, o)
 	if !removed {
 		return false
 	}
 	st.spo = spo
-	st.pos, _ = idxDel(st.pos, tag, p, o, s)
-	st.osp, _ = idxDel(st.osp, tag, o, s, p)
-	st.pso, _ = idxDel(st.pso, tag, p, s, o)
+	st.pos, _, _ = idxDel(st.pos, tag, p, o, s)
+	st.osp, _, _ = idxDel(st.osp, tag, o, s, p)
+	if gone {
+		st.countSubject(tag, p, -1)
+	}
 	st.size--
 	return true
 }
@@ -562,111 +583,99 @@ func (g *Graph) Match(s, p, o ID, yield func(Triple) bool) {
 // not an error at this layer; callers that care (the query engine's
 // guards) detect the cancellation themselves.
 func (g *Graph) MatchCtx(ctx context.Context, s, p, o ID, yield func(Triple) bool) {
-	st := g.cur()
+	g.cur().match(ctx, s, p, o, yield)
+}
+
+// match is the one pattern → index table: every read of a state's
+// triples — tuple, batch or append — goes through it.
+func (st *graphState) match(ctx context.Context, s, p, o ID, yield func(Triple) bool) {
+	w := walker{ctx: ctx}
 	switch {
 	case s != 0 && p != 0 && o != 0:
 		if st.has(s, p, o) {
 			yield(Triple{s, p, o})
 		}
 	case s != 0 && p != 0:
-		matchSet(idxGet(st.spo, s).get(p), Triple{S: s, P: p}, 2, yield)
+		w.set(idxGet(st.spo, s).get(p), Triple{S: s, P: p}, 2, yield)
 	case p != 0 && o != 0:
-		matchSet(idxGet(st.pos, p).get(o), Triple{P: p, O: o}, 0, yield)
+		w.set(idxGet(st.pos, p).get(o), Triple{P: p, O: o}, 0, yield)
 	case s != 0 && o != 0:
-		matchSet(idxGet(st.osp, o).get(s), Triple{S: s, O: o}, 1, yield)
+		w.set(idxGet(st.osp, o).get(s), Triple{S: s, O: o}, 1, yield)
 	case s != 0:
-		matchMid(ctx, idxGet(st.spo, s), Triple{S: s}, 1, 2, yield)
+		w.mid(idxGet(st.spo, s), Triple{S: s}, 1, 2, yield)
 	case p != 0:
-		matchMid(ctx, idxGet(st.pso, p), Triple{P: p}, 0, 2, yield)
+		w.mid(idxGet(st.pos, p), Triple{P: p}, 2, 0, yield)
 	case o != 0:
-		matchMid(ctx, idxGet(st.osp, o), Triple{O: o}, 0, 1, yield)
+		w.mid(idxGet(st.osp, o), Triple{O: o}, 0, 1, yield)
 	default:
-		matchTop(ctx, st.spo, yield)
+		w.top(st.spo, yield)
 	}
 }
 
-// matchSet yields the members of one innermost set into the open
-// triple position.
-func matchSet(set *pset, base Triple, fillPos int, yield func(Triple) bool) {
-	if set == nil {
-		return
+// walker is one enumeration: it yields triples until yield says stop or
+// the context (nil: none) is done. Its methods return false once the
+// enumeration is over. (yield is an argument, not a field: a func
+// called through a pointer escapes to the heap.)
+type walker struct {
+	ctx context.Context
+	n   int
+}
+
+// set yields a bound-pair pattern: the members of one innermost set —
+// the inline one, or the trie's — each put into base's open position.
+func (w *walker) set(set idset, base Triple, fillPos int, yield func(Triple) bool) bool {
+	if set.set == nil {
+		if set.one == 0 {
+			return true
+		}
+		return yield(setPos(base, fillPos, set.one)) && !(w.ctx != nil && w.cancelled())
 	}
 	var it pmIter[struct{}]
-	it.init(set.root)
-	for {
-		c, _, ok := it.next()
-		if !ok {
-			return
+	for it.init(set.set.root); ; {
+		sl := it.next()
+		if sl == nil {
+			return true
 		}
-		if !yield(setPos(base, fillPos, ID(c))) {
-			return
+		if !yield(setPos(base, fillPos, ID(sl.key))) || w.ctx != nil && w.cancelled() {
+			return false
 		}
 	}
 }
 
-// matchMid yields a single-bound pattern: every (middle key, set
-// member) pair under one top-level entry.
-func matchMid(ctx context.Context, mid *pmid, base Triple, outerPos, innerPos int, yield func(Triple) bool) {
+// cancelled counts a yielded triple and polls the context on every
+// ctxCheckEvery-th. Callers test w.ctx first (with that test inside,
+// the function is past the inlining budget): an enumeration without a
+// context pays a branch per triple, not a call.
+func (w *walker) cancelled() bool {
+	w.n++
+	return w.n%ctxCheckEvery == 0 && w.ctx.Err() != nil
+}
+
+// mid yields a single-bound pattern: every (middle key, set member)
+// pair under one top-level entry.
+func (w *walker) mid(mid *pmid, base Triple, outerPos, innerPos int, yield func(Triple) bool) bool {
 	if mid == nil {
-		return
+		return true
 	}
 	var it pmIter[*pset]
-	it.init(mid.root)
-	n := 0
-	for {
-		b, set, ok := it.next()
-		if !ok {
-			return
+	for it.init(mid.root); ; {
+		sl := it.next()
+		if sl == nil {
+			return true
 		}
-		t := setPos(base, outerPos, ID(b))
-		var is pmIter[struct{}]
-		is.init(set.root)
-		for {
-			c, _, ok := is.next()
-			if !ok {
-				break
-			}
-			if !yield(setPos(t, innerPos, ID(c))) {
-				return
-			}
-			if n++; n%ctxCheckEvery == 0 && ctxDone(ctx) {
-				return
-			}
+		if !w.set(slotSet(sl), setPos(base, outerPos, ID(sl.key)), innerPos, yield) {
+			return false
 		}
 	}
 }
 
-// matchTop yields the whole graph from the SPO permutation.
-func matchTop(ctx context.Context, root *pmNode[*pmid], yield func(Triple) bool) {
+// top yields the whole graph from the SPO permutation.
+func (w *walker) top(root *pmNode[*pmid], yield func(Triple) bool) {
 	var it pmIter[*pmid]
-	it.init(root)
-	n := 0
-	for {
-		s, mid, ok := it.next()
-		if !ok {
+	for it.init(root); ; {
+		sl := it.next()
+		if sl == nil || !w.mid(sl.val, Triple{S: ID(sl.key)}, 1, 2, yield) {
 			return
-		}
-		var im pmIter[*pset]
-		im.init(mid.root)
-		for {
-			p, set, ok := im.next()
-			if !ok {
-				break
-			}
-			var is pmIter[struct{}]
-			is.init(set.root)
-			for {
-				o, _, ok := is.next()
-				if !ok {
-					break
-				}
-				if !yield(Triple{ID(s), ID(p), ID(o)}) {
-					return
-				}
-				if n++; n%ctxCheckEvery == 0 && ctxDone(ctx) {
-					return
-				}
-			}
 		}
 	}
 }
@@ -724,7 +733,7 @@ func (g *Graph) CountMatch(s, p, o ID) int {
 	case s != 0:
 		return idxGet(st.spo, s).triples()
 	case p != 0:
-		return idxGet(st.pso, p).triples()
+		return idxGet(st.pos, p).triples()
 	case o != 0:
 		return idxGet(st.osp, o).triples()
 	default:
@@ -739,8 +748,11 @@ func (g *Graph) CountMatch(s, p, o ID) int {
 // join orderer can afford to call this on every BGP.
 func (g *Graph) PredStats(p ID) (count, distinctS, distinctO int) {
 	st := g.cur()
-	pso := idxGet(st.pso, p)
-	return pso.triples(), pso.keys(), idxGet(st.pos, p).keys()
+	pos := idxGet(st.pos, p)
+	if sl := pmFind(st.subjects, uint32(p)); sl != nil {
+		distinctS = int(sl.val)
+	}
+	return pos.triples(), distinctS, pos.keys()
 }
 
 // Triples enumerates all triples in unspecified order.

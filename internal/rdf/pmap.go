@@ -25,6 +25,13 @@ import "math/bits"
 // either a leaf (key + value) or an edge to a deeper node. Two keys
 // sharing a 5-bit chunk split lazily, so tries over sparse key sets
 // stay shallow. Depth is bounded by ceil(32/5) = 7.
+//
+// A leaf of the middle index level holds a set of IDs, and most of
+// those have one member: that member lives in the slot itself (one,
+// in what used to be padding) with val nil, and only a set of two or
+// more is a *pset behind val. A slot is part of the node that holds
+// it, so one is written the way key and val are: by pmSet, after
+// n.own(tag).
 
 const (
 	pmBits = 5
@@ -35,11 +42,14 @@ const (
 )
 
 // pmSlot is one populated position of a node: a leaf when child is
-// nil, an edge otherwise.
+// nil, an edge otherwise. one is the inline member of a middle-level
+// leaf (idset) and zero everywhere else. val stands before the two
+// words so that an empty V adds no tail padding.
 type pmSlot[V any] struct {
 	child *pmNode[V]
-	key   uint32
 	val   V
+	key   uint32
+	one   uint32
 }
 
 // pmNode is a trie node, immutable to everyone but the live owner of
@@ -50,8 +60,9 @@ type pmNode[V any] struct {
 	slots  []pmSlot[V]
 }
 
-// pmGet returns the value stored under key.
-func pmGet[V any](n *pmNode[V], key uint32) (V, bool) {
+// pmFind returns the leaf stored under key, nil when there is none.
+// The slot is the node's: read it, change it only through pmSet.
+func pmFind[V any](n *pmNode[V], key uint32) *pmSlot[V] {
 	shift := uint(0)
 	for n != nil {
 		bit := uint32(1) << ((key >> shift) & pmMask)
@@ -61,15 +72,14 @@ func pmGet[V any](n *pmNode[V], key uint32) (V, bool) {
 		sl := &n.slots[bits.OnesCount32(n.bitmap&(bit-1))]
 		if sl.child == nil {
 			if sl.key == key {
-				return sl.val, true
+				return sl
 			}
 			break
 		}
 		n = sl.child
 		shift += pmBits
 	}
-	var zero V
-	return zero, false
+	return nil
 }
 
 // owned is the ownership rule: an edit tagged tag may write in place
@@ -85,14 +95,15 @@ func (n *pmNode[V]) own(tag uint32) *pmNode[V] {
 	return &pmNode[V]{bitmap: n.bitmap, tag: tag, slots: append([]pmSlot[V](nil), n.slots...)}
 }
 
-// pmSet binds key to v and returns the trie's root; the bool reports
-// whether the key was absent before (an insert rather than a replace).
-// Nodes tag owns are edited in place; any other node on the path is
-// copied, and the copy carries tag.
-func pmSet[V any](n *pmNode[V], tag uint32, shift uint, key uint32, v V) (*pmNode[V], bool) {
+// pmSet stores leaf under its key and returns the trie's root; the bool
+// reports whether the key was absent before (an insert rather than a
+// replace). Nodes tag owns are edited in place; any other node on the
+// path is copied, and the copy carries tag.
+func pmSet[V any](n *pmNode[V], tag uint32, shift uint, leaf pmSlot[V]) (*pmNode[V], bool) {
+	key := leaf.key
 	if n == nil {
 		idx := (key >> shift) & pmMask
-		return &pmNode[V]{bitmap: 1 << idx, tag: tag, slots: []pmSlot[V]{{key: key, val: v}}}, true
+		return &pmNode[V]{bitmap: 1 << idx, tag: tag, slots: []pmSlot[V]{leaf}}, true
 	}
 	bit := uint32(1) << ((key >> shift) & pmMask)
 	pos := bits.OnesCount32(n.bitmap & (bit - 1))
@@ -108,7 +119,7 @@ func pmSet[V any](n *pmNode[V], tag uint32, shift uint, key uint32, v V) (*pmNod
 			copy(slots, n.slots[:pos])
 		}
 		copy(slots[pos+1:], n.slots[pos:])
-		slots[pos] = pmSlot[V]{key: key, val: v}
+		slots[pos] = leaf
 		if !mine {
 			n = &pmNode[V]{tag: tag, bitmap: n.bitmap}
 		}
@@ -120,11 +131,11 @@ func pmSet[V any](n *pmNode[V], tag uint32, shift uint, key uint32, v V) (*pmNod
 	added := false
 	switch {
 	case sl.child != nil:
-		sl.child, added = pmSet(sl.child, tag, shift+pmBits, key, v)
+		sl.child, added = pmSet(sl.child, tag, shift+pmBits, leaf)
 	case sl.key == key:
-		sl.val = v
+		sl = leaf
 	default:
-		sl = pmSlot[V]{child: pmSplit(tag, sl.key, sl.val, key, v, shift+pmBits)}
+		sl = pmSlot[V]{child: pmSplit(tag, sl, leaf, shift+pmBits)}
 		added = true
 	}
 	n = n.own(tag)
@@ -132,23 +143,20 @@ func pmSet[V any](n *pmNode[V], tag uint32, shift uint, key uint32, v V) (*pmNod
 	return n, added
 }
 
-// pmSplit builds the subtree holding two distinct keys that collided
-// at the parent level. Distinct uint32 keys differ in some chunk, so
-// the recursion terminates.
-func pmSplit[V any](tag uint32, k1 uint32, v1 V, k2 uint32, v2 V, shift uint) *pmNode[V] {
-	i1 := (k1 >> shift) & pmMask
-	i2 := (k2 >> shift) & pmMask
-	if i1 == i2 {
-		child := pmSplit(tag, k1, v1, k2, v2, shift+pmBits)
-		return &pmNode[V]{bitmap: 1 << i1, tag: tag, slots: []pmSlot[V]{{child: child}}}
+// pmSplit builds the subtree holding two leaves whose distinct keys
+// collided at the parent level. Distinct uint32 keys differ in some
+// chunk, so the recursion terminates.
+func pmSplit[V any](tag uint32, a, b pmSlot[V], shift uint) *pmNode[V] {
+	ia := (a.key >> shift) & pmMask
+	ib := (b.key >> shift) & pmMask
+	if ia == ib {
+		child := pmSplit(tag, a, b, shift+pmBits)
+		return &pmNode[V]{bitmap: 1 << ia, tag: tag, slots: []pmSlot[V]{{child: child}}}
 	}
-	n := &pmNode[V]{bitmap: 1<<i1 | 1<<i2, tag: tag}
-	if i1 < i2 {
-		n.slots = []pmSlot[V]{{key: k1, val: v1}, {key: k2, val: v2}}
-	} else {
-		n.slots = []pmSlot[V]{{key: k2, val: v2}, {key: k1, val: v1}}
+	if ia > ib {
+		a, b = b, a
 	}
-	return n
+	return &pmNode[V]{bitmap: 1<<ia | 1<<ib, tag: tag, slots: []pmSlot[V]{a, b}}
 }
 
 // pmDel removes key and returns the trie's root (same ownership rule
@@ -230,8 +238,8 @@ func (it *pmIter[V]) init(n *pmNode[V]) {
 	}
 }
 
-// next yields the following (key, value) leaf, or ok=false at the end.
-func (it *pmIter[V]) next() (uint32, V, bool) {
+// next yields the following leaf, or nil at the end.
+func (it *pmIter[V]) next() *pmSlot[V] {
 	for it.depth > 0 {
 		fr := &it.stack[it.depth-1]
 		if fr.i >= len(fr.n.slots) {
@@ -245,42 +253,24 @@ func (it *pmIter[V]) next() (uint32, V, bool) {
 			it.depth++
 			continue
 		}
-		return sl.key, sl.val, true
+		return sl
 	}
-	var zero V
-	return 0, zero, false
+	return nil
 }
 
-// pset is a set of IDs: the innermost index level. A nil *pset is
-// empty. Its header follows the nodes' ownership rule.
+// pset is a set of two or more IDs: the innermost index level once a
+// set has outgrown its slot. Its header follows the nodes' ownership
+// rule.
 type pset struct {
 	root *pmNode[struct{}]
 	n    int32
 	tag  uint32
 }
 
-func (s *pset) len() int {
-	if s == nil {
-		return 0
-	}
-	return int(s.n)
-}
-
-func (s *pset) has(id ID) bool {
-	if s == nil {
-		return false
-	}
-	_, ok := pmGet(s.root, uint32(id))
-	return ok
-}
-
 // edit returns the header an edit tagged tag writes: s itself when tag
 // owns it, a copy carrying tag otherwise.
 func (s *pset) edit(tag uint32) *pset {
-	switch {
-	case s == nil:
-		return &pset{tag: tag}
-	case owned(s.tag, tag):
+	if owned(s.tag, tag) {
 		return s
 	}
 	return &pset{root: s.root, n: s.n, tag: tag}
@@ -288,11 +278,7 @@ func (s *pset) edit(tag uint32) *pset {
 
 // with returns the set including id; false when it was already there.
 func (s *pset) with(tag uint32, id ID) (*pset, bool) {
-	var root *pmNode[struct{}]
-	if s != nil {
-		root = s.root
-	}
-	root, added := pmSet(root, tag, 0, uint32(id), struct{}{})
+	root, added := pmSet(s.root, tag, 0, pmSlot[struct{}]{key: uint32(id)})
 	if !added {
 		return s, false
 	}
@@ -302,18 +288,12 @@ func (s *pset) with(tag uint32, id ID) (*pset, bool) {
 	return s, true
 }
 
-// without returns the set excluding id (nil when it becomes empty);
-// false when id was absent.
+// without returns the set excluding id; false when id was absent. The
+// caller (withDel) never lets a set fall below two members.
 func (s *pset) without(tag uint32, id ID) (*pset, bool) {
-	if s == nil {
-		return nil, false
-	}
 	root, removed := pmDel(s.root, tag, 0, uint32(id))
 	if !removed {
 		return s, false
-	}
-	if s.n == 1 {
-		return nil, true
 	}
 	s = s.edit(tag)
 	s.root = root
@@ -321,7 +301,35 @@ func (s *pset) without(tag uint32, id ID) (*pset, bool) {
 	return s, true
 }
 
-// pmid is a map from ID to *pset — the middle index level — carrying
+// idset is an innermost set as its middle-level slot holds it: the one
+// member inline, or two and more behind set (then one is 0). The zero
+// idset is empty.
+type idset struct {
+	one ID
+	set *pset
+}
+
+// slotSet reads the set a middle-level leaf holds.
+func slotSet(sl *pmSlot[*pset]) idset { return idset{ID(sl.one), sl.val} }
+
+func (s idset) len() int {
+	switch {
+	case s.set != nil:
+		return int(s.set.n)
+	case s.one != 0:
+		return 1
+	}
+	return 0
+}
+
+func (s idset) has(id ID) bool {
+	if s.set != nil {
+		return pmFind(s.set.root, uint32(id)) != nil
+	}
+	return id != 0 && s.one == id
+}
+
+// pmid is a map from ID to idset — the middle index level — carrying
 // the subtree's triple total so single-bound cardinality probes stay
 // O(lookup). A nil *pmid is empty. Same ownership rule as pset.
 type pmid struct {
@@ -345,12 +353,13 @@ func (m *pmid) triples() int {
 	return m.total
 }
 
-func (m *pmid) get(k ID) *pset {
-	if m == nil {
-		return nil
+func (m *pmid) get(k ID) idset {
+	if m != nil {
+		if sl := pmFind(m.root, uint32(k)); sl != nil {
+			return slotSet(sl)
+		}
 	}
-	s, _ := pmGet(m.root, uint32(k))
-	return s
+	return idset{}
 }
 
 // edit is pset.edit for the middle level.
@@ -364,75 +373,113 @@ func (m *pmid) edit(tag uint32) *pmid {
 	return &pmid{root: m.root, n: m.n, tag: tag, total: m.total}
 }
 
-// withAdd returns the map with v added to the set under k; false when
-// the (k, v) pair was already present.
-func (m *pmid) withAdd(tag uint32, k, v ID) (*pmid, bool) {
-	set := m.get(k)
-	nset, added := set.with(tag, v)
-	if !added {
-		return m, false
+// withAdd returns the map with v added to the set under k; added is
+// false when the (k, v) pair was already present, fresh reports that k
+// had no set before. The first member goes into the slot, the second
+// builds the pset.
+func (m *pmid) withAdd(tag uint32, k, v ID) (_ *pmid, added, fresh bool) {
+	old := m.get(k)
+	leaf := pmSlot[*pset]{key: uint32(k)}
+	switch {
+	case old.set != nil:
+		if leaf.val, added = old.set.with(tag, v); !added {
+			return m, false, false
+		}
+	case old.one == v:
+		return m, false, false
+	case old.one != 0:
+		two := pmSplit(tag, pmSlot[struct{}]{key: uint32(old.one)}, pmSlot[struct{}]{key: uint32(v)}, 0)
+		leaf.val = &pset{root: two, n: 2, tag: tag}
+	default:
+		leaf.one, fresh = uint32(v), true
 	}
 	m = m.edit(tag)
 	// A set edited in place is already where the trie points.
-	if nset != set {
-		m.root, _ = pmSet(m.root, tag, 0, uint32(k), nset)
+	if leaf.val == nil || leaf.val != old.set {
+		m.root, _ = pmSet(m.root, tag, 0, leaf)
 	}
-	if set == nil {
+	if fresh {
 		m.n++
 	}
 	m.total++
-	return m, true
+	return m, true, fresh
 }
 
 // withDel returns the map with v removed from the set under k (nil
-// when the map becomes empty); false when the pair was absent.
-func (m *pmid) withDel(tag uint32, k, v ID) (*pmid, bool) {
-	set := m.get(k)
-	nset, removed := set.without(tag, v)
-	if !removed {
-		return m, false
+// when the map becomes empty); removed is false when the pair was
+// absent, gone reports that k's set emptied. A set left with one
+// member moves back into the slot.
+func (m *pmid) withDel(tag uint32, k, v ID) (_ *pmid, removed, gone bool) {
+	old := m.get(k)
+	leaf := pmSlot[*pset]{key: uint32(k)}
+	switch {
+	case old.set == nil:
+		if !old.has(v) {
+			return m, false, false
+		}
+		gone = true
+	case old.set.n == 2:
+		var it pmIter[struct{}]
+		it.init(old.set.root)
+		a, b := it.next().key, it.next().key
+		switch uint32(v) {
+		case a:
+			leaf.one = b
+		case b:
+			leaf.one = a
+		default:
+			return m, false, false
+		}
+	default:
+		if leaf.val, removed = old.set.without(tag, v); !removed {
+			return m, false, false
+		}
 	}
-	if nset == nil && m.n == 1 {
-		return nil, true
+	if gone && m.n == 1 {
+		return nil, true, true
 	}
 	m = m.edit(tag)
 	switch {
-	case nset == nil:
+	case gone:
 		m.root, _ = pmDel(m.root, tag, 0, uint32(k))
 		m.n--
-	case nset != set:
-		m.root, _ = pmSet(m.root, tag, 0, uint32(k), nset)
+	case leaf.val == nil || leaf.val != old.set:
+		m.root, _ = pmSet(m.root, tag, 0, leaf)
 	}
 	m.total--
-	return m, true
+	return m, true, gone
 }
 
 // idxGet resolves the middle level of a three-level index.
 func idxGet(root *pmNode[*pmid], a ID) *pmid {
-	m, _ := pmGet(root, uint32(a))
-	return m
-}
-
-// idxAdd inserts (a → b → c) into a three-level index.
-func idxAdd(root *pmNode[*pmid], tag uint32, a, b, c ID) (*pmNode[*pmid], bool) {
-	mid := idxGet(root, a)
-	nmid, added := mid.withAdd(tag, b, c)
-	if added && nmid != mid {
-		root, _ = pmSet(root, tag, 0, uint32(a), nmid)
+	if sl := pmFind(root, uint32(a)); sl != nil {
+		return sl.val
 	}
-	return root, added
+	return nil
 }
 
-// idxDel removes (a → b → c) from a three-level index.
-func idxDel(root *pmNode[*pmid], tag uint32, a, b, c ID) (*pmNode[*pmid], bool) {
+// idxAdd inserts (a → b → c) into a three-level index; fresh reports
+// that the (a, b) pair is new to it.
+func idxAdd(root *pmNode[*pmid], tag uint32, a, b, c ID) (_ *pmNode[*pmid], added, fresh bool) {
 	mid := idxGet(root, a)
-	nmid, removed := mid.withDel(tag, b, c)
+	nmid, added, fresh := mid.withAdd(tag, b, c)
+	if added && nmid != mid {
+		root, _ = pmSet(root, tag, 0, pmSlot[*pmid]{key: uint32(a), val: nmid})
+	}
+	return root, added, fresh
+}
+
+// idxDel removes (a → b → c) from a three-level index; gone reports
+// that it was the (a, b) pair's last triple.
+func idxDel(root *pmNode[*pmid], tag uint32, a, b, c ID) (_ *pmNode[*pmid], removed, gone bool) {
+	mid := idxGet(root, a)
+	nmid, removed, gone := mid.withDel(tag, b, c)
 	switch {
 	case !removed:
 	case nmid == nil:
 		root, _ = pmDel(root, tag, 0, uint32(a))
 	case nmid != mid:
-		root, _ = pmSet(root, tag, 0, uint32(a), nmid)
+		root, _ = pmSet(root, tag, 0, pmSlot[*pmid]{key: uint32(a), val: nmid})
 	}
-	return root, removed
+	return root, removed, gone
 }

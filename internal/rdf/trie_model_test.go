@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -27,6 +28,12 @@ var modelDict = sync.OnceValue(func() *dict {
 })
 
 var modelPool = []ID{1, 33, 65, 1 + 1<<10, 1 + 1<<11, 1 + 1<<15, 2, 34}
+
+// narrowPool is how many of modelPool's IDs a "narrow" run draws each
+// position from: 18 possible triples, so every innermost set — objects
+// under (s, p), subjects under (p, o), predicates under (o, s) — keeps
+// crossing empty, inline member, two-member pset and back.
+var narrowPool = Triple{S: 3, P: 2, O: 3}
 
 type pinned struct {
 	g     *Graph
@@ -56,6 +63,7 @@ func (m *trieModel) begin() {
 }
 
 func (m *trieModel) end(commit bool) {
+	m.t.Helper()
 	if commit {
 		m.tx.Commit()
 		m.committed = m.staged
@@ -63,6 +71,18 @@ func (m *trieModel) end(commit bool) {
 		m.tx.Abort()
 	}
 	m.tx, m.staged = nil, nil
+	checkStats(m.t, m.g, m.committed)
+}
+
+// clear empties the graph (outside a transaction: Clear takes the
+// writer lock).
+func (m *trieModel) clear() {
+	m.t.Helper()
+	if n := m.g.Clear(); n != len(m.committed) {
+		m.t.Fatalf("Clear removed %d triples, model had %d", n, len(m.committed))
+	}
+	m.committed = map[Triple]struct{}{}
+	checkStats(m.t, m.g, m.committed)
 }
 
 func (m *trieModel) pin() {
@@ -127,6 +147,7 @@ func (m *trieModel) finish() {
 	m.check(Triple{})
 	for _, p := range m.pins {
 		checkShapes(m.t, p.g, p.model, Triple{})
+		checkStats(m.t, p.g, p.model)
 	}
 }
 
@@ -173,15 +194,31 @@ func checkShapes(t testing.TB, g *Graph, model map[Triple]struct{}, tr Triple) {
 			t.Fatalf("CountMatch%v = %d, model has %d", pat, n, want)
 		}
 	}
+	checkPredStats(t, g, model, tr.P)
+}
+
+// checkPredStats compares a predicate's triple, distinct-subject and
+// distinct-object counts with the model's.
+func checkPredStats(t testing.TB, g *Graph, model map[Triple]struct{}, p ID) {
+	t.Helper()
 	subj, obj, count := map[ID]struct{}{}, map[ID]struct{}{}, 0
 	for x := range model {
-		if x.P == tr.P {
+		if x.P == p {
 			subj[x.S], obj[x.O] = struct{}{}, struct{}{}
 			count++
 		}
 	}
-	if n, ds, do := g.PredStats(tr.P); n != count || ds != len(subj) || do != len(obj) {
-		t.Fatalf("PredStats(%d) = %d,%d,%d, model has %d,%d,%d", tr.P, n, ds, do, count, len(subj), len(obj))
+	if n, ds, do := g.PredStats(p); n != count || ds != len(subj) || do != len(obj) {
+		t.Fatalf("PredStats(%d) = %d,%d,%d, model has %d,%d,%d", p, n, ds, do, count, len(subj), len(obj))
+	}
+}
+
+// checkStats is checkPredStats for every predicate there can be: what
+// Commit, Abort and Clear must leave right for all of them at once.
+func checkStats(t testing.TB, g *Graph, model map[Triple]struct{}) {
+	t.Helper()
+	for _, p := range modelPool {
+		checkPredStats(t, g, model, p)
 	}
 }
 
@@ -196,34 +233,48 @@ func TestTrieModel(t *testing.T) {
 				m.begin()
 			}
 		},
-		// Transactions of 1-40 steps, one in four aborted.
+		// Transactions of 1-40 steps, one in four aborted, now and then a
+		// Clear between two of them.
 		"short-tx": func(m *trieModel, rng *rand.Rand, _ int) {
 			switch {
 			case m.tx == nil:
 				m.begin()
 			case rng.Intn(20) == 0:
 				m.end(rng.Intn(4) != 0)
+				if rng.Intn(8) == 0 {
+					m.clear()
+				}
 			}
 		},
 	}
+	all := ID(len(modelPool))
 	for name, control := range modes {
-		for seed := int64(1); seed <= 3; seed++ {
+		// Seeds 1-3 draw from the whole pool (deep splits and collapses),
+		// 4-6 from the narrow one (sets of zero, one and two members).
+		for seed := int64(1); seed <= 6; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				m := newTrieModel(t)
+				width, adds := Triple{all, all, all}, 6
+				if seed > 3 {
+					width, adds = narrowPool, 5
+				}
 				for step := 0; step < steps; step++ {
 					control(m, rng, step)
 					if step%100 == 0 {
 						m.pin()
 					}
-					pick := func() ID { return modelPool[rng.Intn(len(modelPool))] }
+					if step == steps/2 && m.tx == nil {
+						m.clear()
+					}
+					pick := func(n ID) ID { return modelPool[rng.Intn(int(n))] }
 					// Deletes outnumber adds in the last third, so nodes
 					// collapse and sets empty out as well as grow.
-					add := rng.Intn(10) < 6
+					add := rng.Intn(10) < adds
 					if step > 2*steps/3 {
 						add = rng.Intn(10) < 3
 					}
-					m.apply(add, Triple{pick(), pick(), pick()})
+					m.apply(add, Triple{pick(width.S), pick(width.P), pick(width.O)})
 				}
 				m.finish()
 			})
@@ -232,12 +283,22 @@ func TestTrieModel(t *testing.T) {
 }
 
 // FuzzTxOps reads four bytes per operation: a kind and three pool
-// indexes. Kinds add, delete, open/commit/abort a transaction and pin a
-// snapshot; the oracle is TestTrieModel's.
+// indexes. Kinds add, delete, open/commit/abort a transaction, pin a
+// snapshot and (outside a transaction) clear; the oracle is
+// TestTrieModel's.
 func FuzzTxOps(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 1, 0, 0, 4, 0, 0, 0})
 	f.Add([]byte{6, 0, 0, 0, 0, 0, 1, 5, 0, 5, 1, 0, 7, 0, 0, 0, 6, 1, 0, 0, 4, 0, 1, 5})
 	f.Add([]byte{0, 0, 3, 5, 7, 0, 0, 0, 6, 0, 0, 0, 1, 0, 3, 4, 5, 0, 3, 5, 6, 0, 0, 0, 2, 3, 3, 3})
+	// One set per index through 0 -> 1 -> 2 -> 1 -> 0 members: bare; then
+	// pinned, shrunk inside a transaction that aborts and again bare; then
+	// pinned, cleared, and cycled inside a transaction that commits.
+	grow := []byte{0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 1, 0}
+	shrink := []byte{4, 0, 0, 1, 4, 1, 0, 0, 4, 0, 1, 0, 4, 0, 0, 0}
+	pin, clear, begin, abort, commit := []byte{7, 0, 0, 0}, []byte{7, 1, 0, 0}, []byte{6, 0, 0, 0}, []byte{6, 0, 0, 0}, []byte{6, 1, 0, 0}
+	f.Add(slices.Concat(grow, shrink))
+	f.Add(slices.Concat(grow, pin, begin, shrink, abort, shrink))
+	f.Add(slices.Concat(grow, pin, clear, begin, grow, shrink, commit))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := newTrieModel(t)
 		for ; len(data) >= 4; data = data[4:] {
@@ -245,6 +306,8 @@ func FuzzTxOps(f *testing.F) {
 			switch kind := data[0] % 8; {
 			case kind < 6:
 				m.apply(kind < 4, Triple{at(1), at(2), at(3)})
+			case kind == 7 && data[1]%2 == 1 && m.tx == nil:
+				m.clear()
 			case kind == 7:
 				m.pin()
 			case m.tx == nil:

@@ -24,6 +24,72 @@ func digest(g *Graph) (n int, sum uint64) {
 	return n, sum
 }
 
+// pinWatch holds snapshots beside the fingerprint scan gave each when it
+// was pinned, and readers that re-scan all of them until stop: each
+// must keep yielding what it had; under -race an in-place write to a
+// node a snapshot reaches is also reported as a data race.
+type pinWatch struct {
+	t    *testing.T
+	scan func(*Graph) (n int, sum uint64)
+	mu   sync.Mutex
+	pins []pinnedScan
+	done chan struct{}
+	wg   sync.WaitGroup
+}
+
+type pinnedScan struct {
+	g   *Graph
+	n   int
+	sum uint64
+}
+
+func watchPins(t *testing.T, readers int, scan func(*Graph) (int, uint64)) *pinWatch {
+	w := &pinWatch{t: t, scan: scan, done: make(chan struct{})}
+	for r := 0; r < readers; r++ {
+		w.wg.Add(1)
+		go func() {
+			defer w.wg.Done()
+			for {
+				select {
+				case <-w.done:
+					return
+				default:
+					w.verify()
+				}
+			}
+		}()
+	}
+	return w
+}
+
+// take pins g's current state and returns how many triples scan finds.
+func (w *pinWatch) take(g *Graph) int {
+	s := g.Snapshot()
+	n, sum := w.scan(s)
+	w.mu.Lock()
+	w.pins = append(w.pins, pinnedScan{s, n, sum})
+	w.mu.Unlock()
+	return n
+}
+
+func (w *pinWatch) verify() {
+	w.mu.Lock()
+	held := append([]pinnedScan(nil), w.pins...)
+	w.mu.Unlock()
+	for i, p := range held {
+		if n, sum := w.scan(p.g); n != p.n || sum != p.sum {
+			w.t.Errorf("snapshot %d moved: %d triples (digest %x), pinned with %d (%x)", i, n, sum, p.n, p.sum)
+		}
+	}
+}
+
+// stop ends the readers and checks every snapshot once more.
+func (w *pinWatch) stop() {
+	close(w.done)
+	w.wg.Wait()
+	w.verify()
+}
+
 // TestSnapshotsFrozenUnderTx pins snapshots before, between and after
 // large transactions that keep rewriting the same subjects, while
 // readers re-enumerate every snapshot pinned so far. Each must keep
@@ -40,49 +106,9 @@ func TestSnapshotsFrozenUnderTx(t *testing.T) {
 	for i := 0; i < subjects+perRound; i++ {
 		ids = append(ids, g.Intern(Integer(int64(i))))
 	}
-	type pin struct {
-		g   *Graph
-		n   int
-		sum uint64
-	}
-	var (
-		mu   sync.Mutex
-		pins []pin
-	)
-	take := func() {
-		s := g.Snapshot()
-		n, sum := digest(s)
-		mu.Lock()
-		pins = append(pins, pin{s, n, sum})
-		mu.Unlock()
-	}
-	verify := func() {
-		mu.Lock()
-		held := append([]pin(nil), pins...)
-		mu.Unlock()
-		for i, p := range held {
-			if n, sum := digest(p.g); n != p.n || sum != p.sum {
-				t.Errorf("snapshot %d moved: %d triples (digest %x), pinned with %d (%x)", i, n, sum, p.n, p.sum)
-			}
-		}
-	}
-
-	done := make(chan struct{})
-	var readers sync.WaitGroup
-	for r := 0; r < 3; r++ {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			for {
-				select {
-				case <-done:
-					return
-				default:
-					verify()
-				}
-			}
-		}()
-	}
+	w := watchPins(t, 3, digest)
+	defer w.stop()
+	take := func() { w.take(g) }
 
 	take()
 	for round := 0; round < rounds; round++ {
@@ -107,14 +133,85 @@ func TestSnapshotsFrozenUnderTx(t *testing.T) {
 		}
 		take()
 	}
-	close(done)
-	readers.Wait()
-	verify()
+}
+
+// TestPredicateScanFrozenWhileSetsGrow: a predicate-only Match walks
+// pos[p], whose sets here have one subject each — members that live in
+// the slots of nodes the snapshot shares with the writer's next states.
+// The writer gives every object a second subject and takes it away
+// again, through committed and aborted transactions and bare writes,
+// while readers keep re-scanning snapshots pinned at every stage.
+func TestPredicateScanFrozenWhileSetsGrow(t *testing.T) {
+	const objects = 200
+	g := NewGraph()
+	var ids []ID
+	for i := 0; i < 2+2*objects; i++ {
+		ids = append(ids, g.Intern(Integer(int64(i))))
+	}
+	p, extra, first, objs := ids[0], ids[1], ids[2:2+objects], ids[2+objects:]
+	tx := g.Begin()
+	for i, o := range objs {
+		tx.AddIDs(first[i], p, o)
+	}
+	tx.Commit()
+
+	scan := func(s *Graph) (n int, sum uint64) {
+		s.Match(0, p, 0, func(t Triple) bool {
+			n, sum = n+1, sum+uint64(t.S)*uint64(t.O)
+			return true
+		})
+		return n, sum
+	}
+	w := watchPins(t, 2, scan)
+	defer w.stop()
+	take := func(want int) {
+		t.Helper()
+		if n := w.take(g); n != want {
+			t.Fatalf("predicate scan yields %d triples, want %d", n, want)
+		}
+	}
+
+	take(objects)
+	for round := 0; round < 8; round++ {
+		// One member to two: in one transaction, or one bare write each.
+		tx := g.Begin()
+		for i, o := range objs {
+			if i%2 == round%2 {
+				tx.AddIDs(extra, p, o)
+			}
+		}
+		if round%4 == 3 {
+			tx.Abort()
+			take(objects)
+			continue
+		}
+		tx.Commit()
+		take(objects + objects/2)
+		for i, o := range objs {
+			if i%2 != round%2 {
+				g.AddIDs(extra, p, o)
+			}
+		}
+		take(2 * objects)
+		// And back to one, the other way round.
+		for i, o := range objs {
+			if i%2 == round%2 {
+				g.DeleteIDs(extra, p, o)
+			}
+		}
+		take(objects + objects/2)
+		tx = g.Begin()
+		for _, o := range objs {
+			tx.Delete(g.TermOf(extra), g.TermOf(p), g.TermOf(o))
+		}
+		tx.Commit()
+		take(objects)
+	}
 }
 
 // dumpTrie renders a trie's nodes — address, bitmap, tag, capacity —
 // and hands each leaf to leaf.
-func dumpTrie[V any](sb *strings.Builder, n *pmNode[V], leaf func(key uint32, val V)) {
+func dumpTrie[V any](sb *strings.Builder, n *pmNode[V], leaf func(sl pmSlot[V])) {
 	if n == nil {
 		return
 	}
@@ -123,28 +220,33 @@ func dumpTrie[V any](sb *strings.Builder, n *pmNode[V], leaf func(key uint32, va
 		if sl.child != nil {
 			dumpTrie(sb, sl.child, leaf)
 		} else {
-			leaf(sl.key, sl.val)
+			leaf(sl)
 		}
 	}
 	sb.WriteByte(']')
 }
 
 // dumpState renders everything reachable from a graph state — node
-// addresses, bitmaps, tags, keys, header counters — so two dumps are
-// equal only if nothing reachable was written or replaced.
+// addresses, bitmaps, tags, keys, inline members, header counters — so
+// two dumps are equal only if nothing reachable was written or replaced.
 func dumpState(st *graphState) string {
 	var sb strings.Builder
-	for _, root := range []*pmNode[*pmid]{st.spo, st.pos, st.osp, st.pso} {
-		dumpTrie(&sb, root, func(a uint32, m *pmid) {
-			fmt.Fprintf(&sb, "%d:%p %d %d %d ", a, m, m.n, m.total, m.tag)
-			dumpTrie(&sb, m.root, func(b uint32, s *pset) {
-				fmt.Fprintf(&sb, "%d:%p %d %d ", b, s, s.n, s.tag)
-				dumpTrie(&sb, s.root, func(c uint32, _ struct{}) { fmt.Fprintf(&sb, "%d ", c) })
+	for _, root := range []*pmNode[*pmid]{st.spo, st.pos, st.osp} {
+		dumpTrie(&sb, root, func(a pmSlot[*pmid]) {
+			m := a.val
+			fmt.Fprintf(&sb, "%d:%p %d %d %d ", a.key, m, m.n, m.total, m.tag)
+			dumpTrie(&sb, m.root, func(b pmSlot[*pset]) {
+				fmt.Fprintf(&sb, "%d:%d ", b.key, b.one)
+				if s := b.val; s != nil {
+					fmt.Fprintf(&sb, "%p %d %d ", s, s.n, s.tag)
+					dumpTrie(&sb, s.root, func(c pmSlot[struct{}]) { fmt.Fprintf(&sb, "%d ", c.key) })
+				}
 			})
 		})
 		sb.WriteByte('\n')
 	}
-	fmt.Fprintf(&sb, "%d %d", st.size, st.gen)
+	dumpTrie(&sb, st.subjects, func(p pmSlot[int32]) { fmt.Fprintf(&sb, "%d:%d ", p.key, p.val) })
+	fmt.Fprintf(&sb, "\n%d %d", st.size, st.gen)
 	return sb.String()
 }
 
@@ -225,9 +327,19 @@ func TestTagCeiling(t *testing.T) {
 	m.finish()
 }
 
-// TestTagFitsInPadding: the owner tag lives in padding the three
-// structs already had, so a graph's resident size is what it was.
+// TestTagFitsInPadding: the owner tag and the inline set member live in
+// padding their structs already had, so nodes, headers and slots are
+// the size they were without either.
 func TestTagFitsInPadding(t *testing.T) {
+	if got := unsafe.Sizeof(pmSlot[struct{}]{}); got != 16 {
+		t.Errorf("pmSlot[struct{}] is %d bytes, want 16", got)
+	}
+	if got := unsafe.Sizeof(pmSlot[*pset]{}); got != 24 {
+		t.Errorf("pmSlot[*pset] is %d bytes, want 24", got)
+	}
+	if got := unsafe.Sizeof(pmSlot[*pmid]{}); got != 24 {
+		t.Errorf("pmSlot[*pmid] is %d bytes, want 24", got)
+	}
 	if got := unsafe.Sizeof(pmNode[*pmid]{}); got != 32 {
 		t.Errorf("pmNode is %d bytes, want 32", got)
 	}

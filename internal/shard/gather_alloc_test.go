@@ -14,10 +14,14 @@ import (
 // streamed back from the shards: a cross-subject join over 4 local
 // shards scans two whole predicates (8 000 rows) into the scratch
 // graph. Built by one transaction that edits its own trie nodes in
-// place this costs ≈ 950 B per row (≈ 1.5× that under -race); with a
-// published version per triple, each path-copying four indexes, it
-// cost 8 101 B.
+// place, into three indexes that keep one-member sets in their slots,
+// this costs ≈ 600 B per row (946 B with four indexes and a pset behind
+// every set); with a published version per triple, each path-copying
+// all four, it cost 8 101 B.
 func TestGatherBytesPerRow(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocator overhead (≈ 1.5×) is not what this measures")
+	}
 	const docs = 4000
 	node, c := cluster(t, 4)
 	var sb strings.Builder
@@ -58,7 +62,7 @@ func TestGatherBytesPerRow(t *testing.T) {
 	}
 	perRow := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(rows)
 	t.Logf("%.0f B per gathered row", perRow)
-	if perRow > 2000 {
-		t.Errorf("gather allocates %.0f B per row, want <= 2000", perRow)
+	if perRow > 800 {
+		t.Errorf("gather allocates %.0f B per row, want <= 800", perRow)
 	}
 }
