@@ -11,7 +11,7 @@
 //	            [-shards addr1,addr2,...]
 //	            [-store dir | -sql single|buffer|spd]
 //	            [-query-timeout 30s] [-max-rows N] [-max-bindings N]
-//	            [-chunk-cache 64MiB] [-parallelism N] [-batch-size N]
+//	            [-chunk-cache 64MiB] [-parallelism N]
 //	            [-drain-timeout 10s]
 //	            [-metrics-addr 127.0.0.1:9090] [-slow-query 500ms]
 //	            [-log-format text|json]
@@ -98,9 +98,6 @@ func main() {
 	maxRows := flag.Int("max-rows", 0, "default cap on result rows per query (0 = unlimited)")
 	maxBindings := flag.Int64("max-bindings", 0, "default cap on intermediate bindings per query (0 = unlimited)")
 	chunkCache := flag.Int64("chunk-cache", 0, "byte budget of the shared array chunk cache (0 = default 64MiB, negative = unlimited)")
-	batchSize := flag.Int("batch-size", 0, "rows per binding batch in the vectorized executor (0 = default 1024, negative = tuple-at-a-time only)")
-	vecAgg := flag.Bool("vec-agg", true, "fold GROUP BY/aggregates batch-natively over ID columns when the WHERE clause vectorizes")
-	vecTopK := flag.Int("vec-topk", 0, "largest OFFSET+LIMIT bound the ORDER BY top-K pushdown accepts (0 = default 4096, negative = full sort always)")
 	par := flag.Int("parallelism", 0, "fetch worker pool width per chunk retrieval (0 = GOMAXPROCS, capped)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown drain window")
 	walDir := flag.String("wal-dir", "", "enable the write-ahead log in this directory (recovers on start)")
@@ -135,9 +132,6 @@ func main() {
 	opts.MaxResultRows = *maxRows
 	opts.MaxBindings = *maxBindings
 	opts.ChunkCacheBytes = *chunkCache
-	opts.BatchSize = *batchSize
-	opts.DisableVecAgg = !*vecAgg
-	opts.VecTopK = *vecTopK
 	opts.WALDir = *walDir
 	opts.WALSync = *walSync
 	opts.WALGroupWait = time.Duration(*walGroupMS) * time.Millisecond

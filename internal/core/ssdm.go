@@ -53,21 +53,6 @@ type Options struct {
 	// runaway joins and property-path expansions.
 	MaxBindings int64
 
-	// BatchSize selects the vectorized execution batch size: 0 uses the
-	// engine default (rdf.DefaultBatchSize rows), negative disables
-	// batch-at-a-time execution entirely (pure tuple path).
-	BatchSize int
-
-	// DisableVecAgg turns off batch-native aggregation (GROUP
-	// BY/aggregate folding over ID columns) while leaving the rest of
-	// vectorized execution on.
-	DisableVecAgg bool
-
-	// VecTopK bounds the ORDER BY + LIMIT top-K pushdown: the bounded
-	// heap engages when OFFSET+LIMIT is at most this value. 0 uses the
-	// engine default (4096), negative disables the pushdown.
-	VecTopK int
-
 	// ChunkCacheBytes sets the byte budget of the process-wide chunk
 	// cache array proxies fetch into: 0 leaves the current budget
 	// (array.DefaultChunkCacheBytes unless already reconfigured),
@@ -172,13 +157,9 @@ func OpenWith(opts Options) *SSDM {
 		array.SharedChunkCache().SetBudget(opts.ChunkCacheBytes)
 	}
 	ds := rdf.NewDataset()
-	eng := engine.New(ds)
-	eng.BatchSize = opts.BatchSize
-	eng.DisableVecAgg = opts.DisableVecAgg
-	eng.VecTopK = opts.VecTopK
 	return &SSDM{
 		Dataset:  ds,
-		Engine:   eng,
+		Engine:   engine.New(ds),
 		Opts:     opts,
 		Prefixes: map[string]string{},
 		qcache:   newQueryCache(0),
@@ -353,23 +334,11 @@ func (s *SSDM) QueryLimits(ctx context.Context, src string, lim engine.Limits) (
 // set a bound, the stricter one wins — per-call limits can tighten the
 // operator-configured guards, never loosen them.
 func (s *SSDM) fillLimits(lim engine.Limits) engine.Limits {
-	lim.Timeout = tighter(lim.Timeout, s.Opts.QueryTimeout)
-	lim.MaxResultRows = tighter(lim.MaxResultRows, s.Opts.MaxResultRows)
-	lim.MaxBindings = tighter(lim.MaxBindings, s.Opts.MaxBindings)
-	return lim
-}
-
-// tighter combines a per-call bound with an instance default: zero (or
-// negative, which the wire could carry) defers to the default, and two
-// set bounds resolve to the smaller.
-func tighter[T int | int64 | time.Duration](call, def T) T {
-	if call <= 0 {
-		return def
-	}
-	if def > 0 && def < call {
-		return def
-	}
-	return call
+	return lim.Tighten(engine.Limits{
+		Timeout:       s.Opts.QueryTimeout,
+		MaxResultRows: s.Opts.MaxResultRows,
+		MaxBindings:   s.Opts.MaxBindings,
+	})
 }
 
 // Explain renders the execution strategy for a query (join order with

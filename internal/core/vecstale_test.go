@@ -12,9 +12,8 @@ import (
 // absent from the dictionary when the text was first compiled.
 func TestCachedQueryNeverReadsStaleIDs(t *testing.T) {
 	for _, bs := range []int{0, 3, -1} {
-		opts := DefaultOptions()
-		opts.BatchSize = bs
-		db := OpenWith(opts)
+		db := Open()
+		db.Engine.BatchSize = bs
 		if err := db.LoadTurtle(`@prefix ex: <http://ex/> . ex:a ex:p 1 .`, ""); err != nil {
 			t.Fatal(err)
 		}

@@ -42,20 +42,10 @@ type Engine struct {
 	// safety net against pathological graphs. 0 means no limit.
 	MaxPathSteps int
 
-	// BatchSize selects the vectorized execution batch size: 0 uses
-	// rdf.DefaultBatchSize, a negative value disables batch execution
-	// entirely (pure tuple-at-a-time, the pre-vectorization behavior).
+	// BatchSize is set by the batch-vs-tuple equivalence tests only:
+	// rows per batch, 0 for rdf.DefaultBatchSize, negative for the
+	// tuple-at-a-time reference the batch results are compared with.
 	BatchSize int
-
-	// DisableVecAgg turns off batch-native aggregation (the GROUP
-	// BY/aggregate fast path over ID columns) while leaving the rest of
-	// vectorized execution on — the ablation knob for experiment E11.
-	DisableVecAgg bool
-
-	// VecTopK bounds the ORDER BY + LIMIT top-K pushdown: the bounded
-	// heap is used when OFFSET+LIMIT <= VecTopK. 0 uses the default
-	// (4096); a negative value disables the pushdown (full sort always).
-	VecTopK int
 
 	// Vectorized-execution counters, exposed through VecStats.
 	vecQueries     atomic.Int64
@@ -76,17 +66,9 @@ func (e *Engine) effBatchSize() int {
 	return e.BatchSize
 }
 
-// effTopK resolves the VecTopK knob: the largest OFFSET+LIMIT bound the
-// ORDER BY top-K pushdown accepts. Negative VecTopK disables it.
-func (e *Engine) effTopK() int {
-	if e.VecTopK == 0 {
-		return 4096
-	}
-	if e.VecTopK < 0 {
-		return -1
-	}
-	return e.VecTopK
-}
+// maxTopK is the largest OFFSET+LIMIT bound for which ORDER BY keeps a
+// bounded heap instead of sorting every row.
+const maxTopK = 4096
 
 // VecStats reports cumulative vectorized-execution activity: how many
 // query executions used a batch plan, how many batches/rows flowed out

@@ -48,6 +48,28 @@ type Limits struct {
 	MaxBindings int64
 }
 
+// Tighten resolves l against other field by field: a zero (or negative,
+// which the wire could carry) field defers to other's, and two set
+// bounds take the smaller — a caller can tighten the limits it is
+// given, never loosen them.
+func (l Limits) Tighten(other Limits) Limits {
+	return Limits{
+		Timeout:       tighter(l.Timeout, other.Timeout),
+		MaxResultRows: tighter(l.MaxResultRows, other.MaxResultRows),
+		MaxBindings:   tighter(l.MaxBindings, other.MaxBindings),
+	}
+}
+
+func tighter[T int | int64 | time.Duration](a, b T) T {
+	if a <= 0 {
+		return b
+	}
+	if b > 0 && b < a {
+		return b
+	}
+	return a
+}
+
 // ContextErr maps a context's error state to the typed query errors
 // (nil when the context is still live).
 func ContextErr(ctx context.Context) error {

@@ -233,3 +233,26 @@ func TestUpdateLimitsBoundsWhere(t *testing.T) {
 		t.Fatalf("update deadline overshoot: %v", elapsed)
 	}
 }
+
+// TestLimitsTighten: composition is min-wins on every axis, with zero
+// (or a negative value off the wire) meaning "defer".
+func TestLimitsTighten(t *testing.T) {
+	lim := func(d time.Duration, r int, b int64) Limits {
+		return Limits{Timeout: d, MaxResultRows: r, MaxBindings: b}
+	}
+	const s = time.Second
+	for i, tc := range []struct {
+		call, other, want Limits
+	}{
+		{lim(0, 0, 0), lim(0, 0, 0), lim(0, 0, 0)},
+		{lim(s, 10, 100), lim(0, 0, 0), lim(s, 10, 100)},
+		{lim(0, 0, 0), lim(2*s, 20, 200), lim(2*s, 20, 200)},
+		{lim(s, 30, 100), lim(2*s, 20, 200), lim(s, 20, 100)},
+		{lim(3*s, 10, 300), lim(2*s, 20, 200), lim(2*s, 10, 200)},
+		{lim(-s, -1, -1), lim(2*s, 20, 200), lim(2*s, 20, 200)},
+	} {
+		if got := tc.call.Tighten(tc.other); got != tc.want {
+			t.Errorf("case %d: %+v.Tighten(%+v) = %+v, want %+v", i, tc.call, tc.other, got, tc.want)
+		}
+	}
+}

@@ -1314,7 +1314,7 @@ func (c *evalCtx) vecSelect(q *sparql.Query, rowCap, earlyCap int) (*Results, bo
 	// OFFSET+LIMIT surviving rows (with DISTINCT the dedup happens
 	// before accumulation). With ORDER BY every row must be seen, but
 	// ORDER BY + LIMIT keeps only a bounded top-K heap of rows when the
-	// bound fits under the engine's VecTopK knob.
+	// bound is at most maxTopK.
 	stopAt := -1
 	if q.Limit >= 0 && !ordered {
 		stopAt = q.Offset + q.Limit
@@ -1325,7 +1325,7 @@ func (c *evalCtx) vecSelect(q *sparql.Query, rowCap, earlyCap int) (*Results, bo
 	}
 	topK := -1
 	if ordered && q.Limit >= 0 && !q.Distinct && earlyCap < 0 {
-		if bound := q.Offset + q.Limit; bound <= c.eng.effTopK() {
+		if bound := q.Offset + q.Limit; bound <= maxTopK {
 			topK = bound
 		}
 	}

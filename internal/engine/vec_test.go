@@ -41,7 +41,34 @@ func vecTestEngine(t testing.TB) *Engine {
 	// A self-loop so patterns with a repeated variable (?x knows ?x)
 	// have a hit.
 	g.Add(rdf.IRI("http://ex/loop"), rdf.IRI("http://ex/knows"), rdf.IRI("http://ex/loop"))
+	addBiblio(g, 36)
 	return New(ds)
+}
+
+// addBiblio adds an SP²Bench-shaped bibliography under http://bench/:
+// docs articles, each dated, placed in one of 12 journals and credited
+// to 3 of docs/4+1 named authors, with an abstract on every third. It
+// shares no predicate with the ex: data, so ex: queries do not see it.
+func addBiblio(g *rdf.Graph, docs int) {
+	b := func(local string) rdf.IRI { return rdf.IRI("http://bench/" + local) }
+	nAuthors := docs/4 + 1
+	for a := 0; a < nAuthors; a++ {
+		g.Add(b("author"+itoa(a)), b("type"), b("Person"))
+		g.Add(b("author"+itoa(a)), b("name"), rdf.String{Val: "Author " + itoa(a)})
+	}
+	for d := 0; d < docs; d++ {
+		doc := b("doc" + itoa(d))
+		g.Add(doc, b("type"), b("Article"))
+		g.Add(doc, b("journal"), b("journal"+itoa(d%12)))
+		g.Add(doc, b("year"), rdf.Integer(int64(1990+d%20)))
+		g.Add(doc, b("title"), rdf.String{Val: "Title " + itoa(d)})
+		for k := 0; k < 3; k++ {
+			g.Add(doc, b("creator"), b("author"+itoa((d*3+k*7)%nAuthors)))
+		}
+		if d%3 == 0 {
+			g.Add(doc, b("abstract"), rdf.String{Val: "Abstract of doc " + itoa(d)})
+		}
+	}
 }
 
 func itoa(i int) string {
@@ -147,6 +174,24 @@ var vecEquivQueries = []string{
 	// GROUP_CONCAT declines the batch fold (order-sensitive): compare as
 	// sets of concatenated singleton groups.
 	`PREFIX ex: <http://ex/> SELECT ?s (GROUP_CONCAT(?e) AS ?all) WHERE { ?s ex:email ?e } GROUP BY ?s`,
+
+	// --- SP²Bench shapes over addBiblio (the query texts of the retired
+	// experiments E9 and E11) ---
+	// Co-authorship self-join, 9 rows per document.
+	`PREFIX b: <http://bench/> SELECT ?d ?a1 ?a2 WHERE { ?d b:creator ?a1 . ?d b:creator ?a2 }`,
+	// scan -> join -> filter pipeline.
+	`PREFIX b: <http://bench/> SELECT ?d ?j ?y WHERE { ?d b:type b:Article . ?d b:journal ?j . ?d b:year ?y FILTER(?y >= 1995) }`,
+	// Journal-mates join with wide fan-out.
+	`PREFIX b: <http://bench/> SELECT ?a ?j ?e WHERE { ?d b:creator ?a . ?d b:journal ?j . ?e b:journal ?j }`,
+	`PREFIX b: <http://bench/> SELECT DISTINCT ?a WHERE { ?d b:type b:Article . ?d b:creator ?a }`,
+	// Q2 shape: OPTIONAL carried by a third of the documents, ordered
+	// with ties (compared as a set here).
+	`PREFIX b: <http://bench/> SELECT ?d ?y ?abs WHERE { ?d b:type b:Article . ?d b:year ?y OPTIONAL { ?d b:abstract ?abs } } ORDER BY ?y`,
+	// Q4/Q5 shape: union of two labelled kinds joined on the shared variable.
+	`PREFIX b: <http://bench/> SELECT ?x ?n ?t WHERE { { ?x b:title ?n } UNION { ?x b:name ?n } . ?x b:type ?t }`,
+	`PREFIX b: <http://bench/> SELECT ?j (COUNT(?d) AS ?n) (AVG(?y) AS ?avg) WHERE { ?d b:journal ?j . ?d b:year ?y } GROUP BY ?j HAVING (COUNT(?d) > 2)`,
+	// Top-K with ties on the key: both paths keep the first arrivals.
+	`PREFIX b: <http://bench/> SELECT ?d ?y WHERE { ?d b:type b:Article . ?d b:year ?y } ORDER BY DESC(?y) LIMIT 10`,
 }
 
 // vecEquivOrdered are corpus queries whose row ORDER must also match
@@ -537,37 +582,46 @@ func TestVecUnionOptionalPlanRefresh(t *testing.T) {
 	}
 }
 
-// TestVecKnobAblations: DisableVecAgg and VecTopK=-1 turn their fast
-// paths off without changing results.
-func TestVecKnobAblations(t *testing.T) {
+// TestVecFastPathsMatchTupleReference: batch-native aggregation and the
+// bounded top-K heap engage on a default engine and return what the
+// tuple reference (BatchSize < 0) returns; a LIMIT past maxTopK takes
+// the full sort instead of the heap, with the same rows.
+func TestVecFastPathsMatchTupleReference(t *testing.T) {
 	aggQ := `PREFIX ex: <http://ex/> SELECT ?a (COUNT(?s) AS ?n) WHERE { ?s ex:age ?a } GROUP BY ?a ORDER BY ?a`
 	topkQ := `PREFIX ex: <http://ex/> SELECT ?s ?a WHERE { ?s ex:age ?a } ORDER BY DESC(?a) ?s LIMIT 5`
+	fullSortQ := `PREFIX ex: <http://ex/> SELECT ?s ?a WHERE { ?s ex:age ?a } ORDER BY DESC(?a) ?s LIMIT ` + itoa(maxTopK+1)
 
-	base := vecTestEngine(t)
-	ablated := vecTestEngine(t)
-	ablated.DisableVecAgg = true
-	ablated.VecTopK = -1
+	batch := vecTestEngine(t)
+	reference := vecTestEngine(t)
+	reference.BatchSize = -1
 
-	for _, src := range []string{aggQ, topkQ} {
-		want, err := base.QueryString(src)
+	same := func(src string) {
+		t.Helper()
+		want, err := reference.QueryString(src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ablated.QueryString(src)
+		got, err := batch.QueryString(src)
 		if err != nil {
 			t.Fatal(err)
 		}
 		w, g := canonRows(want), canonRows(got)
 		if strings.Join(w, "\n") != strings.Join(g, "\n") {
-			t.Fatalf("%q: ablated engine differs:\n%v\nvs\n%v", src, w, g)
+			t.Fatalf("%q: batch differs from the tuple reference:\n%v\nvs\n%v", src, g, w)
 		}
 	}
-	bs, as := base.VecStats(), ablated.VecStats()
-	if bs.AggQueries == 0 || bs.TopKQueries == 0 {
-		t.Fatalf("base engine skipped fast paths: %+v", bs)
+	same(aggQ)
+	same(topkQ)
+	before := batch.VecStats()
+	if before.AggQueries != 1 || before.TopKQueries != 1 {
+		t.Fatalf("batch engine skipped a fast path: %+v", before)
 	}
-	if as.AggQueries != 0 || as.TopKQueries != 0 {
-		t.Fatalf("ablated engine used disabled fast paths: %+v", as)
+	same(fullSortQ)
+	if bs := batch.VecStats(); bs.TopKQueries != before.TopKQueries || bs.SortQueries != before.SortQueries+1 {
+		t.Fatalf("LIMIT %d should sort fully, not through the heap: %+v", maxTopK+1, bs)
+	}
+	if rs := reference.VecStats(); rs != (VecStats{}) {
+		t.Fatalf("tuple reference ran batch code: %+v", rs)
 	}
 }
 

@@ -52,7 +52,7 @@ type vecAggState struct {
 // GROUP BY variables plus "#aggN" registers, HAVING already applied,
 // groups in first-encounter order.
 func (e *Engine) vecAggregate(ctx *evalCtx, q *sparql.Query, initial Binding, specs []aggSpec) ([]Binding, bool, error) {
-	if e.DisableVecAgg || len(initial) != 0 || q.Where == nil {
+	if len(initial) != 0 || q.Where == nil {
 		return nil, false, nil
 	}
 	pl := ctx.vecPlanFor(q.Where)

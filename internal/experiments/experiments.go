@@ -1,470 +1,422 @@
-// Package experiments regenerates the evaluation of the dissertation
-// (chapter 6 and chapter 7): each exported function reproduces one
-// experiment's table, printing the same rows the text reports —
-// storage/retrieval-strategy comparison (E1), buffer-size sweep (E2),
-// chunk-size sweep (E3), the BISTAB application queries (E4),
-// collection-consolidation effect (E5), and the client/server workflow
-// round trips (E6) — plus the ablations A1 (cost-based join ordering)
-// and A2 (sequence pattern detection).
+// Package experiments reproduces the evaluation of the dissertation
+// (chapter 6 and chapter 7). Each exported function is one experiment
+// and returns its table as typed rows: storage/retrieval-strategy
+// comparison (E1), buffer-size sweep (E2), chunk-size sweep (E3), the
+// BISTAB application queries (E4), collection consolidation (E5), the
+// client/server workflow (E6), BISTAB scaling (E7), and the ablations
+// A1 (cost-based join ordering), A2 (sequence pattern detection) and
+// A3 (aggregate pushdown).
 //
-// Absolute durations depend on the machine and on the simulated
-// statement round-trip latency; the *shape* of each table (which
-// configuration wins, where crossovers fall) is the reproduction
-// target. cmd/ssdm-bench prints these tables; EXPERIMENTS.md records
-// paper-vs-measured.
+// A row carries two kinds of column. Counters — statements and bytes
+// crossing the storage boundary, chunks fetched, bindings produced,
+// rows, requests, graph sizes — are deterministic for a given Options
+// and carry the reproduction target, the *shape* of each table (which
+// configuration wins and why); the package's tests assert them. Wall
+// time depends on the machine and is there to be printed, never
+// compared. cmd/ssdm-bench prints the tables (a field's `col` tag
+// names its column, or its columns for an array field); EXPERIMENTS.md
+// records paper-vs-measured.
 package experiments
 
 import (
+	"context"
 	"fmt"
-	"io"
-	"math/rand"
-	"text/tabwriter"
+	"strings"
 	"time"
 
 	"scisparql/internal/bistab"
 	"scisparql/internal/core"
+	"scisparql/internal/engine"
 	"scisparql/internal/loader"
-	"scisparql/internal/minibench"
 	"scisparql/internal/relstore"
 	"scisparql/internal/storage"
 	"scisparql/internal/storage/filestore"
 	"scisparql/internal/storage/relbackend"
 )
 
-// Options tune the experiment scale.
+// Options fix the scale the experiments run at.
 type Options struct {
-	// RoundTripDelay is the simulated per-statement latency of the
-	// relational back-end (the client/server round trip of a networked
-	// RDBMS). 0 disables the simulation.
-	RoundTripDelay time.Duration
-	// Bandwidth is the simulated result-transfer rate of the relational
-	// back-end in bytes/second; 0 disables the volume cost.
-	Bandwidth int64
-	// FileLatency is the simulated per-request latency of the file
-	// back-end in the parallelism sweep (E8), modeling a remote chunk
-	// store; 0 leaves the file config page-cache bound.
-	FileLatency time.Duration
-	// Iters is the number of timed queries per cell.
-	Iters int
-	// Workload scales the mini-benchmark dataset.
-	Workload minibench.Workload
-	// Bistab scales the application dataset.
-	Bistab bistab.Config
-	// TempDir hosts file back-ends.
-	TempDir string
-	// VecDocs scales the SP²Bench-shaped document set of the
-	// vectorized-execution comparison (E9). 0 = default (1000).
-	VecDocs int
-	// BatchSize is the engine batch size for E9's batch configuration:
-	// 0 = engine default, negative disables vectorization (making the
-	// "batch" column a tuple-path control run).
-	BatchSize int
+	// rtt and bandwidth are the simulated per-statement latency and
+	// result-transfer rate (bytes/second) of the relational back-end,
+	// standing in for a networked RDBMS; 0 disables either cost.
+	rtt       time.Duration
+	bandwidth int64
+	iters     int // timed queries per cell
+	workload  workload
+	bistab    bistab.Config
+	tempDir   string // hosts file back-ends
 }
 
-// DefaultOptions returns the standard experiment scale.
+// DefaultOptions returns the scale of the tables in EXPERIMENTS.md.
 func DefaultOptions(tempDir string) Options {
 	return Options{
-		RoundTripDelay: 200 * time.Microsecond,
-		Bandwidth:      100 << 20, // 100 MB/s
-		FileLatency:    200 * time.Microsecond,
-		Iters:          5,
-		Workload:       minibench.DefaultWorkload(),
-		Bistab:         bistab.DefaultConfig(),
-		TempDir:        tempDir,
+		rtt:       200 * time.Microsecond,
+		bandwidth: 100 << 20,
+		iters:     5,
+		workload:  defaultWorkload(),
+		bistab:    bistab.DefaultConfig(),
+		tempDir:   tempDir,
 	}
 }
 
-// Config is one storage configuration under test.
-type Config struct {
-	Name    string
-	Backend storage.Backend    // nil = resident
-	DB      *relstore.Database // non-nil for SQL configs
-	Store   *filestore.Store   // non-nil for the file config
+// String describes the scale, for the head of a printed report.
+func (o Options) String() string {
+	return fmt.Sprintf("%d arrays of %dx%d, chunk %d B; BISTAB %d cases x %d realizations x %d steps; SQL round trip %v at %d MB/s; %d queries per cell",
+		o.workload.NumArrays, o.workload.Rows, o.workload.Cols, o.workload.ChunkBytes,
+		o.bistab.Cases, o.bistab.Realizations, o.bistab.Steps, o.rtt, o.bandwidth>>20, o.iters)
 }
 
-// BuildConfigs constructs the storage configurations of Experiment 1.
-func BuildConfigs(o Options, bufferSize int) ([]Config, error) {
-	var out []Config
-	out = append(out, Config{Name: "RESIDENT"})
-	out = append(out, Config{Name: "MEMORY", Backend: storage.NewMemory()})
-
-	fs, err := filestore.New(o.TempDir + "/e1files")
+// sqlStore builds wl on a fresh relational back-end set up by
+// configure, then charges the simulated link (loading is not timed
+// with latency) and zeroes the statement counters. Aggregate pushdown
+// starts off: every experiment but A3 measures retrieval.
+func (o Options) sqlStore(wl workload, configure func(*relbackend.Backend)) (*core.SSDM, *relstore.Database, error) {
+	rdb := relstore.NewDatabase()
+	rb, err := relbackend.New(rdb)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	out = append(out, Config{Name: "FILE", Backend: fs, Store: fs})
-
-	for _, strat := range []relbackend.Strategy{
-		relbackend.StrategySingle, relbackend.StrategyBuffered, relbackend.StrategySPD,
-	} {
-		db := relstore.NewDatabase()
-		rb, err := relbackend.New(db)
-		if err != nil {
-			return nil, err
-		}
-		rb.Strategy = strat
-		rb.BufferSize = bufferSize
-		rb.Aggregable = false // E1 measures retrieval, not AAPR
-		db.RoundTripDelay = 0 // loading is not timed with latency
-		out = append(out, Config{Name: strat.String(), Backend: rb, DB: db})
+	rb.Aggregable = false
+	configure(rb)
+	db, err := build(wl, rb)
+	if err != nil {
+		return nil, nil, err
 	}
-	return out, nil
+	rdb.RoundTripDelay = o.rtt
+	rdb.Bandwidth = o.bandwidth
+	rdb.ResetStats()
+	return db, rdb, nil
 }
 
-// timeQueries runs the pattern and reports mean duration per query.
-func timeQueries(db *core.SSDM, p minibench.Pattern, w minibench.Workload, param, iters int) (time.Duration, error) {
-	// Warm the parse/compile path once without timing.
-	loader.DropProxyCaches(db.Dataset.Default)
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		loader.DropProxyCaches(db.Dataset.Default)
-		if _, err := minibench.Run(db, p, w, param, 1, int64(100+i)); err != nil {
-			return 0, err
-		}
+func strategy(s relbackend.Strategy) func(*relbackend.Backend) {
+	return func(rb *relbackend.Backend) { rb.Strategy = s }
+}
+
+// measure runs o.iters cold queries of the pattern (proxy caches
+// dropped before each, outside the timed span) and returns the mean
+// wall time per query and, for a relational store, the statements
+// issued and bytes returned per query.
+func (o Options) measure(db *core.SSDM, rdb *relstore.Database, p pattern, wl workload, param int) (d time.Duration, stmts, bytes int64, err error) {
+	var before relstore.Stats
+	if rdb != nil {
+		before = rdb.StatsSnapshot()
 	}
-	return time.Since(start) / time.Duration(iters), nil
+	for i := 0; i < o.iters; i++ {
+		loader.DropProxyCaches(db.Dataset.Default)
+		start := time.Now()
+		if err := run(db, p, 1, wl, param, int64(100+i)); err != nil {
+			return 0, 0, 0, err
+		}
+		d += time.Since(start)
+	}
+	d /= time.Duration(o.iters)
+	if rdb != nil {
+		after := rdb.StatsSnapshot()
+		stmts = (after.Statements - before.Statements) / int64(o.iters)
+		bytes = (after.BytesReturned - before.BytesReturned) / int64(o.iters)
+	}
+	return d, stmts, bytes, nil
+}
+
+// analyze runs o.iters cold executions of a query text and returns the
+// mean wall time with the last execution's trace, whose counters (rows,
+// bindings, chunk fetches) repeat exactly from run to run.
+func (o Options) analyze(db *core.SSDM, text string) (time.Duration, *engine.Trace, error) {
+	var (
+		tr *engine.Trace
+		d  time.Duration
+	)
+	for i := 0; i < o.iters; i++ {
+		loader.DropProxyCaches(db.Dataset.Default)
+		start := time.Now()
+		var err error
+		if _, tr, err = db.QueryAnalyze(context.Background(), text, engine.Limits{}); err != nil {
+			return 0, nil, err
+		}
+		d += time.Since(start)
+	}
+	return d / time.Duration(o.iters), tr, nil
+}
+
+// E1Row is one access pattern of Experiment 1 across the six storage
+// configurations.
+type E1Row struct {
+	Pattern    string           `col:"pattern"`
+	Time       [6]time.Duration `col:"RESIDENT,MEMORY,FILE,SQL-SINGLE,SQL-BUFFER,SQL-SPD"`
+	Statements [3]int64         `col:"stmts single,stmts buffer,stmts spd"`
 }
 
 // E1 — Comparing the Retrieval Strategies (§6.3.2): each access
 // pattern against each storage configuration; per cell the mean query
-// time and, for SQL configurations, statements issued and bytes
-// transferred.
-func E1(w io.Writer, o Options) error {
-	fmt.Fprintf(w, "Experiment 1: retrieval strategies (arrays %dx%d, chunk %d B, RTT %v)\n",
-		o.Workload.Rows, o.Workload.Cols, o.Workload.ChunkBytes, o.RoundTripDelay)
-	cells, err := E1Report(o)
-	if err != nil {
-		return err
+// time and, for the SQL strategies, statements issued per query.
+func E1(o Options) ([]E1Row, error) {
+	type config struct {
+		db  *core.SSDM
+		rdb *relstore.Database
 	}
-	// cells are ordered pattern-major in config order.
-	perPattern := len(cells) / len(minibench.AllPatterns)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "pattern")
-	for _, c := range cells[:perPattern] {
-		fmt.Fprintf(tw, "\t%s", c.Config)
-	}
-	fmt.Fprintf(tw, "\t(stmts single/buf/spd)\n")
-	for pi, p := range minibench.AllPatterns {
-		fmt.Fprintf(tw, "%s", p)
-		var stmts []int64
-		for _, c := range cells[pi*perPattern : (pi+1)*perPattern] {
-			fmt.Fprintf(tw, "\t%v", time.Duration(c.NanosPerQ).Round(10*time.Microsecond))
-			if c.Config != "RESIDENT" && c.Config != "MEMORY" && c.Config != "FILE" {
-				stmts = append(stmts, c.StmtsPerQ)
-			}
-		}
-		fmt.Fprintf(tw, "\t%v\n", stmts)
-	}
-	return tw.Flush()
-}
-
-// E1Report is the machine-readable form of Experiment 1: one Cell per
-// pattern × configuration, pattern-major in configuration order.
-func E1Report(o Options) ([]Cell, error) {
-	configs, err := BuildConfigs(o, 256)
+	fs, err := filestore.New(o.tempDir + "/e1files")
 	if err != nil {
 		return nil, err
 	}
-	dbs := make([]*core.SSDM, len(configs))
-	for i, c := range configs {
-		db, err := minibench.Build(o.Workload, c.Backend)
+	var configs []config
+	for _, be := range []storage.Backend{nil, storage.NewMemory(), fs} {
+		db, err := build(o.workload, be)
 		if err != nil {
 			return nil, err
 		}
-		if c.DB != nil {
-			c.DB.RoundTripDelay = o.RoundTripDelay
-			c.DB.Bandwidth = o.Bandwidth
-		}
-		dbs[i] = db
+		configs = append(configs, config{db: db})
 	}
-	var cells []Cell
-	for _, p := range minibench.AllPatterns {
-		for i, c := range configs {
-			var before relstore.Stats
-			if c.DB != nil {
-				before = c.DB.StatsSnapshot()
-			}
-			d, err := timeQueries(dbs[i], p, o.Workload, 4, o.Iters)
+	for _, s := range []relbackend.Strategy{
+		relbackend.StrategySingle, relbackend.StrategyBuffered, relbackend.StrategySPD,
+	} {
+		db, rdb, err := o.sqlStore(o.workload, strategy(s))
+		if err != nil {
+			return nil, err
+		}
+		configs = append(configs, config{db, rdb})
+	}
+	rows := make([]E1Row, len(allPatterns))
+	for pi, p := range allPatterns {
+		rows[pi].Pattern = p.String()
+		for ci, c := range configs {
+			d, stmts, _, err := o.measure(c.db, c.rdb, p, o.workload, 4)
 			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", c.Name, p, err)
+				return nil, fmt.Errorf("E1 %s config %d: %w", p, ci, err)
 			}
-			cell := Cell{Experiment: "1", Pattern: p.String(), Config: c.Name, NanosPerQ: int64(d)}
-			if c.DB != nil {
-				after := c.DB.StatsSnapshot()
-				cell.StmtsPerQ = (after.Statements - before.Statements) / int64(o.Iters)
+			rows[pi].Time[ci] = d
+			if c.rdb != nil {
+				rows[pi].Statements[ci-3] = stmts
 			}
-			if c.Backend != nil {
-				cell.InflightPeak = inflightPeak(c.Backend)
-			}
-			cells = append(cells, cell)
 		}
 	}
-	return cells, nil
+	return rows, nil
+}
+
+// E2Row is one IN-list buffer size of Experiment 2.
+type E2Row struct {
+	Buffer     int           `col:"buffer"`
+	Time       time.Duration `col:"time/query"`
+	Statements int64         `col:"statements/query"`
 }
 
 // E2 — Varying the Buffer Size (§6.3.3): the buffered IN-list strategy
-// under the scattered-random pattern as the buffer grows.
-func E2(w io.Writer, o Options) error {
-	fmt.Fprintf(w, "Experiment 2: IN-list buffer size sweep (pattern random, K=64, RTT %v)\n", o.RoundTripDelay)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "buffer\ttime/query\tstatements/query")
+// under the scattered-random pattern (K = 64) as the buffer grows.
+func E2(o Options) ([]E2Row, error) {
+	var rows []E2Row
 	for _, buf := range []int{1, 4, 16, 64, 256} {
-		rdb := relstore.NewDatabase()
-		rb, err := relbackend.New(rdb)
+		db, rdb, err := o.sqlStore(o.workload, func(rb *relbackend.Backend) {
+			rb.Strategy = relbackend.StrategyBuffered
+			rb.BufferSize = buf
+		})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		rb.Strategy = relbackend.StrategyBuffered
-		rb.BufferSize = buf
-		rb.Aggregable = false
-		db, err := minibench.Build(o.Workload, rb)
+		d, stmts, _, err := o.measure(db, rdb, patRandom, o.workload, 64)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		rdb.RoundTripDelay = o.RoundTripDelay
-		rdb.Bandwidth = o.Bandwidth
-		rdb.ResetStats()
-		d, err := timeQueries(db, minibench.PatternRandom, o.Workload, 64, o.Iters)
-		if err != nil {
-			return err
-		}
-		st := rdb.StatsSnapshot()
-		fmt.Fprintf(tw, "%d\t%v\t%d\n", buf, d.Round(10*time.Microsecond), st.Statements/int64(o.Iters))
+		rows = append(rows, E2Row{buf, d, stmts})
 	}
-	return tw.Flush()
+	return rows, nil
+}
+
+// E3Row is one chunk size of Experiment 3.
+type E3Row struct {
+	ChunkBytes   int           `col:"chunkB"`
+	FullTime     time.Duration `col:"full time"`
+	FullBytes    int64         `col:"full bytes"`
+	ElementTime  time.Duration `col:"element time"`
+	ElementBytes int64         `col:"element bytes"`
 }
 
 // E3 — Varying the Chunk Size (§6.3.4): the SPD strategy across chunk
-// sizes for a sequential and a scattered pattern.
-func E3(w io.Writer, o Options) error {
-	fmt.Fprintf(w, "Experiment 3: chunk size sweep (SQL-SPD, RTT %v)\n", o.RoundTripDelay)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "chunkB\tfull time\tfull bytes\telement time\telement bytes")
+// sizes for a sequential scan and a point access.
+func E3(o Options) ([]E3Row, error) {
+	var rows []E3Row
 	for _, chunkB := range []int{512, 2048, 8192, 32768, 131072} {
-		wl := o.Workload
+		wl := o.workload
 		wl.ChunkBytes = chunkB
-		rdb := relstore.NewDatabase()
-		rb, err := relbackend.New(rdb)
+		db, rdb, err := o.sqlStore(wl, strategy(relbackend.StrategySPD))
 		if err != nil {
-			return err
+			return nil, err
 		}
-		rb.Strategy = relbackend.StrategySPD
-		rb.Aggregable = false
-		db, err := minibench.Build(wl, rb)
-		if err != nil {
-			return err
+		row := E3Row{ChunkBytes: chunkB}
+		if row.FullTime, _, row.FullBytes, err = o.measure(db, rdb, patFull, wl, 0); err != nil {
+			return nil, err
 		}
-		rdb.RoundTripDelay = o.RoundTripDelay
-		rdb.Bandwidth = o.Bandwidth
-
-		rdb.ResetStats()
-		dFull, err := timeQueries(db, minibench.PatternFull, wl, 0, o.Iters)
-		if err != nil {
-			return err
+		if row.ElementTime, _, row.ElementBytes, err = o.measure(db, rdb, patElement, wl, 0); err != nil {
+			return nil, err
 		}
-		fullBytes := rdb.StatsSnapshot().BytesReturned / int64(o.Iters)
-
-		rdb.ResetStats()
-		dElem, err := timeQueries(db, minibench.PatternElement, wl, 0, o.Iters)
-		if err != nil {
-			return err
-		}
-		elemBytes := rdb.StatsSnapshot().BytesReturned / int64(o.Iters)
-
-		fmt.Fprintf(tw, "%d\t%v\t%d\t%v\t%d\n",
-			chunkB, dFull.Round(10*time.Microsecond), fullBytes,
-			dElem.Round(10*time.Microsecond), elemBytes)
+		rows = append(rows, row)
 	}
-	return tw.Flush()
+	return rows, nil
+}
+
+// E4Row is one BISTAB application query of Experiment 4 on resident,
+// file-backed and relational (SPD) arrays.
+type E4Row struct {
+	Query      string           `col:"query"`
+	Time       [3]time.Duration `col:"RESIDENT,FILE,SQL-SPD"`
+	Rows       [3]int           `col:"rows resident,rows file,rows sql"`
+	Statements int64            `col:"stmts sql"`
 }
 
 // E4 — BISTAB application queries (§6.4.4–6.4.5) across storage
 // configurations.
-func E4(w io.Writer, o Options) error {
-	fmt.Fprintf(w, "Experiment 4: BISTAB application queries (%d cases x %d realizations x %d steps)\n",
-		o.Bistab.Cases, o.Bistab.Realizations, o.Bistab.Steps)
-	fs, err := filestore.New(o.TempDir + "/e4files")
+func E4(o Options) ([]E4Row, error) {
+	fs, err := filestore.New(o.tempDir + "/e4files")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	rdb := relstore.NewDatabase()
 	rb, err := relbackend.New(rdb)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	rb.Strategy = relbackend.StrategySPD
-	configs := []Config{
-		{Name: "RESIDENT"},
-		{Name: "FILE", Backend: fs},
-		{Name: "SQL-SPD", Backend: rb, DB: rdb},
-	}
-	dbs := make([]*core.SSDM, len(configs))
-	for i, c := range configs {
-		db, err := bistab.Generate(o.Bistab, c.Backend)
-		if err != nil {
-			return err
+	var dbs [3]*core.SSDM
+	for i, be := range []storage.Backend{nil, fs, rb} {
+		if dbs[i], err = bistab.Generate(o.bistab, be); err != nil {
+			return nil, err
 		}
-		dbs[i] = db
 	}
-	rdb.RoundTripDelay = o.RoundTripDelay
-	rdb.Bandwidth = o.Bandwidth
+	rdb.RoundTripDelay = o.rtt
+	rdb.Bandwidth = o.bandwidth
 
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "query\tRESIDENT\tFILE\tSQL-SPD\trows")
-	for _, q := range bistab.Queries(o.Bistab) {
-		fmt.Fprintf(tw, "%s", q.Name)
-		rows := 0
-		for i := range configs {
-			loader.DropProxyCaches(dbs[i].Dataset.Default)
-			start := time.Now()
-			var res interface{ Len() int }
-			for it := 0; it < o.Iters; it++ {
-				loader.DropProxyCaches(dbs[i].Dataset.Default)
-				r, err := dbs[i].Query(q.Text)
-				if err != nil {
-					return fmt.Errorf("%s on %s: %w", q.Name, configs[i].Name, err)
-				}
-				res = r
+	var rows []E4Row
+	for _, q := range bistab.Queries(o.bistab) {
+		row := E4Row{Query: q.Name}
+		before := rdb.StatsSnapshot().Statements
+		for i, db := range dbs {
+			d, tr, err := o.analyze(db, q.Text)
+			if err != nil {
+				return nil, fmt.Errorf("E4 %s config %d: %w", q.Name, i, err)
 			}
-			d := time.Since(start) / time.Duration(o.Iters)
-			rows = res.Len()
-			fmt.Fprintf(tw, "\t%v", d.Round(10*time.Microsecond))
+			row.Time[i], row.Rows[i] = d, tr.Rows
 		}
-		fmt.Fprintf(tw, "\t%d\n", rows)
+		row.Statements = (rdb.StatsSnapshot().Statements - before) / int64(o.iters)
+		rows = append(rows, row)
 	}
-	return tw.Flush()
+	return rows, nil
+}
+
+// E5Row is one representation of Experiment 5's matrices.
+type E5Row struct {
+	Mode     string        `col:"mode"`
+	Triples  int           `col:"graph triples"`
+	Bindings int64         `col:"bindings/access"`
+	Time     time.Duration `col:"element access"`
 }
 
 // E5 — Collection consolidation (§5.3.2 / §2.3.5.1): graph size and
-// element-access query time with consolidation on vs off.
-func E5(w io.Writer, o Options) error {
-	fmt.Fprintln(w, "Experiment 5: RDF collection consolidation")
-	const n = 16
-	const side = 24
-	doc := buildCollectionDoc(n, side)
-
-	run := func(consolidate bool) (graphSize int, d time.Duration, err error) {
+// the cost of one element access (intermediate bindings, time) for 16
+// matrices of 24×24 loaded as nested RDF collections, with
+// consolidation into arrays off and on.
+func E5(o Options) ([]E5Row, error) {
+	doc := collectionDoc(16, 24)
+	var rows []E5Row
+	for _, c := range []struct {
+		consolidate bool
+		mode, query string
+	}{
+		// Without consolidation element [2,1] is the rdf:rest chain walk
+		// the dissertation shows (§2.3.5.1); with it, one array deref.
+		{false, "collections (raw)", `PREFIX ex: <http://ex/>
+PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
+SELECT ?v WHERE { ex:m1 ex:data ?l . ?l rdf:rest ?r1 . ?r1 rdf:first ?row . ?row rdf:first ?v }`},
+		{true, "consolidated arrays", `PREFIX ex: <http://ex/>
+SELECT (?a[2,1] AS ?v) WHERE { ex:m1 ex:data ?a }`},
+	} {
 		opts := core.DefaultOptions()
-		opts.ConsolidateCollections = consolidate
+		opts.ConsolidateCollections = c.consolidate
 		db := core.OpenWith(opts)
 		if err := db.LoadTurtle(doc, ""); err != nil {
-			return 0, 0, err
+			return nil, err
 		}
-		// Element access: with consolidation, one array deref; without,
-		// the rdf:rest chain walk the dissertation shows (§2.3.5.1).
-		var q string
-		if consolidate {
-			q = fmt.Sprintf(`PREFIX ex: <http://ex/>
-SELECT (?a[2,1] AS ?v) WHERE { ex:m1 ex:data ?a }`)
-		} else {
-			q = `PREFIX ex: <http://ex/>
-PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
-SELECT ?v WHERE { ex:m1 ex:data ?l . ?l rdf:rest ?r1 . ?r1 rdf:first ?row . ?row rdf:first ?v }`
+		d, tr, err := o.analyze(db, c.query)
+		if err != nil {
+			return nil, err
 		}
-		start := time.Now()
-		for i := 0; i < o.Iters*10; i++ {
-			res, err := db.Query(q)
-			if err != nil {
-				return 0, 0, err
-			}
-			if res.Len() != 1 {
-				return 0, 0, fmt.Errorf("E5: %d rows", res.Len())
-			}
+		if tr.Rows != 1 {
+			return nil, fmt.Errorf("E5 %s: %d rows, want 1", c.mode, tr.Rows)
 		}
-		return db.Dataset.Default.Size(), time.Since(start) / time.Duration(o.Iters*10), nil
+		rows = append(rows, E5Row{c.mode, db.Dataset.Default.Size(), tr.Bindings, d})
 	}
-	rawSize, rawD, err := run(false)
-	if err != nil {
-		return err
-	}
-	conSize, conD, err := run(true)
-	if err != nil {
-		return err
-	}
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "mode\tgraph triples\telement access")
-	fmt.Fprintf(tw, "collections (raw)\t%d\t%v\n", rawSize, rawD.Round(time.Microsecond))
-	fmt.Fprintf(tw, "consolidated arrays\t%d\t%v\n", conSize, conD.Round(time.Microsecond))
-	return tw.Flush()
+	return rows, nil
 }
 
-func buildCollectionDoc(n, side int) string {
-	rng := rand.New(rand.NewSource(3))
-	doc := "@prefix ex: <http://ex/> .\n"
+// collectionDoc renders n side×side matrices ex:m1..ex:mN as nested
+// Turtle collections of their row-major element numbers.
+func collectionDoc(n, side int) string {
+	var doc strings.Builder
+	doc.WriteString("@prefix ex: <http://ex/> .\n")
 	for i := 1; i <= n; i++ {
-		doc += fmt.Sprintf("ex:m%d ex:data (", i)
+		fmt.Fprintf(&doc, "ex:m%d ex:data (", i)
 		for r := 0; r < side; r++ {
-			doc += "("
+			doc.WriteString(" (")
 			for c := 0; c < side; c++ {
-				if c > 0 {
-					doc += " "
-				}
-				doc += fmt.Sprintf("%d", rng.Intn(1000))
+				fmt.Fprintf(&doc, " %d", r*side+c)
 			}
-			doc += ")"
-			if r < side-1 {
-				doc += " "
-			}
+			doc.WriteString(" )")
 		}
-		doc += ") .\n"
+		doc.WriteString(" ) .\n")
 	}
-	return doc
+	return doc.String()
 }
 
-// E6Stats reports what a client/server workflow round trip costs.
-type E6Stats struct {
-	StoredArrays int
-	QueryTime    time.Duration
-	StoreTime    time.Duration
-	Rows         int
+// E7Row is one dataset size of Experiment 7: per query Q1, Q3, Q4 the
+// result rows, the chunks fetched from the array store and the time.
+type E7Row struct {
+	Cases  int              `col:"cases"`
+	Tasks  int              `col:"tasks"`
+	Rows   [3]int           `col:"rows Q1,rows Q3,rows Q4"`
+	Chunks [3]int64         `col:"chunks Q1,chunks Q3,chunks Q4"`
+	Time   [3]time.Duration `col:"Q1,Q3,Q4"`
 }
-
-// E6 is implemented in workflow.go (it needs the server and client).
 
 // E7 — dataset scaling: the BISTAB queries as the number of parameter
-// cases grows. Metadata-only queries should scale with the matching
-// row count; array-bound queries with the total trajectory volume.
-func E7(w io.Writer, o Options) error {
-	fmt.Fprintln(w, "Experiment 7: BISTAB dataset scaling (resident arrays)")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "cases\ttasks\tQ1\tQ3\tQ4")
+// cases doubles, arrays in the MEMORY store so fetches are counted. The
+// metadata-only Q1 fetches nothing at any size; the array-bound Q3 and
+// Q4 fetch every trajectory's species-A row, in proportion to the
+// dataset.
+func E7(o Options) ([]E7Row, error) {
+	var rows []E7Row
 	for _, cases := range []int{4, 8, 16, 32} {
-		cfg := o.Bistab
+		cfg := o.bistab
 		cfg.Cases = cases
-		db, err := bistab.Generate(cfg, nil)
+		db, err := bistab.Generate(cfg, storage.NewMemory())
 		if err != nil {
-			return err
+			return nil, err
 		}
-		times := make([]time.Duration, 3)
+		row := E7Row{Cases: cases, Tasks: cfg.Tasks()}
 		for qi, q := range []string{bistab.Q1(30), bistab.Q3(100), bistab.Q4()} {
-			start := time.Now()
-			for i := 0; i < o.Iters; i++ {
-				if _, err := db.Query(q); err != nil {
-					return err
-				}
+			d, tr, err := o.analyze(db, q)
+			if err != nil {
+				return nil, err
 			}
-			times[qi] = time.Since(start) / time.Duration(o.Iters)
+			row.Time[qi], row.Rows[qi], row.Chunks[qi] = d, tr.Rows, tr.ChunkFetches
 		}
-		fmt.Fprintf(tw, "%d\t%d\t%v\t%v\t%v\n", cases, cfg.Tasks(),
-			times[0].Round(10*time.Microsecond),
-			times[1].Round(10*time.Microsecond),
-			times[2].Round(10*time.Microsecond))
+		rows = append(rows, row)
 	}
-	return tw.Flush()
+	return rows, nil
 }
 
-// A1 — ablation: cost-based join ordering on vs off, on a
-// multi-pattern metadata query over the BISTAB dataset.
-func A1(w io.Writer, o Options) error {
-	fmt.Fprintln(w, "Ablation A1: cost-based join ordering")
-	db, err := bistab.Generate(o.Bistab, nil)
+// A1Row is one join-ordering mode of ablation A1.
+type A1Row struct {
+	Ordering string        `col:"join ordering"`
+	Bindings int64         `col:"bindings"`
+	Rows     int           `col:"rows"`
+	Time     time.Duration `col:"time/query"`
+}
+
+// A1 — ablation: cost-based join ordering on vs off, on pairs of BISTAB
+// tasks in the same parameter case. The textual order enumerates ?a
+// and ?b independently first — a cross product — while the cost-based
+// order keeps the join connected through bi:case.
+func A1(o Options) ([]A1Row, error) {
+	db, err := bistab.Generate(o.bistab, nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	// Pairs of tasks in the same parameter case. The textual order
-	// enumerates ?a and ?b independently first — a cross product —
-	// while the cost-based order keeps the join connected through
-	// bi:case.
 	q := fmt.Sprintf(`PREFIX bi: <%s>
 SELECT ?a ?b WHERE {
   ?a bi:k_1 ?k1 .
@@ -472,96 +424,72 @@ SELECT ?a ?b WHERE {
   ?a bi:case ?c .
   ?b bi:case ?c .
 }`, bistab.NS)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "join ordering\ttime/query")
-	for _, disable := range []bool{false, true} {
-		db.Engine.DisableJoinOrder = disable
-		start := time.Now()
-		for i := 0; i < o.Iters*4; i++ {
-			if _, err := db.Query(q); err != nil {
-				return err
-			}
+	var rows []A1Row
+	for _, c := range []struct {
+		name    string
+		disable bool
+	}{{"cost-based", false}, {"textual order", true}} {
+		db.Engine.DisableJoinOrder = c.disable
+		d, tr, err := o.analyze(db, q)
+		if err != nil {
+			return nil, err
 		}
-		d := time.Since(start) / time.Duration(o.Iters*4)
-		name := "cost-based"
-		if disable {
-			name = "textual order"
-		}
-		fmt.Fprintf(tw, "%s\t%v\n", name, d.Round(10*time.Microsecond))
+		rows = append(rows, A1Row{c.name, tr.Bindings, tr.Rows, d})
 	}
-	db.Engine.DisableJoinOrder = false
-	return tw.Flush()
+	return rows, nil
+}
+
+// A2Row is one stride of ablation A2.
+type A2Row struct {
+	Stride     int              `col:"stride"`
+	Time       [2]time.Duration `col:"SQL-SINGLE,SQL-SPD"`
+	Statements [2]int64         `col:"stmts single,stmts spd"`
 }
 
 // A2 — ablation: SPD range formulation vs naive per-chunk statements
 // for a strided access, as the stride grows.
-func A2(w io.Writer, o Options) error {
-	fmt.Fprintf(w, "Ablation A2: sequence pattern detection (RTT %v)\n", o.RoundTripDelay)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "stride\tSQL-SINGLE\tSQL-SPD\tstmts single\tstmts spd")
+func A2(o Options) ([]A2Row, error) {
+	var rows []A2Row
 	for _, stride := range []int{2, 4, 8} {
-		var times []time.Duration
-		var stmts []int64
-		for _, strat := range []relbackend.Strategy{relbackend.StrategySingle, relbackend.StrategySPD} {
-			rdb := relstore.NewDatabase()
-			rb, err := relbackend.New(rdb)
+		row := A2Row{Stride: stride}
+		for i, s := range []relbackend.Strategy{relbackend.StrategySingle, relbackend.StrategySPD} {
+			db, rdb, err := o.sqlStore(o.workload, strategy(s))
 			if err != nil {
-				return err
+				return nil, err
 			}
-			rb.Strategy = strat
-			rb.Aggregable = false
-			db, err := minibench.Build(o.Workload, rb)
-			if err != nil {
-				return err
+			if row.Time[i], row.Statements[i], _, err = o.measure(db, rdb, patStride, o.workload, stride); err != nil {
+				return nil, err
 			}
-			rdb.RoundTripDelay = o.RoundTripDelay
-			rdb.Bandwidth = o.Bandwidth
-			rdb.ResetStats()
-			d, err := timeQueries(db, minibench.PatternStride, o.Workload, stride, o.Iters)
-			if err != nil {
-				return err
-			}
-			times = append(times, d)
-			stmts = append(stmts, rdb.StatsSnapshot().Statements/int64(o.Iters))
 		}
-		fmt.Fprintf(tw, "%d\t%v\t%v\t%d\t%d\n", stride,
-			times[0].Round(10*time.Microsecond), times[1].Round(10*time.Microsecond),
-			stmts[0], stmts[1])
+		rows = append(rows, row)
 	}
-	return tw.Flush()
+	return rows, nil
 }
 
-// A3 — ablation: AAPR (server-side aggregation) on vs off for
-// whole-array aggregates on the relational back-end.
-func A3(w io.Writer, o Options) error {
-	fmt.Fprintf(w, "Ablation A3: aggregate pushdown (AAPR) (RTT %v)\n", o.RoundTripDelay)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "AAPR\ttime/query\tbytes/query")
-	for _, aggregable := range []bool{true, false} {
-		rdb := relstore.NewDatabase()
-		rb, err := relbackend.New(rdb)
+// A3Row is one aggregate-pushdown mode of ablation A3.
+type A3Row struct {
+	AAPR  string        `col:"AAPR"`
+	Time  time.Duration `col:"time/query"`
+	Bytes int64         `col:"bytes/query"`
+}
+
+// A3 — ablation: AAPR (server-side aggregation) on vs off for a
+// whole-array aggregate on the relational back-end.
+func A3(o Options) ([]A3Row, error) {
+	var rows []A3Row
+	for _, c := range []struct {
+		name       string
+		aggregable bool
+	}{{"delegated", true}, {"client-side", false}} {
+		db, rdb, err := o.sqlStore(o.workload, func(rb *relbackend.Backend) { rb.Aggregable = c.aggregable })
 		if err != nil {
-			return err
+			return nil, err
 		}
-		rb.Strategy = relbackend.StrategySPD
-		rb.Aggregable = aggregable
-		db, err := minibench.Build(o.Workload, rb)
+		d, _, bytes, err := o.measure(db, rdb, patFull, o.workload, 0)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		rdb.RoundTripDelay = o.RoundTripDelay
-		rdb.Bandwidth = o.Bandwidth
-		rdb.ResetStats()
-		d, err := timeQueries(db, minibench.PatternFull, o.Workload, 0, o.Iters)
-		if err != nil {
-			return err
-		}
-		st := rdb.StatsSnapshot()
-		name := "delegated"
-		if !aggregable {
-			name = "client-side"
-		}
-		fmt.Fprintf(tw, "%s\t%v\t%d\n", name, d.Round(10*time.Microsecond), st.BytesReturned/int64(o.Iters))
+		rows = append(rows, A3Row{c.name, d, bytes})
 	}
-	return tw.Flush()
+	return rows, nil
 }

@@ -2,40 +2,58 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
-	"text/tabwriter"
 	"time"
 
 	"scisparql/internal/array"
 	"scisparql/internal/bistab"
 	"scisparql/internal/core"
+	"scisparql/internal/metrics"
+	"scisparql/internal/protocol"
 	"scisparql/internal/rdf"
 	"scisparql/internal/server"
 	"scisparql/internal/ssdmclient"
 	"scisparql/internal/storage"
 )
 
+// E6Row is one phase of the client/server workflow: the requests the
+// server handled for it (one per round trip), the items it moved
+// (runs published, slices returned) and the time it took.
+type E6Row struct {
+	Phase      string        `col:"phase"`
+	RoundTrips int64         `col:"round trips"`
+	Items      int           `col:"items"`
+	Time       time.Duration `col:"time"`
+}
+
 // E6 — the Matlab-style workflow of chapter 7, over a real TCP
-// connection: a numeric client (playing Matlab's role) publishes
-// result arrays with RDF metadata to an SSDM server, annotates them,
-// and later retrieves selected slices by metadata queries. The table
-// reports the cost of each phase.
-func E6(w io.Writer, o Options) error {
-	fmt.Fprintln(w, "Experiment 6: client/server workflow round trips (chapter 7)")
+// connection: a numeric client (playing Matlab's role) publishes 16
+// result arrays of 4096 samples with RDF metadata to an SSDM server,
+// and a collaborator later retrieves a slice aggregate of the runs a
+// metadata filter selects. The server evaluates the array expression,
+// so only the selected runs' scalars travel, in one round trip.
+func E6(o Options) ([]E6Row, error) {
 	db := core.Open()
 	db.AttachBackend(storage.NewMemory())
 	srv := server.New(db)
+	srv.Metrics = metrics.NewRegistry() // this server's requests only
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer srv.Close()
 	cl, err := ssdmclient.Connect(addr)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer cl.Close()
+	requests := func() (n int64) {
+		byOp := srv.Metrics.CounterVec("ssdm_requests_total", "", "op")
+		for _, op := range []string{protocol.OpArrayTriple, protocol.OpUpdate, protocol.OpQuery} {
+			n += byOp.With(op).Value()
+		}
+		return n
+	}
 
 	const runs = 16
 	const steps = 4096
@@ -43,7 +61,7 @@ func E6(w io.Writer, o Options) error {
 
 	// Phase 1: the workflow publishes each run's trajectory with
 	// metadata, as §7.2 shows for Matlab results.
-	startStore := time.Now()
+	start := time.Now()
 	for i := 1; i <= runs; i++ {
 		data := make([]float64, steps)
 		level := rng.Float64() * 100
@@ -53,45 +71,38 @@ func E6(w io.Writer, o Options) error {
 		}
 		a, err := array.FromFloats(data, steps)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		run := rdf.IRI(fmt.Sprintf("%srun%d", bistab.NS, i))
 		if err := cl.AddArrayTriple(run, rdf.IRI(bistab.NS+"trajectory"), a); err != nil {
-			return err
+			return nil, err
 		}
 		meta := fmt.Sprintf(`PREFIX bi: <%s>
 INSERT DATA { <%s> a bi:Run ; bi:temperature %d ; bi:label "run %d" }`,
 			bistab.NS, string(run), 270+i, i)
 		if _, err := cl.Update(meta); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	storeD := time.Since(startStore)
+	publish := E6Row{"publish runs (array + metadata)", requests(), runs, time.Since(start)}
 
 	// Phase 2: a collaborator finds runs by metadata and pulls a slice
-	// of each trajectory; the server evaluates the array expressions so
-	// only the slices travel.
+	// aggregate of each trajectory.
 	q := fmt.Sprintf(`PREFIX bi: <%s>
 SELECT ?run (aavg(?tr[1:256]) AS ?head) WHERE {
   ?run a bi:Run ; bi:temperature ?temp ; bi:trajectory ?tr
   FILTER (?temp >= 280)
 } ORDER BY ?run`, bistab.NS)
-	startQuery := time.Now()
-	var rows int
-	for i := 0; i < o.Iters; i++ {
+	start = time.Now()
+	var slices int
+	for i := 0; i < o.iters; i++ {
 		res, err := cl.Query(q)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		rows = res.Len()
+		slices = res.Len()
 	}
-	queryD := time.Since(startQuery) / time.Duration(o.Iters)
-
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "phase\ttotal\tper item")
-	fmt.Fprintf(tw, "publish %d runs (array + metadata)\t%v\t%v\n",
-		runs, storeD.Round(10*time.Microsecond), (storeD / runs).Round(10*time.Microsecond))
-	fmt.Fprintf(tw, "metadata query returning %d slices\t%v\t-\n",
-		rows, queryD.Round(10*time.Microsecond))
-	return tw.Flush()
+	retrieve := E6Row{"metadata query returning slices", (requests() - publish.RoundTrips) / int64(o.iters),
+		slices, time.Since(start) / time.Duration(o.iters)}
+	return []E6Row{publish, retrieve}, nil
 }

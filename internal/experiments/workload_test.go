@@ -1,4 +1,4 @@
-package minibench
+package experiments
 
 import (
 	"math/rand"
@@ -11,13 +11,13 @@ import (
 	"scisparql/internal/storage/relbackend"
 )
 
-func smallWorkload() Workload {
-	return Workload{NumArrays: 2, Rows: 16, Cols: 16, ChunkBytes: 256, Seed: 1}
+func smallWorkload() workload {
+	return workload{NumArrays: 2, Rows: 16, Cols: 16, ChunkBytes: 256, Seed: 1}
 }
 
 func TestBuildResident(t *testing.T) {
 	w := smallWorkload()
-	db, err := Build(w, nil)
+	db, err := build(w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,13 +39,15 @@ func TestAllPatternsRunOnAllBackends(t *testing.T) {
 	backends["sql"] = rb
 	for name, be := range backends {
 		t.Run(name, func(t *testing.T) {
-			db, err := Build(w, be)
+			db, err := build(w, be)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, p := range AllPatterns {
-				if _, err := Run(db, p, w, 4, 2, 42); err != nil {
-					t.Fatalf("%s on %s: %v", p, name, err)
+			for _, p := range allPatterns {
+				for id := 1; id <= w.NumArrays; id++ {
+					if err := run(db, p, id, w, 4, 42); err != nil {
+						t.Fatalf("%s on %s: %v", p, name, err)
+					}
 				}
 			}
 		})
@@ -54,19 +56,19 @@ func TestAllPatternsRunOnAllBackends(t *testing.T) {
 
 func TestResidentAndExternalAgree(t *testing.T) {
 	w := smallWorkload()
-	dbRes, err := Build(w, nil)
+	dbRes, err := build(w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dbExt, err := Build(w, storage.NewMemory())
+	dbExt, err := build(w, storage.NewMemory())
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng1 := rand.New(rand.NewSource(5))
 	rng2 := rand.New(rand.NewSource(5))
-	for _, p := range AllPatterns {
-		q1 := Query(p, 1, w, 3, rng1)
-		q2 := Query(p, 1, w, 3, rng2)
+	for _, p := range allPatterns {
+		q1 := query(p, 1, w, 3, rng1)
+		q2 := query(p, 1, w, 3, rng2)
 		if q1 != q2 {
 			t.Fatalf("generator not deterministic for %s", p)
 		}
@@ -89,21 +91,21 @@ func TestResidentAndExternalAgree(t *testing.T) {
 func TestQueryShapes(t *testing.T) {
 	w := smallWorkload()
 	rng := rand.New(rand.NewSource(1))
-	if !strings.Contains(Query(PatternStride, 1, w, 4, rng), "1:4:16") {
+	if !strings.Contains(query(patStride, 1, w, 4, rng), "1:4:16") {
 		t.Fatal("stride query malformed")
 	}
-	if !strings.Contains(Query(PatternSlice, 1, w, 4, rng), "1:4,") {
-		t.Fatalf("slice query malformed: %s", Query(PatternSlice, 1, w, 4, rand.New(rand.NewSource(1))))
+	if !strings.Contains(query(patSlice, 1, w, 4, rng), "1:4,") {
+		t.Fatalf("slice query malformed: %s", query(patSlice, 1, w, 4, rand.New(rand.NewSource(1))))
 	}
-	q := Query(PatternRandom, 1, w, 3, rng)
+	q := query(patRandom, 1, w, 3, rng)
 	if strings.Count(q, "?a[") != 3 {
 		t.Fatalf("random query should have 3 derefs: %s", q)
 	}
 }
 
 func TestPatternNames(t *testing.T) {
-	for _, p := range AllPatterns {
-		if strings.Contains(p.String(), "Pattern(") {
+	for _, p := range allPatterns {
+		if strings.Contains(p.String(), "pattern(") {
 			t.Fatalf("missing name for %d", p)
 		}
 	}

@@ -209,7 +209,7 @@ func (f *Front) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				"tenant", tenantName,
 				"status", sw.status,
 				"duration", dur.String(),
-				"query", truncateQuery(text))
+				"query", metrics.TruncateQuery(text))
 		}
 	}
 }
@@ -408,7 +408,7 @@ func (f *Front) execute(w http.ResponseWriter, r *http.Request, req *request) {
 
 	// Per-request parameters tighten the tenant profile; the tenant
 	// profile tightens the server-wide guards inside QueryLimits.
-	lim := tightenLimits(req.limits, req.tenant.Limits)
+	lim := req.limits.Tighten(req.tenant.Limits)
 
 	if req.isUpdate {
 		n, err := req.tenant.DB.UpdateLimits(ctx, req.text, lim)
@@ -549,54 +549,4 @@ func (f *Front) retryAfterSeconds() string {
 		secs = 1
 	}
 	return strconv.Itoa(secs)
-}
-
-// tightenLimits composes per-request limits with the tenant profile:
-// zero fields defer, two set bounds resolve to the stricter — a
-// request can tighten its tenant's quotas, never loosen them.
-func tightenLimits(call, profile engine.Limits) engine.Limits {
-	return engine.Limits{
-		Timeout:       tighterDur(call.Timeout, profile.Timeout),
-		MaxResultRows: tighterInt(call.MaxResultRows, profile.MaxResultRows),
-		MaxBindings:   tighterInt64(call.MaxBindings, profile.MaxBindings),
-	}
-}
-
-func tighterDur(a, b time.Duration) time.Duration {
-	if a <= 0 {
-		return b
-	}
-	if b > 0 && b < a {
-		return b
-	}
-	return a
-}
-
-func tighterInt(a, b int) int {
-	if a <= 0 {
-		return b
-	}
-	if b > 0 && b < a {
-		return b
-	}
-	return a
-}
-
-func tighterInt64(a, b int64) int64 {
-	if a <= 0 {
-		return b
-	}
-	if b > 0 && b < a {
-		return b
-	}
-	return a
-}
-
-// truncateQuery bounds the query text carried in a slow-query record.
-func truncateQuery(text string) string {
-	const max = 400
-	if len(text) <= max {
-		return text
-	}
-	return text[:max] + "..."
 }

@@ -502,29 +502,6 @@ func TestTenantDatasetIsolation(t *testing.T) {
 	}
 }
 
-// TestTightenLimits: the request/profile composition is min-wins on
-// every axis, with zero meaning "defer".
-func TestTightenLimits(t *testing.T) {
-	lim := func(t string, r int, b int64) engine.Limits {
-		d, _ := parseDur(t)
-		return engine.Limits{Timeout: d, MaxResultRows: r, MaxBindings: b}
-	}
-	cases := []struct {
-		call, profile, want engine.Limits
-	}{
-		{lim("", 0, 0), lim("", 0, 0), lim("", 0, 0)},
-		{lim("1s", 10, 100), lim("", 0, 0), lim("1s", 10, 100)},
-		{lim("", 0, 0), lim("2s", 20, 200), lim("2s", 20, 200)},
-		{lim("1s", 30, 100), lim("2s", 20, 200), lim("1s", 20, 100)},
-		{lim("3s", 10, 300), lim("2s", 20, 200), lim("2s", 10, 200)},
-	}
-	for i, tc := range cases {
-		if got := tightenLimits(tc.call, tc.profile); got != tc.want {
-			t.Errorf("case %d: tightenLimits = %+v, want %+v", i, got, tc.want)
-		}
-	}
-}
-
 // TestHTTPMetricsFamilies: the http_* families register and count.
 func TestHTTPMetricsFamilies(t *testing.T) {
 	f, _ := newTestFront(t)

@@ -420,15 +420,6 @@ func queryClass(op string) bool {
 	return false
 }
 
-// truncateQuery bounds the query text carried in a slow-query record.
-func truncateQuery(text string) string {
-	const max = 400
-	if len(text) <= max {
-		return text
-	}
-	return text[:max] + "..."
-}
-
 // handle wraps handleOp with observability: per-op request counters,
 // the query latency histogram, error-code counters, and the slow-query
 // log.
@@ -456,7 +447,7 @@ func (s *Server) handle(req *protocol.Request) *protocol.Response {
 				"duration", dur.String(),
 				"rows", len(resp.Rows),
 				"outcome", outcome,
-				"query", truncateQuery(req.Text))
+				"query", metrics.TruncateQuery(req.Text))
 		}
 	}
 	return resp

@@ -74,9 +74,6 @@ func New(node *core.SSDM, shards []Shard) (*Coordinator, error) {
 // Shards returns the topology size.
 func (c *Coordinator) Shards() int { return len(c.shards) }
 
-// Partitioner returns the subject partitioner for this topology.
-func (c *Coordinator) Partitioner() *Partitioner { return c.part }
-
 // Close closes every shard, returning the first error.
 func (c *Coordinator) Close() error {
 	var first error

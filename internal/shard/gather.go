@@ -334,12 +334,8 @@ func (c *Coordinator) runGather(ctx context.Context, q *sparql.Query, lim engine
 	tx.Commit()
 
 	// A fresh engine over the scratch dataset, sharing the node's
-	// function registry (user-defined functions and aggregates) and
-	// execution knobs.
+	// function registry (user-defined functions and aggregates).
 	eng := engine.New(ds)
 	eng.Funcs = c.node.Engine.Funcs
-	eng.BatchSize = c.node.Engine.BatchSize
-	eng.DisableVecAgg = c.node.Engine.DisableVecAgg
-	eng.VecTopK = c.node.Engine.VecTopK
 	return eng.QueryContext(ctx, q, lim)
 }
