@@ -324,16 +324,16 @@ func (s *SSDM) QueryLimits(ctx context.Context, src string, lim engine.Limits) (
 		return nil, err
 	}
 	if s.dist != nil {
-		return s.dist.Query(ctx, src, q, s.fillLimits(lim))
+		return s.dist.Query(ctx, src, q, s.FillLimits(lim))
 	}
-	return s.Engine.QueryContext(ctx, q, s.fillLimits(lim))
+	return s.Engine.QueryContext(ctx, q, s.FillLimits(lim))
 }
 
-// fillLimits resolves per-call limits against the instance defaults.
+// FillLimits resolves per-call limits against the instance defaults.
 // A zero field takes the default; when both the call and the default
 // set a bound, the stricter one wins — per-call limits can tighten the
 // operator-configured guards, never loosen them.
-func (s *SSDM) fillLimits(lim engine.Limits) engine.Limits {
+func (s *SSDM) FillLimits(lim engine.Limits) engine.Limits {
 	return lim.Tighten(engine.Limits{
 		Timeout:       s.Opts.QueryTimeout,
 		MaxResultRows: s.Opts.MaxResultRows,
@@ -371,9 +371,9 @@ func (s *SSDM) QueryAnalyze(ctx context.Context, src string, lim engine.Limits) 
 		tr  *engine.Trace
 	)
 	if s.dist != nil {
-		res, tr, err = s.dist.QueryTraced(ctx, src, q, s.fillLimits(lim))
+		res, tr, err = s.dist.QueryTraced(ctx, src, q, s.FillLimits(lim))
 	} else {
-		res, tr, err = s.Engine.QueryTraced(ctx, q, s.fillLimits(lim))
+		res, tr, err = s.Engine.QueryTraced(ctx, q, s.FillLimits(lim))
 	}
 	if tr != nil {
 		tr.PlanCached = hit
@@ -450,7 +450,7 @@ func (p *Prepared) ExecContext(ctx context.Context, params map[string]rdf.Term) 
 	for k, v := range params {
 		initial[k] = v
 	}
-	return p.ssdm.Engine.QueryWithContext(ctx, p.q, initial, p.ssdm.fillLimits(engine.Limits{}))
+	return p.ssdm.Engine.QueryWithContext(ctx, p.q, initial, p.ssdm.FillLimits(engine.Limits{}))
 }
 
 // Execute runs a sequence of SciSPARQL statements (queries and
@@ -481,7 +481,7 @@ func (s *SSDM) ExecuteLimits(ctx context.Context, src string, lim engine.Limits)
 	if err != nil {
 		return nil, err
 	}
-	lim = s.fillLimits(lim)
+	lim = s.FillLimits(lim)
 	var out []*engine.Results
 	for i, st := range stmts {
 		if err := engine.ContextErr(ctx); err != nil {
@@ -558,7 +558,7 @@ func (s *SSDM) UpdateLimits(ctx context.Context, src string, lim engine.Limits) 
 	if err != nil {
 		return 0, err
 	}
-	lim = s.fillLimits(lim)
+	lim = s.FillLimits(lim)
 	if s.dist != nil {
 		return s.dist.Update(ctx, st, src, 0, lim)
 	}
@@ -579,14 +579,14 @@ func (s *SSDM) UpdateLimits(ctx context.Context, src string, lim engine.Limits) 
 // load path like UpdateLimits does.
 func (s *SSDM) UpdateStatement(ctx context.Context, st sparql.Statement, script string, index int) (int, error) {
 	if s.dist != nil {
-		return s.dist.Update(ctx, st, script, index, s.fillLimits(engine.Limits{}))
+		return s.dist.Update(ctx, st, script, index, s.FillLimits(engine.Limits{}))
 	}
 	if ld, ok := st.(*sparql.Load); ok {
 		s.op.Lock()
 		defer s.op.Unlock()
 		return 0, s.execLoadLocked(ld)
 	}
-	return s.runUpdate(ctx, st, s.fillLimits(engine.Limits{}), script, index)
+	return s.runUpdate(ctx, st, s.FillLimits(engine.Limits{}), script, index)
 }
 
 // runUpdate executes one update statement on the durable write path:

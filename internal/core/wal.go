@@ -571,6 +571,6 @@ func (s *SSDM) applyDefine(rec recDefine) error {
 	if rec.Index < 0 || rec.Index >= len(stmts) {
 		return fmt.Errorf("define index %d out of range (%d statements)", rec.Index, len(stmts))
 	}
-	_, err = s.Engine.UpdateLimits(context.Background(), stmts[rec.Index], s.fillLimits(engine.Limits{}))
+	_, err = s.Engine.UpdateLimits(context.Background(), stmts[rec.Index], s.FillLimits(engine.Limits{}))
 	return err
 }

@@ -6,6 +6,48 @@
 //
 // This is the protocol the Matlab integration of chapter 7 speaks; the
 // Go client in internal/ssdmclient plays Matlab's role.
+//
+// # Shard scans
+//
+// A shard coordinator's gather legs are triple-pattern matches, and
+// they follow the same rule as arrays: OpScan sends the pattern as
+// three Terms ("unbound" is a wildcard) and is answered from the
+// default graph's indexes, with no query text, parser, plan or engine
+// on either side, by one binary triple batch — Response.Triples,
+// base64 on the wire like an array — plus Response.Count, the number of
+// triples in it. Only a leaf answers: a server that itself coordinates
+// shards refuses the op, and a server that predates it answers
+// "unknown op scan"; there is no version field and no fallback. The
+// request's TimeoutMS and the instance's row cap apply as they do to a
+// query (codes "timeout" and "resource_limit"; a batch is never
+// truncated).
+//
+// A batch is self-contained — its dictionary lives and dies with the
+// response, so nothing is mirrored between peers and a retry is safe.
+// EncodeTriples and DecodeTriples are the only code that knows the
+// layout:
+//
+//	byte    wildcard mask: bit 0 subject, bit 1 predicate, bit 2 object
+//	uint32  d, the number of distinct terms in the batch (little-endian)
+//	uint32  n, the number of triples (little-endian)
+//	n rows  one cell per wildcard position, in s, p, o order; bound
+//	        positions are not sent
+//
+//	cell    uvarint k > 0: the (k-1)-th term first sent in this batch
+//	        uvarint 0, then a term: it becomes the next dictionary entry
+//
+//	term    byte kind, then
+//	        0 iri, 1 blank, 2 plain string: text
+//	        3 language-tagged string: text value, text tag
+//	        4 integer: zigzag varint
+//	        5 double: 8 bytes, little-endian IEEE-754 bits
+//	        6 boolean: one byte, 0 or 1
+//	        7 other typed literal: text lexical form, text datatype IRI
+//	        8 anything else (dateTime, array): text, the JSON of its Term
+//	text    uvarint length, then that many bytes
+//
+// Each distinct term crosses once however many rows repeat it; a
+// fully-bound pattern has no cells and n is 0 or 1.
 package protocol
 
 import (
@@ -28,6 +70,7 @@ const (
 	OpArrayTriple = "array_triple" // Subject, Property, Array: store + link
 	OpStats       = "stats"        // server statistics snapshot -> Stats
 	OpExplain     = "explain"      // Text: a query; plan only, or executed plan + trace with Analyze
+	OpScan        = "scan"         // Pattern: one triple pattern -> Triples, Count (leaf shards only)
 )
 
 // Request is one client request. The guard fields bound the request's
@@ -41,6 +84,10 @@ type Request struct {
 	Subject  string `json:"subject,omitempty"`
 	Property string `json:"property,omitempty"`
 	Array    string `json:"array,omitempty"` // base64(array.Marshal)
+
+	// Pattern is OpScan's triple pattern: exactly three terms (subject,
+	// predicate, object), "unbound" marking a wildcard.
+	Pattern []Term `json:"pattern,omitempty"`
 
 	// TimeoutMS is the wall-clock deadline for this request in
 	// milliseconds (0 = server default).
@@ -109,6 +156,11 @@ type Response struct {
 	Count   int      `json:"count,omitempty"`
 	ArrayID int64    `json:"array_id,omitempty"`
 	Stats   *Stats   `json:"stats,omitempty"`
+
+	// Triples is OpScan's answer: one dictionary-coded batch (see
+	// EncodeTriples), base64 on the wire; Count is the number of triples
+	// in it.
+	Triples []byte `json:"triples,omitempty"`
 
 	// Explain carries the rendered plan for OpExplain (static plan, or
 	// the annotated executed plan when the request set Analyze).

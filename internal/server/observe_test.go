@@ -12,6 +12,7 @@ import (
 
 	"scisparql/internal/core"
 	"scisparql/internal/metrics"
+	"scisparql/internal/rdf"
 	"scisparql/internal/ssdmclient"
 	"scisparql/internal/storage"
 )
@@ -138,6 +139,11 @@ func TestMetricsScrape(t *testing.T) {
 	if _, err := cl.Query(`SELECT ?s WHERE { this is not sparql`); err == nil {
 		t.Fatal("want parse error")
 	}
+	// A scan is a query to every instrument: its triples are rows
+	// returned, its latency is in the histogram.
+	if err := cl.Scan(context.Background(), nil, rdf.IRI("http://ex/p"), nil, func(s, p, o rdf.Term) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
 
 	rec := httptest.NewRecorder()
 	reg.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
@@ -148,10 +154,11 @@ func TestMetricsScrape(t *testing.T) {
 	wants := []string{
 		`ssdm_requests_total{op="query"} 4`,
 		`ssdm_requests_total{op="load_turtle"} 1`,
+		`ssdm_requests_total{op="scan"} 1`,
 		"ssdm_request_errors_total{code=",
-		"ssdm_query_duration_seconds_count 4",
+		"ssdm_query_duration_seconds_count 5",
 		"ssdm_query_duration_seconds_bucket{le=",
-		"ssdm_rows_returned_total 9",
+		"ssdm_rows_returned_total 12",
 		"ssdm_triples 3",
 		"ssdm_connections_active 1",
 		"ssdm_query_cache_hits",
@@ -210,6 +217,18 @@ func TestSlowQueryLog(t *testing.T) {
 	} {
 		if !strings.Contains(logged, want) {
 			t.Errorf("slow-query log missing %s:\n%s", want, logged)
+		}
+	}
+
+	// A scan has no text; the log shows its pattern and counts its
+	// triples.
+	if err := cl.Scan(context.Background(), nil, rdf.IRI("http://ex/p"), rdf.Integer(2), func(s, p, o rdf.Term) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	logged = strings.TrimPrefix(out.String(), logged)
+	for _, want := range []string{`"op":"scan"`, `"rows":1`, `"outcome":"ok"`, `"query":"scan ? <http://ex/p> 2"`} {
+		if !strings.Contains(logged, want) {
+			t.Errorf("slow-query log of a scan missing %s:\n%s", want, logged)
 		}
 	}
 }

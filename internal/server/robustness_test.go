@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"scisparql/internal/core"
 	"scisparql/internal/engine"
+	"scisparql/internal/protocol"
 	"scisparql/internal/rdf"
 	"scisparql/internal/ssdmclient"
 )
@@ -25,9 +27,11 @@ const crossProduct3 = `SELECT * WHERE {
 func startBigServer(t *testing.T, n int) (*Server, func() *ssdmclient.Client) {
 	t.Helper()
 	db := core.Open()
+	tx := db.Dataset.Default.Begin()
 	for i := 0; i < n; i++ {
-		db.Dataset.Default.Add(rdf.IRI(fmt.Sprintf("http://ex/s%d", i)), rdf.IRI("http://ex/p"), rdf.Integer(i))
+		tx.Add(rdf.IRI(fmt.Sprintf("http://ex/s%d", i)), rdf.IRI("http://ex/p"), rdf.Integer(i))
 	}
+	tx.Commit()
 	srv := New(db)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -318,5 +322,86 @@ func TestWireGuardsOnExecuteAndUpdate(t *testing.T) {
 	// The connection stays healthy for well-behaved traffic afterwards.
 	if _, err := cl.Update(`INSERT DATA { <http://ex/a> <http://ex/p> 1 }`); err != nil {
 		t.Fatalf("client should stay usable after guard violations: %v", err)
+	}
+}
+
+// TestScanDeadlineReachesPeer: the coordinator's deadline travels with
+// the scan. The server stops scanning when it passes and answers a
+// typed timeout on an aligned stream, so the very connection the scan
+// ran on serves the next request — the client neither cuts the socket
+// under a peer that keeps working nor redials.
+func TestScanDeadlineReachesPeer(t *testing.T) {
+	srv, connect := startBigServer(t, 60_000)
+	cl := connect()
+	if err := cl.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	conns := func() (out []net.Conn) {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		for c := range srv.conns {
+			out = append(out, c)
+		}
+		return out
+	}
+	before := conns()
+
+	rows := 0
+	var se *ssdmclient.ServerError
+	// A deadline this short can pass before the request is even sent,
+	// which fails typed too but proves nothing about the peer: try until
+	// the timeout is the server's.
+	for try := 0; se == nil; try++ {
+		if try == 20 {
+			t.Fatal("no scan reached the server before its 1 ms deadline")
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+		start := time.Now()
+		err := cl.Scan(ctx, nil, rdf.IRI("http://ex/p"), nil, func(s, p, o rdf.Term) bool { rows++; return true })
+		cancel()
+		if !errors.Is(err, engine.ErrQueryTimeout) || rows != 0 {
+			t.Fatalf("scan under a 1 ms deadline = %v after %d rows, want ErrQueryTimeout and none", err, rows)
+		}
+		if elapsed := time.Since(start); elapsed > 200*time.Millisecond {
+			t.Fatalf("the peer kept scanning: the timeout took %v", elapsed)
+		}
+		errors.As(err, &se)
+	}
+	if se.Code != protocol.CodeTimeout {
+		t.Fatalf("server-reported code %q, want %q", se.Code, protocol.CodeTimeout)
+	}
+	if err := cl.Ping(); err != nil {
+		t.Fatalf("ping after the timed-out scan: %v", err)
+	}
+	if after := conns(); len(after) != 1 || len(before) != 1 || after[0] != before[0] {
+		t.Fatalf("the client redialed: connections before %v, after %v", before, after)
+	}
+	// With time to spare the same scan completes.
+	if err := cl.Scan(context.Background(), nil, rdf.IRI("http://ex/p"), nil, func(s, p, o rdf.Term) bool { rows++; return true }); err != nil || rows != 60_000 {
+		t.Fatalf("unhurried scan: %d rows, %v", rows, err)
+	}
+}
+
+// TestScanGuards: a scan obeys the instance's row cap with an error,
+// never a truncated batch, and a malformed pattern is refused.
+func TestScanGuards(t *testing.T) {
+	connect := startGuardedServer(t, core.Options{MaxResultRows: 5}, 50)
+	cl := connect()
+	rows := 0
+	count := func(s, p, o rdf.Term) bool { rows++; return true }
+	err := cl.Scan(context.Background(), nil, rdf.IRI("http://ex/p"), nil, count)
+	if !errors.Is(err, engine.ErrResourceLimit) || rows != 0 {
+		t.Fatalf("scan over the row cap = %v after %d rows, want ErrResourceLimit and none", err, rows)
+	}
+	if err := cl.Scan(context.Background(), rdf.IRI("http://ex/s3"), nil, nil, count); err != nil || rows != 1 {
+		t.Fatalf("scan under the row cap: %d rows, %v", rows, err)
+	}
+
+	srv := New(core.Open())
+	for _, pattern := range [][]protocol.Term{nil, {{T: "unbound"}}, {{T: "unbound"}, {T: "nope"}, {T: "unbound"}}} {
+		resp := srv.handle(&protocol.Request{Op: protocol.OpScan, Pattern: pattern})
+		if resp.OK || resp.Code != protocol.CodeError {
+			t.Errorf("scan with pattern %v = %+v, want an error", pattern, resp)
+		}
 	}
 }

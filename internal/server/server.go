@@ -236,7 +236,9 @@ func (s *Server) serve(conn net.Conn) {
 			return
 		}
 		resp := s.handle(&req)
-		if err := enc.Encode(resp); err != nil {
+		err := enc.Encode(resp)
+		protocol.ReleaseTriples(resp.Triples) // a scan's batch is pooled; it is in enc's hands now
+		if err != nil {
 			return
 		}
 		if err := bw.Flush(); err != nil {
@@ -285,7 +287,7 @@ func (s *Server) instrumentSet() *instruments {
 		s.inst = &instruments{
 			requests: r.CounterVec("ssdm_requests_total", "Requests handled, by operation.", "op"),
 			errors:   r.CounterVec("ssdm_request_errors_total", "Failed requests, by error code.", "code"),
-			latency:  r.Histogram("ssdm_query_duration_seconds", "Latency of query-class requests (query, execute, update, explain).", nil),
+			latency:  r.Histogram("ssdm_query_duration_seconds", "Latency of query-class requests (query, execute, update, explain, scan).", nil),
 			rows:     r.Counter("ssdm_rows_returned_total", "Result rows returned to clients."),
 			slow:     r.Counter("ssdm_slow_queries_total", "Query-class requests at or above the slow-query threshold."),
 		}
@@ -414,7 +416,7 @@ func (s *Server) registerGauges(r *metrics.Registry) {
 // the latency histogram and slow-query log cover.
 func queryClass(op string) bool {
 	switch op {
-	case protocol.OpQuery, protocol.OpExecute, protocol.OpUpdate, protocol.OpExplain:
+	case protocol.OpQuery, protocol.OpExecute, protocol.OpUpdate, protocol.OpExplain, protocol.OpScan:
 		return true
 	}
 	return false
@@ -433,7 +435,11 @@ func (s *Server) handle(req *protocol.Request) *protocol.Response {
 	if !resp.OK {
 		in.errors.With(resp.Code).Inc()
 	}
-	in.rows.Add(int64(len(resp.Rows)))
+	rows := len(resp.Rows)
+	if req.Op == protocol.OpScan {
+		rows = resp.Count // a scan's rows are the triples in its batch
+	}
+	in.rows.Add(int64(rows))
 	if queryClass(req.Op) {
 		in.latency.Observe(dur.Seconds())
 		if s.SlowQuery > 0 && dur >= s.SlowQuery {
@@ -445,9 +451,9 @@ func (s *Server) handle(req *protocol.Request) *protocol.Response {
 			s.logger().Warn("slow query",
 				"op", req.Op,
 				"duration", dur.String(),
-				"rows", len(resp.Rows),
+				"rows", rows,
 				"outcome", outcome,
-				"query", metrics.TruncateQuery(req.Text))
+				"query", metrics.TruncateQuery(queryText(req)))
 		}
 	}
 	return resp
@@ -554,6 +560,8 @@ func (s *Server) handleOp(req *protocol.Request) (resp *protocol.Response) {
 		resp.Trace = encodeTrace(tr)
 		resp.Explain = tr.String()
 		return resp
+	case protocol.OpScan:
+		return s.scan(ctx, req, lim)
 	case protocol.OpStats:
 		cs := s.DB.QueryCacheStats()
 		cc := s.DB.ChunkCacheStats()
@@ -616,6 +624,89 @@ func (s *Server) handleOp(req *protocol.Request) (resp *protocol.Response) {
 	default:
 		return &protocol.Response{OK: false, Error: "unknown op " + req.Op, Code: protocol.CodeError}
 	}
+}
+
+// errNotLeaf refuses a scan on a coordinator, whose own graph is empty:
+// "no triples" would be a wrong answer, not a small one.
+var errNotLeaf = errors.New("scan: this server coordinates shards and holds no triples of its own; scan its leaf shards")
+
+// scan answers OpScan straight from a snapshot of the default graph's
+// indexes — no parser, query cache or engine — as one dictionary-coded
+// batch. It honours the request's guards like a query does: the
+// deadline is polled per MatchIDs batch, and a batch over the row cap
+// is a resource_limit error, never a truncated answer.
+func (s *Server) scan(ctx context.Context, req *protocol.Request, lim engine.Limits) *protocol.Response {
+	if s.DB.Distributor() != nil {
+		return fail(errNotLeaf)
+	}
+	if len(req.Pattern) != 3 {
+		return fail(fmt.Errorf("scan: pattern has %d terms, want 3", len(req.Pattern)))
+	}
+	lim = s.DB.FillLimits(lim)
+	if lim.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, lim.Timeout)
+		defer cancel()
+	}
+	g := s.DB.Dataset.Default.Snapshot()
+	var (
+		ids   [3]rdf.ID
+		wild  [3]bool
+		known = true // false: a ground term this graph never saw, so nothing matches
+	)
+	for i, wt := range req.Pattern {
+		t, err := protocol.DecodeTerm(wt)
+		if err != nil {
+			return fail(err)
+		}
+		if wild[i] = t == nil; wild[i] {
+			continue
+		}
+		var ok bool
+		ids[i], ok = g.Lookup(t)
+		known = known && ok
+	}
+	var overrun error
+	blob, n, err := protocol.EncodeTriples(g, wild, func(yield func(s, p, o []rdf.ID) bool) {
+		if !known {
+			return
+		}
+		rows := 0
+		g.MatchIDs(ctx, ids[0], ids[1], ids[2], 0, func(s, p, o []rdf.ID) bool {
+			if rows += len(s); lim.MaxResultRows > 0 && rows > lim.MaxResultRows {
+				overrun = fmt.Errorf("%w: scan exceeds %d triples", engine.ErrResourceLimit, lim.MaxResultRows)
+				return false
+			}
+			return yield(s, p, o)
+		})
+	})
+	if err == nil {
+		err = overrun
+	}
+	if err == nil {
+		err = engine.ContextErr(ctx)
+	}
+	if err != nil {
+		return fail(err)
+	}
+	return &protocol.Response{OK: true, Triples: blob, Count: n}
+}
+
+// queryText is what the slow-query log prints for a request: its text,
+// or for a scan (which has none) its pattern.
+func queryText(req *protocol.Request) string {
+	if req.Op != protocol.OpScan {
+		return req.Text
+	}
+	text := "scan"
+	for _, wt := range req.Pattern {
+		if t, err := protocol.DecodeTerm(wt); err == nil && t != nil {
+			text += " " + t.String()
+		} else {
+			text += " ?"
+		}
+	}
+	return text
 }
 
 // encodeTrace converts an engine execution trace to its wire form.

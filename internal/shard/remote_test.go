@@ -1,13 +1,19 @@
 package shard
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
+	"time"
 
 	"scisparql/internal/core"
 	"scisparql/internal/rdf"
 	"scisparql/internal/server"
+	"scisparql/internal/ssdmclient"
 	"scisparql/internal/storage"
 )
 
@@ -122,5 +128,123 @@ func TestRemoteGroundSubjectRoutesOnce(t *testing.T) {
 	}
 	if delta != 1 {
 		t.Fatalf("ground-subject query issued %d shard calls, want exactly 1", delta)
+	}
+}
+
+// TestRemoteScanGroundTermsMatchLocal: a scan pattern is made of terms,
+// not of their text. Every ground term a gather mask can carry must
+// select the same triples on a remote shard as on a local one — as
+// SELECT text, a dateTime lost its fractional seconds (Term.String is
+// not Term.Key) and the remote leg silently matched nothing.
+func TestRemoteScanGroundTermsMatchLocal(t *testing.T) {
+	db := core.Open()
+	srv := server.New(db)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	remote, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { remote.Close() })
+	local := NewLocalShard("local", db)
+
+	var (
+		p     = rdf.IRI("http://ex/p")
+		q     = rdf.IRI("http://ex/q")
+		doc   = rdf.IRI("http://ex/doc")
+		stamp = rdf.DateTime{T: time.Date(2012, 4, 1, 12, 30, 0, 123456789, time.UTC)}
+		quote = rdf.String{Val: "say \"hej\"\nthen leave", Lang: "sv"}
+		typed = rdf.Typed{Lexical: "a\"b\\c\n", Datatype: rdf.IRI("http://ex/dt")}
+	)
+	g := db.Dataset.Default
+	for i, o := range []rdf.Term{stamp, quote, typed, rdf.Integer(-42), rdf.Float(1e-7), rdf.Boolean(true),
+		rdf.DateTime{T: stamp.T.Truncate(time.Second)}, rdf.String{Val: quote.Val}, rdf.Integer(42), rdf.Boolean(false)} {
+		g.Add(rdf.IRI(fmt.Sprintf("http://ex/s%d", i)), p, o)
+	}
+	g.Add(rdf.Blank("b7"), q, doc)
+	g.Add(doc, q, rdf.Blank("b7"))
+
+	for _, tc := range []struct {
+		name    string
+		s, p, o rdf.Term
+		want    int
+	}{
+		{"dateTime with nanoseconds", nil, p, stamp, 1},
+		{"lang string with quotes and a newline", nil, p, quote, 1},
+		{"typed with an escaped lexical", nil, p, typed, 1},
+		{"negative integer", nil, p, rdf.Integer(-42), 1},
+		{"1e-7", nil, p, rdf.Float(1e-7), 1},
+		{"boolean", nil, nil, rdf.Boolean(true), 1},
+		{"blank subject as wildcard", nil, q, doc, 1},
+		{"blank object comes back", doc, q, nil, 1},
+		{"whole predicate", nil, p, nil, 10},
+		{"everything", nil, nil, nil, 12},
+		{"ground triple present", rdf.IRI("http://ex/s0"), p, stamp, 1},
+		{"ground triple absent", rdf.IRI("http://ex/s1"), p, stamp, 0},
+		{"term the shard never saw", nil, p, rdf.Integer(7), 0},
+	} {
+		scan := func(sh Shard) []string {
+			var rows []string
+			if err := sh.Scan(context.Background(), tc.s, tc.p, tc.o, func(s, p, o rdf.Term) bool {
+				rows = append(rows, s.Key()+" "+p.Key()+" "+o.Key())
+				return true
+			}); err != nil {
+				t.Fatalf("%s: %s: %v", tc.name, sh.Name(), err)
+			}
+			sort.Strings(rows)
+			return rows
+		}
+		got, want := scan(remote), scan(local)
+		if len(want) != tc.want {
+			t.Errorf("%s: local shard matched %d triples, want %d", tc.name, len(want), tc.want)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: remote shard matched %q, local %q", tc.name, got, want)
+		}
+	}
+}
+
+// TestScanRefusedByCoordinator: a coordinator's own graph is empty, so
+// as somebody else's shard it must refuse a scan instead of answering
+// "no triples" — and the coordinator stacked on it reports the leg
+// typed, naming the peer.
+func TestScanRefusedByCoordinator(t *testing.T) {
+	node, _ := remoteCluster(t, 2)
+	if _, err := node.Update(`PREFIX ex: <http://ex/> INSERT DATA { ex:r1 ex:tag "a" . ex:r2 ex:tag "a" }`); err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(node)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	mid, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	err = mid.Scan(context.Background(), nil, nil, nil, func(s, p, o rdf.Term) bool {
+		t.Error("a refused scan emitted a triple")
+		return false
+	})
+	var se *ssdmclient.ServerError
+	if !errors.As(err, &se) || !strings.Contains(se.Msg, "coordinates shards") {
+		t.Fatalf("scan of a coordinator = %v, want a server-reported refusal", err)
+	}
+
+	top := core.Open()
+	c, err := New(top, []Shard{mid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	top.SetDistributor(c)
+	_, err = top.Query(`PREFIX ex: <http://ex/> SELECT ?s ?u WHERE { ?s ex:tag ?g . ?u ex:tag ?g . FILTER(?s != ?u) }`)
+	if !errors.Is(err, core.ErrShardUnavailable) || !strings.Contains(err.Error(), addr) {
+		t.Fatalf("gather over a coordinator = %v, want ErrShardUnavailable naming %s", err, addr)
 	}
 }

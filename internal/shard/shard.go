@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"scisparql/internal/array"
 	"scisparql/internal/core"
@@ -93,8 +92,12 @@ func (l *LocalShard) Close() error { return nil }
 
 // RemoteShard is a Shard backed by an SSDM peer reached over the wire
 // protocol through ssdmclient (reconnect with backoff, idempotent
-// retry for reads). Scans are expressed as SELECT queries against the
-// peer, so any ssdm-server is a valid shard with no new protocol ops.
+// retry for reads). The peer must be a leaf — an ssdm-server with no
+// -shards of its own — that speaks the ops query, update, array_triple
+// and scan. There is no version negotiation and no fallback: a peer
+// that answers "unknown op scan", or refuses the scan because it is
+// itself a coordinator, fails the gather with core.ErrShardUnavailable
+// naming it.
 type RemoteShard struct {
 	name string
 	c    *ssdmclient.Client
@@ -123,56 +126,11 @@ func guards(lim engine.Limits) ssdmclient.Guards {
 	return ssdmclient.Guards{Timeout: lim.Timeout, MaxRows: lim.MaxResultRows, MaxBindings: lim.MaxBindings}
 }
 
-// Scan implements Shard by sending the pattern as a SELECT (or ASK,
-// when fully bound) to the peer and replaying the decoded rows
-// through emit.
+// Scan implements Shard with the wire protocol's scan op: the pattern
+// goes out as terms, never as query text, and the matching triples come
+// back as one dictionary-coded batch replayed through emit.
 func (r *RemoteShard) Scan(ctx context.Context, s, p, o rdf.Term, emit func(s, p, o rdf.Term) bool) error {
-	var sel, pat []string
-	add := func(t rdf.Term, v string) {
-		if t == nil {
-			sel = append(sel, v)
-			pat = append(pat, v)
-		} else {
-			pat = append(pat, t.String())
-		}
-	}
-	add(s, "?s")
-	add(p, "?p")
-	add(o, "?o")
-	if len(sel) == 0 {
-		res, err := r.c.QueryGuarded(ctx, "ASK { "+strings.Join(pat, " ")+" }", ssdmclient.Guards{})
-		if err != nil {
-			return err
-		}
-		if res.Bool {
-			emit(s, p, o)
-		}
-		return nil
-	}
-	q := "SELECT " + strings.Join(sel, " ") + " WHERE { " + strings.Join(pat, " ") + " }"
-	res, err := r.c.QueryGuarded(ctx, q, ssdmclient.Guards{})
-	if err != nil {
-		return err
-	}
-	for i := 0; i < res.Len(); i++ {
-		rs, rp, ro := s, p, o
-		j := 0
-		if s == nil {
-			rs = res.Rows[i][j]
-			j++
-		}
-		if p == nil {
-			rp = res.Rows[i][j]
-			j++
-		}
-		if o == nil {
-			ro = res.Rows[i][j]
-		}
-		if !emit(rs, rp, ro) {
-			return nil
-		}
-	}
-	return nil
+	return r.c.Scan(ctx, s, p, o, emit)
 }
 
 // Query implements Shard.

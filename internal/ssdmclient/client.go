@@ -164,6 +164,21 @@ func (g Guards) apply(req *protocol.Request) {
 // retrying per the reconnect policy. idempotent marks requests that
 // are safe to re-send after a mid-call transport failure.
 func (c *Client) roundTrip(ctx context.Context, req *protocol.Request, idempotent bool) (*protocol.Response, error) {
+	return c.exchange(ctx, req, idempotent, false)
+}
+
+// peerGrace is how long past ctx's deadline a round trip whose deadline
+// the peer enforces keeps its socket open for the peer's typed timeout
+// reply.
+const peerGrace = 250 * time.Millisecond
+
+// exchange is roundTrip with the choice of who enforces ctx's deadline.
+// With peerTimed the request carries what remains of the deadline at
+// send time as timeout_ms, so the peer stops working when it passes and
+// answers a typed timeout on an aligned stream; the socket deadline
+// trails by peerGrace to let that answer arrive instead of cutting the
+// connection under it. Cancellation still pokes the socket at once.
+func (c *Client) exchange(ctx context.Context, req *protocol.Request, idempotent, peerTimed bool) (*protocol.Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	tries := c.attempts
@@ -193,7 +208,7 @@ func (c *Client) roundTrip(ctx context.Context, req *protocol.Request, idempoten
 				continue
 			}
 		}
-		resp, err := c.attemptLocked(ctx, req)
+		resp, err := c.attemptLocked(ctx, req, peerTimed)
 		if err == nil {
 			if !resp.OK {
 				// Server-reported failure: the stream stays aligned, and the
@@ -222,7 +237,7 @@ func (c *Client) roundTrip(ctx context.Context, req *protocol.Request, idempoten
 
 // attemptLocked performs one encode/decode round trip on the current
 // connection, breaking it on transport failure. Caller holds c.mu.
-func (c *Client) attemptLocked(ctx context.Context, req *protocol.Request) (*protocol.Response, error) {
+func (c *Client) attemptLocked(ctx context.Context, req *protocol.Request, peerTimed bool) (*protocol.Response, error) {
 	// Capture the connection this attempt runs on: the cancellation
 	// callback below fires without c.mu, so it must poke this conn, not
 	// whatever c.conn has been replaced with by a later redial.
@@ -231,7 +246,14 @@ func (c *Client) attemptLocked(ctx context.Context, req *protocol.Request) (*pro
 	if c.timeout > 0 {
 		deadline = time.Now().Add(c.timeout)
 	}
-	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
+	d, hasDeadline := ctx.Deadline()
+	peerTimed = peerTimed && hasDeadline
+	if peerTimed {
+		// Rounded up: 0 would mean "no deadline" to the peer.
+		req.TimeoutMS = max(1, int64((time.Until(d)+time.Millisecond-1)/time.Millisecond))
+		d = d.Add(peerGrace)
+	}
+	if hasDeadline && (deadline.IsZero() || d.Before(deadline)) {
 		deadline = d
 	}
 	if err := conn.SetDeadline(deadline); err != nil {
@@ -242,6 +264,9 @@ func (c *Client) attemptLocked(ctx context.Context, req *protocol.Request) (*pro
 	pokeDone := make(chan struct{})
 	stop := context.AfterFunc(ctx, func() {
 		defer close(pokeDone)
+		if peerTimed && ctx.Err() == context.DeadlineExceeded {
+			return // the socket deadline set above already trails by the grace
+		}
 		_ = conn.SetDeadline(time.Now())
 	})
 	defer func() {
@@ -386,6 +411,33 @@ func (c *Client) QueryGuarded(ctx context.Context, q string, g Guards) (*Result,
 		return nil, err
 	}
 	return decodeResult(resp)
+}
+
+// Scan streams the triples of the server's default graph that match one
+// pattern (nil positions are wildcards) through emit; returning false
+// from emit stops the replay. It is the wire form of a shard scan: the
+// server answers from its indexes without parsing or planning anything,
+// and the answer is one dictionary-coded batch (protocol.EncodeTriples)
+// whose distinct terms are decoded once. ctx's deadline travels with
+// the request, so a scan that outlives it fails typed
+// (engine.ErrQueryTimeout) on a connection that stays usable.
+// Idempotent: retried per the reconnect policy, and emit sees nothing
+// until a whole answer has arrived. A server that coordinates shards
+// refuses the op; one that predates it answers "unknown op scan".
+func (c *Client) Scan(ctx context.Context, s, p, o rdf.Term, emit func(s, p, o rdf.Term) bool) error {
+	req := &protocol.Request{Op: protocol.OpScan, Pattern: make([]protocol.Term, 3)}
+	for i, t := range [3]rdf.Term{s, p, o} {
+		wt, err := protocol.EncodeTerm(t)
+		if err != nil {
+			return err
+		}
+		req.Pattern[i] = wt
+	}
+	resp, err := c.exchange(ctx, req, true, true)
+	if err != nil {
+		return err
+	}
+	return protocol.DecodeTriples(resp.Triples, s, p, o, emit)
 }
 
 // Explain fetches the server's execution strategy for a query (join

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -13,6 +14,7 @@ import (
 
 	"scisparql/internal/engine"
 	"scisparql/internal/protocol"
+	"scisparql/internal/rdf"
 )
 
 // garbageServer accepts connections and answers every request with
@@ -387,5 +389,114 @@ func TestLatePokeDoesNotClobberNextRoundTrip(t *testing.T) {
 		if err := cl.Ping(); err != nil {
 			t.Fatalf("iteration %d: ping after cancelled call failed: %v", i, err)
 		}
+	}
+}
+
+// TestScanOnTheWire scripts a peer through the three answers a scan can
+// get: a batch, a server that predates the op, and silence. The request
+// carries the pattern as terms and what is left of the caller's
+// deadline; an "unknown op" is a server-reported error that is neither
+// retried nor breaks the stream; a silent peer costs the deadline plus
+// the grace the client gives its typed reply, then fails typed.
+func TestScanOnTheWire(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	g := rdf.NewGraph()
+	s1, p1, o1 := g.Intern(rdf.IRI("http://ex/s")), g.Intern(rdf.IRI("http://ex/p")), g.Intern(rdf.Integer(-7))
+	blob, _, err := protocol.EncodeTriples(g, [3]bool{true, false, true}, func(yield func(s, p, o []rdf.ID) bool) {
+		yield([]rdf.ID{s1, s1}, []rdf.ID{p1, p1}, []rdf.ID{o1, s1})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := make(chan protocol.Request, 8)
+	hold := make(chan struct{})
+	t.Cleanup(func() { close(hold) })
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		dec := json.NewDecoder(bufio.NewReader(conn))
+		enc := json.NewEncoder(conn)
+		for i := 0; ; i++ {
+			var req protocol.Request
+			if err := dec.Decode(&req); err != nil {
+				return
+			}
+			reqs <- req
+			switch i {
+			case 0:
+				enc.Encode(protocol.Response{OK: true, Triples: blob, Count: 2})
+			case 1:
+				enc.Encode(protocol.Response{OK: false, Error: "unknown op scan", Code: protocol.CodeError})
+			case 2:
+				enc.Encode(protocol.Response{OK: true})
+			default:
+				<-hold
+			}
+		}
+	}()
+	cl, err := Connect(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	var got []string
+	collect := func(s, p, o rdf.Term) bool {
+		got = append(got, s.Key()+" "+p.Key()+" "+o.Key())
+		return true
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	pred := rdf.IRI("http://ex/p")
+	if err := cl.Scan(ctx, nil, pred, nil, collect); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"<http://ex/s> <http://ex/p> i:-7", "<http://ex/s> <http://ex/p> <http://ex/s>"}; !slices.Equal(got, want) {
+		t.Fatalf("scan replayed %q, want %q", got, want)
+	}
+	req := <-reqs
+	if req.Op != protocol.OpScan || req.Text != "" || len(req.Pattern) != 3 ||
+		req.Pattern[0].T != "unbound" || req.Pattern[1] != (protocol.Term{T: "iri", S: "http://ex/p"}) || req.Pattern[2].T != "unbound" {
+		t.Fatalf("scan request %+v", req)
+	}
+	if req.TimeoutMS <= 59_000 || req.TimeoutMS > 60_000 {
+		t.Fatalf("timeout_ms %d, want what is left of the one-minute deadline", req.TimeoutMS)
+	}
+
+	err = cl.Scan(context.Background(), nil, pred, nil, collect)
+	var se *ServerError
+	if !errors.As(err, &se) || se.Msg != "unknown op scan" {
+		t.Fatalf("scan of a peer without the op = %v, want its server error", err)
+	}
+	if req := <-reqs; req.TimeoutMS != 0 {
+		t.Fatalf("timeout_ms %d without a deadline", req.TimeoutMS)
+	}
+	if err := cl.Ping(); err != nil {
+		t.Fatalf("ping after a refused scan: %v", err)
+	}
+	if <-reqs; len(reqs) != 0 {
+		t.Fatalf("the refused scan was retried: %d extra requests", len(reqs))
+	}
+
+	cl.SetReconnect(1, 0)
+	ctx, cancel = context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	err = cl.Scan(ctx, nil, pred, nil, collect)
+	if !errors.Is(err, engine.ErrQueryTimeout) {
+		t.Fatalf("scan of a silent peer = %v, want ErrQueryTimeout", err)
+	}
+	if elapsed := time.Since(start); elapsed < peerGrace || elapsed > peerGrace+2*time.Second {
+		t.Fatalf("silent peer cost %v, want the deadline plus the %v grace", elapsed, peerGrace)
+	}
+	if req := <-reqs; req.TimeoutMS < 1 || req.TimeoutMS > 20 {
+		t.Fatalf("timeout_ms %d under a 20 ms deadline", req.TimeoutMS)
 	}
 }
