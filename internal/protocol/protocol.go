@@ -47,7 +47,7 @@
 //	text    uvarint length, then that many bytes
 //
 // Each distinct term crosses once however many rows repeat it; a
-// fully-bound pattern has no cells and n is 0 or 1.
+// fully-bound pattern has no cells, so d is 0 and n is 0 or 1.
 package protocol
 
 import (

@@ -256,9 +256,10 @@ func DecodeTriples(blob []byte, s, p, o rdf.Term, emit func(s, p, o rdf.Term) bo
 	nrows := uint64(binary.LittleEndian.Uint32(blob[5:]))
 	r := textReader{s: string(blob[batchHeader:])}
 	// A cell is at least one byte, a new term's cell at least three
-	// (marker, kind, payload); a ground pattern has no cells at all.
+	// (marker, kind, payload); a ground pattern has no cells at all, so
+	// no terms either.
 	switch size := uint64(len(r.s)); {
-	case open == 0 && (nrows > 1 || size != 0):
+	case open == 0 && (nrows > 1 || ndict != 0 || size != 0):
 		return fmt.Errorf("%w: a ground pattern matches at most once", errBadTriples)
 	case open > 0 && (nrows > size/uint64(open) || ndict > size/3):
 		return fmt.Errorf("%w: %d rows over %d terms exceed the payload", errBadTriples, nrows, ndict)

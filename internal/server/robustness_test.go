@@ -325,12 +325,12 @@ func TestWireGuardsOnExecuteAndUpdate(t *testing.T) {
 	}
 }
 
-// TestScanDeadlineReachesPeer: the coordinator's deadline travels with
-// the scan. The server stops scanning when it passes and answers a
-// typed timeout on an aligned stream, so the very connection the scan
-// ran on serves the next request — the client neither cuts the socket
-// under a peer that keeps working nor redials.
-func TestScanDeadlineReachesPeer(t *testing.T) {
+// TestDeadlineReachesPeer: the caller's deadline travels with a scan
+// and with a query alike. The server stops at it and answers a typed
+// timeout on an aligned stream, so the very connection the request ran
+// on serves the next one — the client neither cuts the socket under a
+// peer that keeps working nor redials.
+func TestDeadlineReachesPeer(t *testing.T) {
 	srv, connect := startBigServer(t, 60_000)
 	cl := connect()
 	if err := cl.Ping(); err != nil {
@@ -347,37 +347,46 @@ func TestScanDeadlineReachesPeer(t *testing.T) {
 	before := conns()
 
 	rows := 0
-	var se *ssdmclient.ServerError
-	// A deadline this short can pass before the request is even sent,
-	// which fails typed too but proves nothing about the peer: try until
-	// the timeout is the server's.
-	for try := 0; se == nil; try++ {
-		if try == 20 {
-			t.Fatal("no scan reached the server before its 1 ms deadline")
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-		start := time.Now()
-		err := cl.Scan(ctx, nil, rdf.IRI("http://ex/p"), nil, func(s, p, o rdf.Term) bool { rows++; return true })
-		cancel()
-		if !errors.Is(err, engine.ErrQueryTimeout) || rows != 0 {
-			t.Fatalf("scan under a 1 ms deadline = %v after %d rows, want ErrQueryTimeout and none", err, rows)
-		}
-		if elapsed := time.Since(start); elapsed > 200*time.Millisecond {
-			t.Fatalf("the peer kept scanning: the timeout took %v", elapsed)
-		}
-		errors.As(err, &se)
+	scan := func(ctx context.Context) error {
+		return cl.Scan(ctx, nil, rdf.IRI("http://ex/p"), nil, func(s, p, o rdf.Term) bool { rows++; return true })
 	}
-	if se.Code != protocol.CodeTimeout {
-		t.Fatalf("server-reported code %q, want %q", se.Code, protocol.CodeTimeout)
+	cross := func(ctx context.Context) error {
+		_, err := cl.QueryContext(ctx, "SELECT * WHERE { ?a <http://ex/p> ?x . ?b <http://ex/p> ?y }")
+		return err
 	}
-	if err := cl.Ping(); err != nil {
-		t.Fatalf("ping after the timed-out scan: %v", err)
-	}
-	if after := conns(); len(after) != 1 || len(before) != 1 || after[0] != before[0] {
-		t.Fatalf("the client redialed: connections before %v, after %v", before, after)
+	for name, call := range map[string]func(context.Context) error{"scan": scan, "query": cross} {
+		var se *ssdmclient.ServerError
+		// A deadline this short can pass before the request is even sent,
+		// which fails typed too but proves nothing about the peer: try
+		// until the timeout is the server's.
+		for try := 0; se == nil; try++ {
+			if try == 20 {
+				t.Fatalf("%s: no request reached the server before its 1 ms deadline", name)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+			start := time.Now()
+			err := call(ctx)
+			cancel()
+			if !errors.Is(err, engine.ErrQueryTimeout) || rows != 0 {
+				t.Fatalf("%s under a 1 ms deadline = %v after %d rows, want ErrQueryTimeout and none", name, err, rows)
+			}
+			if elapsed := time.Since(start); elapsed > 200*time.Millisecond {
+				t.Fatalf("%s: the peer kept working: the timeout took %v", name, elapsed)
+			}
+			errors.As(err, &se)
+		}
+		if se.Code != protocol.CodeTimeout {
+			t.Fatalf("%s: server-reported code %q, want %q", name, se.Code, protocol.CodeTimeout)
+		}
+		if err := cl.Ping(); err != nil {
+			t.Fatalf("ping after the timed-out %s: %v", name, err)
+		}
+		if after := conns(); len(after) != 1 || len(before) != 1 || after[0] != before[0] {
+			t.Fatalf("the client redialed after the %s: connections before %v, after %v", name, before, after)
+		}
 	}
 	// With time to spare the same scan completes.
-	if err := cl.Scan(context.Background(), nil, rdf.IRI("http://ex/p"), nil, func(s, p, o rdf.Term) bool { rows++; return true }); err != nil || rows != 60_000 {
+	if err := scan(context.Background()); err != nil || rows != 60_000 {
 		t.Fatalf("unhurried scan: %d rows, %v", rows, err)
 	}
 }

@@ -687,6 +687,7 @@ func (s *Server) scan(ctx context.Context, req *protocol.Request, lim engine.Lim
 		err = engine.ContextErr(ctx)
 	}
 	if err != nil {
+		protocol.ReleaseTriples(blob) // an overrun or a timeout leaves a partial batch behind
 		return fail(err)
 	}
 	return &protocol.Response{OK: true, Triples: blob, Count: n}

@@ -149,7 +149,7 @@ func (e *ServerError) Is(target error) bool {
 // fields defer to the server's configured defaults; non-zero fields
 // can tighten them, never loosen.
 type Guards struct {
-	Timeout     time.Duration // wall-clock deadline for the request
+	Timeout     time.Duration // wall-clock deadline for the request; a sooner ctx deadline replaces it
 	MaxRows     int           // cap on result rows
 	MaxBindings int64         // cap on intermediate bindings
 }
@@ -160,25 +160,43 @@ func (g Guards) apply(req *protocol.Request) {
 	req.MaxBindings = g.MaxBindings
 }
 
+// peerTimed reports whether the server bounds op by the request's
+// timeout_ms and answers a typed timeout once it passes: the ops that
+// run a query, an update or a scan. Every other op (ping, stats, loads,
+// array uploads) runs to completion on the server whatever the request
+// says.
+func peerTimed(op string) bool {
+	switch op {
+	case protocol.OpQuery, protocol.OpExplain, protocol.OpExecute, protocol.OpUpdate, protocol.OpScan:
+		return true
+	}
+	return false
+}
+
+// peerGrace is how long past ctx's deadline the socket of a peer-timed
+// round trip stays open for the peer's typed timeout reply. It has to
+// cover the peer noticing the deadline (it polls between batches of
+// work), encoding the reply, and the way back. Measured over loopback
+// on 2 cores (EXPERIMENTS.md, issue 20, "The grace"): the reply lands
+// 1-2 ms after the deadline in the median and 34 ms at worst on an idle
+// host, 56 ms in the median and 120 ms at worst with every core
+// saturated by other work. 250 ms is twice that worst case; it is also
+// what a peer that never answers costs its caller beyond the deadline.
+const peerGrace = 250 * time.Millisecond
+
 // roundTrip issues one request and reads its response, redialing and
 // retrying per the reconnect policy. idempotent marks requests that
 // are safe to re-send after a mid-call transport failure.
+//
+// Who enforces ctx's deadline follows from the op. A peerTimed request
+// carries what remains of the deadline at send time as timeout_ms
+// (never loosening a Guards.Timeout already on it), so the peer stops
+// working when it passes and answers a typed timeout on a stream that
+// stays aligned; the socket deadline trails by peerGrace to let that
+// answer arrive. For any other op the deadline cuts the socket, which
+// breaks the connection. Cancellation pokes the socket at once either
+// way.
 func (c *Client) roundTrip(ctx context.Context, req *protocol.Request, idempotent bool) (*protocol.Response, error) {
-	return c.exchange(ctx, req, idempotent, false)
-}
-
-// peerGrace is how long past ctx's deadline a round trip whose deadline
-// the peer enforces keeps its socket open for the peer's typed timeout
-// reply.
-const peerGrace = 250 * time.Millisecond
-
-// exchange is roundTrip with the choice of who enforces ctx's deadline.
-// With peerTimed the request carries what remains of the deadline at
-// send time as timeout_ms, so the peer stops working when it passes and
-// answers a typed timeout on an aligned stream; the socket deadline
-// trails by peerGrace to let that answer arrive instead of cutting the
-// connection under it. Cancellation still pokes the socket at once.
-func (c *Client) exchange(ctx context.Context, req *protocol.Request, idempotent, peerTimed bool) (*protocol.Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	tries := c.attempts
@@ -208,7 +226,7 @@ func (c *Client) exchange(ctx context.Context, req *protocol.Request, idempotent
 				continue
 			}
 		}
-		resp, err := c.attemptLocked(ctx, req, peerTimed)
+		resp, err := c.attemptLocked(ctx, req)
 		if err == nil {
 			if !resp.OK {
 				// Server-reported failure: the stream stays aligned, and the
@@ -237,7 +255,7 @@ func (c *Client) exchange(ctx context.Context, req *protocol.Request, idempotent
 
 // attemptLocked performs one encode/decode round trip on the current
 // connection, breaking it on transport failure. Caller holds c.mu.
-func (c *Client) attemptLocked(ctx context.Context, req *protocol.Request, peerTimed bool) (*protocol.Response, error) {
+func (c *Client) attemptLocked(ctx context.Context, req *protocol.Request) (*protocol.Response, error) {
 	// Capture the connection this attempt runs on: the cancellation
 	// callback below fires without c.mu, so it must poke this conn, not
 	// whatever c.conn has been replaced with by a later redial.
@@ -247,10 +265,13 @@ func (c *Client) attemptLocked(ctx context.Context, req *protocol.Request, peerT
 		deadline = time.Now().Add(c.timeout)
 	}
 	d, hasDeadline := ctx.Deadline()
-	peerTimed = peerTimed && hasDeadline
-	if peerTimed {
+	byPeer := hasDeadline && peerTimed(req.Op)
+	if byPeer {
 		// Rounded up: 0 would mean "no deadline" to the peer.
-		req.TimeoutMS = max(1, int64((time.Until(d)+time.Millisecond-1)/time.Millisecond))
+		left := max(1, int64((time.Until(d)+time.Millisecond-1)/time.Millisecond))
+		if req.TimeoutMS == 0 || left < req.TimeoutMS {
+			req.TimeoutMS = left
+		}
 		d = d.Add(peerGrace)
 	}
 	if hasDeadline && (deadline.IsZero() || d.Before(deadline)) {
@@ -264,7 +285,7 @@ func (c *Client) attemptLocked(ctx context.Context, req *protocol.Request, peerT
 	pokeDone := make(chan struct{})
 	stop := context.AfterFunc(ctx, func() {
 		defer close(pokeDone)
-		if peerTimed && ctx.Err() == context.DeadlineExceeded {
+		if byPeer && ctx.Err() == context.DeadlineExceeded {
 			return // the socket deadline set above already trails by the grace
 		}
 		_ = conn.SetDeadline(time.Now())
@@ -433,7 +454,7 @@ func (c *Client) Scan(ctx context.Context, s, p, o rdf.Term, emit func(s, p, o r
 		}
 		req.Pattern[i] = wt
 	}
-	resp, err := c.exchange(ctx, req, true, true)
+	resp, err := c.roundTrip(ctx, req, true)
 	if err != nil {
 		return err
 	}

@@ -343,7 +343,8 @@ func TestContextCancelMidCall(t *testing.T) {
 // connection nor expire the deadline a subsequent round trip installs.
 // The server answers after a short delay and the call deadlines
 // straddle it, so pokes land in every phase: before the response,
-// racing it, and after. Retries are disabled — a single spurious
+// racing it, and after. The straddling call is a Ping: no peer enforces
+// its deadline, so expiry pokes the socket. Retries are disabled — a single spurious
 // transport failure on the follow-up Ping fails the test. Run with
 // -race to also catch the unsynchronized conn access itself.
 func TestLatePokeDoesNotClobberNextRoundTrip(t *testing.T) {
@@ -384,7 +385,7 @@ func TestLatePokeDoesNotClobberNextRoundTrip(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		d := time.Duration(200+i*137%2000) * time.Microsecond
 		ctx, cancel := context.WithTimeout(context.Background(), d)
-		_, _ = cl.QueryContext(ctx, "SELECT * WHERE { ?s ?p ?o }") // may time out
+		_ = cl.PingContext(ctx) // may time out
 		cancel()
 		if err := cl.Ping(); err != nil {
 			t.Fatalf("iteration %d: ping after cancelled call failed: %v", i, err)
@@ -498,5 +499,64 @@ func TestScanOnTheWire(t *testing.T) {
 	}
 	if req := <-reqs; req.TimeoutMS < 1 || req.TimeoutMS > 20 {
 		t.Fatalf("timeout_ms %d under a 20 ms deadline", req.TimeoutMS)
+	}
+}
+
+// TestDeadlineTravelsWithPeerTimedOps: one policy for every op the
+// server bounds by timeout_ms — the request carries what is left of the
+// caller's deadline unless its own guard is tighter — and none for the
+// ops it runs to completion.
+func TestDeadlineTravelsWithPeerTimedOps(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	reqs := make(chan protocol.Request, 8)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		dec := json.NewDecoder(bufio.NewReader(conn))
+		enc := json.NewEncoder(conn)
+		for {
+			var req protocol.Request
+			if dec.Decode(&req) != nil {
+				return
+			}
+			reqs <- req
+			enc.Encode(protocol.Response{OK: true})
+		}
+	}()
+	cl, err := Connect(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	const q = "SELECT * WHERE { ?s ?p ?o }"
+	for _, tc := range []struct {
+		name     string
+		call     func() error
+		min, max int64 // bounds on the timeout_ms sent
+	}{
+		{"query", func() error { _, err := cl.QueryContext(ctx, q); return err }, 59_001, 60_000},
+		{"looser guard", func() error { _, err := cl.QueryGuarded(ctx, q, Guards{Timeout: time.Hour}); return err }, 59_001, 60_000},
+		{"tighter guard", func() error { _, err := cl.QueryGuarded(ctx, q, Guards{Timeout: 5 * time.Second}); return err }, 5_000, 5_000},
+		{"update", func() error { _, err := cl.UpdateContext(ctx, "DELETE WHERE { ?s ?p ?o }"); return err }, 59_001, 60_000},
+		{"execute", func() error { _, err := cl.ExecuteContext(ctx, q); return err }, 59_001, 60_000},
+		{"no deadline", func() error { _, err := cl.Query(q); return err }, 0, 0},
+		{"ping", func() error { return cl.PingContext(ctx) }, 0, 0},
+		{"load", func() error { return cl.LoadTurtleContext(ctx, "", "") }, 0, 0},
+	} {
+		if err := tc.call(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if req := <-reqs; req.TimeoutMS < tc.min || req.TimeoutMS > tc.max {
+			t.Errorf("%s: timeout_ms %d, want %d..%d", tc.name, req.TimeoutMS, tc.min, tc.max)
+		}
 	}
 }
