@@ -479,12 +479,12 @@ func TestVecSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestVecAggSteadyStateAllocs: batch-native aggregation does zero
+// TestGuardVecAggSteadyStateAllocs: batch-native aggregation does zero
 // per-row allocations in steady state — total allocations per query are
 // bounded by plan build + per-group finalization, independent of how
 // many rows flow through the fold. Verified by comparing two datasets
 // whose row counts differ 8x but whose group counts match.
-func TestVecAggSteadyStateAllocs(t *testing.T) {
+func TestGuardVecAggSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unstable under -race")
 	}
@@ -670,13 +670,13 @@ func highIDEngine(filler int) *Engine {
 	return New(ds)
 }
 
-// TestQueryBytesIndependentOfDictSize: the bytes a query allocates
+// TestGuardQueryBytesIndependentOfDictSize: the bytes a query allocates
 // follow the rows it returns, not the dictionary IDs those rows carry.
 // The allocation-count tests above cannot see this — a per-query table
 // sized by the largest ID touched is one allocation, however large — so
 // this one measures bytes: the same three queries over the same answer
 // rows, with and without 200 000 unrelated terms interned below them.
-func TestQueryBytesIndependentOfDictSize(t *testing.T) {
+func TestGuardQueryBytesIndependentOfDictSize(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation sizes are unstable under -race")
 	}

@@ -210,9 +210,9 @@ func TestParseConfig(t *testing.T) {
 	}
 
 	for _, bad := range []string{
-		`{"tenants": [{"name": "a", "quota": 1}]}`,        // unknown field
-		`{"tenants": [{"name": "a"}, {"name": "a"}]}`,     // duplicate
-		`{"tenants": [{"max_inflight": 1}]}`,              // empty name
+		`{"tenants": [{"name": "a", "quota": 1}]}`,              // unknown field
+		`{"tenants": [{"name": "a"}, {"name": "a"}]}`,           // duplicate
+		`{"tenants": [{"max_inflight": 1}]}`,                    // empty name
 		`{"tenants": [{"name": "a", "query_timeout": "fast"}]}`, // bad duration
 	} {
 		if _, err := ParseConfig([]byte(bad)); err == nil {

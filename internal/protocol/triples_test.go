@@ -212,9 +212,9 @@ func TestDecodeTriplesHostile(t *testing.T) {
 	}
 }
 
-// TestDecodeTriplesAllocsPerRow: the dictionary is decoded once, rows
+// TestGuardDecodeTriplesAllocsPerRow: the dictionary is decoded once, rows
 // replay for free.
-func TestDecodeTriplesAllocsPerRow(t *testing.T) {
+func TestGuardDecodeTriplesAllocsPerRow(t *testing.T) {
 	g := rdf.NewGraph()
 	var s, p, o []rdf.ID
 	pred := g.Intern(rdf.IRI("http://ex/year"))

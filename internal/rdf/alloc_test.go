@@ -153,7 +153,7 @@ func txBytesPerTriple(t *testing.T, g *Graph, from, to int) float64 {
 	runtime.ReadMemStats(&before)
 	tx := g.Begin()
 	for _, tr := range ids {
-		if !tx.AddIDs(tr.S, tr.P, tr.O) {
+		if !tx.addIDs(tr.S, tr.P, tr.O) {
 			t.Fatalf("triple %v already present", tr)
 		}
 	}
@@ -162,7 +162,7 @@ func txBytesPerTriple(t *testing.T, g *Graph, from, to int) float64 {
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(len(ids))
 }
 
-// TestTxAddBytesPerTriple pins what a transaction allocates per triple.
+// TestGuardTxAddBytesPerTriple pins what a transaction allocates per triple.
 // A bulk load edits the nodes it made in place; when every triple
 // path-copied all of the then four indexes this load cost 8 201 B per
 // triple, 1 062 once it edited in place, and ≈ 630 with three indexes
@@ -171,7 +171,7 @@ func txBytesPerTriple(t *testing.T, g *Graph, from, to int) float64 {
 // published, so it pays those path copies (9 366 B per triple, then
 // 6 192, ≈ 3 980 now — its later triples reuse the paths its first one
 // copied).
-func TestTxAddBytesPerTriple(t *testing.T) {
+func TestGuardTxAddBytesPerTriple(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's allocator overhead is not what this measures")
 	}
@@ -184,14 +184,14 @@ func TestTxAddBytesPerTriple(t *testing.T) {
 	}
 }
 
-// TestNewPairAllocatesNoSet: a triple whose (a, b) pair is new to an
+// TestGuardNewPairAllocatesNoSet: a triple whose (a, b) pair is new to an
 // index puts its third component into a slot of that index — no pset,
 // no set node. Here every test triple is such a triple in all three
 // indexes, their keys fall into different slots of nodes the warmed
 // transaction already owns and has grown, and so adding and removing
 // them allocates nothing at all. (With a pset behind every set it was
 // three allocations per index and triple.)
-func TestNewPairAllocatesNoSet(t *testing.T) {
+func TestGuardNewPairAllocatesNoSet(t *testing.T) {
 	const n = 8
 	g := NewGraph()
 	var ids []ID
@@ -204,14 +204,14 @@ func TestNewPairAllocatesNoSet(t *testing.T) {
 	defer tx.Abort()
 	// Anchors keep s, every predicate and every object present in the
 	// indexes they lead, with pairs the test triples do not share.
-	tx.AddIDs(s, pA, oA)
+	tx.addIDs(s, pA, oA)
 	for j := range preds {
-		tx.AddIDs(sB, preds[j], oB)
-		tx.AddIDs(sC, pC, objs[j])
+		tx.addIDs(sB, preds[j], oB)
+		tx.addIDs(sC, pC, objs[j])
 	}
 	cycle := func() {
 		for j := range preds {
-			if !tx.AddIDs(s, preds[j], objs[j]) {
+			if !tx.addIDs(s, preds[j], objs[j]) {
 				t.Fatal("test triple already present")
 			}
 		}

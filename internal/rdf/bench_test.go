@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -94,6 +95,66 @@ func BenchmarkGraphPredStats(b *testing.B) {
 			b.Fatalf("stats %d %d %d", count, dS, dO)
 		}
 	}
+}
+
+// gatherShaped returns the ID triples a coauthor gather collects over
+// docs documents: three creators per document drawn from docs/4+1
+// authors, and every author's name, in the order four legs might
+// deliver them, with IDs handed out in order of first sight as the
+// scratch dictionary interns them.
+func gatherShaped(docs int) []Triple {
+	authors := docs/4 + 1
+	type row struct{ s, p, o int } // term numbers: docs, then authors, names, two predicates
+	creator, name := 2*authors+docs, 2*authors+docs+1
+	var rows []row
+	for d := 0; d < docs; d++ {
+		for k := 0; k < 3; k++ {
+			rows = append(rows, row{d, creator, docs + (3*d+k)*7%authors})
+		}
+	}
+	for a := 0; a < authors; a++ {
+		rows = append(rows, row{docs + a, name, docs + authors + a})
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+	ids := map[int]ID{}
+	id := func(term int) ID {
+		if _, ok := ids[term]; !ok {
+			ids[term] = ID(len(ids) + 1)
+		}
+		return ids[term]
+	}
+	out := make([]Triple, len(rows))
+	for i, r := range rows {
+		out[i] = Triple{id(r.s), id(r.p), id(r.o)}
+	}
+	return out
+}
+
+// BenchmarkBuild lays out a gather's scratch graph in one pass;
+// BenchmarkBuildTx is its twin, the same triples added one by one
+// through a transaction.
+func BenchmarkBuild(b *testing.B) {
+	ts := gatherShaped(2000)
+	buf := make([]Triple, len(ts))
+	b.ReportAllocs()
+	for b.Loop() {
+		copy(buf, ts)
+		NewGraph().Build(buf)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ts)), "ns/triple")
+}
+
+func BenchmarkBuildTx(b *testing.B) {
+	ts := gatherShaped(2000)
+	b.ReportAllocs()
+	for b.Loop() {
+		tx := NewGraph().Begin()
+		for _, t := range ts {
+			tx.addIDs(t.S, t.P, t.O)
+		}
+		tx.Commit()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ts)), "ns/triple")
 }
 
 // BenchmarkGraphCountMatchOneBound is CountMatch with one bound

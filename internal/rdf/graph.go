@@ -324,11 +324,11 @@ func (st *graphState) del(tag uint32, s, p, o ID) bool {
 // already present. The triple appears atomically to readers.
 func (g *Graph) Add(s, p, o Term) bool {
 	g.checkWritable()
-	return g.AddIDs(g.Intern(s), g.Intern(p), g.Intern(o))
+	return g.addIDs(g.Intern(s), g.Intern(p), g.Intern(o))
 }
 
-// AddIDs inserts a triple of already-interned IDs.
-func (g *Graph) AddIDs(s, p, o ID) bool {
+// addIDs inserts a triple of already-interned IDs.
+func (g *Graph) addIDs(s, p, o ID) bool {
 	g.checkWritable()
 	g.wmu.Lock()
 	defer g.wmu.Unlock()
@@ -477,11 +477,11 @@ func (t *Tx) Size() int { return t.st.size }
 // Add stages a triple insert; false when already present in the staged
 // state.
 func (t *Tx) Add(s, p, o Term) bool {
-	return t.AddIDs(t.g.Intern(s), t.g.Intern(p), t.g.Intern(o))
+	return t.addIDs(t.g.Intern(s), t.g.Intern(p), t.g.Intern(o))
 }
 
-// AddIDs is Add for a triple of already-interned IDs.
-func (t *Tx) AddIDs(s, p, o ID) bool {
+// addIDs is Add for a triple of already-interned IDs.
+func (t *Tx) addIDs(s, p, o ID) bool {
 	if !t.st.add(t.tag, s, p, o) {
 		return false
 	}

@@ -185,9 +185,9 @@ func TestCountMatch(t *testing.T) {
 	p := g.Intern(IRI("p"))
 	q := g.Intern(IRI("q"))
 	for i := 0; i < 5; i++ {
-		g.AddIDs(s, p, g.Intern(Integer(int64(i))))
+		g.addIDs(s, p, g.Intern(Integer(int64(i))))
 	}
-	g.AddIDs(s, q, g.Intern(Integer(0)))
+	g.addIDs(s, q, g.Intern(Integer(0)))
 	if got := g.CountMatch(s, p, 0); got != 5 {
 		t.Fatalf("got %d", got)
 	}
@@ -217,9 +217,9 @@ func TestPredStats(t *testing.T) {
 	p := g.Intern(IRI("p"))
 	s1 := g.Intern(IRI("s1"))
 	s2 := g.Intern(IRI("s2"))
-	g.AddIDs(s1, p, g.Intern(Integer(1)))
-	g.AddIDs(s1, p, g.Intern(Integer(2)))
-	g.AddIDs(s2, p, g.Intern(Integer(2)))
+	g.addIDs(s1, p, g.Intern(Integer(1)))
+	g.addIDs(s1, p, g.Intern(Integer(2)))
+	g.addIDs(s2, p, g.Intern(Integer(2)))
 	count, ds, do := g.PredStats(p)
 	if count != 3 || ds != 2 || do != 2 {
 		t.Fatalf("got %d %d %d", count, ds, do)

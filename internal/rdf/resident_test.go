@@ -24,30 +24,30 @@ func biblioGraph(docs int) *Graph {
 	credit := r.Perm(authors)
 	tx := g.Begin()
 	for a := 0; a < authors; a++ {
-		tx.AddIDs(b("author%d", a), typ, person)
-		tx.AddIDs(b("author%d", a), name, g.Intern(String{Val: fmt.Sprintf("Author %d", a)}))
+		tx.addIDs(b("author%d", a), typ, person)
+		tx.addIDs(b("author%d", a), name, g.Intern(String{Val: fmt.Sprintf("Author %d", a)}))
 	}
 	for d := 0; d < docs; d++ {
 		doc, cell := b("doc%d", d), r.Intn(12*20)
-		tx.AddIDs(doc, typ, article)
-		tx.AddIDs(doc, journal, b("journal%d", cell/20))
-		tx.AddIDs(doc, year, g.Intern(Integer(int64(1990+cell%20))))
-		tx.AddIDs(doc, title, g.Intern(String{Val: fmt.Sprintf("Title %d", d)}))
+		tx.addIDs(doc, typ, article)
+		tx.addIDs(doc, journal, b("journal%d", cell/20))
+		tx.addIDs(doc, year, g.Intern(Integer(int64(1990+cell%20))))
+		tx.addIDs(doc, title, g.Intern(String{Val: fmt.Sprintf("Title %d", d)}))
 		for k := 0; k < 3; k++ {
-			tx.AddIDs(doc, creator, b("author%d", credit[(3*d+k)%authors]))
+			tx.addIDs(doc, creator, b("author%d", credit[(3*d+k)%authors]))
 		}
 		if d%3 == 0 {
-			tx.AddIDs(doc, abstract, g.Intern(String{Val: fmt.Sprintf("Abstract of doc %d", d)}))
+			tx.addIDs(doc, abstract, g.Intern(String{Val: fmt.Sprintf("Abstract of doc %d", d)}))
 		}
 	}
 	tx.Commit()
 	return g
 }
 
-// TestResidentBytesPerTriple pins what a loaded graph keeps on the heap
+// TestGuardResidentBytesPerTriple pins what a loaded graph keeps on the heap
 // per triple, dictionary included: 357 B with four permutations and a
 // pset behind every set, 178 B with three and one-member sets inline.
-func TestResidentBytesPerTriple(t *testing.T) {
+func TestGuardResidentBytesPerTriple(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow memory is not what this measures")
 	}
@@ -68,7 +68,7 @@ func TestResidentBytesPerTriple(t *testing.T) {
 	}
 }
 
-// benchBiblio is the 20 000-document graph of TestResidentBytesPerTriple,
+// benchBiblio is the 20 000-document graph of TestGuardResidentBytesPerTriple,
 // shared by the fixed-order benchmarks below.
 var benchBiblio = sync.OnceValue(func() *Graph { return biblioGraph(20000) })
 

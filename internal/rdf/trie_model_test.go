@@ -102,9 +102,9 @@ func (m *trieModel) apply(add bool, tr Triple) {
 	var did bool
 	switch {
 	case add && m.tx != nil:
-		did = m.tx.AddIDs(tr.S, tr.P, tr.O)
+		did = m.tx.addIDs(tr.S, tr.P, tr.O)
 	case add:
-		did = m.g.AddIDs(tr.S, tr.P, tr.O)
+		did = m.g.addIDs(tr.S, tr.P, tr.O)
 	case m.tx != nil:
 		did = m.tx.Delete(m.g.TermOf(tr.S), m.g.TermOf(tr.P), m.g.TermOf(tr.O))
 	default:

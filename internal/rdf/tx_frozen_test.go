@@ -118,7 +118,7 @@ func TestSnapshotsFrozenUnderTx(t *testing.T) {
 			if (i+round)%3 == 0 {
 				tx.Delete(g.TermOf(s), g.TermOf(p), g.TermOf(o))
 			} else {
-				tx.AddIDs(s, p, o)
+				tx.addIDs(s, p, o)
 			}
 			// Mid-transaction pins see the last commit, never the
 			// staged edits.
@@ -151,7 +151,7 @@ func TestPredicateScanFrozenWhileSetsGrow(t *testing.T) {
 	p, extra, first, objs := ids[0], ids[1], ids[2:2+objects], ids[2+objects:]
 	tx := g.Begin()
 	for i, o := range objs {
-		tx.AddIDs(first[i], p, o)
+		tx.addIDs(first[i], p, o)
 	}
 	tx.Commit()
 
@@ -177,7 +177,7 @@ func TestPredicateScanFrozenWhileSetsGrow(t *testing.T) {
 		tx := g.Begin()
 		for i, o := range objs {
 			if i%2 == round%2 {
-				tx.AddIDs(extra, p, o)
+				tx.addIDs(extra, p, o)
 			}
 		}
 		if round%4 == 3 {
@@ -189,7 +189,7 @@ func TestPredicateScanFrozenWhileSetsGrow(t *testing.T) {
 		take(objects + objects/2)
 		for i, o := range objs {
 			if i%2 != round%2 {
-				g.AddIDs(extra, p, o)
+				g.addIDs(extra, p, o)
 			}
 		}
 		take(2 * objects)
@@ -262,11 +262,11 @@ func TestAbortLeavesStateUntouched(t *testing.T) {
 	// Some nodes from bare adds (tag 0), some from a committed
 	// transaction (a dead tag).
 	for i := 0; i < 300; i++ {
-		g.AddIDs(ids[i%20], ids[i%5], ids[i])
+		g.addIDs(ids[i%20], ids[i%5], ids[i])
 	}
 	tx := g.Begin()
 	for i := 0; i < 300; i++ {
-		tx.AddIDs(ids[i%20], ids[5+i%5], ids[i])
+		tx.addIDs(ids[i%20], ids[5+i%5], ids[i])
 	}
 	tx.Commit()
 
@@ -274,7 +274,7 @@ func TestAbortLeavesStateUntouched(t *testing.T) {
 	before := dumpState(st)
 	tx = g.Begin()
 	for i := 0; i < 400; i++ {
-		tx.AddIDs(ids[i%25], ids[i%11], ids[(i*7)%400])
+		tx.addIDs(ids[i%25], ids[i%11], ids[(i*7)%400])
 		tx.Delete(g.TermOf(ids[i%20]), g.TermOf(ids[i%5]), g.TermOf(ids[i]))
 	}
 	if tx.Changed() == 0 {
@@ -327,10 +327,10 @@ func TestTagCeiling(t *testing.T) {
 	m.finish()
 }
 
-// TestTagFitsInPadding: the owner tag and the inline set member live in
+// TestGuardTagFitsInPadding: the owner tag and the inline set member live in
 // padding their structs already had, so nodes, headers and slots are
 // the size they were without either.
-func TestTagFitsInPadding(t *testing.T) {
+func TestGuardTagFitsInPadding(t *testing.T) {
 	if got := unsafe.Sizeof(pmSlot[struct{}]{}); got != 16 {
 		t.Errorf("pmSlot[struct{}] is %d bytes, want 16", got)
 	}

@@ -153,7 +153,7 @@ func runEquivalence(t *testing.T, n int) {
 }
 
 func TestSingleShardEquivalence(t *testing.T) { runEquivalence(t, 1) }
-func TestFourShardEquivalence(t *testing.T)  { runEquivalence(t, 4) }
+func TestFourShardEquivalence(t *testing.T)   { runEquivalence(t, 4) }
 
 func TestStatsAndTraceCounters(t *testing.T) {
 	node, c := cluster(t, 4)

@@ -15,11 +15,12 @@ import (
 // query can touch (walking OPTIONAL/UNION/MINUS/subquery/EXISTS
 // groups; property paths contribute one mask per mentioned predicate,
 // or a full wildcard for variable/negated steps), scatters each mask
-// to all shards, merges the matching triples into a scratch graph,
-// and evaluates the unmodified query on the coordinator's engine over
-// that graph. This is the federated-query shape: correctness does not
-// depend on the partitioning at all, only on the masks being a
-// superset of what the query reads.
+// to all shards, collects the matching triples, builds a scratch graph
+// from them in one pass once every shard has answered, and evaluates
+// the unmodified query on the coordinator's engine over that graph.
+// This is the federated-query shape: correctness does not depend on the
+// partitioning at all, only on the masks being a superset of what the
+// query reads.
 
 // mask is one scatter scan pattern; nil positions are wildcards.
 type mask struct {
@@ -70,18 +71,14 @@ func collectGroup(g *sparql.Group, into *[]mask) error {
 }
 
 func collectElem(el sparql.Element, into *[]mask) error {
+	// The parser builds every element as a value; anything else falls to
+	// the default.
 	switch v := el.(type) {
 	case sparql.BGP:
 		for _, tp := range v.Triples {
 			collectPattern(tp, into)
 		}
-	case *sparql.BGP:
-		for _, tp := range v.Triples {
-			collectPattern(tp, into)
-		}
 	case sparql.Optional:
-		return collectGroup(v.Group, into)
-	case *sparql.Optional:
 		return collectGroup(v.Group, into)
 	case sparql.Union:
 		for _, b := range v.Branches {
@@ -89,35 +86,19 @@ func collectElem(el sparql.Element, into *[]mask) error {
 				return err
 			}
 		}
-	case *sparql.Union:
-		for _, b := range v.Branches {
-			if err := collectGroup(b, into); err != nil {
-				return err
-			}
-		}
 	case sparql.Minus:
-		return collectGroup(v.Group, into)
-	case *sparql.Minus:
 		return collectGroup(v.Group, into)
 	case sparql.Filter:
 		return collectExpr(v.Cond, into)
-	case *sparql.Filter:
-		return collectExpr(v.Cond, into)
 	case sparql.Bind:
-		return collectExpr(v.Expr, into)
-	case *sparql.Bind:
 		return collectExpr(v.Expr, into)
 	case sparql.SubGroup:
 		return collectGroup(v.Group, into)
-	case *sparql.SubGroup:
-		return collectGroup(v.Group, into)
 	case sparql.SubSelect:
 		return collectMasks(v.Query, into)
-	case *sparql.SubSelect:
-		return collectMasks(v.Query, into)
-	case sparql.InlineData, *sparql.InlineData:
+	case sparql.InlineData:
 		// VALUES carries its own rows; nothing to fetch.
-	case sparql.GraphClause, *sparql.GraphClause:
+	case sparql.GraphClause:
 		return fmt.Errorf("%w: GRAPH clause", ErrUnsupported)
 	default:
 		// Unknown element: be safe and fetch everything.
@@ -257,8 +238,11 @@ func dedupMasks(masks []mask) []mask {
 	return out
 }
 
+// rowBufs recycles a gather's ID-triple buffers, one per leg.
+var rowBufs = sync.Pool{New: func() any { return new([][]rdf.Triple) }}
+
 // runGather executes a query on the gather path: scatter the masks,
-// merge the streams into a scratch graph, evaluate locally.
+// build a scratch graph from what the legs return, evaluate locally.
 func (c *Coordinator) runGather(ctx context.Context, q *sparql.Query, lim engine.Limits, qs *qstat) (*engine.Results, error) {
 	var masks []mask
 	if err := collectMasks(q, &masks); err != nil {
@@ -269,30 +253,25 @@ func (c *Coordinator) runGather(ctx context.Context, q *sparql.Query, lim engine
 	ds := rdf.NewDataset()
 	scratch := ds.Default
 
-	// The scratch graph is built by one transaction. Shard scans run
-	// concurrently and intern their rows lock-free — a position the mask
-	// binds is interned once per mask, not per row — then hand them to
-	// the transaction a batch at a time under mu. Blank labels are
-	// globally unique by construction (the coordinator rewrites them at
-	// load routing), so merging needs no renaming.
-	tx := scratch.Begin()
-	var mu sync.Mutex
+	// Shard scans run concurrently and intern their rows into the
+	// scratch dictionary lock-free — a position the mask binds is
+	// interned once per mask, not per row — each collecting its ID
+	// triples in a buffer of its own. Blank labels are globally unique by
+	// construction (the coordinator rewrites them at load routing), so
+	// merging needs no renaming.
 	intern := func(t rdf.Term) rdf.ID {
 		if t == nil {
 			return rdf.Unbound
 		}
 		return scratch.Intern(t)
 	}
+	legs := rowBufs.Get().(*[][]rdf.Triple)
+	defer rowBufs.Put(legs)
+	if len(*legs) != len(c.shards) {
+		*legs = make([][]rdf.Triple, len(c.shards))
+	}
 	err := c.scatter(ctx, func(ctx context.Context, i int, sh Shard) error {
-		batch := make([]rdf.Triple, 0, 512)
-		flush := func() {
-			mu.Lock()
-			for _, t := range batch {
-				tx.AddIDs(t.S, t.P, t.O)
-			}
-			mu.Unlock()
-			batch = batch[:0]
-		}
+		rows := (*legs)[i][:0]
 		for _, m := range masks {
 			if err := engine.ContextErr(ctx); err != nil {
 				return err
@@ -313,9 +292,7 @@ func (c *Coordinator) runGather(ctx context.Context, q *sparql.Query, lim engine
 				if t.O == rdf.Unbound {
 					t.O = scratch.Intern(o)
 				}
-				if batch = append(batch, t); len(batch) == cap(batch) {
-					flush()
-				}
+				rows = append(rows, t)
 				return true
 			})
 			c.perShard[i].rows.Add(n)
@@ -324,14 +301,20 @@ func (c *Coordinator) runGather(ctx context.Context, q *sparql.Query, lim engine
 				return err
 			}
 		}
-		flush()
+		(*legs)[i] = rows
 		return nil
 	})
 	if err != nil {
-		tx.Abort()
 		return nil, err
 	}
-	tx.Commit()
+	// Once every leg is back, the scratch graph is laid out in one pass
+	// over all their rows, gathered into the first leg's buffer.
+	all := (*legs)[0]
+	for _, rows := range (*legs)[1:] {
+		all = append(all, rows...)
+	}
+	(*legs)[0] = all
+	scratch.Build(all)
 
 	// A fresh engine over the scratch dataset, sharing the node's
 	// function registry (user-defined functions and aggregates).

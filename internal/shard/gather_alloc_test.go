@@ -12,41 +12,40 @@ import (
 	"scisparql/internal/engine"
 )
 
-// TestGatherBytesPerRow bounds what a gather query allocates per triple
-// streamed back from the shards: a cross-subject join over 4 local
-// shards scans two whole predicates (8 000 rows) into the scratch
-// graph. Built by one transaction that edits its own trie nodes in
-// place, into three indexes that keep one-member sets in their slots,
-// this costs ≈ 600 B per row (946 B with four indexes and a pset behind
-// every set); with a published version per triple, each path-copying
-// all four, it cost 8 101 B.
-func TestGatherBytesPerRow(t *testing.T) {
+// TestGuardGatherBytesPerRow bounds what a gather query allocates per
+// triple streamed back from the shards: a cross-subject join over 4
+// local shards scans two whole predicates (8 000 rows) into the scratch
+// graph. With the legs collecting ID triples into pooled buffers and
+// rdf.Graph.Build laying out the three indexes once after they return,
+// every node allocated at its final size, this costs 362–496 B per row
+// (forty runs; where in that range a run reads depends on whether a
+// collection has just emptied the pools). Inserted one row at a time
+// by a transaction editing its own trie nodes in place it cost 591 B.
+func TestGuardGatherBytesPerRow(t *testing.T) {
 	node, c := cluster(t, 4)
-	if perRow := gatherBytesPerRow(t, node, c); perRow > 800 {
-		t.Errorf("gather allocates %.0f B per row, want <= 800", perRow)
+	if perRow := gatherBytesPerRow(t, node, c); perRow > 570 {
+		t.Errorf("gather allocates %.0f B per row, want <= 570", perRow)
 	}
 }
 
-// TestRemoteGatherBytesPerRow is the same join over four loopback
+// TestGuardRemoteGatherBytesPerRow is the same join over four loopback
 // servers, so the bytes include both ends of every leg: the peer's scan
 // and batch encoding, the JSON frame, and the coordinator's decoding.
-// With each leg one dictionary-coded batch that is ≈ 695 B per row —
-// ≈ 105 B above local shards: the batch once as bytes and once as the
-// text its terms are cut from, and 32 B per distinct term. As SELECT
-// text answered with one JSON term per cell it was 1 387 B (measured
-// this way and under a running collector alike); the bound is 55 % of
-// that.
+// With each leg one dictionary-coded batch and the scratch graph built
+// in one pass, that is 463–533 B per row (forty runs); with the graph
+// built by a transaction it was 692 B.
 //
 // The collector is off for this test only: the peers' batch buffers are
 // pooled, a collection empties the pools, and with one running 2 of 40
-// readings were 776 B (691-732 B without). The guard therefore reads
-// warm pools; what refilling them costs under a real collector is the
-// benchmark's to show (alloc_kb_per_op on sharded-mix, EXPERIMENTS.md).
-func TestRemoteGatherBytesPerRow(t *testing.T) {
+// readings were 776 B (691-732 B without) before the one-pass build.
+// The guard therefore reads warm pools; what refilling them costs under
+// a real collector is the benchmark's to show (alloc_kb_per_op on
+// sharded-mix, EXPERIMENTS.md).
+func TestGuardRemoteGatherBytesPerRow(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	node, c := remoteCluster(t, 4)
-	if perRow := gatherBytesPerRow(t, node, c); perRow > 760 {
-		t.Errorf("remote gather allocates %.0f B per row, want <= 760", perRow)
+	if perRow := gatherBytesPerRow(t, node, c); perRow > 615 {
+		t.Errorf("remote gather allocates %.0f B per row, want <= 615", perRow)
 	}
 }
 

@@ -43,9 +43,10 @@ type Shard interface {
 }
 
 // LocalShard is a Shard backed by an in-process core.SSDM instance —
-// the building block for single-binary topologies, tests and the E12
-// benchmark. Updates route through the instance's durable write path,
-// so a WAL-enabled local shard keeps its crash-recovery guarantees.
+// the building block for single-binary topologies and the package's
+// tests (the sharded-mix benchmark dials RemoteShard peers instead).
+// Updates route through the instance's durable write path, so a
+// WAL-enabled local shard keeps its crash-recovery guarantees.
 type LocalShard struct {
 	name string
 	db   *core.SSDM

@@ -102,11 +102,11 @@ func TestConcurrentInterleavedReads(t *testing.T) {
 	defer storage.SetParallelism(0)
 
 	runSets := [][]spd.Run{
-		{{Start: 0, Stride: 2, Count: 32}},  // even chunks
-		{{Start: 1, Stride: 2, Count: 32}},  // odd chunks (interleaved)
-		{{Start: 0, Stride: 1, Count: 64}},  // everything
-		{{Start: 5, Stride: 7, Count: 8}},   // sparse stride
-		{{Start: 60, Stride: 1, Count: 4}},  // tail
+		{{Start: 0, Stride: 2, Count: 32}}, // even chunks
+		{{Start: 1, Stride: 2, Count: 32}}, // odd chunks (interleaved)
+		{{Start: 0, Stride: 1, Count: 64}}, // everything
+		{{Start: 5, Stride: 7, Count: 8}},  // sparse stride
+		{{Start: 60, Stride: 1, Count: 4}}, // tail
 	}
 	const loops = 10
 	var wg sync.WaitGroup
