@@ -274,6 +274,20 @@ func TestMapIntResult(t *testing.T) {
 	if z.Etype() != Int || z.Base.I[2] != 6 {
 		t.Fatalf("got %v %v", z.Etype(), z.Base.I)
 	}
+	// A float after integers widens the whole result, earlier values too.
+	halveLast := func(args []Number) (Number, error) {
+		if args[0].I == 3 {
+			return FloatN(1.5), nil
+		}
+		return IntN(args[0].I * 2), nil
+	}
+	z, err = Map(halveLast, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if z.Etype() != Float || z.Base.F[0] != 2 || z.Base.F[1] != 4 || z.Base.F[2] != 1.5 {
+		t.Fatalf("got %v %v", z.Etype(), z.Base.F)
+	}
 }
 
 func TestCondense(t *testing.T) {

@@ -40,10 +40,10 @@ func MapCtx(ctx context.Context, f Mapper, arrays ...*Array) (*Array, error) {
 		}
 		rest[i] = m
 	}
-	n := Prod(shape)
-	vals := make([]Number, n)
+	// The result slab takes the first value's type and is widened to
+	// float, once, at the first non-integer value.
+	var out *Array
 	args := make([]Number, len(arrays))
-	allInt := true
 	i := 0
 	err := arrays[0].EachCtx(ctx, func(_ []int, v0 Number) error {
 		args[0] = v0
@@ -58,27 +58,21 @@ func MapCtx(ctx context.Context, f Mapper, arrays ...*Array) (*Array, error) {
 		if err != nil {
 			return err
 		}
-		vals[i] = v
-		if v.T != Int {
-			allInt = false
+		if out == nil {
+			out = newResult(v.T, shape)
+		} else if v.T != Int && out.Base.Etype == Int {
+			wide := NewFloat(shape...)
+			for k, x := range out.Base.I[:i] {
+				wide.Base.F[k] = float64(x)
+			}
+			out = wide
 		}
+		out.storeLinear(i, v)
 		i++
 		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	var out *Array
-	if allInt {
-		out = NewInt(shape...)
-		for i, v := range vals {
-			out.Base.I[i] = v.I
-		}
-	} else {
-		out = NewFloat(shape...)
-		for i, v := range vals {
-			out.Base.F[i] = v.Float()
-		}
 	}
 	return out, nil
 }

@@ -410,13 +410,13 @@ func arrayAgg(op array.AggOp) func(*evalCtx, []rdf.Term) (rdf.Term, error) {
 			}
 			res, err := a.AggregateAlongCtx(c.matchCtx(), op, int(d.Intval())-1)
 			if err != nil {
-				return nil, &exprError{msg: err.Error()}
+				return nil, c.kernelErr(err)
 			}
 			return rdf.NewArray(res), nil
 		}
 		n, err := a.AggregateCtx(c.matchCtx(), op)
 		if err != nil {
-			return nil, &exprError{msg: err.Error()}
+			return nil, c.kernelErr(err)
 		}
 		return rdf.FromNumber(n), nil
 	}
@@ -566,7 +566,6 @@ func bAConcat(_ *evalCtx, args []rdf.Term) (rdf.Term, error) {
 // bMap is the second-order MAP (§4.3.1): applies a function value
 // elementwise across one or more same-shaped arrays.
 func bMap(c *evalCtx, args []rdf.Term) (rdf.Term, error) {
-	fv := args[0]
 	arrays := make([]*array.Array, 0, len(args)-1)
 	for _, t := range args[1:] {
 		a, err := asArray(t)
@@ -575,12 +574,16 @@ func bMap(c *evalCtx, args []rdf.Term) (rdf.Term, error) {
 		}
 		arrays = append(arrays, a)
 	}
+	fa, err := c.resolveFuncValue(args[0])
+	if err != nil {
+		return nil, err
+	}
+	terms := make([]rdf.Term, len(arrays))
 	mapper := func(nums []array.Number) (array.Number, error) {
-		terms := make([]rdf.Term, len(nums))
 		for i, n := range nums {
 			terms[i] = rdf.FromNumber(n)
 		}
-		res, err := c.applyFuncValue(fv, terms)
+		res, err := fa.call(terms)
 		if err != nil {
 			return array.Number{}, err
 		}
@@ -592,7 +595,7 @@ func bMap(c *evalCtx, args []rdf.Term) (rdf.Term, error) {
 	}
 	out, err := array.MapCtx(c.matchCtx(), mapper, arrays...)
 	if err != nil {
-		return nil, &exprError{msg: err.Error()}
+		return nil, c.kernelErr(err)
 	}
 	return rdf.NewArray(out), nil
 }
@@ -600,13 +603,27 @@ func bMap(c *evalCtx, args []rdf.Term) (rdf.Term, error) {
 // bCondense is the second-order CONDENSE (§4.3.1): folds an array into
 // a scalar with a binary function value.
 func bCondense(c *evalCtx, args []rdf.Term) (rdf.Term, error) {
-	fv := args[0]
 	a, err := asArray(args[1])
 	if err != nil {
 		return nil, err
 	}
+	fa, err := c.resolveFuncValue(args[0])
+	if err != nil {
+		return nil, err
+	}
+	// The accumulator travels as the term the function last returned, so
+	// a function returning one of its arguments (a max, a min) boxes no
+	// new term for it; it is boxed again only when the fold hands back a
+	// different value.
+	var accT rdf.Term
+	var accN array.Number
+	pair := make([]rdf.Term, 2)
 	reducer := func(acc, v array.Number) (array.Number, error) {
-		res, err := c.applyFuncValue(fv, []rdf.Term{rdf.FromNumber(acc), rdf.FromNumber(v)})
+		if accT == nil || acc != accN {
+			accT = rdf.FromNumber(acc)
+		}
+		pair[0], pair[1] = accT, rdf.FromNumber(v)
+		res, err := fa.call(pair)
 		if err != nil {
 			return array.Number{}, err
 		}
@@ -614,18 +631,26 @@ func bCondense(c *evalCtx, args []rdf.Term) (rdf.Term, error) {
 		if !ok {
 			return array.Number{}, fmt.Errorf("condense: function produced %v", termKindOf(res))
 		}
+		accT, accN = res, n
+		if _, isBool := res.(rdf.Boolean); isBool {
+			accT = nil // passed on as the number it counts as, like FromNumber
+		}
 		return n, nil
 	}
 	n, err := array.CondenseCtx(c.matchCtx(), reducer, a)
 	if err != nil {
-		return nil, &exprError{msg: err.Error()}
+		return nil, c.kernelErr(err)
 	}
 	return rdf.FromNumber(n), nil
 }
 
 // bApply applies a function value to explicit arguments.
 func bApply(c *evalCtx, args []rdf.Term) (rdf.Term, error) {
-	return c.applyFuncValue(args[0], args[1:])
+	fa, err := c.resolveFuncValue(args[0])
+	if err != nil {
+		return nil, err
+	}
+	return fa.call(args[1:])
 }
 
 // registerStdlib installs the default foreign functions: a slice of Go's

@@ -112,7 +112,10 @@ func New(ds *rdf.Dataset) *Engine {
 
 // ForeignFunc is the Go signature of a foreign function (§4.4):
 // existing computational libraries are interfaced by wrapping entry
-// points in this form and registering them.
+// points in this form and registering them. args is valid only for the
+// duration of the call: MAP and CONDENSE reuse one slice across the
+// elements of an array, so a function that keeps argument terms copies
+// them out rather than keeping the slice.
 type ForeignFunc func(args []rdf.Term) (rdf.Term, error)
 
 // Function describes a callable: exactly one of Builtin, ExprBody,

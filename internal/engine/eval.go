@@ -441,16 +441,35 @@ func (c *evalCtx) evalCall(v sparql.ECall, b Binding) (rdf.Term, error) {
 // apply invokes a named function with evaluated arguments.
 func (c *evalCtx) apply(name string, args []rdf.Term) (rdf.Term, error) {
 	if bf, ok := builtins[name]; ok {
-		if len(args) < bf.min || (bf.max >= 0 && len(args) > bf.max) {
-			return nil, errf("%s: wrong number of arguments (%d)", name, len(args))
-		}
-		return bf.fn(c, args)
+		return bf.call(c, name, args)
 	}
 	f, ok := c.eng.Funcs.Lookup(name)
 	if !ok {
 		return nil, errf("unknown function %q", name)
 	}
 	return c.applyFunction(f, args)
+}
+
+func (bf builtin) call(c *evalCtx, name string, args []rdf.Term) (rdf.Term, error) {
+	if len(args) < bf.min || (bf.max >= 0 && len(args) > bf.max) {
+		return nil, errf("%s: wrong number of arguments (%d)", name, len(args))
+	}
+	return bf.fn(c, args)
+}
+
+// bindParams binds f's parameters to args in env, a fresh map when env
+// is nil.
+func bindParams(f *Function, args []rdf.Term, env Binding) (Binding, error) {
+	if len(args) != len(f.Params) {
+		return nil, errf("%s expects %d arguments, got %d", f.Name, len(f.Params), len(args))
+	}
+	if env == nil {
+		env = make(Binding, len(args))
+	}
+	for i, p := range f.Params {
+		env[p] = args[i]
+	}
+	return env, nil
 }
 
 func (c *evalCtx) applyFunction(f *Function, args []rdf.Term) (rdf.Term, error) {
@@ -467,33 +486,28 @@ func (c *evalCtx) applyFunction(f *Function, args []rdf.Term) (rdf.Term, error) 
 		}
 		return t, nil
 	case f.ExprBody != nil:
-		if len(args) != len(f.Params) {
-			return nil, errf("%s expects %d arguments, got %d", f.Name, len(f.Params), len(args))
+		env, err := bindParams(f, args, nil)
+		if err != nil {
+			return nil, err
 		}
 		child, err := c.child()
 		if err != nil {
 			return nil, err
-		}
-		env := make(Binding, len(args))
-		for i, p := range f.Params {
-			env[p] = args[i]
 		}
 		return child.eval(f.ExprBody, env)
 	case f.QueryBody != nil:
 		// Functional view (§4.2): run the parameterized query with the
 		// parameters pre-bound; the value is the single projected
 		// variable of the first solution (DAPLEX-style: a function call
-		// in scalar position takes one element of the result bag).
-		if len(args) != len(f.Params) {
-			return nil, errf("%s expects %d arguments, got %d", f.Name, len(f.Params), len(args))
+		// in scalar position takes one element of the result bag). The
+		// env is fresh per call: execSelect may keep its input binding.
+		env, err := bindParams(f, args, nil)
+		if err != nil {
+			return nil, err
 		}
 		child, err := c.child()
 		if err != nil {
 			return nil, err
-		}
-		env := make(Binding, len(args))
-		for i, p := range f.Params {
-			env[p] = args[i]
 		}
 		q := f.QueryBody
 		if len(q.Items) != 1 || q.Items[0].Expr != nil && q.Items[0].Var == "" {
@@ -512,22 +526,71 @@ func (c *evalCtx) applyFunction(f *Function, args []rdf.Term) (rdf.Term, error) 
 	}
 }
 
-// applyFuncValue applies a function value (closure, IRI or name) to
-// positional arguments — the core of the second-order functions.
-func (c *evalCtx) applyFuncValue(fv rdf.Term, args []rdf.Term) (rdf.Term, error) {
+// funcApp is a function value (closure, IRI or name) resolved for a run
+// of calls — one MAP or CONDENSE over an array, or one apply() — the
+// core of the second-order functions. The name is looked up once, so a
+// DEFINE that lands mid-run takes effect at the next run. A closure
+// fills its holes into one reused argument slice, and an
+// expression-bodied function evaluates under one derived context and
+// one parameter binding, rebound by every call.
+type funcApp struct {
+	c     *evalCtx
+	name  string
+	bf    builtin   // the built-in, when f is nil
+	f     *Function // the registry entry
+	holes []int     // a closure's open positions in full
+	full  []rdf.Term
+
+	body *evalCtx // an ExprBody's call context and parameters, made
+	env  Binding  // by the first call
+}
+
+func (c *evalCtx) resolveFuncValue(fv rdf.Term) (*funcApp, error) {
 	name, cl, err := funcValueName(fv)
 	if err != nil {
 		return nil, err
 	}
+	fa := &funcApp{c: c, name: name}
 	if cl != nil {
-		if len(args) != len(cl.Holes) {
-			return nil, errf("closure over %s has %d holes, %d values supplied", cl.Fn, len(cl.Holes), len(args))
-		}
-		full := append([]rdf.Term(nil), cl.Bound...)
-		for i, h := range cl.Holes {
-			full[h] = args[i]
-		}
-		return c.apply(name, full)
+		fa.holes, fa.full = cl.Holes, append([]rdf.Term(nil), cl.Bound...)
 	}
-	return c.apply(name, args)
+	if bf, ok := builtins[name]; ok {
+		fa.bf = bf
+	} else if fa.f, ok = c.eng.Funcs.Lookup(name); !ok {
+		return nil, errf("unknown function %q", name)
+	}
+	return fa, nil
+}
+
+// call applies the function value to positional arguments. The caller
+// may reuse args once call returns.
+func (fa *funcApp) call(args []rdf.Term) (rdf.Term, error) {
+	if fa.holes != nil {
+		if len(args) != len(fa.holes) {
+			return nil, errf("closure over %s has %d holes, %d values supplied", fa.name, len(fa.holes), len(args))
+		}
+		for i, h := range fa.holes {
+			fa.full[h] = args[i]
+		}
+		args = fa.full
+	}
+	switch {
+	case fa.f == nil:
+		return fa.bf.call(fa.c, fa.name, args)
+	case fa.f.ExprBody == nil:
+		return fa.c.applyFunction(fa.f, args)
+	}
+	env, err := bindParams(fa.f, args, fa.env)
+	if err != nil {
+		return nil, err
+	}
+	if fa.body == nil {
+		// One derived context per run: the call-depth guard still
+		// counts this level, once.
+		if fa.body, err = fa.c.child(); err != nil {
+			return nil, err
+		}
+		fa.env = env
+	}
+	return fa.body.eval(fa.f.ExprBody, env)
 }

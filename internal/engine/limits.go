@@ -206,6 +206,19 @@ func (c *evalCtx) matchCtx() context.Context {
 	return c.guard.ctx
 }
 
+// kernelErr classifies an error out of an array kernel run under
+// matchCtx. When the guard has failed — a deadline or cancellation the
+// kernel's own context check saw, or a budget a function value it
+// applied ran out of — the query fails with the guard's typed error;
+// anything else is an expression error (§3.6), which FILTER reads as
+// false and a projection or BIND as unbound.
+func (c *evalCtx) kernelErr(err error) error {
+	if gerr := c.guard.checkCtx(); gerr != nil {
+		return gerr
+	}
+	return &exprError{msg: err.Error()}
+}
+
 // trapPanic converts a panic inside an engine entry point into an
 // ErrInternal-wrapped error with the stack logged, so one buggy query
 // (or foreign function) can never take down the process.

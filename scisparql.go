@@ -82,7 +82,8 @@ type (
 	// Array is a numeric multidimensional array value term.
 	Array = rdf.Array
 	// ForeignFunc is the signature of Go functions callable from
-	// queries.
+	// queries. Its args slice is valid only for the duration of the
+	// call; a function that keeps argument terms copies them out.
 	ForeignFunc = engine.ForeignFunc
 )
 
