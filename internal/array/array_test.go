@@ -1,6 +1,7 @@
 package array
 
 import (
+	"encoding/binary"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -296,7 +297,7 @@ func TestConcat(t *testing.T) {
 
 func TestMarshalRoundTrip(t *testing.T) {
 	a := mustFloats(t, seqFloat(12), 3, 4)
-	b, err := Marshal(a)
+	b, err := AppendMarshal(nil, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,8 +314,57 @@ func TestMarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendMarshalViews: whatever the view — contiguous with an offset,
+// strided, transposed, proxied — AppendMarshal appends to what dst holds
+// the serialization of its materialized copy.
+func TestAppendMarshalViews(t *testing.T) {
+	ints := mustInts(t, []int64{1, -2, 3, -4, 5, -6, 7, -8, 9, -10, 11, -12}, 3, 4)
+	floats := mustFloats(t, seqFloat(12), 3, 4)
+	proxied, _ := newProxied(t, 100, 7, 10, 10)
+	views := map[string]func() (*Array, error){
+		"whole ints":       func() (*Array, error) { return ints, nil },
+		"whole floats":     func() (*Array, error) { return floats, nil },
+		"row with offset":  func() (*Array, error) { return floats.Project(0, 1) },
+		"strided column":   func() (*Array, error) { return ints.Deref([]Range{All(), Idx(2)}) },
+		"stepped rows":     func() (*Array, error) { return floats.Deref([]Range{SpanStep(0, 3, 2), Span(1, 3)}) },
+		"transposed":       func() (*Array, error) { return ints.Transpose(nil) },
+		"proxied whole":    func() (*Array, error) { return proxied, nil },
+		"proxied strided":  func() (*Array, error) { return proxied.Deref([]Range{SpanStep(1, 10, 3), SpanStep(0, 10, 4)}) },
+		"proxied row tail": func() (*Array, error) { return proxied.Deref([]Range{Idx(4), Span(3, 10)}) },
+	}
+	for name, view := range views {
+		v, err := view()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		prefix := []byte("prefix")
+		b, err := AppendMarshal(append([]byte(nil), prefix...), v)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if string(b[:len(prefix)]) != string(prefix) {
+			t.Fatalf("%s: the bytes already in dst changed", name)
+		}
+		back, err := Unmarshal(b[len(prefix):])
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		m, err := v.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eq, err := Equal(m, back); err != nil || !eq || back.Etype() != v.Etype() || !ShapeEqual(back.Shape, v.Shape) {
+			t.Fatalf("%s: round trip gave %v, want %v", name, back, m)
+		}
+	}
+}
+
 func TestUnmarshalErrors(t *testing.T) {
-	for _, b := range [][]byte{nil, {0}, {9, 1, 0}, {0, 1, 0, 1, 2, 3}} {
+	// Extents whose product wraps to 0 (2^61 × 8 × 8 bytes) must not pass
+	// for an empty payload.
+	wraps := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64([]byte{1, 2, 0}, 1<<61), 8)
+	negative := binary.LittleEndian.AppendUint64([]byte{1, 1, 0}, 1<<63)
+	for _, b := range [][]byte{nil, {0}, {9, 1, 0}, {0, 1, 0, 1, 2, 3}, {0, 0, 0}, wraps, negative} {
 		if _, err := Unmarshal(b); err == nil {
 			t.Fatalf("Unmarshal(%v) should fail", b)
 		}
@@ -368,7 +418,7 @@ func TestMarshalRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		b, err := Marshal(a)
+		b, err := AppendMarshal(nil, a)
 		if err != nil {
 			return false
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Binary layouts are little-endian throughout: chunk payloads are bare
@@ -37,17 +38,21 @@ func EncodeResident(b *BaseArray) ([]byte, error) {
 	if !b.Resident() {
 		return nil, fmt.Errorf("array: cannot encode proxied base")
 	}
-	out := make([]byte, b.Size*ElemSize)
+	return appendSlab(make([]byte, 0, b.Size*ElemSize), b, 0, b.Size), nil
+}
+
+// appendSlab appends the elements [lo, hi) of a resident base.
+func appendSlab(dst []byte, b *BaseArray, lo, hi int) []byte {
 	if b.Etype == Int {
-		for i, v := range b.I {
-			binary.LittleEndian.PutUint64(out[i*ElemSize:], uint64(v))
+		for _, v := range b.I[lo:hi] {
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
 		}
-	} else {
-		for i, v := range b.F {
-			binary.LittleEndian.PutUint64(out[i*ElemSize:], math.Float64bits(v))
-		}
+		return dst
 	}
-	return out, nil
+	for _, v := range b.F[lo:hi] {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+	}
+	return dst
 }
 
 // DecodeInto fills a resident base array's elements from a raw payload
@@ -71,68 +76,62 @@ func DecodeInto(b *BaseArray, elemOff int, payload []byte) error {
 	return nil
 }
 
-// Marshal serializes the view (materializing it) as:
+// AppendMarshal appends the serialization of the view to dst:
 //
 //	byte    element type
 //	uint16  number of dimensions
 //	int64   extent per dimension
 //	...     elements, row-major, little-endian
-func Marshal(a *Array) ([]byte, error) {
-	m, err := a.Materialize()
+//
+// The view is walked once, with no intermediate copy: a resident
+// contiguous view appends its slab in one loop, any other view goes
+// element by element (a proxied one through the chunk pipeline).
+func AppendMarshal(dst []byte, a *Array) ([]byte, error) {
+	dst = binary.LittleEndian.AppendUint16(append(dst, byte(a.Base.Etype)), uint16(len(a.Shape)))
+	for _, s := range a.Shape {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(s))
+	}
+	n := a.Count()
+	if dst = slices.Grow(dst, n*ElemSize); a.Base.Resident() && a.IsContiguous() {
+		return appendSlab(dst, a.Base, a.Offset, a.Offset+n), nil
+	}
+	err := a.Each(func(_ []int, v Number) error {
+		dst = append(dst, make([]byte, ElemSize)...)
+		EncodeElem(dst[len(dst)-ElemSize:], v, v.T)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	header := 1 + 2 + 8*len(m.Shape)
-	out := make([]byte, header+m.Count()*ElemSize)
-	out[0] = byte(m.Base.Etype)
-	binary.LittleEndian.PutUint16(out[1:], uint16(len(m.Shape)))
-	for d, s := range m.Shape {
-		binary.LittleEndian.PutUint64(out[3+8*d:], uint64(s))
-	}
-	payload, err := EncodeResident(m.Base)
-	if err != nil {
-		return nil, err
-	}
-	copy(out[header:], payload)
-	return out, nil
+	return dst, nil
 }
 
-// Unmarshal reconstructs an array serialized by Marshal.
+// Unmarshal reconstructs an array serialized by AppendMarshal.
 func Unmarshal(b []byte) (*Array, error) {
-	if len(b) < 3 {
-		return nil, fmt.Errorf("array: truncated serialization (%d bytes)", len(b))
-	}
-	etype := ElemType(b[0])
-	if etype != Int && etype != Float {
-		return nil, fmt.Errorf("array: bad element type %d", b[0])
+	if len(b) < 3 || (ElemType(b[0]) != Int && ElemType(b[0]) != Float) {
+		return nil, fmt.Errorf("array: bad serialization header % x", b[:min(len(b), 3)])
 	}
 	ndims := int(binary.LittleEndian.Uint16(b[1:]))
-	if ndims == 0 {
-		return nil, fmt.Errorf("array: zero-dimensional serialization")
-	}
 	header := 3 + 8*ndims
-	if len(b) < header {
-		return nil, fmt.Errorf("array: truncated shape in serialization")
+	if ndims == 0 || len(b) < header {
+		return nil, fmt.Errorf("array: %d-byte serialization of %d dimensions", len(b), ndims)
 	}
-	shape := make([]int, ndims)
+	shape, n := make([]int, ndims), 1
 	for d := range shape {
-		shape[d] = int(binary.LittleEndian.Uint64(b[3+8*d:]))
+		// Bounded by the bytes present, the extents' product cannot overflow.
+		if shape[d] = int(binary.LittleEndian.Uint64(b[3+8*d:])); shape[d] < 1 || shape[d] > len(b)/ElemSize/n {
+			return nil, fmt.Errorf("array: invalid extent %d in a %d-byte serialization", shape[d], len(b))
+		}
+		n *= shape[d]
 	}
-	if err := validShape(shape); err != nil {
-		return nil, err
-	}
-	n := Prod(shape)
 	if len(b) != header+n*ElemSize {
 		return nil, fmt.Errorf("array: serialization is %d bytes, want %d", len(b), header+n*ElemSize)
 	}
 	var out *Array
-	if etype == Int {
+	if ElemType(b[0]) == Int {
 		out = NewInt(shape...)
 	} else {
 		out = NewFloat(shape...)
 	}
-	if err := DecodeInto(out.Base, 0, b[header:]); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out, DecodeInto(out.Base, 0, b[header:])
 }

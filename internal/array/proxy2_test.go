@@ -47,7 +47,7 @@ func TestProxyReadErrorPropagates(t *testing.T) {
 	if _, err := Map(func([]Number) (Number, error) { return IntN(0), nil }, a); err == nil {
 		t.Fatal("expected map error")
 	}
-	if _, err := Marshal(a); err == nil {
+	if _, err := AppendMarshal(nil, a); err == nil {
 		t.Fatal("expected marshal error")
 	}
 }

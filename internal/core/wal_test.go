@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -165,6 +166,63 @@ func TestWALRecoversBlankCounters(t *testing.T) {
 	}
 	if len(subs) != 3 {
 		t.Fatalf("distinct blank subjects = %d, want 3", len(subs))
+	}
+}
+
+// TestWALNonFiniteDoubles: NaN and ±Inf are doubles like any other — a
+// durable instance logs them, replays them and checkpoints them, and
+// holds what a non-durable one holds after the same update.
+func TestWALNonFiniteDoubles(t *testing.T) {
+	const insert = `PREFIX ex: <http://ex/> PREFIX xsd: <http://www.w3.org/2001/XMLSchema#>
+INSERT DATA { ex:nan ex:v "NaN"^^xsd:double . ex:inf ex:v "INF"^^xsd:double . ex:ninf ex:v "-INF"^^xsd:double }`
+	dump := func(db *SSDM) string {
+		t.Helper()
+		res, err := db.Query(`SELECT ?s ?o WHERE { ?s <http://ex/v> ?o }`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows []string
+		for _, row := range res.Rows {
+			rows = append(rows, row[0].Key()+" "+row[1].Key())
+		}
+		sort.Strings(rows)
+		return strings.Join(rows, "\n")
+	}
+	plain := Open()
+	if _, err := plain.Update(insert); err != nil {
+		t.Fatal(err)
+	}
+	want := dump(plain)
+	if !strings.Contains(want, "f:NaN") || !strings.Contains(want, "f:+Inf") || !strings.Contains(want, "f:-Inf") {
+		t.Fatalf("non-durable instance holds\n%s", want)
+	}
+
+	dir := t.TempDir()
+	db := openWAL(t, dir, nil)
+	if _, err := db.Update(insert); err != nil {
+		t.Fatalf("durable insert: %v", err)
+	}
+	if got := dump(db); got != want {
+		t.Fatalf("durable instance holds\n%s\nwant\n%s", got, want)
+	}
+	db.CloseWAL()
+
+	replayed := openWAL(t, dir, nil)
+	if got := dump(replayed); got != want || replayed.RecoveryStats().Records != 1 {
+		t.Fatalf("after replaying %d records:\n%s\nwant\n%s", replayed.RecoveryStats().Records, got, want)
+	}
+	if err := replayed.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	replayed.CloseWAL()
+
+	reopened := openWAL(t, dir, nil)
+	defer reopened.CloseWAL()
+	if ri := reopened.RecoveryStats(); !ri.Checkpoint || ri.Records != 0 {
+		t.Fatalf("recovery %+v, want the checkpoint alone", ri)
+	}
+	if got := dump(reopened); got != want {
+		t.Fatalf("after the checkpoint:\n%s\nwant\n%s", got, want)
 	}
 }
 

@@ -1,31 +1,44 @@
 // Package protocol defines the wire format between an SSDM server and
 // its clients (dissertation §5.1, §7.3): newline-delimited JSON
-// request/response pairs over TCP, with array values carried as
-// base64-encoded binary serializations so that numeric payloads do not
-// suffer JSON number inflation.
+// request/response pairs over TCP, with arrays — and whole query
+// answers — carried as base64-encoded binary so that numeric payloads
+// do not suffer JSON number inflation.
 //
 // This is the protocol the Matlab integration of chapter 7 speaks; the
 // Go client in internal/ssdmclient plays Matlab's role.
 //
+// # Query results
+//
+// A solution table — the answer to query, execute, and explain with
+// Analyze — is one binary row table, Response.Rows, base64 on the wire
+// like an array, plus Response.NRows, the number of rows in it; a table
+// with no rows is not sent. EncodeRows and DecodeRows are the only code
+// that knows the layout:
+//
+//	uint32  d, the number of distinct terms in the table (little-endian)
+//	uint32  n, the number of rows (little-endian)
+//	uint32  w, the number of cells in a row (little-endian)
+//	n rows  w cells each, row-major; a row of width 0 is one cell 0, so
+//	        every row costs a byte
+//
+//	cell    uvarint 0: unbound
+//	        uvarint 1, then a term: it becomes the next dictionary entry
+//	        uvarint k ≥ 2: the (k-2)-th term first sent in this table
+//
 // # Shard scans
 //
 // A shard coordinator's gather legs are triple-pattern matches, and
-// they follow the same rule as arrays: OpScan sends the pattern as
-// three Terms ("unbound" is a wildcard) and is answered from the
-// default graph's indexes, with no query text, parser, plan or engine
-// on either side, by one binary triple batch — Response.Triples,
-// base64 on the wire like an array — plus Response.Count, the number of
-// triples in it. Only a leaf answers: a server that itself coordinates
-// shards refuses the op, and a server that predates it answers
-// "unknown op scan"; there is no version field and no fallback. The
-// request's TimeoutMS and the instance's row cap apply as they do to a
-// query (codes "timeout" and "resource_limit"; a batch is never
-// truncated).
-//
-// A batch is self-contained — its dictionary lives and dies with the
-// response, so nothing is mirrored between peers and a retry is safe.
-// EncodeTriples and DecodeTriples are the only code that knows the
-// layout:
+// they follow the same rule: OpScan sends the pattern as three Terms
+// ("unbound" is a wildcard) and is answered from the default graph's
+// indexes, with no query text, parser, plan or engine on either side,
+// by one binary triple batch — Response.Triples, base64 on the wire —
+// plus Response.Count, the number of triples in it. Only a leaf
+// answers: a server that itself coordinates shards refuses the op, and
+// a server that predates it answers "unknown op scan"; there is no
+// version field and no fallback. The request's TimeoutMS and the
+// instance's row cap apply as they do to a query (codes "timeout" and
+// "resource_limit"; a batch is never truncated). EncodeTriples and
+// DecodeTriples are the only code that knows the layout:
 //
 //	byte    wildcard mask: bit 0 subject, bit 1 predicate, bit 2 object
 //	uint32  d, the number of distinct terms in the batch (little-endian)
@@ -36,6 +49,14 @@
 //	cell    uvarint k > 0: the (k-1)-th term first sent in this batch
 //	        uvarint 0, then a term: it becomes the next dictionary entry
 //
+// # Terms in a batch
+//
+// Tables and batches share one term codec. Each is self-contained — its
+// dictionary lives and dies with the response, so nothing is mirrored
+// between peers and a retry is safe — and each distinct term crosses
+// once however many cells repeat it; a fully-bound scan pattern has no
+// cells, so d is 0 and n is 0 or 1.
+//
 //	term    byte kind, then
 //	        0 iri, 1 blank, 2 plain string: text
 //	        3 language-tagged string: text value, text tag
@@ -43,16 +64,19 @@
 //	        5 double: 8 bytes, little-endian IEEE-754 bits
 //	        6 boolean: one byte, 0 or 1
 //	        7 other typed literal: text lexical form, text datatype IRI
-//	        8 anything else (dateTime, array): text, the JSON of its Term
+//	        8 dateTime: text, RFC 3339 with nanoseconds, offset kept
+//	        9 array: uint64 n (little-endian), then n bytes of
+//	          array.AppendMarshal
 //	text    uvarint length, then that many bytes
 //
-// Each distinct term crosses once however many rows repeat it; a
-// fully-bound pattern has no cells, so d is 0 and n is 0 or 1.
+// The JSON Term remains the form of a term in a request (a scan
+// pattern), in the write-ahead log and nowhere in a response.
 package protocol
 
 import (
 	"encoding/base64"
 	"fmt"
+	"math"
 	"time"
 
 	"scisparql/internal/array"
@@ -83,7 +107,7 @@ type Request struct {
 	Graph    string `json:"graph,omitempty"`
 	Subject  string `json:"subject,omitempty"`
 	Property string `json:"property,omitempty"`
-	Array    string `json:"array,omitempty"` // base64(array.Marshal)
+	Array    string `json:"array,omitempty"` // base64(array.AppendMarshal)
 
 	// Pattern is OpScan's triple pattern: exactly three terms (subject,
 	// predicate, object), "unbound" marking a wildcard.
@@ -134,7 +158,9 @@ const (
 	CodeShardUnavailable = "shard_unavailable"
 )
 
-// Term is the JSON encoding of one RDF term.
+// Term is the JSON encoding of one RDF term. A double that is NaN or
+// infinite, which JSON has no number for, carries its XSD lexical form
+// ("NaN", "INF" or "-INF") in S, with F zero.
 type Term struct {
 	T     string  `json:"t"` // iri blank str int float bool datetime typed array
 	S     string  `json:"s,omitempty"`
@@ -142,7 +168,7 @@ type Term struct {
 	F     float64 `json:"f,omitempty"`
 	Lang  string  `json:"lang,omitempty"`
 	Dt    string  `json:"dt,omitempty"`
-	Array string  `json:"array,omitempty"` // base64(array.Marshal)
+	Array string  `json:"array,omitempty"` // base64(array.AppendMarshal)
 }
 
 // Response is one server reply.
@@ -151,11 +177,16 @@ type Response struct {
 	Error   string   `json:"error,omitempty"`
 	Code    string   `json:"code,omitempty"` // error class, one of the Code constants
 	Vars    []string `json:"vars,omitempty"`
-	Rows    [][]Term `json:"rows,omitempty"`
 	Bool    bool     `json:"bool,omitempty"`
 	Count   int      `json:"count,omitempty"`
 	ArrayID int64    `json:"array_id,omitempty"`
 	Stats   *Stats   `json:"stats,omitempty"`
+
+	// Rows is a solution table (see EncodeRows), base64 on the wire;
+	// NRows is the number of rows in it. Both are absent when the table
+	// has no rows.
+	Rows  []byte `json:"rows,omitempty"`
+	NRows int    `json:"nrows,omitempty"`
 
 	// Triples is OpScan's answer: one dictionary-coded batch (see
 	// EncodeTriples), base64 on the wire; Count is the number of triples
@@ -298,6 +329,14 @@ func EncodeTerm(t rdf.Term) (Term, error) {
 	case rdf.Integer:
 		return Term{T: "int", I: int64(v)}, nil
 	case rdf.Float:
+		switch f := float64(v); {
+		case math.IsNaN(f):
+			return Term{T: "float", S: "NaN"}, nil
+		case math.IsInf(f, 1):
+			return Term{T: "float", S: "INF"}, nil
+		case math.IsInf(f, -1):
+			return Term{T: "float", S: "-INF"}, nil
+		}
 		return Term{T: "float", F: float64(v)}, nil
 	case rdf.Boolean:
 		b := int64(0)
@@ -310,11 +349,11 @@ func EncodeTerm(t rdf.Term) (Term, error) {
 	case rdf.Typed:
 		return Term{T: "typed", S: v.Lexical, Dt: string(v.Datatype)}, nil
 	case rdf.Array:
-		b, err := array.Marshal(v.A)
+		s, err := EncodeArray(v.A)
 		if err != nil {
 			return Term{}, err
 		}
-		return Term{T: "array", Array: base64.StdEncoding.EncodeToString(b)}, nil
+		return Term{T: "array", Array: s}, nil
 	default:
 		return Term{}, fmt.Errorf("protocol: cannot encode %T", t)
 	}
@@ -335,7 +374,17 @@ func DecodeTerm(t Term) (rdf.Term, error) {
 	case "int":
 		return rdf.Integer(t.I), nil
 	case "float":
-		return rdf.Float(t.F), nil
+		switch t.S {
+		case "":
+			return rdf.Float(t.F), nil
+		case "NaN":
+			return rdf.Float(math.NaN()), nil
+		case "INF":
+			return rdf.Float(math.Inf(1)), nil
+		case "-INF":
+			return rdf.Float(math.Inf(-1)), nil
+		}
+		return nil, fmt.Errorf("protocol: bad double %q", t.S)
 	case "bool":
 		return rdf.Boolean(t.I != 0), nil
 	case "datetime":
@@ -359,7 +408,7 @@ func DecodeTerm(t Term) (rdf.Term, error) {
 
 // EncodeArray serializes an array for the wire.
 func EncodeArray(a *array.Array) (string, error) {
-	b, err := array.Marshal(a)
+	b, err := array.AppendMarshal(nil, a)
 	if err != nil {
 		return "", err
 	}

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 	"time"
 
@@ -18,6 +19,10 @@ func TestTermRoundTrips(t *testing.T) {
 		rdf.String{Val: "hej", Lang: "sv"},
 		rdf.Integer(-42),
 		rdf.Float(2.5),
+		// JSON has no number for these: they travel as lexical forms.
+		rdf.Float(math.NaN()),
+		rdf.Float(math.Inf(1)),
+		rdf.Float(math.Inf(-1)),
 		rdf.Boolean(true),
 		rdf.Boolean(false),
 		rdf.DateTime{T: time.Date(2012, 4, 1, 12, 30, 0, 0, time.UTC)},
@@ -69,6 +74,8 @@ func TestDecodeTermErrors(t *testing.T) {
 	bad := []Term{
 		{T: "nope"},
 		{T: "datetime", S: "not a time"},
+		{T: "float", S: "1.5"}, // a finite double is a JSON number
+		{T: "float", S: "Infinity"},
 		{T: "array", Array: "!!!notbase64!!!"},
 		{T: "array", Array: "aGVsbG8="}, // valid base64, invalid payload
 	}

@@ -1,0 +1,302 @@
+package protocol
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"runtime"
+	"testing"
+	"time"
+
+	"scisparql/internal/array"
+	"scisparql/internal/rdf"
+	"scisparql/internal/storage"
+)
+
+// arrayViews is every shape of array a result cell can hold: int and
+// float, whole resident, strided slice, and proxied through a store.
+func arrayViews(t testing.TB) []rdf.Term {
+	t.Helper()
+	ints, _ := array.FromInts([]int64{1, -2, 3, math.MinInt64, 5, math.MaxInt64}, 2, 3)
+	data := make([]float64, 64)
+	for i := range data {
+		data[i] = float64(i) / 3
+	}
+	floats, _ := array.FromFloats(data, 8, 8)
+	strided, err := floats.Deref([]array.Range{array.SpanStep(1, 8, 3), array.SpanStep(0, 8, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	column, err := ints.Deref([]array.Range{array.All(), array.Idx(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := storage.NewMemory()
+	id, err := mem.Store(floats, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxied, err := mem.Open(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxiedSlice, err := proxied.Deref([]array.Range{array.Span(2, 7), array.SpanStep(1, 8, 3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []rdf.Term
+	for _, a := range []*array.Array{ints, floats, strided, column, proxied, proxiedSlice} {
+		out = append(out, rdf.NewArray(a))
+	}
+	return out
+}
+
+// rowKinds is everyKind plus the values a text rendering gets wrong and
+// every array view.
+func rowKinds(t testing.TB) []rdf.Term {
+	return append(append(everyKind(),
+		rdf.Float(math.Inf(1)),
+		rdf.Float(math.Copysign(0, -1)),
+		rdf.Float(0),
+		rdf.DateTime{T: time.Date(1999, 12, 31, 23, 59, 59, 1, time.FixedZone("", -(9*3600+30*60)))},
+		rdf.DateTime{T: time.Date(2012, 4, 1, 12, 30, 0, 0, time.UTC)},
+		rdf.Blank("b2"),
+		rdf.String{Val: ""},
+		rdf.Typed{Lexical: "tab\there \"quoted\" \\ \n", Datatype: rdf.XSDDecimal},
+	), arrayViews(t)...)
+}
+
+// identical reports whether a and b are the same term down to what the
+// wire must keep: an array's element type, shape and element bits (NaN
+// included), a dateTime's offset as well as its instant.
+func identical(a, b rdf.Term) bool {
+	switch {
+	case a == nil || b == nil:
+		return a == nil && b == nil
+	case a.Kind() == rdf.KindArray && b.Kind() == rdf.KindArray:
+		x, errx := array.AppendMarshal(nil, a.(rdf.Array).A)
+		y, erry := array.AppendMarshal(nil, b.(rdf.Array).A)
+		return errx == nil && erry == nil && bytes.Equal(x, y)
+	case a.Kind() == rdf.KindDateTime && b.Kind() == rdf.KindDateTime:
+		return a.(rdf.DateTime).T.Format(time.RFC3339Nano) == b.(rdf.DateTime).T.Format(time.RFC3339Nano)
+	}
+	return a.Kind() == b.Kind() && a.Key() == b.Key()
+}
+
+// viaTerm is what the JSON term codec makes of t — what the table must
+// agree with.
+func viaTerm(t testing.TB, term rdf.Term) rdf.Term {
+	t.Helper()
+	wt, err := EncodeTerm(term)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodeTerm(wt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return back
+}
+
+func roundTrip(t testing.TB, rows [][]rdf.Term, width int) [][]rdf.Term {
+	t.Helper()
+	blob, err := EncodeRows(rows, width)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeRows(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// TestRowsRoundTrip: for every kind, a cell that went through a table
+// equals the term DecodeTerm(EncodeTerm(t)) gives, and each distinct
+// term crosses once.
+func TestRowsRoundTrip(t *testing.T) {
+	terms := rowKinds(t)
+	// Three cells a row: the term, unbound, and the term again — the
+	// second time, and in the next row, it is a dictionary reference.
+	var rows [][]rdf.Term
+	for _, term := range terms {
+		rows = append(rows, []rdf.Term{term, nil, term}, []rdf.Term{term, nil})
+	}
+	blob, err := EncodeRows(rows, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// NaN is its own entry once; -0 and 0 are two.
+	if ndict := binary.LittleEndian.Uint32(blob); int(ndict) != len(terms) {
+		t.Errorf("dictionary holds %d entries, want %d", ndict, len(terms))
+	}
+	got, err := DecodeRows(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(rows) {
+		t.Fatalf("decoded %d rows, want %d", len(got), len(rows))
+	}
+	for i, row := range got {
+		want := viaTerm(t, terms[i/2])
+		last := want // the short row's missing cell is unbound
+		if i%2 == 1 {
+			last = nil
+		}
+		if len(row) != 3 || !identical(row[0], want) || row[1] != nil || !identical(row[2], last) {
+			t.Errorf("row %d = %v, want [%v <nil> %v]", i, row, want, last)
+		}
+	}
+
+	// A solution of no variables (SELECT * over an empty pattern) still
+	// counts its rows; a table of no rows is empty whatever its width.
+	if got := roundTrip(t, [][]rdf.Term{{}, {}, {}}, 0); len(got) != 3 || len(got[0]) != 0 {
+		t.Errorf("three zero-width rows came back as %v", got)
+	}
+	if got := roundTrip(t, nil, 4); len(got) != 0 {
+		t.Errorf("no rows came back as %v", got)
+	}
+	if got := roundTrip(t, [][]rdf.Term{{nil, nil}}, 2); len(got) != 1 || got[0][0] != nil || got[0][1] != nil {
+		t.Errorf("an all-unbound row came back as %v", got)
+	}
+}
+
+// TestDecodeRowsCopiesArraysOnce: an array cell costs its elements once
+// on the decoding side — unmarshalled straight from the table, not from
+// a copy of it.
+func TestDecodeRowsCopiesArraysOnce(t *testing.T) {
+	data := make([]float64, 4096)
+	a, _ := array.FromFloats(data, len(data))
+	blob, err := EncodeRows([][]rdf.Term{{rdf.NewArray(a), rdf.IRI("http://ex/run")}}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range 10 {
+		if _, err := DecodeRows(blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perDecode := (after.TotalAlloc - before.TotalAlloc) / 10; perDecode > 36<<10 {
+		t.Errorf("decoding a %d-byte table allocates %d bytes", len(blob), perDecode)
+	}
+}
+
+// TestDecodeRowsHostile: whatever the bytes, an error — not a panic, not
+// an allocation sized by a count they cannot back.
+func TestDecodeRowsHostile(t *testing.T) {
+	a, _ := array.FromInts([]int64{7, 8}, 2)
+	good, err := EncodeRows([][]rdf.Term{
+		{rdf.IRI("http://ex/a"), nil, rdf.NewArray(a)},
+		{rdf.IRI("http://ex/a"), rdf.Integer(3), nil},
+	}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeRows(good); err != nil {
+		t.Fatal(err)
+	}
+	header := func(ndict, nrows, width uint32, payload ...byte) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, ndict)
+		b = binary.LittleEndian.AppendUint32(b, nrows)
+		return append(binary.LittleEndian.AppendUint32(b, width), payload...)
+	}
+	edit := func(f func(b []byte) []byte) []byte { return f(append([]byte(nil), good...)) }
+	arrayCell := func(body ...byte) []byte {
+		return append(binary.LittleEndian.AppendUint64([]byte{1, kindArray}, uint64(len(body))), body...)
+	}
+	cases := map[string][]byte{
+		"empty":                {},
+		"short header":         header(0, 0, 0)[:11],
+		"index out of range":   header(1, 2, 1, 1, kindBool, 1, 3),
+		"index before entries": header(0, 1, 1, 2),
+		"more terms":           edit(func(b []byte) []byte { b[0] = 1; return b }),
+		"fewer terms":          edit(func(b []byte) []byte { b[0] = 4; return b }),
+		"stray bytes":          edit(func(b []byte) []byte { return append(b, 0) }),
+		"unknown kind":         header(1, 1, 1, 1, 99, 0),
+		"bad dateTime":         header(1, 1, 1, append([]byte{1, kindDateTime, 5}, "later"...)...),
+		"bad array type":       header(1, 1, 1, arrayCell(7, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)...),
+		"array body too short": header(1, 1, 1, arrayCell(1, 1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)...),
+		"array length past end": header(1, 1, 1,
+			append(binary.LittleEndian.AppendUint64([]byte{1, kindArray}, 1<<62), 1, 1, 0)...),
+		"zero-width row with a cell": header(0, 1, 0, 1),
+		"huge row count":             header(0, 1<<31, 1, 0),
+		"huge width":                 header(0, 1, 1<<31, 0),
+		"huge rows of width 0":       header(0, 1<<31, 0, 0),
+		"huge dictionary":            header(1<<31, 1, 1, 1, kindBool, 1),
+	}
+	for n := 1; n < len(good); n++ {
+		cases[fmt.Sprintf("truncated at %d", n)] = good[:n]
+	}
+	for name, b := range cases {
+		if rows, err := DecodeRows(b); err == nil {
+			t.Errorf("%s: decoded %v without error", name, rows)
+		}
+	}
+	// 2^31 announced rows, cells or terms would be tens of GiB. Bytes, not
+	// an allocation count, so the race detector's bookkeeping does not
+	// move the reading.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, name := range []string{"huge row count", "huge width", "huge rows of width 0", "huge dictionary"} {
+		_, _ = DecodeRows(cases[name])
+	}
+	runtime.ReadMemStats(&after)
+	if spent := after.TotalAlloc - before.TotalAlloc; spent > 64<<10 {
+		t.Errorf("hostile counts cost %d bytes", spent)
+	}
+}
+
+func FuzzDecodeRows(f *testing.F) {
+	terms := rowKinds(f)
+	for _, term := range terms {
+		blob, err := EncodeRows([][]rdf.Term{{term, nil, term}}, 3)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+	rows := make([][]rdf.Term, len(terms))
+	for i := range terms {
+		rows[i] = []rdf.Term{terms[i], terms[len(terms)-1-i]}
+	}
+	for _, tc := range []struct {
+		rows  [][]rdf.Term
+		width int
+	}{{rows, 2}, {[][]rdf.Term{{}, {}}, 0}, {nil, 3}} {
+		blob, err := EncodeRows(tc.rows, tc.width)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		rows, err := DecodeRows(blob)
+		if err != nil {
+			return
+		}
+		cells := 0
+		for _, row := range rows {
+			cells += len(row)
+		}
+		if len(rows) > len(blob) || cells > len(blob) {
+			t.Fatalf("%d rows of %d cells out of %d bytes", len(rows), cells, len(blob))
+		}
+		// What decodes re-encodes to a table that decodes the same.
+		width := 0
+		if len(rows) > 0 {
+			width = len(rows[0])
+		}
+		again := roundTrip(t, rows, width)
+		for i := range rows {
+			for c := range rows[i] {
+				if !identical(rows[i][c], again[i][c]) {
+					t.Fatalf("cell %d,%d: %v re-encoded as %v", i, c, rows[i][c], again[i][c])
+				}
+			}
+		}
+	})
+}

@@ -176,7 +176,8 @@ func TestDecodeTriplesHostile(t *testing.T) {
 		"huge dictionary":    header(0b001, 1<<31, 1, 0),
 		"huge row count":     header(0b001, 1, 1<<31, 0, kindBool, 1),
 		"unknown kind":       header(0b001, 1, 1, 0, 99, 0),
-		"unbound entry":      header(0b001, 1, 1, append([]byte{0, kindJSON, 15}, `{"t":"unbound"}`...)...),
+		"bad dateTime":       header(0b001, 1, 1, append([]byte{0, kindDateTime, 3}, "now"...)...),
+		"bad array body":     header(0b001, 1, 1, 0, kindArray, 3, 0, 0, 0, 0, 0, 0, 0, 9, 1, 0),
 		"index out of range": edit(func(b []byte) []byte { return append(b[:firstRow], 5) }),
 		"more terms":         edit(func(b []byte) []byte { b[1] = 1; return b }),
 		"fewer terms":        edit(func(b []byte) []byte { b[1] = 3; return b }),
@@ -229,7 +230,7 @@ func TestGuardDecodeTriplesAllocsPerRow(t *testing.T) {
 		_ = DecodeTriples(blob, nil, rdf.IRI("http://ex/year"), nil, func(_, _, _ rdf.Term) bool { rows++; return true })
 	})
 	// 1 000 rows over 1 030 distinct terms: one box per term plus the
-	// dictionary slice and its text.
+	// dictionary slice; the texts share the batch's memory.
 	if allocs > 1030+4 {
 		t.Errorf("%.0f allocations for 1000 rows over 1030 distinct terms", allocs)
 	}

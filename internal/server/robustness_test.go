@@ -186,19 +186,28 @@ func TestUnencodableTermAllOrNothing(t *testing.T) {
 	}
 }
 
-// encodeRows unit coverage: one bad term anywhere fails the whole
-// result with zero rows committed.
+// TestEncodeRowsAllOrNothing: one term with no wire form anywhere in a
+// result — a closure, whose slices could not even key the table's
+// dictionary — fails the whole answer: an error response with no table,
+// never an OK one with the rows before it.
 func TestEncodeRowsAllOrNothing(t *testing.T) {
 	rows := [][]rdf.Term{
 		{rdf.Integer(1)},
 		{engine.Closure{Fn: "abs", Bound: []rdf.Term{nil}, Holes: []int{0}}},
 	}
-	out, err := encodeRows(rows)
-	if err == nil {
-		t.Fatal("want error for unencodable term")
+	resp := encodeResults(&engine.Results{Vars: []string{"x"}, Rows: rows})
+	if resp.OK || resp.Code != protocol.CodeError || !strings.Contains(resp.Error, "cannot encode") {
+		t.Fatalf("want an encode error response, got %+v", resp)
 	}
-	if out != nil {
-		t.Fatalf("rows must not be partially committed, got %d", len(out))
+	if resp.Rows != nil || resp.NRows != 0 {
+		t.Fatalf("rows must not be partially committed, got %d in %d bytes", resp.NRows, len(resp.Rows))
+	}
+	// A row wider than the table is refused the same way.
+	wide := [][]rdf.Term{{rdf.Integer(1)}, {rdf.Integer(1), rdf.Integer(2)}}
+	for _, rows := range [][][]rdf.Term{rows, wide} {
+		if blob, err := protocol.EncodeRows(rows, 1); err == nil || blob != nil {
+			t.Fatalf("EncodeRows(%v) = %d bytes, %v; want nothing and an error", rows, len(blob), err)
+		}
 	}
 }
 

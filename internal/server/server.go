@@ -237,7 +237,9 @@ func (s *Server) serve(conn net.Conn) {
 		}
 		resp := s.handle(&req)
 		err := enc.Encode(resp)
-		protocol.ReleaseTriples(resp.Triples) // a scan's batch is pooled; it is in enc's hands now
+		// A scan's batch and a result table are pooled; enc has copied them.
+		protocol.Release(resp.Triples)
+		protocol.Release(resp.Rows)
 		if err != nil {
 			return
 		}
@@ -435,7 +437,7 @@ func (s *Server) handle(req *protocol.Request) *protocol.Response {
 	if !resp.OK {
 		in.errors.With(resp.Code).Inc()
 	}
-	rows := len(resp.Rows)
+	rows := resp.NRows
 	if req.Op == protocol.OpScan {
 		rows = resp.Count // a scan's rows are the triples in its batch
 	}
@@ -687,7 +689,7 @@ func (s *Server) scan(ctx context.Context, req *protocol.Request, lim engine.Lim
 		err = engine.ContextErr(ctx)
 	}
 	if err != nil {
-		protocol.ReleaseTriples(blob) // an overrun or a timeout leaves a partial batch behind
+		protocol.Release(blob) // an overrun or a timeout leaves a partial batch behind
 		return fail(err)
 	}
 	return &protocol.Response{OK: true, Triples: blob, Count: n}
@@ -770,39 +772,19 @@ func errorCode(err error) string {
 	}
 }
 
-// encodeResults converts a solution table to its wire form. All rows
-// are encoded before the response is assembled, so an encoding failure
-// on any row yields a pure error response — never an OK response with
-// rows partially committed.
+// encodeResults converts a solution table to its wire form: one row
+// table holding every row, or an error response holding none.
 func encodeResults(res *engine.Results) *protocol.Response {
-	rows, err := encodeRows(res.Rows)
-	if err != nil {
-		return fail(err)
+	out := &protocol.Response{OK: true, Vars: res.Vars, Bool: res.Bool, NRows: len(res.Rows)}
+	if len(res.Rows) > 0 {
+		rows, err := protocol.EncodeRows(res.Rows, len(res.Vars))
+		if err != nil {
+			return fail(err)
+		}
+		out.Rows = rows
 	}
-	out := &protocol.Response{OK: true, Vars: res.Vars, Bool: res.Bool, Rows: rows}
 	if res.Graph != nil {
 		out.Count = res.Graph.Size()
 	}
 	return out
-}
-
-// encodeRows encodes every row or none: the first term that cannot be
-// represented on the wire fails the whole result.
-func encodeRows(rows [][]rdf.Term) ([][]protocol.Term, error) {
-	if len(rows) == 0 {
-		return nil, nil
-	}
-	out := make([][]protocol.Term, 0, len(rows))
-	for _, row := range rows {
-		wire := make([]protocol.Term, len(row))
-		for i, t := range row {
-			wt, err := protocol.EncodeTerm(t)
-			if err != nil {
-				return nil, err
-			}
-			wire[i] = wt
-		}
-		out = append(out, wire)
-	}
-	return out, nil
 }

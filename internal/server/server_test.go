@@ -1,6 +1,9 @@
 package server
 
 import (
+	"context"
+	"fmt"
+	"math"
 	"testing"
 
 	"scisparql/internal/array"
@@ -182,6 +185,45 @@ func TestProtocolTermRoundTrip(t *testing.T) {
 		}
 		if back.Key() != term.Key() {
 			t.Fatalf("round trip %v -> %v", term, back)
+		}
+	}
+}
+
+// TestNonFiniteCellsOverWire: a NaN or infinite double is an ordinary
+// result cell. As a JSON number it failed the response after the rows
+// were built, the server dropped the connection, and the client re-ran
+// the query three times before giving up untyped. Every answer must
+// equal the embedded one, all on one connection.
+func TestNonFiniteCellsOverWire(t *testing.T) {
+	db, cl := startServer(t)
+	cl.SetReconnect(0, 0) // a dropped connection fails the next query instead of healing
+	const xsd = "PREFIX xsd: <http://www.w3.org/2001/XMLSchema#> "
+	for _, q := range []string{
+		xsd + `SELECT ?x WHERE { BIND("NaN"^^xsd:double AS ?x) }`,
+		xsd + `SELECT ?x WHERE { BIND("INF"^^xsd:double AS ?x) }`,
+		`SELECT ?x ?y WHERE { BIND(1e308 * 10 AS ?x) BIND(-1e308 * 10 AS ?y) }`,
+		`SELECT ?x WHERE { BIND(sqrt(-1.0) AS ?x) }`,
+	} {
+		want, err := db.QueryContext(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f, ok := want.Rows[0][0].(rdf.Float); !ok || !math.IsNaN(float64(f)) && !math.IsInf(float64(f), 0) {
+			t.Fatalf("%s: embedded answer %v is not a non-finite double", q, want.Rows)
+		}
+		got, err := cl.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if fmt.Sprint(got.Vars) != fmt.Sprint(want.Vars) || len(got.Rows) != len(want.Rows) {
+			t.Fatalf("%s: %v %v over the wire, want %v %v", q, got.Vars, got.Rows, want.Vars, want.Rows)
+		}
+		for i := range want.Rows {
+			for j := range want.Rows[i] {
+				if g, w := got.Rows[i][j], want.Rows[i][j]; g.Kind() != w.Kind() || g.Key() != w.Key() {
+					t.Errorf("%s: cell %d,%d = %v over the wire, want %v", q, i, j, g, w)
+				}
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -135,7 +136,8 @@ func TestRemoteGroundSubjectRoutesOnce(t *testing.T) {
 // not of their text. Every ground term a gather mask can carry must
 // select the same triples on a remote shard as on a local one — as
 // SELECT text, a dateTime lost its fractional seconds (Term.String is
-// not Term.Key) and the remote leg silently matched nothing.
+// not Term.Key) and the remote leg silently matched nothing; as a JSON
+// number, a NaN could not be sent at all.
 func TestRemoteScanGroundTermsMatchLocal(t *testing.T) {
 	db := core.Open()
 	srv := server.New(db)
@@ -161,7 +163,8 @@ func TestRemoteScanGroundTermsMatchLocal(t *testing.T) {
 	)
 	g := db.Dataset.Default
 	for i, o := range []rdf.Term{stamp, quote, typed, rdf.Integer(-42), rdf.Float(1e-7), rdf.Boolean(true),
-		rdf.DateTime{T: stamp.T.Truncate(time.Second)}, rdf.String{Val: quote.Val}, rdf.Integer(42), rdf.Boolean(false)} {
+		rdf.DateTime{T: stamp.T.Truncate(time.Second)}, rdf.String{Val: quote.Val}, rdf.Integer(42), rdf.Boolean(false),
+		rdf.Float(math.NaN()), rdf.Float(math.Inf(1))} {
 		g.Add(rdf.IRI(fmt.Sprintf("http://ex/s%d", i)), p, o)
 	}
 	g.Add(rdf.Blank("b7"), q, doc)
@@ -178,10 +181,12 @@ func TestRemoteScanGroundTermsMatchLocal(t *testing.T) {
 		{"negative integer", nil, p, rdf.Integer(-42), 1},
 		{"1e-7", nil, p, rdf.Float(1e-7), 1},
 		{"boolean", nil, nil, rdf.Boolean(true), 1},
+		{"NaN, which JSON has no number for", nil, p, rdf.Float(math.NaN()), 1},
+		{"+Inf", nil, p, rdf.Float(math.Inf(1)), 1},
 		{"blank subject as wildcard", nil, q, doc, 1},
 		{"blank object comes back", doc, q, nil, 1},
-		{"whole predicate", nil, p, nil, 10},
-		{"everything", nil, nil, nil, 12},
+		{"whole predicate", nil, p, nil, 12},
+		{"everything", nil, nil, nil, 14},
 		{"ground triple present", rdf.IRI("http://ex/s0"), p, stamp, 1},
 		{"ground triple absent", rdf.IRI("http://ex/s1"), p, stamp, 0},
 		{"term the shard never saw", nil, p, rdf.Integer(7), 0},

@@ -394,18 +394,16 @@ func (r *Result) Get(i int, name string) rdf.Term {
 // Len returns the number of rows.
 func (r *Result) Len() int { return len(r.Rows) }
 
+// decodeResult reads a response's row table (protocol.DecodeRows); a
+// response without one has no rows.
 func decodeResult(resp *protocol.Response) (*Result, error) {
 	out := &Result{Vars: resp.Vars, Bool: resp.Bool}
-	for _, row := range resp.Rows {
-		terms := make([]rdf.Term, len(row))
-		for i, wt := range row {
-			t, err := protocol.DecodeTerm(wt)
-			if err != nil {
-				return nil, err
-			}
-			terms[i] = t
+	if resp.Rows != nil {
+		rows, err := protocol.DecodeRows(resp.Rows)
+		if err != nil {
+			return nil, err
 		}
-		out.Rows = append(out.Rows, terms)
+		out.Rows = rows
 	}
 	return out, nil
 }

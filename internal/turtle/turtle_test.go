@@ -1,6 +1,9 @@
 package turtle
 
 import (
+	"fmt"
+	"math"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -188,6 +191,31 @@ func TestWriterRoundTrip(t *testing.T) {
 	}
 	if g2.Size() != g.Size() {
 		t.Fatalf("round trip size %d, want %d\noutput:\n%s", g2.Size(), g.Size(), sb.String())
+	}
+}
+
+// TestWriterNonFiniteDoubles: NaN and the infinities have no Turtle
+// number syntax; written as typed literals they read back as themselves.
+func TestWriterNonFiniteDoubles(t *testing.T) {
+	g := rdf.NewGraph()
+	for i, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1.5} {
+		g.Add(rdf.IRI(fmt.Sprintf("http://ex/s%d", i)), rdf.IRI("http://ex/p"), rdf.Float(f))
+	}
+	var sb strings.Builder
+	if err := Write(&sb, g, nil); err != nil {
+		t.Fatal(err)
+	}
+	g2 := rdf.NewGraph()
+	if err := ParseString(sb.String(), g2); err != nil {
+		t.Fatalf("reparse error: %v\noutput:\n%s", err, sb.String())
+	}
+	var want, got []string
+	g.Triples(func(s, p, o rdf.Term) bool { want = append(want, s.Key()+" "+o.Key()); return true })
+	g2.Triples(func(s, p, o rdf.Term) bool { got = append(got, s.Key()+" "+o.Key()); return true })
+	sort.Strings(want)
+	sort.Strings(got)
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("read back %q, want %q\noutput:\n%s", got, want, sb.String())
 	}
 }
 

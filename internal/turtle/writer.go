@@ -3,7 +3,9 @@ package turtle
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"scisparql/internal/array"
@@ -127,6 +129,12 @@ func (tw *Writer) render(t rdf.Term) string {
 		return `"` + EscapeLiteral(v.Lexical) + `"^^<` + EscapeIRI(string(v.Datatype)) + ">"
 	case rdf.Array:
 		return renderArray(v.A)
+	case rdf.Float:
+		// No Turtle number spells these; a typed literal does.
+		if f := float64(v); math.IsNaN(f) || math.IsInf(f, 0) {
+			return `"` + strconv.FormatFloat(f, 'g', -1, 64) + `"^^<` + string(rdf.XSDDouble) + ">"
+		}
+		return t.String()
 	default:
 		return t.String()
 	}
