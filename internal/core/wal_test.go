@@ -226,6 +226,38 @@ INSERT DATA { ex:nan ex:v "NaN"^^xsd:double . ex:inf ex:v "INF"^^xsd:double . ex
 	}
 }
 
+// TestWALCheckpointKeepsFractionalSeconds: a dateTime with nanoseconds
+// survives the checkpoint (a Turtle snapshot) as itself, not rounded to
+// the second.
+func TestWALCheckpointKeepsFractionalSeconds(t *testing.T) {
+	s, p := rdf.IRI("http://ex/s"), rdf.IRI("http://ex/at")
+	o := rdf.DateTime{T: time.Date(2020, 1, 2, 3, 4, 5, 123456789, time.UTC)}
+	dir := t.TempDir()
+	db := openWAL(t, dir, nil)
+	if _, err := db.Update(`PREFIX xsd: <http://www.w3.org/2001/XMLSchema#>
+INSERT DATA { <http://ex/s> <http://ex/at> "2020-01-02T03:04:05.123456789Z"^^xsd:dateTime }`); err != nil {
+		t.Fatal(err)
+	}
+	if !db.Dataset.Default.Has(s, p, o) {
+		t.Fatalf("the insert did not store %s", o.Key())
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	db.CloseWAL()
+
+	reopened := openWAL(t, dir, nil)
+	defer reopened.CloseWAL()
+	if ri := reopened.RecoveryStats(); !ri.Checkpoint || ri.Records != 0 {
+		t.Fatalf("recovery %+v, want the checkpoint alone", ri)
+	}
+	if !reopened.Dataset.Default.Has(s, p, o) {
+		var got []string
+		reopened.Dataset.Default.Triples(func(_, _, o rdf.Term) bool { got = append(got, o.Key()); return true })
+		t.Fatalf("after the checkpoint the store holds %v, want %s", got, o.Key())
+	}
+}
+
 func TestWALCheckpointAndTruncation(t *testing.T) {
 	dir := t.TempDir()
 	db := openWAL(t, dir, nil)

@@ -181,7 +181,7 @@ func bSameTerm(_ *evalCtx, args []rdf.Term) (rdf.Term, error) {
 	if args[0] == nil || args[1] == nil {
 		return nil, errf("sameterm with unbound")
 	}
-	return rdf.Boolean(args[0].Key() == args[1].Key()), nil
+	return rdf.Boolean(rdf.SameTerm(args[0], args[1])), nil
 }
 
 func numeric1(ff func(float64) float64, fi func(int64) (int64, bool)) func(*evalCtx, []rdf.Term) (rdf.Term, error) {

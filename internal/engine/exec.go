@@ -301,7 +301,7 @@ func resolveNode(n sparql.Node, b Binding) rdf.Term {
 // that wants to add a variable clones first.
 func extend(b Binding, name string, t rdf.Term, owned bool) (Binding, bool, bool) {
 	if prev, ok := b[name]; ok {
-		return b, prev.Key() == t.Key(), owned
+		return b, rdf.SameTerm(prev, t), owned
 	}
 	if !owned {
 		b = b.clone()
@@ -622,7 +622,7 @@ func (s *minusStep) run(c *evalCtx, b Binding, yield func(Binding) error) error 
 		for k, v := range m {
 			if bv, ok := b[k]; ok {
 				overlap = true
-				if bv.Key() != v.Key() {
+				if !rdf.SameTerm(bv, v) {
 					compatible = false
 					break
 				}

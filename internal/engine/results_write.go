@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"time"
 	"unicode/utf8"
 
 	"scisparql/internal/rdf"
@@ -216,7 +217,7 @@ func TermLexical(t rdf.Term) string {
 	case rdf.String:
 		return v.Val
 	case rdf.DateTime:
-		return v.T.Format("2006-01-02T15:04:05Z07:00")
+		return v.T.Format(time.RFC3339Nano)
 	case rdf.Typed:
 		return v.Lexical
 	default:

@@ -196,7 +196,7 @@ func termJSONOracle(t rdf.Term) (map[string]string, error) {
 	case rdf.Boolean:
 		return typed(v.String(), rdf.XSDBoolean)
 	case rdf.DateTime:
-		return typed(v.T.Format("2006-01-02T15:04:05Z07:00"), rdf.XSDDateTime)
+		return typed(v.T.Format(time.RFC3339Nano), rdf.XSDDateTime)
 	case rdf.Typed:
 		return typed(v.Lexical, v.Datatype)
 	case rdf.Array:
@@ -301,6 +301,21 @@ func TestWriteJSONMatchesEncodingJSON(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) { checkJSONMatchesOracle(t, tc.r, tc.analyze) })
+	}
+}
+
+// TestTermLexicalKeepsFractionalSeconds: a dateTime's lexical form in
+// JSON and CSV results keeps its nanoseconds; a whole-second one reads
+// as before.
+func TestTermLexicalKeepsFractionalSeconds(t *testing.T) {
+	for tm, want := range map[time.Time]string{
+		time.Date(2020, 1, 2, 3, 4, 5, 123456789, time.UTC):                 "2020-01-02T03:04:05.123456789Z",
+		time.Date(2020, 1, 2, 3, 4, 5, 500000000, time.FixedZone("", 3600)): "2020-01-02T03:04:05.5+01:00",
+		time.Date(2020, 1, 2, 3, 4, 5, 0, time.UTC):                         "2020-01-02T03:04:05Z",
+	} {
+		if got := TermLexical(rdf.DateTime{T: tm}); got != want {
+			t.Errorf("TermLexical = %s, want %s", got, want)
+		}
 	}
 }
 

@@ -80,7 +80,7 @@ func Equals(a, b rdf.Term) (bool, error) {
 		}
 		return false, nil
 	default:
-		return a.Key() == b.Key(), nil
+		return rdf.SameTerm(a, b), nil
 	}
 }
 
@@ -132,7 +132,7 @@ func Compare(a, b rdf.Term, strict bool) (int, error) {
 		}
 		return 1, nil
 	}
-	return strings.Compare(a.Key(), b.Key()), nil
+	return rdf.CompareKeys(a, b), nil
 }
 
 func kindRank(k rdf.Kind) int {

@@ -28,9 +28,9 @@ import (
 // suffix, so the two paths always agree on semantics; only the prefix
 // is accelerated.
 //
-// ID semantics make this sound: the dictionary is bijective on
-// Term.Key(), so ID equality is exactly the Key-equality the tuple
-// path uses for join consistency and DISTINCT. Value comparisons
+// ID semantics make this sound: the dictionary assigns one ID per
+// rdf.SameTerm class, so ID equality is exactly the term identity the
+// tuple path uses for join consistency and DISTINCT. Value comparisons
 // (FILTER =, <) are NOT ID comparisons — the vec filter decodes its
 // operands and reuses Equals/Compare/Arith/EBV, preserving SPARQL
 // value semantics (Integer(5) = Float(5.0) holds across distinct IDs).

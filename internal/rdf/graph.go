@@ -53,15 +53,15 @@ func (st *graphState) has(s, p, o ID) bool {
 }
 
 // dict is the term dictionary: an append-only terms array plus a
-// mutex-guarded key index. Readers are lock-free: n counts the terms,
-// and the slice header is republished only when append moves the array,
-// so a reader loads n first and may then index any header it finds up
-// to n (IDs are never reused, and an entry below n is never rewritten).
-// The dictionary is shared between a live graph, its snapshots, and
-// its post-Clear states.
+// mutex-guarded identity index (identity.go). Readers are lock-free: n
+// counts the terms, and the slice header is republished only when
+// append moves the array, so a reader loads n first and may then index
+// any header it finds up to n (IDs are never reused, and an entry below
+// n is never rewritten). The dictionary is shared between a live graph,
+// its snapshots, and its post-Clear states.
 type dict struct {
 	mu    sync.RWMutex
-	byKey map[string]ID
+	index termIndex
 	terms atomic.Pointer[[]Term]
 	n     atomic.Int64
 	bytes atomic.Int64
@@ -73,31 +73,35 @@ type dict struct {
 }
 
 // termOverheadBytes approximates the fixed per-entry dictionary cost
-// beyond the key string: the terms-slice element (interface header),
-// the byKey map entry (string header + ID + bucket share), and the
-// boxed term value itself.
+// beyond the term's text: the terms-slice element (interface header),
+// the identity-index entry (a string header or the term's struct, the
+// ID, a bucket share), and the boxed term value itself.
 const termOverheadBytes = 64
 
-func newDict() *dict {
-	return &dict{byKey: make(map[string]ID)}
+func newDict() *dict { return &dict{} }
+
+func (d *dict) lookup(t Term) (ID, bool) {
+	return d.find(t, foreignKey(t))
 }
 
-func (d *dict) lookup(key string) (ID, bool) {
+// find is lookup with foreignKey(t) already built.
+func (d *dict) find(t Term, key string) (ID, bool) {
 	d.mu.RLock()
-	id, ok := d.byKey[key]
+	id := d.index.get(t, key)
 	d.mu.RUnlock()
-	return id, ok
+	return id, id != 0
 }
 
 // intern returns the ID for a term, assigning a fresh one when new
 // (the bool reports a fresh assignment).
-func (d *dict) intern(t Term, key string) (ID, bool) {
-	if id, ok := d.lookup(key); ok {
+func (d *dict) intern(t Term) (ID, bool) {
+	key := foreignKey(t)
+	if id, ok := d.find(t, key); ok {
 		return id, false
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if id, ok := d.byKey[key]; ok {
+	if id := d.index.get(t, key); id != 0 {
 		return id, false
 	}
 	var terms []Term
@@ -110,8 +114,8 @@ func (d *dict) intern(t Term, key string) (ID, bool) {
 		d.terms.Store(&moved)
 	}
 	id := ID(d.n.Add(1))
-	d.byKey[key] = id
-	d.bytes.Add(int64(len(key)) + termOverheadBytes)
+	d.index.put(t, key, id)
+	d.bytes.Add(int64(textBytes(t, key)) + termOverheadBytes)
 	return id, true
 }
 
@@ -227,7 +231,7 @@ func (g *Graph) DictStats() DictStats {
 // Intern maps a term to its dictionary ID, assigning a fresh one when
 // the term is new.
 func (g *Graph) Intern(t Term) ID {
-	id, fresh := g.dict.intern(t, t.Key())
+	id, fresh := g.dict.intern(t)
 	if fresh {
 		g.gen.Add(1)
 	}
@@ -236,7 +240,20 @@ func (g *Graph) Intern(t Term) ID {
 
 // Lookup returns the ID of a term if it is already interned.
 func (g *Graph) Lookup(t Term) (ID, bool) {
-	return g.dict.lookup(t.Key())
+	return g.dict.lookup(t)
+}
+
+// lookup3 returns the IDs of three terms, or false when any of them is
+// not interned.
+func (g *Graph) lookup3(s, p, o Term) (si, pi, oi ID, ok bool) {
+	if si, ok = g.dict.lookup(s); !ok {
+		return
+	}
+	if pi, ok = g.dict.lookup(p); !ok {
+		return
+	}
+	oi, ok = g.dict.lookup(o)
+	return
 }
 
 // TermOf returns the term for a dictionary ID. IDs are never reused,
@@ -343,19 +360,8 @@ func (g *Graph) addIDs(s, p, o ID) bool {
 // Delete removes a triple; it returns false when it was absent.
 func (g *Graph) Delete(s, p, o Term) bool {
 	g.checkWritable()
-	si, ok := g.dict.lookup(s.Key())
-	if !ok {
-		return false
-	}
-	pi, ok := g.dict.lookup(p.Key())
-	if !ok {
-		return false
-	}
-	oi, ok := g.dict.lookup(o.Key())
-	if !ok {
-		return false
-	}
-	return g.DeleteIDs(si, pi, oi)
+	si, pi, oi, ok := g.lookup3(s, p, o)
+	return ok && g.DeleteIDs(si, pi, oi)
 }
 
 // DeleteIDs removes a triple of interned IDs.
@@ -388,19 +394,8 @@ func (g *Graph) Clear() int {
 
 // Has reports whether the triple is present.
 func (g *Graph) Has(s, p, o Term) bool {
-	si, ok := g.dict.lookup(s.Key())
-	if !ok {
-		return false
-	}
-	pi, ok := g.dict.lookup(p.Key())
-	if !ok {
-		return false
-	}
-	oi, ok := g.dict.lookup(o.Key())
-	if !ok {
-		return false
-	}
-	return g.cur().has(si, pi, oi)
+	si, pi, oi, ok := g.lookup3(s, p, o)
+	return ok && g.cur().has(si, pi, oi)
 }
 
 // OpKind discriminates the physical mutation operations a write
@@ -495,19 +490,8 @@ func (t *Tx) addIDs(s, p, o ID) bool {
 // Delete stages a triple removal; false when absent from the staged
 // state.
 func (t *Tx) Delete(s, p, o Term) bool {
-	si, ok := t.g.dict.lookup(s.Key())
-	if !ok {
-		return false
-	}
-	pi, ok := t.g.dict.lookup(p.Key())
-	if !ok {
-		return false
-	}
-	oi, ok := t.g.dict.lookup(o.Key())
-	if !ok {
-		return false
-	}
-	if !t.st.del(t.tag, si, pi, oi) {
+	si, pi, oi, ok := t.g.lookup3(s, p, o)
+	if !ok || !t.st.del(t.tag, si, pi, oi) {
 		return false
 	}
 	t.changed++

@@ -60,8 +60,9 @@ func (k Kind) String() string {
 // immutable values.
 type Term interface {
 	Kind() Kind
-	// Key is a canonical representation used for interning; two terms
-	// are the same RDF term iff their keys are equal.
+	// Key is a canonical representation: two terms are the same RDF
+	// term iff their keys are equal. SameTerm and the dictionary decide
+	// identity without building it, CompareKeys the key order of IRIs.
 	Key() string
 	// String renders the term in Turtle-compatible syntax.
 	String() string
@@ -143,7 +144,7 @@ func (DateTime) Kind() Kind { return KindDateTime }
 func (t DateTime) Key() string { return "d:" + t.T.UTC().Format(time.RFC3339Nano) }
 
 func (t DateTime) String() string {
-	return `"` + t.T.Format(time.RFC3339) + `"^^` + string(XSDDateTime.Key())
+	return `"` + t.T.Format(time.RFC3339Nano) + `"^^` + string(XSDDateTime.Key())
 }
 
 // Typed is a literal whose datatype SSDM does not interpret; it keeps

@@ -275,6 +275,43 @@ ex:m3 ex:site "C" .`
 	_ = c
 }
 
+// TestRoutedInsertKeepsFractionalSeconds: INSERT DATA through a
+// coordinator (routed to its owners as Turtle text) stores the same
+// dateTime keys as a single node, fractional seconds included.
+func TestRoutedInsertKeepsFractionalSeconds(t *testing.T) {
+	const insert = `PREFIX ex: <http://ex/> PREFIX xsd: <http://www.w3.org/2001/XMLSchema#>
+INSERT DATA { ex:a ex:at "2020-01-02T03:04:05.123456789Z"^^xsd:dateTime .
+	ex:b ex:at "2020-01-02T03:04:05.5-05:00"^^xsd:dateTime .
+	ex:c ex:at "2020-01-02T03:04:05Z"^^xsd:dateTime }`
+	keys := func(graphs ...*rdf.Graph) []string {
+		var out []string
+		for _, g := range graphs {
+			g.Triples(func(s, p, o rdf.Term) bool {
+				out = append(out, s.Key()+" "+p.Key()+" "+o.Key())
+				return true
+			})
+		}
+		sort.Strings(out)
+		return out
+	}
+	single := core.Open()
+	if _, err := single.Update(insert); err != nil {
+		t.Fatal(err)
+	}
+	want := keys(single.Dataset.Default)
+	node, c := cluster(t, 2)
+	if _, err := node.Update(insert); err != nil {
+		t.Fatal(err)
+	}
+	var graphs []*rdf.Graph
+	for _, sh := range c.shards {
+		graphs = append(graphs, sh.(*LocalShard).DB().Dataset.Default)
+	}
+	if got := keys(graphs...); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("the shards hold\n%s\nwant (a single node's)\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
 func TestDefineBroadcast(t *testing.T) {
 	node, _ := cluster(t, 2)
 	if _, err := node.Update(`PREFIX ex: <http://ex/> INSERT DATA { ex:s1 ex:v 3 . ex:s2 ex:v 4 }`); err != nil {

@@ -33,7 +33,7 @@ func (m mask) covers(n mask) bool {
 		if a == nil {
 			return true
 		}
-		return b != nil && a.Key() == b.Key()
+		return b != nil && rdf.SameTerm(a, b)
 	}
 	return pos(m.s, n.s) && pos(m.p, n.p) && pos(m.o, n.o)
 }

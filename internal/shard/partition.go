@@ -17,7 +17,6 @@ package shard
 
 import (
 	"errors"
-	"hash/fnv"
 
 	"scisparql/internal/rdf"
 )
@@ -26,10 +25,13 @@ import (
 // over zero shards.
 var ErrEmptyTopology = errors.New("shard: topology has no shards")
 
-// Partitioner maps RDF subjects to shard indices by hashing the
-// subject's canonical key. The key (rdf.Term.Key) is stable across
-// processes and releases — unlike per-graph dictionary IDs — so every
-// coordinator over the same topology size routes identically.
+// Partitioner maps RDF subjects to shard indices by hashing the bytes
+// of the subject's canonical key (rdf.Term.Key). Those bytes are stable
+// across processes and releases — unlike per-graph dictionary IDs — so
+// every coordinator over the same topology size routes identically, and
+// a durable shard's contents never move. IRI and blank subjects are
+// hashed from their text and the key's fixed framing, without building
+// the key; the placement is pinned by golden hashes in the tests.
 type Partitioner struct {
 	n int
 }
@@ -53,9 +55,30 @@ func (p *Partitioner) Owner(subject rdf.Term) int {
 }
 
 // KeyHash hashes a term's canonical key (FNV-1a, 64 bit). Exposed so
-// tests and tooling can reproduce the placement of a subject.
+// tests and tooling can reproduce the placement of a subject. An IRI
+// hashes "<", its text and ">", a blank "_:" and its label, as its key
+// reads; other kinds hash Key().
 func KeyHash(t rdf.Term) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(t.Key()))
-	return h.Sum64()
+	switch v := t.(type) {
+	case rdf.IRI:
+		return fnv1a(fnv1a(fnv1a(fnvOffset, "<"), string(v)), ">")
+	case rdf.Blank:
+		return fnv1a(fnv1a(fnvOffset, "_:"), string(v))
+	}
+	return fnv1a(fnvOffset, t.Key())
+}
+
+// The FNV-1a 64-bit parameters (hash/fnv's).
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnv1a continues the FNV-1a hash h over s.
+func fnv1a(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime
+	}
+	return h
 }

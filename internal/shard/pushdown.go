@@ -190,7 +190,7 @@ func sameSubject(a, b sparql.Node) bool {
 	if a.Term == nil || b.Term == nil {
 		return false
 	}
-	return a.Term.Key() == b.Term.Key()
+	return rdf.SameTerm(a.Term, b.Term)
 }
 
 // groundSubject returns the shared ground subject of a pattern set,

@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 	"strconv"
+	"time"
 
 	"scisparql/internal/array"
 	"scisparql/internal/rdf"
@@ -123,7 +124,7 @@ func (nw *ntWriter) term(t rdf.Term) string {
 	case rdf.Boolean:
 		return fmt.Sprintf("\"%v\"^^<%s>", bool(v), string(rdf.XSDBoolean))
 	case rdf.DateTime:
-		return fmt.Sprintf("\"%s\"^^<%s>", v.T.Format("2006-01-02T15:04:05Z07:00"), string(rdf.XSDDateTime))
+		return fmt.Sprintf("\"%s\"^^<%s>", v.T.Format(time.RFC3339Nano), string(rdf.XSDDateTime))
 	case rdf.Typed:
 		return `"` + EscapeLiteral(v.Lexical) + `"^^<` + EscapeIRI(string(v.Datatype)) + ">"
 	default:

@@ -219,6 +219,42 @@ func TestWriterNonFiniteDoubles(t *testing.T) {
 	}
 }
 
+// TestWriterKeepsFractionalSeconds: a dateTime written out and read back
+// (Turtle and N-Triples) is the same term, nanoseconds and all; a
+// whole-second one is written as before.
+func TestWriterKeepsFractionalSeconds(t *testing.T) {
+	s, p := rdf.IRI("http://ex/s"), rdf.IRI("http://ex/p")
+	for _, tm := range []time.Time{
+		time.Date(2020, 1, 2, 3, 4, 5, 123456789, time.UTC),
+		time.Date(2020, 1, 2, 3, 4, 5, 500000000, time.FixedZone("", -5*3600)),
+		time.Date(2020, 1, 2, 3, 4, 5, 0, time.UTC),
+	} {
+		o := rdf.DateTime{T: tm}
+		g := rdf.NewGraph()
+		g.Add(s, p, o)
+		for name, write := range map[string]func(*strings.Builder) error{
+			"turtle":   func(sb *strings.Builder) error { return Write(sb, g, nil) },
+			"ntriples": func(sb *strings.Builder) error { return WriteNTriples(sb, g) },
+		} {
+			var sb strings.Builder
+			if err := write(&sb); err != nil {
+				t.Fatal(err)
+			}
+			g2 := rdf.NewGraph()
+			if err := ParseString(sb.String(), g2); err != nil {
+				t.Fatalf("%s: reparse error: %v\noutput:\n%s", name, err, sb.String())
+			}
+			if !g2.Has(s, p, o) {
+				t.Errorf("%s: %s does not read back as itself\noutput:\n%s", name, o.Key(), sb.String())
+			}
+		}
+	}
+	whole := rdf.DateTime{T: time.Date(2020, 1, 2, 3, 4, 5, 0, time.UTC)}
+	if got, want := whole.String(), `"2020-01-02T03:04:05Z"^^<http://www.w3.org/2001/XMLSchema#dateTime>`; got != want {
+		t.Errorf("whole-second dateTime renders %s, want %s", got, want)
+	}
+}
+
 func TestWriterRendersArraysAsCollections(t *testing.T) {
 	g := rdf.NewGraph()
 	a, _ := array.FromInts([]int64{1, 2, 3, 4}, 2, 2)
