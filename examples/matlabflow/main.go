@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -56,7 +57,7 @@ func main() {
 			log.Fatal(err)
 		}
 		subject := rdf.IRI(fmt.Sprintf("%srun%d", ns, run))
-		if err := cl.AddArrayTriple(subject, rdf.IRI(ns+"signal"), a); err != nil {
+		if _, err := cl.WriteTriples(context.Background(), [][]rdf.Term{{subject, rdf.IRI(ns + "signal"), rdf.NewArray(a)}}, false); err != nil {
 			log.Fatal(err)
 		}
 		meta := fmt.Sprintf(`PREFIX f: <%s>

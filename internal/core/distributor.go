@@ -21,9 +21,9 @@ var ErrShardUnavailable = errors.New("ssdm: shard unavailable (partial results s
 // SSDM instance coordinates a sharded deployment (internal/shard
 // provides the implementation). When armed via SetDistributor, the
 // public entry points — QueryLimits, QueryAnalyze, UpdateLimits,
-// ExecuteLimits, UpdateStatement and LoadTurtle — delegate to it
-// instead of the local dataset, so every transport (TCP server, HTTP
-// front door, embedded API) becomes shard-aware without change.
+// ExecuteLimits, UpdateStatement, LoadTurtle and WriteTriples —
+// delegate to it instead of the local dataset, so every transport (TCP
+// server, HTTP front door, embedded API) becomes shard-aware unchanged.
 type Distributor interface {
 	// Query executes a parsed query across the topology. src is the
 	// query's own source text when known ("" when the query was
@@ -43,6 +43,10 @@ type Distributor interface {
 
 	// LoadTurtle distributes a Turtle document across the topology.
 	LoadTurtle(src string, graph rdf.IRI) error
+
+	// WriteTriples routes ground triples, already checked as in
+	// SSDM.WriteTriples, to their owners, keeping blank labels as given.
+	WriteTriples(ctx context.Context, rows [][]rdf.Term, del bool) (int, error)
 
 	// Stats reports the coordinator's cumulative counters.
 	Stats() ShardStats

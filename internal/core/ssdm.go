@@ -104,7 +104,7 @@ func DefaultOptions() Options {
 // runs against those versions to completion, so it observes a
 // statement-atomic dataset (never a half-applied update) and never
 // blocks behind a writer. Mutating operations (Update, LoadTurtle*,
-// LoadSnapshot, StoreArray, AddArrayTriple, Externalize, and the
+// LoadSnapshot, StoreArray, WriteTriples, Externalize, and the
 // update statements inside Execute) serialize on the operation write
 // lock and publish their effect as one new version. When a write-ahead
 // log is enabled (EnableWAL), a mutation is acknowledged only after
@@ -233,17 +233,11 @@ func (s *SSDM) loadTurtleLocked(src string, graph rdf.IRI) error {
 		tx.Add(sub, p, o)
 		return true
 	})
-	if tx.Changed() == 0 {
-		tx.Abort()
-		return nil
-	}
 	g.EnsureBlankNo(stage.BlankNo())
-	lsn, err := s.walAppendBatch(graph, tx.Ops(), stage.BlankNo())
-	if err != nil {
-		tx.Abort()
+	lsn, logged, err := s.commitTx(graph, tx, stage.BlankNo())
+	if err != nil || !logged {
 		return err
 	}
-	tx.Commit()
 	if err := s.walFinish(lsn); err != nil {
 		return err
 	}
@@ -667,45 +661,89 @@ func (s *SSDM) StoreArray(a *array.Array) (int64, error) {
 
 // AddArrayTriple attaches an array value to (s, p) in the default
 // graph: resident when no back-end is attached, externalized
-// otherwise. With a WAL enabled the triple is logged (a proxied array
-// as its file link, a resident one in full) before it is published.
+// otherwise. It is WriteTriples' one-row call.
 func (s *SSDM) AddArrayTriple(subj rdf.Term, prop rdf.IRI, a *array.Array) error {
+	_, err := s.WriteTriples(context.Background(), [][]rdf.Term{{subj, prop, rdf.NewArray(a)}}, false)
+	return err
+}
+
+// WriteTriples adds ground triples — rows of subject, predicate and
+// object — to the default graph (with del, removes them) as one
+// transaction and reports how many changed; blank labels are kept as
+// given and added arrays go to the back-end, as in AddArrayTriple. A row
+// that is not three bound terms with an IRI predicate fails the call
+// before anything applies. With a WAL it is one batch record, awaited
+// outside the lock as updates are. A coordinator routes the rows.
+func (s *SSDM) WriteTriples(ctx context.Context, rows [][]rdf.Term, del bool) (int, error) {
+	for i, row := range rows {
+		if len(row) != 3 || row[0] == nil || row[1] == nil || row[2] == nil || row[1].Kind() != rdf.KindIRI {
+			return 0, fmt.Errorf("ssdm: triple %d is not three bound terms with an IRI predicate", i)
+		}
+	}
+	if s.dist != nil {
+		return s.dist.WriteTriples(ctx, rows, del)
+	}
 	s.op.Lock()
-	defer s.op.Unlock()
-	b := s.Backend()
-	val := rdf.Term(nil)
-	if b == nil {
-		val = rdf.NewArray(a)
-	} else {
-		id, err := b.Store(a, storage.ChunkElemsFor(s.Opts.ChunkBytes))
-		if err != nil {
-			return err
-		}
-		stored, err := b.Open(id)
-		if err != nil {
-			return err
-		}
-		val = rdf.NewArray(stored)
-	}
-	g := s.Dataset.Default
-	if !s.walEnabled() {
-		g.Add(subj, prop, val)
-		return nil
-	}
-	tx := g.Begin()
-	tx.Record(true)
-	tx.Add(subj, prop, val)
-	if tx.Changed() == 0 {
-		tx.Abort()
-		return nil
-	}
-	lsn, err := s.walAppendBatch("", tx.Ops(), g.BlankNo())
+	n, lsn, logged, err := s.writeLocked(ctx, rows, del)
+	s.op.Unlock()
 	if err != nil {
+		return 0, err
+	}
+	if logged {
+		err = s.walFinish(lsn)
+	}
+	return n, err
+}
+
+// writeLocked is WriteTriples' transaction, under the operation lock.
+func (s *SSDM) writeLocked(ctx context.Context, rows [][]rdf.Term, del bool) (n int, lsn uint64, logged bool, err error) {
+	if err = engine.ContextErr(ctx); err != nil {
+		return 0, 0, false, err
+	}
+	b, g := s.Backend(), s.Dataset.Default
+	tx := g.Begin()
+	tx.Record(s.walEnabled())
+	for _, row := range rows {
+		if del {
+			tx.Delete(row[0], row[1], row[2])
+			continue
+		}
+		o := row[2]
+		if at, ok := o.(rdf.Array); ok && b != nil {
+			var id int64
+			if id, err = b.Store(at.A, storage.ChunkElemsFor(s.Opts.ChunkBytes)); err == nil {
+				at.A, err = b.Open(id)
+			}
+			if err != nil {
+				tx.Abort()
+				return 0, 0, false, err
+			}
+			o = at
+		}
+		tx.Add(row[0], row[1], o)
+	}
+	n = tx.Changed()
+	if lsn, logged, err = s.commitTx("", tx, g.BlankNo()); err == nil {
+		s.maybeCheckpointLocked()
+	}
+	return n, lsn, logged, err
+}
+
+// commitTx publishes tx (recording on a WAL instance) as one version,
+// first logging its changes as one batch record with blank counter
+// blankNo; a failed append aborts it. The caller holds the operation
+// lock and, when logged, acknowledges only after walFinish(lsn).
+func (s *SSDM) commitTx(graph rdf.IRI, tx *rdf.Tx, blankNo int64) (lsn uint64, logged bool, err error) {
+	if !s.walEnabled() || tx.Changed() == 0 {
+		tx.Commit()
+		return 0, false, nil
+	}
+	if lsn, err = s.walAppendBatch(graph, tx.Ops(), blankNo); err != nil {
 		tx.Abort()
-		return err
+		return 0, false, err
 	}
 	tx.Commit()
-	return s.walFinish(lsn)
+	return lsn, true, nil
 }
 
 // Externalize moves every resident array in the default graph to the

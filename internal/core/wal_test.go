@@ -351,6 +351,43 @@ func TestWALRecoversArrays(t *testing.T) {
 	}
 }
 
+// TestWALWriteTriplesOneRecord: a WriteTriples call is one batch record
+// however many rows it carries, and replay restores it with its blank
+// labels as given — the labels a coordinator minted are what its other
+// shards hold.
+func TestWALWriteTriplesOneRecord(t *testing.T) {
+	dir := t.TempDir()
+	db := openWAL(t, dir, nil)
+	author, p := rdf.Blank("co1f-7"), rdf.IRI("http://ex/p")
+	rows := [][]rdf.Term{
+		{rdf.IRI("http://ex/d1"), p, author},
+		{author, p, rdf.String{Val: "Ann"}},
+		{author, p, rdf.Integer(3)},
+	}
+	for _, step := range []struct {
+		rows [][]rdf.Term
+		del  bool
+		want int
+	}{{rows, false, 3}, {rows, false, 0}, {rows[2:], true, 1}} {
+		before := db.WALStats().Appends
+		n, err := db.WriteTriples(context.Background(), step.rows, step.del)
+		if err != nil || n != step.want {
+			t.Fatalf("WriteTriples(%d rows, del %v) = %d, %v; want %d", len(step.rows), step.del, n, err, step.want)
+		}
+		if appends, want := db.WALStats().Appends-before, min(int64(n), 1); appends != want {
+			t.Fatalf("WriteTriples changing %d triples appended %d records, want %d", n, appends, want)
+		}
+	}
+	db.CloseWAL()
+
+	db2 := openWAL(t, dir, nil)
+	defer db2.CloseWAL()
+	g := db2.Dataset.Default
+	if g.Size() != 2 || !g.Has(rows[0][0], p, author) || !g.Has(author, p, rdf.String{Val: "Ann"}) {
+		t.Fatalf("recovered %d triples, want the first two rows with their blank label", g.Size())
+	}
+}
+
 // TestWALCrashMatrix is the crash-injection sweep at the manager
 // level: run a workload, then simulate a kill at every record boundary
 // (and a byte inside each frame) by truncating a copy of the log, and

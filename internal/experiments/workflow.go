@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -49,7 +50,7 @@ func E6(o Options) ([]E6Row, error) {
 	defer cl.Close()
 	requests := func() (n int64) {
 		byOp := srv.Metrics.CounterVec("ssdm_requests_total", "", "op")
-		for _, op := range []string{protocol.OpArrayTriple, protocol.OpUpdate, protocol.OpQuery} {
+		for _, op := range []string{protocol.OpTriples, protocol.OpUpdate, protocol.OpQuery} {
 			n += byOp.With(op).Value()
 		}
 		return n
@@ -74,7 +75,7 @@ func E6(o Options) ([]E6Row, error) {
 			return nil, err
 		}
 		run := rdf.IRI(fmt.Sprintf("%srun%d", bistab.NS, i))
-		if err := cl.AddArrayTriple(run, rdf.IRI(bistab.NS+"trajectory"), a); err != nil {
+		if _, err := cl.WriteTriples(context.Background(), [][]rdf.Term{{run, rdf.IRI(bistab.NS + "trajectory"), rdf.NewArray(a)}}, false); err != nil {
 			return nil, err
 		}
 		meta := fmt.Sprintf(`PREFIX bi: <%s>

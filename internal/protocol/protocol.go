@@ -25,6 +25,15 @@
 //	        uvarint 1, then a term: it becomes the next dictionary entry
 //	        uvarint k ≥ 2: the (k-2)-th term first sent in this table
 //
+// # Triple writes
+//
+// Ground triples travel the other way in the same table: OpTriples adds
+// Request.Rows (subject, predicate, object; with Request.Delete, removes
+// them) as one transaction, blank labels as given, and answers the count
+// changed. A table that does not decode, is not three cells wide, has an
+// unbound cell or a non-IRI predicate gets code "error" and applies
+// nothing. It is how a coordinator routes writes to its shards.
+//
 // # Shard scans
 //
 // A shard coordinator's gather legs are triple-pattern matches, and
@@ -69,8 +78,8 @@
 //	          array.AppendMarshal
 //	text    uvarint length, then that many bytes
 //
-// The JSON Term remains the form of a term in a request (a scan
-// pattern), in the write-ahead log and nowhere in a response.
+// The JSON Term remains the form of a term in a scan pattern and in the
+// write-ahead log, and nowhere in a response.
 package protocol
 
 import (
@@ -85,16 +94,16 @@ import (
 
 // Op identifies a request kind.
 const (
-	OpPing        = "ping"
-	OpQuery       = "query"        // Text: a SciSPARQL query
-	OpExecute     = "execute"      // Text: statements; responses carry last query result
-	OpUpdate      = "update"       // Text: a single update
-	OpLoadTurtle  = "load_turtle"  // Text: a Turtle document, Graph optional
-	OpStoreArray  = "store_array"  // Array payload -> ArrayID
-	OpArrayTriple = "array_triple" // Subject, Property, Array: store + link
-	OpStats       = "stats"        // server statistics snapshot -> Stats
-	OpExplain     = "explain"      // Text: a query; plan only, or executed plan + trace with Analyze
-	OpScan        = "scan"         // Pattern: one triple pattern -> Triples, Count (leaf shards only)
+	OpPing       = "ping"
+	OpQuery      = "query"       // Text: a SciSPARQL query
+	OpExecute    = "execute"     // Text: statements; responses carry last query result
+	OpUpdate     = "update"      // Text: a single update
+	OpLoadTurtle = "load_turtle" // Text: a Turtle document, Graph optional
+	OpStoreArray = "store_array" // Array payload -> ArrayID
+	OpTriples    = "triples"     // Rows: ground triples to add, or with Delete to remove -> Count
+	OpStats      = "stats"       // server statistics snapshot -> Stats
+	OpExplain    = "explain"     // Text: a query; plan only, or executed plan + trace with Analyze
+	OpScan       = "scan"        // Pattern: one triple pattern -> Triples, Count (leaf shards only)
 )
 
 // Request is one client request. The guard fields bound the request's
@@ -102,12 +111,15 @@ const (
 // configured defaults (they can tighten the defaults, never loosen
 // them).
 type Request struct {
-	Op       string `json:"op"`
-	Text     string `json:"text,omitempty"`
-	Graph    string `json:"graph,omitempty"`
-	Subject  string `json:"subject,omitempty"`
-	Property string `json:"property,omitempty"`
-	Array    string `json:"array,omitempty"` // base64(array.AppendMarshal)
+	Op    string `json:"op"`
+	Text  string `json:"text,omitempty"`
+	Graph string `json:"graph,omitempty"`
+	Array string `json:"array,omitempty"` // base64(array.AppendMarshal)
+
+	// Rows is OpTriples' table of triples (see EncodeRows), base64 on
+	// the wire; with Delete the op removes them instead of adding them.
+	Rows   []byte `json:"rows,omitempty"`
+	Delete bool   `json:"delete,omitempty"`
 
 	// Pattern is OpScan's triple pattern: exactly three terms (subject,
 	// predicate, object), "unbound" marking a wildcard.

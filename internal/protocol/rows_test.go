@@ -263,10 +263,19 @@ func FuzzDecodeRows(f *testing.F) {
 	for i := range terms {
 		rows[i] = []rdf.Term{terms[i], terms[len(terms)-1-i]}
 	}
+	// Write tables as OpTriples carries them: width 3, blank subjects and
+	// objects, array and NaN objects.
+	p, arr := rdf.IRI("http://ex/p"), arrayViews(f)[0]
+	writes := [][]rdf.Term{
+		{rdf.Blank("co1-1"), p, rdf.Blank("co1-2")},
+		{rdf.IRI("http://ex/s"), p, arr},
+		{rdf.Blank("co1-2"), p, rdf.Float(math.NaN())},
+		{rdf.Blank("co1-2"), p, arr},
+	}
 	for _, tc := range []struct {
 		rows  [][]rdf.Term
 		width int
-	}{{rows, 2}, {[][]rdf.Term{{}, {}}, 0}, {nil, 3}} {
+	}{{rows, 2}, {[][]rdf.Term{{}, {}}, 0}, {nil, 3}, {writes, 3}, {writes[2:3], 3}} {
 		blob, err := EncodeRows(tc.rows, tc.width)
 		if err != nil {
 			f.Fatal(err)

@@ -2,8 +2,10 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -208,6 +210,83 @@ func TestEncodeRowsAllOrNothing(t *testing.T) {
 		if blob, err := protocol.EncodeRows(rows, 1); err == nil || blob != nil {
 			t.Fatalf("EncodeRows(%v) = %d bytes, %v; want nothing and an error", rows, len(blob), err)
 		}
+	}
+}
+
+// TestTriplesAllOrNothing: a triples table the server cannot apply
+// whole — not three cells wide, an unbound cell, a predicate that is not
+// an IRI, truncated — is refused with code "error" and changes nothing,
+// though rows it could add or remove come before the bad one; the
+// connection then serves a ping.
+func TestTriplesAllOrNothing(t *testing.T) {
+	s, p := rdf.IRI("http://ex/s"), rdf.IRI("http://ex/p")
+	present := []rdf.Term{s, p, rdf.Float(math.NaN())}
+	fresh := []rdf.Term{rdf.Blank("b"), p, rdf.Integer(1)}
+	db := core.Open()
+	db.Dataset.Default.Add(present[0], present[1], present[2])
+	srv := New(db)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	enc, dec := json.NewEncoder(conn), json.NewDecoder(conn)
+	send := func(req protocol.Request) protocol.Response {
+		t.Helper()
+		var resp protocol.Response
+		if err := enc.Encode(req); err != nil {
+			t.Fatal(err)
+		}
+		if err := dec.Decode(&resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	table := func(width int, rows ...[]rdf.Term) []byte {
+		t.Helper()
+		blob, err := protocol.EncodeRows(rows, width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	whole := table(3, present, fresh)
+	for _, tc := range []struct {
+		name string
+		rows []byte
+	}{
+		{"two cells wide", table(2, []rdf.Term{s, p})},
+		{"four cells wide", table(4, []rdf.Term{s, p, s, p})},
+		{"unbound object", table(3, present, fresh, []rdf.Term{s, p, nil})},
+		{"unbound subject", table(3, present, fresh, []rdf.Term{nil, p, s})},
+		{"literal predicate", table(3, present, fresh, []rdf.Term{s, rdf.String{Val: "p"}, s})},
+		{"blank predicate", table(3, present, fresh, []rdf.Term{s, rdf.Blank("p"), s})},
+		{"truncated", whole[:len(whole)-1]},
+		{"no table", nil},
+	} {
+		for _, del := range []bool{false, true} {
+			resp := send(protocol.Request{Op: protocol.OpTriples, Rows: tc.rows, Delete: del})
+			if resp.OK || resp.Code != protocol.CodeError {
+				t.Errorf("%s (delete %v): got %+v, want an error response with code %q", tc.name, del, resp, protocol.CodeError)
+			}
+			if g := db.Dataset.Default; g.Size() != 1 || !g.Has(present[0], present[1], present[2]) {
+				t.Fatalf("%s (delete %v): the store changed to %d triples", tc.name, del, g.Size())
+			}
+			if resp := send(protocol.Request{Op: protocol.OpPing}); !resp.OK {
+				t.Fatalf("%s: ping after the refusal: %+v", tc.name, resp)
+			}
+		}
+	}
+	if resp := send(protocol.Request{Op: protocol.OpTriples, Rows: whole}); !resp.OK || resp.Count != 1 {
+		t.Fatalf("the whole table: %+v, want 1 triple added", resp)
+	}
+	if resp := send(protocol.Request{Op: protocol.OpTriples, Rows: whole, Delete: true}); !resp.OK || resp.Count != 2 {
+		t.Fatalf("the whole table: %+v, want 2 triples removed", resp)
 	}
 }
 

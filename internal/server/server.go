@@ -14,6 +14,7 @@ import (
 	"log/slog"
 	"net"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -289,7 +290,7 @@ func (s *Server) instrumentSet() *instruments {
 		s.inst = &instruments{
 			requests: r.CounterVec("ssdm_requests_total", "Requests handled, by operation.", "op"),
 			errors:   r.CounterVec("ssdm_request_errors_total", "Failed requests, by error code.", "code"),
-			latency:  r.Histogram("ssdm_query_duration_seconds", "Latency of query-class requests (query, execute, update, explain, scan).", nil),
+			latency:  r.Histogram("ssdm_query_duration_seconds", "Latency of query-class requests (query, execute, update, triples, explain, scan).", nil),
 			rows:     r.Counter("ssdm_rows_returned_total", "Result rows returned to clients."),
 			slow:     r.Counter("ssdm_slow_queries_total", "Query-class requests at or above the slow-query threshold."),
 		}
@@ -418,7 +419,7 @@ func (s *Server) registerGauges(r *metrics.Registry) {
 // the latency histogram and slow-query log cover.
 func queryClass(op string) bool {
 	switch op {
-	case protocol.OpQuery, protocol.OpExecute, protocol.OpUpdate, protocol.OpExplain, protocol.OpScan:
+	case protocol.OpQuery, protocol.OpExecute, protocol.OpUpdate, protocol.OpTriples, protocol.OpExplain, protocol.OpScan:
 		return true
 	}
 	return false
@@ -528,16 +529,21 @@ func (s *Server) handleOp(req *protocol.Request) (resp *protocol.Response) {
 			return fail(err)
 		}
 		return &protocol.Response{OK: true, ArrayID: id}
-	case protocol.OpArrayTriple:
-		a, err := protocol.DecodeArray(req.Array)
+	case protocol.OpTriples:
+		rows, err := protocol.DecodeRows(req.Rows)
 		if err != nil {
 			return fail(err)
 		}
-		err = s.DB.AddArrayTriple(rdf.IRI(req.Subject), rdf.IRI(req.Property), a)
+		if lim = s.DB.FillLimits(lim); lim.Timeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, lim.Timeout)
+			defer cancel()
+		}
+		n, err := s.DB.WriteTriples(ctx, ownTerms(rows), req.Delete)
 		if err != nil {
 			return fail(err)
 		}
-		return &protocol.Response{OK: true, Count: 1}
+		return &protocol.Response{OK: true, Count: n}
 	case protocol.OpExplain:
 		if !req.Analyze {
 			plan, err := s.DB.Explain(req.Text)
@@ -693,6 +699,34 @@ func (s *Server) scan(ctx context.Context, req *protocol.Request, lim engine.Lim
 		return fail(err)
 	}
 	return &protocol.Response{OK: true, Triples: blob, Count: n}
+}
+
+// ownTerms copies decoded texts out of the request buffer they share,
+// so the dictionary does not keep the request alive; once per term.
+func ownTerms(rows [][]rdf.Term) [][]rdf.Term {
+	owned := make(map[rdf.Term]rdf.Term)
+	for _, row := range rows {
+		for i, t := range row {
+			if c, ok := owned[t]; ok {
+				row[i] = c
+				continue
+			}
+			switch v := t.(type) {
+			case rdf.IRI:
+				row[i] = rdf.IRI(strings.Clone(string(v)))
+			case rdf.Blank:
+				row[i] = rdf.Blank(strings.Clone(string(v)))
+			case rdf.String:
+				row[i] = rdf.String{Val: strings.Clone(v.Val), Lang: strings.Clone(v.Lang)}
+			case rdf.Typed:
+				row[i] = rdf.Typed{Lexical: strings.Clone(v.Lexical), Datatype: rdf.IRI(strings.Clone(string(v.Datatype)))}
+			default:
+				continue // no text to copy; and as map keys, -0 and 0 would be one double
+			}
+			owned[t] = row[i]
+		}
+	}
+	return rows
 }
 
 // queryText is what the slow-query log prints for a request: its text,

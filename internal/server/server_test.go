@@ -68,7 +68,7 @@ func TestUpdateOverWire(t *testing.T) {
 func TestStoreArrayAndQueryBack(t *testing.T) {
 	_, cl := startServer(t)
 	a, _ := array.FromFloats([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	if err := cl.AddArrayTriple("http://ex/run1", "http://ex/result", a); err != nil {
+	if _, err := cl.WriteTriples(context.Background(), [][]rdf.Term{{rdf.IRI("http://ex/run1"), rdf.IRI("http://ex/result"), rdf.NewArray(a)}}, false); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cl.Update(`PREFIX ex: <http://ex/>
@@ -264,7 +264,7 @@ func TestChunkCacheStatsOverWire(t *testing.T) {
 		data[i] = float64(i)
 	}
 	a, _ := array.FromFloats(data, 4096)
-	if err := cl.AddArrayTriple("http://ex/run1", "http://ex/result", a); err != nil {
+	if _, err := cl.WriteTriples(context.Background(), [][]rdf.Term{{rdf.IRI("http://ex/run1"), rdf.IRI("http://ex/result"), rdf.NewArray(a)}}, false); err != nil {
 		t.Fatal(err)
 	}
 	const q = `PREFIX ex: <http://ex/>

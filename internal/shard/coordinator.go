@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"sync/atomic"
 	"time"
 
 	"scisparql/internal/core"
 	"scisparql/internal/engine"
+	"scisparql/internal/rdf"
 	"scisparql/internal/sparql"
 )
 
@@ -50,7 +52,8 @@ type Coordinator struct {
 		rows   atomic.Int64
 	}
 
-	blankNo atomic.Int64 // coordinator-unique blank-label counter
+	nonce   uint64       // in every minted blank label, so a restart re-issues none
+	blankNo atomic.Int64 // counts minted blank labels
 }
 
 // New creates a coordinator over the given topology. node supplies
@@ -62,7 +65,7 @@ func New(node *core.SSDM, shards []Shard) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Coordinator{node: node, shards: shards, part: part}
+	c := &Coordinator{node: node, shards: shards, part: part, nonce: rand.Uint64()}
 	c.perShard = make([]struct {
 		calls  atomic.Int64
 		errors atomic.Int64
@@ -70,9 +73,6 @@ func New(node *core.SSDM, shards []Shard) (*Coordinator, error) {
 	}, len(shards))
 	return c, nil
 }
-
-// Shards returns the topology size.
-func (c *Coordinator) Shards() int { return len(c.shards) }
 
 // Close closes every shard, returning the first error.
 func (c *Coordinator) Close() error {
@@ -85,14 +85,23 @@ func (c *Coordinator) Close() error {
 	return first
 }
 
-// nextBlank issues a coordinator-unique blank-node label. Documents
-// and INSERT DATA statements routed through the coordinator get their
-// blank labels rewritten with it, so labels arriving on different
-// shards never collide — which in turn lets gather execution merge
-// shard scans without renaming (equal labels are the same node by
-// construction).
-func (c *Coordinator) nextBlank() string {
-	return fmt.Sprintf("co%d", c.blankNo.Add(1))
+// relabeler maps each blank label of one statement or document to a
+// fresh coordinator-unique one. Shards keep labels as given, so a blank
+// node spread over several shards is one node on all of them.
+func (c *Coordinator) relabeler() func(rdf.Term) rdf.Term {
+	labels := map[rdf.Blank]rdf.Blank{}
+	return func(t rdf.Term) rdf.Term {
+		b, ok := t.(rdf.Blank)
+		if !ok {
+			return t
+		}
+		nb, ok := labels[b]
+		if !ok {
+			nb = rdf.Blank(fmt.Sprintf("co%016x-%d", c.nonce, c.blankNo.Add(1)))
+			labels[b] = nb
+		}
+		return nb
+	}
 }
 
 // Query implements core.Distributor.

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -15,6 +17,8 @@ import (
 	"scisparql/internal/core"
 	"scisparql/internal/engine"
 	"scisparql/internal/rdf"
+	"scisparql/internal/server"
+	"scisparql/internal/ssdmclient"
 )
 
 // cluster builds a coordinator over n in-process local shards and
@@ -35,9 +39,10 @@ func cluster(t *testing.T, n int) (*core.SSDM, *Coordinator) {
 }
 
 // canon renders a result as a sorted multiset of rows, with blank
-// labels normalized (the coordinator rewrites blank labels at routing
-// time, so they differ textually from a single-node run while naming
-// the same nodes).
+// labels normalized: a single node and a coordinator mint different
+// labels for the same statement's blank nodes, so only rows without
+// blank cells, like a join through them, can tell whether the nodes
+// are the same.
 func canon(res *engine.Results) []string {
 	rows := make([]string, 0, len(res.Rows))
 	for _, row := range res.Rows {
@@ -83,6 +88,12 @@ const corpusData = `PREFIX ex: <http://ex/> INSERT DATA {
 	ex:s5 ex:a 2 ; ex:b "x" .
 	ex:s1 ex:knows ex:s2 . ex:s2 ex:knows ex:s3 . ex:s3 ex:knows ex:s1 .
 	_:anon ex:a 99 ; ex:b "hidden" .
+	ex:d1 ex:author _:w1 . _:w1 ex:name "Ann" .
+	ex:d2 ex:author _:w2 . _:w2 ex:name "Bo" .
+	ex:d3 ex:author _:w3 . _:w3 ex:name "Cy" .
+	ex:d4 ex:author _:w4 . _:w4 ex:name "Di" .
+	ex:d5 ex:author _:w5 . _:w5 ex:name "Ed" .
+	ex:d6 ex:author _:w1 , _:w6 . _:w6 ex:name "Flo" .
 }`
 
 // corpus pairs query text with the dispatch mode the classifier must
@@ -108,6 +119,10 @@ var corpus = []struct {
 	{"order-by", `PREFIX ex: <http://ex/> SELECT ?s ?v WHERE { ?s ex:v ?v } ORDER BY DESC(?v)`, "gather"},
 	{"path", `PREFIX ex: <http://ex/> SELECT ?z WHERE { ex:s1 ex:knows+ ?z }`, "gather"},
 	{"exists", `PREFIX ex: <http://ex/> SELECT ?s WHERE { ?s ex:a ?a FILTER EXISTS { ?s ex:b "x" } }`, "gather"},
+	// Each author's triples live on the blank node's owner shard, each
+	// document's on the document's; the join meets them through the
+	// blank label, which must be one label on both shards.
+	{"blank-join", `PREFIX ex: <http://ex/> SELECT ?d ?n WHERE { ?d ex:author ?w . ?w ex:name ?n }`, "gather"},
 	// A query blank is a variable; the star is still subject-colocated.
 	{"blank-star", `PREFIX ex: <http://ex/> SELECT ?a WHERE { _:x ex:a ?a ; ex:b "hidden" }`, "pushdown"},
 }
@@ -275,41 +290,225 @@ ex:m3 ex:site "C" .`
 	_ = c
 }
 
-// TestRoutedInsertKeepsFractionalSeconds: INSERT DATA through a
-// coordinator (routed to its owners as Turtle text) stores the same
-// dateTime keys as a single node, fractional seconds included.
-func TestRoutedInsertKeepsFractionalSeconds(t *testing.T) {
-	const insert = `PREFIX ex: <http://ex/> PREFIX xsd: <http://www.w3.org/2001/XMLSchema#>
-INSERT DATA { ex:a ex:at "2020-01-02T03:04:05.123456789Z"^^xsd:dateTime .
-	ex:b ex:at "2020-01-02T03:04:05.5-05:00"^^xsd:dateTime .
-	ex:c ex:at "2020-01-02T03:04:05Z"^^xsd:dateTime }`
-	keys := func(graphs ...*rdf.Graph) []string {
-		var out []string
-		for _, g := range graphs {
-			g.Triples(func(s, p, o rdf.Term) bool {
-				out = append(out, s.Key()+" "+p.Key()+" "+o.Key())
-				return true
-			})
+// storeKeys renders the union of graphs as sorted triple keys, up to a
+// renaming of blank labels: an array renders by its element type, shape
+// and elements (its Key is its address), and a blank node by the
+// triples around it, with the blank nodes among them left anonymous.
+func storeKeys(graphs ...*rdf.Graph) []string {
+	key := func(t rdf.Term) string {
+		switch v := t.(type) {
+		case rdf.Blank:
+			return "_:"
+		case rdf.Array:
+			return fmt.Sprintf("array %v %v %v", v.A.Etype(), v.A.Shape, v.A)
 		}
-		sort.Strings(out)
-		return out
+		return t.Key()
 	}
+	var triples [][3]rdf.Term
+	around := map[rdf.Term][]string{}
+	for _, g := range graphs {
+		g.Triples(func(s, p, o rdf.Term) bool {
+			triples = append(triples, [3]rdf.Term{s, p, o})
+			if s.Kind() == rdf.KindBlank {
+				around[s] = append(around[s], "→ "+key(p)+" "+key(o))
+			}
+			if o.Kind() == rdf.KindBlank {
+				around[o] = append(around[o], "← "+key(s)+" "+key(p))
+			}
+			return true
+		})
+	}
+	name := func(t rdf.Term) string {
+		if t.Kind() != rdf.KindBlank {
+			return key(t)
+		}
+		sort.Strings(around[t])
+		return "_:{" + strings.Join(around[t], ", ") + "}"
+	}
+	out := make([]string, len(triples))
+	for i, tr := range triples {
+		out[i] = name(tr[0]) + " " + name(tr[1]) + " " + name(tr[2])
+	}
+	sort.Strings(out)
+	return out
+}
+
+// routedWrites is the same sequence of writes, through every entry
+// point a write can take into a node or a coordinator, with the terms
+// whose text forms have broken routed writes before. It returns the
+// counts the calls reported.
+func routedWrites(t *testing.T, node *core.SSDM) []int {
+	t.Helper()
+	const prefixes = `PREFIX ex: <http://ex/> PREFIX xsd: <http://www.w3.org/2001/XMLSchema#> `
+	var counts []int
+	update := func(src string) {
+		n, err := node.Update(prefixes + src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		counts = append(counts, n)
+	}
+	update(`INSERT DATA {
+	ex:a ex:at "2020-01-02T03:04:05.123456789Z"^^xsd:dateTime .
+	ex:b ex:at "2020-01-02T03:04:05.5-05:00"^^xsd:dateTime .
+	ex:c ex:at "2020-01-02T03:04:05Z"^^xsd:dateTime .
+	ex:f ex:v "NaN"^^xsd:double , "INF"^^xsd:double , "-INF"^^xsd:double , "-0"^^xsd:double , "0"^^xsd:double .
+	ex:t ex:v "a\u0001b" , "say \"hej\"\nthen leave"@sv , "tab\there" , "line\r\nbreak"@en-GB .
+	ex:t ex:v "x\\y \"q\""^^ex:dt , "<odd> > text\n"^^ex:dt .
+	ex:d1 ex:author _:w1 . _:w1 ex:name "Ann" ; ex:knows _:w2 .
+	ex:d2 ex:author _:w2 . _:w2 ex:name "Bo" ; ex:knows _:w3 .
+	ex:d3 ex:author _:w3 . _:w3 ex:name "Cy" ; ex:at "1999-12-31T23:59:59.000000001-09:30"^^xsd:dateTime .
+	ex:d4 ex:author _:w4 . _:w4 ex:name "Di" ; ex:knows _:w1 .
+}`)
+	update(`DELETE DATA { ex:f ex:v "INF"^^xsd:double . ex:t ex:v "tab\there" .
+	ex:c ex:at "2020-01-02T03:04:05Z"^^xsd:dateTime }`)
+	if err := node.LoadTurtle(`@prefix ex: <http://ex/> .
+ex:m1 ex:data (1 2 3) ; ex:site "A" .
+_:m2 ex:data (4.5 5.5) ; ex:site "B\u0007" ; ex:about ex:m1 .
+ex:m3 ex:author [ ex:name "Ed" ; ex:data ((1 2) (3 4)) ] .`, ""); err != nil {
+		t.Fatalf("LoadTurtle: %v", err)
+	}
+	ints, _ := array.FromInts([]int64{7, 8, 9}, 3)
+	floats, _ := array.FromFloats([]float64{math.NaN(), -0.5, math.Inf(-1), 1e-300}, 2, 2)
+	if err := node.AddArrayTriple(rdf.IRI("http://ex/r1"), "http://ex/result", ints); err != nil {
+		t.Fatalf("AddArrayTriple: %v", err)
+	}
+	if err := node.AddArrayTriple(rdf.Blank("r2"), "http://ex/result", floats); err != nil {
+		t.Fatalf("AddArrayTriple: %v", err)
+	}
+
+	// The triples op, sent to a server in front of the node.
+	srv := server.New(node)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl, err := ssdmclient.Connect(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	p, q := rdf.IRI("http://ex/p"), rdf.IRI("http://ex/q")
+	w := rdf.IRI("http://ex/w1")
+	for _, call := range []struct {
+		rows [][]rdf.Term
+		del  bool
+	}{
+		{[][]rdf.Term{
+			{w, p, rdf.Float(math.NaN())},
+			{w, p, rdf.Float(math.Copysign(0, -1))},
+			{w, q, rdf.Blank("w2")},
+			{rdf.Blank("w2"), p, rdf.String{Val: "ctl\x00\x1f \"\n", Lang: "en"}},
+			{rdf.Blank("w2"), q, rdf.NewArray(ints)},
+			{w, q, rdf.NewArray(floats)},
+			{w, p, rdf.DateTime{T: time.Date(2001, 2, 3, 4, 5, 6, 7, time.FixedZone("", 5*3600+45*60))}},
+			{w, p, rdf.Typed{Lexical: "a\"b\\c\n", Datatype: "http://ex/dt"}},
+		}, false},
+		{[][]rdf.Term{{w, p, rdf.Float(math.NaN())}, {w, p, rdf.Integer(404)}}, true},
+	} {
+		n, err := cl.WriteTriples(context.Background(), call.rows, call.del)
+		if err != nil {
+			t.Fatalf("triples op: %v", err)
+		}
+		counts = append(counts, n)
+	}
+	return counts
+}
+
+// TestRoutedInsertKeepsFractionalSeconds: every way a write enters a
+// node — INSERT DATA, DELETE DATA, a Turtle load, AddArrayTriple and the
+// triples op over the wire — leaves a coordinator's shards holding what
+// a single node holds after the same writes, up to blank labels, over
+// 1, 2 and 4 local or remote shards. Routed as Turtle text, a dateTime
+// lost its fractional seconds, a NaN or a control character failed the
+// statement, blank nodes split or merged across shards, an array on a
+// blank subject could not be routed and AddArrayTriple wrote to the
+// coordinator's own graph, which no query reads.
+func TestRoutedInsertKeepsFractionalSeconds(t *testing.T) {
 	single := core.Open()
-	if _, err := single.Update(insert); err != nil {
+	wantCounts := routedWrites(t, single)
+	want := storeKeys(single.Dataset.Default)
+	for _, n := range []int{1, 2, 4} {
+		for _, remote := range []bool{false, true} {
+			var (
+				node *core.SSDM
+				dbs  []*core.SSDM
+			)
+			if remote {
+				node, _, dbs = remoteCluster(t, n)
+			} else {
+				var c *Coordinator
+				node, c = cluster(t, n)
+				for _, sh := range c.shards {
+					dbs = append(dbs, sh.(*LocalShard).DB())
+				}
+			}
+			label := fmt.Sprintf("%d shards, remote %v", n, remote)
+			if counts := routedWrites(t, node); !slices.Equal(counts, wantCounts) {
+				t.Errorf("%s: the writes reported %v, a single node %v", label, counts, wantCounts)
+			}
+			var graphs []*rdf.Graph
+			for _, db := range dbs {
+				graphs = append(graphs, db.Dataset.Default)
+			}
+			if got := storeKeys(graphs...); !slices.Equal(got, want) {
+				t.Errorf("%s: the shards hold\n%s\nwant (a single node's)\n%s", label, strings.Join(got, "\n"), strings.Join(want, "\n"))
+			}
+			if size := node.Dataset.Default.Size(); size != 0 {
+				t.Errorf("%s: the coordinator's own graph holds %d triples", label, size)
+			}
+		}
+	}
+}
+
+// TestCoordinatorRestartKeepsBlankNodesApart: shards keep blank labels
+// as given, so the labels a coordinator mints must not repeat those of
+// the coordinator it replaced. Two coordinators over the same shards
+// each load a document of blank-node authors; the join through them
+// answers as on a single node that loaded both.
+func TestCoordinatorRestartKeepsBlankNodesApart(t *testing.T) {
+	doc := func(first int) string {
+		var sb strings.Builder
+		sb.WriteString("@prefix ex: <http://ex/> .\n")
+		for i := first; i < first+6; i++ {
+			fmt.Fprintf(&sb, "ex:d%d ex:author [ ex:name \"author %d\" ] .\n", i, i)
+		}
+		return sb.String()
+	}
+	const join = `PREFIX ex: <http://ex/> SELECT ?d ?n WHERE { ?d ex:author ?w . ?w ex:name ?n }`
+	single := core.Open()
+	shards := make([]Shard, 4)
+	for i := range shards {
+		shards[i] = NewLocalShard(fmt.Sprintf("shard-%d", i), core.Open())
+	}
+	var node *core.SSDM
+	for _, first := range []int{1, 7} {
+		if err := single.LoadTurtle(doc(first), ""); err != nil {
+			t.Fatal(err)
+		}
+		node = core.Open()
+		c, err := New(node, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node.SetDistributor(c)
+		if err := node.LoadTurtle(doc(first), ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := single.Query(join)
+	if err != nil {
 		t.Fatal(err)
 	}
-	want := keys(single.Dataset.Default)
-	node, c := cluster(t, 2)
-	if _, err := node.Update(insert); err != nil {
+	got, err := node.Query(join)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var graphs []*rdf.Graph
-	for _, sh := range c.shards {
-		graphs = append(graphs, sh.(*LocalShard).DB().Dataset.Default)
+	if want.Len() != 12 {
+		t.Fatalf("a single node answers %d rows, want 12", want.Len())
 	}
-	if got := keys(graphs...); strings.Join(got, "\n") != strings.Join(want, "\n") {
-		t.Fatalf("the shards hold\n%s\nwant (a single node's)\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
-	}
+	sameResults(t, "join after a restart", want, got)
 }
 
 func TestDefineBroadcast(t *testing.T) {
@@ -351,8 +550,8 @@ func (failShard) Query(ctx context.Context, src string, lim engine.Limits) (*eng
 func (failShard) Update(ctx context.Context, src string, lim engine.Limits) (int, error) {
 	return 0, errors.New("connection refused")
 }
-func (failShard) AddArrayTriple(ctx context.Context, subject, property rdf.IRI, a *array.Array) error {
-	return errors.New("connection refused")
+func (failShard) WriteTriples(ctx context.Context, rows [][]rdf.Term, del bool) (int, error) {
+	return 0, errors.New("connection refused")
 }
 func (failShard) Close() error { return nil }
 
@@ -409,8 +608,8 @@ func (b *blockShard) Update(ctx context.Context, src string, lim engine.Limits) 
 	<-ctx.Done()
 	return 0, ctx.Err()
 }
-func (b *blockShard) AddArrayTriple(ctx context.Context, subject, property rdf.IRI, a *array.Array) error {
-	return nil
+func (b *blockShard) WriteTriples(ctx context.Context, rows [][]rdf.Term, del bool) (int, error) {
+	return 0, nil
 }
 func (b *blockShard) Close() error { return nil }
 

@@ -46,7 +46,7 @@ func TestGuardGatherBytesPerRow(t *testing.T) {
 // sharded-mix, EXPERIMENTS.md).
 func TestGuardRemoteGatherBytesPerRow(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	node, c := remoteCluster(t, 4)
+	node, c, _ := remoteCluster(t, 4)
 	if perRow := gatherBytesPerRow(t, node, c); perRow > 548 {
 		t.Errorf("remote gather allocates %.0f B per row, want <= 548", perRow)
 	}

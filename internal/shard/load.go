@@ -3,25 +3,17 @@ package shard
 import (
 	"context"
 	"fmt"
-	"strings"
 
-	"scisparql/internal/array"
 	"scisparql/internal/core"
-	"scisparql/internal/engine"
 	"scisparql/internal/rdf"
 )
-
-// loadBatch bounds the triples per INSERT DATA statement when routing
-// a document, keeping statement sizes (and remote frames) moderate.
-const loadBatch = 2000
 
 // LoadTurtle implements core.Distributor: the document is parsed and
 // consolidated at the coordinator (collection and data-cube
 // consolidation walk chains that cross subjects, so they must see the
 // whole document before partitioning), blank labels are rewritten to
-// coordinator-unique ones, and the resulting triples are routed to
-// their owner shards — scalar triples as INSERT DATA batches on the
-// durable write path, consolidated arrays through the array API.
+// coordinator-unique ones, and the triples, arrays included, go to their
+// owners as in WriteTriples: one table per shard for the document.
 func (c *Coordinator) LoadTurtle(src string, graph rdf.IRI) error {
 	if graph != "" {
 		return fmt.Errorf("%w: named-graph load (shards partition the default graph)", ErrUnsupported)
@@ -41,71 +33,12 @@ func (c *Coordinator) LoadTurtle(src string, graph rdf.IRI) error {
 		c.node.SetPrefix(name, ns)
 	}
 
-	relabel := map[string]rdf.Blank{}
-	blank := func(t rdf.Term) rdf.Term {
-		b, ok := t.(rdf.Blank)
-		if !ok {
-			return t
-		}
-		nb, ok := relabel[string(b)]
-		if !ok {
-			nb = rdf.Blank(c.nextBlank())
-			relabel[string(b)] = nb
-		}
-		return nb
-	}
-
-	type arrayRoute struct {
-		s, p rdf.IRI
-		a    *array.Array
-	}
-	batches := make([][]string, len(c.shards))
-	arrays := make([][]arrayRoute, len(c.shards))
-	var walkErr error
+	relabel := c.relabeler()
+	var rows [][]rdf.Term
 	tmp.Dataset.Default.Triples(func(s, p, o rdf.Term) bool {
-		pi, ok := p.(rdf.IRI)
-		if !ok {
-			walkErr = fmt.Errorf("shard: non-IRI predicate %v in document", p)
-			return false
-		}
-		s = blank(s)
-		i := c.part.Owner(s)
-		if av, ok := o.(rdf.Array); ok {
-			si, ok := s.(rdf.IRI)
-			if !ok {
-				walkErr = fmt.Errorf("%w: array value on blank-node subject %v", ErrUnsupported, s)
-				return false
-			}
-			arrays[i] = append(arrays[i], arrayRoute{s: si, p: pi, a: av.A})
-			return true
-		}
-		o = blank(o)
-		batches[i] = append(batches[i], s.String()+" "+pi.String()+" "+o.String()+" .")
+		rows = append(rows, []rdf.Term{relabel(s), p, relabel(o)})
 		return true
 	})
-	if walkErr != nil {
-		return walkErr
-	}
-
-	return c.scatter(context.Background(), func(ctx context.Context, i int, sh Shard) error {
-		rows := batches[i]
-		for len(rows) > 0 {
-			n := loadBatch
-			if n > len(rows) {
-				n = len(rows)
-			}
-			c.perShard[i].calls.Add(1)
-			if _, err := sh.Update(ctx, "INSERT DATA { "+strings.Join(rows[:n], " ")+" }", engine.Limits{}); err != nil {
-				return err
-			}
-			rows = rows[n:]
-		}
-		for _, ar := range arrays[i] {
-			c.perShard[i].calls.Add(1)
-			if err := sh.AddArrayTriple(ctx, ar.s, ar.p, ar.a); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	_, err := c.WriteTriples(context.Background(), rows, false)
+	return err
 }

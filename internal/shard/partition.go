@@ -45,9 +45,6 @@ func NewPartitioner(n int) (*Partitioner, error) {
 	return &Partitioner{n: n}, nil
 }
 
-// Shards returns the topology size.
-func (p *Partitioner) Shards() int { return p.n }
-
 // Owner returns the shard index owning all triples of the given
 // subject.
 func (p *Partitioner) Owner(subject rdf.Term) int {

@@ -20,14 +20,17 @@ import (
 
 // remoteCluster starts n in-process SSDM servers and builds a
 // coordinator over remote shards dialed through the wire protocol —
-// the same path a real multi-host deployment uses.
-func remoteCluster(t *testing.T, n int) (*core.SSDM, *Coordinator) {
+// the same path a real multi-host deployment uses. It also returns the
+// servers' instances, for tests that inspect what the shards store.
+func remoteCluster(t *testing.T, n int) (*core.SSDM, *Coordinator, []*core.SSDM) {
 	t.Helper()
 	node := core.Open()
 	shards := make([]Shard, n)
+	dbs := make([]*core.SSDM, n)
 	for i := range shards {
 		db := core.Open()
 		db.AttachBackend(storage.NewMemory())
+		dbs[i] = db
 		srv := server.New(db)
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
@@ -46,11 +49,11 @@ func remoteCluster(t *testing.T, n int) (*core.SSDM, *Coordinator) {
 	}
 	t.Cleanup(func() { c.Close() })
 	node.SetDistributor(c)
-	return node, c
+	return node, c, dbs
 }
 
 func TestRemoteShardsRoundTrip(t *testing.T) {
-	node, _ := remoteCluster(t, 3)
+	node, _, _ := remoteCluster(t, 3)
 
 	if _, err := node.Update(`PREFIX ex: <http://ex/> INSERT DATA {
 		ex:r1 ex:v 1 ; ex:tag "a" .
@@ -94,7 +97,7 @@ ex:m1 ex:data (1 2 3 4) . ex:m2 ex:data (5 6) .`, ""); err != nil {
 }
 
 func TestRemoteShardDownFailsTyped(t *testing.T) {
-	node, c := remoteCluster(t, 2)
+	node, c, _ := remoteCluster(t, 2)
 	if _, err := node.Update(`PREFIX ex: <http://ex/> INSERT DATA { ex:r1 ex:v 1 . ex:r2 ex:v 2 }`); err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +111,7 @@ func TestRemoteShardDownFailsTyped(t *testing.T) {
 }
 
 func TestRemoteGroundSubjectRoutesOnce(t *testing.T) {
-	node, c := remoteCluster(t, 4)
+	node, c, _ := remoteCluster(t, 4)
 	for i := 0; i < 8; i++ {
 		if _, err := node.Update(fmt.Sprintf(`PREFIX ex: <http://ex/> INSERT DATA { ex:g%d ex:v %d }`, i, i)); err != nil {
 			t.Fatal(err)
@@ -217,7 +220,7 @@ func TestRemoteScanGroundTermsMatchLocal(t *testing.T) {
 // "no triples" — and the coordinator stacked on it reports the leg
 // typed, naming the peer.
 func TestScanRefusedByCoordinator(t *testing.T) {
-	node, _ := remoteCluster(t, 2)
+	node, _, _ := remoteCluster(t, 2)
 	if _, err := node.Update(`PREFIX ex: <http://ex/> INSERT DATA { ex:r1 ex:tag "a" . ex:r2 ex:tag "a" }`); err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"scisparql/internal/array"
 	"scisparql/internal/core"
 	"scisparql/internal/engine"
 	"scisparql/internal/rdf"
@@ -33,9 +32,9 @@ type Shard interface {
 	// Update runs a single update statement against the shard.
 	Update(ctx context.Context, src string, lim engine.Limits) (int, error)
 
-	// AddArrayTriple attaches an array value under (subject, property)
-	// on the shard, storing the array shard-locally.
-	AddArrayTriple(ctx context.Context, subject, property rdf.IRI, a *array.Array) error
+	// WriteTriples adds (with del, removes) ground triples on the shard
+	// as one transaction, as core.SSDM.WriteTriples does.
+	WriteTriples(ctx context.Context, rows [][]rdf.Term, del bool) (int, error)
 
 	// Close releases the shard's resources (connections for remote
 	// shards; a no-op for local ones).
@@ -83,9 +82,9 @@ func (l *LocalShard) Update(ctx context.Context, src string, lim engine.Limits) 
 	return l.db.UpdateLimits(ctx, src, lim)
 }
 
-// AddArrayTriple implements Shard.
-func (l *LocalShard) AddArrayTriple(ctx context.Context, subject, property rdf.IRI, a *array.Array) error {
-	return l.db.AddArrayTriple(subject, property, a)
+// WriteTriples implements Shard on the instance's durable write path.
+func (l *LocalShard) WriteTriples(ctx context.Context, rows [][]rdf.Term, del bool) (int, error) {
+	return l.db.WriteTriples(ctx, rows, del)
 }
 
 // Close implements Shard; local shards own no external resources.
@@ -94,8 +93,8 @@ func (l *LocalShard) Close() error { return nil }
 // RemoteShard is a Shard backed by an SSDM peer reached over the wire
 // protocol through ssdmclient (reconnect with backoff, idempotent
 // retry for reads). The peer must be a leaf — an ssdm-server with no
-// -shards of its own — that speaks the ops query, update, array_triple
-// and scan. There is no version negotiation and no fallback: a peer
+// -shards of its own — that speaks the ops query, update, triples and
+// scan. There is no version negotiation and no fallback: a peer
 // that answers "unknown op scan", or refuses the scan because it is
 // itself a coordinator, fails the gather with core.ErrShardUnavailable
 // naming it.
@@ -112,11 +111,6 @@ func Dial(addr string) (*RemoteShard, error) {
 		return nil, fmt.Errorf("shard %s: %w", addr, err)
 	}
 	return &RemoteShard{name: addr, c: c}, nil
-}
-
-// NewRemoteShard wraps an existing client connection as a shard.
-func NewRemoteShard(name string, c *ssdmclient.Client) *RemoteShard {
-	return &RemoteShard{name: name, c: c}
 }
 
 // Name implements Shard.
@@ -152,10 +146,10 @@ func (r *RemoteShard) Update(ctx context.Context, src string, lim engine.Limits)
 	return r.c.UpdateGuarded(ctx, src, guards(lim))
 }
 
-// AddArrayTriple implements Shard; the array ships inline and is
-// stored on the peer.
-func (r *RemoteShard) AddArrayTriple(ctx context.Context, subject, property rdf.IRI, a *array.Array) error {
-	return r.c.AddArrayTripleContext(ctx, subject, property, a)
+// WriteTriples implements Shard with the wire op triples: the rows go
+// out as one binary table of terms, never as text.
+func (r *RemoteShard) WriteTriples(ctx context.Context, rows [][]rdf.Term, del bool) (int, error) {
+	return r.c.WriteTriples(ctx, rows, del)
 }
 
 // Close implements Shard.

@@ -27,9 +27,9 @@ func (c *Coordinator) Update(ctx context.Context, st sparql.Statement, script st
 	}
 	switch v := st.(type) {
 	case *sparql.InsertData:
-		return c.routeData(ctx, v.Triples, v.Graph, false, lim)
+		return c.routeData(ctx, v.Triples, v.Graph, false)
 	case *sparql.DeleteData:
-		return c.routeData(ctx, v.Triples, v.Graph, true, lim)
+		return c.routeData(ctx, v.Triples, v.Graph, true)
 	case *sparql.Clear:
 		text := "CLEAR DEFAULT"
 		if !v.Default {
@@ -50,62 +50,41 @@ func (c *Coordinator) Update(ctx context.Context, st sparql.Statement, script st
 	}
 }
 
-// routeData partitions ground triples by subject and applies each
-// shard's slice as one INSERT DATA / DELETE DATA statement, all
-// shards concurrently.
-func (c *Coordinator) routeData(ctx context.Context, triples []sparql.TriplePattern, graph rdf.IRI, del bool, lim engine.Limits) (int, error) {
+// routeData applies one INSERT DATA / DELETE DATA statement, whose
+// triples the parser admits only ground and with IRI predicates: its
+// blank labels are rewritten to coordinator-unique ones, and the rows
+// go to their owners as in WriteTriples.
+func (c *Coordinator) routeData(ctx context.Context, triples []sparql.TriplePattern, graph rdf.IRI, del bool) (int, error) {
 	if graph != "" {
 		return 0, fmt.Errorf("%w: named-graph data (shards partition the default graph)", ErrUnsupported)
 	}
-	verb := "INSERT DATA"
-	if del {
-		verb = "DELETE DATA"
+	relabel := c.relabeler()
+	rows := make([][]rdf.Term, len(triples))
+	for i, tp := range triples {
+		rows[i] = []rdf.Term{relabel(tp.S.Term), tp.Path.(sparql.PathIRI).IRI, relabel(tp.O.Term)}
 	}
+	return c.WriteTriples(ctx, rows, del)
+}
 
-	// INSERT DATA blank labels are statement-scoped: rewrite them to
-	// coordinator-unique labels so no two statements (or shards) can
-	// collide. DELETE DATA carries no blanks per the SPARQL grammar.
-	relabel := map[string]rdf.Blank{}
-	blank := func(t rdf.Term) rdf.Term {
-		b, ok := t.(rdf.Blank)
-		if !ok {
-			return t
-		}
-		nb, ok := relabel[string(b)]
-		if !ok {
-			nb = rdf.Blank(c.nextBlank())
-			relabel[string(b)] = nb
-		}
-		return nb
+// WriteTriples implements core.Distributor: each shard gets its
+// subjects' rows as one table, applied there as one transaction, all
+// shards concurrently, blank labels as given. A write is atomic per
+// shard only: a failing shard leaves the others' tables applied.
+func (c *Coordinator) WriteTriples(ctx context.Context, rows [][]rdf.Term, del bool) (int, error) {
+	byOwner := make([][][]rdf.Term, len(c.shards))
+	for _, row := range rows {
+		i := c.part.Owner(row[0])
+		byOwner[i] = append(byOwner[i], row)
 	}
-
-	batches := make([][]string, len(c.shards))
-	for _, tp := range triples {
-		if tp.S.IsVar() || tp.O.IsVar() {
-			return 0, fmt.Errorf("%w: variables in ground data", ErrUnsupported)
-		}
-		p, ok := tp.Path.(sparql.PathIRI)
-		if !ok {
-			return 0, fmt.Errorf("%w: property path in ground data", ErrUnsupported)
-		}
-		s := blank(tp.S.Term)
-		o := blank(tp.O.Term)
-		i := c.part.Owner(s)
-		batches[i] = append(batches[i], s.String()+" "+p.IRI.String()+" "+o.String()+" .")
-	}
-
 	var total atomic.Int64
 	err := c.scatter(ctx, func(ctx context.Context, i int, sh Shard) error {
-		if len(batches[i]) == 0 {
+		if len(byOwner[i]) == 0 {
 			return nil
 		}
 		c.perShard[i].calls.Add(1)
-		n, err := sh.Update(ctx, verb+" { "+strings.Join(batches[i], " ")+" }", lim)
-		if err != nil {
-			return err
-		}
+		n, err := sh.WriteTriples(ctx, byOwner[i], del)
 		total.Add(int64(n))
-		return nil
+		return err
 	})
 	return int(total.Load()), err
 }

@@ -162,12 +162,12 @@ func (g Guards) apply(req *protocol.Request) {
 
 // peerTimed reports whether the server bounds op by the request's
 // timeout_ms and answers a typed timeout once it passes: the ops that
-// run a query, an update or a scan. Every other op (ping, stats, loads,
-// array uploads) runs to completion on the server whatever the request
-// says.
+// run a query, an update, a triple write or a scan. Every other op
+// (ping, stats, loads, array uploads) runs to completion on the server
+// whatever the request says.
 func peerTimed(op string) bool {
 	switch op {
-	case protocol.OpQuery, protocol.OpExplain, protocol.OpExecute, protocol.OpUpdate, protocol.OpScan:
+	case protocol.OpQuery, protocol.OpExplain, protocol.OpExecute, protocol.OpUpdate, protocol.OpTriples, protocol.OpScan:
 		return true
 	}
 	return false
@@ -583,25 +583,20 @@ func (c *Client) StoreArrayContext(ctx context.Context, a *array.Array) (int64, 
 	return resp.ArrayID, nil
 }
 
-// AddArrayTriple uploads an array and attaches it as (subject,
-// property, array) in the server's default graph — the one-call path a
-// workflow uses to publish a result with its metadata handle.
-func (c *Client) AddArrayTriple(subject, property rdf.IRI, a *array.Array) error {
-	return c.AddArrayTripleContext(context.Background(), subject, property, a)
-}
-
-// AddArrayTripleContext is AddArrayTriple under a context. Not
-// idempotent.
-func (c *Client) AddArrayTripleContext(ctx context.Context, subject, property rdf.IRI, a *array.Array) error {
-	payload, err := protocol.EncodeArray(a)
+// WriteTriples adds ground triples — rows of subject, predicate and
+// object — to the server's default graph (with del, removes them) as one
+// transaction, and reports how many changed; a one-row call publishes a
+// result array, stored on the server's back-end, with its metadata
+// handle. Not idempotent: never auto-retried after a send.
+func (c *Client) WriteTriples(ctx context.Context, rows [][]rdf.Term, del bool) (int, error) {
+	blob, err := protocol.EncodeRows(rows, 3)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	_, err = c.roundTrip(ctx, &protocol.Request{
-		Op:       protocol.OpArrayTriple,
-		Subject:  string(subject),
-		Property: string(property),
-		Array:    payload,
-	}, false)
-	return err
+	defer protocol.Release(blob)
+	resp, err := c.roundTrip(ctx, &protocol.Request{Op: protocol.OpTriples, Rows: blob, Delete: del}, false)
+	if err != nil {
+		return 0, err
+	}
+	return resp.Count, nil
 }
