@@ -2,159 +2,202 @@ package core
 
 import (
 	"bufio"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"maps"
 	"os"
-	"strconv"
-	"strings"
+	"path/filepath"
+	"slices"
 
+	"scisparql/internal/array"
 	"scisparql/internal/rdf"
-	"scisparql/internal/turtle"
+	"scisparql/internal/wal"
 )
 
 // Snapshotting (dissertation §2.2.3): SSDM's graphs are main-memory
 // structures; an image is dumped to disk and loaded back to survive
-// restarts. The image is a plain text file of sections, one per graph,
-// each containing standards-compliant Turtle:
+// restarts. An image is written in the write-ahead log's own records,
+// one frame after another:
 //
-//	#graph <default>            (or #graph <IRI>)
-//	<turtle triples ...>
+//	image    the log position it was taken at (0 for a snapshot)
+//	prefix   one per declared prefix
+//	define   one per DEFINE the instance replays
+//	batch    each graph's triples as adds, at most imageBatchRows a
+//	         record, each with the graph's blank-node counter
 //
-// Resident arrays serialize as nested collections (consolidated again
-// on load); proxied arrays serialize as "id"^^ssdm:fileLink literals
-// that re-resolve against the back-end attached at load time.
+// so restoring one is replaying it: labels, counters and every term
+// come back as they were. A checkpoint is the image of a WAL instance.
 
-const snapshotHeader = "#ssdm-snapshot 1"
+// imageBatchRows and imageBatchBytes bound one batch record of an image
+// — its triples, and the elements of the resident arrays among them —
+// so that no frame nears the log's frame limit however large a graph
+// grows.
+const (
+	imageBatchRows  = 1 << 14
+	imageBatchBytes = 64 << 20
+)
 
-// SaveSnapshot writes the whole dataset to path. It takes the
-// operation lock's read side, which excludes writers (but not queries,
-// which need no lock), so the image is cross-graph consistent.
+// errCoordinatorImage refuses snapshots on a shard coordinator, whose
+// own graphs hold none of the data its shards do.
+var errCoordinatorImage = fmt.Errorf("ssdm: snapshots on a shard coordinator: %w (snapshot each shard)", errors.ErrUnsupported)
+
+// SaveSnapshot writes the whole dataset to path as an image. It takes
+// the operation lock's read side, which excludes writers (but not
+// queries, which need no lock), so the image is cross-graph consistent.
+// A coordinator refuses it with errors.ErrUnsupported.
 func (s *SSDM) SaveSnapshot(path string) error {
+	if s.dist != nil {
+		return errCoordinatorImage
+	}
 	s.op.RLock()
 	defer s.op.RUnlock()
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w := bufio.NewWriter(f)
-	if err := s.writeSnapshotBody(w); err != nil {
-		return err
-	}
-	return w.Flush()
+	return s.writeImage(path, 0)
 }
 
-// writeSnapshotBody serializes the dataset in snapshot format (header
-// plus one Turtle section per graph) to w. The caller holds the
-// operation lock (either side: writers are excluded both ways).
-func (s *SSDM) writeSnapshotBody(w *bufio.Writer) error {
-	fmt.Fprintln(w, snapshotHeader)
-	writeGraph := func(name string, g *rdf.Graph) error {
-		fmt.Fprintf(w, "#graph <%s>\n", name)
-		prepared, err := s.snapshotView(g)
-		if err != nil {
-			return err
-		}
-		if err := turtle.Write(w, prepared, s.prefixSnapshot()); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-		return nil
-	}
-	if err := writeGraph("default", s.Dataset.Default); err != nil {
-		return err
-	}
-	for _, name := range s.Dataset.GraphNames() {
-		if err := writeGraph(string(name), s.Dataset.Named(name, false)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// snapshotView rewrites proxied array terms into file-link literals so
-// the Turtle writer never has to pull external data.
-func (s *SSDM) snapshotView(g *rdf.Graph) (*rdf.Graph, error) {
-	out := rdf.NewGraph()
-	tx := out.Begin()
-	defer tx.Commit() // out is read only after this returns
-	var err error
-	g.Triples(func(sub, p, o rdf.Term) bool {
-		pi, ok := p.(rdf.IRI)
-		if !ok {
-			return true
-		}
-		if at, isArr := o.(rdf.Array); isArr && at.A.Base.Proxy != nil {
-			if !at.A.IsWholeBase() {
-				err = fmt.Errorf("ssdm: cannot snapshot a partial proxied view")
-				return false
-			}
-			link := rdf.Typed{
-				Lexical:  strconv.FormatInt(at.A.Base.Proxy.ArrayID, 10),
-				Datatype: rdf.SSDMFileLink,
-			}
-			tx.Add(sub, pi, link)
-			return true
-		}
-		tx.Add(sub, pi, o)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// LoadSnapshot restores a dataset image written by SaveSnapshot into
-// this instance (merging into existing graphs). File links resolve
-// against the currently attached back-end.
+// LoadSnapshot restores an image written by SaveSnapshot (or a
+// checkpoint) into this instance, merging into existing graphs, by
+// replaying its records as one exclusive operation. Blank labels are
+// kept as written, file links resolve against the currently attached
+// back-end. Replayed records are not logged, so on a WAL instance the
+// load ends with a checkpoint. A coordinator refuses it with
+// errors.ErrUnsupported.
 func (s *SSDM) LoadSnapshot(path string) error {
+	if s.dist != nil {
+		return errCoordinatorImage
+	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	// One exclusive critical section for the whole restore, so
-	// concurrent queries see either none or all of the snapshot.
 	s.op.Lock()
 	defer s.op.Unlock()
-	return s.loadSnapshotTextLocked(string(data))
+	_, err = s.replayImage(data, path)
+	s.qcache.invalidate()
+	if err == nil && s.walEnabled() {
+		err = s.checkpointLocked()
+	}
+	return err
 }
 
-// loadSnapshotTextLocked restores a snapshot-format document (the body
-// SaveSnapshot and checkpoints write). The caller holds the operation
-// write lock.
-func (s *SSDM) loadSnapshotTextLocked(data string) error {
-	lines := strings.Split(data, "\n")
-	if len(lines) == 0 || strings.TrimSpace(lines[0]) != snapshotHeader {
-		return fmt.Errorf("ssdm: not a snapshot document")
+// replayImage applies the records of the image data, read from path,
+// and returns the log position it was taken at. The caller holds the
+// operation write lock.
+func (s *SSDM) replayImage(data []byte, path string) (uint64, error) {
+	typ, body, n, err := wal.DecodeFrame(data)
+	lsn, k := binary.Uvarint(body)
+	if err != nil || typ != wal.RecImage || k != len(body) {
+		return 0, fmt.Errorf("ssdm: %s is not an image", path)
 	}
-	var sections []struct {
-		name string
-		body []string
-	}
-	for _, line := range lines[1:] {
-		if strings.HasPrefix(line, "#graph <") {
-			name := strings.TrimSuffix(strings.TrimPrefix(line, "#graph <"), ">")
-			sections = append(sections, struct {
-				name string
-				body []string
-			}{name: name})
-			continue
+	for data = data[n:]; len(data) > 0; data = data[n:] {
+		if typ, body, n, err = wal.DecodeFrame(data); err == nil {
+			err = s.applyWalRecord(typ, body)
 		}
-		if len(sections) == 0 {
-			if strings.TrimSpace(line) == "" {
-				continue
+		if err != nil {
+			return 0, err
+		}
+	}
+	return lsn, nil
+}
+
+// writeImage writes the image taken at lsn to a temporary file beside
+// path, syncs it and renames it over path, so a crash leaves either the
+// old image or the new one. The caller holds the operation lock (either
+// side: writers are excluded both ways).
+func (s *SSDM) writeImage(path string, lsn uint64) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriter(f)
+	if err = s.encodeImage(w, lsn); err == nil {
+		err = w.Flush()
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	syncDir(filepath.Dir(path))
+	return nil
+}
+
+// encodeImage writes the image's records to w.
+func (s *SSDM) encodeImage(w io.Writer, lsn uint64) error {
+	var frame []byte
+	put := func(typ byte, body []byte, err error) error {
+		if err == nil {
+			frame, err = wal.AppendFrame(frame[:0], typ, body)
+		}
+		if err == nil {
+			_, err = w.Write(frame)
+		}
+		return err
+	}
+	if err := put(wal.RecImage, binary.AppendUvarint(nil, lsn), nil); err != nil {
+		return err
+	}
+	prefixes := s.prefixSnapshot()
+	for _, name := range slices.Sorted(maps.Keys(prefixes)) {
+		body, err := json.Marshal(recPrefix{Name: name, NS: prefixes[name]})
+		if err := put(wal.RecPrefix, body, err); err != nil {
+			return err
+		}
+	}
+	for _, d := range s.defines {
+		body, err := json.Marshal(d)
+		if err := put(wal.RecDefine, body, err); err != nil {
+			return err
+		}
+	}
+	var (
+		cells = make([]rdf.Term, 0, 3*imageBatchRows)
+		rows  = make([][]rdf.Term, 0, imageBatchRows)
+		batch []byte
+	)
+	for _, name := range append([]rdf.IRI{""}, s.Dataset.GraphNames()...) {
+		g := s.readGraph(name)
+		// Every graph gets at least one record, so that an empty named
+		// graph and a blank-node counter come back too.
+		flush := func() (err error) {
+			rows = rows[:0]
+			for i := 0; i < len(cells); i += 3 {
+				rows = append(rows, cells[i:i+3])
 			}
-			return fmt.Errorf("ssdm: content before first #graph section")
+			batch, err = appendBatch(batch[:0], name, g.BlankNo(), nil, rows)
+			cells = cells[:0]
+			return put(wal.RecBatch, batch, err)
 		}
-		sections[len(sections)-1].body = append(sections[len(sections)-1].body, line)
-	}
-	for _, sec := range sections {
-		var graph rdf.IRI
-		if sec.name != "default" {
-			graph = rdf.IRI(sec.name)
+		var (
+			err   error
+			bytes int
+		)
+		g.Triples(func(sub, p, o rdf.Term) bool {
+			cells = append(cells, sub, p, o)
+			if at, ok := o.(rdf.Array); ok && at.A.Base.Resident() {
+				bytes += at.A.Count() * array.ElemSize
+			}
+			if len(cells) == cap(cells) || bytes >= imageBatchBytes {
+				err, bytes = flush(), 0
+			}
+			return err == nil
+		})
+		if err == nil {
+			err = flush()
 		}
-		if err := s.loadTurtleLocked(strings.Join(sec.body, "\n"), graph); err != nil {
-			return fmt.Errorf("ssdm: snapshot graph <%s>: %w", sec.name, err)
+		if err != nil {
+			return err
 		}
 	}
 	return nil

@@ -130,9 +130,9 @@ type SSDM struct {
 	qcache *queryCache
 
 	// wal is the write-ahead log; nil until EnableWAL arms it. The
-	// remaining fields are its bookkeeping, guarded by op's write side:
-	// the DEFINE scripts re-executed at recovery, the log position of
-	// the last checkpoint, and what the last recovery restored.
+	// remaining fields are guarded by op's write side: the DEFINE scripts
+	// an image replays, the log position of the last checkpoint, and
+	// what the last recovery restored.
 	wal         *wal.Log
 	defines     []recDefine
 	lastCkptLSN uint64
@@ -600,28 +600,28 @@ func (s *SSDM) runUpdate(ctx context.Context, st sparql.Statement, lim engine.Li
 		return 0, err
 	}
 	var lsn uint64
-	logged := false
-	if s.walEnabled() {
-		if redefinesFunctions(st) {
-			lsn, err = s.walAppendDefine(script, index)
-		} else if len(staged.Ops()) > 0 {
-			lsn, err = s.walAppendBatch(staged.Graph(), staged.Ops(), s.targetGraph(staged.Graph()).BlankNo())
-		} else {
-			err = nil
-		}
-		if err != nil {
-			staged.Abort()
-			s.op.Unlock()
-			return 0, err
-		}
-		logged = redefinesFunctions(st) || len(staged.Ops()) > 0
+	_, clear := st.(*sparql.Clear)
+	logged := s.walEnabled()
+	switch {
+	case !logged:
+	case redefinesFunctions(st):
+		lsn, err = s.walAppendDefine(script, index)
+	case clear && staged.Count() > 0:
+		lsn, err = s.walAppend(wal.RecClear, []byte(staged.Graph()))
+	case len(staged.Ops()) > 0:
+		lsn, err = s.walAppendBatch(staged.Graph(), staged.Ops(), s.targetGraph(staged.Graph()).BlankNo())
+	default:
+		logged = false
+	}
+	if err != nil {
+		staged.Abort()
+		s.op.Unlock()
+		return 0, err
 	}
 	staged.Commit()
 	count := staged.Count()
 	if redefinesFunctions(st) {
-		if s.walEnabled() {
-			s.defines = append(s.defines, recDefine{Script: script, Index: index})
-		}
+		s.defines = append(s.defines, recDefine{Script: script, Index: index})
 		s.qcache.invalidate()
 	}
 	s.maybeCheckpointLocked()
@@ -675,10 +675,8 @@ func (s *SSDM) AddArrayTriple(subj rdf.Term, prop rdf.IRI, a *array.Array) error
 // before anything applies. With a WAL it is one batch record, awaited
 // outside the lock as updates are. A coordinator routes the rows.
 func (s *SSDM) WriteTriples(ctx context.Context, rows [][]rdf.Term, del bool) (int, error) {
-	for i, row := range rows {
-		if len(row) != 3 || row[0] == nil || row[1] == nil || row[2] == nil || row[1].Kind() != rdf.KindIRI {
-			return 0, fmt.Errorf("ssdm: triple %d is not three bound terms with an IRI predicate", i)
-		}
+	if err := checkTriples(rows); err != nil {
+		return 0, err
 	}
 	if s.dist != nil {
 		return s.dist.WriteTriples(ctx, rows, del)
@@ -693,6 +691,15 @@ func (s *SSDM) WriteTriples(ctx context.Context, rows [][]rdf.Term, del bool) (i
 		err = s.walFinish(lsn)
 	}
 	return n, err
+}
+
+func checkTriples(rows [][]rdf.Term) error {
+	for i, row := range rows {
+		if len(row) != 3 || row[0] == nil || row[1] == nil || row[2] == nil || row[1].Kind() != rdf.KindIRI {
+			return fmt.Errorf("ssdm: triple %d is not three bound terms with an IRI predicate", i)
+		}
+	}
+	return nil
 }
 
 // writeLocked is WriteTriples' transaction, under the operation lock.

@@ -1,21 +1,22 @@
 package core
 
 import (
-	"bufio"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
-	"strings"
+	"strconv"
 	"time"
 
 	"scisparql/internal/engine"
-	"scisparql/internal/loader"
 	"scisparql/internal/protocol"
 	"scisparql/internal/rdf"
 	"scisparql/internal/sparql"
+	"scisparql/internal/storage"
 	"scisparql/internal/wal"
 )
 
@@ -33,28 +34,21 @@ func durErr(err error) error {
 
 // --- record payloads -------------------------------------------------
 //
-// WAL record bodies are JSON, using the wire-protocol term encoding so
-// every RDF term — arrays included — round-trips. Proxied arrays are
-// logged as ssdm:fileLink literals (the array data itself lives in the
-// back-end, which is durable on its own) and re-resolve at replay.
-
-// walOp is one physical operation. K follows rdf.OpKind: 0 add,
-// 1 delete, 2 clear (terms absent).
-type walOp struct {
-	K uint8          `json:"k"`
-	S *protocol.Term `json:"s,omitempty"`
-	P *protocol.Term `json:"p,omitempty"`
-	O *protocol.Term `json:"o,omitempty"`
-}
-
-// recBatch is one committed statement or load: the physical triple
-// operations against one graph, plus the graph's blank-node counter
-// after the batch so replayed NewBlank sequences cannot collide.
-type recBatch struct {
-	Graph string  `json:"g,omitempty"`
-	Ops   []walOp `json:"ops,omitempty"`
-	Blank int64   `json:"bn,omitempty"`
-}
+// A batch record holds the triples one statement, load or write call
+// deleted from and added to one graph, as two width-3 row tables
+// (protocol.EncodeRows, the bytes the triples op ships):
+//
+//	uvarint  n, then n bytes: the graph name ("" the default graph)
+//	uvarint  the graph's blank-node counter after the batch
+//	uvarint  n, then n bytes: the deletes table
+//	         the adds table, to the end of the body
+//
+// Replay applies the deletes before the adds, so walAppendBatch refuses
+// ops that hold an add before a delete. A clear is a record of its own
+// whose body is the graph name; prefix and define records are JSON.
+// Proxied arrays are persisted as ssdm:fileLink literals (the array data
+// lives in the back-end, which is durable on its own) and re-resolve at
+// replay.
 
 // recPrefix is a namespace-prefix declaration.
 type recPrefix struct {
@@ -70,38 +64,95 @@ type recDefine struct {
 	Index  int    `json:"i,omitempty"`
 }
 
-// walTerm encodes a term for the log, mapping whole-base proxied
-// arrays to file links exactly as snapshots do.
-func walTerm(t rdf.Term) (*protocol.Term, error) {
-	if at, ok := t.(rdf.Array); ok && at.A.Base.Proxy != nil {
-		if !at.A.IsWholeBase() {
-			return nil, fmt.Errorf("ssdm: cannot log a partial proxied view")
+// appendBatch appends a batch record's body to dst. It rewrites the
+// rows' proxied arrays to file links in place.
+func appendBatch(dst []byte, graph rdf.IRI, blankNo int64, dels, adds [][]rdf.Term) ([]byte, error) {
+	var tables [2][]byte
+	for i, rows := range [2][][]rdf.Term{dels, adds} {
+		if err := linkArrays(rows); err != nil {
+			return nil, err
 		}
-		return &protocol.Term{T: "typed", S: fmt.Sprintf("%d", at.A.Base.Proxy.ArrayID), Dt: string(rdf.SSDMFileLink)}, nil
+		t, err := protocol.EncodeRows(rows, 3)
+		if err != nil {
+			return nil, err
+		}
+		defer protocol.Release(t)
+		tables[i] = t
 	}
-	pt, err := protocol.EncodeTerm(t)
-	if err != nil {
-		return nil, err
-	}
-	return &pt, nil
+	dst = append(binary.AppendUvarint(dst, uint64(len(graph))), graph...)
+	dst = binary.AppendUvarint(dst, uint64(blankNo))
+	dst = append(binary.AppendUvarint(dst, uint64(len(tables[0]))), tables[0]...)
+	return append(dst, tables[1]...), nil
 }
 
-func walOpOf(op rdf.Op) (walOp, error) {
-	w := walOp{K: uint8(op.Kind)}
-	if op.Kind == rdf.OpClear {
-		return w, nil
+var errBatchHeader = errors.New("malformed header")
+
+// decodeBatch reads a batch record's body. Its rows are three bound
+// terms with an IRI predicate; their texts share body's memory.
+func decodeBatch(body []byte) (graph rdf.IRI, blankNo int64, dels, adds [][]rdf.Term, err error) {
+	n, k := binary.Uvarint(body)
+	if k <= 0 || n > uint64(len(body)-k) {
+		return "", 0, nil, nil, errBatchHeader
 	}
-	var err error
-	if w.S, err = walTerm(op.S); err != nil {
-		return w, err
+	graph, body = rdf.IRI(body[k:k+int(n)]), body[k+int(n):]
+	blank, k := binary.Uvarint(body)
+	if k <= 0 || blank > math.MaxInt64 {
+		return "", 0, nil, nil, errBatchHeader
 	}
-	if w.P, err = walTerm(op.P); err != nil {
-		return w, err
+	body = body[k:]
+	if n, k = binary.Uvarint(body); k <= 0 || n > uint64(len(body)-k) {
+		return "", 0, nil, nil, errBatchHeader
 	}
-	if w.O, err = walTerm(op.O); err != nil {
-		return w, err
+	if dels, err = protocol.DecodeRows(body[k : k+int(n)]); err == nil {
+		adds, err = protocol.DecodeRows(body[k+int(n):])
 	}
-	return w, nil
+	if err == nil {
+		if err = checkTriples(dels); err == nil {
+			err = checkTriples(adds)
+		}
+	}
+	return graph, int64(blank), dels, adds, err
+}
+
+// linkArrays rewrites each row's whole-base proxied array object to its
+// ssdm:fileLink literal, in place: the back-end keeps the array, the log
+// and the image keep the link. resolveLinks is its inverse.
+func linkArrays(rows [][]rdf.Term) error {
+	for _, row := range rows {
+		at, ok := row[2].(rdf.Array)
+		if !ok || at.A.Base.Proxy == nil {
+			continue
+		}
+		if !at.A.IsWholeBase() {
+			return errors.New("ssdm: cannot persist a partial proxied view")
+		}
+		row[2] = rdf.Typed{Lexical: strconv.FormatInt(at.A.Base.Proxy.ArrayID, 10), Datatype: rdf.SSDMFileLink}
+	}
+	return nil
+}
+
+// resolveLinks opens each row's ssdm:fileLink object on back-end b, in
+// place; with no back-end the links stay literals.
+func resolveLinks(rows [][]rdf.Term, b storage.Backend) error {
+	if b == nil {
+		return nil
+	}
+	for _, row := range rows {
+		link, ok := row[2].(rdf.Typed)
+		if !ok || link.Datatype != rdf.SSDMFileLink {
+			continue
+		}
+		id, err := strconv.ParseInt(link.Lexical, 10, 64)
+		if err != nil {
+			return fmt.Errorf("ssdm: bad file link %q", link.Lexical)
+		}
+		a, err := b.Open(id)
+		if err != nil {
+			return fmt.Errorf("ssdm: file link %q: %w", link.Lexical, err)
+		}
+		row[2] = rdf.NewArray(a)
+	}
+	return nil
 }
 
 // --- append side -----------------------------------------------------
@@ -111,29 +162,40 @@ func walOpOf(op rdf.Op) (walOp, error) {
 // instance accepts operations.
 func (s *SSDM) walEnabled() bool { return s.wal != nil }
 
-// walAppendBatch encodes and appends one batch record, returning its
-// LSN. It does not wait for durability — the caller publishes the
-// in-memory commit first and then gates its acknowledgement on
-// walFinish, so concurrent updates coalesce into one fsync.
-func (s *SSDM) walAppendBatch(graph rdf.IRI, ops []rdf.Op, blankNo int64) (uint64, error) {
-	rec := recBatch{Graph: string(graph), Blank: blankNo}
-	rec.Ops = make([]walOp, 0, len(ops))
-	for _, op := range ops {
-		w, err := walOpOf(op)
-		if err != nil {
-			return 0, err
-		}
-		rec.Ops = append(rec.Ops, w)
-	}
-	body, err := json.Marshal(rec)
-	if err != nil {
-		return 0, err
-	}
-	lsn, err := s.wal.Append(wal.RecBatch, body)
+// walAppend appends one record and returns its LSN. It does not wait
+// for durability — the caller publishes the in-memory commit first and
+// then gates its acknowledgement on walFinish, so concurrent updates
+// coalesce into one fsync.
+func (s *SSDM) walAppend(typ byte, body []byte) (uint64, error) {
+	lsn, err := s.wal.Append(typ, body)
 	if err != nil {
 		return 0, durErr(err)
 	}
 	return lsn, nil
+}
+
+// walAppendBatch appends the batch record of a transaction's recorded
+// ops against graph, with blank counter blankNo: its deletes, then its
+// adds.
+func (s *SSDM) walAppendBatch(graph rdf.IRI, ops []rdf.Op, blankNo int64) (uint64, error) {
+	cells := make([]rdf.Term, 0, 3*len(ops))
+	rows := make([][]rdf.Term, 0, len(ops))
+	ndel := 0
+	for _, op := range ops {
+		if op.Kind == rdf.OpDelete {
+			if ndel < len(rows) {
+				return 0, errors.New("ssdm: a batch record cannot hold an add before a delete")
+			}
+			ndel++
+		}
+		cells = append(cells, op.S, op.P, op.O)
+		rows = append(rows, cells[len(cells)-3:])
+	}
+	body, err := appendBatch(nil, graph, blankNo, rows[:ndel], rows[ndel:])
+	if err != nil {
+		return 0, err
+	}
+	return s.walAppend(wal.RecBatch, body)
 }
 
 func (s *SSDM) walAppendDefine(script string, index int) (uint64, error) {
@@ -141,11 +203,7 @@ func (s *SSDM) walAppendDefine(script string, index int) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	lsn, err := s.wal.Append(wal.RecDefine, body)
-	if err != nil {
-		return 0, durErr(err)
-	}
-	return lsn, nil
+	return s.walAppend(wal.RecDefine, body)
 }
 
 // walFinish waits until the record at lsn is durable per the sync
@@ -176,29 +234,17 @@ func (s *SSDM) walLogPrefix(name, ns string) {
 // --- checkpointing ---------------------------------------------------
 
 const (
-	checkpointName   = "checkpoint.snap"
-	checkpointTmp    = "checkpoint.tmp"
-	checkpointHeader = "#ssdm-checkpoint 1"
-	metaPrefix       = "#meta "
+	checkpointName = "checkpoint.snap"
 
 	// DefaultWALCheckpointBytes is how much log accrues before the
 	// manager checkpoints automatically.
 	DefaultWALCheckpointBytes = 64 << 20
 )
 
-// ckptMeta is the checkpoint's JSON header: where in the log the image
-// was taken, plus the non-triple state a snapshot section cannot carry.
-type ckptMeta struct {
-	LSN      uint64            `json:"lsn"`
-	Prefixes map[string]string `json:"prefixes,omitempty"`
-	Defines  []recDefine       `json:"defines,omitempty"`
-	BlankNos map[string]int64  `json:"blank_nos,omitempty"`
-}
-
-// Checkpoint writes a checkpoint image (full dataset snapshot plus
-// prefix/define state) and truncates the log behind it. It runs under
-// the operation write lock: queries proceed unaffected (they read
-// pinned snapshots), only writers wait.
+// Checkpoint writes a checkpoint image — a snapshot image naming the
+// log position it was taken at — and truncates the log behind it. It
+// runs under the operation write lock: queries proceed unaffected (they
+// read pinned snapshots), only writers wait.
 func (s *SSDM) Checkpoint() error {
 	s.op.Lock()
 	defer s.op.Unlock()
@@ -233,58 +279,9 @@ func (s *SSDM) maybeCheckpointLocked() {
 
 func (s *SSDM) checkpointLocked() error {
 	lsn := s.wal.TailLSN()
-	meta := ckptMeta{
-		LSN:      lsn,
-		Prefixes: s.prefixSnapshot(),
-		Defines:  append([]recDefine(nil), s.defines...),
-		BlankNos: map[string]int64{},
-	}
-	if n := s.Dataset.Default.BlankNo(); n > 0 {
-		meta.BlankNos["default"] = n
-	}
-	for _, name := range s.Dataset.GraphNames() {
-		if g := s.Dataset.Named(name, false); g != nil {
-			if n := g.BlankNo(); n > 0 {
-				meta.BlankNos[string(name)] = n
-			}
-		}
-	}
-	mb, err := json.Marshal(meta)
-	if err != nil {
+	if err := s.writeImage(filepath.Join(s.Opts.WALDir, checkpointName), lsn); err != nil {
 		return err
 	}
-
-	tmp := filepath.Join(s.Opts.WALDir, checkpointTmp)
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
-	fmt.Fprintln(w, checkpointHeader)
-	fmt.Fprintln(w, metaPrefix+string(mb))
-	if err := s.writeSnapshotBody(w); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(s.Opts.WALDir, checkpointName)); err != nil {
-		return err
-	}
-	syncDir(s.Opts.WALDir)
 	if err := s.wal.Checkpoint(lsn); err != nil {
 		return err
 	}
@@ -333,52 +330,29 @@ func (s *SSDM) EnableWAL() (RecoveryInfo, error) {
 	}
 	t0 := time.Now()
 
-	meta, snapText, haveCkpt, err := s.readCheckpoint()
-	if err != nil {
+	s.op.Lock()
+	defer s.op.Unlock()
+	var lsn uint64
+	path := filepath.Join(s.Opts.WALDir, checkpointName)
+	switch image, err := os.ReadFile(path); {
+	case err == nil:
+		info.Checkpoint = true
+		if lsn, err = s.replayImage(image, path); err != nil {
+			return info, fmt.Errorf("ssdm: checkpoint restore: %w", err)
+		}
+	case !os.IsNotExist(err):
 		return info, err
 	}
 	l, err := wal.Open(wal.Options{
 		Dir:       s.Opts.WALDir,
 		Policy:    policy,
 		GroupWait: s.Opts.WALGroupWait,
-		MinLSN:    meta.LSN,
+		MinLSN:    lsn,
 	})
 	if err != nil {
 		return info, err
 	}
-
-	s.op.Lock()
-	defer s.op.Unlock()
-	if haveCkpt {
-		info.Checkpoint = true
-		s.mu.Lock()
-		for k, v := range meta.Prefixes {
-			s.Prefixes[k] = v
-		}
-		s.mu.Unlock()
-		if snapText != "" {
-			if err := s.loadSnapshotTextLocked(snapText); err != nil {
-				l.Close()
-				return info, fmt.Errorf("ssdm: checkpoint restore: %w", err)
-			}
-		}
-		for name, n := range meta.BlankNos {
-			var graph rdf.IRI
-			if name != "default" {
-				graph = rdf.IRI(name)
-			}
-			s.targetGraph(graph).EnsureBlankNo(n)
-		}
-		for _, d := range meta.Defines {
-			if err := s.applyDefine(d); err != nil {
-				l.Close()
-				return info, fmt.Errorf("ssdm: checkpoint define: %w", err)
-			}
-		}
-		s.defines = append([]recDefine(nil), meta.Defines...)
-	}
-
-	err = l.Replay(meta.LSN, func(lsn uint64, typ byte, body []byte) error {
+	err = l.Replay(lsn, func(lsn uint64, typ byte, body []byte) error {
 		info.Records++
 		return s.applyWalRecord(typ, body)
 	})
@@ -388,7 +362,7 @@ func (s *SSDM) EnableWAL() (RecoveryInfo, error) {
 	}
 
 	s.wal = l
-	s.lastCkptLSN = meta.LSN
+	s.lastCkptLSN = lsn
 	info.Duration = time.Since(t0)
 	s.recovery = info
 	s.qcache.invalidate()
@@ -437,43 +411,23 @@ func (s *SSDM) CloseWAL() error {
 	return s.wal.Close()
 }
 
-// readCheckpoint loads and splits the checkpoint file: meta header and
-// the snapshot text after it.
-func (s *SSDM) readCheckpoint() (ckptMeta, string, bool, error) {
-	var meta ckptMeta
-	data, err := os.ReadFile(filepath.Join(s.Opts.WALDir, checkpointName))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return meta, "", false, nil
-		}
-		return meta, "", false, err
-	}
-	text := string(data)
-	head, rest, _ := strings.Cut(text, "\n")
-	if strings.TrimSpace(head) != checkpointHeader {
-		return meta, "", false, fmt.Errorf("ssdm: %s is not a checkpoint file", checkpointName)
-	}
-	metaLine, snapText, _ := strings.Cut(rest, "\n")
-	if !strings.HasPrefix(metaLine, metaPrefix) {
-		return meta, "", false, fmt.Errorf("ssdm: checkpoint is missing its meta header")
-	}
-	if err := json.Unmarshal([]byte(strings.TrimPrefix(metaLine, metaPrefix)), &meta); err != nil {
-		return meta, "", false, fmt.Errorf("ssdm: checkpoint meta: %w", err)
-	}
-	return meta, snapText, true, nil
-}
-
-// applyWalRecord replays one log record during recovery. The caller
-// holds the operation write lock and the WAL is not yet armed, so the
-// applications are direct (not re-logged).
+// applyWalRecord applies one log or image record. The caller holds the
+// operation write lock, and the applications are direct: a replayed
+// record is not logged again.
 func (s *SSDM) applyWalRecord(typ byte, body []byte) error {
 	switch typ {
 	case wal.RecBatch:
-		var rec recBatch
-		if err := json.Unmarshal(body, &rec); err != nil {
+		if err := s.applyBatch(body); err != nil {
 			return fmt.Errorf("batch record: %w", err)
 		}
-		return s.applyBatch(rec)
+		return nil
+	case wal.RecClear:
+		if len(body) == 0 {
+			s.Dataset.Default.Clear()
+		} else {
+			s.Dataset.DropNamed(rdf.IRI(body))
+		}
+		return nil
 	case wal.RecPrefix:
 		var rec recPrefix
 		if err := json.Unmarshal(body, &rec); err != nil {
@@ -498,67 +452,27 @@ func (s *SSDM) applyWalRecord(typ byte, body []byte) error {
 	}
 }
 
-func (s *SSDM) applyBatch(rec recBatch) error {
-	graph := rdf.IRI(rec.Graph)
-	hasLink := false
-	// The batch's triple ops replay as one transaction; a clear, which
-	// is its own published version (or replaces the graph), ends it.
-	var tx *rdf.Tx
-	commit := func() {
-		if tx != nil {
-			tx.Commit()
-			tx = nil
-		}
+// applyBatch applies a batch record as one transaction. Added terms are
+// copied out of the record, so the dictionary does not pin the log
+// segment or image it was read from.
+func (s *SSDM) applyBatch(body []byte) error {
+	graph, blankNo, dels, adds, err := decodeBatch(body)
+	if err != nil {
+		return err
 	}
-	defer commit()
-	for _, op := range rec.Ops {
-		if rdf.OpKind(op.K) == rdf.OpClear {
-			commit()
-			if rec.Graph == "" {
-				s.Dataset.Default.Clear()
-			} else {
-				s.Dataset.DropNamed(graph)
-			}
-			continue
-		}
-		st, err := protocol.DecodeTerm(*op.S)
-		if err != nil {
-			return err
-		}
-		pt, err := protocol.DecodeTerm(*op.P)
-		if err != nil {
-			return err
-		}
-		ot, err := protocol.DecodeTerm(*op.O)
-		if err != nil {
-			return err
-		}
-		if tt, ok := ot.(rdf.Typed); ok && tt.Datatype == rdf.SSDMFileLink {
-			hasLink = true
-		}
-		if tx == nil {
-			tx = s.targetGraph(graph).Begin()
-		}
-		switch rdf.OpKind(op.K) {
-		case rdf.OpAdd:
-			tx.Add(st, pt, ot)
-		case rdf.OpDelete:
-			tx.Delete(st, pt, ot)
-		default:
-			return fmt.Errorf("unknown op kind %d", op.K)
-		}
+	if err := resolveLinks(protocol.OwnTerms(adds), s.Backend()); err != nil {
+		return err
 	}
-	commit()
-	if rec.Blank > 0 {
-		s.targetGraph(graph).EnsureBlankNo(rec.Blank)
+	g := s.targetGraph(graph)
+	tx := g.Begin()
+	for _, row := range dels {
+		tx.Delete(row[0], row[1], row[2])
 	}
-	if hasLink {
-		if b := s.Backend(); b != nil {
-			if _, err := loader.ResolveFileLinks(s.targetGraph(graph), b); err != nil {
-				return err
-			}
-		}
+	for _, row := range adds {
+		tx.Add(row[0], row[1], row[2])
 	}
+	tx.Commit()
+	g.EnsureBlankNo(blankNo)
 	return nil
 }
 

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -16,6 +18,7 @@ import (
 	"scisparql/internal/engine"
 	"scisparql/internal/rdf"
 	"scisparql/internal/storage"
+	"scisparql/internal/wal"
 )
 
 func openWAL(t *testing.T, dir string, mut func(*Options)) *SSDM {
@@ -227,8 +230,7 @@ INSERT DATA { ex:nan ex:v "NaN"^^xsd:double . ex:inf ex:v "INF"^^xsd:double . ex
 }
 
 // TestWALCheckpointKeepsFractionalSeconds: a dateTime with nanoseconds
-// survives the checkpoint (a Turtle snapshot) as itself, not rounded to
-// the second.
+// survives the checkpoint as itself, not rounded to the second.
 func TestWALCheckpointKeepsFractionalSeconds(t *testing.T) {
 	s, p := rdf.IRI("http://ex/s"), rdf.IRI("http://ex/at")
 	o := rdf.DateTime{T: time.Date(2020, 1, 2, 3, 4, 5, 123456789, time.UTC)}
@@ -389,23 +391,78 @@ func TestWALWriteTriplesOneRecord(t *testing.T) {
 }
 
 // TestWALCrashMatrix is the crash-injection sweep at the manager
-// level: run a workload, then simulate a kill at every record boundary
-// (and a byte inside each frame) by truncating a copy of the log, and
-// verify the recovered dataset is exactly the longest committed prefix
-// of updates — each update is a two-triple INSERT DATA, so a torn
-// batch would show up as a subject with one triple.
+// level: run a workload with a checkpoint in the middle, then simulate a
+// kill at every record boundary after it (and a byte inside each frame)
+// by truncating a copy of the log beside the checkpoint, and verify the
+// recovered dataset is exactly the longest committed prefix of the
+// statements, as a non-durable instance holds after them. Between them
+// the records hold deletes and adds in one batch, a clear, blank nodes
+// minted and given, and resident arrays.
 func TestWALCrashMatrix(t *testing.T) {
-	master := t.TempDir()
-	db := openWAL(t, master, nil)
-	const n = 15
-	for i := 0; i < n; i++ {
-		if _, err := db.Update(fmt.Sprintf(
-			`PREFIX ex: <http://ex/> INSERT DATA { ex:batch%d ex:a %d ; ex:b %d }`, i, i, i)); err != nil {
-			t.Fatal(err)
+	ints, _ := array.FromInts([]int64{1, 2, 3, 4, 5, 6}, 2, 3)
+	floats, _ := array.FromFloats([]float64{math.NaN(), -0.5, math.Inf(1), math.Copysign(0, -1)}, 4)
+	data, knows := rdf.IRI("http://ex/data"), rdf.IRI("http://ex/knows")
+	given, other := rdf.Blank("co9-1"), rdf.Blank("co9-2")
+	type step func(*testing.T, *SSDM)
+	update := func(src string) step {
+		return func(t *testing.T, db *SSDM) {
+			t.Helper()
+			if _, err := db.Update(`PREFIX ex: <http://ex/> ` + src); err != nil {
+				t.Fatalf("%s: %v", src, err)
+			}
 		}
 	}
-	db.CloseWAL()
+	write := func(rows ...[]rdf.Term) step {
+		return func(t *testing.T, db *SSDM) {
+			t.Helper()
+			if _, err := db.WriteTriples(context.Background(), rows, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// The steps before the checkpoint end up in its image; each one after
+	// it is one log record.
+	before := []step{
+		update(`INSERT DATA { ex:batch0 ex:a 0 ; ex:b 0 . ex:doc0 ex:author [ ex:name "Ann" ] }`),
+		write([]rdf.Term{given, data, rdf.NewArray(ints)}, []rdf.Term{rdf.IRI("http://ex/doc1"), knows, given}),
+	}
+	after := []step{
+		update(`INSERT DATA { ex:batch1 ex:a 1 ; ex:b 1 }`),
+		update(`DELETE { ?s ex:a ?o } INSERT { ?s ex:c ?o ; ex:note [ ex:v ?o ] } WHERE { ?s ex:a ?o }`),
+		update(`INSERT DATA { GRAPH ex:g { ex:n ex:v 1 . ex:m ex:v _:x } }`),
+		write([]rdf.Term{other, data, rdf.NewArray(floats)}, []rdf.Term{given, knows, other}),
+		update(`CLEAR GRAPH ex:g`),
+		update(`INSERT DATA { ex:batch2 ex:a 2 ; ex:b 2 . _:y ex:name "Bo" }`),
+		update(`DELETE DATA { ex:batch2 ex:b 2 }`),
+	}
 
+	master := t.TempDir()
+	db := openWAL(t, master, nil)
+	for _, st := range before {
+		st(t, db)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range after {
+		st(t, db)
+	}
+	db.CloseWAL()
+	wants := make([][]string, 0, len(after)+1)
+	oracle := Open()
+	for _, st := range before {
+		st(t, oracle)
+	}
+	wants = append(wants, datasetKeys(oracle))
+	for _, st := range after {
+		st(t, oracle)
+		wants = append(wants, datasetKeys(oracle))
+	}
+
+	image, err := os.ReadFile(filepath.Join(master, checkpointName))
+	if err != nil {
+		t.Fatal(err)
+	}
 	segs, err := os.ReadDir(master)
 	if err != nil {
 		t.Fatal(err)
@@ -426,25 +483,31 @@ func TestWALCrashMatrix(t *testing.T) {
 
 	// Frame boundaries: walk the log like recovery does.
 	bounds := []int{0}
-	off := 0
-	for off < len(raw) {
-		ln := int(uint32(raw[off]) | uint32(raw[off+1])<<8 | uint32(raw[off+2])<<16 | uint32(raw[off+3])<<24)
-		off += 8 + ln
+	for off := 0; off < len(raw); {
+		_, _, size, err := wal.DecodeFrame(raw[off:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		off += size
 		bounds = append(bounds, off)
 	}
+	n := len(after)
 	if len(bounds) != n+1 {
-		t.Fatalf("found %d records in log, want %d", len(bounds)-1, n)
+		t.Fatalf("found %d records in the log after the checkpoint, want %d", len(bounds)-1, n)
 	}
 
 	cuts := []int{}
 	for i := 1; i <= n; i++ {
-		cuts = append(cuts, bounds[i])       // exactly after batch i
+		cuts = append(cuts, bounds[i])       // exactly after record i
 		cuts = append(cuts, bounds[i-1]+5)   // torn header
 		mid := (bounds[i-1] + bounds[i]) / 2 // torn body
 		cuts = append(cuts, mid)
 	}
 	for _, cut := range cuts {
 		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, checkpointName), image, 0o644); err != nil {
+			t.Fatal(err)
+		}
 		if err := os.WriteFile(filepath.Join(dir, segName), raw[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -454,15 +517,8 @@ func TestWALCrashMatrix(t *testing.T) {
 		for want < n && bounds[want+1] <= cut {
 			want++
 		}
-		rows := countRows(t, rec, `PREFIX ex: <http://ex/> SELECT ?s ?p ?o WHERE { ?s ?p ?o }`)
-		if rows != 2*want {
-			t.Fatalf("cut=%d: recovered %d triples, want %d (batches 0..%d)", cut, rows, 2*want, want-1)
-		}
-		for i := 0; i < want; i++ {
-			if n := countRows(t, rec, fmt.Sprintf(
-				`PREFIX ex: <http://ex/> SELECT ?p ?o WHERE { ex:batch%d ?p ?o }`, i)); n != 2 {
-				t.Fatalf("cut=%d: batch %d has %d triples, want 2 (torn batch visible)", cut, i, n)
-			}
+		if got := datasetKeys(rec); !slices.Equal(got, wants[want]) {
+			t.Fatalf("cut=%d: recovered\n%s\nwant the state after %d records\n%s", cut, strings.Join(got, "\n"), want, strings.Join(wants[want], "\n"))
 		}
 		// The recovered instance accepts new durable updates.
 		if _, err := rec.Update(`PREFIX ex: <http://ex/> INSERT DATA { ex:resumed ex:ok 1 }`); err != nil {
@@ -470,6 +526,111 @@ func TestWALCrashMatrix(t *testing.T) {
 		}
 		rec.CloseWAL()
 	}
+}
+
+// TestBatchRecordRefusesAddBeforeDelete: replay applies a batch's
+// deletes before its adds, so ops that add before they delete have no
+// batch record; deletes then adds (DELETE/INSERT WHERE's order) do.
+func TestBatchRecordRefusesAddBeforeDelete(t *testing.T) {
+	db := openWAL(t, t.TempDir(), nil)
+	defer db.CloseWAL()
+	s, p := rdf.IRI("http://ex/s"), rdf.IRI("http://ex/p")
+	add := rdf.Op{Kind: rdf.OpAdd, S: s, P: p, O: rdf.Integer(1)}
+	del := rdf.Op{Kind: rdf.OpDelete, S: s, P: p, O: rdf.Integer(2)}
+	if _, err := db.walAppendBatch("", []rdf.Op{del, add, add}, 0); err != nil {
+		t.Errorf("deletes then adds: %v", err)
+	}
+	if _, err := db.walAppendBatch("", []rdf.Op{del, add, del}, 0); err == nil || !strings.Contains(err.Error(), "add before a delete") {
+		t.Errorf("an add before a delete = %v, want refused", err)
+	}
+}
+
+// TestPreChangeFormatsFailRecovery: there is no reader for the formats
+// the binary records replaced. A text checkpoint is not an image, and a
+// log holding a JSON batch record (type 1) fails at it.
+func TestPreChangeFormatsFailRecovery(t *testing.T) {
+	enable := func(dir string) error {
+		opts := DefaultOptions()
+		opts.WALDir, opts.WALSync = dir, "none"
+		db := OpenWith(opts)
+		_, err := db.EnableWAL()
+		if err == nil {
+			db.CloseWAL()
+		}
+		return err
+	}
+	dir := t.TempDir()
+	text := "#ssdm-checkpoint 1\n#meta {\"lsn\":0}\n#ssdm-snapshot 1\n#graph <default>\n<http://ex/s> <http://ex/p> 1 .\n"
+	if err := os.WriteFile(filepath.Join(dir, checkpointName), []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := enable(dir); err == nil || !strings.Contains(err.Error(), "is not an image") {
+		t.Errorf("recovery from a text checkpoint = %v, want not an image", err)
+	}
+
+	dir = t.TempDir()
+	l, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(wal.RecPrefix, []byte(`{"name":"ex","ns":"http://ex/"}`)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(1, []byte(`{"ops":[{"k":0,"s":{"t":"iri","s":"http://ex/s"},"p":{"t":"iri","s":"http://ex/p"},"o":{"t":"int","i":1}}]}`)); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if err := enable(dir); err == nil || !strings.Contains(err.Error(), "unknown record type 1") {
+		t.Errorf("recovery from a JSON batch record = %v, want unknown record type 1", err)
+	}
+}
+
+// FuzzReplayBatch: whatever a batch record's body holds, replaying it is
+// an error or a transaction — never a panic, and never an allocation
+// sized by a count its bytes cannot back.
+func FuzzReplayBatch(f *testing.F) {
+	ints, _ := array.FromInts([]int64{1, -2, 3, math.MinInt64}, 2, 2)
+	floats, _ := array.FromFloats([]float64{math.NaN(), math.Inf(-1), math.Copysign(0, -1), 1e-300, 5, 6}, 3, 2)
+	strided, err := floats.Deref([]array.Range{array.SpanStep(0, 3, 2), array.All()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	s, p, b := rdf.IRI("http://ex/s"), rdf.IRI("http://ex/p"), rdf.Blank("co1-2")
+	var rows [][]rdf.Term
+	for _, o := range []rdf.Term{
+		s, b, rdf.String{Val: "ctl\x00\x1f \"q\"\n"}, rdf.String{Val: "hej", Lang: "sv"},
+		rdf.Integer(-7), rdf.Float(math.NaN()), rdf.Float(math.Inf(1)), rdf.Float(math.Copysign(0, -1)),
+		rdf.Boolean(true), rdf.Typed{Lexical: "a\"b\\c\n", Datatype: "http://ex/dt"},
+		rdf.DateTime{T: time.Date(1999, 12, 31, 23, 59, 59, 1, time.FixedZone("", -(9*3600+30*60)))},
+		rdf.NewArray(ints), rdf.NewArray(strided),
+		rdf.Typed{Lexical: "42", Datatype: rdf.SSDMFileLink},
+	} {
+		rows = append(rows, []rdf.Term{b, p, o})
+	}
+	for _, tc := range []struct {
+		graph      rdf.IRI
+		blank      int64
+		dels, adds [][]rdf.Term
+	}{
+		{"", 0, nil, rows},
+		{"http://ex/g", 7, rows[:3], rows[3:]},
+		{"", 1 << 40, [][]rdf.Term{{s, p, b}}, nil},
+		{"", 0, nil, nil},
+	} {
+		body, err := appendBatch(nil, tc.graph, tc.blank, tc.dels, tc.adds)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if _, _, dels, adds, err := decodeBatch(body); err == nil && len(dels)+len(adds) > len(body) {
+			t.Fatalf("%d rows out of %d bytes", len(dels)+len(adds), len(body))
+		}
+		db := Open()
+		db.AttachBackend(storage.NewMemory())
+		_ = db.applyWalRecord(wal.RecBatch, body)
+	})
 }
 
 // TestWALGroupCommitCoalesces drives concurrent updates under the

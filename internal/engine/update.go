@@ -31,7 +31,7 @@ func (u *StagedUpdate) Count() int { return u.count }
 
 // Ops returns the effective physical operations in application order
 // (only populated when staging was asked to record; empty for DEFINE
-// statements, which mutate no triples).
+// and CLEAR statements, which add and delete no triples).
 func (u *StagedUpdate) Ops() []rdf.Op { return u.ops }
 
 // Graph returns the target graph name ("" = default graph).
@@ -111,7 +111,7 @@ func (e *Engine) UpdateStagedLimits(ctx context.Context, st sparql.Statement, li
 	case *sparql.Modify:
 		return e.stageModify(gq, v, record)
 	case *sparql.Clear:
-		return e.stageClear(v, record), nil
+		return e.stageClear(v), nil
 	case *sparql.DefineFunction:
 		f, err := buildFunction(v)
 		if err != nil {
@@ -259,7 +259,7 @@ func (e *Engine) stageModify(gq *queryGuard, v *sparql.Modify, record bool) (*St
 // stageClear stages CLEAR DEFAULT / CLEAR GRAPH: the count is taken at
 // stage time and the drop happens at Commit (the manager holds the
 // operation lock across both, so no writer slips in between).
-func (e *Engine) stageClear(v *sparql.Clear, record bool) *StagedUpdate {
+func (e *Engine) stageClear(v *sparql.Clear) *StagedUpdate {
 	var (
 		g    *rdf.Graph
 		name rdf.IRI
@@ -280,9 +280,6 @@ func (e *Engine) stageClear(v *sparql.Clear, record bool) *StagedUpdate {
 		return u
 	}
 	u := &StagedUpdate{count: g.Size(), graph: name}
-	if record {
-		u.ops = []rdf.Op{{Kind: rdf.OpClear}}
-	}
 	if v.Default {
 		u.commit = func() { g.Clear() }
 	} else {

@@ -37,11 +37,13 @@
 // # Shard scans
 //
 // A shard coordinator's gather legs are triple-pattern matches, and
-// they follow the same rule: OpScan sends the pattern as three Terms
-// ("unbound" is a wildcard) and is answered from the default graph's
-// indexes, with no query text, parser, plan or engine on either side,
-// by one binary triple batch — Response.Triples, base64 on the wire —
-// plus Response.Count, the number of triples in it. Only a leaf
+// they follow the same rule: OpScan sends the pattern as Request.Rows,
+// one row of three cells whose unbound cells are the wildcards, and is
+// answered from the default graph's indexes, with no query text,
+// parser, plan or engine on either side, by one binary triple batch —
+// Response.Triples, base64 on the wire — plus Response.Count, the
+// number of triples in it. A pattern that is not one row of three cells
+// gets code "error". Only a leaf
 // answers: a server that itself coordinates shards refuses the op, and
 // a server that predates it answers "unknown op scan"; there is no
 // version field and no fallback. The request's TimeoutMS and the
@@ -78,8 +80,10 @@
 //	          array.AppendMarshal
 //	text    uvarint length, then that many bytes
 //
-// The JSON Term remains the form of a term in a scan pattern and in the
-// write-ahead log, and nowhere in a response.
+// The write-ahead log and checkpoint images store triples as row tables
+// too (see core's WAL integration). No request, response or record
+// holds a JSON Term: Term, EncodeTerm and DecodeTerm are left only for
+// the benchmark's codec probe, and go when it does.
 package protocol
 
 import (
@@ -103,7 +107,7 @@ const (
 	OpTriples    = "triples"     // Rows: ground triples to add, or with Delete to remove -> Count
 	OpStats      = "stats"       // server statistics snapshot -> Stats
 	OpExplain    = "explain"     // Text: a query; plan only, or executed plan + trace with Analyze
-	OpScan       = "scan"        // Pattern: one triple pattern -> Triples, Count (leaf shards only)
+	OpScan       = "scan"        // Rows: one triple pattern -> Triples, Count (leaf shards only)
 )
 
 // Request is one client request. The guard fields bound the request's
@@ -116,14 +120,12 @@ type Request struct {
 	Graph string `json:"graph,omitempty"`
 	Array string `json:"array,omitempty"` // base64(array.AppendMarshal)
 
-	// Rows is OpTriples' table of triples (see EncodeRows), base64 on
-	// the wire; with Delete the op removes them instead of adding them.
+	// Rows is a table (see EncodeRows), base64 on the wire: OpTriples'
+	// triples, which with Delete the op removes instead of adding, or
+	// OpScan's pattern, one row of three cells, an unbound cell a
+	// wildcard.
 	Rows   []byte `json:"rows,omitempty"`
 	Delete bool   `json:"delete,omitempty"`
-
-	// Pattern is OpScan's triple pattern: exactly three terms (subject,
-	// predicate, object), "unbound" marking a wildcard.
-	Pattern []Term `json:"pattern,omitempty"`
 
 	// TimeoutMS is the wall-clock deadline for this request in
 	// milliseconds (0 = server default).

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 
 	"scisparql/internal/rdf"
@@ -152,4 +153,34 @@ func DecodeRows(blob []byte) ([][]rdf.Term, error) {
 		return nil, fmt.Errorf("%w: %d stray bytes, %d of %d terms", errBadBatch, len(r.b), len(dict), ndict)
 	}
 	return rows, nil
+}
+
+// OwnTerms copies the texts of rows DecodeRows returned out of the table
+// they share, in place and once per term, so that terms a store keeps
+// do not keep the whole table — a request, a log segment, an image —
+// alive. It returns rows.
+func OwnTerms(rows [][]rdf.Term) [][]rdf.Term {
+	owned := make(map[rdf.Term]rdf.Term)
+	for _, row := range rows {
+		for i, t := range row {
+			if c, ok := owned[t]; ok {
+				row[i] = c
+				continue
+			}
+			switch v := t.(type) {
+			case rdf.IRI:
+				row[i] = rdf.IRI(strings.Clone(string(v)))
+			case rdf.Blank:
+				row[i] = rdf.Blank(strings.Clone(string(v)))
+			case rdf.String:
+				row[i] = rdf.String{Val: strings.Clone(v.Val), Lang: strings.Clone(v.Lang)}
+			case rdf.Typed:
+				row[i] = rdf.Typed{Lexical: strings.Clone(v.Lexical), Datatype: rdf.IRI(strings.Clone(string(v.Datatype)))}
+			default:
+				continue // no text to copy; and as map keys, -0 and 0 would be one double
+			}
+			owned[t] = row[i]
+		}
+	}
+	return rows
 }

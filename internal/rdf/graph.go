@@ -402,12 +402,10 @@ func (g *Graph) Has(s, p, o Term) bool {
 // transaction records for the write-ahead log.
 type OpKind uint8
 
-// The physical operation kinds: triple insert, triple delete, and
-// whole-graph clear (CLEAR/DROP; its S, P, O are nil).
+// The physical operation kinds: triple insert and triple delete.
 const (
 	OpAdd OpKind = iota
 	OpDelete
-	OpClear
 )
 
 // Op is one recorded physical mutation: the term-level form of an

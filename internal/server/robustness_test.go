@@ -495,10 +495,29 @@ func TestScanGuards(t *testing.T) {
 	}
 
 	srv := New(core.Open())
-	for _, pattern := range [][]protocol.Term{nil, {{T: "unbound"}}, {{T: "unbound"}, {T: "nope"}, {T: "unbound"}}} {
-		resp := srv.handle(&protocol.Request{Op: protocol.OpScan, Pattern: pattern})
-		if resp.OK || resp.Code != protocol.CodeError {
-			t.Errorf("scan with pattern %v = %+v, want an error", pattern, resp)
+	p := rdf.IRI("http://ex/p")
+	table := func(rows [][]rdf.Term, width int) []byte {
+		blob, err := protocol.EncodeRows(rows, width)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return blob
+	}
+	good := table([][]rdf.Term{{nil, p, nil}}, 3)
+	for name, pattern := range map[string][]byte{
+		"missing":   nil,
+		"truncated": good[:len(good)-1],
+		"no rows":   table(nil, 3),
+		"two rows":  table([][]rdf.Term{{nil, p, nil}, {nil, p, nil}}, 3),
+		"width 2":   table([][]rdf.Term{{nil, p}}, 2),
+		"width 4":   table([][]rdf.Term{{nil, p, nil, nil}}, 4),
+	} {
+		resp := srv.handle(&protocol.Request{Op: protocol.OpScan, Rows: pattern})
+		if resp.OK || resp.Code != protocol.CodeError {
+			t.Errorf("scan with a %s pattern = %+v, want an error", name, resp)
+		}
+	}
+	if resp := srv.handle(&protocol.Request{Op: protocol.OpScan, Rows: good}); !resp.OK {
+		t.Errorf("scan with a good pattern = %+v", resp)
 	}
 }

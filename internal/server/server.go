@@ -14,7 +14,6 @@ import (
 	"log/slog"
 	"net"
 	"runtime/debug"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -539,7 +538,7 @@ func (s *Server) handleOp(req *protocol.Request) (resp *protocol.Response) {
 			ctx, cancel = context.WithTimeout(ctx, lim.Timeout)
 			defer cancel()
 		}
-		n, err := s.DB.WriteTriples(ctx, ownTerms(rows), req.Delete)
+		n, err := s.DB.WriteTriples(ctx, protocol.OwnTerms(rows), req.Delete)
 		if err != nil {
 			return fail(err)
 		}
@@ -647,8 +646,9 @@ func (s *Server) scan(ctx context.Context, req *protocol.Request, lim engine.Lim
 	if s.DB.Distributor() != nil {
 		return fail(errNotLeaf)
 	}
-	if len(req.Pattern) != 3 {
-		return fail(fmt.Errorf("scan: pattern has %d terms, want 3", len(req.Pattern)))
+	pattern, err := scanPattern(req)
+	if err != nil {
+		return fail(err)
 	}
 	lim = s.DB.FillLimits(lim)
 	if lim.Timeout > 0 {
@@ -662,11 +662,7 @@ func (s *Server) scan(ctx context.Context, req *protocol.Request, lim engine.Lim
 		wild  [3]bool
 		known = true // false: a ground term this graph never saw, so nothing matches
 	)
-	for i, wt := range req.Pattern {
-		t, err := protocol.DecodeTerm(wt)
-		if err != nil {
-			return fail(err)
-		}
+	for i, t := range pattern {
 		if wild[i] = t == nil; wild[i] {
 			continue
 		}
@@ -701,43 +697,29 @@ func (s *Server) scan(ctx context.Context, req *protocol.Request, lim engine.Lim
 	return &protocol.Response{OK: true, Triples: blob, Count: n}
 }
 
-// ownTerms copies decoded texts out of the request buffer they share,
-// so the dictionary does not keep the request alive; once per term.
-func ownTerms(rows [][]rdf.Term) [][]rdf.Term {
-	owned := make(map[rdf.Term]rdf.Term)
-	for _, row := range rows {
-		for i, t := range row {
-			if c, ok := owned[t]; ok {
-				row[i] = c
-				continue
-			}
-			switch v := t.(type) {
-			case rdf.IRI:
-				row[i] = rdf.IRI(strings.Clone(string(v)))
-			case rdf.Blank:
-				row[i] = rdf.Blank(strings.Clone(string(v)))
-			case rdf.String:
-				row[i] = rdf.String{Val: strings.Clone(v.Val), Lang: strings.Clone(v.Lang)}
-			case rdf.Typed:
-				row[i] = rdf.Typed{Lexical: strings.Clone(v.Lexical), Datatype: rdf.IRI(strings.Clone(string(v.Datatype)))}
-			default:
-				continue // no text to copy; and as map keys, -0 and 0 would be one double
-			}
-			owned[t] = row[i]
-		}
+// scanPattern decodes OpScan's pattern: one row of three cells, an
+// unbound cell a wildcard.
+func scanPattern(req *protocol.Request) ([]rdf.Term, error) {
+	rows, err := protocol.DecodeRows(req.Rows)
+	if err != nil {
+		return nil, fmt.Errorf("scan: %w", err)
 	}
-	return rows
+	if len(rows) != 1 || len(rows[0]) != 3 {
+		return nil, fmt.Errorf("scan: the pattern is %d rows, want one row of 3 cells", len(rows))
+	}
+	return rows[0], nil
 }
 
 // queryText is what the slow-query log prints for a request: its text,
-// or for a scan (which has none) its pattern.
+// or for a scan (which has none) its pattern, if it decodes.
 func queryText(req *protocol.Request) string {
 	if req.Op != protocol.OpScan {
 		return req.Text
 	}
+	pattern, _ := scanPattern(req)
 	text := "scan"
-	for _, wt := range req.Pattern {
-		if t, err := protocol.DecodeTerm(wt); err == nil && t != nil {
+	for _, t := range pattern {
+		if t != nil {
 			text += " " + t.String()
 		} else {
 			text += " ?"

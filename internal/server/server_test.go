@@ -8,7 +8,6 @@ import (
 
 	"scisparql/internal/array"
 	"scisparql/internal/core"
-	"scisparql/internal/protocol"
 	"scisparql/internal/rdf"
 	"scisparql/internal/ssdmclient"
 	"scisparql/internal/storage"
@@ -144,48 +143,6 @@ func TestMultipleClients(t *testing.T) {
 	}
 	if res.Len() != 1 {
 		t.Fatalf("%v", res.Rows)
-	}
-}
-
-func TestProtocolTermRoundTrip(t *testing.T) {
-	a, _ := array.FromFloats([]float64{1.5, 2.5}, 2)
-	terms := []rdf.Term{
-		rdf.IRI("http://x"),
-		rdf.Blank("b"),
-		rdf.String{Val: "hi", Lang: "en"},
-		rdf.Integer(-7),
-		rdf.Float(2.25),
-		rdf.Boolean(true),
-		rdf.Typed{Lexical: "z", Datatype: rdf.IRI("http://dt")},
-		rdf.NewArray(a),
-		nil,
-	}
-	for _, term := range terms {
-		wire, err := protocol.EncodeTerm(term)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := protocol.DecodeTerm(wire)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if term == nil {
-			if back != nil {
-				t.Fatal("unbound should round trip to nil")
-			}
-			continue
-		}
-		if at, ok := term.(rdf.Array); ok {
-			bt := back.(rdf.Array)
-			eq, _ := array.Equal(at.A, bt.A)
-			if !eq {
-				t.Fatal("array round trip mismatch")
-			}
-			continue
-		}
-		if back.Key() != term.Key() {
-			t.Fatalf("round trip %v -> %v", term, back)
-		}
 	}
 }
 

@@ -14,11 +14,13 @@ import (
 	"scisparql/internal/sparql"
 )
 
-// ErrUnsupported reports a statement class that distributed execution
-// does not handle (pattern-based DELETE/INSERT ... WHERE, named-graph
-// loads, multi-statement DEFINE scripts). The operation fails cleanly
-// at the coordinator; no shard is touched.
-var ErrUnsupported = errors.New("shard: statement not supported in distributed mode")
+// ErrUnsupported reports an operation that distributed execution does
+// not handle (pattern-based DELETE/INSERT ... WHERE, named-graph loads,
+// multi-statement DEFINE scripts, and core's snapshots, which each shard
+// takes of its own). The operation fails cleanly at the coordinator; no
+// shard is touched. It is errors.ErrUnsupported, the error core returns
+// for a snapshot on a coordinator, which cannot import this package.
+var ErrUnsupported = errors.ErrUnsupported
 
 // Coordinator executes one logical dataset spread across a shard
 // topology. It implements core.Distributor: armed on an SSDM instance

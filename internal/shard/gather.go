@@ -53,7 +53,7 @@ func maskTerm(n sparql.Node) rdf.Term {
 // graph only).
 func collectMasks(q *sparql.Query, into *[]mask) error {
 	if len(q.From) > 0 || len(q.FromNamed) > 0 {
-		return fmt.Errorf("%w: FROM / FROM NAMED", ErrUnsupported)
+		return fmt.Errorf("shard: %w in distributed mode: FROM / FROM NAMED", ErrUnsupported)
 	}
 	if q.Where == nil {
 		return nil
@@ -99,7 +99,7 @@ func collectElem(el sparql.Element, into *[]mask) error {
 	case sparql.InlineData:
 		// VALUES carries its own rows; nothing to fetch.
 	case sparql.GraphClause:
-		return fmt.Errorf("%w: GRAPH clause", ErrUnsupported)
+		return fmt.Errorf("shard: %w in distributed mode: GRAPH clause", ErrUnsupported)
 	default:
 		// Unknown element: be safe and fetch everything.
 		*into = append(*into, mask{})

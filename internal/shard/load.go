@@ -16,7 +16,7 @@ import (
 // owners as in WriteTriples: one table per shard for the document.
 func (c *Coordinator) LoadTurtle(src string, graph rdf.IRI) error {
 	if graph != "" {
-		return fmt.Errorf("%w: named-graph load (shards partition the default graph)", ErrUnsupported)
+		return fmt.Errorf("shard: %w in distributed mode: named-graph load (shards partition the default graph)", ErrUnsupported)
 	}
 
 	// A scratch SSDM runs the standard load pipeline (parse +

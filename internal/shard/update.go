@@ -46,7 +46,7 @@ func (c *Coordinator) Update(ctx context.Context, st sparql.Statement, script st
 		}
 		return 0, c.LoadTurtle(string(b), v.Graph)
 	default:
-		return 0, fmt.Errorf("%w: %T (use INSERT DATA / DELETE DATA)", ErrUnsupported, st)
+		return 0, fmt.Errorf("shard: %w in distributed mode: %T (use INSERT DATA / DELETE DATA)", ErrUnsupported, st)
 	}
 }
 
@@ -56,7 +56,7 @@ func (c *Coordinator) Update(ctx context.Context, st sparql.Statement, script st
 // go to their owners as in WriteTriples.
 func (c *Coordinator) routeData(ctx context.Context, triples []sparql.TriplePattern, graph rdf.IRI, del bool) (int, error) {
 	if graph != "" {
-		return 0, fmt.Errorf("%w: named-graph data (shards partition the default graph)", ErrUnsupported)
+		return 0, fmt.Errorf("shard: %w in distributed mode: named-graph data (shards partition the default graph)", ErrUnsupported)
 	}
 	relabel := c.relabeler()
 	rows := make([][]rdf.Term, len(triples))
@@ -113,7 +113,7 @@ func (c *Coordinator) broadcastUpdate(ctx context.Context, text string, lim engi
 // broadcast.
 func (c *Coordinator) broadcastDefine(ctx context.Context, st sparql.Statement, script string, index int, lim engine.Limits) (int, error) {
 	if stmts, err := sparql.ParseAll(script); err != nil || len(stmts) != 1 || index != 0 {
-		return 0, fmt.Errorf("%w: DEFINE inside a multi-statement script (send it standalone)", ErrUnsupported)
+		return 0, fmt.Errorf("shard: %w in distributed mode: DEFINE inside a multi-statement script (send it standalone)", ErrUnsupported)
 	}
 	staged, err := c.node.Engine.UpdateStagedLimits(ctx, st, lim, false)
 	if err != nil {

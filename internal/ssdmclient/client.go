@@ -444,15 +444,12 @@ func (c *Client) QueryGuarded(ctx context.Context, q string, g Guards) (*Result,
 // until a whole answer has arrived. A server that coordinates shards
 // refuses the op; one that predates it answers "unknown op scan".
 func (c *Client) Scan(ctx context.Context, s, p, o rdf.Term, emit func(s, p, o rdf.Term) bool) error {
-	req := &protocol.Request{Op: protocol.OpScan, Pattern: make([]protocol.Term, 3)}
-	for i, t := range [3]rdf.Term{s, p, o} {
-		wt, err := protocol.EncodeTerm(t)
-		if err != nil {
-			return err
-		}
-		req.Pattern[i] = wt
+	pattern, err := protocol.EncodeRows([][]rdf.Term{{s, p, o}}, 3)
+	if err != nil {
+		return err
 	}
-	resp, err := c.roundTrip(ctx, req, true)
+	defer protocol.Release(pattern)
+	resp, err := c.roundTrip(ctx, &protocol.Request{Op: protocol.OpScan, Rows: pattern}, true)
 	if err != nil {
 		return err
 	}

@@ -395,7 +395,7 @@ func TestLatePokeDoesNotClobberNextRoundTrip(t *testing.T) {
 
 // TestScanOnTheWire scripts a peer through the three answers a scan can
 // get: a batch, a server that predates the op, and silence. The request
-// carries the pattern as terms and what is left of the caller's
+// carries the pattern as a one-row table and what is left of the caller's
 // deadline; an "unknown op" is a server-reported error that is neither
 // retried nor breaks the stream; a silent peer costs the deadline plus
 // the grace the client gives its typed reply, then fails typed.
@@ -463,9 +463,10 @@ func TestScanOnTheWire(t *testing.T) {
 		t.Fatalf("scan replayed %q, want %q", got, want)
 	}
 	req := <-reqs
-	if req.Op != protocol.OpScan || req.Text != "" || len(req.Pattern) != 3 ||
-		req.Pattern[0].T != "unbound" || req.Pattern[1] != (protocol.Term{T: "iri", S: "http://ex/p"}) || req.Pattern[2].T != "unbound" {
-		t.Fatalf("scan request %+v", req)
+	pattern, err := protocol.DecodeRows(req.Rows)
+	if err != nil || req.Op != protocol.OpScan || req.Text != "" || len(pattern) != 1 ||
+		!slices.Equal(pattern[0], []rdf.Term{nil, pred, nil}) {
+		t.Fatalf("scan request %+v carries the pattern %v (%v)", req, pattern, err)
 	}
 	if req.TimeoutMS <= 59_000 || req.TimeoutMS > 60_000 {
 		t.Fatalf("timeout_ms %d, want what is left of the one-minute deadline", req.TimeoutMS)

@@ -44,17 +44,24 @@ import (
 )
 
 // Record types carried in the frame's leading payload byte. The record
-// bodies are opaque to this package (the manager encodes them as JSON;
-// see core's WAL integration).
+// bodies are opaque to this package; core's WAL integration defines
+// them, and writes its checkpoint images as frames of these same
+// records. Type 1 must not be reused: logs written before the binary
+// batch records hold type 1 batches of JSON terms, which recovery must
+// refuse as an unknown type rather than misread.
 const (
-	// RecBatch is one committed update statement: the physical triple
-	// operations of an INSERT DATA / DELETE DATA / DELETE-INSERT /
-	// CLEAR, or one loaded document.
-	RecBatch byte = 1
 	// RecPrefix is a namespace-prefix declaration.
 	RecPrefix byte = 2
 	// RecDefine is a DEFINE FUNCTION / DEFINE AGGREGATE statement.
 	RecDefine byte = 3
+	// RecBatch is the triples one committed statement, load or write
+	// deleted from and added to one graph.
+	RecBatch byte = 4
+	// RecClear empties one graph (CLEAR / DROP).
+	RecClear byte = 5
+	// RecImage opens a checkpoint or snapshot image: the log position
+	// the image was taken at.
+	RecImage byte = 6
 )
 
 // SyncPolicy selects when appended records are fsynced.
@@ -360,6 +367,22 @@ var (
 	errCRC   = fmt.Errorf("wal: frame CRC mismatch")
 )
 
+// AppendFrame appends the frame of one record — its type byte and body —
+// to dst, the bytes DecodeFrame reads back. It is what Log.Append
+// writes, and what a checkpoint image is a file of. A body too large
+// for a frame is an error, and dst is returned unchanged.
+func AppendFrame(dst []byte, typ byte, body []byte) ([]byte, error) {
+	if len(body)+1 > maxFrameLen {
+		return dst, fmt.Errorf("wal: record of %d bytes exceeds frame limit", len(body))
+	}
+	at := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)+1))
+	dst = append(dst, 0, 0, 0, 0, typ) // CRC placeholder, then the payload
+	dst = append(dst, body...)
+	binary.LittleEndian.PutUint32(dst[at+4:], crc32.Checksum(dst[at+frameHeader:], castagnoli))
+	return dst, nil
+}
+
 func (l *Log) openSegment(base uint64) error {
 	path := filepath.Join(l.dir, fmt.Sprintf("%s%016d%s", segPrefix, base, segSuffix))
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
@@ -389,10 +412,6 @@ func (l *Log) SyncedLSN() uint64 { return l.synced.Load() }
 // OS pipeline but not yet durable; call Commit (or Sync) to make it
 // so. Append fails permanently once any log I/O has failed.
 func (l *Log) Append(typ byte, body []byte) (uint64, error) {
-	frame := len(body) + 1
-	if frame > maxFrameLen {
-		return 0, fmt.Errorf("wal: record of %d bytes exceeds frame limit", len(body))
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.err != nil {
@@ -401,18 +420,17 @@ func (l *Log) Append(typ byte, body []byte) (uint64, error) {
 	if l.f == nil {
 		return 0, fmt.Errorf("wal: log is closed")
 	}
-	if l.segOff > 0 && l.segOff+int64(frameHeader+frame) > l.segBytes {
+	buf, err := AppendFrame(l.buf[:0], typ, body)
+	if err != nil {
+		return 0, err
+	}
+	l.buf = buf
+	if l.segOff > 0 && l.segOff+int64(len(l.buf)) > l.segBytes {
 		if err := l.rotateLocked(); err != nil {
 			return 0, err
 		}
 	}
 	lsn := l.tailLocked()
-	l.buf = l.buf[:0]
-	l.buf = binary.LittleEndian.AppendUint32(l.buf, uint32(frame))
-	l.buf = append(l.buf, 0, 0, 0, 0) // CRC placeholder
-	l.buf = append(l.buf, typ)
-	l.buf = append(l.buf, body...)
-	binary.LittleEndian.PutUint32(l.buf[4:8], crc32.Checksum(l.buf[frameHeader:], castagnoli))
 	if _, err := l.f.Write(l.buf); err != nil {
 		l.err = fmt.Errorf("wal: append: %w", err)
 		return 0, l.err

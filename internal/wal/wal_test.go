@@ -3,10 +3,14 @@ package wal
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"scisparql/internal/protocol"
+	"scisparql/internal/rdf"
 )
 
 func openT(t *testing.T, dir string, opts Options) *Log {
@@ -390,6 +394,16 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add(valid[:len(valid)-3])
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0, 1})
 	f.Add([]byte{})
+	// A frame whose body is a row table, as a batch record's tables are.
+	table, err := protocol.EncodeRows([][]rdf.Term{{rdf.Blank("co1-2"), rdf.IRI("http://ex/p"), rdf.Float(math.NaN())}}, 3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	frame, err := AppendFrame(nil, RecBatch, table)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(frame)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// DecodeFrame must never panic and must never consume more
 		// bytes than it was given; a valid decode must re-encode to a
