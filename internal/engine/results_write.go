@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -205,11 +206,22 @@ func WriteCSV(w io.Writer, r *Results) error {
 
 // TermLexical returns the plain lexical form of a term for CSV output
 // (no quoting, no datatype decoration); unbound (nil) is the empty
-// string.
+// string. A double with no digits takes xsd:double's lexical form:
+// NaN, INF or -INF.
 func TermLexical(t rdf.Term) string {
 	switch v := t.(type) {
 	case nil:
 		return ""
+	case rdf.Float:
+		switch f := float64(v); {
+		case math.IsNaN(f):
+			return "NaN"
+		case math.IsInf(f, 1):
+			return "INF"
+		case math.IsInf(f, -1):
+			return "-INF"
+		}
+		return v.String()
 	case rdf.IRI:
 		return string(v)
 	case rdf.Blank:

@@ -2,15 +2,18 @@ package httpfront
 
 import (
 	"context"
+	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -176,6 +179,59 @@ func TestCSVGolden(t *testing.T) {
 	want := "s,v\r\nhttp://ex/s,1\r\n"
 	if got := w.Body.String(); got != want {
 		t.Fatalf("CSV body %q, want %q", got, want)
+	}
+}
+
+// TestNonFiniteDoublesOverHTTP: NaN, ±Inf and −0 cells leave the JSON
+// and CSV writers as xsd:double lexical forms, and each parses back
+// through the SPARQL literal parser to the double it was.
+func TestNonFiniteDoublesOverHTTP(t *testing.T) {
+	f, db := newTestFront(t)
+	vars := []string{"nan", "inf", "ninf", "nz"}
+	want := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+	const query = `PREFIX xsd: <http://www.w3.org/2001/XMLSchema#>
+SELECT ?nan ?inf ?ninf ?nz WHERE { BIND("NaN"^^xsd:double AS ?nan) BIND(1e308 * 10 AS ?inf)
+	BIND(-1e308 * 10 AS ?ninf) BIND("-0"^^xsd:double AS ?nz) }`
+	parseBack := func(format, name, lex string, want float64) {
+		t.Helper()
+		res, err := db.Query(`SELECT ?x WHERE { BIND("` + lex + `"^^<http://www.w3.org/2001/XMLSchema#double> AS ?x) }`)
+		if err != nil {
+			t.Errorf("%s ?%s = %q does not parse back: %v", format, name, lex, err)
+			return
+		}
+		got, ok := res.Rows[0][0].(rdf.Float)
+		if !ok || math.Float64bits(float64(got)) != math.Float64bits(want) && !(math.IsNaN(float64(got)) && math.IsNaN(want)) {
+			t.Errorf("%s ?%s = %q parses back to %v, want %v", format, name, lex, res.Rows[0][0], want)
+		}
+	}
+
+	w := get(f, "/sparql", query, nil)
+	if w.Code != http.StatusOK {
+		t.Fatalf("JSON: status %d: %s", w.Code, w.Body.String())
+	}
+	var doc struct {
+		Results struct {
+			Bindings []map[string]struct{ Value, Datatype string }
+		}
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &doc); err != nil || len(doc.Results.Bindings) != 1 {
+		t.Fatalf("JSON: %v, body %s", err, w.Body.String())
+	}
+	for i, v := range vars {
+		cell := doc.Results.Bindings[0][v]
+		if cell.Datatype != string(rdf.XSDDouble) {
+			t.Errorf("JSON ?%s datatype %q", v, cell.Datatype)
+		}
+		parseBack("JSON", v, cell.Value, want[i])
+	}
+
+	w = get(f, "/sparql", query, map[string]string{"Accept": "text/csv"})
+	recs, err := csv.NewReader(w.Body).ReadAll()
+	if w.Code != http.StatusOK || err != nil || len(recs) != 2 || !slices.Equal(recs[0], vars) {
+		t.Fatalf("CSV: status %d, %v, %q", w.Code, err, recs)
+	}
+	for i, v := range vars {
+		parseBack("CSV", v, recs[1][i], want[i])
 	}
 }
 

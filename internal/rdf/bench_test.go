@@ -3,6 +3,7 @@ package rdf
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -130,7 +131,7 @@ func gatherShaped(docs int) []Triple {
 	return out
 }
 
-// BenchmarkBuild lays out a gather's scratch graph in one pass;
+// BenchmarkBuild builds a gather's scratch graph as three sorted runs;
 // BenchmarkBuildTx is its twin, the same triples added one by one
 // through a transaction.
 func BenchmarkBuild(b *testing.B) {
@@ -155,6 +156,42 @@ func BenchmarkBuildTx(b *testing.B) {
 		tx.Commit()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ts)), "ns/triple")
+}
+
+// BenchmarkBuiltProbe is the vectorized join's two probes — HasIDs on a
+// present triple, MatchAppend on its (s, p) pair — over a built graph
+// and over a Tx graph of the same gather-shaped triples.
+func BenchmarkBuiltProbe(b *testing.B) {
+	ts := gatherShaped(2000)
+	built, added := NewGraph(), NewGraph()
+	built.Build(slices.Clone(ts))
+	tx := added.Begin()
+	for _, t := range ts {
+		tx.addIDs(t.S, t.P, t.O)
+	}
+	tx.Commit()
+	for _, g := range []struct {
+		name string
+		g    *Graph
+	}{{"built", built}, {"tx", added}} {
+		b.Run(g.name+"/HasIDs", func(b *testing.B) {
+			for i := 0; b.Loop(); i++ {
+				if t := ts[i%len(ts)]; !g.g.HasIDs(t.S, t.P, t.O) {
+					b.Fatalf("lost %v", t)
+				}
+			}
+		})
+		b.Run(g.name+"/MatchAppend", func(b *testing.B) {
+			var dst TripleBatch
+			for i := 0; b.Loop(); i++ {
+				t := ts[i%len(ts)]
+				dst.Reset()
+				if g.g.MatchAppend(t.S, t.P, 0, &dst) == 0 {
+					b.Fatalf("lost %v", t)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkGraphCountMatchOneBound is CountMatch with one bound

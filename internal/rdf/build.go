@@ -3,23 +3,23 @@ package rdf
 import (
 	"math/bits"
 	"slices"
+	"sort"
 	"sync"
 )
 
-// Build fills an empty graph with a batch of interned (non-zero) IDs
-// and publishes the result once: the bulk alternative to a Tx adding
-// them one by one, for a graph that is written once and then only read
-// (a gather's scratch graph). ts may hold duplicates; Build sorts and
-// compacts it in place, so its contents are unspecified afterwards.
+// Build fills an empty graph with a batch of interned (non-zero) IDs,
+// publishes the result once and leaves the graph read-only, like a
+// Snapshot: the bulk alternative to a Tx adding them one by one, for a
+// graph that is written once and then only read (a gather's scratch
+// graph). ts may hold duplicates; Build sorts and compacts it in place,
+// so its contents are unspecified afterwards. An empty batch publishes
+// nothing and leaves the graph as it was.
 //
-// Each permutation is laid out bottom-up from one sorted run: the batch
-// is sorted in trie order (sortTrie), every key's subtree is built from
-// its contiguous run, and every node, slot array and set header is
-// allocated once, at its final size. The trie layout is canonical — a
-// key sits at the shallowest level where its low chunks are unique
-// among the keys — so the graph has exactly the shape per-triple
-// inserts would leave and enumerates in the same order. Built nodes
-// carry tag 0, so a later Tx path-copies before it writes.
+// A built graph holds no trie: each permutation is one exactly-sized
+// run of its triples rotated to lead with its key — SPO as (s, p, o),
+// POS as (p, o, s), OSP as (o, s, p) — sorted in trie order (sortTrie).
+// A pattern is a prefix search on one run, and a built graph enumerates
+// every pattern in the order a Tx-built graph of the same triples does.
 func (g *Graph) Build(ts []Triple) {
 	g.checkWritable()
 	g.wmu.Lock()
@@ -27,45 +27,51 @@ func (g *Graph) Build(ts []Triple) {
 	if g.cur().size != 0 {
 		panic("rdf: Build into a non-empty graph")
 	}
-	b := builders.Get().(*builder)
-	defer b.release()
-	b.tmp = slices.Grow(b.tmp[:0], len(ts))[:len(ts)]
-	sortTrie(ts, b.tmp)
+	tmp := sortBufs.Get().(*[]Triple)
+	defer sortBufs.Put(tmp)
+	*tmp = slices.Grow((*tmp)[:0], len(ts))[:len(ts)]
+	sortTrie(ts, *tmp)
 	ts = slices.Compact(ts)
 	if len(ts) == 0 {
 		return
 	}
-	st := &graphState{size: len(ts)}
-	st.spo = b.index(ts)
-	for i, t := range ts {
-		if i == 0 || t.S != ts[i-1].S || t.P != ts[i-1].P {
-			b.subjects[t.P]++
+	r := &runs{spo: slices.Clone(ts)}
+	rotate(ts, *tmp)
+	r.pos = slices.Clone(ts)
+	rotate(ts, *tmp)
+	r.osp = slices.Clone(ts)
+	for i, t := range r.pos {
+		if i == 0 || t.S != r.pos[i-1].S {
+			r.preds = append(r.preds, predSubjects{p: t.S})
 		}
 	}
-	// Rotating every triple turns the sorted-by-(s, p, o) batch into one
-	// to sort by (p, o, s), then (o, s, p): one sort and one builder for
-	// all three permutations.
-	rotate(ts, b.tmp)
-	st.pos = b.index(ts)
-	// The distinct-subject counts are keyed by exactly POS's top-level
-	// keys, in the same order.
-	subj := make([]pmSlot[int32], len(b.top))
-	for i, sl := range b.top {
-		subj[i] = pmSlot[int32]{key: sl.key, val: b.subjects[ID(sl.key)]}
+	for i, t := range r.spo {
+		if i == 0 || t.S != r.spo[i-1].S || t.P != r.spo[i-1].P {
+			r.pred(t.P).subjects++
+		}
 	}
-	st.subjects = pmBuild(subj, 0)
-	rotate(ts, b.tmp)
-	st.osp = b.index(ts)
-	g.publish(st)
+	g.publish(&graphState{size: len(ts), built: r})
 }
 
-// rotate moves every triple's components one place left, (a, b, c) →
-// (b, c, a), and re-sorts the batch in trie order.
+// sortBufs recycles Build's sort buffer.
+var sortBufs = sync.Pool{New: func() any { return new([]Triple) }}
+
+// rotate turns every triple one place (turn) and re-sorts the batch in
+// trie order.
 func rotate(ts, tmp []Triple) {
 	for i, t := range ts {
-		ts[i] = Triple{t.P, t.O, t.S}
+		ts[i] = turn(t, 1)
 	}
 	sortTrie(ts, tmp)
+}
+
+// turn moves t's components k places left: one place turns (a, b, c)
+// into (b, c, a).
+func turn(t Triple, k int) Triple {
+	for range k {
+		t = Triple{t.P, t.O, t.S}
+	}
+	return t
 }
 
 // pmLevels is how many chunks a key has: ceil(32 / pmBits).
@@ -125,97 +131,101 @@ func field(t Triple, f int) ID {
 	return t.S
 }
 
-// builder is Build's scratch, recycled through builders: the sort
-// buffer, the leaf runs reused from one key to the next (top is one
-// index's top level, mid one key's middle level, set one pair's
-// innermost set) and the distinct-subject count per predicate.
-type builder struct {
-	tmp      []Triple
-	top      []pmSlot[*pmid]
-	mid      []pmSlot[*pset]
-	set      []pmSlot[struct{}]
-	subjects map[ID]int32
+// trieLess reports whether a sorts before b in trie order (sortTrie):
+// by the lowest 5-bit chunk in which they differ. Below that chunk they
+// agree, so masking both to its end leaves the chunk to decide; equal
+// IDs mask to all bits (a shift past 31 is 0) and are not less.
+func trieLess(a, b ID) bool {
+	end := uint(bits.TrailingZeros32(uint32(a^b))) / pmBits * pmBits
+	m := ID(1)<<(end+pmBits) - 1
+	return a&m < b&m
 }
 
-var builders = sync.Pool{New: func() any { return &builder{subjects: make(map[ID]int32)} }}
-
-// release returns b to builders, dropping its references into the
-// graph it built.
-func (b *builder) release() {
-	clear(b.top[:cap(b.top)])
-	clear(b.mid[:cap(b.mid)])
-	clear(b.subjects)
-	builders.Put(b)
-}
-
-// index lays out the three-level index over ts, sorted in trie order by
-// (S, P, O) with no triple twice, keyed S → P → O.
-func (b *builder) index(ts []Triple) *pmNode[*pmid] {
-	keys := 0
-	for i := range ts {
-		if i == 0 || ts[i].S != ts[i-1].S {
-			keys++
+// before reports whether a's first n (at least one) components sort
+// before b's in trie order.
+func before(a, b Triple, n int) bool {
+	x, y := a.S, b.S
+	if x == y && n > 1 {
+		if x, y = a.P, b.P; x == y && n > 2 {
+			x, y = a.O, b.O
 		}
 	}
-	b.top = slices.Grow(b.top[:0], keys)
-	for i := 0; i < len(ts); {
-		j := i + 1
-		for j < len(ts) && ts[j].S == ts[i].S {
-			j++
-		}
-		b.top = append(b.top, pmSlot[*pmid]{key: uint32(ts[i].S), val: b.middle(ts[i:j])})
-		i = j
-	}
-	return pmBuild(b.top, 0)
+	return trieLess(x, y)
 }
 
-// middle lays out one top-level key's middle level from its run.
-func (b *builder) middle(run []Triple) *pmid {
-	b.mid = b.mid[:0]
-	for i := 0; i < len(run); {
-		j := i + 1
-		for j < len(run) && run[j].P == run[i].P {
-			j++
+// search returns the index of the first row of run that does not sort
+// before key on the first n components or, with past, of the first row
+// key sorts before.
+func search(run []Triple, key Triple, n int, past bool) int {
+	lo, hi := 0, len(run)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		a, b := run[m], key
+		if past {
+			a, b = b, a
 		}
-		leaf := pmSlot[*pset]{key: uint32(run[i].P)}
-		if j-i == 1 {
-			leaf.one = uint32(run[i].O)
+		if before(a, b, n) != past {
+			lo = m + 1
 		} else {
-			b.set = b.set[:0]
-			for _, t := range run[i:j] {
-				b.set = append(b.set, pmSlot[struct{}]{key: uint32(t.O)})
-			}
-			leaf.val = &pset{root: pmBuild(b.set, 0), n: int32(j - i)}
+			hi = m
 		}
-		b.mid = append(b.mid, leaf)
-		i = j
 	}
-	return &pmid{root: pmBuild(b.mid, 0), n: int32(len(b.mid)), total: len(run)}
+	return lo
 }
 
-// pmBuild lays out the trie over leaves — distinct keys in trie order
-// (sortTrie), all agreeing below shift — as the node at shift: a chunk
-// one leaf falls into holds it, a chunk several share is the edge to
-// their own node. Every node and slot array is allocated at its final
-// size.
-func pmBuild[V any](leaves []pmSlot[V], shift uint) *pmNode[V] {
-	n := &pmNode[V]{}
-	for _, l := range leaves {
-		n.bitmap |= 1 << (l.key >> shift & pmMask)
+// runs is a built graph's read-only layout (Build): the three
+// permutations as sorted runs, and POS's distinct predicates in its
+// order, each with the number of distinct subjects it occurs with.
+type runs struct {
+	spo, pos, osp []Triple
+	preds         []predSubjects
+}
+
+type predSubjects struct {
+	p        ID
+	subjects int32
+}
+
+// pred returns p's entry in preds, nil when p occurs in no triple.
+func (r *runs) pred(p ID) *predSubjects {
+	i := sort.Search(len(r.preds), func(i int) bool { return !trieLess(r.preds[i].p, p) })
+	if i == len(r.preds) || r.preds[i].p != p {
+		return nil
 	}
-	n.slots = make([]pmSlot[V], 0, bits.OnesCount32(n.bitmap))
-	for i := 0; i < len(leaves); {
-		chunk := leaves[i].key >> shift & pmMask
-		j := i + 1
-		for j < len(leaves) && leaves[j].key>>shift&pmMask == chunk {
-			j++
+	return &r.preds[i]
+}
+
+// has reports whether t is one of the rows: a probe takes one search.
+func (r *runs) has(t Triple) bool {
+	i := search(r.spo, t, 3, false)
+	return i < len(r.spo) && r.spo[i] == t
+}
+
+// span returns the rows matching a pattern (0 = wildcard) from the run
+// its bound positions lead, and k, how many places that run's rows are
+// turned from (s, p, o).
+func (r *runs) span(s, p, o ID) (rows []Triple, k int) {
+	n := 0
+	for _, id := range [3]ID{s, p, o} {
+		if id != 0 {
+			n++
 		}
-		if j-i == 1 {
-			n.slots = append(n.slots, leaves[i])
-		} else {
-			n.slots = append(n.slots, pmSlot[V]{child: pmBuild(leaves[i:j], shift+pmBits)})
-		}
-		i = j
 	}
-	return n
+	switch {
+	case n == 0:
+		return r.spo, 0
+	case s == 0 && p != 0:
+		k = 1
+	case p == 0 && o != 0:
+		k = 2
+	}
+	run, key := [3][]Triple{r.spo, r.pos, r.osp}[k], turn(Triple{s, p, o}, k)
+	// The key's rows end inside a window from the first, widened until
+	// the row at its end sorts after the key: a probe's few rows cost a
+	// few steps, not a second search of the whole run.
+	lo, w := search(run, key, n, false), 4
+	for lo+w < len(run) && !before(key, run[lo+w], n) {
+		w *= 4
+	}
+	return run[lo : lo+search(run[lo:min(lo+w, len(run))], key, n, true)], k
 }

@@ -37,9 +37,12 @@ type Triple struct {
 // cheap. The one statistic no permutation carries is counted beside
 // them: subjects maps a predicate to the number of distinct subjects it
 // occurs with, kept in a persistent trie so pinned states stay exact.
+// A state Build published holds no trie: built is its read-only
+// layout, and every reader branches on it once.
 type graphState struct {
 	spo, pos, osp *pmNode[*pmid]
 	subjects      *pmNode[int32]
+	built         *runs
 	size          int
 	// gen is the graph's mutation counter at the moment this state was
 	// published; a pinned snapshot reports it as its (stable) generation.
@@ -49,6 +52,9 @@ type graphState struct {
 var emptyGraphState = &graphState{}
 
 func (st *graphState) has(s, p, o ID) bool {
+	if st.built != nil {
+		return st.built.has(Triple{s, p, o})
+	}
 	return idxGet(st.spo, s).get(p).has(o)
 }
 
@@ -181,9 +187,9 @@ func (g *Graph) cur() *graphState { return g.state.Load() }
 // blocking or being blocked by writers to the parent. It shares the
 // parent's dictionary (IDs and terms stay resolvable) and is itself
 // read-only — mutating it panics. Snapshotting a snapshot returns it
-// unchanged.
+// unchanged, and so does snapshotting a graph Build filled.
 func (g *Graph) Snapshot() *Graph {
-	if g.frozen {
+	if g.Frozen() {
 		return g
 	}
 	st := g.cur()
@@ -193,12 +199,13 @@ func (g *Graph) Snapshot() *Graph {
 	return sg
 }
 
-// Frozen reports whether this Graph is a pinned read-only snapshot.
-func (g *Graph) Frozen() bool { return g.frozen }
+// Frozen reports whether this Graph is read-only: a pinned snapshot, or
+// a graph Build filled.
+func (g *Graph) Frozen() bool { return g.frozen || g.cur().built != nil }
 
 func (g *Graph) checkWritable() {
-	if g.frozen {
-		panic("rdf: write on a pinned snapshot")
+	if g.Frozen() {
+		panic("rdf: write on a read-only graph")
 	}
 }
 
@@ -572,6 +579,11 @@ func (g *Graph) MatchCtx(ctx context.Context, s, p, o ID, yield func(Triple) boo
 // triples — tuple, batch or append — goes through it.
 func (st *graphState) match(ctx context.Context, s, p, o ID, yield func(Triple) bool) {
 	w := walker{ctx: ctx}
+	if st.built != nil {
+		rows, k := st.built.span(s, p, o)
+		w.run(rows, (3-k)%3, yield)
+		return
+	}
 	switch {
 	case s != 0 && p != 0 && o != 0:
 		if st.has(s, p, o) {
@@ -651,6 +663,15 @@ func (w *walker) mid(mid *pmid, base Triple, outerPos, innerPos int, yield func(
 	}
 }
 
+// run yields a built graph's rows, each turned back places to (s, p, o).
+func (w *walker) run(rows []Triple, back int, yield func(Triple) bool) {
+	for _, t := range rows {
+		if !yield(turn(t, back)) || w.ctx != nil && w.cancelled() {
+			return
+		}
+	}
+}
+
 // top yields the whole graph from the SPO permutation.
 func (w *walker) top(root *pmNode[*pmid], yield func(Triple) bool) {
 	var it pmIter[*pmid]
@@ -700,6 +721,10 @@ func (g *Graph) MatchTermsCtx(ctx context.Context, s, p, o Term, yield func(s, p
 // ever happens.
 func (g *Graph) CountMatch(s, p, o ID) int {
 	st := g.cur()
+	if st.built != nil {
+		rows, _ := st.built.span(s, p, o)
+		return len(rows)
+	}
 	switch {
 	case s != 0 && p != 0 && o != 0:
 		if st.has(s, p, o) {
@@ -727,9 +752,22 @@ func (g *Graph) CountMatch(s, p, o ID) int {
 // of distinct subjects and objects — the histogram-style statistics the
 // cost-based optimizer uses (dissertation §5.4, cf. RDF-3X's indexes
 // doubling as histograms, §2.3.1). All three are index lookups, so the
-// join orderer can afford to call this on every BGP.
+// join orderer can afford to call this on every BGP. On a built graph
+// the distinct objects are counted off the predicate's run.
 func (g *Graph) PredStats(p ID) (count, distinctS, distinctO int) {
 	st := g.cur()
+	if r := st.built; r != nil && p != 0 {
+		rows, _ := r.span(0, p, 0)
+		for i, t := range rows {
+			if i == 0 || t.P != rows[i-1].P {
+				distinctO++
+			}
+		}
+		if e := r.pred(p); e != nil {
+			distinctS = int(e.subjects)
+		}
+		return len(rows), distinctS, distinctO
+	}
 	pos := idxGet(st.pos, p)
 	if sl := pmFind(st.subjects, uint32(p)); sl != nil {
 		distinctS = int(sl.val)

@@ -15,28 +15,30 @@ import (
 // TestGuardGatherBytesPerRow bounds what a gather query allocates per
 // triple streamed back from the shards: a cross-subject join over 4
 // local shards scans two whole predicates (8 000 rows) into the scratch
-// graph. With the legs collecting ID triples into pooled buffers and
-// rdf.Graph.Build laying out the three indexes once after they return,
-// every node allocated at its final size, and the scratch dictionary
-// keyed by each term's own value, this costs 321–456 B per row (forty
-// runs; where in that range a run reads depends on whether a collection
-// has just emptied the pools). With a Key() string built per interned
-// cell it was 362–496 B; inserted one row at a time by a transaction
-// editing its own trie nodes in place, 591 B.
+// graph. With the legs collecting ID triples into pooled buffers,
+// rdf.Graph.Build keeping each permutation as one sorted run of rows
+// once they return, and the scratch dictionary keyed by each term's own
+// value, this costs 171–247 B per row (forty runs; where in that range
+// a run reads depends on whether a collection has just emptied the
+// pools). With the three permutations built as tries, every node
+// allocated at its final size, it was 321–456 B; with a Key() string
+// built per interned cell as well, 362–496 B; inserted one row at a
+// time by a transaction editing its own trie nodes in place, 591 B.
 func TestGuardGatherBytesPerRow(t *testing.T) {
 	node, c := cluster(t, 4)
-	if perRow := gatherBytesPerRow(t, node, c); perRow > 525 {
-		t.Errorf("gather allocates %.0f B per row, want <= 525", perRow)
+	if perRow := gatherBytesPerRow(t, node, c); perRow > 285 {
+		t.Errorf("gather allocates %.0f B per row, want <= 285", perRow)
 	}
 }
 
 // TestGuardRemoteGatherBytesPerRow is the same join over four loopback
 // servers, so the bytes include both ends of every leg: the peer's scan
 // and batch encoding, the JSON frame, and the coordinator's decoding.
-// With each leg one dictionary-coded batch, the scratch graph built in
-// one pass and its dictionary keyed by term value, that is 396–476 B per
-// row (forty runs); with a Key() string per interned cell it was
-// 437–543 B, with the graph built by a transaction 692 B.
+// With each leg one dictionary-coded batch, the scratch graph built as
+// three sorted runs and its dictionary keyed by term value, that is
+// 245–281 B per row (forty runs); with the graph built as three tries it
+// was 395–491 B, with a Key() string per interned cell as well 437–543
+// B, with the graph built by a transaction 692 B.
 //
 // The collector is off for this test only: the peers' batch buffers are
 // pooled, a collection empties the pools, and with one running 2 of 40
@@ -47,8 +49,8 @@ func TestGuardGatherBytesPerRow(t *testing.T) {
 func TestGuardRemoteGatherBytesPerRow(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	node, c, _ := remoteCluster(t, 4)
-	if perRow := gatherBytesPerRow(t, node, c); perRow > 548 {
-		t.Errorf("remote gather allocates %.0f B per row, want <= 548", perRow)
+	if perRow := gatherBytesPerRow(t, node, c); perRow > 325 {
+		t.Errorf("remote gather allocates %.0f B per row, want <= 325", perRow)
 	}
 }
 
