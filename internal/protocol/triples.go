@@ -69,16 +69,18 @@ func EncodeTriples(g *rdf.Graph, wild [3]bool, scan func(yield func(s, p, o []rd
 	return blob, n, nil
 }
 
+// termLists holds DecodeTriples' term lists, cleared so they pin no blob.
+var termLists = sync.Pool{New: func() any { return new([]rdf.Term) }}
+
 // DecodeTriples reads a batch built by EncodeTriples for the pattern
 // (s, p, o) — nil positions are the wildcards the batch carries, the
 // others are replayed from the arguments — and hands each triple to
 // emit until it returns false. Each distinct term is decoded once, into
-// a dictionary of exactly the announced length whose texts share blob's
-// memory (so blob must not change afterwards); replaying a row of known
-// terms allocates nothing. Anything that is not a well-formed batch for
-// that pattern is an error (never a panic, and no allocation is sized by
-// a count the bytes present cannot back); emit may have seen a prefix of
-// the rows by then.
+// a pooled list, and its text shares blob's memory (so blob must not
+// change afterwards); replaying a row of known terms allocates nothing.
+// Anything that is not a well-formed batch for that pattern is an error
+// (never a panic, and no allocation is sized by a count the bytes
+// present cannot back); emit may have seen a prefix of the rows by then.
 func DecodeTriples(blob []byte, s, p, o rdf.Term, emit func(s, p, o rdf.Term) bool) error {
 	var mask byte
 	open := 0
@@ -103,7 +105,14 @@ func DecodeTriples(blob []byte, s, p, o rdf.Term, emit func(s, p, o rdf.Term) bo
 	case open > 0 && (nrows > size/uint64(open) || ndict > size/3):
 		return fmt.Errorf("%w: %d rows over %d terms exceed the payload", errBadBatch, nrows, ndict)
 	}
-	dict := make([]rdf.Term, 0, ndict)
+	list := termLists.Get().(*[]rdf.Term)
+	dict := append((*list)[:0], make([]rdf.Term, ndict)...)[:0]
+	defer func() {
+		clear(dict)
+		if *list = dict[:0]; cap(dict) <= maxPooledBatch/16 {
+			termLists.Put(list)
+		}
+	}()
 	for ; nrows > 0; nrows-- {
 		row := [3]rdf.Term{s, p, o}
 		for c := range row {

@@ -2,9 +2,11 @@ package protocol
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -229,8 +231,9 @@ func TestGuardDecodeTriplesAllocsPerRow(t *testing.T) {
 	allocs := testing.AllocsPerRun(5, func() {
 		_ = DecodeTriples(blob, nil, rdf.IRI("http://ex/year"), nil, func(_, _, _ rdf.Term) bool { rows++; return true })
 	})
-	// 1 000 rows over 1 030 distinct terms: one box per term plus the
-	// dictionary slice; the texts share the batch's memory.
+	// 1 000 rows over 1 030 distinct terms: one box per term, the texts
+	// sharing the batch's memory and the term list pooled (1 031 with a
+	// list made per batch).
 	if allocs > 1030+4 {
 		t.Errorf("%.0f allocations for 1000 rows over 1030 distinct terms", allocs)
 	}
@@ -274,4 +277,80 @@ func FuzzDecodeTriples(f *testing.F) {
 			t.Fatalf("%d rows out of %d bytes", rows, len(blob))
 		}
 	})
+}
+
+// TestDecodeTriplesRecyclesItsList: DecodeTriples' pooled term list holds
+// no term once the call returns, however it returns — at the end, when
+// emit stops it, or at any bad-batch exit — so the pool pins no blob;
+// and a well-formed batch decoded right after each bad one reads exactly
+// as it does alone.
+func TestDecodeTriplesRecyclesItsList(t *testing.T) {
+	g := rdf.NewGraph()
+	var s, p, o []rdf.ID
+	pred, obj := g.Intern(rdf.IRI("http://ex/p")), g.Intern(rdf.IRI("http://ex/o"))
+	for _, term := range everyKind() {
+		for range 2 {
+			s, p, o = append(s, g.Intern(term)), append(p, pred), append(o, obj)
+		}
+	}
+	good := batchOf(t, g, [3]bool{true, false, false}, s, p, o)
+	decode := func(b []byte, stop int) (subjects []rdf.Term, err error) {
+		err = DecodeTriples(b, nil, rdf.IRI("http://ex/p"), rdf.IRI("http://ex/o"), func(s, _, _ rdf.Term) bool {
+			subjects = append(subjects, s)
+			return len(subjects) != stop
+		})
+		return subjects, err
+	}
+	pinned := func() bool {
+		list := termLists.Get().(*[]rdf.Term)
+		defer termLists.Put(list)
+		return slices.ContainsFunc((*list)[:cap(*list)], func(t rdf.Term) bool { return t != nil })
+	}
+	want, err := decode(good, -1)
+	if err != nil || len(want) != len(s) {
+		t.Fatalf("good batch: %d rows, %v", len(want), err)
+	}
+	if pinned() {
+		t.Fatal("a decoded batch left terms in the pooled list")
+	}
+	if rows, err := decode(good, 3); err != nil || len(rows) != 3 || pinned() {
+		t.Fatalf("stopped after %d rows (%v); list pinned: %v", len(rows), err, pinned())
+	}
+	header := func(ndict, nrows uint32, payload ...byte) []byte {
+		b := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32([]byte{0b001}, ndict), nrows)
+		return append(b, payload...)
+	}
+	withDict := func(d uint32) []byte {
+		b := slices.Clone(good)
+		binary.LittleEndian.PutUint32(b[1:], d)
+		return b
+	}
+	ndict := binary.LittleEndian.Uint32(good[1:])
+	bad := map[string][]byte{
+		"index out of range": header(1, 2, 0, kindBool, 1, 9),
+		"more terms":         withDict(ndict - 1),
+		"fewer terms":        withDict(ndict + 1),
+		"unknown kind":       header(2, 2, 0, kindBool, 1, 0, 99, 0),
+		"stray bytes":        append(slices.Clone(good), 1),
+	}
+	for n := batchHeader + 1; n < len(good); n++ {
+		bad[fmt.Sprintf("truncated at %d", n)] = good[:n]
+	}
+	for name, b := range bad {
+		if _, err := decode(b, -1); !errors.Is(err, errBadBatch) {
+			t.Fatalf("%s: %v, want a bad-batch error", name, err)
+		}
+		if pinned() {
+			t.Fatalf("%s: the bad batch left terms in the pooled list", name)
+		}
+		got, err := decode(good, -1)
+		if err != nil || len(got) != len(want) {
+			t.Fatalf("after %s: %d rows, %v", name, len(got), err)
+		}
+		for i := range got {
+			if !sameTerm(got[i], want[i]) {
+				t.Fatalf("after %s: row %d subject %v, want %v", name, i, got[i], want[i])
+			}
+		}
+	}
 }

@@ -3,7 +3,6 @@ package rdf
 import (
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"testing"
 )
 
@@ -185,21 +184,16 @@ func TestGuardTxAddBytesPerTriple(t *testing.T) {
 	}
 }
 
-// TestGuardBuildBytesPerRow pins what Build allocates per triple of a
-// gather-shaped batch (6 501 triples), its sort buffer pooled and warm:
-// three exactly-sized runs of 12-byte rows and a few headers, 37.9 B
-// per triple in each of forty runs. Laid out as three tries, every
-// node, slot array and set header allocated at its final size, it was
-// 158.
+// TestGuardBuildBytesPerRow pins what Build into a new graph allocates
+// per triple of a gather-shaped batch (6 501 triples): one array of three
+// runs of 12-byte rows, whose last third is also the sort buffer, and a
+// few headers — 36.6 B per triple (37.9 as three separate runs and a
+// pooled sort buffer). Laid out as three tries, every node,
+// slot array and set header allocated at its final size, it was 158.
 func TestGuardBuildBytesPerRow(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's allocator overhead is not what this measures")
 	}
-	// The guard reads a warm pool: the collector is off (a collection
-	// empties it) and one processor holds it (a pool keeps one private
-	// buffer per processor, out of the others' reach).
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ts := gatherShaped(2000)
 	buf := make([]Triple, len(ts))
 	build := func() {

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"sync"
 )
 
 // Build fills an empty graph with a batch of interned (non-zero) IDs,
@@ -27,19 +26,26 @@ func (g *Graph) Build(ts []Triple) {
 	if g.cur().size != 0 {
 		panic("rdf: Build into a non-empty graph")
 	}
-	tmp := sortBufs.Get().(*[]Triple)
-	defer sortBufs.Put(tmp)
-	*tmp = slices.Grow((*tmp)[:0], len(ts))[:len(ts)]
-	sortTrie(ts, *tmp)
-	ts = slices.Compact(ts)
 	if len(ts) == 0 {
 		return
 	}
-	r := &runs{spo: slices.Clone(ts)}
-	rotate(ts, *tmp)
-	r.pos = slices.Clone(ts)
-	rotate(ts, *tmp)
-	r.osp = slices.Clone(ts)
+	// The three runs are consecutive in one array, the one Reset kept when
+	// it fits. Its last third is the sort buffer until OSP is copied in.
+	m, r := len(ts), g.spare
+	if r == nil || cap(r.rows) < 3*m {
+		r = &runs{rows: make([]Triple, 3*m)}
+	}
+	tmp := r.rows[2*m : 3*m]
+	sortTrie(ts, tmp)
+	ts = slices.Compact(ts)
+	n := len(ts)
+	g.spare, r.rows, r.preds = nil, r.rows[:3*n], r.preds[:0]
+	r.spo, r.pos, r.osp = r.rows[:n:n], r.rows[n:2*n:2*n], r.rows[2*n:]
+	copy(r.spo, ts)
+	rotate(ts, tmp)
+	copy(r.pos, ts)
+	rotate(ts, tmp)
+	copy(r.osp, ts)
 	for i, t := range r.pos {
 		if i == 0 || t.S != r.pos[i-1].S {
 			r.preds = append(r.preds, predSubjects{p: t.S})
@@ -50,11 +56,30 @@ func (g *Graph) Build(ts []Triple) {
 			r.pred(t.P).subjects++
 		}
 	}
-	g.publish(&graphState{size: len(ts), built: r})
+	g.publish(&graphState{size: n, built: r})
 }
 
-// sortBufs recycles Build's sort buffer.
-var sortBufs = sync.Pool{New: func() any { return new([]Triple) }}
+// maxScratch bounds, in rows or terms, what Reset keeps for the next
+// Build; the shard and protocol packages' pools share the bound.
+const maxScratch = 1 << 16
+
+// Reset empties a graph Build filled, or one still empty, for the next
+// Build: the identity maps are cleared in place, the term and run arrays
+// keep their capacity, the numeric memo goes, IDs restart at 1 and the
+// generation moves on. The caller must hold the only reference to the
+// graph. A live graph with triples, and a Snapshot, panic.
+func (g *Graph) Reset() {
+	if st := g.cur(); g.frozen || st.built == nil && st.size != 0 {
+		panic("rdf: Reset of a live graph or a snapshot")
+	}
+	g.wmu.Lock()
+	defer g.wmu.Unlock()
+	if r := g.cur().built; r != nil && cap(r.rows) <= 3*maxScratch {
+		g.spare = r
+	}
+	g.dict.reset()
+	g.publish(&graphState{})
+}
 
 // rotate turns every triple one place (turn) and re-sorts the batch in
 // trie order.
@@ -174,11 +199,11 @@ func search(run []Triple, key Triple, n int, past bool) int {
 }
 
 // runs is a built graph's read-only layout (Build): the three
-// permutations as sorted runs, and POS's distinct predicates in its
-// order, each with the number of distinct subjects it occurs with.
+// permutations as sorted runs in one array, and POS's distinct
+// predicates in its order, each with its number of distinct subjects.
 type runs struct {
-	spo, pos, osp []Triple
-	preds         []predSubjects
+	rows, spo, pos, osp []Triple
+	preds               []predSubjects
 }
 
 type predSubjects struct {

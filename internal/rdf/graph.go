@@ -63,8 +63,8 @@ func (st *graphState) has(s, p, o ID) bool {
 // counts the terms, and the slice header is republished only when
 // append moves the array, so a reader loads n first and may then index
 // any header it finds up to n (IDs are never reused, and an entry below
-// n is never rewritten). The dictionary is shared between a live graph,
-// its snapshots, and its post-Clear states.
+// n is never rewritten, short of Graph.Reset). The dictionary is shared
+// between a live graph, its snapshots, and its post-Clear states.
 type dict struct {
 	mu    sync.RWMutex
 	index termIndex
@@ -135,6 +135,30 @@ func (d *dict) termOf(id ID) Term {
 
 func (d *dict) len() int { return int(d.n.Load()) }
 
+// reset empties the dictionary for Graph.Reset; past maxScratch terms it
+// starts from nothing, since clearing a map costs its capacity.
+func (d *dict) reset() {
+	if n := d.n.Load(); n > maxScratch {
+		d.index = termIndex{}
+		d.terms.Store(nil)
+	} else if n > 0 {
+		clear((*d.terms.Load())[:n])
+	}
+	clear(d.index.iris)
+	clear(d.index.blanks)
+	clear(d.index.plain)
+	clear(d.index.langs)
+	clear(d.index.ints)
+	clear(d.index.floats)
+	clear(d.index.times)
+	clear(d.index.typed)
+	clear(d.index.keyed)
+	d.index.bools = [2]ID{}
+	d.n.Store(0)
+	d.bytes.Store(0)
+	d.num.table.Store(nil)
+}
+
 // Graph is an in-memory RDF-with-Arrays triple store with
 // multi-version concurrency control: the triple content lives in an
 // immutable graphState reached through an atomic pointer, so readers
@@ -161,6 +185,7 @@ type Graph struct {
 	// frozen marks a Snapshot: writes panic, reads serve the pinned
 	// state forever.
 	frozen bool
+	spare  *runs // what Reset kept for the next Build; guarded by wmu
 
 	// gen is a monotonic version counter bumped on every mutation that
 	// could change what a compiled ID-based plan would see: a new
@@ -263,9 +288,9 @@ func (g *Graph) lookup3(s, p, o Term) (si, pi, oi ID, ok bool) {
 	return
 }
 
-// TermOf returns the term for a dictionary ID. IDs are never reused,
-// so a term obtained from any enumeration remains resolvable — even
-// through Clear and on snapshots.
+// TermOf returns the term for a dictionary ID. IDs are never reused
+// (short of Reset), so a term obtained from any enumeration remains
+// resolvable — even through Clear and on snapshots.
 func (g *Graph) TermOf(id ID) Term {
 	return g.dict.termOf(id)
 }

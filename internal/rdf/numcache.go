@@ -8,8 +8,8 @@ import (
 )
 
 // numCache memoizes the numeric interpretation of dictionary IDs.
-// Terms are immutable and IDs are never reused, so a cached entry is
-// valid forever. It is shared — like the dictionary itself — between a
+// Terms are immutable and IDs are never reused (Graph.Reset drops the
+// memo), so a cached entry is valid forever. It is shared — like the dictionary itself — between a
 // live graph, its snapshots, and post-Clear states.
 //
 // The memo is paged: a page is allocated the first time an ID inside

@@ -238,8 +238,21 @@ func dedupMasks(masks []mask) []mask {
 	return out
 }
 
-// rowBufs recycles a gather's ID-triple buffers, one per leg.
+// rowBufs and scratchSets recycle a gather's ID-triple buffers, one per
+// leg, and its dataset (rdf.Graph.Reset): its results hold terms, not
+// IDs, and scatter waits for every leg. A buffer over maxPooledRows goes.
 var rowBufs = sync.Pool{New: func() any { return new([][]rdf.Triple) }}
+var scratchSets = sync.Pool{New: func() any { return rdf.NewDataset() }}
+
+const maxPooledRows = 1 << 16
+
+// intern returns id or, where id is unbound and t is not, t's ID in g.
+func intern(g *rdf.Graph, id rdf.ID, t rdf.Term) rdf.ID {
+	if id == rdf.Unbound && t != nil {
+		return g.Intern(t)
+	}
+	return id
+}
 
 // runGather executes a query on the gather path: scatter the masks,
 // build a scratch graph from what the legs return, evaluate locally.
@@ -250,7 +263,7 @@ func (c *Coordinator) runGather(ctx context.Context, q *sparql.Query, lim engine
 	}
 	masks = dedupMasks(masks)
 
-	ds := rdf.NewDataset()
+	ds := scratchSets.Get().(*rdf.Dataset)
 	scratch := ds.Default
 
 	// Shard scans run concurrently and intern their rows into the
@@ -259,14 +272,17 @@ func (c *Coordinator) runGather(ctx context.Context, q *sparql.Query, lim engine
 	// triples in a buffer of its own. Blank labels are globally unique by
 	// construction (the coordinator rewrites them at load routing), so
 	// merging needs no renaming.
-	intern := func(t rdf.Term) rdf.ID {
-		if t == nil {
-			return rdf.Unbound
-		}
-		return scratch.Intern(t)
-	}
 	legs := rowBufs.Get().(*[][]rdf.Triple)
-	defer rowBufs.Put(legs)
+	defer func() {
+		scratch.Reset()
+		scratchSets.Put(ds)
+		for i, rows := range *legs {
+			if cap(rows) > maxPooledRows {
+				(*legs)[i] = nil
+			}
+		}
+		rowBufs.Put(legs)
+	}()
 	if len(*legs) != len(c.shards) {
 		*legs = make([][]rdf.Triple, len(c.shards))
 	}
@@ -278,21 +294,11 @@ func (c *Coordinator) runGather(ctx context.Context, q *sparql.Query, lim engine
 			}
 			qs.call()
 			c.perShard[i].calls.Add(1)
-			bound := rdf.Triple{S: intern(m.s), P: intern(m.p), O: intern(m.o)}
+			b := rdf.Triple{S: intern(scratch, 0, m.s), P: intern(scratch, 0, m.p), O: intern(scratch, 0, m.o)}
 			var n int64
 			err := sh.Scan(ctx, m.s, m.p, m.o, func(s, p, o rdf.Term) bool {
 				n++
-				t := bound
-				if t.S == rdf.Unbound {
-					t.S = scratch.Intern(s)
-				}
-				if t.P == rdf.Unbound {
-					t.P = scratch.Intern(p)
-				}
-				if t.O == rdf.Unbound {
-					t.O = scratch.Intern(o)
-				}
-				rows = append(rows, t)
+				rows = append(rows, rdf.Triple{S: intern(scratch, b.S, s), P: intern(scratch, b.P, p), O: intern(scratch, b.O, o)})
 				return true
 			})
 			c.perShard[i].rows.Add(n)

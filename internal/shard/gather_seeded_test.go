@@ -2,13 +2,17 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"scisparql/internal/core"
 	"scisparql/internal/engine"
+	"scisparql/internal/rdf"
 )
 
 // seededTerm draws one object term, as SPARQL text, from the kinds that
@@ -86,38 +90,127 @@ func seededQueries(rng *rand.Rand) []string {
 
 // TestGatherMatchesSingleNodeSeeded: for fifty seeds, a generated
 // dataset and the gather-mode query shapes filled with generated
-// constants answer on 1, 2 and 4 local shards exactly as on a single
-// node, compared as bags (canon).
+// constants answer on 1, 2 and 4 local shards and on 4 loopback servers
+// exactly as on a single node, compared as bags (canon). Gathers recycle
+// their scratch dataset, so two passes also run on the 4-shard cluster:
+// every query from four goroutines at once, and every query right after
+// a gather that failed when one leg died mid-scan.
 func TestGatherMatchesSingleNodeSeeded(t *testing.T) {
 	const prefixes = "PREFIX ex: <http://ex/> PREFIX xsd: <http://www.w3.org/2001/XMLSchema#>\n"
 	for seed := int64(1); seed <= 50; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		data := prefixes + seededData(rng)
-		queries := seededQueries(rng)
-		ref := core.Open()
-		if _, err := ref.Update(data); err != nil {
-			t.Fatalf("seed %d: single node: %v\n%s", seed, err, data)
-		}
-		for _, n := range []int{1, 2, 4} {
-			node, _ := cluster(t, n)
-			if _, err := node.Update(data); err != nil {
-				t.Fatalf("seed %d, %d shards: %v\n%s", seed, n, err, data)
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			data := prefixes + seededData(rng)
+			queries := seededQueries(rng)
+			ref := core.Open()
+			if _, err := ref.Update(data); err != nil {
+				t.Fatalf("seed %d: single node: %v\n%s", seed, err, data)
 			}
-			for _, q := range queries {
-				label := fmt.Sprintf("seed %d, %d shards, query %s", seed, n, q)
-				want, err := ref.Query(prefixes + q)
-				if err != nil {
-					t.Fatalf("%s: single node: %v", label, err)
+			want := make([]*engine.Results, len(queries))
+			for i, q := range queries {
+				var err error
+				if want[i], err = ref.Query(prefixes + q); err != nil {
+					t.Fatalf("seed %d, query %s: single node: %v", seed, q, err)
 				}
+			}
+			run := func(node *core.SSDM, q string) (*engine.Results, error) {
 				got, tr, err := node.QueryAnalyze(context.Background(), prefixes+q, engine.Limits{})
+				if err == nil && tr.ShardMode != "gather" {
+					err = fmt.Errorf("dispatched as %q, want gather", tr.ShardMode)
+				}
+				return got, err
+			}
+			check := func(node *core.SSDM, route string) {
+				t.Helper()
+				for i, q := range queries {
+					label := fmt.Sprintf("seed %d, %s, query %s", seed, route, q)
+					got, err := run(node, q)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					sameResults(t, label, want[i], got)
+				}
+			}
+			load := func(route string, node *core.SSDM) *core.SSDM {
+				t.Helper()
+				if _, err := node.Update(data); err != nil {
+					t.Fatalf("seed %d, %s: %v\n%s", seed, route, err, data)
+				}
+				return node
+			}
+			for _, n := range []int{1, 2, 4} {
+				node, _ := cluster(t, n)
+				route := fmt.Sprintf("%d local shards", n)
+				check(load(route, node), route)
+			}
+			remote, _, _ := remoteCluster(t, 4)
+			check(load("4 loopback servers", remote), "4 loopback servers")
+
+			node, c := cluster(t, 4)
+			load("4 local shards", node)
+			var wg sync.WaitGroup
+			got := make([][]*engine.Results, 4)
+			errs := make([]error, 4)
+			for w := range got {
+				got[w] = make([]*engine.Results, len(queries))
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := range queries {
+						// Each goroutine starts at a different query.
+						j := (i + w) % len(queries)
+						if got[w][j], errs[w] = run(node, queries[j]); errs[w] != nil {
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			for w := range got {
+				if errs[w] != nil {
+					t.Fatalf("seed %d, goroutine %d: %v", seed, w, errs[w])
+				}
+				for i, q := range queries {
+					sameResults(t, fmt.Sprintf("seed %d, goroutine %d, query %s", seed, w, q), want[i], got[w][i])
+				}
+			}
+			k := rng.Intn(4)
+			dying := &failingShard{Shard: c.shards[k]}
+			c.shards[k] = dying
+			for i, q := range queries {
+				dying.after.Store(int64(rng.Intn(4)))
+				if _, err := run(node, q); !errors.Is(err, core.ErrShardUnavailable) {
+					t.Fatalf("seed %d, query %s: a leg that died gave %v", seed, q, err)
+				}
+				dying.after.Store(-1)
+				label := fmt.Sprintf("seed %d, after a failed gather, query %s", seed, q)
+				res, err := run(node, q)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				if tr.ShardMode != "gather" {
-					t.Fatalf("%s: dispatched as %q, want gather", label, tr.ShardMode)
-				}
-				sameResults(t, label, want, got)
+				sameResults(t, label, want[i], res)
 			}
-		}
+		})
 	}
+}
+
+// failingShard is a leg that dies mid-scan: with after ≥ 0, each scan
+// emits at most that many rows and then fails, whatever is left of it.
+type failingShard struct {
+	Shard
+	after atomic.Int64
+}
+
+func (f *failingShard) Scan(ctx context.Context, s, p, o rdf.Term, emit func(s, p, o rdf.Term) bool) error {
+	k := f.after.Load()
+	if k < 0 {
+		return f.Shard.Scan(ctx, s, p, o, emit)
+	}
+	err := f.Shard.Scan(ctx, s, p, o, func(s, p, o rdf.Term) bool {
+		if k--; k < 0 {
+			return false
+		}
+		return emit(s, p, o)
+	})
+	return errors.Join(err, errors.New("scan failed mid-stream"))
 }
