@@ -245,10 +245,11 @@ type evalCtx struct {
 	snaps map[*rdf.Graph]*rdf.Graph
 
 	// vecPlans memoizes vectorized prefixes per (group, graph), like
-	// plans. Unlike plans it is NOT shared with derived contexts: a
-	// vecPlan owns mutable scratch batches, so sharing across nested
-	// evaluations (views, subqueries) would need re-entrancy handling
-	// everywhere; per-ctx plans keep the busy flag a rare safety net.
+	// plans. Unlike plans it is NOT shared with derived contexts: a run
+	// of a vecPlan writes columns borrowed from colPool for that run alone,
+	// so sharing across nested evaluations (views, subqueries) would need
+	// re-entrancy handling everywhere; per-ctx plans keep the busy flag
+	// a rare safety net.
 	// nil entries are cached too, so unvectorizable groups are analyzed
 	// once per execution.
 	vecPlans map[planKey]*vecPlan

@@ -382,32 +382,32 @@ func (c *evalCtx) matchTriple(tp sparql.TriplePattern, b Binding, yield func(Bin
 // variables are already bound, mirroring the predicate reordering of
 // the Amos II cost-based optimizer.
 func (c *evalCtx) orderPatterns(pats []sparql.TriplePattern, b Binding) []sparql.TriplePattern {
-	remaining := append([]sparql.TriplePattern(nil), pats...)
 	bound := map[string]bool{}
 	for v := range b {
 		bound[v] = true
 	}
-	out := make([]sparql.TriplePattern, 0, len(pats))
-	for len(remaining) > 0 {
-		best := 0
-		bestCost := c.estimateCost(remaining[0], bound)
-		for i := 1; i < len(remaining); i++ {
-			if cost := c.estimateCost(remaining[i], bound); cost < bestCost {
+	// Selection in place: out[k:] holds the unpicked patterns in order.
+	out := append([]sparql.TriplePattern(nil), pats...)
+	for k := range out {
+		best := k
+		bestCost := c.estimateCost(out[k], bound)
+		for i := k + 1; i < len(out); i++ {
+			if cost := c.estimateCost(out[i], bound); cost < bestCost {
 				best, bestCost = i, cost
 			}
 		}
-		tp := remaining[best]
-		remaining = append(remaining[:best], remaining[best+1:]...)
-		out = append(out, tp)
-		for _, v := range patternVars(tp) {
+		tp := out[best]
+		copy(out[k+1:best+1], out[k:best])
+		out[k] = tp
+		for _, v := range patternVars(make([]string, 0, 3), tp) {
 			bound[v] = true
 		}
 	}
 	return out
 }
 
-func patternVars(tp sparql.TriplePattern) []string {
-	var out []string
+// patternVars appends the pattern's variables to out (cap 3 suffices).
+func patternVars(out []string, tp sparql.TriplePattern) []string {
 	if v, ok := varOf(tp.S); ok {
 		out = append(out, v)
 	}

@@ -75,7 +75,7 @@ func (e *Engine) explainGroup(ctx *evalCtx, g *sparql.Group, sb *strings.Builder
 			for _, tp := range pats {
 				indent(sb, depth+1)
 				fmt.Fprintf(sb, "%-50s est %.1f\n", tp.String(), ctx.estimateCost(tp, bound))
-				for _, vv := range patternVars(tp) {
+				for _, vv := range patternVars(nil, tp) {
 					bound[vv] = true
 				}
 			}

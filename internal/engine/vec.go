@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"scisparql/internal/array"
 	"scisparql/internal/rdf"
@@ -42,8 +43,38 @@ import (
 // nullable and hold rdf.Unbound (0) on rows where the variable has no
 // binding (the plan's nullable mask records which columns may).
 type colbatch struct {
-	cols [][]rdf.ID
-	n    int
+	cols  [][]rdf.ID
+	slabs []*[]rdf.ID // colPool boxes behind cols while a run borrows them
+	n     int
+}
+
+// colPool recycles the column slabs of operator outputs. A run borrows
+// one slab per output column (borrow) and returns each exactly once when
+// it ends (release), so between runs a plan holds no column memory. As
+// with rdf's triple-batch pool, no slab over 2^16 IDs is kept.
+var colPool = sync.Pool{New: func() any { return new([]rdf.ID) }}
+
+// borrow gives each column an empty slab of capacity ≥ bs from colPool.
+func (b *colbatch) borrow(bs int) {
+	for i := range b.cols {
+		p := colPool.Get().(*[]rdf.ID)
+		if cap(*p) < bs {
+			*p = make([]rdf.ID, 0, bs)
+		}
+		b.cols[i], b.slabs[i] = (*p)[:0], p
+	}
+	b.n = 0
+}
+
+// release returns the borrowed slabs. A column never outgrows its slab
+// (operators flush at the batch size), so each box still holds it.
+func (b *colbatch) release() {
+	for i, p := range b.slabs {
+		if cap(*p) <= 1<<16 {
+			colPool.Put(p)
+		}
+		b.cols[i], b.slabs[i] = nil, nil
+	}
 }
 
 func (b *colbatch) reset() {
@@ -65,7 +96,7 @@ func (b *colbatch) flushTo(yield vecSink) error {
 }
 
 // vecSink consumes one batch. The batch's columns are only valid until
-// the sink returns (they are operator-owned scratch or pooled slabs).
+// the sink returns (they are slabs borrowed for the run, or rdf's).
 type vecSink func(b *colbatch) error
 
 // vecPos describes one triple-pattern position in a vec operator. A
@@ -77,14 +108,14 @@ type vecSink func(b *colbatch) error
 type vecPos struct {
 	constTerm rdf.Term
 	constID   rdf.ID
-	inCol     int
-	outCol    int
-	eqPos     int
+	inCol     int32 // int32s keep a join within a smaller size class
+	outCol    int32
+	eqPos     int32
 }
 
 type vecPattern struct {
-	pos  [3]vecPos
-	text string
+	pos [3]vecPos
+	tp  *sparql.TriplePattern // rendered only when a plan is described
 }
 
 // dead reports whether a constant of the pattern is absent from the
@@ -131,13 +162,14 @@ type vecScan struct {
 }
 
 func (s *vecScan) pattern() *vecPattern       { return &s.pat }
-func (s *vecScan) describe() (string, string) { return "vec scan", s.pat.text }
+func (s *vecScan) describe() (string, string) { return "vec scan", s.pat.tp.String() }
 
 func (s *vecScan) push(c *evalCtx, pl *vecPlan, _ *colbatch, yield vecSink) error {
 	if s.pat.dead() {
 		return nil
 	}
 	sid, pid, oid := s.pat.probe(nil, 0)
+	defer clear(s.out.cols) // drop aliases of rdf's slabs; release returns an eq-scan's
 	var ierr error
 	c.graph.MatchIDs(c.matchCtx(), sid, pid, oid, pl.ebs, func(ss, pp, oo []rdf.ID) bool {
 		cols := [3][]rdf.ID{ss, pp, oo}
@@ -194,7 +226,7 @@ type vecJoin struct {
 }
 
 func (j *vecJoin) pattern() *vecPattern       { return &j.pat }
-func (j *vecJoin) describe() (string, string) { return "vec join", j.pat.text }
+func (j *vecJoin) describe() (string, string) { return "vec join", j.pat.tp.String() }
 
 func (j *vecJoin) push(c *evalCtx, pl *vecPlan, in *colbatch, yield vecSink) error {
 	if j.pat.dead() {
@@ -532,7 +564,7 @@ type vecOptional struct {
 
 func (o *vecOptional) pattern() *vecPattern { return &o.pat }
 func (o *vecOptional) describe() (string, string) {
-	detail := o.pat.text
+	detail := o.pat.tp.String()
 	if n := len(o.conds); n > 0 {
 		detail += fmt.Sprintf(" + %d filter(s)", n)
 	}
@@ -675,33 +707,7 @@ func (u *vecUnion) push(c *evalCtx, pl *vecPlan, _ *colbatch, yield vecSink) err
 			}
 			return nil
 		}
-		// Chain the branch ops like run() chains the top-level ones,
-		// with the same per-output guard accounting.
-		sinks := make([]vecSink, len(br.ops))
-		for i := len(br.ops) - 1; i >= 0; i-- {
-			i := i
-			var next vecSink
-			if i+1 < len(br.ops) {
-				nextOp := br.ops[i+1]
-				nextOut := sinks[i+1]
-				next = func(b *colbatch) error { return nextOp.push(c, pl, b, nextOut) }
-			}
-			tr := br.opTr
-			sinks[i] = func(b *colbatch) error {
-				if err := c.guard.batch(b.n); err != nil {
-					return err
-				}
-				if tr != nil && tr[i] != nil {
-					tr[i].batches++
-					tr[i].rows += int64(b.n)
-				}
-				if next == nil {
-					return final(b)
-				}
-				return next(b)
-			}
-		}
-		if err := br.ops[0].push(c, pl, nil, sinks[0]); err != nil {
+		if err := br.ops[0].push(c, pl, nil, pl.chain(c, br.ops, br.opTr, final)); err != nil {
 			return err
 		}
 	}
@@ -712,11 +718,11 @@ func (u *vecUnion) push(c *evalCtx, pl *vecPlan, _ *colbatch, yield vecSink) err
 
 // vecPlan is the vectorized prefix of one compiled group: the vec
 // operators covering the first `covered` steps, the remaining tuple
-// steps (`rest`), and the scratch state the operators reuse. A plan is
-// private to one evalCtx (it lives in the ctx's vecPlans map), so its
-// scratch is single-goroutine; busy guards against accidental
-// re-entrant runs (fall back to the tuple path instead of corrupting
-// scratch).
+// steps (`rest`), and the output batches (`outs`) whose columns each run
+// borrows from colPool and returns when it ends. A plan is private to
+// one evalCtx (it lives in the ctx's vecPlans map), so a run is
+// single-goroutine; busy guards against accidental re-entrant runs
+// (fall back to the tuple path instead of sharing borrowed columns).
 type vecPlan struct {
 	group   *sparql.Group
 	schema  []string
@@ -736,6 +742,11 @@ type vecPlan struct {
 	// branch pipelines) rather than in ops directly; refresh re-resolves
 	// their constants too.
 	subPats []*vecPattern
+
+	// outs are the batches whose columns a run borrows: every join,
+	// OPTIONAL and UNION output and the eq-scan's compaction batch,
+	// including those of UNION branch pipelines.
+	outs []*colbatch
 
 	// ebs is the effective batch size of the current run: bs, clamped
 	// down when the caller has a small row budget (a LIMIT already
@@ -791,7 +802,15 @@ func (pl *vecPlan) run(c *evalCtx, final vecSink) error {
 // unbounded.
 func (pl *vecPlan) runWithBudget(c *evalCtx, budget int, final vecSink) error {
 	pl.busy = true
-	defer func() { pl.busy = false }()
+	for _, b := range pl.outs {
+		b.borrow(pl.bs)
+	}
+	defer func() {
+		for _, b := range pl.outs {
+			b.release()
+		}
+		pl.busy = false
+	}()
 	pl.refresh(c.graph)
 	pl.ebs = pl.bs
 	if budget > 0 && budget < pl.bs {
@@ -799,35 +818,11 @@ func (pl *vecPlan) runWithBudget(c *evalCtx, budget int, final vecSink) error {
 	}
 
 	var batches, rows int64
-	// Build the sink chain once per run: outs[i] is where op i pushes
-	// its output. Per-batch flow allocates nothing.
-	outs := make([]vecSink, len(pl.ops))
-	for i := len(pl.ops) - 1; i >= 0; i-- {
-		i := i
-		var next vecSink
-		if i+1 < len(pl.ops) {
-			nextOp := pl.ops[i+1]
-			nextOut := outs[i+1]
-			next = func(b *colbatch) error { return nextOp.push(c, pl, b, nextOut) }
-		}
-		tr := pl.opTr
-		outs[i] = func(b *colbatch) error {
-			if err := c.guard.batch(b.n); err != nil {
-				return err
-			}
-			if tr != nil && tr[i] != nil {
-				tr[i].batches++
-				tr[i].rows += int64(b.n)
-			}
-			if next == nil {
-				batches++
-				rows += int64(b.n)
-				return final(b)
-			}
-			return next(b)
-		}
-	}
-	err := pl.ops[0].push(c, pl, nil, outs[0])
+	err := pl.ops[0].push(c, pl, nil, pl.chain(c, pl.ops, pl.opTr, func(b *colbatch) error {
+		batches++
+		rows += int64(b.n)
+		return final(b)
+	}))
 	c.eng.vecQueries.Add(1)
 	c.eng.vecBatches.Add(batches)
 	c.eng.vecRows.Add(rows)
@@ -837,6 +832,39 @@ func (pl *vecPlan) runWithBudget(c *evalCtx, budget int, final vecSink) error {
 		c.trace.vecRows += rows
 	}
 	return err
+}
+
+// chain links ops into one pipeline ending in final and returns the
+// sink ops[0] pushes to. It is built once per run, so the per-batch
+// flow allocates nothing; every op's output is guard-charged and
+// traced on the way through.
+func (pl *vecPlan) chain(c *evalCtx, ops []vecOp, opTr []*vecOpTrace, final vecSink) vecSink {
+	next := final
+	for i := len(ops) - 1; i >= 0; i-- {
+		var tr *vecOpTrace
+		if opTr != nil {
+			tr = opTr[i]
+		}
+		var op vecOp
+		if i+1 < len(ops) {
+			op = ops[i+1]
+		}
+		out := next
+		next = func(b *colbatch) error {
+			if err := c.guard.batch(b.n); err != nil {
+				return err
+			}
+			if tr != nil {
+				tr.batches++
+				tr.rows += int64(b.n)
+			}
+			if op == nil {
+				return out(b)
+			}
+			return op.push(c, pl, b, out)
+		}
+	}
+	return next
 }
 
 // vecPlanFor returns the group's vectorized plan (nil when batch mode
@@ -907,8 +935,8 @@ loop:
 				}
 				pats = c.orderPatterns(pats, bound)
 			}
-			for _, tp := range pats {
-				pl.addPattern(tp, colOf)
+			for i := range pats {
+				pl.addPattern(&pats[i], colOf)
 			}
 		case *filterStep:
 			if len(pl.ops) == 0 {
@@ -946,7 +974,7 @@ loop:
 // refsNullable reports whether a pattern references (and would
 // therefore probe) a schema column that may hold the unbound sentinel.
 func (pl *vecPlan) refsNullable(tp sparql.TriplePattern, colOf map[string]int) bool {
-	for _, name := range patternVars(tp) {
+	for _, name := range patternVars(make([]string, 0, 3), tp) {
 		if col, ok := colOf[name]; ok && pl.nullable[col] {
 			return true
 		}
@@ -956,10 +984,9 @@ func (pl *vecPlan) refsNullable(tp sparql.TriplePattern, colOf map[string]int) b
 
 // lowerPattern computes the vecPos layout of one triple pattern
 // against the current schema, appending the pattern's new variables to
-// the schema (as non-nullable; the caller adjusts). added lists the
-// appended names so a caller that fails later can roll them back.
-func (pl *vecPlan) lowerPattern(tp sparql.TriplePattern, colOf map[string]int) (pat vecPattern, nNew int, eqs bool, added []string) {
-	pat.text = tp.String()
+// the schema (as non-nullable; the caller adjusts).
+func (pl *vecPlan) lowerPattern(tp *sparql.TriplePattern, colOf map[string]int) (pat vecPattern, nNew int, eqs bool) {
+	pat.tp = tp
 	for i := range pat.pos {
 		pat.pos[i] = vecPos{inCol: -1, outCol: -1, eqPos: -1}
 	}
@@ -994,48 +1021,51 @@ func (pl *vecPlan) lowerPattern(tp sparql.TriplePattern, colOf map[string]int) (
 		// occurrence is an equality constraint against its first, NOT a
 		// schema column (colOf already holds the first occurrence).
 		if fp, seen := firstOf[name]; seen {
-			pat.pos[i].eqPos = fp
+			pat.pos[i].eqPos = int32(fp)
 			eqs = true
 			continue
 		}
 		if col, bound := colOf[name]; bound {
-			pat.pos[i].inCol = col
+			pat.pos[i].inCol = int32(col)
 			continue
 		}
 		firstOf[name] = i
-		pat.pos[i].outCol = len(pl.schema)
+		pat.pos[i].outCol = int32(len(pl.schema))
 		colOf[name] = len(pl.schema)
 		pl.schema = append(pl.schema, name)
 		pl.nullable = append(pl.nullable, false)
-		added = append(added, name)
 		nNew++
 	}
-	return pat, nNew, eqs, added
+	return pat, nNew, eqs
 }
 
 // addPattern lowers one triple pattern to a scan (first op) or join,
 // growing the plan schema with the pattern's new variables.
-func (pl *vecPlan) addPattern(tp sparql.TriplePattern, colOf map[string]int) {
+func (pl *vecPlan) addPattern(tp *sparql.TriplePattern, colOf map[string]int) {
 	inW := len(pl.schema)
-	pat, nNew, eqs, _ := pl.lowerPattern(tp, colOf)
+	pat, nNew, eqs := pl.lowerPattern(tp, colOf)
 	width := len(pl.schema)
 	if len(pl.ops) == 0 {
 		op := &vecScan{pat: pat, eqs: eqs}
-		op.out.cols = make([][]rdf.ID, width)
 		if eqs {
-			for i := range op.out.cols {
-				op.out.cols[i] = make([]rdf.ID, 0, pl.bs)
-			}
+			pl.own(&op.out, width)
+		} else {
+			op.out.cols = make([][]rdf.ID, width)
 		}
 		pl.ops = append(pl.ops, op)
 		return
 	}
 	op := &vecJoin{pat: pat, inW: inW, nNew: nNew}
-	op.out.cols = make([][]rdf.ID, width)
-	for i := range op.out.cols {
-		op.out.cols[i] = make([]rdf.ID, 0, pl.bs)
-	}
+	pl.own(&op.out, width)
 	pl.ops = append(pl.ops, op)
+}
+
+// own sizes b for width columns and registers it among the batches
+// whose columns each run borrows.
+func (pl *vecPlan) own(b *colbatch, width int) {
+	b.cols = make([][]rdf.ID, width)
+	b.slabs = make([]*[]rdf.ID, width)
+	pl.outs = append(pl.outs, b)
 }
 
 // lowerOptional lowers OPTIONAL { body } onto the plan when the body
@@ -1076,9 +1106,9 @@ func (c *evalCtx) lowerOptional(pl *vecPlan, g *sparql.Group, colOf map[string]i
 	}
 
 	inW := len(pl.schema)
-	pat, nNew, _, added := pl.lowerPattern(tp, colOf)
+	pat, nNew, _ := pl.lowerPattern(&pats[0], colOf)
 	rollback := func() {
-		for _, name := range added {
+		for _, name := range pl.schema[inW:] {
 			delete(colOf, name)
 		}
 		pl.schema = pl.schema[:inW]
@@ -1100,10 +1130,7 @@ func (c *evalCtx) lowerOptional(pl *vecPlan, g *sparql.Group, colOf map[string]i
 		pl.nullable[i] = true
 	}
 	op := &vecOptional{pat: pat, inW: inW, nNew: nNew, conds: conds, fns: fns}
-	op.out.cols = make([][]rdf.ID, len(pl.schema))
-	for i := range op.out.cols {
-		op.out.cols[i] = make([]rdf.ID, 0, pl.bs)
-	}
+	pl.own(&op.out, len(pl.schema))
 	pl.ops = append(pl.ops, op)
 	return true
 }
@@ -1167,11 +1194,9 @@ func (c *evalCtx) lowerUnion(pl *vecPlan, branches []*sparql.Group, colOf map[st
 			}
 		}
 		pl.subPats = append(pl.subPats, bp.subPats...)
+		pl.outs = append(pl.outs, bp.outs...)
 	}
-	u.out.cols = make([][]rdf.ID, len(pl.schema))
-	for i := range u.out.cols {
-		u.out.cols[i] = make([]rdf.ID, 0, pl.bs)
-	}
+	pl.own(&u.out, len(pl.schema))
 	pl.ops = append(pl.ops, u)
 	return true
 }

@@ -2,9 +2,13 @@ package engine
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"scisparql/internal/rdf"
@@ -263,35 +267,110 @@ func runModes(t *testing.T, src string, ordered bool) {
 		if err != nil {
 			t.Fatalf("%s %q: %v", name, src, err)
 		}
-		wantVars := append([]string(nil), want.Vars...)
-		gotVars := append([]string(nil), got.Vars...)
-		sort.Strings(wantVars)
-		sort.Strings(gotVars)
-		if strings.Join(wantVars, ",") != strings.Join(gotVars, ",") {
-			t.Fatalf("%s %q: vars %v vs tuple %v", name, src, got.Vars, want.Vars)
+		if d := resultsDiff(want, got, ordered); d != "" {
+			t.Fatalf("%s %q: %s", name, src, d)
 		}
-		if ordered {
-			// Row order must match exactly.
-			if len(got.Rows) != len(want.Rows) {
-				t.Fatalf("%s %q: %d rows vs tuple %d", name, src, len(got.Rows), len(want.Rows))
+	}
+}
+
+// resultsDiff describes how a batch result differs from the tuple
+// path's, or returns "" when they agree: as bags, or row for row when
+// ordered.
+func resultsDiff(want, got *Results, ordered bool) string {
+	wantVars := append([]string(nil), want.Vars...)
+	gotVars := append([]string(nil), got.Vars...)
+	sort.Strings(wantVars)
+	sort.Strings(gotVars)
+	if strings.Join(wantVars, ",") != strings.Join(gotVars, ",") {
+		return fmt.Sprintf("vars %v vs tuple %v", got.Vars, want.Vars)
+	}
+	if ordered {
+		// Row order must match exactly.
+		if len(got.Rows) != len(want.Rows) {
+			return fmt.Sprintf("%d rows vs tuple %d", len(got.Rows), len(want.Rows))
+		}
+		for i := range want.Rows {
+			for _, v := range want.Vars {
+				if wv, gv := want.Get(i, v), got.Get(i, v); !termEq(wv, gv) {
+					return fmt.Sprintf("row %d var %s differs: tuple %v, batch %v", i, v, wv, gv)
+				}
 			}
-			for i := range want.Rows {
-				for _, v := range want.Vars {
-					if wv, gv := want.Get(i, v), got.Get(i, v); !termEq(wv, gv) {
-						t.Fatalf("%s %q: row %d var %s differs: tuple %v, batch %v", name, src, i, v, wv, gv)
+		}
+		return ""
+	}
+	w, g := canonRows(want), canonRows(got)
+	if len(w) != len(g) {
+		return fmt.Sprintf("%d rows vs tuple %d\ntuple: %v\nbatch: %v", len(g), len(w), w, g)
+	}
+	for i := range w {
+		if w[i] != g[i] {
+			return fmt.Sprintf("row %d differs:\ntuple: %s\nbatch: %s", i, w[i], g[i])
+		}
+	}
+	return ""
+}
+
+// TestVecPooledColumnsUnderConcurrency: every run borrows its output
+// columns from one pool that all goroutines share, so a column returned
+// twice, or before the run's last flush, hands one slab to two live
+// batches. Four goroutines run both corpora, each query twice, on
+// shared engines at batch sizes 1, 3 and 1024, and every answer must
+// match the tuple path's.
+func TestVecPooledColumnsUnderConcurrency(t *testing.T) {
+	tuple := vecTestEngine(t)
+	tuple.BatchSize = -1
+	type job struct {
+		src     string
+		q       *sparql.Query
+		ordered bool
+		want    *Results
+	}
+	var jobs []job
+	for _, corpus := range []struct {
+		srcs    []string
+		ordered bool
+	}{{vecEquivQueries, false}, {vecEquivOrdered, true}} {
+		for _, src := range corpus.srcs {
+			q := mustParse(t, src)
+			want, err := tuple.Query(q)
+			if err != nil {
+				t.Fatalf("tuple %q: %v", src, err)
+			}
+			jobs = append(jobs, job{src, q, corpus.ordered, want})
+		}
+	}
+	engines := map[int]*Engine{}
+	for _, bs := range []int{1, 3, 1024} {
+		engines[bs] = vecTestEngine(t)
+		engines[bs].BatchSize = bs
+	}
+	errs := make([]error, 4)
+	var wg sync.WaitGroup
+	for w := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 2 * len(jobs) {
+				j := jobs[(i+w*len(jobs)/4)%len(jobs)] // each goroutine starts elsewhere
+				for bs, e := range engines {
+					got, err := e.Query(j.q)
+					if err == nil {
+						if d := resultsDiff(j.want, got, j.ordered); d != "" {
+							err = errors.New(d)
+						}
+					}
+					if err != nil {
+						errs[w] = fmt.Errorf("batch-%d %q: %w", bs, j.src, err)
+						return
 					}
 				}
 			}
-			continue
-		}
-		w, g := canonRows(want), canonRows(got)
-		if len(w) != len(g) {
-			t.Fatalf("%s %q: %d rows vs tuple %d\ntuple: %v\nbatch: %v", name, src, len(g), len(w), w, g)
-		}
-		for i := range w {
-			if w[i] != g[i] {
-				t.Fatalf("%s %q: row %d differs:\ntuple: %s\nbatch: %s", name, src, i, w[i], g[i])
-			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
 		}
 	}
 }
@@ -437,9 +516,9 @@ func TestVecStatsCounters(t *testing.T) {
 	}
 }
 
-// TestVecSteadyStateAllocs: after the first run warms the plan's
-// scratch, each vectorized pipeline run costs a small constant number
-// of allocations (the per-run sink chain), independent of row count —
+// TestVecSteadyStateAllocs: after the first run has filled the column
+// pool, each vectorized pipeline run costs a small constant number of
+// allocations (the per-run sink chain), independent of row count —
 // i.e. zero allocations per batch and per row.
 func TestVecSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
@@ -466,13 +545,13 @@ func TestVecSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run() // warm scratch slabs
+	run() // fill the column pool
 	if rows == 0 {
 		t.Fatal("pipeline produced no rows")
 	}
 	allocs := testing.AllocsPerRun(30, run)
-	// The sink chain is rebuilt per run: one slice + two closures per
-	// operator. Nothing may allocate per batch or per row.
+	// The sink chain is rebuilt per run: one closure per operator and
+	// one for the sink. Nothing may allocate per batch or per row.
 	maxAllocs := float64(4*len(pl.ops) + 4)
 	if allocs > maxAllocs {
 		t.Fatalf("steady-state vectorized run: %.1f allocs, want <= %.0f (per-batch allocation leak?)", allocs, maxAllocs)
@@ -517,6 +596,49 @@ func TestGuardVecAggSteadyStateAllocs(t *testing.T) {
 	// allocs. Allow slack for map growth and batch-count variation.
 	if big > small+100 {
 		t.Fatalf("aggregation allocations scale with rows: %d rows -> %.0f allocs, %d rows -> %.0f allocs", 512, small, 4096, big)
+	}
+}
+
+// TestGuardVecJoinBytesPerQuery bounds what a warm three-pattern join
+// query allocates per execution at the default batch size: less than
+// one output column of it (4 KiB). A run borrows every join output
+// column from a pool and returns each when it ends, on every exit path;
+// when each execution made its own columns, both queries read 25 KiB,
+// at least one column per join output variable. The second stops at
+// its LIMIT, so its run ends through the sink's early-stop error, the
+// path a run that returned nothing on error would leak on.
+// The collector is off and one processor runs, as for the gather
+// guards: a collection empties the pool, and a pool keeps one private
+// object per processor.
+func TestGuardVecJoinBytesPerQuery(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race; allocation sizes are not meaningful")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	e := vecTestEngine(t)
+	column := float64(rdf.DefaultBatchSize * 4) // bytes in one output column
+	for _, src := range []string{
+		`PREFIX ex: <http://ex/> SELECT ?o ?a ?b WHERE { ex:p5 ex:knows ?o . ?o ex:age ?a . ex:p5 ex:boss ?b }`,
+		`PREFIX ex: <http://ex/> SELECT ?s ?o ?a WHERE { ?s ex:knows ?o . ?o ex:age ?a . ?s ex:type ex:Person } LIMIT 1`,
+	} {
+		q := mustParse(t, src)
+		const runs = 20
+		var before, after runtime.MemStats
+		for i := -1; i < runs; i++ { // the first run fills the pool
+			if i == 0 {
+				runtime.ReadMemStats(&before)
+			}
+			if res, err := e.Query(q); err != nil || res.Len() != 1 {
+				t.Fatalf("%s: %d rows, err %v", src, res.Len(), err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perQuery := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		t.Logf("%.0f B per execution: %s", perQuery, src)
+		if perQuery >= column {
+			t.Errorf("%s\n\tallocates %.0f B per execution, want < %.0f (one output column)", src, perQuery, column)
+		}
 	}
 }
 

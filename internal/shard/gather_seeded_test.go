@@ -91,7 +91,10 @@ func seededQueries(rng *rand.Rand) []string {
 // TestGatherMatchesSingleNodeSeeded: for fifty seeds, a generated
 // dataset and the gather-mode query shapes filled with generated
 // constants answer on 1, 2 and 4 local shards and on 4 loopback servers
-// exactly as on a single node, compared as bags (canon). Gathers recycle
+// exactly as on a single node, compared as bags (canon). The single node
+// also answers each query through the tuple interpreter and in batches
+// of one and of three rows, which flush every row or every three rows,
+// against its own default-batch answer. Gathers recycle
 // their scratch dataset, so two passes also run on the 4-shard cluster:
 // every query from four goroutines at once, and every query right after
 // a gather that failed when one leg died mid-scan.
@@ -111,6 +114,17 @@ func TestGatherMatchesSingleNodeSeeded(t *testing.T) {
 				var err error
 				if want[i], err = ref.Query(prefixes + q); err != nil {
 					t.Fatalf("seed %d, query %s: single node: %v", seed, q, err)
+				}
+			}
+			for _, bs := range []int{-1, 1, 3} {
+				ref.Engine.BatchSize = bs
+				for i, q := range queries {
+					label := fmt.Sprintf("seed %d, single node at batch size %d, query %s", seed, bs, q)
+					got, err := ref.Query(prefixes + q)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					sameResults(t, label, want[i], got)
 				}
 			}
 			run := func(node *core.SSDM, q string) (*engine.Results, error) {
