@@ -3,6 +3,7 @@ package array
 import (
 	"container/list"
 	"sync"
+	"sync/atomic"
 )
 
 // DefaultChunkCacheBytes is the byte budget of the process-wide shared
@@ -24,6 +25,15 @@ type cacheKey struct {
 type cacheEntry struct {
 	key  cacheKey
 	data []byte
+	pins atomic.Int32 // readers decoding data; rises only under the cache's lock
+}
+
+// ChunkRecycler is implemented by a ChunkSource that wants its payloads
+// back for reuse: the cache passes one to RecycleChunk when its entry
+// leaves with no reader pinning it. A source emitting memory it keeps
+// must not implement it.
+type ChunkRecycler interface {
+	RecycleChunk(data []byte)
 }
 
 // flight is one in-progress back-end fetch of a chunk. Concurrent
@@ -31,9 +41,10 @@ type cacheEntry struct {
 // flight instead of issuing duplicate reads (singleflight); done is
 // closed when the payload (or the claimant's error) is available.
 type flight struct {
-	done chan struct{}
-	data []byte
-	err  error
+	done    chan struct{}
+	entry   *cacheEntry // set by resolve, pinned once per waiter; nil on failure
+	err     error
+	waiters int32 // readers resolve pins the entry for; guarded by mu
 }
 
 // ChunkCacheStats is a snapshot of a cache's counters.
@@ -56,8 +67,10 @@ type ChunkCacheStats struct {
 // singleflight registry that deduplicates concurrent fetches of the
 // same chunk.
 //
-// All payloads are immutable once cached; callers must treat returned
-// slices as read-only.
+// A payload is the cache's from emit on; a reader may read it only
+// while pinned, from the lookup that hands it out until decoded. An
+// entry leaving unpinned (evicted, purged, reset) returns its payload
+// to a ChunkRecycler source; a pinned one is left to the collector.
 type ChunkCache struct {
 	mu        sync.Mutex
 	maxBytes  int64 // 0 = unlimited
@@ -140,9 +153,10 @@ func (c *ChunkCache) Stats() ChunkCacheStats {
 func (c *ChunkCache) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.ll.Init()
-	c.entries = make(map[cacheKey]*list.Element)
-	c.used, c.peak = 0, 0
+	for c.ll.Len() > 0 {
+		c.removeLocked(c.ll.Front())
+	}
+	c.peak = 0
 	c.hits, c.misses, c.coalesced, c.evictions = 0, 0, 0, 0
 }
 
@@ -162,76 +176,107 @@ func (c *ChunkCache) evictLocked() {
 		if el == nil {
 			return
 		}
-		e := el.Value.(*cacheEntry)
-		c.ll.Remove(el)
-		delete(c.entries, e.key)
-		c.used -= int64(len(e.data))
+		c.removeLocked(el)
 		c.evictions++
 	}
 }
 
-// insertLocked caches a payload (keeping any existing entry) and
-// evicts to budget. The peak gauge is updated after eviction, so it
-// reports the bytes the cache actually retained.
-func (c *ChunkCache) insertLocked(k cacheKey, data []byte) {
+// removeLocked drops an entry, handing its payload back to its source
+// if no reader holds a pin.
+func (c *ChunkCache) removeLocked(el *list.Element) {
+	e := c.ll.Remove(el).(*cacheEntry)
+	delete(c.entries, e.key)
+	c.used -= int64(len(e.data))
+	if r, ok := e.key.src.(ChunkRecycler); ok && e.pins.Load() == 0 {
+		r.RecycleChunk(e.data)
+	}
+}
+
+// insertLocked caches a payload (keeping any existing entry) pinned
+// pins times, and evicts to budget. The peak gauge is updated after
+// eviction, so it reports the bytes the cache actually retained.
+func (c *ChunkCache) insertLocked(k cacheKey, data []byte, pins int32) *cacheEntry {
 	if el, ok := c.entries[k]; ok {
 		c.ll.MoveToFront(el)
-		return
+		e := el.Value.(*cacheEntry)
+		e.pins.Add(pins)
+		return e
 	}
-	el := c.ll.PushFront(&cacheEntry{key: k, data: data})
-	c.entries[k] = el
+	e := &cacheEntry{key: k, data: data}
+	e.pins.Store(pins)
+	c.entries[k] = c.ll.PushFront(e)
 	c.used += int64(len(data))
 	c.evictLocked()
 	if c.used > c.peak {
 		c.peak = c.used
 	}
+	return e
 }
 
 // lookupOrClaim is the heart of the cache's read path. Exactly one of
 // the three outcomes holds:
 //
-//   - data != nil: cache hit (recency refreshed);
+//   - e != nil: cache hit (recency refreshed);
 //   - fl != nil, claimed == false: another reader is already fetching
 //     this chunk — wait on fl.done;
 //   - fl != nil, claimed == true: the caller owns the fetch and must
 //     finish it with resolve or fail, or waiters hang.
-func (c *ChunkCache) lookupOrClaim(k cacheKey) (data []byte, fl *flight, claimed bool) {
+//
+// With pin the caller is a reader: a hit comes pinned, and on a flight
+// the caller is a waiter resolve pins the entry for. It ends with
+// unpin, or with release if it stops waiting.
+func (c *ChunkCache) lookupOrClaim(k cacheKey, pin bool) (e *cacheEntry, fl *flight, claimed bool) {
+	var w int32
+	if pin {
+		w = 1
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[k]; ok {
 		c.hits++
 		c.ll.MoveToFront(el)
-		return el.Value.(*cacheEntry).data, nil, false
+		e = el.Value.(*cacheEntry)
+		e.pins.Add(w)
+		return e, nil, false
 	}
 	if fl, ok := c.inflight[k]; ok {
 		c.coalesced++
+		fl.waiters += w
 		return nil, fl, false
 	}
 	c.misses++
-	fl = &flight{done: make(chan struct{})}
+	fl = &flight{done: make(chan struct{}), waiters: w}
 	c.inflight[k] = fl
 	return nil, fl, true
 }
 
-// peek reports whether the chunk is cached without claiming a fetch or
-// touching the counters or recency (diagnostics).
-func (c *ChunkCache) peek(k cacheKey) bool {
+// unpin ends a reader's use of an entry's payload.
+func (c *ChunkCache) unpin(e *cacheEntry) { e.pins.Add(-1) }
+
+// release ends a reader's hold unread: its pin on e or, on a flight it
+// stopped waiting for, the pin resolve gave it or its waiter's place.
+func (c *ChunkCache) release(e *cacheEntry, fl *flight) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.entries[k]
-	return ok
+	if e == nil {
+		e = fl.entry
+	}
+	if e != nil {
+		c.unpin(e)
+	} else {
+		fl.waiters--
+	}
 }
 
-// resolve completes a claimed fetch: the payload enters the cache and
-// every coalesced waiter is released.
+// resolve completes a claimed fetch: the payload enters the cache,
+// pinned for every waiter, and the waiters are released.
 func (c *ChunkCache) resolve(k cacheKey, fl *flight, data []byte) {
 	c.mu.Lock()
-	c.insertLocked(k, data)
+	fl.entry = c.insertLocked(k, data, fl.waiters)
 	if c.inflight[k] == fl {
 		delete(c.inflight, k)
 	}
 	c.mu.Unlock()
-	fl.data = data
 	close(fl.done)
 }
 
@@ -255,9 +300,7 @@ func (c *ChunkCache) purge(src ChunkSource, arrayID int64) {
 	defer c.mu.Unlock()
 	for k, el := range c.entries {
 		if k.src == src && k.arrayID == arrayID {
-			c.ll.Remove(el)
-			delete(c.entries, k)
-			c.used -= int64(len(el.Value.(*cacheEntry).data))
+			c.removeLocked(el)
 		}
 	}
 }

@@ -33,7 +33,8 @@ type ChunkSource interface {
 // on the goroutine that called ReadChunksCtx; an emit error or a ctx
 // cancellation stops the in-flight workers. Proxies use this interface
 // when present to overlap back-end latency with computation, and fall
-// back to ReadChunks otherwise.
+// back to ReadChunks otherwise. A payload passed to emit is the caller's
+// from then on; the source may reuse it only once handed it back.
 type ChunkSourceCtx interface {
 	ReadChunksCtx(ctx context.Context, arrayID int64, runs []spd.Run, emit func(chunkNo int, data []byte) error) error
 }
@@ -45,8 +46,8 @@ type ChunkSourceCtx interface {
 //
 // A Proxy is safe for concurrent readers: cache hits share the cache
 // lock briefly, and concurrent misses on the same chunk coalesce into
-// a single back-end fetch (singleflight). Chunk payloads are immutable
-// once cached — callers must treat the returned bytes as read-only.
+// a single back-end fetch (singleflight). A read pins the chunk it
+// decodes, so no payload is recycled while a reader still holds it.
 // Source, ArrayID, ChunkElems, CacheCap and Cache must be set before
 // the proxy is shared.
 type Proxy struct {
@@ -111,59 +112,63 @@ func (p *Proxy) DropCache() {
 
 func (p *Proxy) elementAt(lin int, etype ElemType) (Number, error) {
 	chunkNo := lin / p.ChunkElems
-	data, err := p.chunkCtx(context.Background(), chunkNo)
+	e, err := p.chunkCtx(context.Background(), chunkNo)
 	if err != nil {
 		return Number{}, err
 	}
+	defer p.cacheRef().unpin(e)
 	off := (lin % p.ChunkElems) * ElemSize
-	if off+ElemSize > len(data) {
-		return Number{}, fmt.Errorf("array: element %d beyond end of chunk %d (len %d)", lin, chunkNo, len(data))
+	if off+ElemSize > len(e.data) {
+		return Number{}, fmt.Errorf("array: element %d beyond end of chunk %d (len %d)", lin, chunkNo, len(e.data))
 	}
-	return DecodeElem(data[off:off+ElemSize], etype), nil
+	return DecodeElem(e.data[off:off+ElemSize], etype), nil
 }
 
-// chunkCtx returns the payload of one chunk: from the cache, by
+// chunkCtx returns the entry of one chunk, pinned: from the cache, by
 // joining another reader's in-flight fetch, or by fetching it.
-func (p *Proxy) chunkCtx(ctx context.Context, chunkNo int) ([]byte, error) {
-	c := p.cacheRef()
-	data, fl, claimed := c.lookupOrClaim(p.key(chunkNo))
-	if data != nil {
-		return data, nil
+func (p *Proxy) chunkCtx(ctx context.Context, chunkNo int) (*cacheEntry, error) {
+	e, fl, claimed := p.cacheRef().lookupOrClaim(p.key(chunkNo), true)
+	if e != nil {
+		return e, nil
 	}
 	defer fetchStatsFrom(ctx).timeWait()()
 	if claimed {
 		return p.readOneClaim(ctx, chunkNo, fl)
 	}
-	return p.awaitFlight(ctx, chunkNo, fl)
+	return p.awaitFlight(ctx, chunkNo, fl, true)
 }
 
 // readOneClaim fetches a single claimed chunk and completes its flight.
-func (p *Proxy) readOneClaim(ctx context.Context, chunkNo int, fl *flight) ([]byte, error) {
-	p.readClaims(ctx, []int{chunkNo}, map[int]*flight{chunkNo: fl}, nil)
+func (p *Proxy) readOneClaim(ctx context.Context, chunkNo int, fl *flight) (*cacheEntry, error) {
+	p.readClaims(ctx, []int{chunkNo}, map[int]*flight{chunkNo: fl})
 	if fl.err != nil {
 		return nil, fl.err
 	}
-	return fl.data, nil
+	return fl.entry, nil
 }
 
 // awaitFlight waits for another reader's fetch of chunkNo. If that
 // reader fails — its query may simply have been cancelled — the wait
 // retries by fetching the chunk under this reader's own context, so
-// one query's failure cannot poison another's.
-func (p *Proxy) awaitFlight(ctx context.Context, chunkNo int, fl *flight) ([]byte, error) {
+// one query's failure cannot poison another's. With pin (see
+// lookupOrClaim), an error leaves the caller holding nothing.
+func (p *Proxy) awaitFlight(ctx context.Context, chunkNo int, fl *flight, pin bool) (*cacheEntry, error) {
 	c := p.cacheRef()
 	for {
 		select {
 		case <-fl.done:
 		case <-ctx.Done():
+			if pin {
+				c.release(nil, fl)
+			}
 			return nil, ctx.Err()
 		}
 		if fl.err == nil {
-			return fl.data, nil
+			return fl.entry, nil
 		}
-		data, fl2, claimed := c.lookupOrClaim(p.key(chunkNo))
-		if data != nil {
-			return data, nil
+		e, fl2, claimed := c.lookupOrClaim(p.key(chunkNo), pin)
+		if e != nil {
+			return e, nil
 		}
 		if claimed {
 			return p.readOneClaim(ctx, chunkNo, fl2)
@@ -175,11 +180,10 @@ func (p *Proxy) awaitFlight(ctx context.Context, chunkNo int, fl *flight) ([]byt
 // readClaims fetches the claimed chunks (sorted ascending) in one
 // back-end interaction — streaming when the source supports it — and
 // completes every claim's flight: resolved with its payload as it
-// arrives, or failed so that coalesced waiters never hang. deliver,
-// when non-nil, additionally receives each fetched payload on the
-// calling goroutine. The returned error is the back-end's; a chunk the
-// back-end silently omitted fails only that chunk's flight.
-func (p *Proxy) readClaims(ctx context.Context, claims []int, claimFl map[int]*flight, deliver func(chunkNo int, data []byte) error) error {
+// arrives, or failed so that coalesced waiters never hang. The returned
+// error is the back-end's; a chunk the back-end silently omitted fails
+// only that chunk's flight.
+func (p *Proxy) readClaims(ctx context.Context, claims []int, claimFl map[int]*flight) error {
 	if len(claims) == 0 {
 		return nil
 	}
@@ -208,9 +212,6 @@ func (p *Proxy) readClaims(ctx context.Context, claims []int, claimFl map[int]*f
 		if fl, ok := claimFl[chunkNo]; ok && !resolved[chunkNo] {
 			resolved[chunkNo] = true
 			c.resolve(p.key(chunkNo), fl, data)
-		}
-		if deliver != nil {
-			return deliver(chunkNo, data)
 		}
 		return nil
 	}
@@ -248,9 +249,9 @@ func (p *Proxy) fetchMissingCtx(ctx context.Context, chunkNos []int) error {
 	var claimFl map[int]*flight
 	var waits map[int]*flight
 	for _, cn := range chunkNos {
-		data, fl, claimed := c.lookupOrClaim(p.key(cn))
+		e, fl, claimed := c.lookupOrClaim(p.key(cn), false)
 		switch {
-		case data != nil:
+		case e != nil:
 		case claimed:
 			if claimFl == nil {
 				claimFl = make(map[int]*flight)
@@ -268,20 +269,15 @@ func (p *Proxy) fetchMissingCtx(ctx context.Context, chunkNos []int) error {
 		return nil
 	}
 	defer fetchStatsFrom(ctx).timeWait()()
-	if err := p.readClaims(ctx, claims, claimFl, nil); err != nil {
+	if err := p.readClaims(ctx, claims, claimFl); err != nil {
 		return err
 	}
 	for cn, fl := range waits {
-		if _, err := p.awaitFlight(ctx, cn, fl); err != nil {
+		if _, err := p.awaitFlight(ctx, cn, fl, false); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// fetchMissing is fetchMissingCtx without cancellation (legacy entry).
-func (p *Proxy) fetchMissing(chunkNos []int) error {
-	return p.fetchMissingCtx(context.Background(), chunkNos)
 }
 
 func (p *Proxy) aggregateWhole() (*AggState, bool, error) {
@@ -331,7 +327,7 @@ func streamWindows(claims []int, chunkBytes int) [][]int {
 // overlaps with the consumer's computation. Concurrent readers of the
 // same chunks coalesce onto one fetch. Cancelling ctx stops the
 // in-flight fetch workers; StreamChunks does not return until they
-// have exited.
+// have exited. The bytes passed to f are valid only until f returns.
 //
 // Sources that do not implement ChunkSourceCtx are read in a single
 // batched ReadChunks call, preserving their one-interaction contract.
@@ -345,7 +341,7 @@ func (p *Proxy) StreamChunks(ctx context.Context, chunkNos []int, f func(chunkNo
 	}
 	c := p.cacheRef()
 	type slot struct {
-		data []byte
+		e    *cacheEntry
 		fl   *flight
 		ours bool
 	}
@@ -353,8 +349,8 @@ func (p *Proxy) StreamChunks(ctx context.Context, chunkNos []int, f func(chunkNo
 	var claims []int
 	claimFl := make(map[int]*flight)
 	for _, cn := range chunkNos {
-		data, fl, claimed := c.lookupOrClaim(p.key(cn))
-		slots[cn] = slot{data: data, fl: fl, ours: claimed}
+		e, fl, claimed := c.lookupOrClaim(p.key(cn), true)
+		slots[cn] = slot{e: e, fl: fl, ours: claimed}
 		if claimed {
 			claims = append(claims, cn)
 			claimFl[cn] = fl
@@ -376,11 +372,21 @@ func (p *Proxy) StreamChunks(ctx context.Context, chunkNos []int, f func(chunkNo
 
 	fctx, cancel := context.WithCancel(ctx)
 	var wg sync.WaitGroup
+	scheduled, next := 0, 0
 	defer func() {
 		cancel()
 		wg.Wait()
+		// A stop before the end must fail the claims of windows never
+		// scheduled, or their waiters hang, and drop unconsumed holds.
+		for _, win := range windows[scheduled:] {
+			for _, cn := range win {
+				c.fail(p.key(cn), claimFl[cn], fctx.Err())
+			}
+		}
+		for _, cn := range chunkNos[next:] {
+			c.release(slots[cn].e, slots[cn].fl)
+		}
 	}()
-	scheduled := 0
 	schedule := func(upTo int) {
 		for scheduled <= upTo && scheduled < len(windows) {
 			win := windows[scheduled]
@@ -388,29 +394,32 @@ func (p *Proxy) StreamChunks(ctx context.Context, chunkNos []int, f func(chunkNo
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				p.readClaims(fctx, win, claimFl, nil)
+				p.readClaims(fctx, win, claimFl)
 			}()
 		}
 	}
 	schedule(1) // two windows in flight before consumption starts
 
-	for _, cn := range chunkNos {
+	for i, cn := range chunkNos {
 		s := slots[cn]
-		data := s.data
-		if data == nil {
+		next = i + 1 // from here on, this slot's hold is the loop's to end
+		e := s.e
+		if e == nil {
 			if s.ours {
 				// Keep the pipeline one window ahead of consumption.
 				schedule(claimWin[cn] + 1)
 			}
 			stop := fetchStatsFrom(ctx).timeWait()
 			var err error
-			data, err = p.awaitFlight(ctx, cn, s.fl)
+			e, err = p.awaitFlight(ctx, cn, s.fl, true)
 			stop()
 			if err != nil {
 				return err
 			}
 		}
-		if err := f(cn, data); err != nil {
+		err := f(cn, e.data)
+		c.unpin(e)
+		if err != nil {
 			return err
 		}
 	}

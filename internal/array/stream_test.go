@@ -235,6 +235,45 @@ func TestCancellationMidStreamNoGoroutineLeak(t *testing.T) {
 	}
 }
 
+// TestStreamStopFailsUnscheduledWindows: a stream that stops before
+// its third fetch window is scheduled must still fail that window's
+// claims. Otherwise a later reader of one of its chunks joins a fetch
+// nobody makes, and without a deadline waits for ever.
+func TestStreamStopFailsUnscheduledWindows(t *testing.T) {
+	const chunkElems = streamWindowBytes / 16 / ElemSize // 16 chunks a window
+	src := &gatedStreamSource{chunkElems: chunkElems, nchunks: 50, gateAt: 1, gate: make(chan struct{})}
+	p := NewProxy(src, 1, chunkElems)
+	p.Cache = NewChunkCache(0)
+	var three []int // three runs of 16, so three windows
+	for i := 0; i < 50; i++ {
+		if i != 16 && i != 33 {
+			three = append(three, i)
+		}
+	}
+	if w := streamWindows(three, chunkElems*ElemSize); len(w) != 3 {
+		t.Fatalf("%d windows, want 3", len(w))
+	}
+	stop := errors.New("stop")
+	err := p.StreamChunks(context.Background(), three, func(int, []byte) error { return stop })
+	if !errors.Is(err, stop) {
+		t.Fatalf("StreamChunks returned %v, want the callback's error", err)
+	}
+	close(src.gate)
+	done := make(chan error, 1)
+	go func() {
+		_, err := p.elementAt(40*chunkElems, Int)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a read of a chunk in the unscheduled window hangs")
+	}
+}
+
 // TestConcurrentStressSharedProxiesTinyBudget hammers shared proxies
 // from many goroutines through a cache far smaller than the working
 // set: every read path (element, aggregate, prefetch) must stay

@@ -6,7 +6,9 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -224,26 +226,26 @@ func (s *Server) acceptLoop(ln net.Listener) {
 // syscall instead of one per JSON encoder write.
 func (s *Server) serve(conn net.Conn) {
 	dec := json.NewDecoder(bufio.NewReader(conn))
-	bw := bufio.NewWriter(conn)
-	enc := json.NewEncoder(bw)
+	w := &respWriter{bw: bufio.NewWriter(conn)}
+	w.enc = json.NewEncoder(&w.head)
 	for {
 		var req protocol.Request
 		if err := dec.Decode(&req); err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !s.draining.Load() {
-				_ = enc.Encode(protocol.Response{OK: false, Error: "bad request: " + err.Error(), Code: protocol.CodeError})
-				_ = bw.Flush()
+				_ = w.write(&protocol.Response{OK: false, Error: "bad request: " + err.Error(), Code: protocol.CodeError})
+				_ = w.bw.Flush()
 			}
 			return
 		}
 		resp := s.handle(&req)
-		err := enc.Encode(resp)
-		// A scan's batch and a result table are pooled; enc has copied them.
+		err := w.write(resp)
+		// A scan's batch and a result table are pooled; w has copied them.
 		protocol.Release(resp.Triples)
 		protocol.Release(resp.Rows)
 		if err != nil {
 			return
 		}
-		if err := bw.Flush(); err != nil {
+		if err := w.bw.Flush(); err != nil {
 			return
 		}
 		if s.draining.Load() {
@@ -251,6 +253,66 @@ func (s *Server) serve(conn net.Conn) {
 			// its response and a clean EOF instead of a mid-frame cut.
 			return
 		}
+	}
+}
+
+// respWriter writes a connection's responses, one JSON object per
+// line. encoding/json encodes the envelope into head; Rows and Triples,
+// which can run to megabytes, are base64-encoded behind it into a
+// pooled buffer that goes to bw whenever a chunk has filled it. A
+// response under a chunk is one write, as it was, and no buffer grows
+// with the answer: encoding/json takes its buffers from one
+// process-wide pool, and a large answer that drew one a small encode
+// had left there regrew it from empty.
+type respWriter struct {
+	bw   *bufio.Writer
+	head bytes.Buffer
+	enc  *json.Encoder // into head
+}
+
+// wireChunk is how much of a table is encoded before a write: one
+// write per chunk rather than per 4 KiB of bw, and a buffer drawn
+// small from b64Bufs regrows to no more than a chunk's encoding.
+const wireChunk = 48 << 10 // a multiple of 3: no padding mid-table
+
+var b64Bufs = sync.Pool{New: func() any { return new([]byte) }}
+
+func (w *respWriter) write(resp *protocol.Response) error {
+	rows, triples := resp.Rows, resp.Triples
+	resp.Rows, resp.Triples = nil, nil
+	w.head.Reset()
+	err := w.enc.Encode(resp)
+	resp.Rows, resp.Triples = rows, triples
+	if err != nil {
+		return err
+	}
+	bp := b64Bufs.Get().(*[]byte)
+	// head is "{…}\n" and never "{}": ok is always there.
+	b := append((*bp)[:0], w.head.Bytes()[:w.head.Len()-2]...)
+	b = w.field(b, "rows", rows)
+	b = append(w.field(b, "triples", triples), "}\n"...)
+	_, err = w.bw.Write(b)
+	*bp = b
+	b64Bufs.Put(bp)
+	return err
+}
+
+// field appends `,"name":"<base64 of data>"` to b, or nothing for an
+// empty data (the fields are omitempty), writing b out each time a
+// chunk has filled it. bw keeps its first error for write to report.
+func (w *respWriter) field(b []byte, name string, data []byte) []byte {
+	if len(data) == 0 {
+		return b
+	}
+	b = append(append(append(b, `,"`...), name...), `":"`...)
+	for {
+		n := min(len(data), wireChunk)
+		b = base64.StdEncoding.AppendEncode(b, data[:n])
+		if data = data[n:]; len(data) == 0 {
+			return append(b, '"')
+		}
+		w.bw.Write(b)
+		b = b[:0]
 	}
 }
 

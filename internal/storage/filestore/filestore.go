@@ -16,6 +16,7 @@ import (
 	"runtime"
 	"sync"
 	"time"
+	"unsafe"
 
 	"scisparql/internal/array"
 	"scisparql/internal/spd"
@@ -32,6 +33,8 @@ func headerSize(ndims int) int64 { return 4 + 1 + 1 + 2 + 4 + 8*int64(ndims) }
 // readers: chunk reads are positioned reads (pread) on shared file
 // handles, which the OS serves concurrently. Read the experiment
 // counters through Stats when other goroutines may still be reading.
+// Chunks are read into frames of the array's chunk size, which the
+// chunk cache hands back through RecycleChunk for later reads.
 type Store struct {
 	dir string
 
@@ -47,7 +50,10 @@ type Store struct {
 
 	mu     sync.Mutex
 	nextID int64
-	open   map[int64]*os.File
+	open   map[int64]*fileMeta
+	// frames pools free frames by size. It holds each frame's first
+	// byte: a sync.Pool boxes a []byte on Put, not a pointer.
+	frames map[int]*sync.Pool
 
 	// Counters for experiments; guarded by mu (see Stats).
 	ReadCalls int64
@@ -62,7 +68,7 @@ func New(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, open: map[int64]*os.File{}}
+	s := &Store{dir: dir, open: map[int64]*fileMeta{}, frames: map[int]*sync.Pool{}}
 	// Continue ID numbering after any existing files.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -124,7 +130,11 @@ func (s *Store) Store(a *array.Array, chunkElems int) (int64, error) {
 	return id, nil
 }
 
+// fileMeta is an open array file and its header, read when the array
+// is first opened and kept: arrays are write-once.
 type fileMeta struct {
+	f          *os.File
+	frames     *sync.Pool
 	etype      array.ElemType
 	shape      []int
 	chunkElems int
@@ -132,25 +142,34 @@ type fileMeta struct {
 	nelems     int
 }
 
-func (s *Store) file(id int64) (*os.File, error) {
+// runBufs holds the buffers runs are read into (none over 4 MiB kept).
+var runBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+func (s *Store) meta(id int64) (*fileMeta, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if f, ok := s.open[id]; ok {
-		return f, nil
+	if m, ok := s.open[id]; ok {
+		return m, nil
 	}
 	f, err := os.Open(s.path(id))
 	if err != nil {
 		return nil, fmt.Errorf("filestore: array %d: %w", id, err)
 	}
-	s.open[id] = f
-	return f, nil
-}
-
-func (s *Store) meta(id int64) (*fileMeta, error) {
-	f, err := s.file(id)
+	m, err := readMeta(f, id)
 	if err != nil {
+		f.Close()
 		return nil, err
 	}
+	size := m.chunkElems * array.ElemSize
+	if s.frames[size] == nil {
+		s.frames[size] = &sync.Pool{New: func() any { return unsafe.SliceData(make([]byte, size)) }}
+	}
+	m.f, m.frames = f, s.frames[size]
+	s.open[id] = m
+	return m, nil
+}
+
+func readMeta(f *os.File, id int64) (*fileMeta, error) {
 	head := make([]byte, 12)
 	if _, err := f.ReadAt(head, 0); err != nil {
 		return nil, fmt.Errorf("filestore: array %d: short header: %w", id, err)
@@ -195,8 +214,8 @@ func (s *Store) Open(id int64) (*array.Array, error) {
 // Delete implements storage.Backend.
 func (s *Store) Delete(id int64) error {
 	s.mu.Lock()
-	if f, ok := s.open[id]; ok {
-		f.Close()
+	if m, ok := s.open[id]; ok {
+		m.f.Close()
 		delete(s.open, id)
 	}
 	s.mu.Unlock()
@@ -224,8 +243,8 @@ func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var first error
-	for id, f := range s.open {
-		if err := f.Close(); err != nil && first == nil {
+	for id, m := range s.open {
+		if err := m.f.Close(); err != nil && first == nil {
 			first = err
 		}
 		delete(s.open, id)
@@ -252,6 +271,17 @@ type readUnit struct {
 	start, count int
 }
 
+// RecycleChunk implements array.ChunkRecycler: a frame this store
+// emitted goes back to the pool of its size.
+func (s *Store) RecycleChunk(data []byte) {
+	s.mu.Lock()
+	fp := s.frames[cap(data)]
+	s.mu.Unlock()
+	if fp != nil {
+		fp.Put(unsafe.SliceData(data))
+	}
+}
+
 // ReadChunksCtx implements array.ChunkSourceCtx. The runs are cut into
 // read units — one pread per contiguous run, one per chunk when runs
 // are strided or SimulatedLatency models per-request cost — and the
@@ -261,10 +291,6 @@ type readUnit struct {
 // goroutine; cancelling ctx stops the in-flight workers.
 func (s *Store) ReadChunksCtx(ctx context.Context, arrayID int64, runs []spd.Run, emit func(chunkNo int, data []byte) error) error {
 	m, err := s.meta(arrayID)
-	if err != nil {
-		return err
-	}
-	f, err := s.file(arrayID)
 	if err != nil {
 		return err
 	}
@@ -289,12 +315,19 @@ func (s *Store) ReadChunksCtx(ctx context.Context, arrayID int64, runs []spd.Run
 		if off >= totalBytes {
 			return nil, fmt.Errorf("filestore: chunk %d out of range for array %d", u.start, arrayID)
 		}
-		n := u.count * chunkBytes
-		if off+n > totalBytes {
-			n = totalBytes - off
+		n := min(u.count*chunkBytes, totalBytes-off)
+		chunks := make([]storage.Chunk, 0, u.count)
+		for lo := 0; lo < n; lo += chunkBytes {
+			chunks = append(chunks, storage.Chunk{No: u.start + lo/chunkBytes, Data: unsafe.Slice(m.frames.Get().(*byte), chunkBytes)[:min(chunkBytes, n-lo)]})
 		}
-		buf := make([]byte, n)
-		if _, err := f.ReadAt(buf, m.dataOff+int64(off)); err != nil {
+		// One pread per unit: a lone chunk straight into its frame.
+		var err error
+		if pos := m.dataOff + int64(off); len(chunks) == 1 {
+			_, err = m.f.ReadAt(chunks[0].Data, pos)
+		} else {
+			err = readRun(m.f, pos, n, chunks)
+		}
+		if err != nil {
 			return nil, err
 		}
 		simulateLatency(s.SimulatedLatency)
@@ -302,20 +335,25 @@ func (s *Store) ReadChunksCtx(ctx context.Context, arrayID int64, runs []spd.Run
 		s.ReadCalls++
 		s.BytesRead += int64(n)
 		s.mu.Unlock()
-		chunks := make([]storage.Chunk, 0, u.count)
-		for i := 0; i < u.count; i++ {
-			lo := i * chunkBytes
-			if lo >= n {
-				break
-			}
-			hi := lo + chunkBytes
-			if hi > n {
-				hi = n
-			}
-			chunks = append(chunks, storage.Chunk{No: u.start + i, Data: buf[lo:hi]})
-		}
 		return chunks, nil
 	}, emit)
+}
+
+// readRun reads a run, n bytes at pos, in one pread and copies it out.
+func readRun(f *os.File, pos int64, n int, chunks []storage.Chunk) error {
+	bp := runBufs.Get().(*[]byte)
+	if cap(*bp) < n {
+		*bp = make([]byte, n)
+	}
+	_, err := f.ReadAt((*bp)[:n], pos)
+	off := 0
+	for _, c := range chunks {
+		off += copy(c.Data, (*bp)[off:n])
+	}
+	if cap(*bp) <= 4<<20 {
+		runBufs.Put(bp)
+	}
+	return err
 }
 
 // simulateLatency charges the per-request latency of a remote store.

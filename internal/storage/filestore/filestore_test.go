@@ -1,10 +1,12 @@
 package filestore
 
 import (
+	"os"
 	"testing"
 	"testing/quick"
 
 	"scisparql/internal/array"
+	"scisparql/internal/spd"
 )
 
 func newStore(t *testing.T) *Store {
@@ -157,6 +159,44 @@ func TestShortFinalChunk(t *testing.T) {
 	}
 	if v.Float() != 94*1.5 {
 		t.Fatalf("got %v", v)
+	}
+	// The short chunk is a full-size frame sliced to its length.
+	got, err := s.ReadChunks(id, []spd.Run{{Start: 9, Stride: 1, Count: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := got[9]; len(d) != 5*array.ElemSize || cap(d) != 10*array.ElemSize {
+		t.Fatalf("short chunk len %d cap %d, want %d and %d", len(d), cap(d), 5*array.ElemSize, 10*array.ElemSize)
+	}
+}
+
+// TestHeaderKeptUntilClose: an array's header is read when the array is
+// first opened and kept, since arrays are write-once, until Close or
+// Delete drops it.
+func TestHeaderKeptUntilClose(t *testing.T) {
+	s := newStore(t)
+	id, err := s.Store(seqArray(t, 95), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Open(id); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(s.path(id), os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(make([]byte, 4), 0); err != nil { // spoil the magic
+		t.Fatal(err)
+	}
+	f.Close()
+	run := []spd.Run{{Start: 0, Stride: 1, Count: 10}}
+	if _, err := s.ReadChunks(id, run); err != nil {
+		t.Fatalf("read with the kept header: %v", err)
+	}
+	s.Close()
+	if _, err := s.ReadChunks(id, run); err == nil {
+		t.Fatal("after Close the header is read again, and a spoiled one must fail")
 	}
 }
 
