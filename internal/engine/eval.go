@@ -44,72 +44,21 @@ func (c *evalCtx) eval(e sparql.Expression, b Binding) (rdf.Term, error) {
 }
 
 func (c *evalCtx) evalUnary(v sparql.EUn, b Binding) (rdf.Term, error) {
-	x, err := c.eval(v.E, b)
-	if err != nil {
-		return nil, err
-	}
 	switch v.Op {
 	case "!":
-		t, err := EBV(x)
-		if err != nil {
-			return nil, err
-		}
-		return rdf.Boolean(!t), nil
+		return opNot(c.eval(v.E, b))
 	case "-":
-		if a, ok := x.(rdf.Array); ok {
-			res, err := a.A.Neg()
-			if err != nil {
-				return nil, &exprError{msg: err.Error()}
-			}
-			return rdf.NewArray(res), nil
-		}
-		n, ok := rdf.Numeric(x)
-		if !ok {
-			return nil, errf("cannot negate %v", termKindOf(x))
-		}
-		if n.T == array.Int {
-			return rdf.Integer(-n.I), nil
-		}
-		return rdf.Float(-n.F), nil
+		return opNeg(c.eval(v.E, b))
 	default:
 		return nil, errf("unknown unary operator %q", v.Op)
 	}
 }
 
 func (c *evalCtx) evalBinary(v sparql.EBin, b Binding) (rdf.Term, error) {
-	switch v.Op {
-	case "||":
-		// SPARQL three-valued OR: an error on one side is recoverable
-		// when the other side is true.
+	if v.Op == "||" || v.Op == "&&" {
 		l, lerr := c.evalBool(v.L, b)
 		r, rerr := c.evalBool(v.R, b)
-		switch {
-		case lerr == nil && rerr == nil:
-			return rdf.Boolean(l || r), nil
-		case lerr == nil && l:
-			return rdf.Boolean(true), nil
-		case rerr == nil && r:
-			return rdf.Boolean(true), nil
-		case lerr != nil:
-			return nil, lerr
-		default:
-			return nil, rerr
-		}
-	case "&&":
-		l, lerr := c.evalBool(v.L, b)
-		r, rerr := c.evalBool(v.R, b)
-		switch {
-		case lerr == nil && rerr == nil:
-			return rdf.Boolean(l && r), nil
-		case lerr == nil && !l:
-			return rdf.Boolean(false), nil
-		case rerr == nil && !r:
-			return rdf.Boolean(false), nil
-		case lerr != nil:
-			return nil, lerr
-		default:
-			return nil, rerr
-		}
+		return logic(v.Op == "&&", l, lerr, r, rerr)
 	}
 	l, err := c.eval(v.L, b)
 	if err != nil {
@@ -119,47 +68,11 @@ func (c *evalCtx) evalBinary(v sparql.EBin, b Binding) (rdf.Term, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch v.Op {
-	case "=":
-		eq, err := Equals(l, r)
-		if err != nil {
-			return nil, err
-		}
-		return rdf.Boolean(eq), nil
-	case "!=":
-		eq, err := Equals(l, r)
-		if err != nil {
-			return nil, err
-		}
-		return rdf.Boolean(!eq), nil
-	case "<", "<=", ">", ">=":
-		cmp, err := Compare(l, r, true)
-		if err != nil {
-			return nil, err
-		}
-		var res bool
-		switch v.Op {
-		case "<":
-			res = cmp < 0
-		case "<=":
-			res = cmp <= 0
-		case ">":
-			res = cmp > 0
-		case ">=":
-			res = cmp >= 0
-		}
-		return rdf.Boolean(res), nil
-	default:
-		return Arith(v.Op, l, r)
-	}
+	return binaryOp(v.Op)(l, r)
 }
 
 func (c *evalCtx) evalBool(e sparql.Expression, b Binding) (bool, error) {
-	t, err := c.eval(e, b)
-	if err != nil {
-		return false, err
-	}
-	return EBV(t)
+	return truth(c.eval(e, b))
 }
 
 func (c *evalCtx) evalIn(v sparql.EIn, b Binding) (rdf.Term, error) {

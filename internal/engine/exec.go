@@ -502,15 +502,9 @@ type filterStep struct {
 func (s *filterStep) certainVars(map[string]bool) {}
 
 func (s *filterStep) run(c *evalCtx, b Binding, yield func(Binding) error) error {
-	ok, err := c.evalBool(s.cond, b)
-	if err != nil {
-		if _, isExpr := err.(*exprError); isExpr {
-			return nil // expression error -> filter false (§3.6)
-		}
+	ok, err := filterKeeps(c.evalBool(s.cond, b))
+	if err != nil || !ok {
 		return err
-	}
-	if !ok {
-		return nil
 	}
 	return yield(b)
 }

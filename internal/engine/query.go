@@ -391,27 +391,17 @@ func (e *Engine) execSelect(ctx *evalCtx, q *sparql.Query, initial Binding) (*Re
 	// ORDER BY over the extended bindings (aliases visible).
 	if len(q.OrderBy) > 0 {
 		stopSort := ctx.trace.startPhase(phaseSort)
+		key := func(x sparql.Expression, b Binding) rdf.Term {
+			if v, err := ctx.eval(x, b); err == nil {
+				return v
+			}
+			return nil
+		}
 		sort.SliceStable(rows, func(i, j int) bool {
 			for _, oc := range q.OrderBy {
-				vi, ei := ctx.eval(oc.Expr, rows[i].bind)
-				vj, ej := ctx.eval(oc.Expr, rows[j].bind)
-				if ei != nil && ej != nil {
-					continue
+				if c := orderCmp(key(oc.Expr, rows[i].bind), key(oc.Expr, rows[j].bind), oc.Desc); c != 0 {
+					return c < 0
 				}
-				if ei != nil {
-					return !oc.Desc // errors/unbound sort first ascending
-				}
-				if ej != nil {
-					return oc.Desc
-				}
-				cmp, err := Compare(vi, vj, false)
-				if err != nil || cmp == 0 {
-					continue
-				}
-				if oc.Desc {
-					return cmp > 0
-				}
-				return cmp < 0
 			}
 			return false
 		})
@@ -602,18 +592,64 @@ type aggSpec struct {
 	user *UserAggregate
 	arg  sparql.Expression
 	dist bool
+	num  bool // folds numbers: SUM, AVG, MIN, MAX and user aggregates
 	sep  string
 }
 
-// aggState accumulates one register within one group.
+// aggState accumulates one register within one group, on either fold.
+// The tuple fold dedups DISTINCT arguments on term keys (seen), the
+// batch fold on IDs (ids: ID equality is term-key equality).
 type aggState struct {
 	n      int64
-	sum    *array.AggState
+	sum    array.AggState
 	sample rdf.Term
 	concat []string
 	seen   map[string]bool
+	ids    map[rdf.ID]struct{}
 	values []array.Number // user aggregates
 	errors bool
+}
+
+// add folds one argument value that DISTINCT let through; when sp.num,
+// num and isNum are its numeric reading.
+func (st *aggState) add(sp *aggSpec, v rdf.Term, num array.Number, isNum bool) {
+	st.n++
+	if st.sample == nil {
+		st.sample = v
+	}
+	switch {
+	case sp.user != nil:
+		if isNum {
+			st.values = append(st.values, num)
+		}
+	case sp.num:
+		if isNum {
+			st.sum.Add(num)
+		} else {
+			st.errors = true
+		}
+	case sp.std.Func == "GROUP_CONCAT":
+		if s, ok := v.(rdf.String); ok {
+			st.concat = append(st.concat, s.Val)
+		} else {
+			st.concat = append(st.concat, strings.Trim(v.String(), `"`))
+		}
+	}
+}
+
+// aggGroup is one group of a fold: its GROUP BY variables' values and
+// one state per register.
+type aggGroup struct {
+	rep    Binding
+	states []aggState
+}
+
+func newAggGroup(rep Binding, nSpecs int) aggGroup {
+	gr := aggGroup{rep: rep, states: make([]aggState, nSpecs)}
+	for i := range gr.states {
+		gr.states[i].sum = *array.NewAggState()
+	}
+	return gr
 }
 
 // rewriteAggs replaces aggregate subtrees with references to register
@@ -623,12 +659,16 @@ func (e *Engine) rewriteAggs(x sparql.Expression, specs *[]aggSpec) sparql.Expre
 	case sparql.EAgg:
 		idx := len(*specs)
 		sp := aggSpec{std: &v, arg: v.Arg, dist: v.Distinct, sep: v.Separator}
+		switch v.Func {
+		case "SUM", "AVG", "MIN", "MAX":
+			sp.num = true
+		}
 		*specs = append(*specs, sp)
 		return sparql.EVar{Name: fmt.Sprintf("#agg%d", idx)}
 	case sparql.ECall:
 		if ua, ok := e.Funcs.LookupAggregate(v.Name); ok && len(v.Args) == 1 {
 			idx := len(*specs)
-			*specs = append(*specs, aggSpec{user: ua, arg: v.Args[0]})
+			*specs = append(*specs, aggSpec{user: ua, arg: v.Args[0], num: true})
 			return sparql.EVar{Name: fmt.Sprintf("#agg%d", idx)}
 		}
 		args := make([]sparql.Expression, len(v.Args))
@@ -680,13 +720,8 @@ func (e *Engine) aggregateSolutions(ctx *evalCtx, q *sparql.Query, initial Bindi
 		return out, err
 	}
 
-	type group struct {
-		rep    Binding
-		states []*aggState
-	}
-	groups := map[string]*group{}
-	var orderKeys []string
-
+	var groups []aggGroup
+	idx := map[string]int{}
 	err := ctx.whereSolutions(q, initial, -1, func(b Binding) error {
 		// Cancellation check per folded solution: aggregation consumes
 		// the full solution stream, so it must stop promptly too.
@@ -710,7 +745,7 @@ func (e *Engine) aggregateSolutions(ctx *evalCtx, q *sparql.Query, initial Bindi
 			kb.WriteByte('\x01')
 		}
 		key := kb.String()
-		gr, ok := groups[key]
+		gi, ok := idx[key]
 		if !ok {
 			rep := Binding{}
 			for i, ge := range q.GroupBy {
@@ -718,16 +753,14 @@ func (e *Engine) aggregateSolutions(ctx *evalCtx, q *sparql.Query, initial Bindi
 					rep[ev.Name] = keyVals[i]
 				}
 			}
-			gr = &group{rep: rep, states: make([]*aggState, len(specs))}
-			for i := range gr.states {
-				gr.states[i] = &aggState{sum: array.NewAggState()}
-			}
-			groups[key] = gr
-			orderKeys = append(orderKeys, key)
+			gi = len(groups)
+			groups = append(groups, newAggGroup(rep, len(specs)))
+			idx[key] = gi
 		}
 		// Fold each register.
-		for i, sp := range specs {
-			st := gr.states[i]
+		for i := range specs {
+			sp := &specs[i]
+			st := &groups[gi].states[i]
 			if sp.std != nil && sp.arg == nil { // COUNT(*)
 				st.n++
 				continue
@@ -745,64 +778,39 @@ func (e *Engine) aggregateSolutions(ctx *evalCtx, q *sparql.Query, initial Bindi
 				}
 				st.seen[v.Key()] = true
 			}
-			st.n++
-			if st.sample == nil {
-				st.sample = v
-			}
-			if sp.user != nil {
-				if n, ok := rdf.Numeric(v); ok {
-					st.values = append(st.values, n)
-				}
-				continue
-			}
-			switch sp.std.Func {
-			case "SUM", "AVG", "MIN", "MAX":
-				if n, ok := rdf.Numeric(v); ok {
-					st.sum.Add(n)
-				} else {
-					st.errors = true
-				}
-			case "GROUP_CONCAT":
-				if s, ok := v.(rdf.String); ok {
-					st.concat = append(st.concat, s.Val)
-				} else {
-					st.concat = append(st.concat, strings.Trim(v.String(), `"`))
-				}
-			}
+			n, isNum := rdf.Numeric(v)
+			st.add(sp, v, n, isNum)
 		}
 		return nil
 	})
 	if err != nil && err != errStop {
 		return nil, err
 	}
+	out, _ := e.finishGroups(ctx, q, specs, groups)
+	return out, nil
+}
 
-	// With aggregates but no GROUP BY and no solutions, SPARQL yields a
-	// single group over the empty solution set.
+// finishGroups ends both folds. With aggregates but no GROUP BY and no
+// solutions, SPARQL yields a single group over the empty solution set.
+// Each register's value is bound to its "#aggN" variable (an error
+// leaves it unbound), then HAVING (§3.5) keeps or drops the group. It
+// returns the kept groups' bindings, in first-encounter order, and how
+// many groups there were.
+func (e *Engine) finishGroups(ctx *evalCtx, q *sparql.Query, specs []aggSpec, groups []aggGroup) ([]Binding, int) {
 	if len(groups) == 0 && len(q.GroupBy) == 0 {
-		gr := &group{rep: Binding{}, states: make([]*aggState, len(specs))}
-		for i := range gr.states {
-			gr.states[i] = &aggState{sum: array.NewAggState()}
-		}
-		groups[""] = gr
-		orderKeys = append(orderKeys, "")
+		groups = append(groups, newAggGroup(Binding{}, len(specs)))
 	}
-
 	var out []Binding
-	for _, key := range orderKeys {
-		gr := groups[key]
-		b := gr.rep.clone()
-		for i, sp := range specs {
-			v, err := e.finishAgg(ctx, sp, gr.states[i])
-			if err != nil {
-				continue // register left unbound
+	for g := range groups {
+		b := groups[g].rep
+		for i := range specs {
+			if v, err := e.finishAgg(ctx, &specs[i], &groups[g].states[i]); err == nil {
+				b[fmt.Sprintf("#agg%d", i)] = v
 			}
-			b[fmt.Sprintf("#agg%d", i)] = v
 		}
-		// HAVING (§3.5).
 		keep := true
 		for _, h := range q.Having {
-			ok, err := ctx.evalBool(h, b)
-			if err != nil || !ok {
+			if ok, err := ctx.evalBool(h, b); err != nil || !ok {
 				keep = false
 				break
 			}
@@ -811,10 +819,10 @@ func (e *Engine) aggregateSolutions(ctx *evalCtx, q *sparql.Query, initial Bindi
 			out = append(out, b)
 		}
 	}
-	return out, nil
+	return out, len(groups)
 }
 
-func (e *Engine) finishAgg(ctx *evalCtx, sp aggSpec, st *aggState) (rdf.Term, error) {
+func (e *Engine) finishAgg(ctx *evalCtx, sp *aggSpec, st *aggState) (rdf.Term, error) {
 	if sp.user != nil {
 		if len(st.values) == 0 {
 			return nil, errf("empty group for user aggregate")

@@ -87,7 +87,10 @@ func Equals(a, b rdf.Term) (bool, error) {
 // Compare orders two terms for <, <=, >, >= and ORDER BY. Numeric
 // values compare numerically; strings and dateTimes natively; other
 // kinds compare by kind rank then key (a total order usable for ORDER
-// BY, while mixed-kind relational filters are errors).
+// BY, while mixed-kind relational filters are errors). A NaN is
+// unordered against every number: strict comparison reports
+// errUnordered, which the relational operators read as false, and
+// ORDER BY (strict false) sorts NaN after +INF, tied only with NaN.
 func Compare(a, b rdf.Term, strict bool) (int, error) {
 	if a == nil || b == nil {
 		return 0, errf("comparison with unbound value")
@@ -101,6 +104,14 @@ func Compare(a, b rdf.Term, strict bool) (int, error) {
 			return -1, nil
 		case af > bf:
 			return 1, nil
+		case af == bf:
+			return 0, nil
+		case strict:
+			return 0, errUnordered
+		case af == af: // only b is NaN
+			return -1, nil
+		case bf == bf: // only a is NaN
+			return 1, nil
 		default:
 			return 0, nil
 		}
@@ -112,14 +123,7 @@ func Compare(a, b rdf.Term, strict bool) (int, error) {
 	}
 	if ad, ok := a.(rdf.DateTime); ok {
 		if bd, ok := b.(rdf.DateTime); ok {
-			switch {
-			case ad.T.Before(bd.T):
-				return -1, nil
-			case ad.T.After(bd.T):
-				return 1, nil
-			default:
-				return 0, nil
-			}
+			return ad.T.Compare(bd.T), nil
 		}
 	}
 	if strict {
@@ -133,6 +137,31 @@ func Compare(a, b rdf.Term, strict bool) (int, error) {
 		return 1, nil
 	}
 	return rdf.CompareKeys(a, b), nil
+}
+
+// errUnordered is Compare's strict answer when an operand is NaN.
+var errUnordered = errf("NaN is unordered")
+
+// orderCmp is the ORDER BY key order both sorts use, for one
+// condition's values on two rows: an unbound value (or one whose
+// expression failed, passed as nil) sorts first ascending, DESC flips
+// the order, and everything else goes through Compare.
+func orderCmp(a, b rdf.Term, desc bool) int {
+	var c int
+	switch {
+	case a == nil && b == nil:
+		return 0
+	case a == nil:
+		c = -1
+	case b == nil:
+		c = 1
+	default:
+		c, _ = Compare(a, b, false)
+	}
+	if desc {
+		return -c
+	}
+	return c
 }
 
 func kindRank(k rdf.Kind) int {
@@ -223,6 +252,157 @@ func Arith(op string, a, b rdf.Term) (rdf.Term, error) {
 	}
 	return rdf.FromNumber(res), nil
 }
+
+// The operators below are the one copy of each scalar rule (§17.2,
+// §17.3): eval applies them to a binding's values and compileVecExpr
+// picks one per closure at plan time. An operand arrives with its own
+// evaluation error, so unary operators and truth take (value, error).
+
+// truth is an operand's effective boolean value, or its error.
+func truth(t rdf.Term, err error) (bool, error) {
+	if err != nil {
+		return false, err
+	}
+	return EBV(t)
+}
+
+// filterKeeps is FILTER's rule over its condition's truth: true keeps
+// the row; false or an expression error drops it (§3.6); any other
+// error ends the query.
+func filterKeeps(ok bool, err error) (bool, error) {
+	if _, isExpr := err.(*exprError); isExpr {
+		return false, nil
+	}
+	return ok && err == nil, err
+}
+
+// opNot is unary !.
+func opNot(x rdf.Term, err error) (rdf.Term, error) {
+	t, err := truth(x, err)
+	if err != nil {
+		return nil, err
+	}
+	return rdf.Boolean(!t), nil
+}
+
+// opNeg is unary -, elementwise over an array.
+func opNeg(x rdf.Term, err error) (rdf.Term, error) {
+	if err != nil {
+		return nil, err
+	}
+	if a, ok := x.(rdf.Array); ok {
+		res, err := a.A.Neg()
+		if err != nil {
+			return nil, &exprError{msg: err.Error()}
+		}
+		return rdf.NewArray(res), nil
+	}
+	n, ok := rdf.Numeric(x)
+	if !ok {
+		return nil, errf("cannot negate %v", termKindOf(x))
+	}
+	if n.T == array.Int {
+		return rdf.Integer(-n.I), nil
+	}
+	return rdf.Float(-n.F), nil
+}
+
+// logic is three-valued && (and true) or || over both operands'
+// truth: an error on one side is recoverable when the other side
+// alone decides the answer.
+func logic(and bool, l bool, lerr error, r bool, rerr error) (rdf.Term, error) {
+	switch {
+	case lerr == nil && rerr == nil:
+		if and {
+			return rdf.Boolean(l && r), nil
+		}
+		return rdf.Boolean(l || r), nil
+	case lerr == nil && l != and:
+		return rdf.Boolean(l), nil
+	case rerr == nil && r != and:
+		return rdf.Boolean(r), nil
+	case lerr != nil:
+		return nil, lerr
+	default:
+		return nil, rerr
+	}
+}
+
+// binaryOp returns the rule of a binary operator other than && and ||:
+// = and != by Equals, the four relations by Compare, arithmetic by
+// Arith.
+func binaryOp(op string) func(l, r rdf.Term) (rdf.Term, error) {
+	switch op {
+	case "=":
+		return opEqual
+	case "!=":
+		return opNotEqual
+	case "<":
+		return opLess
+	case "<=":
+		return opLessEqual
+	case ">":
+		return opGreater
+	case ">=":
+		return opGreaterEqual
+	case "+":
+		return opAdd
+	case "-":
+		return opSub
+	case "*":
+		return opMul
+	case "/":
+		return opDiv
+	case "MOD":
+		return opMod
+	}
+	return func(l, r rdf.Term) (rdf.Term, error) { return Arith(op, l, r) }
+}
+
+func opEqual(l, r rdf.Term) (rdf.Term, error) {
+	eq, err := Equals(l, r)
+	if err != nil {
+		return nil, err
+	}
+	return rdf.Boolean(eq), nil
+}
+
+func opNotEqual(l, r rdf.Term) (rdf.Term, error) {
+	eq, err := Equals(l, r)
+	if err != nil {
+		return nil, err
+	}
+	return rdf.Boolean(!eq), nil
+}
+
+// relation returns the rule of <, <=, > or >=: it answers lt, eq or gt
+// by how l compares with r, and false when either is NaN
+// (op:numeric-less-than and op:numeric-greater-than are false for NaN).
+func relation(lt, eq, gt bool) func(l, r rdf.Term) (rdf.Term, error) {
+	return func(l, r rdf.Term) (rdf.Term, error) {
+		cmp, err := Compare(l, r, true)
+		if err == errUnordered {
+			return rdf.Boolean(false), nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		return rdf.Boolean(cmp < 0 && lt || cmp == 0 && eq || cmp > 0 && gt), nil
+	}
+}
+
+var (
+	opLess         = relation(true, false, false)
+	opLessEqual    = relation(true, true, false)
+	opGreater      = relation(false, false, true)
+	opGreaterEqual = relation(false, true, true)
+)
+
+func opAdd(l, r rdf.Term) (rdf.Term, error) { return Arith("+", l, r) }
+func opSub(l, r rdf.Term) (rdf.Term, error) { return Arith("-", l, r) }
+func opMul(l, r rdf.Term) (rdf.Term, error) { return Arith("*", l, r) }
+func opDiv(l, r rdf.Term) (rdf.Term, error) { return Arith("/", l, r) }
+func opMod(l, r rdf.Term) (rdf.Term, error) { return Arith("MOD", l, r) }
 
 func termKindOf(t rdf.Term) string {
 	if t == nil {

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 
-	"scisparql/internal/array"
 	"scisparql/internal/rdf"
 	"scisparql/internal/sparql"
 )
@@ -305,20 +304,9 @@ func (f *vecFilter) push(c *evalCtx, pl *vecPlan, in *colbatch, yield vecSink) e
 	w := 0
 	for r := 0; r < in.n; r++ {
 		f.ev.row = r
-		keep := false
-		t, err := f.fn(&f.ev)
-		if err == nil {
-			var bv bool
-			bv, err = EBV(t)
-			if err == nil {
-				keep = bv
-			}
-		}
+		keep, err := filterKeeps(truth(f.fn(&f.ev)))
 		if err != nil {
-			if _, isExpr := err.(*exprError); !isExpr {
-				return err
-			}
-			// expression error -> filter false (§3.6), like filterStep
+			return err
 		}
 		if !keep {
 			continue
@@ -346,9 +334,9 @@ type vecEval struct {
 
 // vecExpr is a compiled filter expression: closures built once at plan
 // time, evaluated per row with no interpretation overhead beyond the
-// calls themselves. Semantics mirror eval.go exactly — value equality
-// and ordering come from Equals/Compare, arithmetic from Arith, truth
-// from EBV.
+// calls themselves. Each closure applies the operator eval applies
+// (opNot, opNeg, logic, binaryOp in value.go), chosen once here, so
+// the two paths share every scalar rule.
 type vecExpr func(e *vecEval) (rdf.Term, error)
 
 // compileVecExpr lowers the supported expression subset (variables,
@@ -382,39 +370,9 @@ func compileVecExpr(x sparql.Expression, colOf map[string]int) (vecExpr, bool) {
 		}
 		switch v.Op {
 		case "!":
-			return func(e *vecEval) (rdf.Term, error) {
-				x, err := sub(e)
-				if err != nil {
-					return nil, err
-				}
-				t, err := EBV(x)
-				if err != nil {
-					return nil, err
-				}
-				return rdf.Boolean(!t), nil
-			}, true
+			return func(e *vecEval) (rdf.Term, error) { return opNot(sub(e)) }, true
 		case "-":
-			return func(e *vecEval) (rdf.Term, error) {
-				x, err := sub(e)
-				if err != nil {
-					return nil, err
-				}
-				if a, ok := x.(rdf.Array); ok {
-					res, err := a.A.Neg()
-					if err != nil {
-						return nil, &exprError{msg: err.Error()}
-					}
-					return rdf.NewArray(res), nil
-				}
-				n, ok := rdf.Numeric(x)
-				if !ok {
-					return nil, errf("cannot negate %v", termKindOf(x))
-				}
-				if n.T == array.Int {
-					return rdf.Integer(-n.I), nil
-				}
-				return rdf.Float(-n.F), nil
-			}, true
+			return func(e *vecEval) (rdf.Term, error) { return opNeg(sub(e)) }, true
 		}
 		return nil, false
 	case sparql.EBin:
@@ -426,119 +384,28 @@ func compileVecExpr(x sparql.Expression, colOf map[string]int) (vecExpr, bool) {
 		if !ok {
 			return nil, false
 		}
-		switch v.Op {
-		case "||":
+		if v.Op == "||" || v.Op == "&&" {
+			and := v.Op == "&&"
 			return func(e *vecEval) (rdf.Term, error) {
-				lb, lerr := vecBool(l, e)
-				rb, rerr := vecBool(r, e)
-				switch {
-				case lerr == nil && rerr == nil:
-					return rdf.Boolean(lb || rb), nil
-				case lerr == nil && lb:
-					return rdf.Boolean(true), nil
-				case rerr == nil && rb:
-					return rdf.Boolean(true), nil
-				case lerr != nil:
-					return nil, lerr
-				default:
-					return nil, rerr
-				}
-			}, true
-		case "&&":
-			return func(e *vecEval) (rdf.Term, error) {
-				lb, lerr := vecBool(l, e)
-				rb, rerr := vecBool(r, e)
-				switch {
-				case lerr == nil && rerr == nil:
-					return rdf.Boolean(lb && rb), nil
-				case lerr == nil && !lb:
-					return rdf.Boolean(false), nil
-				case rerr == nil && !rb:
-					return rdf.Boolean(false), nil
-				case lerr != nil:
-					return nil, lerr
-				default:
-					return nil, rerr
-				}
-			}, true
-		case "=":
-			return func(e *vecEval) (rdf.Term, error) {
-				lv, rv, err := vecOperands(l, r, e)
-				if err != nil {
-					return nil, err
-				}
-				eq, err := Equals(lv, rv)
-				if err != nil {
-					return nil, err
-				}
-				return rdf.Boolean(eq), nil
-			}, true
-		case "!=":
-			return func(e *vecEval) (rdf.Term, error) {
-				lv, rv, err := vecOperands(l, r, e)
-				if err != nil {
-					return nil, err
-				}
-				eq, err := Equals(lv, rv)
-				if err != nil {
-					return nil, err
-				}
-				return rdf.Boolean(!eq), nil
-			}, true
-		case "<", "<=", ">", ">=":
-			op := v.Op
-			return func(e *vecEval) (rdf.Term, error) {
-				lv, rv, err := vecOperands(l, r, e)
-				if err != nil {
-					return nil, err
-				}
-				cmp, err := Compare(lv, rv, true)
-				if err != nil {
-					return nil, err
-				}
-				var res bool
-				switch op {
-				case "<":
-					res = cmp < 0
-				case "<=":
-					res = cmp <= 0
-				case ">":
-					res = cmp > 0
-				case ">=":
-					res = cmp >= 0
-				}
-				return rdf.Boolean(res), nil
-			}, true
-		default:
-			op := v.Op
-			return func(e *vecEval) (rdf.Term, error) {
-				lv, rv, err := vecOperands(l, r, e)
-				if err != nil {
-					return nil, err
-				}
-				return Arith(op, lv, rv)
+				lb, lerr := truth(l(e))
+				rb, rerr := truth(r(e))
+				return logic(and, lb, lerr, rb, rerr)
 			}, true
 		}
+		op := binaryOp(v.Op)
+		return func(e *vecEval) (rdf.Term, error) {
+			lv, err := l(e)
+			if err != nil {
+				return nil, err
+			}
+			rv, err := r(e)
+			if err != nil {
+				return nil, err
+			}
+			return op(lv, rv)
+		}, true
 	}
 	return nil, false
-}
-
-func vecBool(x vecExpr, e *vecEval) (bool, error) {
-	t, err := x(e)
-	if err != nil {
-		return false, err
-	}
-	return EBV(t)
-}
-
-func vecOperands(l, r vecExpr, e *vecEval) (lv, rv rdf.Term, err error) {
-	if lv, err = l(e); err != nil {
-		return nil, nil, err
-	}
-	if rv, err = r(e); err != nil {
-		return nil, nil, err
-	}
-	return lv, rv, nil
 }
 
 // --- optional: left-outer batch join ---
@@ -610,17 +477,9 @@ func (o *vecOptional) push(c *evalCtx, pl *vecPlan, in *colbatch, yield vecSink)
 					o.ev.b = out
 					o.ev.row = row
 					for _, fn := range o.fns {
-						t, err := fn(&o.ev)
-						if err == nil {
-							var bv bool
-							bv, err = EBV(t)
-							keep = err == nil && bv
-						}
-						if err != nil {
-							if _, isExpr := err.(*exprError); !isExpr {
-								return err
-							}
-							keep = false // expression error -> filter false (§3.6)
+						var err error
+						if keep, err = filterKeeps(truth(fn(&o.ev))); err != nil {
+							return err
 						}
 						if !keep {
 							break
@@ -1373,10 +1232,15 @@ func (c *evalCtx) vecSelect(q *sparql.Query, rowCap, earlyCap int) (*Results, bo
 		order = make([]int, 0, topK)
 		scratch = topK
 	}
-	// less is a total order on row slots: the ORDER BY comparator
-	// (mirroring the tuple path: unbound first ascending, incomparable
-	// pairs tie) with the arrival sequence as the final tiebreak —
-	// sorting by it equals the tuple path's stable sort.
+	// less is a total order on row slots: the ORDER BY key order
+	// (orderCmp, as on the tuple path) with the arrival sequence as the
+	// final tiebreak — sorting by it equals the tuple path's stable sort.
+	term := func(id rdf.ID) rdf.Term {
+		if id == rdf.Unbound {
+			return nil
+		}
+		return c.graph.TermOf(id)
+	}
 	less := func(a, b int) bool {
 		pa, pb := a*rowW, b*rowW
 		for _, sc := range sortConds {
@@ -1384,20 +1248,9 @@ func (c *evalCtx) vecSelect(q *sparql.Query, rowCap, earlyCap int) (*Results, bo
 			if ia == ib {
 				continue // same term, or both unbound
 			}
-			if ia == rdf.Unbound {
-				return !sc.desc // errors/unbound sort first ascending
+			if cmp := orderCmp(term(ia), term(ib), sc.desc); cmp != 0 {
+				return cmp < 0
 			}
-			if ib == rdf.Unbound {
-				return sc.desc
-			}
-			cmp, err := Compare(c.graph.TermOf(ia), c.graph.TermOf(ib), false)
-			if err != nil || cmp == 0 {
-				continue
-			}
-			if sc.desc {
-				return cmp > 0
-			}
-			return cmp < 0
 		}
 		return seqs[a] < seqs[b]
 	}

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"scisparql/internal/difftest"
 	"scisparql/internal/rdf"
 	"scisparql/internal/sparql"
 )
@@ -223,27 +224,6 @@ var vecEquivOrdered = []string{
 	`PREFIX ex: <http://ex/> SELECT ?a (COUNT(?s) AS ?n) WHERE { ?s ex:age ?a } GROUP BY ?a ORDER BY DESC(?n) ?a`,
 }
 
-// canonRows renders a result set order-independently for comparison.
-func canonRows(res *Results) []string {
-	out := make([]string, 0, len(res.Rows))
-	for _, row := range res.Rows {
-		var sb strings.Builder
-		for i, v := range res.Vars {
-			sb.WriteString(v)
-			sb.WriteByte('=')
-			if row[i] == nil {
-				sb.WriteString("<unbound>")
-			} else {
-				sb.WriteString(row[i].Key())
-			}
-			sb.WriteByte('|')
-		}
-		out = append(out, sb.String())
-	}
-	sort.Strings(out)
-	return out
-}
-
 func runModes(t *testing.T, src string, ordered bool) {
 	t.Helper()
 	q, err := sparql.ParseQuery(src)
@@ -298,7 +278,7 @@ func resultsDiff(want, got *Results, ordered bool) string {
 		}
 		return ""
 	}
-	w, g := canonRows(want), canonRows(got)
+	w, g := difftest.Canon(want.Rows), difftest.Canon(got.Rows)
 	if len(w) != len(g) {
 		return fmt.Sprintf("%d rows vs tuple %d\ntuple: %v\nbatch: %v", len(g), len(w), w, g)
 	}
@@ -727,7 +707,7 @@ func TestVecFastPathsMatchTupleReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, g := canonRows(want), canonRows(got)
+		w, g := difftest.Canon(want.Rows), difftest.Canon(got.Rows)
 		if strings.Join(w, "\n") != strings.Join(g, "\n") {
 			t.Fatalf("%q: batch differs from the tuple reference:\n%v\nvs\n%v", src, g, w)
 		}
@@ -845,5 +825,88 @@ func BenchmarkProjectDecode(b *testing.B) {
 		if _, err := e.Query(q); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkFilterClosureVsEval is why batch filters keep their compiled
+// closures: the same Q1-shaped FILTER(?k >= 1000) over 2 000 rows, once
+// through compileVecExpr's closures and once through eval over a reused
+// Binding each row is decoded into. Both apply the same operator code.
+func BenchmarkFilterClosureVsEval(b *testing.B) {
+	g := rdf.NewGraph()
+	ids := make([]rdf.ID, 2000)
+	for i := range ids {
+		ids[i] = g.Intern(rdf.Integer(int64(i)))
+	}
+	var cond sparql.Expression = sparql.EBin{Op: ">=", L: sparql.EVar{Name: "k"}, R: sparql.ELit{Term: rdf.Integer(1000)}}
+	kept := func(t rdf.Term, err error) int {
+		if ok, _ := filterKeeps(truth(t, err)); ok {
+			return 1
+		}
+		return 0
+	}
+	b.Run("closure", func(b *testing.B) {
+		fn, ok := compileVecExpr(cond, map[string]int{"k": 0})
+		if !ok {
+			b.Fatal("filter does not compile")
+		}
+		ev := vecEval{g: g, b: &colbatch{cols: [][]rdf.ID{ids}, n: len(ids)}}
+		for b.Loop() {
+			n := 0
+			for ev.row = 0; ev.row < len(ids); ev.row++ {
+				n += kept(fn(&ev))
+			}
+			if n != 1000 {
+				b.Fatalf("kept %d rows", n)
+			}
+		}
+	})
+	b.Run("eval", func(b *testing.B) {
+		c := &evalCtx{eng: New(rdf.NewDataset()), graph: g}
+		bind := Binding{}
+		for b.Loop() {
+			n := 0
+			for _, id := range ids {
+				bind["k"] = g.TermOf(id)
+				n += kept(c.eval(cond, bind))
+			}
+			if n != 1000 {
+				b.Fatalf("kept %d rows", n)
+			}
+		}
+	})
+}
+
+// TestGuardCountLeavesNumericMemoAlone: the batch fold reads an
+// argument's number only for a register that folds numbers (SUM, AVG,
+// MIN, MAX, user aggregates). COUNT and SAMPLE over 20 000 IRIs must not
+// fill the dictionary's numeric memo, a 7 KiB page per 256 IDs read, that
+// the graph then keeps: the first run may allocate no more than 64 KiB
+// beyond what every later run allocates.
+func TestGuardCountLeavesNumericMemoAlone(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes are unstable under -race")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ds := rdf.NewDataset()
+	for i := 0; i < 20000; i++ {
+		ds.Default.Add(rdf.IRI("http://ex/doc"+itoa(i)), rdf.IRI("http://ex/journal"), rdf.IRI("http://ex/j"+itoa(i%4)))
+	}
+	e := New(ds)
+	q := mustParse(t, `PREFIX ex: <http://ex/> SELECT ?j (COUNT(?d) AS ?n) (SAMPLE(?d) AS ?x) WHERE { ?d ex:journal ?j } GROUP BY ?j`)
+	bytes := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if res, err := e.Query(q); err != nil || res.Len() != 4 {
+			t.Fatalf("%d rows, err %v", res.Len(), err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	first, later := bytes(), bytes()
+	t.Logf("first run %d B, later runs %d B", first, later)
+	if first > later+64<<10 {
+		t.Errorf("the first COUNT/SAMPLE run allocates %d B, later ones %d B: the numeric memo grew", first, later)
 	}
 }

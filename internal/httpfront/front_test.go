@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"scisparql/internal/core"
+	"scisparql/internal/difftest"
 	"scisparql/internal/engine"
 	"scisparql/internal/metrics"
 	"scisparql/internal/rdf"
@@ -232,6 +233,36 @@ SELECT ?nan ?inf ?ninf ?nz WHERE { BIND("NaN"^^xsd:double AS ?nan) BIND(1e308 * 
 	}
 	for i, v := range vars {
 		parseBack("CSV", v, recs[1][i], want[i])
+	}
+}
+
+// TestNaNSortsLastOverHTTP: the NaN repro answers over the front door
+// as JSON exactly as the engine does — NaN after +INF in ORDER BY,
+// failing every relational comparison in FILTER.
+func TestNaNSortsLastOverHTTP(t *testing.T) {
+	db := core.Open()
+	if _, err := db.Update(difftest.Prefixes + difftest.NaNData); err != nil {
+		t.Fatal(err)
+	}
+	f := New(NewTenants(db))
+	f.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+	for _, c := range difftest.NaNCases {
+		w := get(f, "/sparql", difftest.Prefixes+c.Query, nil)
+		var doc struct {
+			Results struct {
+				Bindings []map[string]struct{ Value string }
+			}
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &doc); w.Code != http.StatusOK || err != nil {
+			t.Fatalf("%s: status %d, %v: %s", c.Query, w.Code, err, w.Body.String())
+		}
+		var got []string
+		for _, b := range doc.Results.Bindings {
+			got = append(got, strings.TrimPrefix(b["s"].Value, "http://ex/"))
+		}
+		if !slices.Equal(got, c.Want) {
+			t.Errorf("%s: got %v, want %v", c.Query, got, c.Want)
+		}
 	}
 }
 

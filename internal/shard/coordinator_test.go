@@ -15,6 +15,7 @@ import (
 
 	"scisparql/internal/array"
 	"scisparql/internal/core"
+	"scisparql/internal/difftest"
 	"scisparql/internal/engine"
 	"scisparql/internal/rdf"
 	"scisparql/internal/server"
@@ -38,38 +39,12 @@ func cluster(t *testing.T, n int) (*core.SSDM, *Coordinator) {
 	return node, c
 }
 
-// canon renders a result as a sorted multiset of rows, with blank
-// labels normalized: a single node and a coordinator mint different
-// labels for the same statement's blank nodes, so only rows without
-// blank cells, like a join through them, can tell whether the nodes
-// are the same.
-func canon(res *engine.Results) []string {
-	rows := make([]string, 0, len(res.Rows))
-	for _, row := range res.Rows {
-		var sb strings.Builder
-		for _, tm := range row {
-			switch {
-			case tm == nil:
-				sb.WriteString("∅")
-			case tm.Kind() == rdf.KindBlank:
-				sb.WriteString("_:blank")
-			default:
-				sb.WriteString(tm.Key())
-			}
-			sb.WriteByte('|')
-		}
-		rows = append(rows, sb.String())
-	}
-	sort.Strings(rows)
-	return rows
-}
-
 func sameResults(t *testing.T, label string, want, got *engine.Results) {
 	t.Helper()
 	if want.Form != got.Form || want.Bool != got.Bool {
 		t.Fatalf("%s: form/bool mismatch: want %v/%v got %v/%v", label, want.Form, want.Bool, got.Form, got.Bool)
 	}
-	w, g := canon(want), canon(got)
+	w, g := difftest.Canon(want.Rows), difftest.Canon(got.Rows)
 	if len(w) != len(g) {
 		t.Fatalf("%s: row count %d != %d\nwant %v\ngot  %v", label, len(w), len(g), w, g)
 	}
