@@ -38,10 +38,6 @@ type Engine struct {
 	// patterns (the ablation knob for experiment A1).
 	DisableJoinOrder bool
 
-	// MaxPathSteps bounds transitive property-path expansion as a
-	// safety net against pathological graphs. 0 means no limit.
-	MaxPathSteps int
-
 	// BatchSize is set by the batch-vs-tuple equivalence tests only:
 	// rows per batch, 0 for rdf.DefaultBatchSize, negative for the
 	// tuple-at-a-time reference the batch results are compared with.

@@ -122,18 +122,11 @@ func (c *evalCtx) bfs(v sparql.PathRepeat, start rdf.Term, inverse bool, visit f
 		}
 	}
 	frontier := []rdf.Term{start}
-	steps := 0
 	for len(frontier) > 0 {
 		// Transitive expansion is the classic runaway: poll the guard
 		// once per frontier level and account each reached node below.
 		if err := c.guard.checkCtx(); err != nil {
 			return err
-		}
-		if c.eng.MaxPathSteps > 0 {
-			steps++
-			if steps > c.eng.MaxPathSteps {
-				return errf("property path expansion exceeded %d steps", c.eng.MaxPathSteps)
-			}
 		}
 		var next []rdf.Term
 		for _, node := range frontier {

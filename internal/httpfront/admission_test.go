@@ -58,7 +58,6 @@ func TestTenantCap429(t *testing.T) {
 	f := New(NewTenants(defDB))
 	f.Metrics = metrics.NewRegistry()
 	f.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-	f.RetryAfter = 2 * time.Second
 	if err := f.Tenants.Add(&Tenant{Name: "acme", DB: acmeDB, MaxInflight: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -79,8 +78,8 @@ func TestTenantCap429(t *testing.T) {
 	if w.Code != http.StatusTooManyRequests {
 		t.Fatalf("saturated tenant: status %d, want 429: %s", w.Code, w.Body.String())
 	}
-	if ra := w.Header().Get("Retry-After"); ra != "2" {
-		t.Fatalf("Retry-After %q, want \"2\"", ra)
+	if ra := w.Header().Get("Retry-After"); ra != "1" {
+		t.Fatalf("Retry-After %q, want \"1\"", ra)
 	}
 	if doc := jsonBody(t, w); doc["code"] != "overloaded" {
 		t.Fatalf("code %v, want overloaded", doc["code"])

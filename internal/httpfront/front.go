@@ -33,22 +33,19 @@ package httpfront
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"mime"
 	"net/http"
-	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"scisparql/internal/core"
 	"scisparql/internal/engine"
 	"scisparql/internal/metrics"
+	"scisparql/internal/protocol"
 	"scisparql/internal/turtle"
 )
 
@@ -74,71 +71,36 @@ type Front struct {
 	// Tenants resolves request tenants. Set by New.
 	Tenants *Tenants
 
-	// Logger receives structured output (slow-query log, panic trap).
-	// Nil uses slog.Default(). Set before serving.
-	Logger *slog.Logger
-
-	// SlowQuery is the duration at or above which a request is logged
-	// with its text, tenant, duration and outcome. Zero disables the
-	// log. Set before serving.
-	SlowQuery time.Duration
-
-	// Metrics is the registry the front instruments under http_*
-	// families. Nil uses metrics.Default(). Set before serving.
-	Metrics *metrics.Registry
+	// Shell supplies Logger, SlowQuery and Metrics (the registry the
+	// front instruments under http_* families; set before serving), the
+	// drain switch and the panic trap.
+	core.Shell
 
 	// GlobalMaxInflight bounds concurrently executing queries across
 	// all tenants (0 = unbounded). Set before serving.
 	GlobalMaxInflight int
 
-	// RetryAfter is the advisory delay returned with 429/503 responses
-	// (rounded up to whole seconds; zero means 1s). Set before serving.
-	RetryAfter time.Duration
-
-	gateOnce  sync.Once
+	instOnce  sync.Once
+	inst      *httpInstruments
 	globalSem chan struct{}
 	inflight  atomic.Int64
-
-	instOnce sync.Once
-	inst     *httpInstruments
-
-	draining   atomic.Bool
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
 }
+
+// retryAfter is the advisory delay, in seconds, sent with every 429 and
+// 503 response.
+const retryAfter = "1"
 
 // New creates a front door over a tenant registry.
 func New(ts *Tenants) *Front {
-	ctx, cancel := context.WithCancel(context.Background())
-	return &Front{Tenants: ts, baseCtx: ctx, baseCancel: cancel}
+	return &Front{Tenants: ts}
 }
 
 // Shutdown puts the front into drain mode: requests already executing
 // have their contexts cancelled (they answer with their typed error),
 // and every request arriving afterwards is refused with 503 +
-// Retry-After. The caller shuts the enclosing http.Server down
-// alongside; Shutdown is idempotent.
-func (f *Front) Shutdown() {
-	f.draining.Store(true)
-	f.baseCancel()
-}
-
-// logger returns the configured logger (slog.Default when unset).
-func (f *Front) logger() *slog.Logger {
-	if f.Logger != nil {
-		return f.Logger
-	}
-	return slog.Default()
-}
-
-// registry returns the configured metrics registry (process default
-// when unset).
-func (f *Front) registry() *metrics.Registry {
-	if f.Metrics != nil {
-		return f.Metrics
-	}
-	return metrics.Default()
-}
+// Retry-After, before its path is resolved. The caller shuts the
+// enclosing http.Server down alongside; Shutdown is idempotent.
+func (f *Front) Shutdown() { f.Drain() }
 
 // httpInstruments holds the front door's registered metric handles.
 type httpInstruments struct {
@@ -149,10 +111,14 @@ type httpInstruments struct {
 	slow     *metrics.Counter
 }
 
-// instrumentSet registers the http_* metric families on first use.
+// instrumentSet registers the http_* metric families and sizes the
+// global admission semaphore on first use.
 func (f *Front) instrumentSet() *httpInstruments {
 	f.instOnce.Do(func() {
-		r := f.registry()
+		if f.GlobalMaxInflight > 0 {
+			f.globalSem = make(chan struct{}, f.GlobalMaxInflight)
+		}
+		r := f.Registry()
 		f.inst = &httpInstruments{
 			requests: r.CounterVec("http_requests_total", "HTTP SPARQL-protocol requests, by tenant.", "tenant"),
 			statuses: r.CounterVec("http_responses_total", "HTTP responses, by status code.", "status"),
@@ -166,15 +132,6 @@ func (f *Front) instrumentSet() *httpInstruments {
 	return f.inst
 }
 
-// gates initializes the global admission semaphore on first use.
-func (f *Front) gates() {
-	f.gateOnce.Do(func() {
-		if f.GlobalMaxInflight > 0 {
-			f.globalSem = make(chan struct{}, f.GlobalMaxInflight)
-		}
-	})
-}
-
 // request carries one parsed protocol request through execution.
 type request struct {
 	tenant   *Tenant
@@ -185,15 +142,20 @@ type request struct {
 	accept   string        // negotiated response media type
 }
 
-// ServeHTTP routes one request. Every handler below runs inside the
-// panic trap and the observability wrapper.
+// ServeHTTP runs one request in the request shell — drain refusal,
+// panic trap, client and drain cancellation — and counts it.
 func (f *Front) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	f.gates()
 	in := f.instrumentSet()
-	start := time.Now()
 	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-	tenantName, text := f.route(sw, r)
-	dur := time.Since(start)
+	var tenantName, text string
+	dur, err := f.Serve(r.Context(), func(ctx context.Context) error {
+		var err error
+		tenantName, text, err = f.route(ctx, sw, r)
+		return err
+	})
+	if err != nil {
+		writeExecError(sw, err)
+	}
 
 	in.requests.With(tenantName).Inc()
 	in.statuses.With(strconv.Itoa(sw.status)).Inc()
@@ -201,16 +163,9 @@ func (f *Front) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		in.rejected.With(tenantName).Inc()
 	}
 	if text != "" {
-		in.latency.Observe(dur.Seconds())
-		if f.SlowQuery > 0 && dur >= f.SlowQuery {
-			in.slow.Inc()
-			f.logger().Warn("slow query",
-				"proto", "http",
-				"tenant", tenantName,
-				"status", sw.status,
-				"duration", dur.String(),
-				"query", metrics.TruncateQuery(text))
-		}
+		f.Observe(in.latency, in.slow, dur, func() (string, []any) {
+			return text, []any{"proto", "http", "tenant", tenantName, "status", sw.status}
+		})
 	}
 }
 
@@ -237,38 +192,20 @@ func (sw *statusWriter) Write(b []byte) (int, error) {
 
 // route dispatches one request and returns the tenant name and (when
 // the request carried one) the query text, for the metrics/slow-log
-// wrapper.
-func (f *Front) route(w http.ResponseWriter, r *http.Request) (tenantName, text string) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			// Trap handler panics: log the stack, never leak it to the
-			// client.
-			f.logger().Error("panic while handling HTTP request",
-				"path", r.URL.Path,
-				"panic", fmt.Sprint(rec),
-				"stack", string(debug.Stack()))
-			writeError(w, http.StatusInternalServerError, "internal", "internal error")
-		}
-	}()
-
+// wrapper, and the execution error for ServeHTTP to encode. Protocol
+// failures found before execution are written here.
+func (f *Front) route(ctx context.Context, w http.ResponseWriter, r *http.Request) (tenantName, text string, err error) {
 	// Resolve the endpoint and tenant from the path.
-	path := r.URL.Path
 	name := r.Header.Get("X-SSDM-Tenant")
-	var endpoint string
-	switch {
-	case path == "/sparql" || path == "/update":
-		endpoint = strings.TrimPrefix(path, "/")
-	case strings.HasPrefix(path, "/tenants/"):
-		rest := strings.TrimPrefix(path, "/tenants/")
-		n, ep, ok := strings.Cut(rest, "/")
-		if !ok || n == "" || (ep != "sparql" && ep != "update") {
-			writeError(w, http.StatusNotFound, "not_found", "no such endpoint: "+path)
-			return name, ""
+	endpoint := strings.TrimPrefix(r.URL.Path, "/")
+	if rest, ok := strings.CutPrefix(r.URL.Path, "/tenants/"); ok {
+		if n, ep, _ := strings.Cut(rest, "/"); n != "" && (ep == "sparql" || ep == "update") {
+			name, endpoint = n, ep
 		}
-		name, endpoint = n, ep
-	default:
-		writeError(w, http.StatusNotFound, "not_found", "no such endpoint: "+path)
-		return name, ""
+	}
+	if endpoint != "sparql" && endpoint != "update" {
+		writeError(w, http.StatusNotFound, "not_found", "no such endpoint: "+r.URL.Path)
+		return name, "", nil
 	}
 	if name == "" {
 		name = DefaultTenant
@@ -276,22 +213,15 @@ func (f *Front) route(w http.ResponseWriter, r *http.Request) (tenantName, text 
 	tenant, ok := f.Tenants.Get(name)
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown_tenant", "unknown tenant "+strconv.Quote(name))
-		return name, ""
-	}
-
-	if f.draining.Load() {
-		w.Header().Set("Retry-After", f.retryAfterSeconds())
-		writeError(w, http.StatusServiceUnavailable, "shutdown", "server is draining")
-		return name, ""
+		return name, "", nil
 	}
 
 	req, herr := f.parseRequest(r, tenant, endpoint)
 	if herr != nil {
 		writeError(w, herr.status, herr.code, herr.msg)
-		return name, ""
+		return name, "", nil
 	}
-	f.execute(w, r, req)
-	return name, req.text
+	return name, req.text, f.execute(ctx, w, req)
 }
 
 // httpError is a protocol-level failure detected before execution.
@@ -373,9 +303,10 @@ func (f *Front) parseRequest(r *http.Request, tenant *Tenant, endpoint string) (
 	return req, nil
 }
 
-// execute runs an admitted request against its tenant and writes the
-// response.
-func (f *Front) execute(w http.ResponseWriter, r *http.Request, req *request) {
+// execute admits a request, runs it against its tenant under ctx and
+// writes a successful response; an execution error is returned for
+// ServeHTTP to encode.
+func (f *Front) execute(ctx context.Context, w http.ResponseWriter, req *request) error {
 	// Admission: global slot first, then the tenant's. Fail fast with
 	// 429 — clients retry with backoff; queueing here would hold
 	// connection state for work the server cannot start.
@@ -384,27 +315,20 @@ func (f *Front) execute(w http.ResponseWriter, r *http.Request, req *request) {
 		case f.globalSem <- struct{}{}:
 			defer func() { <-f.globalSem }()
 		default:
-			w.Header().Set("Retry-After", f.retryAfterSeconds())
+			w.Header().Set("Retry-After", retryAfter)
 			writeError(w, http.StatusTooManyRequests, "overloaded", "server at capacity, retry later")
-			return
+			return nil
 		}
 	}
 	if !req.tenant.tryAcquire() {
-		w.Header().Set("Retry-After", f.retryAfterSeconds())
+		w.Header().Set("Retry-After", retryAfter)
 		writeError(w, http.StatusTooManyRequests, "overloaded",
 			"tenant "+strconv.Quote(req.tenant.Name)+" at its in-flight cap, retry later")
-		return
+		return nil
 	}
 	defer req.tenant.release()
 	f.inflight.Add(1)
 	defer f.inflight.Add(-1)
-
-	// The request context merges the client's (disconnect aborts the
-	// query) with the front's base context (drain aborts it).
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	stop := context.AfterFunc(f.baseCtx, cancel)
-	defer stop()
 
 	// Per-request parameters tighten the tenant profile; the tenant
 	// profile tightens the server-wide guards inside QueryLimits.
@@ -413,12 +337,11 @@ func (f *Front) execute(w http.ResponseWriter, r *http.Request, req *request) {
 	if req.isUpdate {
 		n, err := req.tenant.DB.UpdateLimits(ctx, req.text, lim)
 		if err != nil {
-			f.writeExecError(w, err)
-			return
+			return err
 		}
 		w.Header().Set("Content-Type", ctJSON)
 		fmt.Fprintf(w, "{\"ok\":true,\"affected\":%d}\n", n)
-		return
+		return nil
 	}
 
 	var (
@@ -432,58 +355,44 @@ func (f *Front) execute(w http.ResponseWriter, r *http.Request, req *request) {
 		res, err = req.tenant.DB.QueryLimits(ctx, req.text, lim)
 	}
 	if err != nil {
-		f.writeExecError(w, err)
-		return
+		return err
 	}
 	writeResults(w, req, res, tr)
+	return nil
 }
 
-// writeExecError maps an execution error onto the HTTP status space
-// and emits the JSON error body.
-func (f *Front) writeExecError(w http.ResponseWriter, err error) {
-	status, code := StatusForError(err)
-	if status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", f.retryAfterSeconds())
+// statusFor maps each wire error code (core.WireError) onto the HTTP
+// status space. Query-fault failures — timeouts, guard-limit overruns,
+// cancellation, parse and evaluation errors — are 4xx: the server is
+// healthy and the request (or its budget) is the problem. Trapped
+// panics are 500. Drain, a durability failure (the write-ahead log
+// cannot accept or sync the update: it was NOT applied and may be
+// retried verbatim) and an unreachable shard (partial results are
+// suppressed, not served) are 503 with Retry-After.
+var statusFor = map[string]int{
+	protocol.CodeError:            http.StatusBadRequest,
+	protocol.CodeTimeout:          http.StatusRequestTimeout,
+	protocol.CodeCancelled:        http.StatusRequestTimeout,
+	protocol.CodeResourceLimit:    http.StatusUnprocessableEntity,
+	protocol.CodeInternal:         http.StatusInternalServerError,
+	protocol.CodeShutdown:         http.StatusServiceUnavailable,
+	protocol.CodeDurability:       http.StatusServiceUnavailable,
+	protocol.CodeShardUnavailable: http.StatusServiceUnavailable,
+}
+
+// writeExecError encodes a failed request as its status and JSON error
+// body. A parse or evaluation error, the wire's generic "error", is
+// "bad_query" here.
+func writeExecError(w http.ResponseWriter, err error) {
+	code, msg := core.WireError(err)
+	status := statusFor[code]
+	if code == protocol.CodeError {
+		code = "bad_query"
 	}
-	msg := err.Error()
-	if errors.Is(err, engine.ErrInternal) {
-		// Internal errors carry panic values; give the client the
-		// class, keep the detail (already logged with its stack) out of
-		// the response.
-		msg = "internal error"
+	if status == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", retryAfter)
 	}
 	writeError(w, status, code, msg)
-}
-
-// StatusForError maps SSDM's typed errors onto HTTP status codes and
-// short machine-readable codes. Query-fault failures — timeouts,
-// guard-limit overruns, cancellation, parse and evaluation errors —
-// are 4xx: the server is healthy and the request (or its budget) is
-// the problem. Trapped panics (engine.ErrInternal) are 500, and a
-// durability failure (the write-ahead log cannot accept or sync the
-// update) is 503 with Retry-After: the update was NOT applied and may
-// be retried verbatim once the log is healthy again.
-func StatusForError(err error) (status int, code string) {
-	switch {
-	case errors.Is(err, engine.ErrQueryTimeout) || errors.Is(err, context.DeadlineExceeded):
-		return http.StatusRequestTimeout, "timeout"
-	case errors.Is(err, engine.ErrResourceLimit):
-		return http.StatusUnprocessableEntity, "resource_limit"
-	case errors.Is(err, engine.ErrQueryCancelled) || errors.Is(err, context.Canceled):
-		return http.StatusRequestTimeout, "cancelled"
-	case errors.Is(err, engine.ErrInternal):
-		return http.StatusInternalServerError, "internal"
-	case errors.Is(err, core.ErrDurability):
-		return http.StatusServiceUnavailable, "durability"
-	case errors.Is(err, core.ErrShardUnavailable):
-		// Partial results are suppressed, not served: retry once the
-		// shard is reachable again.
-		return http.StatusServiceUnavailable, "shard_unavailable"
-	default:
-		// Parse errors (with the parser's line/column message) and
-		// evaluation errors.
-		return http.StatusBadRequest, "bad_query"
-	}
 }
 
 // writeResults serializes a successful query result in the negotiated
@@ -491,10 +400,7 @@ func StatusForError(err error) (status int, code string) {
 func writeResults(w http.ResponseWriter, req *request, res *engine.Results, tr *engine.Trace) {
 	if res.Graph != nil {
 		w.Header().Set("Content-Type", ctTurtle+"; charset=utf-8")
-		if err := turtle.Write(w, res.Graph, nil); err != nil {
-			// Headers are gone; all we can do is drop the connection.
-			return
-		}
+		_ = turtle.Write(w, res.Graph, nil) // on failure the headers are gone: nothing to do
 		return
 	}
 	switch req.accept {
@@ -536,17 +442,4 @@ func analyzeJSON(tr *engine.Trace) map[string]any {
 		"chunk_waitns": tr.ChunkWaitNanos,
 		"text":         tr.String(),
 	}
-}
-
-// retryAfterSeconds renders the configured Retry-After delay in whole
-// seconds (minimum 1).
-func (f *Front) retryAfterSeconds() string {
-	secs := int(f.RetryAfter / time.Second)
-	if f.RetryAfter > 0 && f.RetryAfter%time.Second != 0 {
-		secs++
-	}
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
 }

@@ -362,30 +362,46 @@ func TestUpdateMethodAndTypeGuards(t *testing.T) {
 	}
 }
 
-// TestStatusForError is the table over every typed error the engine
-// can surface, pinning the boundary mapping: query faults are 4xx, only
-// trapped panics are 500.
-func TestStatusForError(t *testing.T) {
+// TestErrorClassesOnBothFrontDoors is the one table over every error
+// class a request can end in, run through both encodings: the TCP code
+// (core.WireError, which the framed server sends as is) and the HTTP
+// status, body code and Retry-After. Query faults are 4xx, trapped
+// panics 500, and drain, durability and unreachable shards 503.
+func TestErrorClassesOnBothFrontDoors(t *testing.T) {
 	cases := []struct {
-		err    error
-		status int
-		code   string
+		err      error
+		tcpCode  string
+		status   int
+		httpCode string
 	}{
-		{engine.ErrQueryTimeout, http.StatusRequestTimeout, "timeout"},
-		{fmt.Errorf("query: %w", engine.ErrQueryTimeout), http.StatusRequestTimeout, "timeout"},
-		{context.DeadlineExceeded, http.StatusRequestTimeout, "timeout"},
-		{engine.ErrResourceLimit, http.StatusUnprocessableEntity, "resource_limit"},
-		{fmt.Errorf("bindings budget: %w", engine.ErrResourceLimit), http.StatusUnprocessableEntity, "resource_limit"},
-		{engine.ErrQueryCancelled, http.StatusRequestTimeout, "cancelled"},
-		{context.Canceled, http.StatusRequestTimeout, "cancelled"},
-		{engine.ErrInternal, http.StatusInternalServerError, "internal"},
-		{fmt.Errorf("trapped: %w", engine.ErrInternal), http.StatusInternalServerError, "internal"},
-		{errors.New("parse error: line 1 col 8: unexpected token"), http.StatusBadRequest, "bad_query"},
+		{engine.ErrQueryTimeout, "timeout", http.StatusRequestTimeout, "timeout"},
+		{fmt.Errorf("query: %w", engine.ErrQueryTimeout), "timeout", http.StatusRequestTimeout, "timeout"},
+		{context.DeadlineExceeded, "timeout", http.StatusRequestTimeout, "timeout"},
+		{engine.ErrResourceLimit, "resource_limit", http.StatusUnprocessableEntity, "resource_limit"},
+		{fmt.Errorf("bindings budget: %w", engine.ErrResourceLimit), "resource_limit", http.StatusUnprocessableEntity, "resource_limit"},
+		{engine.ErrQueryCancelled, "cancelled", http.StatusRequestTimeout, "cancelled"},
+		{context.Canceled, "cancelled", http.StatusRequestTimeout, "cancelled"},
+		{engine.ErrInternal, "internal", http.StatusInternalServerError, "internal"},
+		{fmt.Errorf("trapped: %w", engine.ErrInternal), "internal", http.StatusInternalServerError, "internal"},
+		{errors.New("parse error: line 1 col 8: unexpected token"), "error", http.StatusBadRequest, "bad_query"},
+		{fmt.Errorf("wal: %w", core.ErrDurability), "durability", http.StatusServiceUnavailable, "durability"},
+		{fmt.Errorf("%w: shard a: refused", core.ErrShardUnavailable), "shard_unavailable", http.StatusServiceUnavailable, "shard_unavailable"},
+		{core.ErrShutdown, "shutdown", http.StatusServiceUnavailable, "shutdown"},
 	}
 	for _, tc := range cases {
-		status, code := StatusForError(tc.err)
-		if status != tc.status || code != tc.code {
-			t.Errorf("StatusForError(%v) = %d %q, want %d %q", tc.err, status, code, tc.status, tc.code)
+		if code, _ := core.WireError(tc.err); code != tc.tcpCode {
+			t.Errorf("TCP code of %v = %q, want %q", tc.err, code, tc.tcpCode)
+		}
+		w := httptest.NewRecorder()
+		writeExecError(w, tc.err)
+		if w.Code != tc.status {
+			t.Errorf("HTTP status of %v = %d, want %d", tc.err, w.Code, tc.status)
+		}
+		if doc := jsonBody(t, w); doc["code"] != tc.httpCode {
+			t.Errorf("HTTP code of %v = %v, want %q", tc.err, doc["code"], tc.httpCode)
+		}
+		if ra := w.Header().Get("Retry-After"); (tc.status == http.StatusServiceUnavailable) != (ra == "1") {
+			t.Errorf("Retry-After of %v (status %d) = %q", tc.err, w.Code, ra)
 		}
 	}
 }
@@ -596,7 +612,7 @@ func TestHTTPMetricsFamilies(t *testing.T) {
 	get(f, "/sparql", `broken {`, nil)
 
 	w := httptest.NewRecorder()
-	f.registry().Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	f.Registry().Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	body := w.Body.String()
 	for _, want := range []string{
 		`http_requests_total{tenant="default"} 2`,
@@ -607,6 +623,28 @@ func TestHTTPMetricsFamilies(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics exposition missing %q:\n%s", want, body)
+		}
+	}
+}
+
+// TestHTTPSlowQueryLog: with every request slow, a query writes one
+// "slow query" line carrying the HTTP front's attributes (proto, tenant,
+// status) beside duration and text; a request with no query text (a 404)
+// writes none.
+func TestHTTPSlowQueryLog(t *testing.T) {
+	f, _ := newTestFront(t)
+	var out strings.Builder
+	f.Logger = slog.New(slog.NewJSONHandler(&out, nil))
+	f.SlowQuery = time.Nanosecond
+	get(f, "/nowhere", selectSV, nil)
+	if out.Len() != 0 {
+		t.Fatalf("a 404 was logged as a slow query:\n%s", out.String())
+	}
+	get(f, "/sparql", selectSV, nil)
+	for _, want := range []string{`"msg":"slow query"`, `"proto":"http"`, `"tenant":"default"`,
+		`"status":200`, `"duration":`, `"query":"SELECT ?s ?v`} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("slow-query log missing %s:\n%s", want, out.String())
 		}
 	}
 }

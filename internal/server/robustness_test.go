@@ -147,6 +147,10 @@ func TestForeignPanicIsolated(t *testing.T) {
 	if !errors.Is(err, engine.ErrInternal) {
 		t.Fatalf("want ErrInternal from panicking function, got %v", err)
 	}
+	// The client gets the class only; the panic value stays in the log.
+	if strings.Contains(err.Error(), "deliberate test panic") {
+		t.Fatalf("error leaks the panic value: %v", err)
+	}
 	// Same connection still serves.
 	if err := cl.Ping(); err != nil {
 		t.Fatalf("server died after trapped panic: %v", err)
@@ -197,7 +201,7 @@ func TestEncodeRowsAllOrNothing(t *testing.T) {
 		{rdf.Integer(1)},
 		{engine.Closure{Fn: "abs", Bound: []rdf.Term{nil}, Holes: []int{0}}},
 	}
-	resp := encodeResults(&engine.Results{Vars: []string{"x"}, Rows: rows})
+	resp := encodeResults(&engine.Results{Vars: []string{"x"}, Rows: rows}, nil)
 	if resp.OK || resp.Code != protocol.CodeError || !strings.Contains(resp.Error, "cannot encode") {
 		t.Fatalf("want an encode error response, got %+v", resp)
 	}

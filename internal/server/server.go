@@ -13,9 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"net"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,28 +33,18 @@ import (
 // in arrival order, preserving read-your-writes semantics for a client
 // that pipelines an update before a query.
 //
-// Failure containment: every request executes under a context derived
-// from the server's base context plus any per-request deadline, so
-// shutdown and timeouts cancel in-flight queries cooperatively; panics
-// inside request handling are trapped per request (stack logged, error
-// response sent) and can never take down the process.
+// Failure containment: every request runs in the request shell
+// (core.Shell): under a context that shutdown cancels, plus any
+// per-request deadline, so shutdown and timeouts cancel in-flight
+// queries cooperatively; a panic inside request handling is trapped per
+// request (stack logged, error response sent) and can never take down
+// the process.
 type Server struct {
 	DB *core.SSDM
 
-	// Logger receives structured server output — the slow-query log and
-	// the panic trap. Nil uses slog.Default(). Set before Listen.
-	Logger *slog.Logger
-
-	// SlowQuery is the duration at or above which a query-class request
-	// is logged through Logger with its text, duration, row count and
-	// guard outcome. Zero disables the slow-query log. Set before
-	// Listen.
-	SlowQuery time.Duration
-
-	// Metrics is the registry the server instruments (request counts,
-	// latency histogram, error codes, cache and storage gauges). Nil
-	// uses metrics.Default(). Set before Listen.
-	Metrics *metrics.Registry
+	// Shell supplies Logger, SlowQuery and Metrics (set before Listen),
+	// the drain switch and the panic trap.
+	core.Shell
 
 	mu       sync.Mutex // guards listener, closed and conns
 	listener net.Listener
@@ -67,15 +55,6 @@ type Server struct {
 	instOnce    sync.Once
 	inst        *instruments
 	activeConns atomic.Int64
-
-	// baseCtx parents every request context; baseCancel aborts all
-	// in-flight work on shutdown.
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
-
-	// draining is set when Shutdown/Close begins: connections finish
-	// the request in flight, then close instead of reading the next.
-	draining atomic.Bool
 }
 
 // ErrClosed is returned by Listen on a server that has been Closed.
@@ -83,8 +62,7 @@ var ErrClosed = errors.New("server: closed")
 
 // New creates a server over an SSDM instance.
 func New(db *core.SSDM) *Server {
-	ctx, cancel := context.WithCancel(context.Background())
-	return &Server{DB: db, conns: make(map[net.Conn]struct{}), baseCtx: ctx, baseCancel: cancel}
+	return &Server{DB: db, conns: make(map[net.Conn]struct{})}
 }
 
 // Listen starts accepting connections on addr (e.g. "127.0.0.1:0")
@@ -120,10 +98,7 @@ func (s *Server) Listen(addr string) (string, error) {
 // on expiry remaining connections are force-closed and ctx's error is
 // returned. The server cannot be reused afterwards.
 func (s *Server) Shutdown(ctx context.Context) error {
-	ln := s.beginShutdown()
-	if ln != nil {
-		_ = ln.Close()
-	}
+	_ = s.beginShutdown() // a failed listener close leaves nothing to undo: drain anyway
 	// Unblock connections idle in Decode: an immediately expiring read
 	// deadline fails the pending (or next) read while leaving writes —
 	// the response being flushed to a draining client — unaffected.
@@ -158,28 +133,25 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // force-closed. It is idempotent; the server cannot be reused
 // afterwards.
 func (s *Server) Close() error {
-	ln := s.beginShutdown()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
+	err := s.beginShutdown()
 	s.forceCloseConns()
 	s.wg.Wait()
 	return err
 }
 
 // beginShutdown marks the server closed and draining, cancels
-// in-flight request contexts, and detaches the listener (returned for
-// the caller to close outside the lock).
-func (s *Server) beginShutdown() net.Listener {
+// in-flight request contexts, and closes the listener, reporting the
+// error of that close.
+func (s *Server) beginShutdown() (err error) {
 	s.mu.Lock()
 	s.closed = true
-	ln := s.listener
-	s.listener = nil
+	if s.listener != nil {
+		err = s.listener.Close()
+		s.listener = nil
+	}
 	s.mu.Unlock()
-	s.draining.Store(true)
-	s.baseCancel()
-	return ln
+	s.Drain()
+	return err
 }
 
 func (s *Server) forceCloseConns() {
@@ -231,7 +203,7 @@ func (s *Server) serve(conn net.Conn) {
 	for {
 		var req protocol.Request
 		if err := dec.Decode(&req); err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !s.draining.Load() {
+			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !s.Draining() {
 				_ = w.write(&protocol.Response{OK: false, Error: "bad request: " + err.Error(), Code: protocol.CodeError})
 				_ = w.bw.Flush()
 			}
@@ -248,7 +220,7 @@ func (s *Server) serve(conn net.Conn) {
 		if err := w.bw.Flush(); err != nil {
 			return
 		}
-		if s.draining.Load() {
+		if s.Draining() {
 			// Finish the request in flight, then drain: the client gets
 			// its response and a clean EOF instead of a mid-frame cut.
 			return
@@ -316,24 +288,6 @@ func (w *respWriter) field(b []byte, name string, data []byte) []byte {
 	}
 }
 
-// logger returns the configured structured logger (slog.Default when
-// unset).
-func (s *Server) logger() *slog.Logger {
-	if s.Logger != nil {
-		return s.Logger
-	}
-	return slog.Default()
-}
-
-// registry returns the configured metrics registry (the process default
-// when unset).
-func (s *Server) registry() *metrics.Registry {
-	if s.Metrics != nil {
-		return s.Metrics
-	}
-	return metrics.Default()
-}
-
 // instruments holds the server's registered metric handles.
 type instruments struct {
 	requests *metrics.CounterVec
@@ -347,7 +301,7 @@ type instruments struct {
 // the server's instruments and gauges on first use.
 func (s *Server) instrumentSet() *instruments {
 	s.instOnce.Do(func() {
-		r := s.registry()
+		r := s.Registry()
 		s.inst = &instruments{
 			requests: r.CounterVec("ssdm_requests_total", "Requests handled, by operation.", "op"),
 			errors:   r.CounterVec("ssdm_request_errors_total", "Failed requests, by error code.", "code"),
@@ -361,119 +315,140 @@ func (s *Server) instrumentSet() *instruments {
 }
 
 // registerGauges publishes the instance's cache, dataset and storage
-// state as scrape-time gauges.
+// state as scrape-time gauges. Every number the stats op reports too is
+// read from its snapshot, stats.
 func (s *Server) registerGauges(r *metrics.Registry) {
-	db := s.DB
 	r.GaugeFunc("ssdm_connections_active", "Open client connections.",
 		func() float64 { return float64(s.activeConns.Load()) })
-	r.GaugeFunc("ssdm_triples", "Triples in the default graph.",
-		func() float64 { return float64(db.Dataset.Default.Size()) })
-	r.GaugeFunc("ssdm_query_cache_hits", "Compiled-query cache hits since start.",
-		func() float64 { return float64(db.QueryCacheStats().Hits) })
-	r.GaugeFunc("ssdm_query_cache_misses", "Compiled-query cache misses since start.",
-		func() float64 { return float64(db.QueryCacheStats().Misses) })
-	r.GaugeFunc("ssdm_query_cache_entries", "Compiled queries resident in the cache.",
-		func() float64 { return float64(db.QueryCacheStats().Entries) })
-	r.GaugeFunc("ssdm_chunk_cache_hits", "Chunk-cache hits since start.",
-		func() float64 { return float64(db.ChunkCacheStats().Hits) })
-	r.GaugeFunc("ssdm_chunk_cache_misses", "Chunk-cache misses since start.",
-		func() float64 { return float64(db.ChunkCacheStats().Misses) })
-	r.GaugeFunc("ssdm_chunk_cache_coalesced", "Chunk fetches coalesced onto another in-flight fetch.",
-		func() float64 { return float64(db.ChunkCacheStats().Coalesced) })
-	r.GaugeFunc("ssdm_chunk_cache_evictions", "Chunk-cache evictions since start.",
-		func() float64 { return float64(db.ChunkCacheStats().Evictions) })
-	r.GaugeFunc("ssdm_chunk_cache_bytes", "Bytes resident in the chunk cache.",
-		func() float64 { return float64(db.ChunkCacheStats().Bytes) })
-	r.GaugeFunc("ssdm_chunk_cache_peak_bytes", "Chunk-cache residency high-water mark.",
-		func() float64 { return float64(db.ChunkCacheStats().PeakBytes) })
-	r.GaugeFunc("ssdm_chunk_cache_budget_bytes", "Configured chunk-cache byte budget.",
-		func() float64 { return float64(db.ChunkCacheStats().Budget) })
-	r.GaugeFunc("ssdm_dict_terms", "Terms interned in the dataset's dictionaries.",
-		func() float64 { return float64(db.DictStats().Terms) })
-	r.GaugeFunc("ssdm_dict_bytes", "Approximate bytes held by term dictionaries.",
-		func() float64 { return float64(db.DictStats().Bytes) })
-	r.GaugeFunc("ssdm_dict_generation", "Dictionary/graph mutation generation counter.",
-		func() float64 { return float64(db.DictStats().Generation) })
-	r.GaugeFunc("ssdm_vec_queries_total", "Query executions that used a vectorized plan.",
-		func() float64 { return float64(db.VecStats().Queries) })
-	r.GaugeFunc("ssdm_vec_batches_total", "Batches emitted by vectorized pipelines.",
-		func() float64 { return float64(db.VecStats().Batches) })
-	r.GaugeFunc("ssdm_vec_rows_total", "Rows emitted by vectorized pipelines.",
-		func() float64 { return float64(db.VecStats().Rows) })
-	r.GaugeFunc("ssdm_vec_agg_queries_total", "Aggregations folded batch-natively over ID columns.",
-		func() float64 { return float64(db.VecStats().AggQueries) })
-	r.GaugeFunc("ssdm_vec_agg_groups_total", "Groups produced by batch-native aggregation.",
-		func() float64 { return float64(db.VecStats().AggGroups) })
-	r.GaugeFunc("ssdm_vec_sort_queries_total", "Vectorized ORDER BY sorts over ID-resident keys.",
-		func() float64 { return float64(db.VecStats().SortQueries) })
-	r.GaugeFunc("ssdm_vec_topk_queries_total", "Vectorized sorts that used the bounded top-K heap.",
-		func() float64 { return float64(db.VecStats().TopKQueries) })
-	r.GaugeFunc("ssdm_wal_appends_total", "WAL records appended (0 when running without a WAL).",
-		func() float64 { return float64(db.WALStats().Appends) })
-	r.GaugeFunc("ssdm_wal_appended_bytes_total", "WAL frame bytes appended.",
-		func() float64 { return float64(db.WALStats().AppendedBytes) })
-	r.GaugeFunc("ssdm_wal_syncs_total", "WAL fsyncs issued.",
-		func() float64 { return float64(db.WALStats().Syncs) })
-	r.GaugeFunc("ssdm_wal_commits_total", "WAL commit acknowledgements.",
-		func() float64 { return float64(db.WALStats().Commits) })
-	r.GaugeFunc("ssdm_wal_grouped_commits_total", "WAL commits that rode another commit's fsync (group commit).",
-		func() float64 { return float64(db.WALStats().GroupedCommit) })
-	r.GaugeFunc("ssdm_wal_segments", "Live WAL segment files.",
-		func() float64 { return float64(db.WALStats().Segments) })
-	r.GaugeFunc("ssdm_wal_tail_lsn", "Next WAL append position.",
-		func() float64 { return float64(db.WALStats().TailLSN) })
-	r.GaugeFunc("ssdm_wal_synced_lsn", "Everything below this LSN is durable.",
-		func() float64 { return float64(db.WALStats().SyncedLSN) })
-	r.GaugeFunc("ssdm_wal_recovery_seconds", "Time the last startup spent in checkpoint load and log replay.",
-		func() float64 { return float64(db.WALStats().RecoveryNanos) / 1e9 })
 	r.GaugeFunc("ssdm_storage_read_calls", "Back-end chunk read calls since start (0 when resident-only).",
-		func() float64 {
-			if b, ok := db.Backend().(interface{ ReadCallCount() int64 }); ok {
-				return float64(b.ReadCallCount())
-			}
-			return 0
-		})
+		func() float64 { return backendStat(s.DB, interface{ ReadCallCount() int64 }.ReadCallCount) })
 	r.GaugeFunc("ssdm_storage_inflight_peak", "High-water mark of concurrent back-end reads.",
-		func() float64 {
-			if b, ok := db.Backend().(interface{ InflightPeak() int64 }); ok {
-				return float64(b.InflightPeak())
-			}
-			return 0
-		})
-	shardStat := func(f func(core.ShardStats) float64) func() float64 {
-		return func() float64 {
-			if ss, ok := db.ShardStats(); ok {
-				return f(ss)
-			}
-			return 0
+		func() float64 { return backendStat(s.DB, interface{ InflightPeak() int64 }.InflightPeak) })
+	shardSum := func(st *protocol.Stats, f func(protocol.ShardInfo) int64) (n float64) {
+		for _, c := range st.ShardBreakdown {
+			n += float64(f(c))
+		}
+		return n
+	}
+	type stat = *protocol.Stats
+	for _, g := range []struct {
+		name, help string
+		value      func(stat) float64
+	}{
+		{"ssdm_triples", "Triples in the default graph.", func(st stat) float64 { return float64(st.Triples) }},
+		{"ssdm_query_cache_hits", "Compiled-query cache hits since start.", func(st stat) float64 { return float64(st.CacheHits) }},
+		{"ssdm_query_cache_misses", "Compiled-query cache misses since start.", func(st stat) float64 { return float64(st.CacheMisses) }},
+		{"ssdm_query_cache_entries", "Compiled queries resident in the cache.", func(st stat) float64 { return float64(st.CacheEntries) }},
+		{"ssdm_chunk_cache_hits", "Chunk-cache hits since start.", func(st stat) float64 { return float64(st.ChunkCacheHits) }},
+		{"ssdm_chunk_cache_misses", "Chunk-cache misses since start.", func(st stat) float64 { return float64(st.ChunkCacheMisses) }},
+		{"ssdm_chunk_cache_coalesced", "Chunk fetches coalesced onto another in-flight fetch.", func(st stat) float64 { return float64(st.ChunkCacheCoalesced) }},
+		{"ssdm_chunk_cache_evictions", "Chunk-cache evictions since start.", func(st stat) float64 { return float64(st.ChunkCacheEvictions) }},
+		{"ssdm_chunk_cache_bytes", "Bytes resident in the chunk cache.", func(st stat) float64 { return float64(st.ChunkCacheBytes) }},
+		{"ssdm_chunk_cache_peak_bytes", "Chunk-cache residency high-water mark.", func(st stat) float64 { return float64(st.ChunkCachePeakBytes) }},
+		{"ssdm_chunk_cache_budget_bytes", "Configured chunk-cache byte budget.", func(st stat) float64 { return float64(st.ChunkCacheBudget) }},
+		{"ssdm_dict_terms", "Terms interned in the dataset's dictionaries.", func(st stat) float64 { return float64(st.DictTerms) }},
+		{"ssdm_dict_bytes", "Approximate bytes held by term dictionaries.", func(st stat) float64 { return float64(st.DictBytes) }},
+		{"ssdm_dict_generation", "Dictionary/graph mutation generation counter.", func(st stat) float64 { return float64(st.DictGeneration) }},
+		{"ssdm_vec_queries_total", "Query executions that used a vectorized plan.", func(st stat) float64 { return float64(st.VecQueries) }},
+		{"ssdm_vec_batches_total", "Batches emitted by vectorized pipelines.", func(st stat) float64 { return float64(st.VecBatches) }},
+		{"ssdm_vec_rows_total", "Rows emitted by vectorized pipelines.", func(st stat) float64 { return float64(st.VecRows) }},
+		{"ssdm_vec_agg_queries_total", "Aggregations folded batch-natively over ID columns.", func(st stat) float64 { return float64(st.VecAggQueries) }},
+		{"ssdm_vec_agg_groups_total", "Groups produced by batch-native aggregation.", func(st stat) float64 { return float64(st.VecAggGroups) }},
+		{"ssdm_vec_sort_queries_total", "Vectorized ORDER BY sorts over ID-resident keys.", func(st stat) float64 { return float64(st.VecSortQueries) }},
+		{"ssdm_vec_topk_queries_total", "Vectorized sorts that used the bounded top-K heap.", func(st stat) float64 { return float64(st.VecTopKQueries) }},
+		{"ssdm_wal_appends_total", "WAL records appended (0 when running without a WAL).", func(st stat) float64 { return float64(st.WALAppends) }},
+		{"ssdm_wal_appended_bytes_total", "WAL frame bytes appended.", func(st stat) float64 { return float64(st.WALAppendedBytes) }},
+		{"ssdm_wal_syncs_total", "WAL fsyncs issued.", func(st stat) float64 { return float64(st.WALSyncs) }},
+		{"ssdm_wal_commits_total", "WAL commit acknowledgements.", func(st stat) float64 { return float64(st.WALCommits) }},
+		{"ssdm_wal_grouped_commits_total", "WAL commits that rode another commit's fsync (group commit).", func(st stat) float64 { return float64(st.WALGroupedCommits) }},
+		{"ssdm_wal_segments", "Live WAL segment files.", func(st stat) float64 { return float64(st.WALSegments) }},
+		{"ssdm_wal_tail_lsn", "Next WAL append position.", func(st stat) float64 { return float64(st.WALTailLSN) }},
+		{"ssdm_wal_synced_lsn", "Everything below this LSN is durable.", func(st stat) float64 { return float64(st.WALSyncedLSN) }},
+		{"ssdm_wal_recovery_seconds", "Time the last startup spent in checkpoint load and log replay.", func(st stat) float64 { return float64(st.WALRecoveryNS) / 1e9 }},
+		{"ssdm_shard_topology", "Shards in the coordinator's topology (0 on single-node instances).", func(st stat) float64 { return float64(st.Shards) }},
+		{"ssdm_shard_pushdown_queries_total", "Queries executed per-shard with coordinator-side partial merging.", func(st stat) float64 { return float64(st.ShardPushdown) }},
+		{"ssdm_shard_gather_queries_total", "Queries answered by gathering shard triples to the coordinator.", func(st stat) float64 { return float64(st.ShardGather) }},
+		{"ssdm_shard_scatters_total", "Scatter fan-outs issued by the coordinator.", func(st stat) float64 { return float64(st.ShardScatters) }},
+		{"ssdm_shard_errors_total", "Per-shard request failures observed by the coordinator.", func(st stat) float64 { return float64(st.ShardErrors) }},
+		{"ssdm_shard_calls_total", "Requests the coordinator sent to shards (all shards summed).",
+			func(st stat) float64 { return shardSum(st, func(c protocol.ShardInfo) int64 { return c.Calls }) }},
+		{"ssdm_shard_rows_total", "Rows and triples shards returned to the coordinator (all shards summed).",
+			func(st stat) float64 { return shardSum(st, func(c protocol.ShardInfo) int64 { return c.Rows }) }},
+	} {
+		r.GaugeFunc(g.name, g.help, func() float64 { return g.value(s.stats()) })
+	}
+}
+
+// backendStat reads an optional counter of the attached back-end: 0
+// when it has none or keeps no such counter.
+func backendStat[B any](db *core.SSDM, get func(B) int64) float64 {
+	if b, ok := db.Backend().(B); ok {
+		return float64(get(b))
+	}
+	return 0
+}
+
+// stats is the instance's counter snapshot: the stats op's answer, and
+// what the /metrics gauges read.
+func (s *Server) stats() *protocol.Stats {
+	cs := s.DB.QueryCacheStats()
+	cc := s.DB.ChunkCacheStats()
+	dict := s.DB.DictStats()
+	vec := s.DB.VecStats()
+	wal := s.DB.WALStats()
+	st := &protocol.Stats{
+		CacheHits:    cs.Hits,
+		CacheMisses:  cs.Misses,
+		CacheEntries: cs.Entries,
+		CacheEpoch:   cs.Epoch,
+		Triples:      s.DB.Dataset.Default.Size(),
+
+		ChunkCacheHits:      cc.Hits,
+		ChunkCacheMisses:    cc.Misses,
+		ChunkCacheCoalesced: cc.Coalesced,
+		ChunkCacheEvictions: cc.Evictions,
+		ChunkCacheEntries:   cc.Entries,
+		ChunkCacheBytes:     cc.Bytes,
+		ChunkCachePeakBytes: cc.PeakBytes,
+		ChunkCacheBudget:    cc.Budget,
+
+		DictTerms:      dict.Terms,
+		DictBytes:      dict.Bytes,
+		DictGeneration: dict.Generation,
+
+		VecQueries:     vec.Queries,
+		VecBatches:     vec.Batches,
+		VecRows:        vec.Rows,
+		VecAggQueries:  vec.AggQueries,
+		VecAggGroups:   vec.AggGroups,
+		VecSortQueries: vec.SortQueries,
+		VecTopKQueries: vec.TopKQueries,
+
+		WALEnabled:        wal.Enabled,
+		WALAppends:        wal.Appends,
+		WALAppendedBytes:  wal.AppendedBytes,
+		WALSyncs:          wal.Syncs,
+		WALCommits:        wal.Commits,
+		WALGroupedCommits: wal.GroupedCommit,
+		WALSegments:       wal.Segments,
+		WALTailLSN:        wal.TailLSN,
+		WALSyncedLSN:      wal.SyncedLSN,
+		WALRecoveredRecs:  wal.RecoveredRecords,
+		WALRecoveryNS:     wal.RecoveryNanos,
+	}
+	if ss, ok := s.DB.ShardStats(); ok {
+		st.Shards = ss.Shards
+		st.ShardPushdown = ss.PushdownQueries
+		st.ShardGather = ss.GatherQueries
+		st.ShardScatters = ss.Scatters
+		st.ShardErrors = ss.Errors
+		for _, c := range ss.PerShard {
+			st.ShardBreakdown = append(st.ShardBreakdown, protocol.ShardInfo{
+				Name: c.Name, Calls: c.Calls, Errors: c.Errors, Rows: c.Rows,
+			})
 		}
 	}
-	r.GaugeFunc("ssdm_shard_topology", "Shards in the coordinator's topology (0 on single-node instances).",
-		shardStat(func(ss core.ShardStats) float64 { return float64(ss.Shards) }))
-	r.GaugeFunc("ssdm_shard_pushdown_queries_total", "Queries executed per-shard with coordinator-side partial merging.",
-		shardStat(func(ss core.ShardStats) float64 { return float64(ss.PushdownQueries) }))
-	r.GaugeFunc("ssdm_shard_gather_queries_total", "Queries answered by gathering shard triples to the coordinator.",
-		shardStat(func(ss core.ShardStats) float64 { return float64(ss.GatherQueries) }))
-	r.GaugeFunc("ssdm_shard_scatters_total", "Scatter fan-outs issued by the coordinator.",
-		shardStat(func(ss core.ShardStats) float64 { return float64(ss.Scatters) }))
-	r.GaugeFunc("ssdm_shard_errors_total", "Per-shard request failures observed by the coordinator.",
-		shardStat(func(ss core.ShardStats) float64 { return float64(ss.Errors) }))
-	r.GaugeFunc("ssdm_shard_calls_total", "Requests the coordinator sent to shards (all shards summed).",
-		shardStat(func(ss core.ShardStats) float64 {
-			var n int64
-			for _, c := range ss.PerShard {
-				n += c.Calls
-			}
-			return float64(n)
-		}))
-	r.GaugeFunc("ssdm_shard_rows_total", "Rows and triples shards returned to the coordinator (all shards summed).",
-		shardStat(func(ss core.ShardStats) float64 {
-			var n int64
-			for _, c := range ss.PerShard {
-				n += c.Rows
-			}
-			return float64(n)
-		}))
+	return st
 }
 
 // queryClass reports whether an op runs queries/updates — the requests
@@ -486,14 +461,19 @@ func queryClass(op string) bool {
 	return false
 }
 
-// handle wraps handleOp with observability: per-op request counters,
-// the query latency histogram, error-code counters, and the slow-query
-// log.
+// handle runs handleOp in the request shell and adds the server's
+// observability: per-op request counters, error-code counters, and for
+// query-class ops the latency histogram and slow-query log.
 func (s *Server) handle(req *protocol.Request) *protocol.Response {
 	in := s.instrumentSet()
-	start := time.Now()
-	resp := s.handleOp(req)
-	dur := time.Since(start)
+	var resp *protocol.Response
+	dur, err := s.Serve(nil, func(ctx context.Context) error {
+		resp = s.handleOp(ctx, req)
+		return nil
+	})
+	if err != nil {
+		resp = fail(err)
+	}
 
 	in.requests.With(req.Op).Inc()
 	if !resp.OK {
@@ -505,20 +485,13 @@ func (s *Server) handle(req *protocol.Request) *protocol.Response {
 	}
 	in.rows.Add(int64(rows))
 	if queryClass(req.Op) {
-		in.latency.Observe(dur.Seconds())
-		if s.SlowQuery > 0 && dur >= s.SlowQuery {
-			in.slow.Inc()
+		s.Observe(in.latency, in.slow, dur, func() (string, []any) {
 			outcome := "ok"
 			if !resp.OK {
 				outcome = resp.Code
 			}
-			s.logger().Warn("slow query",
-				"op", req.Op,
-				"duration", dur.String(),
-				"rows", rows,
-				"outcome", outcome,
-				"query", metrics.TruncateQuery(queryText(req)))
-		}
+			return queryText(req), []any{"op", req.Op, "rows", rows, "outcome", outcome}
+		})
 	}
 	return resp
 }
@@ -526,26 +499,8 @@ func (s *Server) handle(req *protocol.Request) *protocol.Response {
 // handleOp executes one request against the SSDM instance. It takes no
 // server-level lock: concurrency control lives in core.SSDM, whose
 // reader-writer lock lets queries from many connections run in
-// parallel. A panic while handling becomes an error response with the
-// stack logged — one hostile or buggy request never kills the server.
-func (s *Server) handleOp(req *protocol.Request) (resp *protocol.Response) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.logger().Error("panic while handling request",
-				"op", req.Op,
-				"panic", fmt.Sprint(r),
-				"stack", string(debug.Stack()))
-			resp = &protocol.Response{
-				OK:    false,
-				Error: fmt.Sprintf("internal error handling %s: %v", req.Op, r),
-				Code:  protocol.CodeInternal,
-			}
-		}
-	}()
-	ctx := s.baseCtx
-	if err := ctx.Err(); err != nil {
-		return &protocol.Response{OK: false, Error: "server shutting down", Code: protocol.CodeShutdown}
-	}
+// parallel.
+func (s *Server) handleOp(ctx context.Context, req *protocol.Request) *protocol.Response {
 	lim := engine.Limits{
 		MaxResultRows: req.MaxRows,
 		MaxBindings:   req.MaxBindings,
@@ -555,11 +510,7 @@ func (s *Server) handleOp(req *protocol.Request) (resp *protocol.Response) {
 	case protocol.OpPing:
 		return &protocol.Response{OK: true}
 	case protocol.OpQuery:
-		res, err := s.DB.QueryLimits(ctx, req.Text, lim)
-		if err != nil {
-			return fail(err)
-		}
-		return encodeResults(res)
+		return encodeResults(s.DB.QueryLimits(ctx, req.Text, lim))
 	case protocol.OpExecute:
 		results, err := s.DB.ExecuteLimits(ctx, req.Text, lim)
 		if err != nil {
@@ -568,7 +519,7 @@ func (s *Server) handleOp(req *protocol.Request) (resp *protocol.Response) {
 		if len(results) == 0 {
 			return &protocol.Response{OK: true}
 		}
-		return encodeResults(results[len(results)-1])
+		return encodeResults(results[len(results)-1], nil)
 	case protocol.OpUpdate:
 		n, err := s.DB.UpdateLimits(ctx, req.Text, lim)
 		if err != nil {
@@ -614,82 +565,19 @@ func (s *Server) handleOp(req *protocol.Request) (resp *protocol.Response) {
 			return &protocol.Response{OK: true, Explain: plan}
 		}
 		res, tr, err := s.DB.QueryAnalyze(ctx, req.Text, lim)
-		if err != nil {
+		resp := encodeResults(res, err)
+		if tr != nil {
 			// The trace survives execution failure (timeout, budget):
-			// return it alongside the error so the client sees where the
+			// it goes alongside the error so the client sees where the
 			// time went.
-			resp := fail(err)
-			if tr != nil {
-				resp.Trace = encodeTrace(tr)
-				resp.Explain = tr.String()
-			}
-			return resp
+			resp.Trace = encodeTrace(tr)
+			resp.Explain = tr.String()
 		}
-		resp := encodeResults(res)
-		resp.Trace = encodeTrace(tr)
-		resp.Explain = tr.String()
 		return resp
 	case protocol.OpScan:
 		return s.scan(ctx, req, lim)
 	case protocol.OpStats:
-		cs := s.DB.QueryCacheStats()
-		cc := s.DB.ChunkCacheStats()
-		dict := s.DB.DictStats()
-		vec := s.DB.VecStats()
-		wal := s.DB.WALStats()
-		st := &protocol.Stats{
-			CacheHits:    cs.Hits,
-			CacheMisses:  cs.Misses,
-			CacheEntries: cs.Entries,
-			CacheEpoch:   cs.Epoch,
-			Triples:      s.DB.Dataset.Default.Size(),
-
-			ChunkCacheHits:      cc.Hits,
-			ChunkCacheMisses:    cc.Misses,
-			ChunkCacheCoalesced: cc.Coalesced,
-			ChunkCacheEvictions: cc.Evictions,
-			ChunkCacheEntries:   cc.Entries,
-			ChunkCacheBytes:     cc.Bytes,
-			ChunkCachePeakBytes: cc.PeakBytes,
-			ChunkCacheBudget:    cc.Budget,
-
-			DictTerms:      dict.Terms,
-			DictBytes:      dict.Bytes,
-			DictGeneration: dict.Generation,
-
-			VecQueries:     vec.Queries,
-			VecBatches:     vec.Batches,
-			VecRows:        vec.Rows,
-			VecAggQueries:  vec.AggQueries,
-			VecAggGroups:   vec.AggGroups,
-			VecSortQueries: vec.SortQueries,
-			VecTopKQueries: vec.TopKQueries,
-
-			WALEnabled:        wal.Enabled,
-			WALAppends:        wal.Appends,
-			WALAppendedBytes:  wal.AppendedBytes,
-			WALSyncs:          wal.Syncs,
-			WALCommits:        wal.Commits,
-			WALGroupedCommits: wal.GroupedCommit,
-			WALSegments:       wal.Segments,
-			WALTailLSN:        wal.TailLSN,
-			WALSyncedLSN:      wal.SyncedLSN,
-			WALRecoveredRecs:  wal.RecoveredRecords,
-			WALRecoveryNS:     wal.RecoveryNanos,
-		}
-		if ss, ok := s.DB.ShardStats(); ok {
-			st.Shards = ss.Shards
-			st.ShardPushdown = ss.PushdownQueries
-			st.ShardGather = ss.GatherQueries
-			st.ShardScatters = ss.Scatters
-			st.ShardErrors = ss.Errors
-			for _, c := range ss.PerShard {
-				st.ShardBreakdown = append(st.ShardBreakdown, protocol.ShardInfo{
-					Name: c.Name, Calls: c.Calls, Errors: c.Errors, Rows: c.Rows,
-				})
-			}
-		}
-		return &protocol.Response{OK: true, Stats: st}
+		return &protocol.Response{OK: true, Stats: s.stats()}
 	default:
 		return &protocol.Response{OK: false, Error: "unknown op " + req.Op, Code: protocol.CodeError}
 	}
@@ -824,35 +712,19 @@ func encodeTrace(tr *engine.Trace) *protocol.TraceInfo {
 	}
 }
 
+// fail encodes a failed request: the code and client-safe message of
+// core.WireError.
 func fail(err error) *protocol.Response {
-	return &protocol.Response{OK: false, Error: err.Error(), Code: errorCode(err)}
+	code, msg := core.WireError(err)
+	return &protocol.Response{OK: false, Error: msg, Code: code}
 }
 
-// errorCode maps the engine's typed errors to wire error codes so
-// clients can distinguish "your query timed out" from "your query is
-// malformed" without parsing message text.
-func errorCode(err error) string {
-	switch {
-	case errors.Is(err, engine.ErrQueryTimeout) || errors.Is(err, context.DeadlineExceeded):
-		return protocol.CodeTimeout
-	case errors.Is(err, engine.ErrResourceLimit):
-		return protocol.CodeResourceLimit
-	case errors.Is(err, engine.ErrQueryCancelled) || errors.Is(err, context.Canceled):
-		return protocol.CodeCancelled
-	case errors.Is(err, engine.ErrInternal):
-		return protocol.CodeInternal
-	case errors.Is(err, core.ErrDurability):
-		return protocol.CodeDurability
-	case errors.Is(err, core.ErrShardUnavailable):
-		return protocol.CodeShardUnavailable
-	default:
-		return protocol.CodeError
-	}
-}
-
-// encodeResults converts a solution table to its wire form: one row
+// encodeResults converts a query's outcome to its wire form: one row
 // table holding every row, or an error response holding none.
-func encodeResults(res *engine.Results) *protocol.Response {
+func encodeResults(res *engine.Results, err error) *protocol.Response {
+	if err != nil {
+		return fail(err)
+	}
 	out := &protocol.Response{OK: true, Vars: res.Vars, Bool: res.Bool, NRows: len(res.Rows)}
 	if len(res.Rows) > 0 {
 		rows, err := protocol.EncodeRows(res.Rows, len(res.Vars))
