@@ -250,11 +250,11 @@ func (s *AggState) Add(v Number) {
 		s.Min, s.Max = f, f
 		s.MinI, s.MaxI = v.Intval(), v.Intval()
 	} else {
-		if f < s.Min {
+		if newMin(f, s.Min) {
 			s.Min = f
 			s.MinI = v.Intval()
 		}
-		if f > s.Max {
+		if newMax(f, s.Max) {
 			s.Max = f
 			s.MaxI = v.Intval()
 		}
@@ -268,6 +268,15 @@ func (s *AggState) Add(v Number) {
 	s.Count++
 }
 
+// newMin and newMax report whether x replaces a running minimum or
+// maximum under ORDER BY's order: numeric, with NaN after every other
+// value (+INF included) and tied with NaN. So a NaN is the MAX of any
+// group holding one, and the MIN only of a group of NaNs, whatever order
+// the values come in. Each costs one comparison unless one side is NaN.
+func newMin(x, lo float64) bool { return !(x >= lo) && x == x }
+
+func newMax(x, hi float64) bool { return !(x <= hi) && hi == hi }
+
 // Merge folds another accumulator into s.
 func (s *AggState) Merge(o *AggState) {
 	if o.Count == 0 {
@@ -277,11 +286,11 @@ func (s *AggState) Merge(o *AggState) {
 		*s = *o
 		return
 	}
-	if o.Min < s.Min {
+	if newMin(o.Min, s.Min) {
 		s.Min = o.Min
 		s.MinI = o.MinI
 	}
-	if o.Max > s.Max {
+	if newMax(o.Max, s.Max) {
 		s.Max = o.Max
 		s.MaxI = o.MaxI
 	}

@@ -7,9 +7,15 @@ import (
 )
 
 // TestBoundProbeAllocFree pins the fully-bound fast path at zero
-// allocations: a bound probe is a hash lookup, not a scan.
+// allocations, over the tries and over a base: a bound probe is a
+// lookup, not a scan.
 func TestBoundProbeAllocFree(t *testing.T) {
-	g := benchGraph(1000)
+	for _, g := range []*Graph{benchGraph(1000), compact(benchGraph(1000))} {
+		boundProbeAllocFree(t, g)
+	}
+}
+
+func boundProbeAllocFree(t *testing.T, g *Graph) {
 	s, _ := g.Lookup(IRI("http://ex/s500"))
 	p, _ := g.Lookup(IRI("http://ex/val"))
 	o, _ := g.Lookup(Integer(0))
@@ -44,7 +50,12 @@ func TestEarlyTerminationAllocBounded(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race; allocation counts are not meaningful")
 	}
-	g := benchGraph(5000) // 10000 triples
+	for _, g := range []*Graph{benchGraph(5000), compact(benchGraph(5000))} { // 10000 triples
+		earlyTerminationAllocBounded(t, g)
+	}
+}
+
+func earlyTerminationAllocBounded(t *testing.T, g *Graph) {
 	p, _ := g.Lookup(IRI("http://ex/val"))
 
 	// Warm the buffer pools so the measurement sees steady state.
@@ -74,8 +85,15 @@ func TestEarlyTerminationAllocBounded(t *testing.T) {
 }
 
 // TestCountMatchConstant cross-checks the O(1) per-position counters
-// against actual matches, including after deletions.
+// against actual matches, including after deletions — over the tries,
+// and over a base the deletions put tombstones in.
 func TestCountMatchConstant(t *testing.T) {
+	for _, compacted := range []bool{false, true} {
+		countMatchConstant(t, compacted)
+	}
+}
+
+func countMatchConstant(t *testing.T, compacted bool) {
 	g := NewGraph()
 	p1t, p2t := IRI("http://ex/p1"), IRI("http://ex/p2")
 	s1t, s2t := IRI("http://ex/a"), IRI("http://ex/b")
@@ -83,6 +101,9 @@ func TestCountMatchConstant(t *testing.T) {
 	g.Add(s1t, p2t, Integer(2))
 	g.Add(s2t, p1t, Integer(1))
 	g.Add(s2t, p1t, Integer(3))
+	if compacted {
+		compact(g)
+	}
 
 	id := func(t2 Term) ID {
 		i, _ := g.Lookup(t2)
@@ -126,11 +147,70 @@ func TestCountMatchConstant(t *testing.T) {
 	}
 	for i := 0; i < 50; i += 2 {
 		g.Delete(IRI(fmt.Sprintf("http://ex/m%d", i%7)), p1t, Integer(int64(i)))
+		if compacted && i == 24 {
+			compact(g)
+		}
 	}
 	n := 0
 	g.Match(0, p1, 0, func(Triple) bool { n++; return true })
 	if got := g.CountMatch(0, p1, 0); got != n {
 		t.Fatalf("CountMatch(p1) = %d, enumeration says %d", got, n)
+	}
+}
+
+// TestGuardMergedReadAllocFree: a read over a base with delta adds and
+// tombstones merges the two in place — Match of every shape, MatchIDs,
+// MatchAppend, HasIDs and CountMatch allocate nothing.
+func TestGuardMergedReadAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race; allocation counts are not meaningful")
+	}
+	g := compact(benchGraph(500))
+	for i := 0; i < 500; i += 10 {
+		g.Delete(IRI(fmt.Sprintf("http://ex/s%d", i)), IRI("http://ex/val"), Integer(int64(i%100)))
+		g.Add(IRI(fmt.Sprintf("http://ex/s%d", i)), IRI("http://ex/val"), Integer(-1))
+	}
+	if st := g.cur(); len(st.base.rows) == 0 || st.adds.n == 0 || st.dels.n == 0 {
+		t.Fatalf("base %d, adds %d, tombstones %d: want all three", len(st.base.rows), st.adds.n, st.dels.n)
+	}
+	s, _ := g.Lookup(IRI("http://ex/s10"))
+	p, _ := g.Lookup(IRI("http://ex/val"))
+	o, _ := g.Lookup(Integer(-1))
+	dst := &TripleBatch{S: make([]ID, 0, 1024), P: make([]ID, 0, 1024), O: make([]ID, 0, 1024)}
+	reads := map[string]func(){
+		"Match": func() {
+			for shape := range 8 {
+				var pat Triple
+				if shape&1 != 0 {
+					pat.S = s
+				}
+				if shape&2 != 0 {
+					pat.P = p
+				}
+				if shape&4 != 0 {
+					pat.O = o
+				}
+				g.Match(pat.S, pat.P, pat.O, func(Triple) bool { return true })
+			}
+		},
+		"MatchIDs":    func() { g.MatchIDs(nil, 0, p, 0, 64, func(_, _, _ []ID) bool { return true }) },
+		"MatchAppend": func() { dst.Reset(); g.MatchAppend(0, p, o, dst); g.MatchAppend(s, 0, 0, dst) },
+		"HasIDs": func() {
+			if !g.HasIDs(s, p, o) {
+				t.Error("lost an added triple")
+			}
+		},
+		"CountMatch": func() {
+			if n := g.CountMatch(0, p, 0); n != 500 {
+				t.Errorf("CountMatch = %d, want 500", n)
+			}
+		},
+	}
+	for name, read := range reads {
+		read() // warm the pools
+		if avg := testing.AllocsPerRun(50, read); avg != 0 {
+			t.Errorf("%s over a base, adds and tombstones allocates %.1f times per run, want 0", name, avg)
+		}
 	}
 }
 
@@ -186,10 +266,11 @@ func TestGuardTxAddBytesPerTriple(t *testing.T) {
 
 // TestGuardBuildBytesPerRow pins what Build into a new graph allocates
 // per triple of a gather-shaped batch (6 501 triples): one array of three
-// runs of 12-byte rows, whose last third is also the sort buffer, and a
-// few headers — 36.6 B per triple (37.9 as three separate runs and a
-// pooled sort buffer). Laid out as three tries, every node,
-// slot array and set header allocated at its final size, it was 158.
+// runs of 12-byte rows, whose last third is also the sort buffer, the
+// runs' ID index (4 B per term and run) and a few headers — 40.4 B per
+// triple (36.6 without the index, 37.9 as three separate runs and a
+// pooled sort buffer). Laid out as three tries, every node, slot array
+// and set header allocated at its final size, it was 158.
 func TestGuardBuildBytesPerRow(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's allocator overhead is not what this measures")
@@ -251,7 +332,7 @@ func TestGuardNewPairAllocatesNoSet(t *testing.T) {
 	if avg := testing.AllocsPerRun(20, cycle); avg != 0 {
 		t.Errorf("adding and removing %d triples with new pairs allocates %.1f times, want 0", n, avg)
 	}
-	if sl := pmFind(tx.st.subjects, uint32(preds[0])); sl == nil || sl.val != 1 {
-		t.Errorf("distinct-subject counter after the cycles: %v, want 1 (the anchor's)", sl)
+	if sl := pmFind(tx.st.stats, uint32(preds[0])); sl == nil || sl.val != (predDelta{1, 1}) {
+		t.Errorf("distinct-subject and -object counters after the cycles: %v, want 1, 1 (the anchor's)", sl)
 	}
 }

@@ -12,13 +12,8 @@ import (
 // graph that is written once and then only read (a gather's scratch
 // graph). ts may hold duplicates; Build sorts and compacts it in place,
 // so its contents are unspecified afterwards. An empty batch publishes
-// nothing and leaves the graph as it was.
-//
-// A built graph holds no trie: each permutation is one exactly-sized
-// run of its triples rotated to lead with its key — SPO as (s, p, o),
-// POS as (p, o, s), OSP as (o, s, p) — sorted in trie order (sortTrie).
-// A pattern is a prefix search on one run, and a built graph enumerates
-// every pattern in the order a Tx-built graph of the same triples does.
+// nothing and leaves the graph as it was. A built graph is a base with
+// an empty delta, the layout a live graph's compaction produces.
 func (g *Graph) Build(ts []Triple) {
 	g.checkWritable()
 	g.wmu.Lock()
@@ -29,34 +24,16 @@ func (g *Graph) Build(ts []Triple) {
 	if len(ts) == 0 {
 		return
 	}
-	// The three runs are consecutive in one array, the one Reset kept when
-	// it fits. Its last third is the sort buffer until OSP is copied in.
-	m, r := len(ts), g.spare
-	if r == nil || cap(r.rows) < 3*m {
-		r = &runs{rows: make([]Triple, 3*m)}
+	// The base's rows go into the array Reset kept when it fits; its last
+	// third sorts the batch before the duplicates go.
+	m, b := len(ts), g.spare
+	if g.spare = nil; b == nil || cap(b.rows) < 3*m {
+		b = &base{rows: make([]Triple, 3*m)}
 	}
-	tmp := r.rows[2*m : 3*m]
-	sortTrie(ts, tmp)
+	sortTrie(ts, b.rows[2*m:3*m], 0)
 	ts = slices.Compact(ts)
-	n := len(ts)
-	g.spare, r.rows, r.preds = nil, r.rows[:3*n], r.preds[:0]
-	r.spo, r.pos, r.osp = r.rows[:n:n], r.rows[n:2*n:2*n], r.rows[2*n:]
-	copy(r.spo, ts)
-	rotate(ts, tmp)
-	copy(r.pos, ts)
-	rotate(ts, tmp)
-	copy(r.osp, ts)
-	for i, t := range r.pos {
-		if i == 0 || t.S != r.pos[i-1].S {
-			r.preds = append(r.preds, predSubjects{p: t.S})
-		}
-	}
-	for i, t := range r.spo {
-		if i == 0 || t.S != r.spo[i-1].S || t.P != r.spo[i-1].P {
-			r.pred(t.P).subjects++
-		}
-	}
-	g.publish(&graphState{size: n, built: r})
+	b.fill(ts)
+	g.publish(&graphState{base: b, size: len(ts), sealed: true})
 }
 
 // maxScratch bounds, in rows or terms, what Reset keeps for the next
@@ -64,37 +41,41 @@ func (g *Graph) Build(ts []Triple) {
 const maxScratch = 1 << 16
 
 // Reset empties a graph Build filled, or one still empty, for the next
-// Build: the identity maps are cleared in place, the term and run arrays
-// keep their capacity, the numeric memo goes, IDs restart at 1 and the
-// generation moves on. The caller must hold the only reference to the
-// graph. A live graph with triples, and a Snapshot, panic.
+// Build: the identity maps are cleared in place, the term array and the
+// base's arrays keep their capacity, the numeric memo goes, IDs restart
+// at 1 and the generation moves on. The caller must hold the only
+// reference to the graph. A live graph with triples, and a Snapshot,
+// panic.
 func (g *Graph) Reset() {
-	if st := g.cur(); g.frozen || st.built == nil && st.size != 0 {
+	if st := g.cur(); g.frozen || !st.sealed && st.size != 0 {
 		panic("rdf: Reset of a live graph or a snapshot")
 	}
 	g.wmu.Lock()
 	defer g.wmu.Unlock()
-	if r := g.cur().built; r != nil && cap(r.rows) <= 3*maxScratch {
-		g.spare = r
+	if st := g.cur(); st.sealed && cap(st.base.rows) <= 3*maxScratch {
+		g.spare = st.base
 	}
 	g.dict.reset()
 	g.publish(&graphState{})
 }
 
-// rotate turns every triple one place (turn) and re-sorts the batch in
-// trie order.
+// rotate turns a batch in trie order one place (turn) and re-sorts it;
+// it was in order by what is now O, so only P and S take passes.
 func rotate(ts, tmp []Triple) {
 	for i, t := range ts {
 		ts[i] = turn(t, 1)
 	}
-	sortTrie(ts, tmp)
+	sortTrie(ts, tmp, 1)
 }
 
 // turn moves t's components k places left: one place turns (a, b, c)
 // into (b, c, a).
 func turn(t Triple, k int) Triple {
-	for range k {
-		t = Triple{t.P, t.O, t.S}
+	switch k {
+	case 1:
+		return Triple{t.P, t.O, t.S}
+	case 2:
+		return Triple{t.O, t.S, t.P}
 	}
 	return t
 }
@@ -107,8 +88,9 @@ const pmLevels = pmMaxDepth - 1
 // which a trie lays its keys out. It is an LSD radix sort with one
 // 32-way pass per chunk, O's top chunk first and S's lowest last,
 // through tmp (len(ts) triples); a pass whose chunk is the same in
-// every triple is skipped, so small IDs cost few passes.
-func sortTrie(ts, tmp []Triple) {
+// every triple is skipped, so small IDs cost few passes, and so are the
+// passes of the first from fields (O, P) when ts is in order by them.
+func sortTrie(ts, tmp []Triple, from int) {
 	if len(ts) < 2 {
 		return
 	}
@@ -122,7 +104,7 @@ func sortTrie(ts, tmp []Triple) {
 		}
 	}
 	src, dst := ts, tmp[:len(ts)]
-	for f := range 3 {
+	for f := from; f < 3; f++ {
 		for l := pmLevels - 1; l >= 0; l-- {
 			c, shift := &counts[f*pmLevels+l], uint(l*pmBits)
 			if c[field(src[0], f)>>shift&pmMask] == len(src) {
@@ -180,16 +162,20 @@ func before(a, b Triple, n int) bool {
 
 // search returns the index of the first row of run that does not sort
 // before key on the first n components or, with past, of the first row
-// key sorts before.
+// key sorts before. It gallops: the answer is sought in a window at the
+// start of run, widened fourfold until the row at its end is past it,
+// so an answer a few rows in costs a few steps, not a search of the
+// whole run.
 func search(run []Triple, key Triple, n int, past bool) int {
-	lo, hi := 0, len(run)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		a, b := run[m], key
-		if past {
-			a, b = b, a
+	lo, hi := 0, 4
+	for ; hi < len(run); lo, hi = hi+1, hi*4 {
+		if a, b := order(run[hi], key, past); before(a, b, n) == past {
+			break
 		}
-		if before(a, b, n) != past {
+	}
+	for hi = min(hi, len(run)); lo < hi; {
+		m := int(uint(lo+hi) >> 1)
+		if a, b := order(run[m], key, past); before(a, b, n) != past {
 			lo = m + 1
 		} else {
 			hi = m
@@ -198,59 +184,121 @@ func search(run []Triple, key Triple, n int, past bool) int {
 	return lo
 }
 
-// runs is a built graph's read-only layout (Build): the three
-// permutations as sorted runs in one array, and POS's distinct
-// predicates in its order, each with its number of distinct subjects.
-type runs struct {
-	rows, spo, pos, osp []Triple
-	preds               []predSubjects
-}
-
-type predSubjects struct {
-	p        ID
-	subjects int32
-}
-
-// pred returns p's entry in preds, nil when p occurs in no triple.
-func (r *runs) pred(p ID) *predSubjects {
-	i := sort.Search(len(r.preds), func(i int) bool { return !trieLess(r.preds[i].p, p) })
-	if i == len(r.preds) || r.preds[i].p != p {
-		return nil
+// order puts a row and search's key in the order search compares them:
+// the row lies before the answer when the first sorts before the second
+// (past false), or does not (past true).
+func order(row, key Triple, past bool) (Triple, Triple) {
+	if past {
+		return key, row
 	}
-	return &r.preds[i]
+	return row, key
 }
 
-// has reports whether t is one of the rows: a probe takes one search.
-func (r *runs) has(t Triple) bool {
-	i := search(r.spo, t, 3, false)
-	return i < len(r.spo) && r.spo[i] == t
+// base is the immutable part of a graph's triples: the three
+// permutations as runs of one array, each row turned to lead with its
+// run's key — SPO as (s, p, o), POS as (p, o, s), OSP as (o, s, p) —
+// and sorted in trie order, so a base enumerates every pattern in the
+// order the delta's tries do. It holds no pointer the collector must
+// follow past its slice headers.
+type base struct {
+	rows []Triple
+	// lead[k][id] is one more than the row of run k where the rows led by
+	// id start, 0 when there are none. It covers IDs up to the number of
+	// rows (dictionary IDs are dense from 1); a key past its end is
+	// searched for. The three share one array, lead[0]'s.
+	lead [3][]uint32
+	// preds holds, in trie order of p, each predicate's numbers of
+	// distinct subjects and objects.
+	preds []predStats
 }
 
-// span returns the rows matching a pattern (0 = wildcard) from the run
-// its bound positions lead, and k, how many places that run's rows are
-// turned from (s, p, o).
-func (r *runs) span(s, p, o ID) (rows []Triple, k int) {
-	n := 0
-	for _, id := range [3]ID{s, p, o} {
-		if id != 0 {
-			n++
+type predStats struct {
+	p                 ID
+	subjects, objects int32
+}
+
+// run returns permutation k's rows: 0 SPO, 1 POS, 2 OSP.
+func (b *base) run(k int) []Triple {
+	n := len(b.rows) / 3
+	return b.rows[k*n : (k+1)*n : (k+1)*n]
+}
+
+// fill lays ts — sorted in trie order, without duplicates — out as the
+// base, in the rows array it has (of capacity 3·len(ts) or more), and
+// indexes it. ts is its scratch: its contents are unspecified afterwards.
+func (b *base) fill(ts []Triple) {
+	n := len(ts)
+	b.rows = b.rows[:3*n]
+	osp := b.rows[2*n:] // the sort buffer until its own rows are copied in
+	copy(b.rows, ts)
+	rotate(ts, osp)
+	copy(b.rows[n:], ts)
+	rotate(ts, osp)
+	copy(osp, ts)
+
+	var size [3]int
+	for _, t := range b.rows[:n] {
+		size = [3]int{max(size[0], int(t.S)), max(size[1], int(t.P)), max(size[2], int(t.O))}
+	}
+	for k := range size {
+		size[k] = min(size[k], n) + 1
+	}
+	ids := append(b.lead[0][:0], make([]uint32, size[0]+size[1]+size[2])...)
+	for k, from := 0, 0; k < 3; k++ {
+		idx, run := ids[from:from+size[k]], b.run(k)
+		for i, t := range run {
+			if int(t.S) < len(idx) && (i == 0 || t.S != run[i-1].S) {
+				idx[t.S] = uint32(i + 1)
+			}
+		}
+		b.lead[k], from = idx, from+size[k]
+	}
+
+	b.preds = b.preds[:0]
+	pos := b.run(1)
+	for i, t := range pos {
+		if i == 0 || t.S != pos[i-1].S {
+			b.preds = append(b.preds, predStats{p: t.S})
+		}
+		if i == 0 || t.S != pos[i-1].S || t.P != pos[i-1].P {
+			b.preds[len(b.preds)-1].objects++
 		}
 	}
-	switch {
-	case n == 0:
-		return r.spo, 0
-	case s == 0 && p != 0:
-		k = 1
-	case p == 0 && o != 0:
-		k = 2
+	spo := b.run(0)
+	for i, t := range spo {
+		if i == 0 || t.S != spo[i-1].S || t.P != spo[i-1].P {
+			b.pred(t.P).subjects++
+		}
 	}
-	run, key := [3][]Triple{r.spo, r.pos, r.osp}[k], turn(Triple{s, p, o}, k)
-	// The key's rows end inside a window from the first, widened until
-	// the row at its end sorts after the key: a probe's few rows cost a
-	// few steps, not a second search of the whole run.
-	lo, w := search(run, key, n, false), 4
-	for lo+w < len(run) && !before(key, run[lo+w], n) {
-		w *= 4
+}
+
+// pred returns p's entry in preds, nil when p leads no triple.
+func (b *base) pred(p ID) *predStats {
+	i := sort.Search(len(b.preds), func(i int) bool { return !trieLess(b.preds[i].p, p) })
+	if i == len(b.preds) || b.preds[i].p != p {
+		return nil
 	}
-	return run[lo : lo+search(run[lo:min(lo+w, len(run))], key, n, true)], k
+	return &b.preds[i]
+}
+
+// span returns the rows of run k (perm) whose first n components are
+// key's.
+func (b *base) span(k int, key Triple, n int) []Triple {
+	run := b.run(k)
+	if n == 0 {
+		return run
+	}
+	if idx := b.lead[k]; int(key.S) < len(idx) {
+		if idx[key.S] == 0 {
+			return nil
+		}
+		run = run[idx[key.S]-1:]
+	}
+	lo := search(run, key, n, false)
+	return run[lo : lo+search(run[lo:], key, n, true)]
+}
+
+// has reports whether the base holds (s, p, o).
+func (b *base) has(s, p, o ID) bool {
+	return b != nil && len(b.span(0, Triple{s, p, o}, 3)) != 0
 }

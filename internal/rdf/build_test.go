@@ -26,10 +26,12 @@ func poolTriples(data []byte) []Triple {
 	return ts
 }
 
-// checkBuild builds ts both ways — Build, and a Tx adding the triples
-// one by one — and requires the two graphs to agree on every probe
-// (sameGraph): each triple, and beside it two mostly absent ones, its
-// IDs moved by one or by a chunk and its components rotated.
+// checkBuild builds ts three ways — Build, a Tx adding the triples one
+// by one, and bare writes under a delta cap of four that reach them
+// through compactions, with decoys added and deleted and every other
+// triple deleted and added back — and requires the graphs to agree on
+// every probe (sameGraph): each triple, and beside it two mostly absent
+// ones, its IDs moved by one or by a chunk and its components rotated.
 func checkBuild(t *testing.T, ts []Triple) {
 	t.Helper()
 	added := NewGraph()
@@ -45,6 +47,37 @@ func checkBuild(t *testing.T, ts []Triple) {
 		probes = append(probes, Triple{tr.S + 1, tr.P - 1, tr.O + 32}, Triple{tr.O, tr.S, tr.P})
 	}
 	sameGraph(t, built, added, probes)
+	sameGraph(t, compacting(t, ts), added, probes)
+}
+
+// compacting reaches ts's triples by bare writes under a delta cap of
+// four, so the graph it returns holds them as a base, adds and
+// tombstones.
+func compacting(t *testing.T, ts []Triple) *Graph {
+	lowerDeltaCap(t, 4)
+	g := NewGraph()
+	in := map[Triple]bool{}
+	for _, tr := range ts {
+		in[tr] = true
+	}
+	for _, tr := range ts {
+		g.addIDs(tr.S, tr.P, tr.O)
+		g.addIDs(tr.O, tr.S, tr.P)
+	}
+	for i, tr := range ts {
+		if decoy := (Triple{tr.O, tr.S, tr.P}); !in[decoy] {
+			g.DeleteIDs(decoy.S, decoy.P, decoy.O)
+		}
+		if i%2 == 0 {
+			g.DeleteIDs(tr.S, tr.P, tr.O)
+		}
+	}
+	for i, tr := range ts {
+		if i%2 == 0 {
+			g.addIDs(tr.S, tr.P, tr.O)
+		}
+	}
+	return g
 }
 
 // sameGraph requires a and b to hold the same triples in the same

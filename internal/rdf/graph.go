@@ -25,37 +25,127 @@ type Triple struct {
 	S, P, O ID
 }
 
-// graphState is one immutable version of a graph's triple content:
-// three persistent index permutations (SPO, POS, OSP — every pattern
-// with a bound position finds it leading one of them; the arrangement
-// mirrors the indexing of main-memory RDF stores discussed in §2.2.3)
-// and the triple count. States are published through an atomic pointer
-// and never mutated after publication; writers derive a successor by
-// structural sharing (pmap.go) and swing the pointer. Per-position
-// cardinalities are not separate counters: each middle index level
-// carries its subtree's triple total, so CountMatch/PredStats stay
-// cheap. The one statistic no permutation carries is counted beside
-// them: subjects maps a predicate to the number of distinct subjects it
-// occurs with, kept in a persistent trie so pinned states stay exact.
-// A state Build published holds no trie: built is its read-only
-// layout, and every reader branches on it once.
+// graphState is one immutable version of a graph's triple content: a
+// sorted, pointer-free base (build.go) shared by every version since the
+// last compaction, and a small delta of what was written after it. Both
+// keep three index permutations (SPO, POS, OSP — the indexing of the
+// main-memory RDF stores of §2.2.3) in one trie order, so a read merges
+// a base range with a delta range, and every pattern enumerates in one
+// order whatever the split.
+//
+// The delta is two sets of persistent tries (pmap.go): adds, triples
+// written since the base was built, none of them in it, and dels,
+// tombstones of base triples deleted since, each of them in it. A count
+// is a base span plus adds minus tombstones, so CountMatch never
+// enumerates. The base stores each predicate's distinct subjects and
+// objects; stats keeps how far the delta moved them, so PredStats stays
+// exact.
+//
+// States are published through an atomic pointer and never mutated
+// after publication; writers derive a successor by structural sharing
+// of the delta and swing the pointer. When the delta outgrows
+// max(deltaCap, base/16) triples, publication folds it into a new base;
+// a state already pinned keeps its own.
 type graphState struct {
-	spo, pos, osp *pmNode[*pmid]
-	subjects      *pmNode[int32]
-	built         *runs
-	size          int
+	base       *base // nil: none
+	adds, dels tries
+	stats      *pmNode[predDelta]
+	size       int
+	sealed     bool // published by Build: the graph is read-only
 	// gen is the graph's mutation counter at the moment this state was
 	// published; a pinned snapshot reports it as its (stable) generation.
 	gen uint64
 }
 
+// predDelta is how far the delta moved a predicate's distinct counts.
+type predDelta struct{ subjects, objects int32 }
+
+// deltaCap is the delta size below which publication never compacts.
+// Tests lower it so that short write sequences reach a base.
+var deltaCap = 1 << 16
+
 var emptyGraphState = &graphState{}
 
 func (st *graphState) has(s, p, o ID) bool {
-	if st.built != nil {
-		return st.built.has(Triple{s, p, o})
+	return st.adds.has(s, p, o) || st.base.has(s, p, o) && !st.dels.has(s, p, o)
+}
+
+// count is the number of the state's triples matching a pattern: the
+// base's span, plus the adds, minus the tombstones.
+func (st *graphState) count(s, p, o ID) int {
+	k, key, n := perm(s, p, o)
+	switch n {
+	case 0:
+		return st.size
+	case 3:
+		if st.has(s, p, o) {
+			return 1
+		}
+		return 0
 	}
-	return idxGet(st.spo, s).get(p).has(o)
+	mid := idxGet(st.adds.idx[k], key.S)
+	c := mid.triples()
+	if n == 2 {
+		c = mid.get(key.P).len()
+	}
+	if st.base != nil {
+		c += len(st.base.span(k, key, n)) - idxGet(st.dels.idx[k], key.S).count(key.P)
+	}
+	return c
+}
+
+// perm returns the permutation a pattern's bound positions lead (0 SPO,
+// 1 POS, 2 OSP), the pattern turned to it (turn), and n, how many lead.
+func perm(s, p, o ID) (k int, key Triple, n int) {
+	switch {
+	case s == 0 && p != 0:
+		return 1, Triple{p, o, 0}, 1 + min(int(o), 1)
+	case p == 0 && o != 0:
+		return 2, Triple{o, s, 0}, 1 + min(int(s), 1)
+	case s != 0:
+		return 0, Triple{s, p, o}, 1 + min(int(p), 1) + min(int(o), 1)
+	}
+	return 0, Triple{}, 0
+}
+
+// compacted returns a state holding st's triples as a base alone.
+func (st *graphState) compacted() *graphState {
+	ts := make([]Triple, 0, st.size)
+	st.match(nil, 0, 0, 0, func(t Triple) bool { ts = append(ts, t); return true })
+	b := &base{rows: make([]Triple, 3*len(ts))}
+	b.fill(ts)
+	return &graphState{base: b, size: len(ts)}
+}
+
+// tries is one side of a delta: the three index permutations of one
+// set of triples as persistent tries (pmap.go), idx[k] keyed by each
+// triple turned k places (turn), and its size.
+type tries struct {
+	idx [3]*pmNode[*pmid]
+	n   int
+}
+
+func (d *tries) has(s, p, o ID) bool {
+	return d.n != 0 && idxGet(d.idx[0], s).get(p).has(o)
+}
+
+// edit inserts (s, p, o), or with add false removes it, in place (the
+// state must be a private, not-yet-published copy); tag is the writer's
+// edit tag (pmap.go). It reports whether the tries changed.
+func (d *tries) edit(tag uint32, s, p, o ID, add bool) bool {
+	apply, by := idxDel, -1
+	if add {
+		apply, by = idxAdd, 1
+	}
+	for k := range d.idx {
+		t, done := turn(Triple{s, p, o}, k), false
+		// Only SPO refuses: the other two hold what it holds.
+		if d.idx[k], done = apply(d.idx[k], tag, t.S, t.P, t.O); !done {
+			return false
+		}
+	}
+	d.n += by
+	return true
 }
 
 // dict is the term dictionary: an append-only terms array plus a
@@ -161,10 +251,10 @@ func (d *dict) reset() {
 
 // Graph is an in-memory RDF-with-Arrays triple store with
 // multi-version concurrency control: the triple content lives in an
-// immutable graphState reached through an atomic pointer, so readers
-// are lock-free and always observe a consistent version, while writers
-// serialize among themselves and publish successor states derived by
-// structural sharing.
+// immutable graphState (a sorted base and a trie delta) reached through
+// an atomic pointer, so readers are lock-free and see one version, while
+// writers serialize and publish successors that share the base and most
+// of the delta, folding a grown delta into a new base as they publish.
 //
 // A Graph is safe for concurrent use: any number of readers run in
 // parallel with each other and with writers, without blocking either
@@ -185,7 +275,7 @@ type Graph struct {
 	// frozen marks a Snapshot: writes panic, reads serve the pinned
 	// state forever.
 	frozen bool
-	spare  *runs // what Reset kept for the next Build; guarded by wmu
+	spare  *base // what Reset kept for the next Build; guarded by wmu
 
 	// gen is a monotonic version counter bumped on every mutation that
 	// could change what a compiled ID-based plan would see: a new
@@ -226,7 +316,7 @@ func (g *Graph) Snapshot() *Graph {
 
 // Frozen reports whether this Graph is read-only: a pinned snapshot, or
 // a graph Build filled.
-func (g *Graph) Frozen() bool { return g.frozen || g.cur().built != nil }
+func (g *Graph) Frozen() bool { return g.frozen || g.cur().sealed }
 
 func (g *Graph) checkWritable() {
 	if g.Frozen() {
@@ -317,56 +407,67 @@ func (g *Graph) EnsureBlankNo(n int64) {
 }
 
 // publish installs st as the next version, stamping it with a fresh
-// generation. Caller holds wmu.
+// generation; a delta past its cap is compacted into a new base first.
+// Caller holds wmu.
 func (g *Graph) publish(st *graphState) {
+	// The base holds size - adds + dels triples.
+	if st.adds.n+st.dels.n > max(deltaCap, (st.size-st.adds.n+st.dels.n)/16) {
+		st = st.compacted()
+	}
 	st.gen = g.gen.Add(1)
 	g.state.Store(st)
 }
 
 // add inserts into a state in place (the state must be a private,
-// not-yet-published copy); tag is the writer's edit tag (pmap.go).
+// not-yet-published copy); tag is the writer's edit tag (pmap.go). A
+// base triple comes back by losing its tombstone, any other goes to the
+// adds.
 func (st *graphState) add(tag uint32, s, p, o ID) bool {
-	spo, added, fresh := idxAdd(st.spo, tag, s, p, o)
-	if !added {
+	if st.base.has(s, p, o) {
+		if !st.dels.edit(tag, s, p, o, false) {
+			return false
+		}
+	} else if !st.adds.edit(tag, s, p, o, true) {
 		return false
-	}
-	st.spo = spo
-	st.pos, _, _ = idxAdd(st.pos, tag, p, o, s)
-	st.osp, _, _ = idxAdd(st.osp, tag, o, s, p)
-	if fresh {
-		st.countSubject(tag, p, 1)
 	}
 	st.size++
+	st.restat(tag, s, p, o, 1)
 	return true
 }
 
-// countSubject moves p's distinct-subject count by d: SPO has gained
-// its first, or lost its last, triple for some (subject, p) pair.
-func (st *graphState) countSubject(tag uint32, p ID, d int32) {
-	if sl := pmFind(st.subjects, uint32(p)); sl != nil {
-		d += sl.val
-	}
-	if d == 0 {
-		st.subjects, _ = pmDel(st.subjects, tag, 0, uint32(p))
-	} else {
-		st.subjects, _ = pmSet(st.subjects, tag, 0, pmSlot[int32]{key: uint32(p), val: d})
-	}
-}
-
-// del removes from a state in place (same contract as add).
+// del removes from a state in place (same contract as add): an added
+// triple leaves the adds, a base triple gains a tombstone.
 func (st *graphState) del(tag uint32, s, p, o ID) bool {
-	spo, removed, gone := idxDel(st.spo, tag, s, p, o)
-	if !removed {
+	if !st.adds.edit(tag, s, p, o, false) && !(st.base.has(s, p, o) && st.dels.edit(tag, s, p, o, true)) {
 		return false
 	}
-	st.spo = spo
-	st.pos, _, _ = idxDel(st.pos, tag, p, o, s)
-	st.osp, _, _ = idxDel(st.osp, tag, o, s, p)
-	if gone {
-		st.countSubject(tag, p, -1)
-	}
 	st.size--
+	st.restat(tag, s, p, o, -1)
 	return true
+}
+
+// restat moves p's distinct-subject (-object) count by d when (s, p, o),
+// just added (d = 1) or removed (d = -1), was its (s, p) ((p, o)) pair's
+// first or last triple.
+func (st *graphState) restat(tag uint32, s, p, o ID, d int32) {
+	var was predDelta
+	if sl := pmFind(st.stats, uint32(p)); sl != nil {
+		was = sl.val
+	}
+	m := was
+	if st.count(s, p, 0) == int(max(d, 0)) {
+		m.subjects += d
+	}
+	if st.count(0, p, o) == int(max(d, 0)) {
+		m.objects += d
+	}
+	switch {
+	case m == was:
+	case m == predDelta{}:
+		st.stats, _ = pmDel(st.stats, tag, 0, uint32(p))
+	default:
+		st.stats, _ = pmSet(st.stats, tag, 0, pmSlot[predDelta]{key: uint32(p), val: m})
+	}
 }
 
 // Add inserts a triple of terms; it returns false when the triple was
@@ -601,34 +702,45 @@ func (g *Graph) MatchCtx(ctx context.Context, s, p, o ID, yield func(Triple) boo
 }
 
 // match is the one pattern → index table: every read of a state's
-// triples — tuple, batch or append — goes through it.
+// triples — tuple, batch or append — goes through it. It merges the
+// base's rows for the pattern with the delta's adds, both in the order
+// of the permutation the pattern's bound positions lead; when either
+// side has none, it walks the other alone.
 func (st *graphState) match(ctx context.Context, s, p, o ID, yield func(Triple) bool) {
-	w := walker{ctx: ctx}
-	if st.built != nil {
-		rows, k := st.built.span(s, p, o)
-		w.run(rows, (3-k)%3, yield)
+	k, key, n := perm(s, p, o)
+	var rows []Triple
+	if st.base != nil {
+		rows = st.base.span(k, key, n)
+	}
+	if len(rows) == 0 {
+		w := walker{ctx: ctx}
+		st.adds.walk(&w, k, key, n, yield)
 		return
 	}
+	m := merge{walker: walker{ctx: ctx}, rows: rows, back: (3 - k) % 3, dels: &st.dels}
 	switch {
-	case s != 0 && p != 0 && o != 0:
-		if st.has(s, p, o) {
-			yield(Triple{s, p, o})
-		}
-	case s != 0 && p != 0:
-		w.set(idxGet(st.spo, s).get(p), Triple{S: s, P: p}, 2, yield)
-	case p != 0 && o != 0:
-		w.set(idxGet(st.pos, p).get(o), Triple{P: p, O: o}, 0, yield)
-	case s != 0 && o != 0:
-		w.set(idxGet(st.osp, o).get(s), Triple{S: s, O: o}, 1, yield)
-	case s != 0:
-		w.mid(idxGet(st.spo, s), Triple{S: s}, 1, 2, yield)
-	case p != 0:
-		w.mid(idxGet(st.pos, p), Triple{P: p}, 2, 0, yield)
-	case o != 0:
-		w.mid(idxGet(st.osp, o), Triple{O: o}, 0, 1, yield)
-	default:
-		w.top(st.spo, yield)
+	case st.adds.n == 0:
+		m.upto(Triple{}, true, yield)
+	case st.adds.walk(&m.walker, k, key, n, func(t Triple) bool {
+		return m.upto(turn(t, k), false, yield) && yield(t)
+	}):
+		m.upto(Triple{}, true, yield)
 	}
+}
+
+// walk yields the tries' triples under key's first n components (perm),
+// in the trie order of permutation k; false once the enumeration is over.
+func (d *tries) walk(w *walker, k int, key Triple, n int, yield func(Triple) bool) bool {
+	pat := turn(key, (3-k)%3)
+	switch n {
+	case 0:
+		return w.top(d.idx[0], yield)
+	case 1:
+		return w.mid(idxGet(d.idx[k], key.S), pat, (k+1)%3, (k+2)%3, yield)
+	case 2:
+		return w.set(idxGet(d.idx[k], key.S).get(key.P), pat, (k+2)%3, yield)
+	}
+	return !d.has(pat.S, pat.P, pat.O) || yield(pat)
 }
 
 // walker is one enumeration: it yields triples until yield says stop or
@@ -638,6 +750,30 @@ func (st *graphState) match(ctx context.Context, s, p, o ID, yield func(Triple) 
 type walker struct {
 	ctx context.Context
 	n   int
+}
+
+// merge is a walker over a base range: rows, turned back places from
+// (s, p, o), yielded between the delta's adds, tombstoned ones skipped.
+type merge struct {
+	walker
+	rows []Triple
+	back int
+	dels *tries
+}
+
+// upto yields the rows that sort before t, a triple turned as the rows
+// are, or with last every row left.
+func (m *merge) upto(t Triple, last bool, yield func(Triple) bool) bool {
+	for ; len(m.rows) != 0 && (last || before(m.rows[0], t, 3)); m.rows = m.rows[1:] {
+		x := turn(m.rows[0], m.back)
+		if m.dels.n != 0 && m.dels.has(x.S, x.P, x.O) {
+			continue
+		}
+		if !yield(x) || m.ctx != nil && m.cancelled() {
+			return false
+		}
+	}
+	return true
 }
 
 // set yields a bound-pair pattern: the members of one innermost set —
@@ -688,22 +824,16 @@ func (w *walker) mid(mid *pmid, base Triple, outerPos, innerPos int, yield func(
 	}
 }
 
-// run yields a built graph's rows, each turned back places to (s, p, o).
-func (w *walker) run(rows []Triple, back int, yield func(Triple) bool) {
-	for _, t := range rows {
-		if !yield(turn(t, back)) || w.ctx != nil && w.cancelled() {
-			return
-		}
-	}
-}
-
 // top yields the whole graph from the SPO permutation.
-func (w *walker) top(root *pmNode[*pmid], yield func(Triple) bool) {
+func (w *walker) top(root *pmNode[*pmid], yield func(Triple) bool) bool {
 	var it pmIter[*pmid]
 	for it.init(root); ; {
 		sl := it.next()
-		if sl == nil || !w.mid(sl.val, Triple{S: ID(sl.key)}, 1, 2, yield) {
-			return
+		if sl == nil {
+			return true
+		}
+		if !w.mid(sl.val, Triple{S: ID(sl.key)}, 1, 2, yield) {
+			return false
 		}
 	}
 }
@@ -741,63 +871,36 @@ func (g *Graph) MatchTermsCtx(ctx context.Context, s, p, o Term, yield func(s, p
 
 // CountMatch returns the number of triples matching a pattern without
 // enumerating terms; it backs the optimizer's cardinality estimates.
-// Every pattern class costs at most a couple of index lookups: the
-// middle index levels carry their subtree totals, so no enumeration
-// ever happens.
+// Every pattern class costs a base span and a couple of index lookups
+// in the delta: no enumeration ever happens.
 func (g *Graph) CountMatch(s, p, o ID) int {
-	st := g.cur()
-	if st.built != nil {
-		rows, _ := st.built.span(s, p, o)
-		return len(rows)
-	}
-	switch {
-	case s != 0 && p != 0 && o != 0:
-		if st.has(s, p, o) {
-			return 1
-		}
-		return 0
-	case s != 0 && p != 0:
-		return idxGet(st.spo, s).get(p).len()
-	case p != 0 && o != 0:
-		return idxGet(st.pos, p).get(o).len()
-	case s != 0 && o != 0:
-		return idxGet(st.osp, o).get(s).len()
-	case s != 0:
-		return idxGet(st.spo, s).triples()
-	case p != 0:
-		return idxGet(st.pos, p).triples()
-	case o != 0:
-		return idxGet(st.osp, o).triples()
-	default:
-		return st.size
-	}
+	return g.cur().count(s, p, o)
 }
 
 // PredStats returns, for a predicate, the triple count and the numbers
 // of distinct subjects and objects — the histogram-style statistics the
 // cost-based optimizer uses (dissertation §5.4, cf. RDF-3X's indexes
-// doubling as histograms, §2.3.1). All three are index lookups, so the
-// join orderer can afford to call this on every BGP. On a built graph
-// the distinct objects are counted off the predicate's run.
+// doubling as histograms, §2.3.1). The base stores the distinct counts
+// and the delta how far its writes moved them, so all three are lookups
+// and the join orderer can afford to call this on every BGP.
 func (g *Graph) PredStats(p ID) (count, distinctS, distinctO int) {
 	st := g.cur()
-	if r := st.built; r != nil && p != 0 {
-		rows, _ := r.span(0, p, 0)
-		for i, t := range rows {
-			if i == 0 || t.P != rows[i-1].P {
-				distinctO++
-			}
-		}
-		if e := r.pred(p); e != nil {
-			distinctS = int(e.subjects)
-		}
-		return len(rows), distinctS, distinctO
+	if p == 0 {
+		return 0, 0, 0
 	}
-	pos := idxGet(st.pos, p)
-	if sl := pmFind(st.subjects, uint32(p)); sl != nil {
-		distinctS = int(sl.val)
+	// count(0, p, 0), spelt out: the optimizer calls this per BGP.
+	count = idxGet(st.adds.idx[1], p).triples()
+	if st.base != nil {
+		count += len(st.base.span(1, Triple{S: p}, 1)) - idxGet(st.dels.idx[1], p).triples()
+		if e := st.base.pred(p); e != nil {
+			distinctS, distinctO = int(e.subjects), int(e.objects)
+		}
 	}
-	return pos.triples(), distinctS, pos.keys()
+	if sl := pmFind(st.stats, uint32(p)); sl != nil {
+		distinctS += int(sl.val.subjects)
+		distinctO += int(sl.val.objects)
+	}
+	return count, distinctS, distinctO
 }
 
 // Triples enumerates all triples in unspecified order.

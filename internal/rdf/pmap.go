@@ -2,11 +2,14 @@ package rdf
 
 import "math/bits"
 
-// This file implements the persistent (structurally shared) containers
-// the copy-on-write graph states are built from: a bitmap-compressed
-// radix trie keyed by uint32 dictionary IDs — the classic
-// hash-array-mapped-trie layout, except IDs are dense and uncorrelated
-// enough that the key bits are used directly, no hashing.
+// This file implements the persistent (structurally shared) container
+// a graph state's delta lives in — its adds, tombstones and the
+// statistics they move (graphState); the bulk of the triples sits in
+// the sorted base (build.go). It is a bitmap-compressed radix trie keyed
+// by uint32 dictionary IDs — the hash-array-mapped-trie layout, except
+// IDs are dense and uncorrelated enough to be used directly, no hashing
+// — and iterates its keys in the order the base's runs are sorted in
+// (sortTrie), which lets a read merge the two.
 //
 // Ownership: every node and every pset/pmid header carries the edit
 // tag of the transaction that made it (0: made by a bare, single-triple
@@ -334,16 +337,8 @@ func (s idset) has(id ID) bool {
 // O(lookup). A nil *pmid is empty. Same ownership rule as pset.
 type pmid struct {
 	root  *pmNode[*pset]
-	n     int32 // distinct keys
 	tag   uint32
 	total int // triples in all sets
-}
-
-func (m *pmid) keys() int {
-	if m == nil {
-		return 0
-	}
-	return int(m.n)
 }
 
 func (m *pmid) triples() int {
@@ -351,6 +346,14 @@ func (m *pmid) triples() int {
 		return 0
 	}
 	return m.total
+}
+
+// count is the number of triples under key b, or with b 0 under all.
+func (m *pmid) count(b ID) int {
+	if b == 0 {
+		return m.triples()
+	}
+	return m.get(b).len()
 }
 
 func (m *pmid) get(k ID) idset {
@@ -370,52 +373,48 @@ func (m *pmid) edit(tag uint32) *pmid {
 	case owned(m.tag, tag):
 		return m
 	}
-	return &pmid{root: m.root, n: m.n, tag: tag, total: m.total}
+	return &pmid{root: m.root, tag: tag, total: m.total}
 }
 
 // withAdd returns the map with v added to the set under k; added is
-// false when the (k, v) pair was already present, fresh reports that k
-// had no set before. The first member goes into the slot, the second
-// builds the pset.
-func (m *pmid) withAdd(tag uint32, k, v ID) (_ *pmid, added, fresh bool) {
+// false when the (k, v) pair was already present. The first member goes
+// into the slot, the second builds the pset.
+func (m *pmid) withAdd(tag uint32, k, v ID) (_ *pmid, added bool) {
 	old := m.get(k)
 	leaf := pmSlot[*pset]{key: uint32(k)}
 	switch {
 	case old.set != nil:
 		if leaf.val, added = old.set.with(tag, v); !added {
-			return m, false, false
+			return m, false
 		}
 	case old.one == v:
-		return m, false, false
+		return m, false
 	case old.one != 0:
 		two := pmSplit(tag, pmSlot[struct{}]{key: uint32(old.one)}, pmSlot[struct{}]{key: uint32(v)}, 0)
 		leaf.val = &pset{root: two, n: 2, tag: tag}
 	default:
-		leaf.one, fresh = uint32(v), true
+		leaf.one = uint32(v)
 	}
 	m = m.edit(tag)
 	// A set edited in place is already where the trie points.
 	if leaf.val == nil || leaf.val != old.set {
 		m.root, _ = pmSet(m.root, tag, 0, leaf)
 	}
-	if fresh {
-		m.n++
-	}
 	m.total++
-	return m, true, fresh
+	return m, true
 }
 
 // withDel returns the map with v removed from the set under k (nil
 // when the map becomes empty); removed is false when the pair was
-// absent, gone reports that k's set emptied. A set left with one
-// member moves back into the slot.
-func (m *pmid) withDel(tag uint32, k, v ID) (_ *pmid, removed, gone bool) {
+// absent. A set left with one member moves back into the slot.
+func (m *pmid) withDel(tag uint32, k, v ID) (_ *pmid, removed bool) {
+	gone := false
 	old := m.get(k)
 	leaf := pmSlot[*pset]{key: uint32(k)}
 	switch {
 	case old.set == nil:
 		if !old.has(v) {
-			return m, false, false
+			return m, false
 		}
 		gone = true
 	case old.set.n == 2:
@@ -428,26 +427,25 @@ func (m *pmid) withDel(tag uint32, k, v ID) (_ *pmid, removed, gone bool) {
 		case b:
 			leaf.one = a
 		default:
-			return m, false, false
+			return m, false
 		}
 	default:
 		if leaf.val, removed = old.set.without(tag, v); !removed {
-			return m, false, false
+			return m, false
 		}
 	}
-	if gone && m.n == 1 {
-		return nil, true, true
+	if gone && m.total == 1 {
+		return nil, true
 	}
 	m = m.edit(tag)
 	switch {
 	case gone:
 		m.root, _ = pmDel(m.root, tag, 0, uint32(k))
-		m.n--
 	case leaf.val == nil || leaf.val != old.set:
 		m.root, _ = pmSet(m.root, tag, 0, leaf)
 	}
 	m.total--
-	return m, true, gone
+	return m, true
 }
 
 // idxGet resolves the middle level of a three-level index.
@@ -458,22 +456,20 @@ func idxGet(root *pmNode[*pmid], a ID) *pmid {
 	return nil
 }
 
-// idxAdd inserts (a → b → c) into a three-level index; fresh reports
-// that the (a, b) pair is new to it.
-func idxAdd(root *pmNode[*pmid], tag uint32, a, b, c ID) (_ *pmNode[*pmid], added, fresh bool) {
+// idxAdd inserts (a → b → c) into a three-level index.
+func idxAdd(root *pmNode[*pmid], tag uint32, a, b, c ID) (_ *pmNode[*pmid], added bool) {
 	mid := idxGet(root, a)
-	nmid, added, fresh := mid.withAdd(tag, b, c)
+	nmid, added := mid.withAdd(tag, b, c)
 	if added && nmid != mid {
 		root, _ = pmSet(root, tag, 0, pmSlot[*pmid]{key: uint32(a), val: nmid})
 	}
-	return root, added, fresh
+	return root, added
 }
 
-// idxDel removes (a → b → c) from a three-level index; gone reports
-// that it was the (a, b) pair's last triple.
-func idxDel(root *pmNode[*pmid], tag uint32, a, b, c ID) (_ *pmNode[*pmid], removed, gone bool) {
+// idxDel removes (a → b → c) from a three-level index.
+func idxDel(root *pmNode[*pmid], tag uint32, a, b, c ID) (_ *pmNode[*pmid], removed bool) {
 	mid := idxGet(root, a)
-	nmid, removed, gone := mid.withDel(tag, b, c)
+	nmid, removed := mid.withDel(tag, b, c)
 	switch {
 	case !removed:
 	case nmid == nil:
@@ -481,5 +477,5 @@ func idxDel(root *pmNode[*pmid], tag uint32, a, b, c ID) (_ *pmNode[*pmid], remo
 	case nmid != mid:
 		root, _ = pmSet(root, tag, 0, pmSlot[*pmid]{key: uint32(a), val: nmid})
 	}
-	return root, removed, gone
+	return root, removed
 }

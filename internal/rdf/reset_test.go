@@ -174,20 +174,22 @@ func TestResetDropsOversizedScratch(t *testing.T) {
 		}
 		g.Build(ts)
 		g.Reset()
-		kept := g.spare != nil && g.dict.terms.Load() != nil && g.dict.index.iris != nil
-		dropped := g.spare == nil && g.dict.terms.Load() == nil && g.dict.index.iris == nil
+		spare := g.spare != nil
+		kept := spare && g.dict.terms.Load() != nil && g.dict.index.iris != nil
+		dropped := !spare && g.dict.terms.Load() == nil && g.dict.index.iris == nil
 		if n <= maxScratch && !kept || n > maxScratch && !dropped {
-			t.Errorf("%d rows and terms: kept runs %v, terms %v, IRI map %v", n,
-				g.spare != nil, g.dict.terms.Load() != nil, g.dict.index.iris != nil)
+			t.Errorf("%d rows and terms: kept base %v, terms %v, IRI map %v", n,
+				spare, g.dict.terms.Load() != nil, g.dict.index.iris != nil)
 		}
 	}
 }
 
 // TestGuardBuildAfterResetAllocatesNoRuns: a Build after Reset of a
 // graph built from as many rows or more lays its runs out in the array
-// Reset kept, sorting in its last third, so it allocates no run array
-// and no sort buffer: 64 B (the published state), where a new graph's
-// Build of these rows takes 238 KB. The bound leaves room for what
+// Reset kept, sorting in its last third, and its ID index in the one
+// Reset kept, so it allocates no run array, no index and no sort buffer:
+// 112 B (the published state), where a new graph's Build of these rows
+// takes 263 KB. The bound leaves room for what
 // other goroutines allocate meanwhile (a 5 KiB reading was seen once).
 func TestGuardBuildAfterResetAllocatesNoRuns(t *testing.T) {
 	if raceEnabled {

@@ -13,7 +13,27 @@ import (
 // Add/Delete (tag 0, every node copied), a long transaction (almost
 // every node its own, edited in place) and short ones (a mix, plus
 // Abort). The model test drives all three with the same random
-// sequences and compares the graph with a plain map after every step.
+// sequences and compares the graph with a plain map after every step —
+// once with the delta's default cap, where these short sequences never
+// leave the tries, and once with a cap so low that publication keeps
+// compacting them into a base, which later writes then delete from.
+
+// lowerDeltaCap makes publication compact any delta of more than n
+// triples until the test ends.
+func lowerDeltaCap(t testing.TB, n int) {
+	old := deltaCap
+	deltaCap = n
+	t.Cleanup(func() { deltaCap = old })
+}
+
+// compact folds g's delta into a new base, as publication does once the
+// delta outgrows its cap.
+func compact(g *Graph) *Graph {
+	g.wmu.Lock()
+	defer g.wmu.Unlock()
+	g.publish(g.cur().compacted())
+	return g
+}
 
 // modelDict is shared by every model graph: Integer(i) has ID i+1, far
 // enough up that the pool below can hold IDs agreeing in their low 5,
@@ -252,32 +272,38 @@ func TestTrieModel(t *testing.T) {
 		// Seeds 1-3 draw from the whole pool (deep splits and collapses),
 		// 4-6 from the narrow one (sets of zero, one and two members).
 		for seed := int64(1); seed <= 6; seed++ {
-			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(seed))
-				m := newTrieModel(t)
-				width, adds := Triple{all, all, all}, 6
-				if seed > 3 {
-					width, adds = narrowPool, 5
-				}
-				for step := 0; step < steps; step++ {
-					control(m, rng, step)
-					if step%100 == 0 {
-						m.pin()
+			for _, c := range []struct {
+				suffix string
+				cap    int
+			}{{"", deltaCap}, {"+compact", 6}} {
+				t.Run(fmt.Sprintf("%s%s/seed%d", name, c.suffix, seed), func(t *testing.T) {
+					lowerDeltaCap(t, c.cap)
+					rng := rand.New(rand.NewSource(seed))
+					m := newTrieModel(t)
+					width, adds := Triple{all, all, all}, 6
+					if seed > 3 {
+						width, adds = narrowPool, 5
 					}
-					if step == steps/2 && m.tx == nil {
-						m.clear()
+					for step := 0; step < steps; step++ {
+						control(m, rng, step)
+						if step%100 == 0 {
+							m.pin()
+						}
+						if step == steps/2 && m.tx == nil {
+							m.clear()
+						}
+						pick := func(n ID) ID { return modelPool[rng.Intn(int(n))] }
+						// Deletes outnumber adds in the last third, so nodes
+						// collapse and sets empty out as well as grow.
+						add := rng.Intn(10) < adds
+						if step > 2*steps/3 {
+							add = rng.Intn(10) < 3
+						}
+						m.apply(add, Triple{pick(width.S), pick(width.P), pick(width.O)})
 					}
-					pick := func(n ID) ID { return modelPool[rng.Intn(int(n))] }
-					// Deletes outnumber adds in the last third, so nodes
-					// collapse and sets empty out as well as grow.
-					add := rng.Intn(10) < adds
-					if step > 2*steps/3 {
-						add = rng.Intn(10) < 3
-					}
-					m.apply(add, Triple{pick(width.S), pick(width.P), pick(width.O)})
-				}
-				m.finish()
-			})
+					m.finish()
+				})
+			}
 		}
 	}
 }
@@ -285,7 +311,8 @@ func TestTrieModel(t *testing.T) {
 // FuzzTxOps reads four bytes per operation: a kind and three pool
 // indexes. Kinds add, delete, open/commit/abort a transaction, pin a
 // snapshot and (outside a transaction) clear; the oracle is
-// TestTrieModel's.
+// TestTrieModel's. A delta of more than four triples is compacted, so
+// a few operations reach a base, its tombstones and the next base.
 func FuzzTxOps(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 1, 0, 0, 4, 0, 0, 0})
 	f.Add([]byte{6, 0, 0, 0, 0, 0, 1, 5, 0, 5, 1, 0, 7, 0, 0, 0, 6, 1, 0, 0, 4, 0, 1, 5})
@@ -300,6 +327,7 @@ func FuzzTxOps(f *testing.F) {
 	f.Add(slices.Concat(grow, pin, begin, shrink, abort, shrink))
 	f.Add(slices.Concat(grow, pin, clear, begin, grow, shrink, commit))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		lowerDeltaCap(t, 4)
 		m := newTrieModel(t)
 		for ; len(data) >= 4; data = data[4:] {
 			at := func(i int) ID { return modelPool[int(data[i])%len(modelPool)] }

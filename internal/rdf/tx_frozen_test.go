@@ -95,7 +95,18 @@ func (w *pinWatch) stop() {
 // readers re-enumerate every snapshot pinned so far. Each must keep
 // yielding the set it had when pinned; under -race an in-place write to
 // a node a snapshot reaches is also reported as a data race.
-func TestSnapshotsFrozenUnderTx(t *testing.T) {
+func TestSnapshotsFrozenUnderTx(t *testing.T) { snapshotsFrozenUnderTx(t) }
+
+// TestSnapshotsFrozenAcrossCompaction is TestSnapshotsFrozenUnderTx
+// with a delta cap every commit exceeds: each publication builds a new
+// base, and the readers keep re-enumerating snapshots pinned on the
+// bases, adds and tombstones before it.
+func TestSnapshotsFrozenAcrossCompaction(t *testing.T) {
+	lowerDeltaCap(t, 64)
+	snapshotsFrozenUnderTx(t)
+}
+
+func snapshotsFrozenUnderTx(t *testing.T) {
 	const (
 		rounds   = 12
 		subjects = 40
@@ -231,10 +242,10 @@ func dumpTrie[V any](sb *strings.Builder, n *pmNode[V], leaf func(sl pmSlot[V]))
 // two dumps are equal only if nothing reachable was written or replaced.
 func dumpState(st *graphState) string {
 	var sb strings.Builder
-	for _, root := range []*pmNode[*pmid]{st.spo, st.pos, st.osp} {
+	for _, root := range append(st.adds.idx[:], st.dels.idx[:]...) {
 		dumpTrie(&sb, root, func(a pmSlot[*pmid]) {
 			m := a.val
-			fmt.Fprintf(&sb, "%d:%p %d %d %d ", a.key, m, m.n, m.total, m.tag)
+			fmt.Fprintf(&sb, "%d:%p %d %d ", a.key, m, m.total, m.tag)
 			dumpTrie(&sb, m.root, func(b pmSlot[*pset]) {
 				fmt.Fprintf(&sb, "%d:%d ", b.key, b.one)
 				if s := b.val; s != nil {
@@ -245,8 +256,8 @@ func dumpState(st *graphState) string {
 		})
 		sb.WriteByte('\n')
 	}
-	dumpTrie(&sb, st.subjects, func(p pmSlot[int32]) { fmt.Fprintf(&sb, "%d:%d ", p.key, p.val) })
-	fmt.Fprintf(&sb, "\n%d %d", st.size, st.gen)
+	dumpTrie(&sb, st.stats, func(p pmSlot[predDelta]) { fmt.Fprintf(&sb, "%d:%v ", p.key, p.val) })
+	fmt.Fprintf(&sb, "\n%p %d %d %d %d", st.base, st.adds.n, st.dels.n, st.size, st.gen)
 	return sb.String()
 }
 
@@ -321,8 +332,8 @@ func TestTagCeiling(t *testing.T) {
 	if dumpState(st) != before {
 		t.Fatal("a transaction past the ceiling wrote into a published state")
 	}
-	if now := m.g.cur(); now.spo == st.spo || now.spo.tag != 0 {
-		t.Fatalf("root after the ceiling: same node %v, tag %d", now.spo == st.spo, now.spo.tag)
+	if now := m.g.cur(); now.adds.idx[0] == st.adds.idx[0] || now.adds.idx[0].tag != 0 {
+		t.Fatalf("root after the ceiling: same node %v, tag %d", now.adds.idx[0] == st.adds.idx[0], now.adds.idx[0].tag)
 	}
 	m.finish()
 }

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -177,4 +179,71 @@ func TestNaNSortsLastOnShards(t *testing.T) {
 			t.Errorf("%s: got %v, want %v", c.Query, got, c.Want)
 		}
 	}
+}
+
+// TestMinMaxOverNaNOrderFree: MIN and MAX over a group holding NaN,
+// ±INF, −0 and a seeded finite double take NaN as the largest value
+// (ORDER BY's rule), so every order the values arrive in gives MIN −INF
+// and MAX NaN: through the tuple interpreter, in batches of 1, 3 and
+// 1024 rows, and pushed down to four local shards whose partials merge
+// in another order again. The values are interned in each permutation's
+// order, which is the order a scan meets them in.
+func TestMinMaxOverNaNOrderFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	values := []string{`"NaN"^^xsd:double`, `"INF"^^xsd:double`, `"-INF"^^xsd:double`, `"-0"^^xsd:double`,
+		fmt.Sprintf(`"%g"^^xsd:double`, rng.NormFloat64()*100)}
+	const q = difftest.Prefixes + `SELECT (MIN(?o) AS ?lo) (MAX(?o) AS ?hi) WHERE { ?s ex:p ?o }`
+	check := func(label string, res *engine.Results) {
+		t.Helper()
+		if len(res.Rows) != 1 || len(res.Rows[0]) != 2 {
+			t.Fatalf("%s: rows %v", label, res.Rows)
+		}
+		lo, lok := rdf.Numeric(res.Rows[0][0])
+		hi, hok := rdf.Numeric(res.Rows[0][1])
+		if !lok || !hok || !math.IsInf(lo.Float(), -1) || !math.IsNaN(hi.Float()) {
+			t.Fatalf("%s: MIN %v, MAX %v, want -INF and NaN", label, res.Rows[0][0], res.Rows[0][1])
+		}
+	}
+	var permute func(k int)
+	permute = func(k int) {
+		if k < len(values) {
+			for i := k; i < len(values); i++ {
+				values[k], values[i] = values[i], values[k]
+				permute(k + 1)
+				values[k], values[i] = values[i], values[k]
+			}
+			return
+		}
+		var data strings.Builder
+		data.WriteString(difftest.Prefixes + "INSERT DATA {")
+		for i, v := range values {
+			fmt.Fprintf(&data, " ex:s%d ex:p %s .", i, v)
+		}
+		data.WriteString(" }")
+		node := core.Open()
+		if _, err := node.Update(data.String()); err != nil {
+			t.Fatal(err)
+		}
+		for _, bs := range []int{-1, 1, 3, 1024} {
+			node.Engine.BatchSize = bs
+			res, err := node.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("%v, batch size %d", values, bs), res)
+		}
+		sharded, _ := cluster(t, 4)
+		if _, err := sharded.Update(data.String()); err != nil {
+			t.Fatal(err)
+		}
+		res, tr, err := sharded.QueryAnalyze(context.Background(), q, engine.Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.ShardMode != "pushdown" {
+			t.Fatalf("dispatched as %q, want pushdown", tr.ShardMode)
+		}
+		check(fmt.Sprintf("%v, 4 local shards", values), res)
+	}
+	permute(0)
 }
