@@ -717,11 +717,7 @@ func (s *SSDM) writeLocked(ctx context.Context, rows [][]rdf.Term, del bool) (n 
 		}
 		o := row[2]
 		if at, ok := o.(rdf.Array); ok && b != nil {
-			var id int64
-			if id, err = b.Store(at.A, storage.ChunkElemsFor(s.Opts.ChunkBytes)); err == nil {
-				at.A, err = b.Open(id)
-			}
-			if err != nil {
+			if at.A, err = s.storeOpen(b, at.A); err != nil {
 				tx.Abort()
 				return 0, 0, false, err
 			}
@@ -753,12 +749,26 @@ func (s *SSDM) commitTx(graph rdf.IRI, tx *rdf.Tx, blankNo int64) (lsn uint64, l
 	return lsn, true, nil
 }
 
+// storeOpen writes a to back-end b and returns the proxied view of the
+// stored copy: how an array leaves memory, on a write and on
+// Externalize alike.
+func (s *SSDM) storeOpen(b storage.Backend, a *array.Array) (*array.Array, error) {
+	id, err := b.Store(a, storage.ChunkElemsFor(s.Opts.ChunkBytes))
+	if err != nil {
+		return nil, err
+	}
+	return b.Open(id)
+}
+
 // Externalize moves every resident array in the default graph to the
-// attached back-end (the back-end scenario of chapter 6). The rewrite
-// is not operation-logged; with a WAL enabled it forces a checkpoint
-// instead, so the externalized graph is durable when Externalize
-// returns (a crash mid-operation recovers the pre-call resident
-// state, which is equivalent data).
+// attached back-end (the back-end scenario of chapter 6) and returns how
+// many triples' objects moved. Each array is stored once and its ID
+// rebound to the proxy (rdf.Graph.MoveArrays), so the resident copy is
+// freed. This is not operation-logged; with a WAL enabled a checkpoint
+// follows instead, so the result is durable when Externalize returns (a
+// crash mid-operation recovers the pre-call resident state, which is
+// equivalent data). A back-end failing part-way leaves what it stored
+// proxied and takes no checkpoint.
 func (s *SSDM) Externalize() (int, error) {
 	s.op.Lock()
 	defer s.op.Unlock()
@@ -766,7 +776,7 @@ func (s *SSDM) Externalize() (int, error) {
 	if b == nil {
 		return 0, fmt.Errorf("ssdm: no storage back-end attached")
 	}
-	n, err := loader.ExternalizeArrays(s.Dataset.Default, b, storage.ChunkElemsFor(s.Opts.ChunkBytes))
+	n, err := s.Dataset.Default.MoveArrays(func(a *array.Array) (*array.Array, error) { return s.storeOpen(b, a) })
 	if err == nil && s.walEnabled() {
 		if cerr := s.checkpointLocked(); cerr != nil {
 			return n, cerr

@@ -249,38 +249,6 @@ func LinkArray(g *rdf.Graph, s rdf.Term, p rdf.IRI, backend storage.Backend, id 
 	return nil
 }
 
-// --- externalization (the back-end scenario of chapter 6) ---
-
-// ExternalizeArrays moves every resident array value in the graph to
-// the given storage back-end, replacing the terms with proxied views.
-// It returns the number of arrays moved.
-func ExternalizeArrays(g *rdf.Graph, backend storage.Backend, chunkElems int) (int, error) {
-	var victims []triple
-	g.Triples(func(s, p, o rdf.Term) bool {
-		if at, ok := o.(rdf.Array); ok && at.A.Base.Resident() {
-			victims = append(victims, triple{s, p, o})
-		}
-		return true
-	})
-	moved := 0
-	for _, v := range victims {
-		at := v.o.(rdf.Array)
-		id, err := backend.Store(at.A, chunkElems)
-		if err != nil {
-			return moved, err
-		}
-		proxied, err := backend.Open(id)
-		if err != nil {
-			return moved, err
-		}
-		pi := v.p.(rdf.IRI)
-		g.Delete(v.s, pi, v.o)
-		g.Add(v.s, pi, rdf.NewArray(proxied))
-		moved++
-	}
-	return moved, nil
-}
-
 // DropProxyCaches discards the chunk caches of every proxied array in
 // the graph, so that benchmark iterations measure cold reads.
 func DropProxyCaches(g *rdf.Graph) int {

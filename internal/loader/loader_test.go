@@ -176,32 +176,6 @@ func TestLinkArray(t *testing.T) {
 	}
 }
 
-func TestExternalizeArrays(t *testing.T) {
-	g := parseTTL(t, `@prefix ex: <http://ex/> . ex:s ex:p ((1 2) (3 4)) .`)
-	if _, err := ConsolidateCollections(g); err != nil {
-		t.Fatal(err)
-	}
-	mem := storage.NewMemory()
-	n, err := ExternalizeArrays(g, mem, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("moved %d", n)
-	}
-	a := arrayOf(t, g, rdf.IRI("http://ex/s"), rdf.IRI("http://ex/p"))
-	if a.Base.Resident() {
-		t.Fatal("array should now be proxied")
-	}
-	v, err := a.At(1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Float() != 4 {
-		t.Fatalf("got %v", v)
-	}
-}
-
 const cubeTTL = `
 @prefix qb: <http://purl.org/linked-data/cube#> .
 @prefix ex: <http://ex/> .

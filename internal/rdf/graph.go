@@ -6,6 +6,8 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+
+	"scisparql/internal/array"
 )
 
 // ID is a dictionary-encoded term identifier, local to one Graph's
@@ -151,10 +153,11 @@ func (d *tries) edit(tag uint32, s, p, o ID, add bool) bool {
 // dict is the term dictionary: an append-only terms array plus a
 // mutex-guarded identity index (identity.go). Readers are lock-free: n
 // counts the terms, and the slice header is republished only when
-// append moves the array, so a reader loads n first and may then index
-// any header it finds up to n (IDs are never reused, and an entry below
-// n is never rewritten, short of Graph.Reset). The dictionary is shared
-// between a live graph, its snapshots, and its post-Clear states.
+// append moves the array or rebind copies it, so a reader loads n first
+// and may then index any header it finds up to n (IDs are never reused,
+// and an entry below n is never rewritten in place, short of
+// Graph.Reset). The dictionary is shared between a live graph, its
+// snapshots, and its post-Clear states.
 type dict struct {
 	mu    sync.RWMutex
 	index termIndex
@@ -221,6 +224,23 @@ func (d *dict) termOf(id ID) Term {
 		panic(fmt.Sprintf("rdf: invalid term ID %d", id))
 	}
 	return (*d.terms.Load())[:n][id-1]
+}
+
+// rebind binds each ids[i] to to[i], an array over the elements of the
+// one it replaces, in one copy of the terms array, so a reader holding
+// the old copy still reads the old term; index and bytes follow.
+func (d *dict) rebind(ids []ID, to []Term) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	terms := append([]Term(nil), (*d.terms.Load())[:d.n.Load()]...)
+	for i, id := range ids {
+		old, key, nkey := terms[id-1], foreignKey(terms[id-1]), foreignKey(to[i])
+		delete(d.index.keyed, key)
+		d.index.put(to[i], nkey, id)
+		d.bytes.Add(int64(textBytes(to[i], nkey) - textBytes(old, key)))
+		terms[id-1] = to[i]
+	}
+	d.terms.Store(&terms)
 }
 
 func (d *dict) len() int { return int(d.n.Load()) }
@@ -523,6 +543,37 @@ func (g *Graph) Clear() int {
 	}
 	g.publish(&graphState{})
 	return old.size
+}
+
+// MoveArrays rebinds the ID of every resident array a triple holds as
+// its object to the array move returns for it, which must hold the same
+// elements: move runs once per ID, however many triples share it, no
+// triple changes, and the terms array is copied once, so the resident
+// elements are freed once no reader holds the old copy. It returns how
+// many triples' objects moved; when move fails, what moved stays moved.
+// move runs with g's writers blocked, so it must not write to g.
+func (g *Graph) MoveArrays(move func(*array.Array) (*array.Array, error)) (moved int, err error) {
+	g.checkWritable()
+	g.wmu.Lock()
+	defer g.wmu.Unlock()
+	st := g.cur()
+	var ids []ID
+	var to []Term
+	for id := ID(1); int(id) <= g.dict.len() && err == nil; id++ {
+		at, ok := g.TermOf(id).(Array)
+		if !ok || !at.A.Base.Resident() || st.count(0, 0, id) == 0 {
+			continue
+		}
+		if at.A, err = move(at.A); err == nil {
+			ids, to = append(ids, id), append(to, at)
+			moved += st.count(0, 0, id)
+		}
+	}
+	if len(ids) > 0 {
+		g.dict.rebind(ids, to)
+		g.gen.Add(1)
+	}
+	return moved, err
 }
 
 // Has reports whether the triple is present.

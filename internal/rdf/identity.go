@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"time"
+
+	"scisparql/internal/array"
 )
 
 // termIndex is a dictionary's identity index: one map per kind, each
@@ -133,9 +135,9 @@ func putKey[K comparable](m *map[K]ID, k K, id ID) {
 	(*m)[k] = id
 }
 
-// textBytes is the text a dictionary entry holds for t: what it retains
-// beyond the fixed per-entry overhead (an array's or a foreign term's
-// key, foreignKey(t), is that text).
+// textBytes is what a dictionary entry holds for t beyond the fixed
+// per-entry overhead: its text (an array's or a foreign term's key,
+// foreignKey(t), is that text), and a resident array's elements.
 func textBytes(t Term, key string) int {
 	switch v := t.(type) {
 	case IRI:
@@ -148,9 +150,12 @@ func textBytes(t Term, key string) int {
 		return len(v.Lexical) + len(v.Datatype)
 	case Integer, Float, Boolean, DateTime:
 		return 0
-	default:
-		return len(key)
+	case Array:
+		if v.A.Base.Resident() {
+			return len(key) + v.A.Base.Size*array.ElemSize
+		}
 	}
+	return len(key)
 }
 
 // SameTerm reports whether a and b are the same RDF term: exactly
