@@ -207,7 +207,7 @@ func (s *SSDM) LoadTurtle(src string, graph rdf.IRI) error {
 func (s *SSDM) loadTurtleLocked(src string, graph rdf.IRI) error {
 	g := s.targetGraph(graph)
 	if !s.walEnabled() {
-		if err := turtle.ParseString(src, g); err != nil {
+		if err := sparql.ParseTurtle(src, g); err != nil {
 			return err
 		}
 		return s.postLoad(g)
@@ -221,7 +221,7 @@ func (s *SSDM) loadTurtleLocked(src string, graph rdf.IRI) error {
 	// incoming document, not the merged graph.
 	stage := rdf.NewGraph()
 	stage.EnsureBlankNo(g.BlankNo())
-	if err := turtle.ParseString(src, stage); err != nil {
+	if err := sparql.ParseTurtle(src, stage); err != nil {
 		return err
 	}
 	if err := s.postLoad(stage); err != nil {

@@ -6,7 +6,6 @@ import (
 	"scisparql/internal/array"
 	"scisparql/internal/rdf"
 	"scisparql/internal/sparql"
-	"scisparql/internal/turtle"
 )
 
 const foafData = `
@@ -23,7 +22,7 @@ func newEngine(t *testing.T, ttl string) *Engine {
 	t.Helper()
 	ds := rdf.NewDataset()
 	if ttl != "" {
-		if err := turtle.ParseString(ttl, ds.Default); err != nil {
+		if err := sparql.ParseTurtle(ttl, ds.Default); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -5,14 +5,14 @@ import (
 
 	"scisparql/internal/array"
 	"scisparql/internal/rdf"
+	"scisparql/internal/sparql"
 	"scisparql/internal/storage"
-	"scisparql/internal/turtle"
 )
 
 func parseTTL(t *testing.T, src string) *rdf.Graph {
 	t.Helper()
 	g := rdf.NewGraph()
-	if err := turtle.ParseString(src, g); err != nil {
+	if err := sparql.ParseTurtle(src, g); err != nil {
 		t.Fatal(err)
 	}
 	return g

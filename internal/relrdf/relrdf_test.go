@@ -9,7 +9,7 @@ import (
 	"scisparql/internal/loader"
 	"scisparql/internal/rdf"
 	"scisparql/internal/relstore"
-	"scisparql/internal/turtle"
+	"scisparql/internal/sparql"
 )
 
 func newStore(t *testing.T) *Store {
@@ -92,7 +92,7 @@ func TestSaveLoadAllValueTypes(t *testing.T) {
 func TestRoundTripThenQuery(t *testing.T) {
 	st := newStore(t)
 	g := rdf.NewGraph()
-	if err := turtle.ParseString(`
+	if err := sparql.ParseTurtle(`
 @prefix ex: <http://ex/> .
 ex:r1 a ex:Run ; ex:temp 300 ; ex:series (1 2 3 4 5 6 7 8) .
 ex:r2 a ex:Run ; ex:temp 280 ; ex:series (10 20 30 40 50 60 70 80) .

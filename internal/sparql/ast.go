@@ -21,9 +21,13 @@ import (
 type Form uint8
 
 const (
+	// FormSelect is SELECT: rows of bindings.
 	FormSelect Form = iota
+	// FormAsk is ASK: whether any solution exists.
 	FormAsk
+	// FormConstruct is CONSTRUCT: a graph built from a template.
 	FormConstruct
+	// FormDescribe is DESCRIBE: the triples about resources.
 	FormDescribe
 )
 
@@ -151,6 +155,7 @@ type Node struct {
 // IsVar reports whether the node is a variable.
 func (n Node) IsVar() bool { return n.Var != "" }
 
+// String renders the node as SPARQL text: ?name or the term.
 func (n Node) String() string {
 	if n.IsVar() {
 		return "?" + n.Var
@@ -221,12 +226,22 @@ func (PathAlt) isPath()     {}
 func (PathRepeat) isPath()  {}
 func (PathNegated) isPath() {}
 
-func (p PathIRI) String() string     { return p.IRI.String() }
-func (p PathVar) String() string     { return "?" + p.Name }
-func (p PathInverse) String() string { return "^" + p.P.String() }
-func (p PathSeq) String() string     { return "(" + p.L.String() + "/" + p.R.String() + ")" }
-func (p PathAlt) String() string     { return "(" + p.L.String() + "|" + p.R.String() + ")" }
+// String renders the predicate IRI.
+func (p PathIRI) String() string { return p.IRI.String() }
 
+// String renders the predicate variable as ?name.
+func (p PathVar) String() string { return "?" + p.Name }
+
+// String renders the inverse path as ^path.
+func (p PathInverse) String() string { return "^" + p.P.String() }
+
+// String renders the sequence as (l/r).
+func (p PathSeq) String() string { return "(" + p.L.String() + "/" + p.R.String() + ")" }
+
+// String renders the alternative as (l|r).
+func (p PathAlt) String() string { return "(" + p.L.String() + "|" + p.R.String() + ")" }
+
+// String renders the negated property set as !(iri|^iri…).
 func (p PathNegated) String() string {
 	parts := make([]string, 0, len(p.Fwd)+len(p.Inv))
 	for _, iri := range p.Fwd {
@@ -238,6 +253,7 @@ func (p PathNegated) String() string {
 	return "!(" + strings.Join(parts, "|") + ")"
 }
 
+// String renders the path with its repetition suffix: *, + or ?.
 func (p PathRepeat) String() string {
 	suffix := "?"
 	if p.Unbounded {
@@ -340,11 +356,19 @@ func (EExists) isExpr()    {}
 func (EIn) isExpr()        {}
 func (ESubscript) isExpr() {}
 
+// String renders the variable as ?name.
 func (e EVar) String() string { return "?" + e.Name }
-func (e ELit) String() string { return e.Term.String() }
-func (e EBin) String() string { return "(" + e.L.String() + " " + e.Op + " " + e.R.String() + ")" }
-func (e EUn) String() string  { return e.Op + e.E.String() }
 
+// String renders the constant term.
+func (e ELit) String() string { return e.Term.String() }
+
+// String renders the binary operation, parenthesized.
+func (e EBin) String() string { return "(" + e.L.String() + " " + e.Op + " " + e.R.String() + ")" }
+
+// String renders the unary operation as op followed by its operand.
+func (e EUn) String() string { return e.Op + e.E.String() }
+
+// String renders the call as name(args).
 func (e ECall) String() string {
 	args := make([]string, len(e.Args))
 	for i, a := range e.Args {
@@ -353,9 +377,13 @@ func (e ECall) String() string {
 	return e.Name + "(" + strings.Join(args, ", ") + ")"
 }
 
+// String renders the function reference by its name.
 func (e EFuncRef) String() string { return e.Name }
-func (EHole) String() string      { return "_" }
 
+// String renders the closure hole as _.
+func (EHole) String() string { return "_" }
+
+// String renders the aggregate call, DISTINCT and * included.
 func (e EAgg) String() string {
 	arg := "*"
 	if e.Arg != nil {
@@ -368,6 +396,7 @@ func (e EAgg) String() string {
 	return e.Func + "(" + d + arg + ")"
 }
 
+// String renders the EXISTS test with its pattern elided.
 func (e EExists) String() string {
 	if e.Not {
 		return "NOT EXISTS {...}"
@@ -375,6 +404,7 @@ func (e EExists) String() string {
 	return "EXISTS {...}"
 }
 
+// String renders the membership test as e IN (…) or e NOT IN (…).
 func (e EIn) String() string {
 	op := "IN"
 	if e.Not {
@@ -387,6 +417,7 @@ func (e EIn) String() string {
 	return e.E.String() + " " + op + " (" + strings.Join(items, ", ") + ")"
 }
 
+// String renders the array dereference as base[subscripts].
 func (e ESubscript) String() string {
 	var sb strings.Builder
 	sb.WriteString(e.Base.String())
@@ -503,6 +534,7 @@ func (tp TriplePattern) Vars() []string {
 	return out
 }
 
+// String renders the pattern as subject, path and object.
 func (tp TriplePattern) String() string {
 	return fmt.Sprintf("%s %s %s", tp.S, tp.Path, tp.O)
 }

@@ -5,8 +5,6 @@ import (
 	"strings"
 	"unicode"
 	"unicode/utf8"
-
-	"scisparql/internal/scanesc"
 )
 
 type tokKind uint8
@@ -49,17 +47,22 @@ func (t tok) isPunct(s string) bool {
 	return t.kind == tPunct && t.text == s
 }
 
+// sLexer scans SPARQL and Turtle text alike: Turtle 1.1 reuses
+// SPARQL's terminals, so both readers share one set of token rules.
 type sLexer struct {
-	src  string
-	pos  int
-	line int
-	col  int
+	src    string
+	pos    int
+	line   int
+	col    int
+	syntax string // names the grammar in error messages: "sciSPARQL" or "turtle"
 }
 
-func newSLexer(src string) *sLexer { return &sLexer{src: src, line: 1, col: 1} }
+func newSLexer(src, syntax string) *sLexer {
+	return &sLexer{src: src, line: 1, col: 1, syntax: syntax}
+}
 
 func (l *sLexer) errorf(format string, args ...any) error {
-	return fmt.Errorf("sciSPARQL: line %d col %d: %s", l.line, l.col, fmt.Sprintf(format, args...))
+	return fmt.Errorf("%s: line %d col %d: %s", l.syntax, l.line, l.col, fmt.Sprintf(format, args...))
 }
 
 func (l *sLexer) peekAt(off int) rune {
@@ -108,6 +111,38 @@ func isNameChar(r rune) bool {
 	return r == '_' || r == '-' || unicode.IsLetter(r) || unicode.IsDigit(r)
 }
 
+// scanName consumes name characters, and colons when colons is set. A
+// run of dots belongs to the name when a name character (or a colon
+// where colons are) follows it and dots are allowed here — in a blank
+// node label, and in a prefixed name once its colon is passed: PN_LOCAL
+// and BLANK_NODE_LABEL hold dots but never end with one, so a trailing
+// dot is left to end the statement. It reports whether a colon was
+// consumed.
+func (l *sLexer) scanName(colons bool) (hasColon bool) {
+	for {
+		c := l.peek()
+		switch {
+		case isNameChar(c):
+		case c == ':' && colons:
+			hasColon = true
+		case c == '.' && (hasColon || !colons):
+			n := 0
+			for l.peekAt(n) == '.' {
+				n++
+			}
+			if r := l.peekAt(n); !isNameChar(r) && !(colons && r == ':') {
+				return hasColon
+			}
+			for ; n > 1; n-- {
+				l.advance()
+			}
+		default:
+			return hasColon
+		}
+		l.advance()
+	}
+}
+
 // looksLikeIRI decides whether '<' at the current position opens an
 // IRIREF: a '>' must appear before any whitespace, quote or second '<'.
 func (l *sLexer) looksLikeIRI() bool {
@@ -116,7 +151,9 @@ func (l *sLexer) looksLikeIRI() bool {
 		switch {
 		case c == '>':
 			return true
-		case c == '<' || c == '"' || unicode.IsSpace(rune(c)):
+		case c == '<' || c == '"' || c <= ' ':
+			// IRIREF excludes controls and space; non-ASCII bytes are
+			// part of an IRI, not whitespace.
 			return false
 		}
 	}
@@ -133,7 +170,19 @@ func (l *sLexer) next() (tok, error) {
 		return mk(tEOF, ""), nil
 	case r == '<' && l.looksLikeIRI():
 		l.advance()
+		start := l.pos
+		for c := l.peek(); c != '>' && c != '\\' && c != -1; c = l.peek() {
+			l.advance()
+		}
+		if l.peek() == '>' {
+			// No escapes: the text is the source's (copied, so a term
+			// kept by a graph does not pin the whole document).
+			text := strings.Clone(l.src[start:l.pos])
+			l.advance()
+			return mk(tIRI, text), nil
+		}
 		var sb strings.Builder
+		sb.WriteString(l.src[start:l.pos])
 		for {
 			c := l.advance()
 			if c == -1 {
@@ -149,9 +198,9 @@ func (l *sLexer) next() (tok, error) {
 				if e != 'u' && e != 'U' {
 					return tok{}, l.errorf("bad escape \\%c in IRI (only \\u and \\U are allowed)", e)
 				}
-				v, err := scanesc.DecodeUCHAR(e, l.advance)
+				v, err := l.uchar(e)
 				if err != nil {
-					return tok{}, l.errorf("%s", err)
+					return tok{}, err
 				}
 				sb.WriteRune(v)
 				continue
@@ -161,11 +210,11 @@ func (l *sLexer) next() (tok, error) {
 	case r == '?' || r == '$':
 		if isNameStart(l.peekAt(1)) || unicode.IsDigit(l.peekAt(1)) {
 			l.advance()
-			var sb strings.Builder
+			start := l.pos
 			for isNameChar(l.peek()) {
-				sb.WriteRune(l.advance())
+				l.advance()
 			}
-			return mk(tVar, sb.String()), nil
+			return mk(tVar, l.src[start:l.pos]), nil
 		}
 		l.advance()
 		return mk(tPunct, "?"), nil
@@ -176,21 +225,23 @@ func (l *sLexer) next() (tok, error) {
 		}
 		return mk(tString, s), nil
 	case r == '@':
+		// A language tag, or Turtle's @prefix / @base directive.
 		l.advance()
-		var sb strings.Builder
+		start := l.pos
 		for isNameChar(l.peek()) {
-			sb.WriteRune(l.advance())
+			l.advance()
 		}
-		return mk(tLang, sb.String()), nil
+		return mk(tLang, strings.Clone(l.src[start:l.pos])), nil
 	case r == '_':
 		if l.peekAt(1) == ':' {
 			l.advance()
 			l.advance()
-			var sb strings.Builder
-			for isNameChar(l.peek()) {
-				sb.WriteRune(l.advance())
+			start := l.pos
+			l.scanName(false)
+			if l.pos == start {
+				return tok{}, l.errorf("empty blank node label")
 			}
-			return mk(tBlank, sb.String()), nil
+			return mk(tBlank, l.src[start:l.pos]), nil
 		}
 		l.advance()
 		return mk(tPunct, "_"), nil
@@ -250,26 +301,11 @@ func (l *sLexer) next() (tok, error) {
 		l.advance()
 		return mk(tPunct, ":"), nil
 	case isNameStart(r) || r == ':':
-		var sb strings.Builder
-		hasColon := false
-		for {
-			c := l.peek()
-			if c == ':' {
-				hasColon = true
-				sb.WriteRune(l.advance())
-				continue
-			}
-			if isNameChar(c) {
-				sb.WriteRune(l.advance())
-				continue
-			}
-			break
+		start := l.pos
+		if l.scanName(true) {
+			return mk(tPName, l.src[start:l.pos]), nil
 		}
-		word := sb.String()
-		if hasColon {
-			return mk(tPName, word), nil
-		}
-		return mk(tWord, word), nil
+		return mk(tWord, l.src[start:l.pos]), nil
 	default:
 		return tok{}, l.errorf("unexpected character %q", r)
 	}
@@ -280,14 +316,25 @@ func (l *sLexer) scanString() (string, error) {
 	long := false
 	if l.peek() == quote {
 		l.advance()
-		if l.peek() == quote {
-			l.advance()
-			long = true
-		} else {
+		if l.peek() != quote {
 			return "", nil
 		}
+		l.advance()
+		long = true
+	}
+	// Most strings hold no escape and no quote of their kind: take them
+	// from the source (copied, so a stored literal does not pin it).
+	start := l.pos
+	for c := l.peek(); c != quote && c != '\\' && c != -1; c = l.peek() {
+		l.advance()
+	}
+	if !long && l.peek() == quote {
+		s := strings.Clone(l.src[start:l.pos])
+		l.advance()
+		return s, nil
 	}
 	var sb strings.Builder
+	sb.WriteString(l.src[start:l.pos])
 	for {
 		c := l.advance()
 		if c == -1 {
@@ -326,9 +373,9 @@ func (l *sLexer) scanString() (string, error) {
 			case '"', '\'', '\\':
 				sb.WriteRune(e)
 			case 'u', 'U':
-				v, err := scanesc.DecodeUCHAR(e, l.advance)
+				v, err := l.uchar(e)
 				if err != nil {
-					return "", l.errorf("%s", err)
+					return "", err
 				}
 				sb.WriteRune(v)
 			default:
@@ -340,17 +387,62 @@ func (l *sLexer) scanString() (string, error) {
 	}
 }
 
+// uchar decodes the digits of a \uXXXX (kind 'u') or \UXXXXXXXX (kind
+// 'U') escape, the UCHAR of both grammars. It rejects truncated
+// escapes, non-hex digits, UTF-16 surrogate halves (U+D800–U+DFFF,
+// meaningless as scalar values) and code points beyond U+10FFFF, so
+// round trips with the writers' escaping are lossless.
+func (l *sLexer) uchar(kind rune) (rune, error) {
+	n := 4
+	if kind == 'U' {
+		n = 8
+	}
+	var v int32
+	for i := 0; i < n; i++ {
+		r := l.advance()
+		if r == -1 {
+			return 0, l.errorf("truncated \\%c escape: want %d hex digits, got %d", kind, n, i)
+		}
+		d := hexVal(r)
+		if d < 0 {
+			return 0, l.errorf("bad \\%c escape: %q is not a hex digit", kind, r)
+		}
+		v = v*16 + int32(d)
+		if v > 0x10FFFF {
+			return 0, l.errorf("\\%c escape beyond U+10FFFF", kind)
+		}
+	}
+	if v >= 0xD800 && v <= 0xDFFF {
+		return 0, l.errorf("\\%c escape U+%04X is a UTF-16 surrogate half, not a character", kind, v)
+	}
+	return rune(v), nil
+}
+
+// hexVal returns the value of one hex digit, -1 when r is not one.
+func hexVal(r rune) int {
+	switch {
+	case r >= '0' && r <= '9':
+		return int(r - '0')
+	case r >= 'a' && r <= 'f':
+		return int(r-'a') + 10
+	case r >= 'A' && r <= 'F':
+		return int(r-'A') + 10
+	default:
+		return -1
+	}
+}
+
 func (l *sLexer) scanNumber(line, col int) (tok, error) {
-	var sb strings.Builder
+	start := l.pos
 	kind := tInt
 	for unicode.IsDigit(l.peek()) {
-		sb.WriteRune(l.advance())
+		l.advance()
 	}
 	if l.peek() == '.' && unicode.IsDigit(l.peekAt(1)) {
 		kind = tDec
-		sb.WriteRune(l.advance())
+		l.advance()
 		for unicode.IsDigit(l.peek()) {
-			sb.WriteRune(l.advance())
+			l.advance()
 		}
 	}
 	if p := l.peek(); p == 'e' || p == 'E' {
@@ -361,14 +453,13 @@ func (l *sLexer) scanNumber(line, col int) (tok, error) {
 		}
 		if unicode.IsDigit(l.peekAt(off)) {
 			kind = tDbl
-			sb.WriteRune(l.advance())
-			if s := l.peek(); s == '+' || s == '-' {
-				sb.WriteRune(l.advance())
+			for i := 0; i < off; i++ {
+				l.advance()
 			}
 			for unicode.IsDigit(l.peek()) {
-				sb.WriteRune(l.advance())
+				l.advance()
 			}
 		}
 	}
-	return tok{kind: kind, text: sb.String(), line: line, col: col}, nil
+	return tok{kind: kind, text: l.src[start:l.pos], line: line, col: col}, nil
 }

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
 
 	"scisparql/internal/rdf"
 )
@@ -50,7 +51,7 @@ func ParseStatement(src string) (Statement, error) {
 
 // ParseAll parses a sequence of statements separated by ';'.
 func ParseAll(src string) ([]Statement, error) {
-	p := &Parser{lex: newSLexer(src), prefixes: map[string]string{}}
+	p := &Parser{lex: newSLexer(src, "sciSPARQL"), prefixes: map[string]string{}}
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
@@ -83,7 +84,7 @@ func (p *Parser) advance() error {
 }
 
 func (p *Parser) errorf(format string, args ...any) error {
-	return fmt.Errorf("sciSPARQL: line %d col %d: %s", p.tok.line, p.tok.col, fmt.Sprintf(format, args...))
+	return fmt.Errorf("%s: line %d col %d: %s", p.lex.syntax, p.tok.line, p.tok.col, fmt.Sprintf(format, args...))
 }
 
 func (p *Parser) expectPunct(s string) error {
@@ -140,40 +141,58 @@ func (p *Parser) statement() (Statement, error) {
 
 func (p *Parser) prologue() error {
 	for {
+		var err error
 		switch {
 		case p.tok.isWord("PREFIX"):
-			if err := p.advance(); err != nil {
-				return err
-			}
-			if p.tok.kind != tPName || !strings.HasSuffix(p.tok.text, ":") {
-				return p.errorf("expected prefix name, found %s", p.tok)
-			}
-			name := strings.TrimSuffix(p.tok.text, ":")
-			if err := p.advance(); err != nil {
-				return err
-			}
-			if p.tok.kind != tIRI {
-				return p.errorf("expected namespace IRI, found %s", p.tok)
-			}
-			p.prefixes[name] = p.tok.text
-			if err := p.advance(); err != nil {
-				return err
-			}
+			err = p.prefixDecl()
 		case p.tok.isWord("BASE"):
-			if err := p.advance(); err != nil {
-				return err
-			}
-			if p.tok.kind != tIRI {
-				return p.errorf("expected base IRI, found %s", p.tok)
-			}
-			p.base = p.tok.text
-			if err := p.advance(); err != nil {
-				return err
-			}
+			err = p.baseDecl()
 		default:
 			return nil
 		}
+		if err != nil {
+			return err
+		}
 	}
+}
+
+// prefixDecl parses a prefix declaration from its keyword (PREFIX, or
+// Turtle's @prefix) through the namespace IRI, which is resolved
+// against the base in force.
+func (p *Parser) prefixDecl() error {
+	if err := p.advance(); err != nil {
+		return err
+	}
+	var name string
+	switch {
+	case p.tok.kind == tPName && strings.IndexByte(p.tok.text, ':') == len(p.tok.text)-1:
+		name = p.tok.text[:len(p.tok.text)-1]
+	case p.tok.isPunct(":"): // the empty prefix
+	default:
+		return p.errorf("expected prefix name, found %s", p.tok)
+	}
+	if err := p.advance(); err != nil {
+		return err
+	}
+	if p.tok.kind != tIRI {
+		return p.errorf("expected namespace IRI, found %s", p.tok)
+	}
+	p.prefixes[name] = string(p.resolveIRI(p.tok.text))
+	return p.advance()
+}
+
+// baseDecl parses a base declaration from its keyword (BASE, or
+// Turtle's @base) through the IRI, which is resolved against the base
+// in force.
+func (p *Parser) baseDecl() error {
+	if err := p.advance(); err != nil {
+		return err
+	}
+	if p.tok.kind != tIRI {
+		return p.errorf("expected base IRI, found %s", p.tok)
+	}
+	p.base = string(p.resolveIRI(p.tok.text))
+	return p.advance()
 }
 
 func (p *Parser) snapshotPrefixes() map[string]string {
@@ -196,11 +215,98 @@ func (p *Parser) expandPName(pname string) (rdf.IRI, error) {
 	return rdf.IRI(ns + pname[i+1:]), nil
 }
 
-func (p *Parser) resolveIRI(s string) rdf.IRI {
-	if p.base != "" && !strings.Contains(s, ":") {
-		return rdf.IRI(p.base + s)
+// resolveIRI resolves an IRI reference against the base in force by
+// RFC 3986 §5.2: a reference with a scheme is absolute and kept as
+// written; any other is merged with the base and its dot segments
+// removed. It works on the text and percent-encodes nothing, so
+// non-ASCII IRIs stay as written. With no base a reference is kept
+// verbatim.
+func (p *Parser) resolveIRI(ref string) rdf.IRI {
+	if p.base == "" || hasScheme(ref) {
+		return rdf.IRI(ref)
 	}
-	return rdf.IRI(s)
+	// The base as scheme "s:", authority "//a", path and query "?q"
+	// (its fragment never counts); the reference as path and suffix.
+	rest, _, _ := strings.Cut(p.base, "#")
+	scheme, auth, query := "", "", ""
+	if hasScheme(rest) {
+		i := strings.IndexByte(rest, ':') + 1
+		scheme, rest = rest[:i], rest[i:]
+	}
+	if i := strings.IndexByte(rest, '?'); i >= 0 {
+		rest, query = rest[:i], rest[i:]
+	}
+	if strings.HasPrefix(rest, "//") {
+		auth, rest = splitAuthority(rest)
+	}
+	path, suffix := ref, ""
+	if i := strings.IndexAny(ref, "?#"); i >= 0 {
+		path, suffix = ref[:i], ref[i:]
+	}
+	switch {
+	case strings.HasPrefix(path, "//"):
+		auth, path = splitAuthority(path)
+	case path == "":
+		path = rest
+		if !strings.HasPrefix(suffix, "?") {
+			suffix = query + suffix
+		}
+	case path[0] == '/':
+	case auth != "" && rest == "":
+		path = "/" + path
+	default:
+		path = rest[:strings.LastIndexByte(rest, '/')+1] + path
+	}
+	return rdf.IRI(scheme + auth + removeDotSegments(path) + suffix)
+}
+
+// hasScheme reports whether s starts with a URI scheme and its colon:
+// ALPHA *( ALPHA / DIGIT / "+" / "-" / "." ) ":".
+func hasScheme(s string) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z':
+		case i > 0 && (c >= '0' && c <= '9' || c == '+' || c == '-' || c == '.'):
+		default:
+			return i > 0 && c == ':'
+		}
+	}
+	return false
+}
+
+// splitAuthority splits "//authority/path" after its authority.
+func splitAuthority(s string) (auth, path string) {
+	if i := strings.IndexByte(s[2:], '/'); i >= 0 {
+		return s[:i+2], s[i+2:]
+	}
+	return s, ""
+}
+
+// removeDotSegments drops a path's "." segments and each ".." with the
+// segment before it (RFC 3986 §5.2.4); a path ending in either ends in
+// '/'.
+func removeDotSegments(path string) string {
+	if !strings.Contains(path, ".") {
+		return path
+	}
+	segs := strings.Split(path, "/")
+	var out []string
+	for i, seg := range segs {
+		switch {
+		case seg == "..":
+			if len(out) > 1 || len(out) == 1 && out[0] != "" {
+				out = out[:len(out)-1]
+			}
+		case seg != ".":
+			out = append(out, seg)
+			continue
+		}
+		if i == len(segs)-1 {
+			out = append(out, "")
+		}
+	}
+	return strings.Join(out, "/")
 }
 
 // --- queries ---
@@ -278,21 +384,12 @@ func (p *Parser) query() (*Query, error) {
 					return nil, err
 				}
 				continue
-			case tIRI:
-				q.DescribeTerms = append(q.DescribeTerms, ELit{Term: p.resolveIRI(p.tok.text)})
-				if err := p.advance(); err != nil {
-					return nil, err
-				}
-				continue
-			case tPName:
-				iri, err := p.expandPName(p.tok.text)
+			case tIRI, tPName:
+				iri, err := p.iriRef()
 				if err != nil {
 					return nil, err
 				}
 				q.DescribeTerms = append(q.DescribeTerms, ELit{Term: iri})
-				if err := p.advance(); err != nil {
-					return nil, err
-				}
 				continue
 			}
 			break
@@ -370,14 +467,8 @@ func (p *Parser) solutionModifiers(q *Query) error {
 				}
 				continue
 			case p.tok.isPunct("("):
-				if err := p.advance(); err != nil {
-					return err
-				}
-				e, err := p.expression()
+				e, err := p.bracketted()
 				if err != nil {
-					return err
-				}
-				if err := p.expectPunct(")"); err != nil {
 					return err
 				}
 				q.GroupBy = append(q.GroupBy, e)
@@ -391,14 +482,8 @@ func (p *Parser) solutionModifiers(q *Query) error {
 	}
 	if p.acceptWord("HAVING") {
 		for p.tok.isPunct("(") {
-			if err := p.advance(); err != nil {
-				return err
-			}
-			e, err := p.expression()
+			e, err := p.bracketted()
 			if err != nil {
-				return err
-			}
-			if err := p.expectPunct(")"); err != nil {
 				return err
 			}
 			q.Having = append(q.Having, e)
@@ -413,19 +498,15 @@ func (p *Parser) solutionModifiers(q *Query) error {
 		}
 		for {
 			switch {
-			case p.tok.isWord("ASC"), p.tok.isWord("DESC"):
+			case p.tok.isWord("ASC"), p.tok.isWord("DESC"), p.tok.isPunct("("):
 				desc := p.tok.isWord("DESC")
-				if err := p.advance(); err != nil {
-					return err
+				if p.tok.kind == tWord {
+					if err := p.advance(); err != nil {
+						return err
+					}
 				}
-				if err := p.expectPunct("("); err != nil {
-					return err
-				}
-				e, err := p.expression()
+				e, err := p.bracketted()
 				if err != nil {
-					return err
-				}
-				if err := p.expectPunct(")"); err != nil {
 					return err
 				}
 				q.OrderBy = append(q.OrderBy, OrderCond{Expr: e, Desc: desc})
@@ -435,19 +516,6 @@ func (p *Parser) solutionModifiers(q *Query) error {
 				if err := p.advance(); err != nil {
 					return err
 				}
-				continue
-			case p.tok.isPunct("("):
-				if err := p.advance(); err != nil {
-					return err
-				}
-				e, err := p.expression()
-				if err != nil {
-					return err
-				}
-				if err := p.expectPunct(")"); err != nil {
-					return err
-				}
-				q.OrderBy = append(q.OrderBy, OrderCond{Expr: e})
 				continue
 			}
 			break
@@ -825,7 +893,8 @@ func (p *Parser) nodeOrSyntacticSugar(bgp *BGP) (Node, error) {
 }
 
 // nodeTerm parses a plain node: variable (if allowed), IRI, literal or
-// blank node label.
+// blank node label. Its term rules are Turtle's too: the Turtle reader
+// parses every term but blanks, lists and collections here.
 func (p *Parser) nodeTerm(allowVar bool) (Node, error) {
 	switch p.tok.kind {
 	case tVar:
@@ -834,29 +903,14 @@ func (p *Parser) nodeTerm(allowVar bool) (Node, error) {
 		}
 		n := NewVarNode(p.tok.text)
 		return n, p.advance()
-	case tIRI:
-		n := NewTermNode(p.resolveIRI(p.tok.text))
-		return n, p.advance()
-	case tPName:
-		iri, err := p.expandPName(p.tok.text)
-		if err != nil {
-			return Node{}, err
-		}
-		return NewTermNode(iri), p.advance()
+	case tIRI, tPName:
+		iri, err := p.iriRef()
+		return NewTermNode(iri), err
 	case tBlank:
 		return NewTermNode(rdf.Blank("u" + p.tok.text)), p.advance()
-	case tInt:
-		v, err := strconv.ParseInt(p.tok.text, 10, 64)
-		if err != nil {
-			return Node{}, p.errorf("bad integer %q", p.tok.text)
-		}
-		return NewTermNode(rdf.Integer(v)), p.advance()
-	case tDec, tDbl:
-		v, err := strconv.ParseFloat(p.tok.text, 64)
-		if err != nil {
-			return Node{}, p.errorf("bad number %q", p.tok.text)
-		}
-		return NewTermNode(rdf.Float(v)), p.advance()
+	case tInt, tDec, tDbl:
+		t, err := p.number("")
+		return NewTermNode(t), err
 	case tString:
 		t, err := p.literalTail(p.tok.text)
 		if err != nil {
@@ -871,25 +925,46 @@ func (p *Parser) nodeTerm(allowVar bool) (Node, error) {
 			return NewTermNode(rdf.Boolean(false)), p.advance()
 		}
 	case tPunct:
-		if p.tok.text == "-" {
-			// Negative numeric literal.
+		if p.atSignedNumber() {
+			sign := p.tok.text
 			if err := p.advance(); err != nil {
 				return Node{}, err
 			}
-			n, err := p.nodeTerm(false)
-			if err != nil {
-				return Node{}, err
-			}
-			switch v := n.Term.(type) {
-			case rdf.Integer:
-				return NewTermNode(rdf.Integer(-v)), nil
-			case rdf.Float:
-				return NewTermNode(rdf.Float(-v)), nil
-			}
-			return Node{}, p.errorf("expected number after '-'")
+			t, err := p.number(sign)
+			return NewTermNode(t), err
 		}
 	}
 	return Node{}, p.errorf("expected RDF term, found %s", p.tok)
+}
+
+// atSignedNumber reports whether the token is a sign that touches the
+// digits after it, which makes one signed number of the two (SPARQL's
+// INTEGER_POSITIVE and INTEGER_NEGATIVE, Turtle's INTEGER): "<p> +4"
+// is a predicate and an object, not a path repeated.
+func (p *Parser) atSignedNumber() bool {
+	return (p.tok.isPunct("-") || p.tok.isPunct("+")) && unicode.IsDigit(p.lex.peek())
+}
+
+// number parses the numeric literal token, with sign ("", "-" or "+")
+// in front: an integer is an xsd:integer, a decimal or a double an
+// xsd:double.
+func (p *Parser) number(sign string) (rdf.Term, error) {
+	text := p.tok.text
+	if sign != "" {
+		text = sign + text
+	}
+	if p.tok.kind == tInt {
+		v, err := strconv.ParseInt(text, 10, 64)
+		if err != nil {
+			return nil, p.errorf("bad integer %q", text)
+		}
+		return rdf.Integer(v), p.advance()
+	}
+	v, err := strconv.ParseFloat(text, 64)
+	if err != nil {
+		return nil, p.errorf("bad number %q", text)
+	}
+	return rdf.Float(v), p.advance()
 }
 
 // literalTail consumes optional @lang / ^^datatype after a string.
@@ -912,24 +987,31 @@ func (p *Parser) literalTail(val string) (rdf.Term, error) {
 		if err != nil {
 			return nil, err
 		}
-		return typedLiteral(val, dt)
+		return p.typedLiteral(val, dt)
 	default:
 		return rdf.String{Val: val}, nil
 	}
 }
 
-func typedLiteral(val string, dt rdf.IRI) (rdf.Term, error) {
+const xsdNS = "http://www.w3.org/2001/XMLSchema#"
+
+// typedLiteral maps a typed literal to its term, one rule for both
+// syntaxes: xsd:integer, xsd:int and xsd:long are integers,
+// xsd:double, xsd:decimal and xsd:float doubles, and xsd:boolean,
+// xsd:dateTime and xsd:string their native terms; any other datatype
+// is kept verbatim.
+func (p *Parser) typedLiteral(val string, dt rdf.IRI) (rdf.Term, error) {
 	switch dt {
-	case rdf.XSDInteger:
+	case rdf.XSDInteger, xsdNS + "int", xsdNS + "long":
 		v, err := strconv.ParseInt(strings.TrimSpace(val), 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("sciSPARQL: bad xsd:integer literal %q", val)
+			return nil, p.errorf("bad xsd:integer literal %q", val)
 		}
 		return rdf.Integer(v), nil
-	case rdf.XSDDouble, rdf.XSDDecimal:
+	case rdf.XSDDouble, rdf.XSDDecimal, xsdNS + "float":
 		v, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
 		if err != nil {
-			return nil, fmt.Errorf("sciSPARQL: bad numeric literal %q", val)
+			return nil, p.errorf("bad numeric literal %q", val)
 		}
 		return rdf.Float(v), nil
 	case rdf.XSDBoolean:
@@ -939,11 +1021,11 @@ func typedLiteral(val string, dt rdf.IRI) (rdf.Term, error) {
 		case "false", "0":
 			return rdf.Boolean(false), nil
 		}
-		return nil, fmt.Errorf("sciSPARQL: bad xsd:boolean literal %q", val)
+		return nil, p.errorf("bad xsd:boolean literal %q", val)
 	case rdf.XSDDateTime:
 		t, err := time.Parse(time.RFC3339, strings.TrimSpace(val))
 		if err != nil {
-			return nil, fmt.Errorf("sciSPARQL: bad xsd:dateTime literal %q", val)
+			return nil, p.errorf("bad xsd:dateTime literal %q", val)
 		}
 		return rdf.DateTime{T: t}, nil
 	case rdf.XSDString:
@@ -1058,7 +1140,7 @@ func (p *Parser) pathElt() (Path, error) {
 			return nil, err
 		}
 		return PathRepeat{P: prim, Min: 0, Unbounded: true}, nil
-	case p.tok.isPunct("+"):
+	case p.tok.isPunct("+") && !p.atSignedNumber():
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
@@ -1082,15 +1164,9 @@ func (p *Parser) pathPrimary() (Path, error) {
 	case p.tok.isWord("a"):
 		pp := PathIRI{IRI: rdf.RDFType}
 		return pp, p.advance()
-	case p.tok.kind == tIRI:
-		pp := PathIRI{IRI: p.resolveIRI(p.tok.text)}
-		return pp, p.advance()
-	case p.tok.kind == tPName:
-		iri, err := p.expandPName(p.tok.text)
-		if err != nil {
-			return nil, err
-		}
-		return PathIRI{IRI: iri}, p.advance()
+	case p.tok.kind == tIRI, p.tok.kind == tPName:
+		iri, err := p.iriRef()
+		return PathIRI{IRI: iri}, err
 	case p.tok.isPunct("("):
 		if err := p.advance(); err != nil {
 			return nil, err
@@ -1172,6 +1248,11 @@ func (p *Parser) templateBlock() ([]TriplePattern, error) {
 	if err := p.expectPunct("{"); err != nil {
 		return nil, err
 	}
+	return p.templateBody()
+}
+
+// templateBody parses a template's triples through its closing '}'.
+func (p *Parser) templateBody() ([]TriplePattern, error) {
 	bgp := &BGP{}
 	for !p.tok.isPunct("}") {
 		if p.tok.kind == tEOF {

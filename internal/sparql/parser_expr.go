@@ -1,8 +1,9 @@
 package sparql
 
 import (
-	"strconv"
 	"strings"
+
+	"scisparql/internal/rdf"
 )
 
 // constraint parses a FILTER argument: a bracketted expression, a
@@ -10,17 +11,7 @@ import (
 func (p *Parser) constraint() (Expression, error) {
 	switch {
 	case p.tok.isPunct("("):
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		e, err := p.expression()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		return e, nil
+		return p.bracketted()
 	case p.tok.isWord("EXISTS"), p.tok.isWord("NOT"):
 		return p.existsExpr()
 	case p.tok.kind == tWord:
@@ -28,6 +19,18 @@ func (p *Parser) constraint() (Expression, error) {
 	default:
 		return nil, p.errorf("expected filter constraint, found %s", p.tok)
 	}
+}
+
+// bracketted parses "( expression )".
+func (p *Parser) bracketted() (Expression, error) {
+	if err := p.expectPunct("("); err != nil {
+		return nil, err
+	}
+	e, err := p.expression()
+	if err != nil {
+		return nil, err
+	}
+	return e, p.expectPunct(")")
 }
 
 func (p *Parser) existsExpr() (Expression, error) {
@@ -311,17 +314,7 @@ func (p *Parser) primary() (Expression, error) {
 	case tPunct:
 		switch p.tok.text {
 		case "(":
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			e, err := p.expression()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectPunct(")"); err != nil {
-				return nil, err
-			}
-			return e, nil
+			return p.bracketted()
 		case "_":
 			if err := p.advance(); err != nil {
 				return nil, err
@@ -331,18 +324,9 @@ func (p *Parser) primary() (Expression, error) {
 	case tVar:
 		e := EVar{Name: p.tok.text}
 		return e, p.advance()
-	case tInt:
-		v, err := strconv.ParseInt(p.tok.text, 10, 64)
-		if err != nil {
-			return nil, p.errorf("bad integer %q", p.tok.text)
-		}
-		return ELit{Term: intTerm(v)}, p.advance()
-	case tDec, tDbl:
-		v, err := strconv.ParseFloat(p.tok.text, 64)
-		if err != nil {
-			return nil, p.errorf("bad number %q", p.tok.text)
-		}
-		return ELit{Term: floatTerm(v)}, p.advance()
+	case tInt, tDec, tDbl:
+		t, err := p.number("")
+		return ELit{Term: t}, err
 	case tString:
 		t, err := p.literalTail(p.tok.text)
 		if err != nil {
@@ -369,9 +353,9 @@ func (p *Parser) primary() (Expression, error) {
 func (p *Parser) callOrKeywordExpr() (Expression, error) {
 	switch {
 	case p.tok.isWord("true"):
-		return ELit{Term: boolTerm(true)}, p.advance()
+		return ELit{Term: rdf.Boolean(true)}, p.advance()
 	case p.tok.isWord("false"):
-		return ELit{Term: boolTerm(false)}, p.advance()
+		return ELit{Term: rdf.Boolean(false)}, p.advance()
 	case p.tok.isWord("EXISTS"), p.tok.isWord("NOT"):
 		return p.existsExpr()
 	}

@@ -4,10 +4,6 @@ import (
 	"scisparql/internal/rdf"
 )
 
-func intTerm(v int64) rdf.Term     { return rdf.Integer(v) }
-func floatTerm(v float64) rdf.Term { return rdf.Float(v) }
-func boolTerm(v bool) rdf.Term     { return rdf.Boolean(v) }
-
 // insertStmt parses INSERT DATA { ... } or INSERT { tpl } WHERE { ... }.
 func (p *Parser) insertStmt() (Statement, error) {
 	if err := p.expectWord("INSERT"); err != nil {
@@ -146,38 +142,18 @@ func (p *Parser) quadData() (rdf.IRI, []TriplePattern, error) {
 	}
 	var graph rdf.IRI
 	var triples []TriplePattern
+	var err error
 	if p.acceptWord("GRAPH") {
-		g, err := p.iriRef()
-		if err != nil {
+		if graph, err = p.iriRef(); err != nil {
 			return "", nil, err
 		}
-		graph = g
-		inner, err := p.templateBlock()
-		if err != nil {
-			return "", nil, err
+		if triples, err = p.templateBlock(); err == nil {
+			err = p.expectPunct("}")
 		}
-		triples = inner
 	} else {
-		bgp := &BGP{}
-		for !p.tok.isPunct("}") {
-			if p.tok.kind == tEOF {
-				return "", nil, p.errorf("unterminated data block")
-			}
-			if p.tok.isPunct(".") {
-				if err := p.advance(); err != nil {
-					return "", nil, err
-				}
-				continue
-			}
-			if err := p.triplesBlock(bgp); err != nil {
-				return "", nil, err
-			}
-		}
-		triples = bgp.Triples
+		triples, err = p.templateBody()
 	}
-	// Close the data block (for the GRAPH form, templateBlock consumed
-	// the inner '}' and this is the outer one).
-	if err := p.expectPunct("}"); err != nil {
+	if err != nil {
 		return "", nil, err
 	}
 	for _, tp := range triples {

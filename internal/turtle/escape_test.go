@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"scisparql/internal/rdf"
+	"scisparql/internal/sparql"
 )
 
 // TestUCHAREscapes exercises \uXXXX/\UXXXXXXXX in string literals and
@@ -12,7 +13,7 @@ import (
 func TestUCHAREscapes(t *testing.T) {
 	g := rdf.NewGraph()
 	src := `<http://ex/sa> <http://ex/p> "café \U0001F600" .`
-	if err := ParseString(src, g); err != nil {
+	if err := sparql.ParseTurtle(src, g); err != nil {
 		t.Fatalf("parse: %v", err)
 	}
 	found := false
@@ -44,7 +45,7 @@ func TestBadUCHAREscapes(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := ParseString(c.src, rdf.NewGraph())
+			err := sparql.ParseTurtle(c.src, rdf.NewGraph())
 			if err == nil {
 				t.Fatalf("parse accepted %q", c.src)
 			}
@@ -79,7 +80,7 @@ func TestControlCharRoundTrip(t *testing.T) {
 				t.Fatalf("write: %v", err)
 			}
 			back := rdf.NewGraph()
-			if err := ParseString(sb.String(), back); err != nil {
+			if err := sparql.ParseTurtle(sb.String(), back); err != nil {
 				t.Fatalf("reparse of our own output failed: %v\noutput:\n%s", err, sb.String())
 			}
 			var got, gotTyped string
@@ -113,7 +114,7 @@ func TestIRIEscapeRoundTrip(t *testing.T) {
 		t.Fatalf("write: %v", err)
 	}
 	back := rdf.NewGraph()
-	if err := ParseString(sb.String(), back); err != nil {
+	if err := sparql.ParseTurtle(sb.String(), back); err != nil {
 		t.Fatalf("reparse: %v\noutput:\n%s", err, sb.String())
 	}
 	ok := false

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"scisparql/internal/rdf"
+	"scisparql/internal/sparql"
 )
 
 // FuzzParseTurtle asserts the Turtle loader never panics on arbitrary
@@ -30,6 +31,6 @@ func FuzzParseTurtle(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		// A fresh graph per input: errors are fine, panics are not.
-		_ = ParseString(src, rdf.NewGraph())
+		_ = sparql.ParseTurtle(src, rdf.NewGraph())
 	})
 }

@@ -6,6 +6,7 @@ import (
 
 	"scisparql/internal/array"
 	"scisparql/internal/rdf"
+	"scisparql/internal/sparql"
 )
 
 func TestWriteNTriplesBasic(t *testing.T) {
@@ -46,7 +47,7 @@ func TestWriteNTriplesExpandsArrays(t *testing.T) {
 	}
 	// And the output reparses as Turtle (N-Triples is a subset).
 	g2 := rdf.NewGraph()
-	if err := ParseString(sb.String(), g2); err != nil {
+	if err := sparql.ParseTurtle(sb.String(), g2); err != nil {
 		t.Fatalf("reparse: %v\n%s", err, sb.String())
 	}
 	if g2.Size() != 13 {
@@ -61,7 +62,7 @@ func TestWriteNTriplesRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	g2 := rdf.NewGraph()
-	if err := ParseString(sb.String(), g2); err != nil {
+	if err := sparql.ParseTurtle(sb.String(), g2); err != nil {
 		t.Fatal(err)
 	}
 	if g2.Size() != g.Size() {

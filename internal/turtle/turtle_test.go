@@ -3,6 +3,7 @@ package turtle
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 	"strings"
 	"testing"
@@ -10,13 +11,15 @@ import (
 	"time"
 
 	"scisparql/internal/array"
+	"scisparql/internal/difftest"
 	"scisparql/internal/rdf"
+	"scisparql/internal/sparql"
 )
 
 func parse(t *testing.T, src string) *rdf.Graph {
 	t.Helper()
 	g := rdf.NewGraph()
-	if err := ParseString(src, g); err != nil {
+	if err := sparql.ParseTurtle(src, g); err != nil {
 		t.Fatalf("parse error: %v\nsource:\n%s", err, src)
 	}
 	return g
@@ -169,7 +172,7 @@ func TestParseErrors(t *testing.T) {
 	}
 	for i, src := range bad {
 		g := rdf.NewGraph()
-		if err := ParseString(src, g); err == nil {
+		if err := sparql.ParseTurtle(src, g); err == nil {
 			t.Fatalf("case %d: expected error for %q", i, src)
 		}
 		if g.Size() != 0 {
@@ -186,7 +189,7 @@ func TestWriterRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	g2 := rdf.NewGraph()
-	if err := ParseString(sb.String(), g2); err != nil {
+	if err := sparql.ParseTurtle(sb.String(), g2); err != nil {
 		t.Fatalf("reparse error: %v\noutput:\n%s", err, sb.String())
 	}
 	if g2.Size() != g.Size() {
@@ -206,7 +209,7 @@ func TestWriterNonFiniteDoubles(t *testing.T) {
 		t.Fatal(err)
 	}
 	g2 := rdf.NewGraph()
-	if err := ParseString(sb.String(), g2); err != nil {
+	if err := sparql.ParseTurtle(sb.String(), g2); err != nil {
 		t.Fatalf("reparse error: %v\noutput:\n%s", err, sb.String())
 	}
 	var want, got []string
@@ -241,7 +244,7 @@ func TestWriterKeepsFractionalSeconds(t *testing.T) {
 				t.Fatal(err)
 			}
 			g2 := rdf.NewGraph()
-			if err := ParseString(sb.String(), g2); err != nil {
+			if err := sparql.ParseTurtle(sb.String(), g2); err != nil {
 				t.Fatalf("%s: reparse error: %v\noutput:\n%s", name, err, sb.String())
 			}
 			if !g2.Has(s, p, o) {
@@ -268,7 +271,7 @@ func TestWriterRendersArraysAsCollections(t *testing.T) {
 	}
 	// The output must reparse as the 13-triple list encoding.
 	g2 := rdf.NewGraph()
-	if err := ParseString(sb.String(), g2); err != nil {
+	if err := sparql.ParseTurtle(sb.String(), g2); err != nil {
 		t.Fatal(err)
 	}
 	if g2.Size() != 13 {
@@ -313,7 +316,7 @@ func TestWriteParseRoundTripProperty(t *testing.T) {
 			return false
 		}
 		g2 := rdf.NewGraph()
-		if err := ParseString(sb.String(), g2); err != nil {
+		if err := sparql.ParseTurtle(sb.String(), g2); err != nil {
 			return false
 		}
 		if g2.Size() != g.Size() {
@@ -332,4 +335,63 @@ func TestWriteParseRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestWriteReadRoundTripGenerated: each generated dataset, written as
+// Turtle (with and without prefixes) and as N-Triples, reads back with
+// the same ground triples and as many triples with blanks — so the
+// writer never abbreviates a name the reader would split. Local names
+// a prefixed name cannot carry whole ride along.
+func TestWriteReadRoundTripGenerated(t *testing.T) {
+	prefixes := map[string]string{"ex": "http://ex/", "xsd": "http://www.w3.org/2001/XMLSchema#"}
+	for seed := int64(1); seed <= 50; seed++ {
+		st, err := sparql.ParseStatement(difftest.Prefixes + difftest.Data(rand.New(rand.NewSource(seed))))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		g := rdf.NewGraph()
+		for _, tp := range st.(*sparql.InsertData).Triples {
+			g.Add(tp.S.Term, tp.Path.(sparql.PathIRI).IRI, tp.O.Term)
+		}
+		for _, local := range []string{"x.y", "end.", "1a", "-a", ""} {
+			g.Add(rdf.IRI("http://ex/"+local), rdf.IRI("http://ex/p."+local), rdf.IRI("http://ex/s0"))
+		}
+		for name, write := range map[string]func(*strings.Builder) error{
+			"turtle":          func(sb *strings.Builder) error { return Write(sb, g, nil) },
+			"turtle+prefixes": func(sb *strings.Builder) error { return Write(sb, g, prefixes) },
+			"ntriples":        func(sb *strings.Builder) error { return WriteNTriples(sb, g) },
+		} {
+			var sb strings.Builder
+			if err := write(&sb); err != nil {
+				t.Fatal(err)
+			}
+			back := rdf.NewGraph()
+			if err := sparql.ParseTurtle(sb.String(), back); err != nil {
+				t.Fatalf("seed %d, %s: %v\noutput:\n%s", seed, name, err, sb.String())
+			}
+			wantGround, wantBlank := splitByBlanks(g)
+			gotGround, gotBlank := splitByBlanks(back)
+			if strings.Join(gotGround, "\n") != strings.Join(wantGround, "\n") || gotBlank != wantBlank {
+				t.Fatalf("seed %d, %s: read back %d ground + %d blank triples, want %d + %d\ngot  %q\nwant %q\noutput:\n%s",
+					seed, name, len(gotGround), gotBlank, len(wantGround), wantBlank, gotGround, wantGround, sb.String())
+			}
+		}
+	}
+}
+
+// splitByBlanks returns g's ground triples as sorted keys and the
+// number of triples with a blank node.
+func splitByBlanks(g *rdf.Graph) (ground []string, blank int) {
+	g.Triples(func(s, p, o rdf.Term) bool {
+		_, sb := s.(rdf.Blank)
+		_, ob := o.(rdf.Blank)
+		if sb || ob {
+			blank++
+		} else {
+			ground = append(ground, s.Key()+" "+p.Key()+" "+o.Key())
+		}
+		return true
+	})
+	sort.Strings(ground)
+	return ground, blank
 }

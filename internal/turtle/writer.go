@@ -1,3 +1,8 @@
+// Package turtle writes graphs as Turtle and N-Triples, the
+// serializations the dissertation uses for RDF examples (§3.1.1).
+// Arrays are written in the condensed collection syntax that
+// SciSPARQL's loader consolidates back into arrays (§5.3.2). Documents
+// are read by sparql.ParseTurtle, on the SPARQL lexer and term rules.
 package turtle
 
 import (
@@ -7,6 +12,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"scisparql/internal/array"
 	"scisparql/internal/rdf"
@@ -214,13 +220,18 @@ func needsIRIEscape(r rune) bool {
 	return false
 }
 
+// isSafeLocal reports whether s can be written as the local part of a
+// prefixed name and read back whole: a letter or '_' first, then
+// letters, digits, '_' and '-'. No dot, which a reader may split off
+// as a statement's end, and no leading digit, which after an empty
+// prefix reads as an array subscript's ':'.
 func isSafeLocal(s string) bool {
-	for _, r := range s {
-		if !isPNChar(r) || r == '.' {
+	for i, r := range s {
+		if !(r == '_' || unicode.IsLetter(r) || i > 0 && (r == '-' || unicode.IsDigit(r))) {
 			return false
 		}
 	}
-	return true
+	return s != ""
 }
 
 // renderArray emits an array as nested Turtle collections.

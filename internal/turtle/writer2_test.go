@@ -7,6 +7,7 @@ import (
 
 	"scisparql/internal/array"
 	"scisparql/internal/rdf"
+	"scisparql/internal/sparql"
 )
 
 func TestWriterFloatArrayRendering(t *testing.T) {
@@ -22,7 +23,7 @@ func TestWriterFloatArrayRendering(t *testing.T) {
 		t.Fatalf("output:\n%s", sb.String())
 	}
 	g2 := rdf.NewGraph()
-	if err := ParseString(sb.String(), g2); err != nil {
+	if err := sparql.ParseTurtle(sb.String(), g2); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -37,7 +38,7 @@ func TestWriterDateTimeAndTypedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	g2 := rdf.NewGraph()
-	if err := ParseString(sb.String(), g2); err != nil {
+	if err := sparql.ParseTurtle(sb.String(), g2); err != nil {
 		t.Fatalf("%v\n%s", err, sb.String())
 	}
 	if g2.Size() != 2 {
@@ -67,7 +68,7 @@ func TestWriterUnsafeLocalNamesStayFullIRIs(t *testing.T) {
 		t.Fatalf("output:\n%s", sb.String())
 	}
 	g2 := rdf.NewGraph()
-	if err := ParseString(sb.String(), g2); err != nil {
+	if err := sparql.ParseTurtle(sb.String(), g2); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -81,7 +82,7 @@ func TestWriterBlankNodeSubjects(t *testing.T) {
 		t.Fatal(err)
 	}
 	g2 := rdf.NewGraph()
-	if err := ParseString(sb.String(), g2); err != nil {
+	if err := sparql.ParseTurtle(sb.String(), g2); err != nil {
 		t.Fatal(err)
 	}
 	if g2.Size() != 1 {
@@ -109,7 +110,7 @@ func TestWriterEscapesStrings(t *testing.T) {
 		t.Fatal(err)
 	}
 	g2 := rdf.NewGraph()
-	if err := ParseString(sb.String(), g2); err != nil {
+	if err := sparql.ParseTurtle(sb.String(), g2); err != nil {
 		t.Fatalf("%v\n%s", err, sb.String())
 	}
 	ok := false
