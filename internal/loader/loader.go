@@ -11,6 +11,7 @@ package loader
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -27,20 +28,8 @@ type triple struct{ s, p, o rdf.Term }
 // a consolidated array term and removes the list-cell triples
 // (§5.3.2). It returns the number of arrays consolidated.
 func ConsolidateCollections(g *rdf.Graph) (int, error) {
-	// Gather candidate (s,p,head) triples: object has rdf:first and the
-	// predicate is not itself a list predicate.
-	var candidates []triple
-	g.Triples(func(s, p, o rdf.Term) bool {
-		if p == rdf.RDFFirst || p == rdf.RDFRest {
-			return true
-		}
-		if hasFirst(g, o) {
-			candidates = append(candidates, triple{s, p, o})
-		}
-		return true
-	})
 	consolidated := 0
-	for _, cand := range candidates {
+	for _, cand := range collectionCandidates(g) {
 		arr, cells, ok := parseNumericList(g, cand.o)
 		if !ok {
 			continue
@@ -57,6 +46,35 @@ func ConsolidateCollections(g *rdf.Graph) (int, error) {
 		consolidated++
 	}
 	return consolidated, nil
+}
+
+// collectionCandidates returns the triples whose object has an rdf:first
+// and whose predicate is not a list predicate, in the order Triples
+// yields them: the objects are rdf:first's subjects, their triples come
+// from the OSP index, and a graph without rdf:first costs one lookup.
+func collectionCandidates(g *rdf.Graph) []triple {
+	first, ok := g.Lookup(rdf.RDFFirst)
+	if !ok {
+		return nil
+	}
+	rest, _ := g.Lookup(rdf.RDFRest)
+	var ids []rdf.Triple
+	g.Match(0, first, 0, func(head rdf.Triple) bool {
+		g.Match(0, 0, head.S, func(t rdf.Triple) bool {
+			if t.P != first && t.P != rest {
+				ids = append(ids, t)
+			}
+			return true
+		})
+		return true
+	})
+	rdf.SortSPO(ids)
+	ids = slices.Compact(ids)
+	out := make([]triple, len(ids))
+	for i, t := range ids {
+		out[i] = triple{g.TermOf(t.S), g.TermOf(t.P), g.TermOf(t.O)}
+	}
+	return out
 }
 
 func hasFirst(g *rdf.Graph, node rdf.Term) bool {

@@ -1,6 +1,8 @@
 package loader
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"scisparql/internal/array"
@@ -113,6 +115,132 @@ ex:a ex:p (1 2) . ex:b ex:p (3 4 5) .`)
 	}
 	if n != 2 || g.Size() != 2 {
 		t.Fatalf("n=%d size=%d", n, g.Size())
+	}
+}
+
+// scanCandidates is ConsolidateCollections' candidate search as a scan
+// of the whole graph: every triple whose object has an rdf:first and
+// whose predicate is not a list predicate, in the order Triples yields
+// them.
+func scanCandidates(g *rdf.Graph) []triple {
+	var out []triple
+	g.Triples(func(s, p, o rdf.Term) bool {
+		if p != rdf.RDFFirst && p != rdf.RDFRest && hasFirst(g, o) {
+			out = append(out, triple{s, p, o})
+		}
+		return true
+	})
+	return out
+}
+
+// listGraph is a random graph of triples whose objects are numbers,
+// IRIs, fresh collections or collections already used elsewhere, some
+// of them nested, some holding a string, some with a collection as their
+// subject.
+func listGraph(rng *rand.Rand) *rdf.Graph {
+	g := rdf.NewGraph()
+	var heads []rdf.Term
+	blanks := 0
+	blank := func() rdf.Term { blanks++; return rdf.Blank(fmt.Sprintf("b%d", blanks)) }
+	var list func(depth int) rdf.Term
+	list = func(depth int) rdf.Term {
+		head, n := blank(), 1+rng.Intn(3)
+		for cur, i := head, 0; i < n; i++ {
+			var item rdf.Term = rdf.Integer(rng.Intn(9))
+			switch r := rng.Intn(8); {
+			case r == 0:
+				item = rdf.String{Val: "x"}
+			case r == 1 && depth < 2:
+				item = list(depth + 1)
+			case r == 2 && len(heads) > 0:
+				item = heads[rng.Intn(len(heads))]
+			}
+			next := rdf.Term(rdf.RDFNil)
+			if i < n-1 {
+				next = blank()
+			}
+			g.Add(cur, rdf.RDFFirst, item)
+			g.Add(cur, rdf.RDFRest, next)
+			cur = next
+		}
+		heads = append(heads, head)
+		return head
+	}
+	for range 30 {
+		var s rdf.Term = rdf.IRI(fmt.Sprintf("http://ex/s%d", rng.Intn(6)))
+		if rng.Intn(6) == 0 && len(heads) > 0 {
+			s = heads[rng.Intn(len(heads))]
+		}
+		var o rdf.Term = rdf.Integer(rng.Intn(9))
+		switch r := rng.Intn(6); {
+		case r == 0:
+			o = rdf.IRI("http://ex/o")
+		case r < 3:
+			o = list(0)
+		case r == 3 && len(heads) > 0:
+			o = heads[rng.Intn(len(heads))]
+		}
+		g.Add(s, rdf.IRI(fmt.Sprintf("http://ex/p%d", rng.Intn(3))), o)
+	}
+	return g
+}
+
+func sameCandidates(t *testing.T, g *rdf.Graph) {
+	t.Helper()
+	got, want := collectionCandidates(g), scanCandidates(g)
+	if len(got) != len(want) {
+		t.Fatalf("%d candidates, a full scan finds %d", len(got), len(want))
+	}
+	for i := range got {
+		if !rdf.SameTerm(got[i].s, want[i].s) || got[i].p != want[i].p || !rdf.SameTerm(got[i].o, want[i].o) {
+			t.Fatalf("candidate %d is %v, a full scan's is %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestCollectionCandidatesMatchFullScan: the index-driven candidate search
+// finds what a scan of every triple finds, in the same order, so the same
+// collections consolidate in the same order — which decides the outcome
+// when two triples share a list. A fixed document with nested, shared and
+// non-numeric lists beside unrelated triples pins that outcome; 200
+// random graphs pin the candidates; a graph without rdf:first has none.
+func TestCollectionCandidatesMatchFullScan(t *testing.T) {
+	if got := collectionCandidates(parseTTL(t, `<http://ex/s> <http://ex/p> 1, 2 .`)); got != nil {
+		t.Fatalf("candidates %v in a graph without collections", got)
+	}
+	g := parseTTL(t, `@prefix ex: <http://ex/> .
+ex:u ex:p 7 . ex:u ex:q ex:v .
+ex:a ex:p ((1 2) (3 4)) .
+ex:b ex:p _:shared . ex:c ex:q _:shared .
+_:shared <http://www.w3.org/1999/02/22-rdf-syntax-ns#first> 5 ; <http://www.w3.org/1999/02/22-rdf-syntax-ns#rest> (6) .
+ex:d ex:p (1 "two" 3) .
+ex:e ex:p (8 9) . ex:e ex:r 10 .`)
+	sameCandidates(t, g)
+	if n, err := ConsolidateCollections(g); err != nil || n != 3 {
+		t.Fatalf("consolidated %d (%v), want 3", n, err)
+	}
+	arrays, shared := 0, 0
+	g.Triples(func(s, p, o rdf.Term) bool {
+		if _, ok := o.(rdf.Array); ok {
+			arrays++
+		}
+		if _, ok := o.(rdf.Blank); ok && (s == rdf.IRI("http://ex/b") || s == rdf.IRI("http://ex/c")) {
+			shared++
+		}
+		return true
+	})
+	// ex:a, ex:e and one of ex:b and ex:c get an array; the other keeps
+	// the blank head, whose cells went with the first; ex:d's triple and
+	// its list's 3 cells of 2 triples each stay, and so do the 3
+	// unrelated triples.
+	if arrays != 3 || shared != 1 || g.Size() != 3+1+(1+2*3)+3 {
+		t.Fatalf("%d arrays, %d shared heads left, %d triples", arrays, shared, g.Size())
+	}
+	if a := arrayOf(t, g, rdf.IRI("http://ex/a"), rdf.IRI("http://ex/p")); !array.ShapeEqual(a.Shape, []int{2, 2}) {
+		t.Fatalf("ex:a's array has shape %v", a.Shape)
+	}
+	for seed := int64(1); seed <= 200; seed++ {
+		sameCandidates(t, listGraph(rand.New(rand.NewSource(seed))))
 	}
 }
 

@@ -160,16 +160,15 @@ func BenchmarkBuildTx(b *testing.B) {
 
 // BenchmarkBuiltProbe is the vectorized join's two probes — HasIDs on a
 // present triple, MatchAppend on its (s, p) pair — over a built graph
-// and over a Tx graph of the same gather-shaped triples.
+// and over a graph of the same gather-shaped triples in tries (bare
+// adds).
 func BenchmarkBuiltProbe(b *testing.B) {
 	ts := gatherShaped(2000)
 	built, added := NewGraph(), NewGraph()
 	built.Build(slices.Clone(ts))
-	tx := added.Begin()
 	for _, t := range ts {
-		tx.addIDs(t.S, t.P, t.O)
+		added.addIDs(t.S, t.P, t.O)
 	}
-	tx.Commit()
 	for _, g := range []struct {
 		name string
 		g    *Graph

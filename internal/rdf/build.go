@@ -30,8 +30,7 @@ func (g *Graph) Build(ts []Triple) {
 	if g.spare = nil; b == nil || cap(b.rows) < 3*m {
 		b = &base{rows: make([]Triple, 3*m)}
 	}
-	sortTrie(ts, b.rows[2*m:3*m], 0)
-	ts = slices.Compact(ts)
+	ts = sortedSet(ts, b.rows[2*m:3*m])
 	b.fill(ts)
 	g.publish(&graphState{base: b, size: len(ts), sealed: true})
 }
@@ -57,6 +56,18 @@ func (g *Graph) Reset() {
 	}
 	g.dict.reset()
 	g.publish(&graphState{})
+}
+
+// SortSPO sorts ts into the order in which Match yields the
+// all-wildcard pattern: by subject, then property, then value, each in
+// the graph's trie order.
+func SortSPO(ts []Triple) { sortTrie(ts, make([]Triple, len(ts)), 0) }
+
+// sortedSet sorts ts in trie order through tmp (sortTrie) and returns
+// it without its duplicates.
+func sortedSet(ts, tmp []Triple) []Triple {
+	sortTrie(ts, tmp, 0)
+	return slices.Compact(ts)
 }
 
 // rotate turns a batch in trie order one place (turn) and re-sorts it;

@@ -26,20 +26,20 @@ func poolTriples(data []byte) []Triple {
 	return ts
 }
 
-// checkBuild builds ts three ways — Build, a Tx adding the triples one
-// by one, and bare writes under a delta cap of four that reach them
-// through compactions, with decoys added and deleted and every other
-// triple deleted and added back — and requires the graphs to agree on
-// every probe (sameGraph): each triple, and beside it two mostly absent
-// ones, its IDs moved by one or by a chunk and its components rotated.
+// checkBuild builds ts four ways — Build, bare writes adding the
+// triples one by one into the tries, bare writes under a delta cap of
+// four that reach them through compactions, with decoys added and
+// deleted and every other triple deleted and added back, and a Tx under
+// that cap whose adds mostly go to its log (bulk) — and requires the
+// graphs to agree on every probe (sameGraph): each triple, and beside it
+// two mostly absent ones, its IDs moved by one or by a chunk and its
+// components rotated.
 func checkBuild(t *testing.T, ts []Triple) {
 	t.Helper()
 	added := NewGraph()
-	tx := added.Begin()
 	for _, tr := range ts {
-		tx.addIDs(tr.S, tr.P, tr.O)
+		added.addIDs(tr.S, tr.P, tr.O)
 	}
-	tx.Commit()
 	built := NewGraph()
 	built.Build(slices.Clone(ts))
 	probes := append(slices.Clone(ts), Triple{1, 2, 3}, Triple{1<<32 - 1, 1<<32 - 1, 1<<32 - 1})
@@ -48,6 +48,40 @@ func checkBuild(t *testing.T, ts []Triple) {
 	}
 	sameGraph(t, built, added, probes)
 	sameGraph(t, compacting(t, ts), added, probes)
+	sameGraph(t, bulk(t, ts), added, probes)
+}
+
+// bulk reaches ts's triples through one Tx under a delta cap of four.
+// Begun on an empty graph, it logs every triple twice; then every third
+// is deleted — which folds the log into the staged state — and added
+// back twice, into the tries until the delta passes the cap and into the
+// log after. Size and Changed must count each effective write once
+// before Commit.
+func bulk(t *testing.T, ts []Triple) *Graph {
+	lowerDeltaCap(t, 4)
+	g := NewGraph()
+	tx := g.Begin()
+	for _, tr := range slices.Concat(ts, ts) {
+		tx.addIDs(tr.S, tr.P, tr.O)
+	}
+	want := len(sortedSet(slices.Clone(ts), make([]Triple, len(ts))))
+	changed := want
+	for i, tr := range ts {
+		if i%3 != 0 {
+			continue
+		}
+		if !tx.deleteIDs(tr.S, tr.P, tr.O) {
+			t.Fatalf("Delete%v: absent from the staged state", tr)
+		}
+		tx.addIDs(tr.S, tr.P, tr.O)
+		tx.addIDs(tr.S, tr.P, tr.O)
+		changed += 2
+	}
+	if tx.Size() != want || tx.Changed() != changed {
+		t.Fatalf("Tx.Size %d, Changed %d; want %d, %d", tx.Size(), tx.Changed(), want, changed)
+	}
+	tx.Commit()
+	return g
 }
 
 // compacting reaches ts's triples by bare writes under a delta cap of
@@ -214,7 +248,7 @@ func TestBuiltMatchStopsWhenCancelled(t *testing.T) {
 }
 
 // FuzzBuild reads three pool indexes per triple (poolTriples); the
-// oracle is a Tx adding the same triples one by one.
+// oracle is bare writes adding the same triples one by one.
 func FuzzBuild(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 0, 1, 2, 0, 1, 2})

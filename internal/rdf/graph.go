@@ -110,13 +110,28 @@ func perm(s, p, o ID) (k int, key Triple, n int) {
 	return 0, Triple{}, 0
 }
 
-// compacted returns a state holding st's triples as a base alone.
-func (st *graphState) compacted() *graphState {
-	ts := make([]Triple, 0, st.size)
-	st.match(nil, 0, 0, 0, func(t Triple) bool { ts = append(ts, t); return true })
-	b := &base{rows: make([]Triple, 3*len(ts))}
-	b.fill(ts)
-	return &graphState{base: b, size: len(ts)}
+// merged returns a state holding st's triples and log's — sorted in trie
+// order, distinct, none of them in st — as a base alone: one linear
+// merge of st's SPO enumeration with log, laid out by fill. With an
+// empty log it is compaction.
+func (st *graphState) merged(log []Triple) *graphState {
+	n := st.size + len(log)
+	ts := make([]Triple, 0, n)
+	st.match(nil, 0, 0, 0, func(t Triple) bool {
+		i := search(log, t, 3, false)
+		ts, log = append(append(ts, log[:i]...), t), log[i:]
+		return true
+	})
+	b := &base{rows: make([]Triple, 3*n)}
+	b.fill(append(ts, log...))
+	return &graphState{base: b, size: n}
+}
+
+// spilled reports whether st's delta is past the size at which
+// publication folds it into a new base.
+func (st *graphState) spilled() bool {
+	// The base holds size - adds + dels triples.
+	return st.adds.n+st.dels.n > max(deltaCap, (st.size-st.adds.n+st.dels.n)/16)
 }
 
 // tries is one side of a delta: the three index permutations of one
@@ -430,9 +445,8 @@ func (g *Graph) EnsureBlankNo(n int64) {
 // generation; a delta past its cap is compacted into a new base first.
 // Caller holds wmu.
 func (g *Graph) publish(st *graphState) {
-	// The base holds size - adds + dels triples.
-	if st.adds.n+st.dels.n > max(deltaCap, (st.size-st.adds.n+st.dels.n)/16) {
-		st = st.compacted()
+	if st.spilled() {
+		st = st.merged(nil)
 	}
 	st.gen = g.gen.Add(1)
 	g.state.Store(st)
@@ -605,8 +619,14 @@ type Op struct {
 // visible to readers atomically at Commit. The writer lock is held
 // from Begin until Commit or Abort, so transactions serialize among
 // themselves; readers are never blocked. With recording enabled, the
-// transaction collects the effective (state-changing) operations in
-// application order for the write-ahead log.
+// transaction collects the effective (state-changing) operations for
+// the write-ahead log.
+//
+// Adds go into the staged delta's tries unless Commit would build a base
+// anyway — the staged state is empty, or its delta is past the size at
+// which publication compacts it. Then they go to a flat log of IDs, and
+// Commit merges the sorted log with the staged state into one new base.
+// A Delete folds a pending log into the staged state first.
 type Tx struct {
 	g    *Graph
 	st   graphState
@@ -619,6 +639,12 @@ type Tx struct {
 	// changed counts effective mutations (adds that inserted, deletes
 	// that removed).
 	changed int
+
+	// log holds the adds past the spill: its first settled rows sorted
+	// in trie order, distinct, none of them in st, and counted and
+	// recorded; the rest as written.
+	log     []Triple
+	settled int
 }
 
 // txTags is the process-wide source of edit tags. It saturates: a tag
@@ -643,43 +669,96 @@ func (t *Tx) Record(on bool) { t.record = on }
 
 // Ops returns the effective operations recorded so far (only with
 // Record(true)); the slice is owned by the transaction until Commit.
-func (t *Tx) Ops() []Op { return t.ops }
+// Replayed in order on the state at Begin, they give the staged state;
+// the adds of one log come in trie order, not as written.
+func (t *Tx) Ops() []Op { t.settle(); return t.ops }
 
 // Changed returns the number of effective mutations staged so far.
-func (t *Tx) Changed() int { return t.changed }
+func (t *Tx) Changed() int { t.settle(); return t.changed }
 
 // Size returns the staged triple count (as it will be after Commit).
-func (t *Tx) Size() int { return t.st.size }
+func (t *Tx) Size() int { t.settle(); return t.st.size + len(t.log) }
 
-// Add stages a triple insert; false when already present in the staged
-// state.
-func (t *Tx) Add(s, p, o Term) bool {
-	return t.addIDs(t.g.Intern(s), t.g.Intern(p), t.g.Intern(o))
+// Add stages a triple insert. Whether it changes anything shows in
+// Changed.
+func (t *Tx) Add(s, p, o Term) {
+	t.addIDs(t.g.Intern(s), t.g.Intern(p), t.g.Intern(o))
 }
 
-// addIDs is Add for a triple of already-interned IDs.
-func (t *Tx) addIDs(s, p, o ID) bool {
-	if !t.st.add(t.tag, s, p, o) {
-		return false
+// addIDs is Add for a triple of already-interned IDs. An add goes to the
+// log once Commit would build a base anyway: the staged state holds
+// nothing to merge, or its delta is past publication's cap.
+func (t *Tx) addIDs(s, p, o ID) {
+	if t.st.size == 0 || t.st.spilled() {
+		t.log = append(t.log, Triple{s, p, o})
+	} else if t.st.add(t.tag, s, p, o) {
+		t.added(s, p, o)
 	}
+}
+
+// added counts an effective add and records it.
+func (t *Tx) added(s, p, o ID) {
 	t.changed++
 	if t.record {
 		t.ops = append(t.ops, Op{Kind: OpAdd, S: t.g.TermOf(s), P: t.g.TermOf(p), O: t.g.TermOf(o)})
 	}
-	return true
+}
+
+// settle sorts the log's unsettled rows, drops those already staged —
+// in st, in the settled rows or repeated — counts and records the rest,
+// and merges them into the settled rows.
+func (t *Tx) settle() {
+	if t.settled == len(t.log) {
+		return
+	}
+	tmp := make([]Triple, len(t.log))
+	n := t.settled
+	for _, tr := range sortedSet(t.log[n:], tmp) {
+		if i := search(t.log[:t.settled], tr, 3, false); i < t.settled && t.log[i] == tr || t.st.has(tr.S, tr.P, tr.O) {
+			continue
+		}
+		t.log[n] = tr
+		n++
+		t.added(tr.S, tr.P, tr.O)
+	}
+	if t.log = t.log[:n]; t.settled != 0 {
+		sortTrie(t.log, tmp, 0)
+	}
+	t.settled = n
+}
+
+// staged settles the log and returns the state Commit would publish.
+func (t *Tx) staged() *graphState {
+	if t.settle(); len(t.log) != 0 {
+		return t.st.merged(t.log)
+	}
+	st := t.st
+	return &st
 }
 
 // Delete stages a triple removal; false when absent from the staged
 // state.
 func (t *Tx) Delete(s, p, o Term) bool {
 	si, pi, oi, ok := t.g.lookup3(s, p, o)
-	if !ok || !t.st.del(t.tag, si, pi, oi) {
+	if !ok || !t.deleteIDs(si, pi, oi) {
 		return false
 	}
-	t.changed++
 	if t.record {
 		t.ops = append(t.ops, Op{Kind: OpDelete, S: s, P: p, O: o})
 	}
+	return true
+}
+
+// deleteIDs is Delete for a triple of interned IDs, unrecorded. A
+// pending log is folded into the staged state first.
+func (t *Tx) deleteIDs(s, p, o ID) bool {
+	if len(t.log) != 0 {
+		t.st, t.log, t.settled = *t.staged(), t.log[:0], 0
+	}
+	if !t.st.del(t.tag, s, p, o) {
+		return false
+	}
+	t.changed++
 	return true
 }
 
@@ -690,9 +769,8 @@ func (t *Tx) Commit() {
 		return
 	}
 	t.done = true
-	if t.changed > 0 {
-		st := t.st
-		t.g.publish(&st)
+	if st := t.staged(); t.changed > 0 {
+		t.g.publish(st)
 	}
 	t.g.wmu.Unlock()
 }

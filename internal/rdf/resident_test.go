@@ -13,8 +13,10 @@ import (
 // triples — a type, one of 12 journals and one of 20 years shared by
 // many, a title of their own, three creators out of docs/4+1 authors,
 // an abstract on every third — plus two triples per author.
-func biblioGraph(docs int) *Graph {
-	g := NewGraph()
+func biblioGraph(docs int) *Graph { return biblioInto(NewGraph(), docs) }
+
+// biblioInto is biblioGraph's transaction run on g.
+func biblioInto(g *Graph, docs int) *Graph {
 	b := func(format string, a ...any) ID { return g.Intern(IRI("http://bench/" + fmt.Sprintf(format, a...))) }
 	typ, name, journal, year := b("type"), b("name"), b("journal"), b("year")
 	title, creator, abstract := b("title"), b("creator"), b("abstract")
@@ -55,13 +57,6 @@ func TestGuardResidentBytesPerTriple(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow memory is not what this measures")
 	}
-	heap := func() uint64 {
-		var ms runtime.MemStats
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
 	before := heap()
 	g := biblioGraph(20000)
 	got := float64(heap()-before) / float64(g.Size())
@@ -69,6 +64,44 @@ func TestGuardResidentBytesPerTriple(t *testing.T) {
 	t.Logf("%d triples, %d terms: %.0f B/triple resident", g.Size(), g.dict.len(), got)
 	if got > 95 {
 		t.Errorf("resident heap is %.0f B/triple, want <= 95", got)
+	}
+}
+
+// heap returns the live heap after two collections.
+func heap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestGuardBulkCommitLeavesBase: a Tx of more than deltaCap adds commits
+// a base with an empty delta — into an empty graph, where the Tx logs
+// every add, and into a non-empty one, where it fills its tries to the
+// cap and logs the rest — and the graph keeps no more per triple than
+// TestGuardResidentBytesPerTriple allows. A delta left in tries costs
+// about twice the bytes per triple of a base.
+func TestGuardBulkCommitLeavesBase(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory is not what this measures")
+	}
+	for _, seeded := range []bool{false, true} {
+		before := heap()
+		g := NewGraph()
+		if seeded {
+			seed := g.Intern(IRI("http://bench/seed"))
+			g.addIDs(seed, seed, seed)
+		}
+		biblioInto(g, 20000)
+		got := float64(heap()-before) / float64(g.Size())
+		if st := g.cur(); st.base == nil || st.adds.n+st.dels.n != 0 || len(st.base.rows) != 3*st.size || st.size <= deltaCap {
+			t.Fatalf("seeded %v: %d triples committed as base %v, %d adds and %d tombstones", seeded, st.size, st.base != nil, st.adds.n, st.dels.n)
+		}
+		t.Logf("seeded %v: %d triples, %.0f B/triple resident", seeded, g.Size(), got)
+		if got > 95 {
+			t.Errorf("seeded %v: resident heap is %.0f B/triple, want <= 95", seeded, got)
+		}
 	}
 }
 

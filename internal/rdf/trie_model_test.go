@@ -12,11 +12,13 @@ import (
 // The tries have one mutator (pmap.go) reached three ways: a bare
 // Add/Delete (tag 0, every node copied), a long transaction (almost
 // every node its own, edited in place) and short ones (a mix, plus
-// Abort). The model test drives all three with the same random
-// sequences and compares the graph with a plain map after every step —
-// once with the delta's default cap, where these short sequences never
-// leave the tries, and once with a cap so low that publication keeps
-// compacting them into a base, which later writes then delete from.
+// Abort). The model test drives all three, and a long transaction of
+// mostly adds, with the same random sequences and compares the graph
+// with a plain map after every step — once with the delta's default
+// cap, where these short sequences never leave the tries, and once with
+// a cap so low that publication keeps compacting them into a base,
+// which later writes then delete from, and a transaction's adds go to
+// its log once its delta passes the cap.
 
 // lowerDeltaCap makes publication compact any delta of more than n
 // triples until the test ends.
@@ -31,7 +33,7 @@ func lowerDeltaCap(t testing.TB, n int) {
 func compact(g *Graph) *Graph {
 	g.wmu.Lock()
 	defer g.wmu.Unlock()
-	g.publish(g.cur().compacted())
+	g.publish(g.cur().merged(nil))
 	return g
 }
 
@@ -62,13 +64,19 @@ type pinned struct {
 
 // trieModel is a graph beside its oracle: committed is what the graph
 // publishes, staged what the open transaction (if any) will publish.
+// The transaction records its ops; replayed holds what its first
+// replayedOps of them give when replayed on the state at Begin, and
+// changed counts the effective writes it staged.
 type trieModel struct {
-	t         testing.TB
-	g         *Graph
-	tx        *Tx
-	committed map[Triple]struct{}
-	staged    map[Triple]struct{}
-	pins      []pinned
+	t           testing.TB
+	g           *Graph
+	tx          *Tx
+	committed   map[Triple]struct{}
+	staged      map[Triple]struct{}
+	replayed    map[Triple]struct{}
+	replayedOps int
+	changed     int
+	pins        []pinned
 }
 
 func newTrieModel(t testing.TB) *trieModel {
@@ -79,7 +87,9 @@ func newTrieModel(t testing.TB) *trieModel {
 
 func (m *trieModel) begin() {
 	m.tx = m.g.Begin()
-	m.staged = maps.Clone(m.committed)
+	m.tx.Record(true)
+	m.staged, m.replayed = maps.Clone(m.committed), maps.Clone(m.committed)
+	m.replayedOps, m.changed = 0, 0
 }
 
 func (m *trieModel) end(commit bool) {
@@ -122,7 +132,9 @@ func (m *trieModel) apply(add bool, tr Triple) {
 	var did bool
 	switch {
 	case add && m.tx != nil:
-		did = m.tx.addIDs(tr.S, tr.P, tr.O)
+		n := m.tx.Changed()
+		m.tx.addIDs(tr.S, tr.P, tr.O)
+		did = m.tx.Changed() != n
 	case add:
 		did = m.g.addIDs(tr.S, tr.P, tr.O)
 	case m.tx != nil:
@@ -138,6 +150,9 @@ func (m *trieModel) apply(add bool, tr Triple) {
 	} else {
 		delete(model, tr)
 	}
+	if did && m.tx != nil {
+		m.changed++
+	}
 	m.check(tr)
 }
 
@@ -147,13 +162,38 @@ func (m *trieModel) check(tr Triple) {
 	m.t.Helper()
 	checkShapes(m.t, m.g, m.committed, tr)
 	if m.tx != nil {
-		st := m.tx.st
 		view := &Graph{dict: m.g.dict, frozen: true}
-		view.state.Store(&st)
+		view.state.Store(m.tx.staged())
 		checkShapes(m.t, view, m.staged, tr)
-		if m.tx.Size() != len(m.staged) {
-			m.t.Fatalf("Tx.Size %d, model %d", m.tx.Size(), len(m.staged))
+		if m.tx.Size() != len(m.staged) || m.tx.Changed() != m.changed {
+			m.t.Fatalf("Tx.Size %d, Changed %d; model %d, %d", m.tx.Size(), m.tx.Changed(), len(m.staged), m.changed)
 		}
+		m.replay()
+	}
+}
+
+// replay applies the ops the transaction recorded since the last call to
+// replayed, requiring each to be effective, and compares the result with
+// staged.
+func (m *trieModel) replay() {
+	m.t.Helper()
+	ops := m.tx.Ops()
+	for _, op := range ops[m.replayedOps:] {
+		s, p, o, ok := m.g.lookup3(op.S, op.P, op.O)
+		tr := Triple{s, p, o}
+		_, had := m.replayed[tr]
+		if !ok || had != (op.Kind == OpDelete) {
+			m.t.Fatalf("op %v on %v is not effective: present=%v", op.Kind, tr, had)
+		}
+		if op.Kind == OpAdd {
+			m.replayed[tr] = struct{}{}
+		} else {
+			delete(m.replayed, tr)
+		}
+	}
+	m.replayedOps = len(ops)
+	if !maps.Equal(m.replayed, m.staged) {
+		m.t.Fatalf("replaying Ops gives %d triples, the staged state has %d", len(m.replayed), len(m.staged))
 	}
 }
 
@@ -253,6 +293,14 @@ func TestTrieModel(t *testing.T) {
 				m.begin()
 			}
 		},
+		// One transaction for the whole run, nine adds in ten until the
+		// last third: under the low cap, its adds keep going to the log,
+		// repeating staged triples, until a delete folds it.
+		"bulk-tx": func(m *trieModel, _ *rand.Rand, step int) {
+			if step == 0 {
+				m.begin()
+			}
+		},
 		// Transactions of 1-40 steps, one in four aborted, now and then a
 		// Clear between two of them.
 		"short-tx": func(m *trieModel, rng *rand.Rand, _ int) {
@@ -283,6 +331,9 @@ func TestTrieModel(t *testing.T) {
 					width, adds := Triple{all, all, all}, 6
 					if seed > 3 {
 						width, adds = narrowPool, 5
+					}
+					if name == "bulk-tx" {
+						adds = 9
 					}
 					for step := 0; step < steps; step++ {
 						control(m, rng, step)
