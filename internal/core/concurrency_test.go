@@ -13,12 +13,22 @@ import (
 
 // TestConcurrentQueriesAndUpdates is the SSDM-level stress test: many
 // goroutines run read-only queries while others push updates, Turtle
-// loads and array publications through the write path. Under -race it
+// loads and array publications through the write path, on an instance
+// without a log and on one with (whose loads intern into the target's
+// dictionary through a stage while readers resolve it). Under -race it
 // exercises the operation lock classification end to end; the
 // assertions check that every query observes a statement-atomic
 // dataset (each ex:runN is seen with all of its triples or none).
 func TestConcurrentQueriesAndUpdates(t *testing.T) {
-	db := Open()
+	t.Run("plain", func(t *testing.T) { concurrentQueriesAndUpdates(t, Open()) })
+	t.Run("durable", func(t *testing.T) {
+		db := openWAL(t, t.TempDir(), nil)
+		defer db.CloseWAL()
+		concurrentQueriesAndUpdates(t, db)
+	})
+}
+
+func concurrentQueriesAndUpdates(t *testing.T, db *SSDM) {
 	db.AttachBackend(storage.NewMemory())
 
 	// A stable core the readers can always count on.

@@ -1,0 +1,207 @@
+package core
+
+import (
+	"fmt"
+	"runtime"
+	"slices"
+	"strings"
+	"testing"
+
+	"scisparql/internal/array"
+	"scisparql/internal/rdf"
+	"scisparql/internal/storage"
+	"scisparql/internal/wal"
+)
+
+// biblioDoc is the benchmark's bibliographic document shape — documents
+// typed, placed in a journal, dated, titled and credited to three
+// authors, abstracts on a third — 156 669 triples at 20 000 documents.
+func biblioDoc(docs int) string {
+	var sb strings.Builder
+	authors := docs/4 + 1
+	sb.WriteString("@prefix b: <http://example.org/bench/> .\n")
+	for a := 0; a < authors; a++ {
+		fmt.Fprintf(&sb, "b:author%d b:type b:Person ; b:name \"Author %d\" .\n", a, a)
+	}
+	for d := 0; d < docs; d++ {
+		fmt.Fprintf(&sb, "b:doc%d b:type b:Article ; b:journal b:journal%d ; b:year %d ; b:title \"Title %d\" ; b:creator b:author%d , b:author%d , b:author%d",
+			d, d%8, 1990+d%20, d, 3*d%authors, (3*d+1)%authors, (3*d+2)%authors)
+		if d%3 == 0 {
+			fmt.Fprintf(&sb, " ; b:abstract \"Abstract of doc %d\"", d)
+		}
+		sb.WriteString(" .\n")
+	}
+	return sb.String()
+}
+
+// TestGuardDurableLoadCopiesOnce: a durable LoadTurtle parses the
+// document into a stage over the target's dictionary and logs it from
+// IDs, so it allocates a plain load's bytes plus one pass over IDs —
+// not a second interning of the document and a term table. Over the
+// 156 669-triple benchmark document, the durable load's bytes against a
+// plain load's read 3.40× when the stage had a dictionary of its own and
+// the log encoded terms, and 1.46–1.47× over forty readings since.
+func TestGuardDurableLoadCopiesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocator overhead is not what this measures")
+	}
+	src := biblioDoc(20000)
+	allocated := func(db *SSDM) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if err := db.LoadTurtle(src, ""); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if n := db.Dataset.Default.Size(); n != 156669 {
+			t.Fatalf("loaded %d triples, want 156 669", n)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	plain := allocated(Open())
+	db := openWAL(t, t.TempDir(), nil)
+	defer db.CloseWAL()
+	durable := allocated(db)
+	ratio := float64(durable) / float64(plain)
+	t.Logf("durable %d B, plain %d B: %.2f×", durable, plain, ratio)
+	if ratio > 1.6 {
+		t.Errorf("a durable load allocates %.2f× a plain one (%d vs %d B): it copies the document again", ratio, durable, plain)
+	}
+}
+
+// lastBatch returns the body of the last batch record in the log in dir.
+func lastBatch(t *testing.T, dir string) []byte {
+	t.Helper()
+	l, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var last []byte
+	if err := l.Replay(0, func(_ uint64, typ byte, body []byte) error {
+		if typ == wal.RecBatch {
+			last = slices.Clone(body)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return last
+}
+
+// TestDurableLoadLogsFileLinks: a durable load of a document holding
+// ssdm:fileLink literals, with a back-end attached, resolves them to
+// proxied arrays in the live graph, logs the link literals and not the
+// elements, and a fresh instance recovering the log on the same back-end
+// holds proxied arrays with the same elements.
+func TestDurableLoadLogsFileLinks(t *testing.T) {
+	backend := storage.NewMemory()
+	a, _ := array.FromFloats([]float64{1.5, 2.5, 3.5, 4.5}, 2, 2)
+	id, err := backend.Store(a, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	open := func() *SSDM {
+		db := OpenWith(Options{WALDir: dir, WALSync: "none"})
+		db.AttachBackend(backend)
+		if _, err := db.EnableWAL(); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	db := open()
+	doc := fmt.Sprintf(`@prefix ex: <http://ex/> . @prefix ssdm: <%s> .
+ex:s1 ex:data "%d"^^ssdm:fileLink ; ex:n 1 .
+ex:s2 ex:data "%d"^^ssdm:fileLink .`, rdf.SSDMNS, id, id)
+	if err := db.LoadTurtle(doc, ""); err != nil {
+		t.Fatal(err)
+	}
+	want := datasetKeys(db)
+	proxied := 0
+	db.Dataset.Default.Triples(func(_, _, o rdf.Term) bool {
+		if at, ok := o.(rdf.Array); ok && at.A.Base.Proxy != nil {
+			proxied++
+		}
+		return true
+	})
+	if proxied != 2 {
+		t.Fatalf("the live graph holds %d proxied arrays, want 2", proxied)
+	}
+	db.CloseWAL()
+
+	_, _, dels, adds, err := decodeBatch(lastBatch(t, dir))
+	if err != nil || len(dels) != 0 || len(adds) != 3 {
+		t.Fatalf("load record: %d deletes, %d adds (%v); want 0, 3", len(dels), len(adds), err)
+	}
+	link := rdf.Typed{Lexical: fmt.Sprint(id), Datatype: rdf.SSDMFileLink}
+	links := 0
+	for _, row := range adds {
+		if _, ok := row[2].(rdf.Array); ok {
+			t.Fatalf("the load record holds an array's elements: %v", row)
+		}
+		if row[2] == link {
+			links++
+		}
+	}
+	if links != 2 {
+		t.Fatalf("the load record holds %d file links, want 2: %v", links, adds)
+	}
+
+	rec := open()
+	defer rec.CloseWAL()
+	if got := datasetKeys(rec); !slices.Equal(got, want) {
+		t.Fatalf("recovered %v, want %v", got, want)
+	}
+}
+
+// TestDurableLoadFailureLogsNothing pins the failure contract of a
+// durable load: one that fails in parsing or in consolidation (a file
+// link to no array) appends no record and leaves the graph's triples as
+// they were; the terms it interned stay, as a failed plain parse leaves
+// them. A load after the failures logs and recovers as usual.
+func TestDurableLoadFailureLogsNothing(t *testing.T) {
+	held := "@prefix ex: <http://ex/> .\nex:a ex:p 1 ; ex:q [ ex:r 2 ] .\n"
+	badParse := "@prefix ex: <http://ex/> .\nex:new1 ex:p ex:new2 .\nex:new3 ex:p .\n"
+	badLink := "@prefix ex: <http://ex/> .\nex:new4 ex:p \"999\"^^<" + string(rdf.SSDMFileLink) + "> .\n"
+	dir := t.TempDir()
+	db := openWAL(t, dir, nil)
+	db.AttachBackend(storage.NewMemory())
+	plain := Open()
+	plain.AttachBackend(storage.NewMemory())
+	for _, d := range []*SSDM{db, plain} {
+		if err := d.LoadTurtle(held, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	triples := tripleKeys(db.Dataset.Default)
+	for _, doc := range []string{badParse, badLink} {
+		appends := db.WALStats().Appends
+		if err := db.LoadTurtle(doc, ""); err == nil {
+			t.Fatalf("loading %q succeeded", doc)
+		}
+		if got := db.WALStats().Appends; got != appends {
+			t.Errorf("a failed durable load appended %d records", got-appends)
+		}
+		if got := tripleKeys(db.Dataset.Default); !slices.Equal(got, triples) {
+			t.Errorf("a failed durable load changed the triples to %v", got)
+		}
+	}
+	if err := plain.LoadTurtle(badParse, ""); err == nil {
+		t.Fatal("a plain load of a bad document succeeded")
+	}
+	if got, want := db.DictStats().Terms, plain.DictStats().Terms; got != want+2 {
+		t.Errorf("the durable instance interns %d terms, the plain one %d; want the plain one's plus the two of the bad link's line", got, want)
+	}
+	if err := db.LoadTurtle("@prefix ex: <http://ex/> .\nex:b ex:p [ ex:r 3 ] .\n", ""); err != nil {
+		t.Fatal(err)
+	}
+	live := datasetKeys(db)
+	db.CloseWAL()
+	rec := openWAL(t, dir, nil)
+	defer rec.CloseWAL()
+	if got := datasetKeys(rec); !slices.Equal(got, live) {
+		t.Fatalf("recovered %v, want %v", got, live)
+	}
+}

@@ -162,8 +162,7 @@ func (s *SSDM) encodeImage(w io.Writer, lsn uint64) error {
 		}
 	}
 	var (
-		cells = make([]rdf.Term, 0, 3*imageBatchRows)
-		rows  = make([][]rdf.Term, 0, imageBatchRows)
+		rows  = make([]rdf.Triple, 0, imageBatchRows)
 		batch []byte
 	)
 	for _, name := range append([]rdf.IRI{""}, s.Dataset.GraphNames()...) {
@@ -171,24 +170,20 @@ func (s *SSDM) encodeImage(w io.Writer, lsn uint64) error {
 		// Every graph gets at least one record, so that an empty named
 		// graph and a blank-node counter come back too.
 		flush := func() (err error) {
+			batch, err = appendBatch(batch[:0], g, name, nil, rows)
 			rows = rows[:0]
-			for i := 0; i < len(cells); i += 3 {
-				rows = append(rows, cells[i:i+3])
-			}
-			batch, err = appendBatch(batch[:0], name, g.BlankNo(), nil, rows)
-			cells = cells[:0]
 			return put(wal.RecBatch, batch, err)
 		}
 		var (
 			err   error
 			bytes int
 		)
-		g.Triples(func(sub, p, o rdf.Term) bool {
-			cells = append(cells, sub, p, o)
-			if at, ok := o.(rdf.Array); ok && at.A.Base.Resident() {
+		g.Match(0, 0, 0, func(t rdf.Triple) bool {
+			rows = append(rows, t)
+			if at, ok := g.TermOf(t.O).(rdf.Array); ok && at.A.Base.Resident() {
 				bytes += at.A.Count() * array.ElemSize
 			}
-			if len(cells) == cap(cells) || bytes >= imageBatchBytes {
+			if len(rows) == cap(rows) || bytes >= imageBatchBytes {
 				err, bytes = flush(), 0
 			}
 			return err == nil

@@ -212,15 +212,15 @@ func (s *SSDM) loadTurtleLocked(src string, graph rdf.IRI) error {
 		}
 		return s.postLoad(g)
 	}
-	// Durable path: parse and consolidate into a staging graph first,
-	// then merge through a recorded transaction, so the whole document
-	// is one WAL batch and one atomically published version — readers
-	// never see (and the log never holds) a half-loaded document. The
-	// staging graph's blank counter starts at the target's so document
-	// blanks cannot collide with existing ones; consolidation sees the
-	// incoming document, not the merged graph.
-	stage := rdf.NewGraph()
-	stage.EnsureBlankNo(g.BlankNo())
+	// Durable path: parse and consolidate into a stage over the target's
+	// dictionary, then take its triples by ID into a recorded
+	// transaction, so the document is interned once and is one WAL batch
+	// and one atomically published version — readers never see (and the
+	// log never holds) a half-loaded document. The stage's blank counter
+	// starts at the target's so document blanks cannot collide with
+	// existing ones; consolidation sees the incoming document, not the
+	// merged graph.
+	stage := g.Stage()
 	if err := sparql.ParseTurtle(src, stage); err != nil {
 		return err
 	}
@@ -229,12 +229,9 @@ func (s *SSDM) loadTurtleLocked(src string, graph rdf.IRI) error {
 	}
 	tx := g.Begin()
 	tx.Record(true)
-	stage.Triples(func(sub, p, o rdf.Term) bool {
-		tx.Add(sub, p, o)
-		return true
-	})
+	tx.AddGraph(stage)
 	g.EnsureBlankNo(stage.BlankNo())
-	lsn, logged, err := s.commitTx(graph, tx, stage.BlankNo())
+	lsn, logged, err := s.commitTx(graph, tx)
 	if err != nil || !logged {
 		return err
 	}
@@ -609,7 +606,7 @@ func (s *SSDM) runUpdate(ctx context.Context, st sparql.Statement, lim engine.Li
 	case clear && staged.Count() > 0:
 		lsn, err = s.walAppend(wal.RecClear, []byte(staged.Graph()))
 	case len(staged.Ops()) > 0:
-		lsn, err = s.walAppendBatch(staged.Graph(), staged.Ops(), s.targetGraph(staged.Graph()).BlankNo())
+		lsn, err = s.walAppendBatch(staged.Graph(), staged.Ops())
 	default:
 		logged = false
 	}
@@ -726,22 +723,22 @@ func (s *SSDM) writeLocked(ctx context.Context, rows [][]rdf.Term, del bool) (n 
 		tx.Add(row[0], row[1], o)
 	}
 	n = tx.Changed()
-	if lsn, logged, err = s.commitTx("", tx, g.BlankNo()); err == nil {
+	if lsn, logged, err = s.commitTx("", tx); err == nil {
 		s.maybeCheckpointLocked()
 	}
 	return n, lsn, logged, err
 }
 
 // commitTx publishes tx (recording on a WAL instance) as one version,
-// first logging its changes as one batch record with blank counter
-// blankNo; a failed append aborts it. The caller holds the operation
-// lock and, when logged, acknowledges only after walFinish(lsn).
-func (s *SSDM) commitTx(graph rdf.IRI, tx *rdf.Tx, blankNo int64) (lsn uint64, logged bool, err error) {
+// first logging its changes as one batch record; a failed append aborts
+// it. The caller holds the operation lock and, when logged, acknowledges
+// only after walFinish(lsn).
+func (s *SSDM) commitTx(graph rdf.IRI, tx *rdf.Tx) (lsn uint64, logged bool, err error) {
 	if !s.walEnabled() || tx.Changed() == 0 {
 		tx.Commit()
 		return 0, false, nil
 	}
-	if lsn, err = s.walAppendBatch(graph, tx.Ops(), blankNo); err != nil {
+	if lsn, err = s.walAppendBatch(graph, tx.Ops()); err != nil {
 		tx.Abort()
 		return 0, false, err
 	}

@@ -13,10 +13,10 @@ import (
 	"time"
 
 	"scisparql/internal/engine"
+	"scisparql/internal/loader"
 	"scisparql/internal/protocol"
 	"scisparql/internal/rdf"
 	"scisparql/internal/sparql"
-	"scisparql/internal/storage"
 	"scisparql/internal/wal"
 )
 
@@ -36,7 +36,7 @@ func durErr(err error) error {
 //
 // A batch record holds the triples one statement, load or write call
 // deleted from and added to one graph, as two width-3 row tables
-// (protocol.EncodeRows, the bytes the triples op ships):
+// (protocol.AppendTripleRows, the bytes the triples op ships):
 //
 //	uvarint  n, then n bytes: the graph name ("" the default graph)
 //	uvarint  the graph's blank-node counter after the batch
@@ -64,25 +64,47 @@ type recDefine struct {
 	Index  int    `json:"i,omitempty"`
 }
 
-// appendBatch appends a batch record's body to dst. It rewrites the
-// rows' proxied arrays to file links in place.
-func appendBatch(dst []byte, graph rdf.IRI, blankNo int64, dels, adds [][]rdf.Term) ([]byte, error) {
-	var tables [2][]byte
-	for i, rows := range [2][][]rdf.Term{dels, adds} {
-		if err := linkArrays(rows); err != nil {
-			return nil, err
-		}
-		t, err := protocol.EncodeRows(rows, 3)
-		if err != nil {
-			return nil, err
-		}
-		defer protocol.Release(t)
-		tables[i] = t
-	}
+// appendBatch appends to dst the body of a batch record of dels and
+// adds, triples of g's IDs, on g named graph.
+func appendBatch(dst []byte, g *rdf.Graph, graph rdf.IRI, dels, adds []rdf.Triple) ([]byte, error) {
 	dst = append(binary.AppendUvarint(dst, uint64(len(graph))), graph...)
-	dst = binary.AppendUvarint(dst, uint64(blankNo))
-	dst = append(binary.AppendUvarint(dst, uint64(len(tables[0]))), tables[0]...)
-	return append(dst, tables[1]...), nil
+	dst = binary.AppendUvarint(dst, uint64(g.BlankNo()))
+	terms := batchTerms{g: g, links: map[int64]rdf.ID{}}
+	table, err := protocol.AppendTripleRows(nil, dels, terms.term)
+	if err != nil {
+		return nil, err
+	}
+	dst = append(binary.AppendUvarint(dst, uint64(len(table))), table...)
+	return protocol.AppendTripleRows(dst, adds, terms.term)
+}
+
+// batchTerms resolves a batch record's IDs. A whole-base proxied array
+// becomes its ssdm:fileLink literal (the back-end keeps the array), keyed
+// on the literal's own ID when g holds it, else on the first ID linking
+// the array: one entry per link, as a table of the resolved terms holds.
+type batchTerms struct {
+	g     *rdf.Graph
+	links map[int64]rdf.ID
+}
+
+func (b *batchTerms) term(id rdf.ID) (rdf.ID, rdf.Term, error) {
+	t := b.g.TermOf(id)
+	at, ok := t.(rdf.Array)
+	if !ok || at.A.Base.Proxy == nil {
+		return id, t, nil
+	}
+	if !at.A.IsWholeBase() {
+		return 0, nil, errors.New("ssdm: cannot persist a partial proxied view")
+	}
+	arrayID := at.A.Base.Proxy.ArrayID
+	link := rdf.Typed{Lexical: strconv.FormatInt(arrayID, 10), Datatype: rdf.SSDMFileLink}
+	key, ok := b.g.Lookup(link)
+	if !ok {
+		if key, ok = b.links[arrayID]; !ok {
+			b.links[arrayID], key = id, id
+		}
+	}
+	return key, link, nil
 }
 
 var errBatchHeader = errors.New("malformed header")
@@ -114,47 +136,6 @@ func decodeBatch(body []byte) (graph rdf.IRI, blankNo int64, dels, adds [][]rdf.
 	return graph, int64(blank), dels, adds, err
 }
 
-// linkArrays rewrites each row's whole-base proxied array object to its
-// ssdm:fileLink literal, in place: the back-end keeps the array, the log
-// and the image keep the link. resolveLinks is its inverse.
-func linkArrays(rows [][]rdf.Term) error {
-	for _, row := range rows {
-		at, ok := row[2].(rdf.Array)
-		if !ok || at.A.Base.Proxy == nil {
-			continue
-		}
-		if !at.A.IsWholeBase() {
-			return errors.New("ssdm: cannot persist a partial proxied view")
-		}
-		row[2] = rdf.Typed{Lexical: strconv.FormatInt(at.A.Base.Proxy.ArrayID, 10), Datatype: rdf.SSDMFileLink}
-	}
-	return nil
-}
-
-// resolveLinks opens each row's ssdm:fileLink object on back-end b, in
-// place; with no back-end the links stay literals.
-func resolveLinks(rows [][]rdf.Term, b storage.Backend) error {
-	if b == nil {
-		return nil
-	}
-	for _, row := range rows {
-		link, ok := row[2].(rdf.Typed)
-		if !ok || link.Datatype != rdf.SSDMFileLink {
-			continue
-		}
-		id, err := strconv.ParseInt(link.Lexical, 10, 64)
-		if err != nil {
-			return fmt.Errorf("ssdm: bad file link %q", link.Lexical)
-		}
-		a, err := b.Open(id)
-		if err != nil {
-			return fmt.Errorf("ssdm: file link %q: %w", link.Lexical, err)
-		}
-		row[2] = rdf.NewArray(a)
-	}
-	return nil
-}
-
 // --- append side -----------------------------------------------------
 
 // walEnabled reports whether updates must be logged. Holding s.op in
@@ -175,23 +156,20 @@ func (s *SSDM) walAppend(typ byte, body []byte) (uint64, error) {
 }
 
 // walAppendBatch appends the batch record of a transaction's recorded
-// ops against graph, with blank counter blankNo: its deletes, then its
-// adds.
-func (s *SSDM) walAppendBatch(graph rdf.IRI, ops []rdf.Op, blankNo int64) (uint64, error) {
-	cells := make([]rdf.Term, 0, 3*len(ops))
-	rows := make([][]rdf.Term, 0, len(ops))
+// ops against graph: its deletes, then its adds.
+func (s *SSDM) walAppendBatch(graph rdf.IRI, ops []rdf.Op) (uint64, error) {
+	rows := make([]rdf.Triple, len(ops))
 	ndel := 0
-	for _, op := range ops {
+	for i, op := range ops {
 		if op.Kind == rdf.OpDelete {
-			if ndel < len(rows) {
+			if ndel < i {
 				return 0, errors.New("ssdm: a batch record cannot hold an add before a delete")
 			}
 			ndel++
 		}
-		cells = append(cells, op.S, op.P, op.O)
-		rows = append(rows, cells[len(cells)-3:])
+		rows[i] = rdf.Triple{S: op.S, P: op.P, O: op.O}
 	}
-	body, err := appendBatch(nil, graph, blankNo, rows[:ndel], rows[ndel:])
+	body, err := appendBatch(nil, s.targetGraph(graph), graph, rows[:ndel], rows[ndel:])
 	if err != nil {
 		return 0, err
 	}
@@ -452,25 +430,33 @@ func (s *SSDM) applyWalRecord(typ byte, body []byte) error {
 	}
 }
 
-// applyBatch applies a batch record as one transaction. Added terms are
-// copied out of the record, so the dictionary does not pin the log
-// segment or image it was read from.
+// applyBatch applies a batch record as one transaction. Its adds are
+// staged over the graph's dictionary, copied out of the record so that
+// the dictionary does not pin the log segment or image it was read from,
+// and their file links opened on the attached back-end (with none, they
+// stay literals).
 func (s *SSDM) applyBatch(body []byte) error {
 	graph, blankNo, dels, adds, err := decodeBatch(body)
 	if err != nil {
 		return err
 	}
-	if err := resolveLinks(protocol.OwnTerms(adds), s.Backend()); err != nil {
-		return err
-	}
 	g := s.targetGraph(graph)
-	tx := g.Begin()
+	stage := g.Stage()
+	tx := stage.Begin()
+	for _, row := range protocol.OwnTerms(adds) {
+		tx.Add(row[0], row[1], row[2])
+	}
+	tx.Commit()
+	if b := s.Backend(); b != nil {
+		if _, err := loader.ResolveFileLinks(stage, b); err != nil {
+			return err
+		}
+	}
+	tx = g.Begin()
 	for _, row := range dels {
 		tx.Delete(row[0], row[1], row[2])
 	}
-	for _, row := range adds {
-		tx.Add(row[0], row[1], row[2])
-	}
+	tx.AddGraph(stage)
 	tx.Commit()
 	g.EnsureBlankNo(blankNo)
 	return nil

@@ -353,6 +353,31 @@ func TestWALRecoversArrays(t *testing.T) {
 	}
 }
 
+// TestWALReplayFailsOnMissingLinkedArray: a logged file link that the
+// attached back-end cannot open fails recovery instead of restoring a
+// literal where the live store held an array.
+func TestWALReplayFailsOnMissingLinkedArray(t *testing.T) {
+	dir := t.TempDir()
+	body, err := termBatch("", 0, nil, [][]rdf.Term{{rdf.IRI("http://ex/s"), rdf.IRI("http://ex/data"),
+		rdf.Typed{Lexical: "999", Datatype: rdf.SSDMFileLink}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(wal.RecBatch, body); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	db := OpenWith(Options{WALDir: dir, WALSync: "none"})
+	db.AttachBackend(storage.NewMemory())
+	if _, err := db.EnableWAL(); err == nil || !strings.Contains(err.Error(), "file link") {
+		t.Fatalf("recovering a link to no array = %v, want a file link error", err)
+	}
+}
+
 // TestWALWriteTriplesOneRecord: a WriteTriples call is one batch record
 // however many rows it carries, and replay restores it with its blank
 // labels as given — the labels a coordinator minted are what its other
@@ -534,13 +559,14 @@ func TestWALCrashMatrix(t *testing.T) {
 func TestBatchRecordRefusesAddBeforeDelete(t *testing.T) {
 	db := openWAL(t, t.TempDir(), nil)
 	defer db.CloseWAL()
-	s, p := rdf.IRI("http://ex/s"), rdf.IRI("http://ex/p")
-	add := rdf.Op{Kind: rdf.OpAdd, S: s, P: p, O: rdf.Integer(1)}
-	del := rdf.Op{Kind: rdf.OpDelete, S: s, P: p, O: rdf.Integer(2)}
-	if _, err := db.walAppendBatch("", []rdf.Op{del, add, add}, 0); err != nil {
+	g := db.Dataset.Default
+	s, p := g.Intern(rdf.IRI("http://ex/s")), g.Intern(rdf.IRI("http://ex/p"))
+	add := rdf.Op{Kind: rdf.OpAdd, S: s, P: p, O: g.Intern(rdf.Integer(1))}
+	del := rdf.Op{Kind: rdf.OpDelete, S: s, P: p, O: g.Intern(rdf.Integer(2))}
+	if _, err := db.walAppendBatch("", []rdf.Op{del, add, add}); err != nil {
 		t.Errorf("deletes then adds: %v", err)
 	}
-	if _, err := db.walAppendBatch("", []rdf.Op{del, add, del}, 0); err == nil || !strings.Contains(err.Error(), "add before a delete") {
+	if _, err := db.walAppendBatch("", []rdf.Op{del, add, del}); err == nil || !strings.Contains(err.Error(), "add before a delete") {
 		t.Errorf("an add before a delete = %v, want refused", err)
 	}
 }
@@ -617,7 +643,7 @@ func FuzzReplayBatch(f *testing.F) {
 		{"", 1 << 40, [][]rdf.Term{{s, p, b}}, nil},
 		{"", 0, nil, nil},
 	} {
-		body, err := appendBatch(nil, tc.graph, tc.blank, tc.dels, tc.adds)
+		body, err := termBatch(tc.graph, tc.blank, tc.dels, tc.adds)
 		if err != nil {
 			f.Fatal(err)
 		}

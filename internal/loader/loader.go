@@ -227,33 +227,39 @@ func shapeOf(v listVal) ([]int, bool) {
 // ResolveFileLinks replaces typed literals "N"^^ssdm:fileLink (N being
 // an array ID in the given back-end) with proxied array terms, so that
 // externally stored arrays join the graph without their data being
-// read (the mediator scenario of chapter 6). It returns the number of
-// links resolved.
+// read (the mediator scenario of chapter 6), all in one transaction or
+// none when a link fails. It returns the number of links resolved.
 func ResolveFileLinks(g *rdf.Graph, backend storage.Backend) (int, error) {
-	var links []triple
-	g.Triples(func(s, p, o rdf.Term) bool {
-		if t, ok := o.(rdf.Typed); ok && t.Datatype == rdf.SSDMFileLink {
-			links = append(links, triple{s, p, o})
+	var links []rdf.Triple
+	g.Match(0, 0, 0, func(t rdf.Triple) bool {
+		if l, ok := g.TermOf(t.O).(rdf.Typed); ok && l.Datatype == rdf.SSDMFileLink {
+			links = append(links, t)
 		}
 		return true
 	})
-	resolved := 0
+	opened := map[rdf.ID]rdf.Term{}
+	tx := g.Begin()
+	defer tx.Abort() // a no-op once committed
 	for _, l := range links {
-		lex := l.o.(rdf.Typed).Lexical
-		id, err := strconv.ParseInt(lex, 10, 64)
-		if err != nil {
-			return resolved, fmt.Errorf("loader: bad file link %q", lex)
+		lex := g.TermOf(l.O).(rdf.Typed).Lexical
+		if _, ok := opened[l.O]; !ok {
+			id, err := strconv.ParseInt(lex, 10, 64)
+			if err != nil {
+				return 0, fmt.Errorf("loader: bad file link %q", lex)
+			}
+			a, err := backend.Open(id)
+			if err != nil {
+				return 0, fmt.Errorf("loader: file link %q: %w", lex, err)
+			}
+			opened[l.O] = rdf.NewArray(a)
 		}
-		a, err := backend.Open(id)
-		if err != nil {
-			return resolved, fmt.Errorf("loader: file link %q: %w", lex, err)
-		}
-		pi := l.p.(rdf.IRI)
-		g.Delete(l.s, pi, l.o)
-		g.Add(l.s, pi, rdf.NewArray(a))
-		resolved++
+		tx.Delete(g.TermOf(l.S), g.TermOf(l.P), g.TermOf(l.O))
 	}
-	return resolved, nil
+	for _, l := range links {
+		tx.Add(g.TermOf(l.S), g.TermOf(l.P), opened[l.O])
+	}
+	tx.Commit()
+	return len(links), nil
 }
 
 // LinkArray attaches an externally stored array to the graph as a

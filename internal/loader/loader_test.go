@@ -3,6 +3,9 @@ package loader
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"scisparql/internal/array"
@@ -391,5 +394,108 @@ ex:o1 qb:dataSet ex:ds ; ex:x 1 .
 	}
 	if n != 0 {
 		t.Fatal("dataset without structure must be ignored")
+	}
+}
+
+// resolvePerLink is ResolveFileLinks as it was before it worked in one
+// transaction: a term scan, then a Delete and an Add, each published
+// alone, and one Open, per link triple. It is the reference the one-pass
+// version must agree with.
+func resolvePerLink(g *rdf.Graph, backend storage.Backend) (int, error) {
+	var links []triple
+	g.Triples(func(s, p, o rdf.Term) bool {
+		if t, ok := o.(rdf.Typed); ok && t.Datatype == rdf.SSDMFileLink {
+			links = append(links, triple{s, p, o})
+		}
+		return true
+	})
+	for i, l := range links {
+		id, err := strconv.ParseInt(l.o.(rdf.Typed).Lexical, 10, 64)
+		if err != nil {
+			return i, err
+		}
+		a, err := backend.Open(id)
+		if err != nil {
+			return i, err
+		}
+		g.Delete(l.s, l.p.(rdf.IRI), l.o)
+		g.Add(l.s, l.p.(rdf.IRI), rdf.NewArray(a))
+	}
+	return len(links), nil
+}
+
+// linkDoc is a generated Turtle document over stored: subjects with
+// plain triples and file links, a stored array linked from several
+// triples, and an unrelated literal typed like a link's neighbour.
+func linkDoc(rng *rand.Rand, stored []int64) string {
+	var sb strings.Builder
+	sb.WriteString("@prefix ex: <http://ex/> .\n@prefix ssdm: <" + rdf.SSDMNS + "> .\n")
+	for i := range 10 + rng.Intn(30) {
+		fmt.Fprintf(&sb, "ex:s%d ex:n %d ; ex:t \"%d\"^^ex:dt .\n", i, rng.Intn(5), i)
+		for k := rng.Intn(3); k > 0; k-- {
+			fmt.Fprintf(&sb, "ex:s%d ex:d%d \"%d\"^^ssdm:fileLink .\n", i, rng.Intn(2), stored[rng.Intn(len(stored))])
+		}
+	}
+	return sb.String()
+}
+
+// linkKeys renders g's triples, sorted, a proxied array as its back-end
+// ID and elements.
+func linkKeys(g *rdf.Graph) []string {
+	var out []string
+	g.Triples(func(s, p, o rdf.Term) bool {
+		obj := o.Key()
+		if at, ok := o.(rdf.Array); ok {
+			if at.A.Base.Proxy == nil {
+				obj = "resident " + at.A.String()
+			} else {
+				obj = fmt.Sprintf("array %d %v", at.A.Base.Proxy.ArrayID, at.A)
+			}
+		}
+		out = append(out, s.Key()+" "+p.Key()+" "+obj)
+		return true
+	})
+	slices.Sort(out)
+	return out
+}
+
+// TestResolveFileLinksMatchesPerLink: on generated documents linking to
+// a memory back-end, the one-transaction ResolveFileLinks leaves the
+// triples the per-link version leaves and counts the same links; a
+// document with one bad link among good ones fails and changes nothing.
+func TestResolveFileLinksMatchesPerLink(t *testing.T) {
+	mem := storage.NewMemory()
+	var stored []int64
+	for i := range 4 {
+		a, _ := array.FromInts([]int64{int64(i), int64(i * i), 7}, 3)
+		id, err := mem.Store(a, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored = append(stored, id)
+	}
+	for seed := int64(1); seed <= 50; seed++ {
+		doc := linkDoc(rand.New(rand.NewSource(seed)), stored)
+		got, want := parseTTL(t, doc), parseTTL(t, doc)
+		n, err := ResolveFileLinks(got, mem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := resolvePerLink(want, mem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != m || !slices.Equal(linkKeys(got), linkKeys(want)) {
+			t.Fatalf("seed %d: resolved %d links to %v, the per-link version %d to %v", seed, n, linkKeys(got), m, linkKeys(want))
+		}
+	}
+	g := parseTTL(t, linkDoc(rand.New(rand.NewSource(1)), stored)+
+		"ex:bad ex:d0 \"999\"^^ssdm:fileLink .\n")
+	before := linkKeys(g)
+	if n, err := ResolveFileLinks(g, mem); err == nil || n != 0 {
+		t.Fatalf("a missing array resolved %d links (%v), want an error", n, err)
+	}
+	if after := linkKeys(g); !slices.Equal(after, before) {
+		t.Fatalf("a failed resolution changed the graph: %v", after)
 	}
 }

@@ -84,12 +84,7 @@ func appendRows(blob []byte, index map[any]uint32, rows [][]rdf.Term, width int)
 			if !ok {
 				return blob, fmt.Errorf("protocol: cannot encode %T", t)
 			}
-			if ix, ok := index[key]; ok {
-				blob = binary.AppendUvarint(blob, uint64(ix)+2)
-				continue
-			}
-			index[key] = uint32(len(index))
-			b, err := appendDictTerm(append(blob, 1), t)
+			b, err := appendCell(blob, index, key, t)
 			if err != nil {
 				return blob, err
 			}
@@ -97,6 +92,45 @@ func appendRows(blob []byte, index map[any]uint32, rows [][]rdf.Term, width int)
 		}
 	}
 	return blob, nil
+}
+
+// AppendTripleRows appends ts, triples of one graph's IDs, to blob as a
+// width-3 row table: the bytes EncodeRows writes for the same rows with
+// each cell resolved by term, which also names the key the cell is
+// deduped on (the ID, or one the caller resolves to an equal term).
+func AppendTripleRows(blob []byte, ts []rdf.Triple, term func(rdf.ID) (rdf.ID, rdf.Term, error)) ([]byte, error) {
+	index := make(map[rdf.ID]uint32)
+	at := len(blob)
+	blob = append(blob, make([]byte, rowsHeader)...)
+	for _, tr := range ts {
+		for _, id := range [3]rdf.ID{tr.S, tr.P, tr.O} {
+			key, t, err := term(id)
+			if err == nil {
+				blob, err = appendCell(blob, index, key, t)
+			}
+			if err != nil {
+				return nil, err
+			}
+		}
+	}
+	binary.LittleEndian.PutUint32(blob[at:], uint32(len(index)))
+	binary.LittleEndian.PutUint32(blob[at+4:], uint32(len(ts)))
+	binary.LittleEndian.PutUint32(blob[at+8:], 3)
+	return blob, nil
+}
+
+// appendCell appends a bound cell: a reference to index's entry for key,
+// or else a new entry for t. On error it returns blob as it was.
+func appendCell[K comparable](blob []byte, index map[K]uint32, key K, t rdf.Term) ([]byte, error) {
+	if ix, ok := index[key]; ok {
+		return binary.AppendUvarint(blob, uint64(ix)+2), nil
+	}
+	index[key] = uint32(len(index))
+	b, err := appendDictTerm(append(blob, 1), t)
+	if err != nil {
+		return blob, err
+	}
+	return b, nil
 }
 
 // DecodeRows reads a row table built by EncodeRows back into its rows,

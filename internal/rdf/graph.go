@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -332,6 +333,16 @@ func NewGraph() *Graph {
 
 func (g *Graph) cur() *graphState { return g.state.Load() }
 
+// Stage returns an empty writable graph over g's dictionary, its blank
+// counter at g's, whose triples a transaction on g takes by ID with
+// Tx.AddGraph; what it interns stays in g's dictionary. Never Reset it.
+func (g *Graph) Stage() *Graph {
+	sg := &Graph{dict: g.dict}
+	sg.state.Store(emptyGraphState)
+	sg.blankNo.Store(g.BlankNo())
+	return sg
+}
+
 // Snapshot pins the graph's current version: the returned Graph serves
 // exactly the triples committed before the call, forever, without
 // blocking or being blocked by writers to the parent. It shares the
@@ -606,13 +617,13 @@ const (
 	OpDelete
 )
 
-// Op is one recorded physical mutation: the term-level form of an
-// insert or delete, exactly as applied. Replaying a transaction's ops
-// in order against the same starting state reproduces its effect
-// deterministically (terms, not IDs, so the log is dictionary-independent).
+// Op is one recorded physical mutation: an insert or delete of a triple
+// of the transaction's graph's IDs, exactly as applied. Replaying a
+// transaction's ops in order against the same starting state reproduces
+// its effect deterministically (IDs are never reused).
 type Op struct {
 	Kind    OpKind
-	S, P, O Term
+	S, P, O ID
 }
 
 // Tx is a write transaction: a batch of Add/Delete calls that becomes
@@ -685,6 +696,26 @@ func (t *Tx) Add(s, p, o Term) {
 	t.addIDs(t.g.Intern(s), t.g.Intern(p), t.g.Intern(o))
 }
 
+// AddGraph stages every triple of src, a Stage of the transaction's
+// graph (any other dictionary panics), by ID. Into an empty transaction
+// src's version is taken whole; only the recorded ops walk it.
+func (t *Tx) AddGraph(src *Graph) {
+	if src.dict != t.g.dict {
+		panic("rdf: AddGraph from a graph over another dictionary")
+	}
+	st, add := src.cur(), t.addIDs
+	if t.st.size == 0 && len(t.log) == 0 {
+		t.st, t.st.sealed, add = *st, false, t.added
+		if t.record {
+			t.ops = slices.Grow(t.ops, st.size)
+		}
+	}
+	st.match(nil, 0, 0, 0, func(tr Triple) bool {
+		add(tr.S, tr.P, tr.O)
+		return true
+	})
+}
+
 // addIDs is Add for a triple of already-interned IDs. An add goes to the
 // log once Commit would build a base anyway: the staged state holds
 // nothing to merge, or its delta is past publication's cap.
@@ -700,7 +731,7 @@ func (t *Tx) addIDs(s, p, o ID) {
 func (t *Tx) added(s, p, o ID) {
 	t.changed++
 	if t.record {
-		t.ops = append(t.ops, Op{Kind: OpAdd, S: t.g.TermOf(s), P: t.g.TermOf(p), O: t.g.TermOf(o)})
+		t.ops = append(t.ops, Op{Kind: OpAdd, S: s, P: p, O: o})
 	}
 }
 
@@ -744,7 +775,7 @@ func (t *Tx) Delete(s, p, o Term) bool {
 		return false
 	}
 	if t.record {
-		t.ops = append(t.ops, Op{Kind: OpDelete, S: s, P: p, O: o})
+		t.ops = append(t.ops, Op{Kind: OpDelete, S: si, P: pi, O: oi})
 	}
 	return true
 }

@@ -179,10 +179,9 @@ func (m *trieModel) replay() {
 	m.t.Helper()
 	ops := m.tx.Ops()
 	for _, op := range ops[m.replayedOps:] {
-		s, p, o, ok := m.g.lookup3(op.S, op.P, op.O)
-		tr := Triple{s, p, o}
+		tr := Triple{op.S, op.P, op.O}
 		_, had := m.replayed[tr]
-		if !ok || had != (op.Kind == OpDelete) {
+		if had != (op.Kind == OpDelete) {
 			m.t.Fatalf("op %v on %v is not effective: present=%v", op.Kind, tr, had)
 		}
 		if op.Kind == OpAdd {

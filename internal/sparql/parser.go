@@ -19,9 +19,12 @@ type Parser struct {
 	lex      *sLexer
 	tok      tok
 	prefixes map[string]string
-	base     string
-	blankNo  int
-	varNo    int
+	// pnames memoizes expandPName until a prefix is declared; only Turtle
+	// makes it (a query's few names cost more to memoize than they save).
+	pnames  map[string]rdf.IRI
+	base    string
+	blankNo int
+	varNo   int
 }
 
 // ParseQuery parses a single SELECT/ASK/CONSTRUCT/DESCRIBE query.
@@ -178,6 +181,7 @@ func (p *Parser) prefixDecl() error {
 		return p.errorf("expected namespace IRI, found %s", p.tok)
 	}
 	p.prefixes[name] = string(p.resolveIRI(p.tok.text))
+	clear(p.pnames)
 	return p.advance()
 }
 
@@ -204,6 +208,9 @@ func (p *Parser) snapshotPrefixes() map[string]string {
 }
 
 func (p *Parser) expandPName(pname string) (rdf.IRI, error) {
+	if iri, ok := p.pnames[pname]; ok {
+		return iri, nil
+	}
 	i := strings.Index(pname, ":")
 	if i < 0 {
 		return "", p.errorf("malformed prefixed name %q", pname)
@@ -212,7 +219,11 @@ func (p *Parser) expandPName(pname string) (rdf.IRI, error) {
 	if !ok {
 		return "", p.errorf("undefined prefix %q", pname[:i])
 	}
-	return rdf.IRI(ns + pname[i+1:]), nil
+	iri := rdf.IRI(ns + pname[i+1:])
+	if p.pnames != nil {
+		p.pnames[pname] = iri
+	}
+	return iri, nil
 }
 
 // resolveIRI resolves an IRI reference against the base in force by

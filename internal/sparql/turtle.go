@@ -17,7 +17,7 @@ import (
 // fails to parse adds nothing.
 func ParseTurtle(src string, g *rdf.Graph) error {
 	r := &turtleReader{
-		Parser: Parser{lex: newSLexer(src, "turtle"), prefixes: map[string]string{}},
+		Parser: Parser{lex: newSLexer(src, "turtle"), prefixes: map[string]string{}, pnames: map[string]rdf.IRI{}},
 		graph:  g,
 		tx:     g.Begin(),
 		blanks: map[string]rdf.Blank{},

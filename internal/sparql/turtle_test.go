@@ -358,3 +358,38 @@ func TestErrorsNameTheirSyntax(t *testing.T) {
 		}
 	}
 }
+
+// TestPrefixRedeclaredMidDocument: a prefixed name read after its prefix
+// is declared again expands to the new namespace — in a Turtle document,
+// whose reader memoizes expansions, and across the prologues of a SPARQL
+// script.
+func TestPrefixRedeclaredMidDocument(t *testing.T) {
+	g := rdf.NewGraph()
+	if err := ParseTurtle(`@prefix ex: <http://a/> .
+ex:s ex:p ex:o .
+@prefix ex: <http://b/> .
+ex:s ex:p ex:o .
+PREFIX ex: <http://c/>
+ex:s ex:p ex:o .`, g); err != nil {
+		t.Fatal(err)
+	}
+	for _, ns := range []string{"http://a/", "http://b/", "http://c/"} {
+		if !g.Has(rdf.IRI(ns+"s"), rdf.IRI(ns+"p"), rdf.IRI(ns+"o")) {
+			t.Errorf("Turtle: no triple in %s; read %v", ns, subjects(g))
+		}
+	}
+	if g.Size() != 3 {
+		t.Errorf("Turtle: read %d triples, want 3", g.Size())
+	}
+	stmts, err := ParseAll(`PREFIX ex: <http://a/> SELECT * WHERE { ?s ex:p ?o } ;
+PREFIX ex: <http://b/> SELECT * WHERE { ?s ex:p ?o }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ns := range []string{"http://a/", "http://b/"} {
+		got := stmts[i].(*Query).Where.Elems[0].(BGP).Triples[0].String()
+		if want := "?s <" + ns + "p> ?o"; got != want {
+			t.Errorf("SPARQL statement %d parsed %s, want %s", i, got, want)
+		}
+	}
+}
