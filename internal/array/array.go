@@ -22,6 +22,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -423,13 +424,23 @@ func (a *Array) Materialize() (*Array, error) {
 }
 
 // MaterializeCtx is Materialize under a context (see EachCtx for the
-// streaming behavior on proxied views).
+// streaming behavior on proxied views). A resident contiguous view is
+// one copy of its slab.
 func (a *Array) MaterializeCtx(ctx context.Context) (*Array, error) {
 	var out *Array
 	if a.Base.Etype == Int {
 		out = NewInt(a.Shape...)
 	} else {
 		out = NewFloat(a.Shape...)
+	}
+	if a.Base.Resident() && a.IsContiguous() {
+		lo, hi := a.Offset, a.Offset+a.Count()
+		if a.Base.Etype == Int {
+			copy(out.Base.I, a.Base.I[lo:hi])
+		} else {
+			copy(out.Base.F, a.Base.F[lo:hi])
+		}
+		return out, nil
 	}
 	i := 0
 	err := a.EachCtx(ctx, func(_ []int, v Number) error {
@@ -485,14 +496,4 @@ func (a *Array) String() string {
 }
 
 // ShapeEqual reports whether two shapes are identical.
-func ShapeEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
+func ShapeEqual(a, b []int) bool { return slices.Equal(a, b) }

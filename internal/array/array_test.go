@@ -217,6 +217,28 @@ func TestMaterializeView(t *testing.T) {
 	}
 }
 
+// A resident contiguous view materializes as one copy of its slab: the
+// elements from its offset, of either type, in a base of its own.
+func TestMaterializeContiguousSlab(t *testing.T) {
+	ints, _ := FromInts([]int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, 4, 3)
+	floats := mustFloats(t, seqFloat(12), 4, 3)
+	for _, a := range []*Array{ints, floats} {
+		v, _ := a.Deref([]Range{Span(1, 3)})
+		m, err := v.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Base == a.Base || m.Base.Size != 6 || !ShapeEqual(m.Shape, []int{2, 3}) {
+			t.Fatalf("materialized %v over a base of %d", m.Shape, m.Base.Size)
+		}
+		for i := range 6 {
+			if got, _ := m.atLinear(i); got.Float() != float64(3+i) || got.T != a.Etype() {
+				t.Fatalf("element %d is %v, want %d", i, got, 3+i)
+			}
+		}
+	}
+}
+
 func TestIsWholeBaseAndContiguous(t *testing.T) {
 	a := mustFloats(t, seqFloat(6), 2, 3)
 	if !a.IsWholeBase() || !a.IsContiguous() {

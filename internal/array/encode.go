@@ -32,13 +32,29 @@ func EncodeElem(b []byte, v Number, t ElemType) {
 	binary.LittleEndian.PutUint64(b, u)
 }
 
-// EncodeResident returns the raw element payload of a resident base
-// array in storage order.
-func EncodeResident(b *BaseArray) ([]byte, error) {
-	if !b.Resident() {
-		return nil, fmt.Errorf("array: cannot encode proxied base")
+// EncodeChunks encodes the view's elements, row-major, as payloads of
+// chunkElems elements each (the last may be short) and hands them to
+// emit in chunk order. The payload is one buffer reused for every
+// chunk: emit copies what it keeps. A resident contiguous view is
+// encoded straight from its base, with no whole-array copy; any other
+// view is materialized first. A chunk holds at least one element.
+func EncodeChunks(a *Array, chunkElems int, emit func(chunkNo int, payload []byte) error) error {
+	chunkElems = max(chunkElems, 1)
+	if !a.Base.Resident() || !a.IsContiguous() {
+		m, err := a.Materialize()
+		if err != nil {
+			return err
+		}
+		a = m
 	}
-	return appendSlab(make([]byte, 0, b.Size*ElemSize), b, 0, b.Size), nil
+	n := a.Count()
+	buf := make([]byte, 0, min(n, chunkElems)*ElemSize)
+	for c, lo := 0, a.Offset; lo < a.Offset+n; c, lo = c+1, lo+chunkElems {
+		if err := emit(c, appendSlab(buf, a.Base, lo, min(lo+chunkElems, a.Offset+n))); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // appendSlab appends the elements [lo, hi) of a resident base.

@@ -71,7 +71,7 @@ func TestAggregateWholeErrorPropagates(t *testing.T) {
 
 func TestEncodeProxiedBaseFails(t *testing.T) {
 	a, _ := NewProxied(NewProxy(shortSource{}, 1, 4), Float, 16)
-	if _, err := EncodeResident(a.Base); err == nil {
+	if err := EncodeChunks(a, 4, func(int, []byte) error { return nil }); err == nil {
 		t.Fatal("expected error")
 	}
 	if err := DecodeInto(a.Base, 0, make([]byte, 8)); err == nil {

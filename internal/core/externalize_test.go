@@ -14,6 +14,7 @@ import (
 	"scisparql/internal/array"
 	"scisparql/internal/rdf"
 	"scisparql/internal/storage"
+	"scisparql/internal/storage/filestore"
 )
 
 var errStoreFailed = errors.New("test: store failed")
@@ -145,6 +146,48 @@ func TestGuardExternalizeFreesResident(t *testing.T) {
 	// The instance must outlive the check, or its own collection frees
 	// the array whatever it holds.
 	runtime.KeepAlive(db)
+}
+
+// TestGuardStoreCopiesOnce: Externalize encodes each whole resident
+// array chunk by chunk from its own elements. Into the file store an
+// array costs one chunk buffer and one write buffer, whatever its size;
+// into the in-memory back-end, which keeps its chunks, it costs its
+// payload once. Materializing a copy and encoding that copy whole, as
+// Store did before, costs twice the payload per array into either.
+func TestGuardStoreCopiesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocator overhead is not what this measures")
+	}
+	const arrays, chunkBytes, slack = 16, 16 << 10, 8 << 10
+	const payload = 2 * 16384 * array.ElemSize
+	perArray := func(b storage.Backend) int {
+		db := Open()
+		db.Opts.ChunkBytes = chunkBytes
+		for i := range arrays {
+			db.Dataset.Default.Add(rdf.IRI(fmt.Sprintf("http://ex/s%d", i)), rdf.IRI("http://ex/data"), rdf.NewArray(array.NewFloat(2, 16384)))
+		}
+		db.AttachBackend(b)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if n, err := db.Externalize(); err != nil || n != arrays {
+			t.Fatalf("Externalize moved %d arrays, want %d: %v", n, arrays, err)
+		}
+		runtime.ReadMemStats(&after)
+		return int(after.TotalAlloc-before.TotalAlloc) / arrays
+	}
+	fs, err := filestore.New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, mem := perArray(fs), perArray(storage.NewMemory())
+	t.Logf("per %d-byte array: file store %d B, memory %d B", payload, file, mem)
+	if bound := chunkBytes + 64<<10 + slack; file > bound {
+		t.Errorf("storing an array in the file store allocates %d B, bound %d: the array is copied before it is written", file, bound)
+	}
+	if bound := payload + chunkBytes + slack; mem > bound {
+		t.Errorf("storing an array in memory allocates %d B, bound %d: the array is copied more than once", mem, bound)
+	}
 }
 
 // Readers running across Externalize, a snapshot pinned before it and a

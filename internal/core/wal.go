@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -12,6 +13,7 @@ import (
 	"strconv"
 	"time"
 
+	"scisparql/internal/array"
 	"scisparql/internal/engine"
 	"scisparql/internal/loader"
 	"scisparql/internal/protocol"
@@ -453,13 +455,58 @@ func (s *SSDM) applyBatch(body []byte) error {
 		}
 	}
 	tx = g.Begin()
+	taken := map[rdf.ID]bool{}
 	for _, row := range dels {
-		tx.Delete(row[0], row[1], row[2])
+		tx.Delete(row[0], row[1], deletedArray(g, row, taken))
 	}
 	tx.AddGraph(stage)
 	tx.Commit()
 	g.EnsureBlankNo(blankNo)
 	return nil
+}
+
+// deletedArray resolves the object of a batch record's delete row to a
+// term of g. An array has no identity a record can carry (an rdf.Array is
+// keyed by its base), so an array cell is matched against g's objects of
+// (S, P) not yet taken: a file link against the proxied array it names,
+// a resident array against one of equal type, shape and element bits.
+// Arrays that match alike are equivalent, so the first is taken. Any
+// other object, or a cell nothing matches, is returned as it is.
+func deletedArray(g *rdf.Graph, row []rdf.Term, taken map[rdf.ID]bool) rdf.Term {
+	var match func(*array.Array) bool
+	switch c := row[2].(type) {
+	case rdf.Array: // decoded from the record, and resident arrays encode without error
+		want, _ := array.AppendMarshal(nil, c.A)
+		match = func(a *array.Array) bool {
+			if !a.Base.Resident() {
+				return false
+			}
+			got, _ := array.AppendMarshal(nil, a)
+			return bytes.Equal(got, want)
+		}
+	case rdf.Typed:
+		link, err := strconv.ParseInt(c.Lexical, 10, 64)
+		if c.Datatype != rdf.SSDMFileLink || err != nil {
+			return row[2]
+		}
+		match = func(a *array.Array) bool { return a.Base.Proxy != nil && a.Base.Proxy.ArrayID == link }
+	default:
+		return row[2]
+	}
+	s, sok := g.Lookup(row[0])
+	p, pok := g.Lookup(row[1])
+	o := row[2]
+	if sok && pok {
+		g.Match(s, p, 0, func(tr rdf.Triple) bool {
+			at, ok := g.TermOf(tr.O).(rdf.Array)
+			if !ok || taken[tr.O] || !match(at.A) {
+				return true
+			}
+			taken[tr.O], o = true, at
+			return false
+		})
+	}
+	return o
 }
 
 // applyDefine re-executes a logged DEFINE by re-parsing its script.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // TestBoundProbeAllocFree pins the fully-bound fast path at zero
@@ -345,5 +346,37 @@ func TestGuardNewPairAllocatesNoSet(t *testing.T) {
 	}
 	if sl := pmFind(tx.st.stats, uint32(preds[0])); sl == nil || sl.val != (predDelta{1, 1}) {
 		t.Errorf("distinct-subject and -object counters after the cycles: %v, want 1, 1 (the anchor's)", sl)
+	}
+}
+
+// TestTxLogGrowsByDoubling: a bulk transaction's log of a 156 669-triple
+// document (the biblio load's size) allocates at most 2.5× its final
+// buffer in all, as doubling does, not the ~5× of append's quarter steps.
+// A small log still grows as append grows it.
+func TestTxLogGrowsByDoubling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocator overhead is not what this measures")
+	}
+	const n = 156669
+	tx := NewGraph().Begin()
+	defer tx.Abort()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range ID(n) {
+		tx.addIDs(i+1, 1, i+2)
+	}
+	runtime.ReadMemStats(&after)
+	final := uint64(cap(tx.log)) * uint64(unsafe.Sizeof(Triple{}))
+	total := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d B allocated for a %d-byte final buffer of %d rows", total, final, n)
+	if float64(total) > 2.5*float64(final) {
+		t.Fatalf("the log allocated %d B for a %d-byte final buffer", total, final)
+	}
+	small := NewGraph().Begin()
+	defer small.Abort()
+	small.addIDs(1, 2, 3)
+	small.addIDs(1, 2, 4)
+	if c := cap(small.log); c != cap(append([]Triple{{}}, Triple{})) {
+		t.Fatalf("a two-triple log has capacity %d", c)
 	}
 }

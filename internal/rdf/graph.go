@@ -718,9 +718,14 @@ func (t *Tx) AddGraph(src *Graph) {
 
 // addIDs is Add for a triple of already-interned IDs. An add goes to the
 // log once Commit would build a base anyway: the staged state holds
-// nothing to merge, or its delta is past publication's cap.
+// nothing to merge, or its delta is past publication's cap. A full log
+// of 256 rows or more doubles, where append would grow a large one by a
+// quarter at a time and copy it about five times over.
 func (t *Tx) addIDs(s, p, o ID) {
 	if t.st.size == 0 || t.st.spilled() {
+		if len(t.log) == cap(t.log) && cap(t.log) >= 256 {
+			t.log = append(make([]Triple, 0, 2*cap(t.log)), t.log...)
+		}
 		t.log = append(t.log, Triple{s, p, o})
 	} else if t.st.add(t.tag, s, p, o) {
 		t.added(s, p, o)

@@ -8,8 +8,10 @@
 package filestore
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -90,41 +92,39 @@ func (s *Store) path(id int64) string {
 	return filepath.Join(s.dir, fmt.Sprintf("a%d.ssdm", id))
 }
 
-// Store implements storage.Backend: it writes header + payload.
+// Store implements storage.Backend: it writes the header, then the
+// chunks, through one 64 KiB buffered writer (a write(2) per chunk
+// would cost several times the calls at small chunk sizes). A file
+// Store fails to finish is removed.
 func (s *Store) Store(a *array.Array, chunkElems int) (int64, error) {
 	if chunkElems <= 0 {
 		chunkElems = 64 * 1024 / array.ElemSize
-	}
-	mat, err := a.Materialize()
-	if err != nil {
-		return 0, err
-	}
-	payload, err := array.EncodeResident(mat.Base)
-	if err != nil {
-		return 0, err
 	}
 	s.mu.Lock()
 	s.nextID++
 	id := s.nextID
 	s.mu.Unlock()
 
-	buf := make([]byte, headerSize(len(mat.Shape)))
-	binary.LittleEndian.PutUint32(buf[0:], magic)
-	buf[4] = byte(mat.Etype())
-	binary.LittleEndian.PutUint16(buf[6:], uint16(len(mat.Shape)))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(chunkElems))
-	for d, ext := range mat.Shape {
-		binary.LittleEndian.PutUint64(buf[12+8*d:], uint64(ext))
+	head := make([]byte, headerSize(len(a.Shape)))
+	binary.LittleEndian.PutUint32(head[0:], magic)
+	head[4] = byte(a.Etype())
+	binary.LittleEndian.PutUint16(head[6:], uint16(len(a.Shape)))
+	binary.LittleEndian.PutUint32(head[8:], uint32(chunkElems))
+	for d, ext := range a.Shape {
+		binary.LittleEndian.PutUint64(head[12+8*d:], uint64(ext))
 	}
 	f, err := os.Create(s.path(id))
 	if err != nil {
 		return 0, err
 	}
-	defer f.Close()
-	if _, err := f.Write(buf); err != nil {
-		return 0, err
-	}
-	if _, err := f.Write(payload); err != nil {
+	w := bufio.NewWriterSize(f, 64*1024)
+	w.Write(head) // a failed write fails every later one, and Flush
+	err = array.EncodeChunks(a, chunkElems, func(_ int, payload []byte) error {
+		_, err := w.Write(payload)
+		return err
+	})
+	if err = errors.Join(err, w.Flush(), f.Close()); err != nil {
+		_ = os.Remove(f.Name()) // best effort: err is what the caller needs
 		return 0, err
 	}
 	return id, nil

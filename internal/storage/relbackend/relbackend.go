@@ -21,6 +21,7 @@
 package relbackend
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"strconv"
@@ -101,41 +102,35 @@ func New(db *relstore.Database) (*Backend, error) {
 // Name implements storage.Backend.
 func (b *Backend) Name() string { return "sql/" + b.Strategy.String() }
 
-// Store implements storage.Backend: metadata row plus one INSERT per
-// chunk (§6.2.2, data loading).
+// Store implements storage.Backend: one INSERT per chunk, then the
+// metadata row (§6.2.2, data loading).
 func (b *Backend) Store(a *array.Array, chunkElems int) (int64, error) {
 	if chunkElems <= 0 {
 		chunkElems = storage.ChunkElemsFor(storage.DefaultChunkBytes)
-	}
-	mat, err := a.Materialize()
-	if err != nil {
-		return 0, err
-	}
-	payload, err := array.EncodeResident(mat.Base)
-	if err != nil {
-		return 0, err
 	}
 	b.mu.Lock()
 	b.nextID++
 	id := b.nextID
 	b.mu.Unlock()
 
-	shapeStr := shapeToText(mat.Shape)
-	_, err = b.DB.Exec(`INSERT INTO arrays VALUES (?, ?, ?, ?, ?)`,
-		relstore.I64(id), relstore.I64(int64(mat.Etype())), relstore.I64(int64(len(mat.Shape))),
-		relstore.Text(shapeStr), relstore.I64(int64(chunkElems)))
+	// A blob keeps its slice, so each chunk is copied out of the
+	// encoder's buffer.
+	err := array.EncodeChunks(a, chunkElems, func(cno int, payload []byte) error {
+		_, err := b.DB.Exec(`INSERT INTO chunks VALUES (?, ?, ?)`,
+			relstore.I64(id), relstore.I64(int64(cno)), relstore.Blob(bytes.Clone(payload)))
+		return err
+	})
 	if err != nil {
 		return 0, err
 	}
-	for cno, chunk := range storage.SplitChunks(payload, chunkElems) {
-		_, err := b.DB.Exec(`INSERT INTO chunks VALUES (?, ?, ?)`,
-			relstore.I64(id), relstore.I64(int64(cno)), relstore.Blob(chunk))
-		if err != nil {
-			return 0, err
-		}
+	_, err = b.DB.Exec(`INSERT INTO arrays VALUES (?, ?, ?, ?, ?)`,
+		relstore.I64(id), relstore.I64(int64(a.Etype())), relstore.I64(int64(len(a.Shape))),
+		relstore.Text(shapeToText(a.Shape)), relstore.I64(int64(chunkElems)))
+	if err != nil {
+		return 0, err
 	}
 	b.mu.Lock()
-	b.metas[id] = &meta{etype: mat.Etype(), shape: append([]int(nil), mat.Shape...), chunkElems: chunkElems}
+	b.metas[id] = &meta{etype: a.Etype(), shape: append([]int(nil), a.Shape...), chunkElems: chunkElems}
 	b.mu.Unlock()
 	return id, nil
 }

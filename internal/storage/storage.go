@@ -13,6 +13,7 @@
 package storage
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -44,9 +45,9 @@ type Backend interface {
 	// Name identifies the back-end in diagnostics and benchmarks.
 	Name() string
 
-	// Store writes a materialized array and returns its back-end array
-	// ID. chunkElems is the chunk size in elements (0 selects the
-	// back-end default).
+	// Store writes the view's elements, row-major, and returns its
+	// back-end array ID. chunkElems is the chunk size in elements (0
+	// selects the back-end default).
 	Store(a *array.Array, chunkElems int) (int64, error)
 
 	// Open returns a proxied array view over a stored array; no element
@@ -55,21 +56,6 @@ type Backend interface {
 
 	// Delete removes a stored array.
 	Delete(id int64) error
-}
-
-// SplitChunks cuts a raw element payload into chunk payloads of
-// chunkElems elements (the final chunk may be short).
-func SplitChunks(payload []byte, chunkElems int) [][]byte {
-	chunkBytes := chunkElems * array.ElemSize
-	var out [][]byte
-	for off := 0; off < len(payload); off += chunkBytes {
-		end := off + chunkBytes
-		if end > len(payload) {
-			end = len(payload)
-		}
-		out = append(out, payload[off:end])
-	}
-	return out
 }
 
 // NumChunks returns the chunk count for an element count.
@@ -120,11 +106,11 @@ func (m *Memory) Store(a *array.Array, chunkElems int) (int64, error) {
 	if chunkElems <= 0 {
 		chunkElems = ChunkElemsFor(DefaultChunkBytes)
 	}
-	mat, err := a.Materialize()
-	if err != nil {
-		return 0, err
-	}
-	payload, err := array.EncodeResident(mat.Base)
+	chunks := make([][]byte, 0, NumChunks(a.Count(), chunkElems))
+	err := array.EncodeChunks(a, chunkElems, func(_ int, payload []byte) error {
+		chunks = append(chunks, bytes.Clone(payload))
+		return nil
+	})
 	if err != nil {
 		return 0, err
 	}
@@ -133,10 +119,10 @@ func (m *Memory) Store(a *array.Array, chunkElems int) (int64, error) {
 	m.nextID++
 	id := m.nextID
 	m.arrays[id] = &storedArray{
-		etype:      mat.Etype(),
-		shape:      append([]int(nil), mat.Shape...),
+		etype:      a.Etype(),
+		shape:      append([]int(nil), a.Shape...),
 		chunkElems: chunkElems,
-		chunks:     SplitChunks(payload, chunkElems),
+		chunks:     chunks,
 	}
 	return id, nil
 }

@@ -30,8 +30,12 @@ func TestChunkElemsFor(t *testing.T) {
 }
 
 func TestSplitChunks(t *testing.T) {
-	payload := make([]byte, 100*array.ElemSize)
-	chunks := SplitChunks(payload, 30)
+	m := NewMemory()
+	id, err := m.Store(seqArray(t, 100), 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks := m.arrays[id].chunks
 	if len(chunks) != 4 {
 		t.Fatalf("chunks %d", len(chunks))
 	}

@@ -136,6 +136,11 @@ const (
 	segPrefix = "wal-"
 	segSuffix = ".log"
 
+	// maxKeptBuf caps the frame buffer a log keeps between appends: a
+	// larger frame (a bulk load's batch) is dropped once written rather
+	// than held for the log's life.
+	maxKeptBuf = 64 << 10
+
 	defaultSegmentBytes = 64 << 20
 	defaultInterval     = 100 * time.Millisecond
 )
@@ -424,20 +429,22 @@ func (l *Log) Append(typ byte, body []byte) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	l.buf = buf
-	if l.segOff > 0 && l.segOff+int64(len(l.buf)) > l.segBytes {
+	if cap(buf) <= maxKeptBuf {
+		l.buf = buf
+	}
+	if l.segOff > 0 && l.segOff+int64(len(buf)) > l.segBytes {
 		if err := l.rotateLocked(); err != nil {
 			return 0, err
 		}
 	}
 	lsn := l.tailLocked()
-	if _, err := l.f.Write(l.buf); err != nil {
+	if _, err := l.f.Write(buf); err != nil {
 		l.err = fmt.Errorf("wal: append: %w", err)
 		return 0, l.err
 	}
-	l.segOff += int64(len(l.buf))
+	l.segOff += int64(len(buf))
 	l.appends.Add(1)
-	l.appendedBytes.Add(int64(len(l.buf)))
+	l.appendedBytes.Add(int64(len(buf)))
 	return lsn, nil
 }
 

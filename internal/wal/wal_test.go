@@ -426,3 +426,25 @@ func FuzzWALDecode(f *testing.F) {
 		}
 	})
 }
+
+// TestAppendDropsLargeFrameBuffer: a large record's frame buffer is not
+// kept after it is written, while small appends keep reusing theirs.
+func TestAppendDropsLargeFrameBuffer(t *testing.T) {
+	l := openT(t, t.TempDir(), Options{Policy: SyncNone})
+	defer l.Close()
+	small := []byte("small record")
+	appendT(t, l, RecBatch, string(make([]byte, 4<<20)))
+	for range 100 {
+		appendT(t, l, RecBatch, string(small))
+	}
+	if c := cap(l.buf); c > maxKeptBuf {
+		t.Fatalf("the log keeps a %d-byte frame buffer, cap %d", c, maxKeptBuf)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := l.Append(RecBatch, small); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("a small append allocates %v times", n)
+	}
+}
