@@ -1,6 +1,7 @@
 package array
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -34,23 +35,27 @@ func newCountingSource(chunkElems, nchunks int) *countingSource {
 	return &countingSource{chunkElems: chunkElems, nchunks: nchunks, chunkReads: map[int]int{}}
 }
 
-func (s *countingSource) ReadChunks(arrayID int64, runs []spd.Run) (map[int][]byte, error) {
+func (s *countingSource) ReadChunksCtx(_ context.Context, arrayID int64, runs []spd.Run, emit func(chunkNo int, data []byte) error) error {
 	if s.delay > 0 {
 		time.Sleep(s.delay)
 	}
-	out := make(map[int][]byte)
+	chunks := spd.Expand(runs)
 	s.mu.Lock()
 	s.reads++
-	for _, c := range spd.Expand(runs) {
+	for _, c := range chunks {
 		if c < 0 || c >= s.nchunks {
 			s.mu.Unlock()
-			return nil, fmt.Errorf("chunk %d out of range", c)
+			return fmt.Errorf("chunk %d out of range", c)
 		}
 		s.chunkReads[c]++
-		out[c] = chunkPayload(c, s.chunkElems)
 	}
 	s.mu.Unlock()
-	return out, nil
+	for _, c := range chunks {
+		if err := emit(c, chunkPayload(c, s.chunkElems)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (s *countingSource) AggregateWhole(int64) (*AggState, bool, error) { return nil, false, nil }

@@ -10,33 +10,26 @@ import (
 
 // ChunkSource is the narrow interface an array proxy needs from a
 // storage back-end. It is a subset of the Array Storage Extensibility
-// Interface (§6.1): the back-end returns raw chunk payloads for the
+// Interface (§6.1): the back-end streams raw chunk payloads for the
 // requested chunk-number runs, and may optionally evaluate whole-array
 // aggregates server-side (the AAPR optimization).
 type ChunkSource interface {
-	// ReadChunks fetches the chunks identified by the runs. The result
-	// maps chunk number to its raw little-endian element payload. The
-	// final chunk of an array may be short.
-	ReadChunks(arrayID int64, runs []spd.Run) (map[int][]byte, error)
+	// ReadChunksCtx fetches the chunks identified by the runs and hands
+	// each to emit as it arrives — typically from a bounded pool of
+	// fetch workers — with its raw little-endian element payload; the
+	// final chunk of an array may be short. emit is called serially on
+	// the goroutine that called ReadChunksCtx; an emit error or a ctx
+	// cancellation stops the in-flight workers. Proxies overlap the
+	// back-end's latency with computation this way. A payload passed to
+	// emit is the caller's from then on; the source may reuse it only
+	// once handed it back.
+	ReadChunksCtx(ctx context.Context, arrayID int64, runs []spd.Run, emit func(chunkNo int, data []byte) error) error
 
 	// AggregateWhole computes the aggregate state over all elements of
 	// the array inside the back-end. ok is false when the back-end does
 	// not support server-side aggregation, in which case the caller
 	// falls back to fetching chunks.
 	AggregateWhole(arrayID int64) (st *AggState, ok bool, err error)
-}
-
-// ChunkSourceCtx is the streaming extension of ChunkSource: back-ends
-// that implement it deliver chunk payloads through emit as they
-// arrive — typically from a bounded pool of fetch workers — instead of
-// materializing the whole response map first. emit is called serially
-// on the goroutine that called ReadChunksCtx; an emit error or a ctx
-// cancellation stops the in-flight workers. Proxies use this interface
-// when present to overlap back-end latency with computation, and fall
-// back to ReadChunks otherwise. A payload passed to emit is the caller's
-// from then on; the source may reuse it only once handed it back.
-type ChunkSourceCtx interface {
-	ReadChunksCtx(ctx context.Context, arrayID int64, runs []spd.Run, emit func(chunkNo int, data []byte) error) error
 }
 
 // Proxy stands in for the elements of an externally stored array
@@ -178,7 +171,7 @@ func (p *Proxy) awaitFlight(ctx context.Context, chunkNo int, fl *flight, pin bo
 }
 
 // readClaims fetches the claimed chunks (sorted ascending) in one
-// back-end interaction — streaming when the source supports it — and
+// streaming back-end interaction and
 // completes every claim's flight: resolved with its payload as it
 // arrives, or failed so that coalesced waiters never hang. The returned
 // error is the back-end's; a chunk the back-end silently omitted fails
@@ -215,24 +208,8 @@ func (p *Proxy) readClaims(ctx context.Context, claims []int, claimFl map[int]*f
 		}
 		return nil
 	}
-	if cs, ok := p.Source.(ChunkSourceCtx); ok {
-		finalErr = cs.ReadChunksCtx(ctx, p.ArrayID, runs, emit)
-		return finalErr
-	}
-	got, err := p.Source.ReadChunks(p.ArrayID, runs)
-	if err != nil {
-		finalErr = err
-		return err
-	}
-	for _, cn := range claims {
-		if data, ok := got[cn]; ok {
-			if err := emit(cn, data); err != nil {
-				finalErr = err
-				return err
-			}
-		}
-	}
-	return nil
+	finalErr = p.Source.ReadChunksCtx(ctx, p.ArrayID, runs, emit)
+	return finalErr
 }
 
 // fetchMissingCtx retrieves the listed chunk numbers (sorted,
@@ -328,9 +305,6 @@ func streamWindows(claims []int, chunkBytes int) [][]int {
 // same chunks coalesce onto one fetch. Cancelling ctx stops the
 // in-flight fetch workers; StreamChunks does not return until they
 // have exited. The bytes passed to f are valid only until f returns.
-//
-// Sources that do not implement ChunkSourceCtx are read in a single
-// batched ReadChunks call, preserving their one-interaction contract.
 func (p *Proxy) StreamChunks(ctx context.Context, chunkNos []int, f func(chunkNo int, data []byte) error) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -357,12 +331,7 @@ func (p *Proxy) StreamChunks(ctx context.Context, chunkNos []int, f func(chunkNo
 		}
 	}
 
-	var windows [][]int
-	if _, streaming := p.Source.(ChunkSourceCtx); streaming {
-		windows = streamWindows(claims, p.ChunkElems*ElemSize)
-	} else if len(claims) > 0 {
-		windows = [][]int{claims}
-	}
+	windows := streamWindows(claims, p.ChunkElems*ElemSize)
 	claimWin := make(map[int]int, len(claims))
 	for w, win := range windows {
 		for _, cn := range win {

@@ -1,6 +1,7 @@
 package array
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -10,19 +11,19 @@ import (
 // failSource fails every read, for error-path coverage.
 type failSource struct{}
 
-func (failSource) ReadChunks(int64, []spd.Run) (map[int][]byte, error) {
-	return nil, errors.New("backend down")
+func (failSource) ReadChunksCtx(context.Context, int64, []spd.Run, func(int, []byte) error) error {
+	return errors.New("backend down")
 }
 
 func (failSource) AggregateWhole(int64) (*AggState, bool, error) {
 	return nil, false, errors.New("backend down")
 }
 
-// shortSource returns chunks missing from the response.
+// shortSource returns without emitting the chunks asked for.
 type shortSource struct{}
 
-func (shortSource) ReadChunks(int64, []spd.Run) (map[int][]byte, error) {
-	return map[int][]byte{}, nil
+func (shortSource) ReadChunksCtx(context.Context, int64, []spd.Run, func(int, []byte) error) error {
+	return nil
 }
 
 func (shortSource) AggregateWhole(int64) (*AggState, bool, error) { return nil, false, nil }

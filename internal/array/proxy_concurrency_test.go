@@ -1,7 +1,7 @@
 package array
 
 import (
-	"fmt"
+	"context"
 	"sync"
 	"testing"
 
@@ -18,27 +18,11 @@ type lockedSource struct {
 	calls int
 }
 
-func (s *lockedSource) ReadChunks(arrayID int64, runs []spd.Run) (map[int][]byte, error) {
+func (s *lockedSource) ReadChunksCtx(_ context.Context, arrayID int64, runs []spd.Run, emit func(chunkNo int, data []byte) error) error {
 	s.mu.Lock()
 	s.calls++
 	s.mu.Unlock()
-	out := make(map[int][]byte)
-	for _, c := range spd.Expand(runs) {
-		lo := c * s.chunkElems
-		if lo >= s.nelems {
-			return nil, fmt.Errorf("chunk %d out of range", c)
-		}
-		hi := lo + s.chunkElems
-		if hi > s.nelems {
-			hi = s.nelems
-		}
-		buf := make([]byte, (hi-lo)*ElemSize)
-		for i := lo; i < hi; i++ {
-			EncodeElem(buf[(i-lo)*ElemSize:], FloatN(float64(i)), Float)
-		}
-		out[c] = buf
-	}
-	return out, nil
+	return emitFloats(s.nelems, s.chunkElems, runs, emit)
 }
 
 func (s *lockedSource) AggregateWhole(int64) (*AggState, bool, error) {

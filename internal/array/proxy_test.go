@@ -1,6 +1,7 @@
 package array
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -8,7 +9,7 @@ import (
 )
 
 // fakeSource serves chunks of a synthetic float array whose element i
-// has value i, and records every ReadChunks call.
+// has value i, and records every ReadChunksCtx call.
 type fakeSource struct {
 	nelems     int
 	chunkElems int
@@ -16,25 +17,33 @@ type fakeSource struct {
 	aggCapable bool
 }
 
-func (s *fakeSource) ReadChunks(arrayID int64, runs []spd.Run) (map[int][]byte, error) {
+func (s *fakeSource) ReadChunksCtx(_ context.Context, arrayID int64, runs []spd.Run, emit func(chunkNo int, data []byte) error) error {
 	s.calls = append(s.calls, runs)
-	out := make(map[int][]byte)
-	for _, c := range spd.Expand(runs) {
-		lo := c * s.chunkElems
-		if lo >= s.nelems {
-			return nil, fmt.Errorf("chunk %d out of range", c)
+	return emitFloats(s.nelems, s.chunkElems, runs, emit)
+}
+
+// emitFloats emits the chunks runs name of a float array of nelems
+// elements, element i holding i, or fails before emitting any when one
+// is out of range.
+func emitFloats(nelems, chunkElems int, runs []spd.Run, emit func(chunkNo int, data []byte) error) error {
+	chunks := spd.Expand(runs)
+	for _, c := range chunks {
+		if c*chunkElems >= nelems {
+			return fmt.Errorf("chunk %d out of range", c)
 		}
-		hi := lo + s.chunkElems
-		if hi > s.nelems {
-			hi = s.nelems
-		}
+	}
+	for _, c := range chunks {
+		lo := c * chunkElems
+		hi := min(lo+chunkElems, nelems)
 		buf := make([]byte, (hi-lo)*ElemSize)
 		for i := lo; i < hi; i++ {
 			EncodeElem(buf[(i-lo)*ElemSize:], FloatN(float64(i)), Float)
 		}
-		out[c] = buf
+		if err := emit(c, buf); err != nil {
+			return err
+		}
 	}
-	return out, nil
+	return nil
 }
 
 func (s *fakeSource) AggregateWhole(arrayID int64) (*AggState, bool, error) {

@@ -13,7 +13,7 @@ import (
 	"scisparql/internal/spd"
 )
 
-// gatedStreamSource implements ChunkSourceCtx. Chunks below gateAt are
+// gatedStreamSource is a ChunkSource. Chunks below gateAt are
 // emitted immediately; later chunks block until the gate is opened (or
 // the context is cancelled), letting tests freeze a stream mid-flight.
 type gatedStreamSource struct {
@@ -24,18 +24,6 @@ type gatedStreamSource struct {
 
 	mu    sync.Mutex
 	reads int64
-}
-
-func (s *gatedStreamSource) ReadChunks(arrayID int64, runs []spd.Run) (map[int][]byte, error) {
-	out := make(map[int][]byte)
-	err := s.ReadChunksCtx(context.Background(), arrayID, runs, func(chunkNo int, data []byte) error {
-		out[chunkNo] = data
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 func (s *gatedStreamSource) ReadChunksCtx(ctx context.Context, arrayID int64, runs []spd.Run, emit func(chunkNo int, data []byte) error) error {
@@ -148,15 +136,6 @@ func TestStreamingShortChunkDetected(t *testing.T) {
 
 type truncatingSource struct {
 	chunkElems, nchunks, truncateAt int
-}
-
-func (s *truncatingSource) ReadChunks(arrayID int64, runs []spd.Run) (map[int][]byte, error) {
-	out := make(map[int][]byte)
-	err := s.ReadChunksCtx(context.Background(), arrayID, runs, func(chunkNo int, data []byte) error {
-		out[chunkNo] = data
-		return nil
-	})
-	return out, err
 }
 
 func (s *truncatingSource) ReadChunksCtx(ctx context.Context, arrayID int64, runs []spd.Run, emit func(chunkNo int, data []byte) error) error {

@@ -205,3 +205,51 @@ func TestDurableLoadFailureLogsNothing(t *testing.T) {
 		t.Fatalf("recovered %v, want %v", got, live)
 	}
 }
+
+// TestPlainLoadIsOneVersion: an instance without a WAL stages a load as
+// a durable one does, so readers see a document whole and consolidated
+// or not at all. A load whose file link fails leaves the triples and the
+// generation as they were, and a document holding a numeric collection
+// — consolidated into an array before it is published — advances the
+// generation by exactly one, with no list cell left in the graph.
+func TestPlainLoadIsOneVersion(t *testing.T) {
+	db := Open()
+	db.AttachBackend(storage.NewMemory())
+	if err := db.LoadTurtle("@prefix ex: <http://ex/> .\nex:a ex:p 1 ; ex:q [ ex:r 2 ] .\n", ""); err != nil {
+		t.Fatal(err)
+	}
+	g := db.Dataset.Default
+	triples, gen := tripleKeys(g), g.Generation()
+	badLink := "@prefix ex: <http://ex/> .\nex:new ex:p 5 ; ex:data \"999\"^^<" + string(rdf.SSDMFileLink) + "> .\n"
+	if err := db.LoadTurtle(badLink, ""); err == nil {
+		t.Fatal("a load with a file link to no array succeeded")
+	}
+	if got := tripleKeys(g); !slices.Equal(got, triples) {
+		t.Errorf("a failed load changed the triples to %v", got)
+	}
+	if got := g.Generation(); got != gen {
+		t.Errorf("a failed load moved the generation %d → %d", gen, got)
+	}
+	db = Open() // the collection check on an instance the failure never touched
+	db.AttachBackend(storage.NewMemory())
+	g, gen = db.Dataset.Default, db.Dataset.Default.Generation()
+	if err := db.LoadTurtle("@prefix ex: <http://ex/> .\nex:m ex:values (1 2 3 4) .\n", ""); err != nil {
+		t.Fatal(err)
+	}
+	if got := g.Generation(); got != gen+1 {
+		t.Errorf("a load with a collection moved the generation %d → %d, want one step", gen, got)
+	}
+	arrays, cells := 0, 0
+	g.Triples(func(_, p, o rdf.Term) bool {
+		if _, ok := o.(rdf.Array); ok {
+			arrays++
+		}
+		if p == rdf.RDFFirst || p == rdf.RDFRest {
+			cells++
+		}
+		return true
+	})
+	if arrays != 1 || cells != 0 {
+		t.Errorf("the graph holds %d arrays and %d list cells, want 1 and 0", arrays, cells)
+	}
+}

@@ -150,7 +150,8 @@ func TestGuardExternalizeFreesResident(t *testing.T) {
 
 // TestGuardStoreCopiesOnce: Externalize encodes each whole resident
 // array chunk by chunk from its own elements. Into the file store an
-// array costs one chunk buffer and one write buffer, whatever its size;
+// array costs one chunk buffer, whatever its size, and at most one write
+// buffer (they are pooled);
 // into the in-memory back-end, which keeps its chunks, it costs its
 // payload once. Materializing a copy and encoding that copy whole, as
 // Store did before, costs twice the payload per array into either.

@@ -206,20 +206,15 @@ func (s *SSDM) LoadTurtle(src string, graph rdf.IRI) error {
 
 func (s *SSDM) loadTurtleLocked(src string, graph rdf.IRI) error {
 	g := s.targetGraph(graph)
-	if !s.walEnabled() {
-		if err := sparql.ParseTurtle(src, g); err != nil {
-			return err
-		}
-		return s.postLoad(g)
-	}
-	// Durable path: parse and consolidate into a stage over the target's
-	// dictionary, then take its triples by ID into a recorded
-	// transaction, so the document is interned once and is one WAL batch
-	// and one atomically published version — readers never see (and the
-	// log never holds) a half-loaded document. The stage's blank counter
-	// starts at the target's so document blanks cannot collide with
-	// existing ones; consolidation sees the incoming document, not the
-	// merged graph.
+	// Parse and consolidate into a stage over the target's dictionary,
+	// then take its triples by ID into one transaction, so the document
+	// is interned once and is one atomically published version (and,
+	// with a WAL, one batch) — readers never see, and the log never
+	// holds, a half-loaded or unconsolidated document, and a load that
+	// fails leaves the graph as it was. The stage's blank counter starts
+	// at the target's so document blanks cannot collide with existing
+	// ones; consolidation sees the incoming document, not the merged
+	// graph.
 	stage := g.Stage()
 	if err := sparql.ParseTurtle(src, stage); err != nil {
 		return err
@@ -228,7 +223,9 @@ func (s *SSDM) loadTurtleLocked(src string, graph rdf.IRI) error {
 		return err
 	}
 	tx := g.Begin()
-	tx.Record(true)
+	if s.walEnabled() {
+		tx.Record(true)
+	}
 	tx.AddGraph(stage)
 	g.EnsureBlankNo(stage.BlankNo())
 	lsn, logged, err := s.commitTx(graph, tx)

@@ -38,7 +38,7 @@ func durErr(err error) error {
 //
 // A batch record holds the triples one statement, load or write call
 // deleted from and added to one graph, as two width-3 row tables
-// (protocol.AppendTripleRows, the bytes the triples op ships):
+// (protocol.AppendIDRows, the bytes the triples op ships):
 //
 //	uvarint  n, then n bytes: the graph name ("" the default graph)
 //	uvarint  the graph's blank-node counter after the batch
@@ -72,12 +72,27 @@ func appendBatch(dst []byte, g *rdf.Graph, graph rdf.IRI, dels, adds []rdf.Tripl
 	dst = append(binary.AppendUvarint(dst, uint64(len(graph))), graph...)
 	dst = binary.AppendUvarint(dst, uint64(g.BlankNo()))
 	terms := batchTerms{g: g, links: map[int64]rdf.ID{}}
-	table, err := protocol.AppendTripleRows(nil, dels, terms.term)
+	table, _, err := protocol.AppendIDRows(nil, 3, terms.term, tripleRows(dels))
 	if err != nil {
 		return nil, err
 	}
 	dst = append(binary.AppendUvarint(dst, uint64(len(table))), table...)
-	return protocol.AppendTripleRows(dst, adds, terms.term)
+	protocol.Release(table)
+	dst, _, err = protocol.AppendIDRows(dst, 3, terms.term, tripleRows(adds))
+	return dst, err
+}
+
+// tripleRows hands ts to yield as rows of three IDs.
+func tripleRows(ts []rdf.Triple) func(yield func(row []rdf.ID) bool) {
+	return func(yield func(row []rdf.ID) bool) {
+		var row [3]rdf.ID
+		for _, t := range ts {
+			row = [3]rdf.ID{t.S, t.P, t.O}
+			if !yield(row[:]) {
+				return
+			}
+		}
+	}
 }
 
 // batchTerms resolves a batch record's IDs. A whole-base proxied array

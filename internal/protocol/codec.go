@@ -13,9 +13,9 @@ import (
 	"scisparql/internal/rdf"
 )
 
-// Dictionary entry kinds of a triple batch or a row table (see the
-// package doc for the layouts). Every term kind has a binary form of its
-// own; none travels as JSON nested in a batch.
+// Dictionary entry kinds of a row table (see the package doc for the
+// layout). Every term kind has a binary form of its own; none travels as
+// JSON nested in a table.
 const (
 	kindIRI      = iota // text
 	kindBlank           // text
@@ -29,24 +29,24 @@ const (
 	kindArray           // uint64 length (little-endian), then array.AppendMarshal's bytes
 )
 
-// maxPooledBatch keeps a buffer out of the pools once one large answer
+// maxPooledTable keeps a buffer out of the pools once one large answer
 // has grown it (the ceiling engine.EncodeJSON uses).
-const maxPooledBatch = 1 << 20
+const maxPooledTable = 1 << 20
 
-// batchBufs holds the buffers EncodeTriples and EncodeRows hand out and
+// tableBufs holds the buffers EncodeRows and AppendIDRows hand out and
 // Release takes back.
-var batchBufs = sync.Pool{New: func() any { return new([]byte) }}
+var tableBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// newBatch returns a pooled buffer holding header zero bytes.
-func newBatch(header int) []byte {
-	return append((*batchBufs.Get().(*[]byte))[:0], make([]byte, header)...)
+// newTable returns a pooled buffer holding header zero bytes.
+func newTable(header int) []byte {
+	return append((*tableBufs.Get().(*[]byte))[:0], make([]byte, header)...)
 }
 
-// Release returns a triple batch or a row table to its pool; the caller
-// must not touch it afterwards. A nil buffer is a no-op.
+// Release returns a row table to its pool; the caller must not touch it
+// afterwards. A nil buffer is a no-op.
 func Release(blob []byte) {
-	if blob != nil && cap(blob) <= maxPooledBatch {
-		batchBufs.Put(&blob)
+	if blob != nil && cap(blob) <= maxPooledTable {
+		tableBufs.Put(&blob)
 	}
 }
 
@@ -92,11 +92,13 @@ func appendDictTerm(b []byte, t rdf.Term) ([]byte, error) {
 	return nil, fmt.Errorf("protocol: cannot encode %T", t)
 }
 
-var errBadBatch = errors.New("protocol: malformed batch")
+// ErrMalformed reports bytes that are not a well-formed row table, or a
+// table of a shape its reader refuses.
+var ErrMalformed = errors.New("protocol: malformed table")
 
-// reader reads a batch's cells in place: texts are strings sharing the
-// batch's memory and array bodies are unmarshalled straight from it, so
-// nothing is copied twice — and the batch must not change once read.
+// reader reads a table's cells in place: texts are strings sharing the
+// table's memory and array bodies are unmarshalled straight from it, so
+// nothing is copied twice — and the table must not change once read.
 type reader struct {
 	b   []byte
 	bad bool
@@ -129,7 +131,7 @@ func (r *reader) text() string {
 func (r *reader) term() (rdf.Term, error) {
 	kind := r.next(1)
 	if r.bad {
-		return nil, errBadBatch
+		return nil, ErrMalformed
 	}
 	var t rdf.Term
 	switch kind[0] {
@@ -157,7 +159,7 @@ func (r *reader) term() (rdf.Term, error) {
 	case kindDateTime:
 		ts, err := time.Parse(time.RFC3339Nano, r.text())
 		if err != nil && !r.bad {
-			return nil, fmt.Errorf("%w: %v", errBadBatch, err)
+			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
 		}
 		t = rdf.DateTime{T: ts}
 	case kindArray:
@@ -168,15 +170,15 @@ func (r *reader) term() (rdf.Term, error) {
 		if body := r.next(n); !r.bad {
 			a, err := array.Unmarshal(body)
 			if err != nil {
-				return nil, fmt.Errorf("%w: %v", errBadBatch, err)
+				return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
 			}
 			t = rdf.NewArray(a)
 		}
 	default:
-		return nil, fmt.Errorf("%w: unknown term kind %d", errBadBatch, kind[0])
+		return nil, fmt.Errorf("%w: unknown term kind %d", ErrMalformed, kind[0])
 	}
 	if r.bad {
-		return nil, errBadBatch
+		return nil, ErrMalformed
 	}
 	return t, nil
 }

@@ -7,13 +7,15 @@
 // This is the protocol the Matlab integration of chapter 7 speaks; the
 // Go client in internal/ssdmclient plays Matlab's role.
 //
-// # Query results
+// # Row tables
 //
-// A solution table — the answer to query, execute, and explain with
-// Analyze — is one binary row table, Response.Rows, base64 on the wire
-// like an array, plus Response.NRows, the number of rows in it; a table
-// with no rows is not sent. EncodeRows and DecodeRows are the only code
-// that knows the layout:
+// Every binary table on the wire has one layout, the row table. A
+// solution table — the answer to query, execute, and explain with
+// Analyze — is one row table, Response.Rows, base64 on the wire like an
+// array, plus Response.NRows, the number of rows in it; a solution with
+// no rows sends no table. EncodeRows and AppendIDRows write the layout,
+// from terms and from a graph's IDs; EachRow is the only code that
+// reads it, and DecodeRows collects what it reads:
 //
 //	uint32  d, the number of distinct terms in the table (little-endian)
 //	uint32  n, the number of rows (little-endian)
@@ -24,6 +26,22 @@
 //	cell    uvarint 0: unbound
 //	        uvarint 1, then a term: it becomes the next dictionary entry
 //	        uvarint k ≥ 2: the (k-2)-th term first sent in this table
+//
+// A table is self-contained — its dictionary lives and dies with the
+// message, so nothing is mirrored between peers and a retry is safe —
+// and each distinct term crosses once however many cells repeat it.
+//
+//	term    byte kind, then
+//	        0 iri, 1 blank, 2 plain string: text
+//	        3 language-tagged string: text value, text tag
+//	        4 integer: zigzag varint
+//	        5 double: 8 bytes, little-endian IEEE-754 bits
+//	        6 boolean: one byte, 0 or 1
+//	        7 other typed literal: text lexical form, text datatype IRI
+//	        8 dateTime: text, RFC 3339 with nanoseconds, offset kept
+//	        9 array: uint64 n (little-endian), then n bytes of
+//	          array.AppendMarshal
+//	text    uvarint length, then that many bytes
 //
 // # Triple writes
 //
@@ -40,45 +58,19 @@
 // they follow the same rule: OpScan sends the pattern as Request.Rows,
 // one row of three cells whose unbound cells are the wildcards, and is
 // answered from the default graph's indexes, with no query text,
-// parser, plan or engine on either side, by one binary triple batch —
-// Response.Triples, base64 on the wire — plus Response.Count, the
-// number of triples in it. A pattern that is not one row of three cells
-// gets code "error". Only a leaf
-// answers: a server that itself coordinates shards refuses the op, and
-// a server that predates it answers "unknown op scan"; there is no
-// version field and no fallback. The request's TimeoutMS and the
-// instance's row cap apply as they do to a query (codes "timeout" and
-// "resource_limit"; a batch is never truncated). EncodeTriples and
-// DecodeTriples are the only code that knows the layout:
-//
-//	byte    wildcard mask: bit 0 subject, bit 1 predicate, bit 2 object
-//	uint32  d, the number of distinct terms in the batch (little-endian)
-//	uint32  n, the number of triples (little-endian)
-//	n rows  one cell per wildcard position, in s, p, o order; bound
-//	        positions are not sent
-//
-//	cell    uvarint k > 0: the (k-1)-th term first sent in this batch
-//	        uvarint 0, then a term: it becomes the next dictionary entry
-//
-// # Terms in a batch
-//
-// Tables and batches share one term codec. Each is self-contained — its
-// dictionary lives and dies with the response, so nothing is mirrored
-// between peers and a retry is safe — and each distinct term crosses
-// once however many cells repeat it; a fully-bound scan pattern has no
-// cells, so d is 0 and n is 0 or 1.
-//
-//	term    byte kind, then
-//	        0 iri, 1 blank, 2 plain string: text
-//	        3 language-tagged string: text value, text tag
-//	        4 integer: zigzag varint
-//	        5 double: 8 bytes, little-endian IEEE-754 bits
-//	        6 boolean: one byte, 0 or 1
-//	        7 other typed literal: text lexical form, text datatype IRI
-//	        8 dateTime: text, RFC 3339 with nanoseconds, offset kept
-//	        9 array: uint64 n (little-endian), then n bytes of
-//	          array.AppendMarshal
-//	text    uvarint length, then that many bytes
+// parser, plan or engine on either side, by one row table —
+// Response.Rows, sent even when it has no rows — plus Response.NRows.
+// The answer's width is the pattern's number of wildcards, its cells
+// the matches' terms at those positions in s, p, o order; bound
+// positions are not sent, so a fully-bound pattern is answered by a
+// table of width 0 holding at most one row. A pattern that is not one
+// row of three cells gets code "error". Only a leaf answers: a server
+// that itself coordinates shards refuses the op, and a server that
+// predates it answers "unknown op scan"; there is no version field and
+// no fallback, and an answer of any other shape is ErrMalformed. The
+// request's TimeoutMS and the instance's row cap apply as they do to a
+// query (codes "timeout" and "resource_limit"; a table is never
+// truncated).
 //
 // The write-ahead log and checkpoint images store triples as row tables
 // too (see core's WAL integration). No request, response or record
@@ -107,7 +99,7 @@ const (
 	OpTriples    = "triples"     // Rows: ground triples to add, or with Delete to remove -> Count
 	OpStats      = "stats"       // server statistics snapshot -> Stats
 	OpExplain    = "explain"     // Text: a query; plan only, or executed plan + trace with Analyze
-	OpScan       = "scan"        // Rows: one triple pattern -> Triples, Count (leaf shards only)
+	OpScan       = "scan"        // Rows: one triple pattern -> Rows, NRows (leaf shards only)
 )
 
 // Request is one client request. The guard fields bound the request's
@@ -196,16 +188,11 @@ type Response struct {
 	ArrayID int64    `json:"array_id,omitempty"`
 	Stats   *Stats   `json:"stats,omitempty"`
 
-	// Rows is a solution table (see EncodeRows), base64 on the wire;
-	// NRows is the number of rows in it. Both are absent when the table
-	// has no rows.
+	// Rows is a row table (see EncodeRows), base64 on the wire: a
+	// solution, absent when it has no rows, or OpScan's matches, always
+	// there. NRows is the number of rows in it.
 	Rows  []byte `json:"rows,omitempty"`
 	NRows int    `json:"nrows,omitempty"`
-
-	// Triples is OpScan's answer: one dictionary-coded batch (see
-	// EncodeTriples), base64 on the wire; Count is the number of triples
-	// in it.
-	Triples []byte `json:"triples,omitempty"`
 
 	// Explain carries the rendered plan for OpExplain (static plan, or
 	// the annotated executed plan when the request set Analyze).

@@ -14,8 +14,28 @@ import (
 // cell counts as little-endian uint32s.
 const rowsHeader = 4 + 4 + 4
 
-// rowIndexes holds EncodeRows' term → dictionary-index maps.
-var rowIndexes = sync.Pool{New: func() any { return make(map[any]uint32) }}
+// rowIndexes holds EncodeRows' term → dictionary-index maps, idIndexes
+// AppendIDRows' graph-ID → dictionary-index maps.
+var (
+	rowIndexes = sync.Pool{New: func() any { return make(map[any]uint32) }}
+	idIndexes  = sync.Pool{New: func() any { return make(map[rdf.ID]uint32) }}
+)
+
+// putIndex clears index and returns it to pool, unless one large table
+// has grown it.
+func putIndex[K comparable](pool *sync.Pool, index map[K]uint32) {
+	if len(index) <= maxPooledTable/16 {
+		clear(index)
+		pool.Put(index)
+	}
+}
+
+// putHeader writes a row table's header at the start of b.
+func putHeader(b []byte, ndict, nrows, width int) {
+	binary.LittleEndian.PutUint32(b, uint32(ndict))
+	binary.LittleEndian.PutUint32(b[4:], uint32(nrows))
+	binary.LittleEndian.PutUint32(b[8:], uint32(width))
+}
 
 // cellKey is what EncodeRows dedupes a term on: the term itself — each
 // of the nine rdf kinds is comparable — except a zero or NaN double,
@@ -44,20 +64,13 @@ func cellKey(t rdf.Term) (key any, ok bool) {
 // has been written out.
 func EncodeRows(rows [][]rdf.Term, width int) ([]byte, error) {
 	index := rowIndexes.Get().(map[any]uint32)
-	defer func() {
-		if len(index) <= maxPooledBatch/16 {
-			clear(index)
-			rowIndexes.Put(index)
-		}
-	}()
-	blob, err := appendRows(newBatch(rowsHeader), index, rows, width)
+	defer putIndex(&rowIndexes, index)
+	blob, err := appendRows(newTable(rowsHeader), index, rows, width)
 	if err != nil {
 		Release(blob)
 		return nil, err
 	}
-	binary.LittleEndian.PutUint32(blob, uint32(len(index)))
-	binary.LittleEndian.PutUint32(blob[4:], uint32(len(rows)))
-	binary.LittleEndian.PutUint32(blob[8:], uint32(width))
+	putHeader(blob, len(index), len(rows), width)
 	return blob, nil
 }
 
@@ -94,29 +107,55 @@ func appendRows(blob []byte, index map[any]uint32, rows [][]rdf.Term, width int)
 	return blob, nil
 }
 
-// AppendTripleRows appends ts, triples of one graph's IDs, to blob as a
-// width-3 row table: the bytes EncodeRows writes for the same rows with
-// each cell resolved by term, which also names the key the cell is
-// deduped on (the ID, or one the caller resolves to an equal term).
-func AppendTripleRows(blob []byte, ts []rdf.Triple, term func(rdf.ID) (rdf.ID, rdf.Term, error)) ([]byte, error) {
-	index := make(map[rdf.ID]uint32)
+// AppendIDRows appends to blob a row table width cells wide whose rows
+// are IDs of one graph, handed to yield one at a time by rows (yield
+// returns false once the table has failed), and returns it with the
+// number of rows it holds. term resolves a cell's ID to the term it
+// carries and to the ID it is deduped on — the ID itself, or one the
+// caller resolves to an equal term — so the bytes are those EncodeRows
+// writes for the resolved rows. A nil blob starts a pooled buffer: hand
+// the table to Release once it has been written out. On error no table
+// is returned.
+func AppendIDRows(blob []byte, width int, term func(rdf.ID) (rdf.ID, rdf.Term, error), rows func(yield func(row []rdf.ID) bool)) ([]byte, int, error) {
+	index := idIndexes.Get().(map[rdf.ID]uint32)
+	defer putIndex(&idIndexes, index)
+	pooled := blob == nil
+	if pooled {
+		blob = newTable(0)
+	}
 	at := len(blob)
 	blob = append(blob, make([]byte, rowsHeader)...)
-	for _, tr := range ts {
-		for _, id := range [3]rdf.ID{tr.S, tr.P, tr.O} {
-			key, t, err := term(id)
-			if err == nil {
-				blob, err = appendCell(blob, index, key, t)
+	n := 0
+	var err error
+	rows(func(row []rdf.ID) bool {
+		if len(row) != width {
+			err = fmt.Errorf("protocol: a row of %d cells in a table %d wide", len(row), width)
+			return false
+		}
+		if width == 0 {
+			blob = append(blob, 0)
+		}
+		for _, id := range row {
+			key, t, e := term(id)
+			if e == nil {
+				blob, e = appendCell(blob, index, key, t)
 			}
-			if err != nil {
-				return nil, err
+			if e != nil {
+				err = e
+				return false
 			}
 		}
+		n++
+		return true
+	})
+	if err != nil {
+		if pooled {
+			Release(blob)
+		}
+		return nil, 0, err
 	}
-	binary.LittleEndian.PutUint32(blob[at:], uint32(len(index)))
-	binary.LittleEndian.PutUint32(blob[at+4:], uint32(len(ts)))
-	binary.LittleEndian.PutUint32(blob[at+8:], 3)
-	return blob, nil
+	putHeader(blob[at:], len(index), n, width)
+	return blob, n, nil
 }
 
 // appendCell appends a bound cell: a reference to index's entry for key,
@@ -133,15 +172,24 @@ func appendCell[K comparable](blob []byte, index map[K]uint32, key K, t rdf.Term
 	return b, nil
 }
 
-// DecodeRows reads a row table built by EncodeRows back into its rows,
-// nil standing for unbound; the rows are windows of one cell slab. Each
-// distinct term is decoded once: texts share blob's memory (so blob must
-// not change afterwards) and arrays are unmarshalled straight from it.
-// Anything that is not a well-formed table is an error — never a panic,
-// and no allocation is sized by a count the bytes present cannot back.
-func DecodeRows(blob []byte) ([][]rdf.Term, error) {
+// termLists holds EachRow's term lists — a row's cells, then the
+// dictionary — cleared so they pin no blob.
+var termLists = sync.Pool{New: func() any { return new([]rdf.Term) }}
+
+// EachRow reads blob, a row table, and is the only code that does. It
+// calls start with the table's row count and width, then emit with each
+// row in order, nil standing for unbound, until emit returns false. row
+// is overwritten by the next one: its terms are the caller's to keep,
+// the slice is not. Each distinct term is decoded once: texts share
+// blob's memory (so blob must not change afterwards) and arrays are
+// unmarshalled straight from it; a row of terms already seen allocates
+// nothing. An error from start is returned as it is, before any row.
+// Anything that is not a well-formed table is an ErrMalformed error —
+// never a panic, and no allocation is sized by a count the bytes
+// present cannot back; emit may have seen a prefix of the rows by then.
+func EachRow(blob []byte, start func(nrows, width int) error, emit func(row []rdf.Term) bool) error {
 	if len(blob) < rowsHeader {
-		return nil, fmt.Errorf("%w: a %d-byte row table", errBadBatch, len(blob))
+		return fmt.Errorf("%w: a %d-byte row table", ErrMalformed, len(blob))
 	}
 	ndict := uint64(binary.LittleEndian.Uint32(blob))
 	nrows := uint64(binary.LittleEndian.Uint32(blob[4:]))
@@ -150,41 +198,78 @@ func DecodeRows(blob []byte) ([][]rdf.Term, error) {
 	// A row is at least one byte, a cell at least one, a new term's cell
 	// at least three (marker, kind, payload).
 	if size := uint64(len(r.b)); nrows > size/max(width, 1) || ndict > size/3 {
-		return nil, fmt.Errorf("%w: %d rows of %d cells over %d terms exceed the payload", errBadBatch, nrows, width, ndict)
+		return fmt.Errorf("%w: %d rows of %d cells over %d terms exceed the payload", ErrMalformed, nrows, width, ndict)
 	}
-	rows := make([][]rdf.Term, nrows)
-	cells := make([]rdf.Term, nrows*width)
-	dict := make([]rdf.Term, 0, ndict)
-	for i := range rows {
-		row := cells[uint64(i)*width : uint64(i+1)*width : uint64(i+1)*width]
-		rows[i] = row
+	if err := start(int(nrows), int(width)); err != nil {
+		return err
+	}
+	cells := width
+	if nrows == 0 {
+		cells = 0 // nothing backs the width of a table with no rows
+	}
+	list := termLists.Get().(*[]rdf.Term)
+	buf := append((*list)[:0], make([]rdf.Term, cells+ndict)...)
+	row, dict := buf[:cells:cells], buf[cells:cells]
+	defer func() {
+		clear(buf)
+		if *list = buf[:0]; cap(buf) <= maxPooledTable/16 {
+			termLists.Put(list)
+		}
+	}()
+	for i := range nrows {
 		if width == 0 && (r.uvarint() != 0 || r.bad) {
-			return nil, fmt.Errorf("%w: a row of width 0 is one unbound cell", errBadBatch)
+			return fmt.Errorf("%w: a row of width 0 is one unbound cell", ErrMalformed)
 		}
 		for c := range row {
 			switch ix := r.uvarint(); {
 			case r.bad:
-				return nil, fmt.Errorf("%w: truncated at row %d", errBadBatch, i)
-			case ix == 0: // unbound
+				return fmt.Errorf("%w: truncated at row %d", ErrMalformed, i)
+			case ix == 0:
+				row[c] = nil
 			case ix == 1:
 				if uint64(len(dict)) == ndict {
-					return nil, fmt.Errorf("%w: more terms than the %d announced", errBadBatch, ndict)
+					return fmt.Errorf("%w: more terms than the %d announced", ErrMalformed, ndict)
 				}
 				t, err := r.term()
 				if err != nil {
-					return nil, err
+					return err
 				}
 				dict = append(dict, t)
 				row[c] = t
 			case ix-2 < uint64(len(dict)):
 				row[c] = dict[ix-2]
 			default:
-				return nil, fmt.Errorf("%w: dictionary index out of range", errBadBatch)
+				return fmt.Errorf("%w: dictionary index out of range", ErrMalformed)
 			}
+		}
+		if !emit(row) {
+			return nil
 		}
 	}
 	if len(r.b) != 0 || uint64(len(dict)) != ndict {
-		return nil, fmt.Errorf("%w: %d stray bytes, %d of %d terms", errBadBatch, len(r.b), len(dict), ndict)
+		return fmt.Errorf("%w: %d stray bytes, %d of %d terms", ErrMalformed, len(r.b), len(dict), ndict)
+	}
+	return nil
+}
+
+// DecodeRows reads a row table built by EncodeRows or AppendIDRows back
+// into its rows, nil standing for unbound; the rows are windows of one
+// cell slab. It is EachRow collecting every row.
+func DecodeRows(blob []byte) ([][]rdf.Term, error) {
+	var (
+		rows  [][]rdf.Term
+		cells []rdf.Term
+	)
+	err := EachRow(blob, func(nrows, width int) error {
+		rows, cells = make([][]rdf.Term, 0, nrows), make([]rdf.Term, 0, nrows*width)
+		return nil
+	}, func(row []rdf.Term) bool {
+		cells = append(cells, row...)
+		rows = append(rows, cells[len(cells)-len(row):len(cells):len(cells)])
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

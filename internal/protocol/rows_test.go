@@ -3,9 +3,11 @@ package protocol
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -13,6 +15,30 @@ import (
 	"scisparql/internal/rdf"
 	"scisparql/internal/storage"
 )
+
+// everyKind is one term of every kind EncodeTerm accepts, with the
+// values a text rendering gets wrong.
+func everyKind() []rdf.Term {
+	a, _ := array.FromInts([]int64{1, 2, 3, 4, 5, 6}, 2, 3)
+	return []rdf.Term{
+		rdf.IRI("http://ex/a"),
+		rdf.IRI(""),
+		rdf.Blank("b1"),
+		rdf.String{Val: "plain"},
+		rdf.String{Val: "say \"hej\"\nthen leave", Lang: "sv"},
+		rdf.Integer(-42),
+		rdf.Integer(math.MinInt64),
+		rdf.Integer(math.MaxInt64),
+		rdf.Float(1e-7),
+		rdf.Float(math.NaN()),
+		rdf.Float(math.Inf(-1)),
+		rdf.Boolean(true),
+		rdf.Boolean(false),
+		rdf.DateTime{T: time.Date(2012, 4, 1, 12, 30, 0, 123456789, time.FixedZone("", 3600))},
+		rdf.Typed{Lexical: "a\"b\\c", Datatype: rdf.IRI("http://ex/dt")},
+		rdf.NewArray(a),
+	}
+}
 
 // arrayViews is every shape of array a result cell can hold: int and
 // float, whole resident, strided slice, and proxied through a store.
@@ -185,6 +211,138 @@ func TestDecodeRowsCopiesArraysOnce(t *testing.T) {
 	}
 }
 
+// idTable encodes rows of g's IDs as a row table width cells wide, each
+// cell carrying its own term.
+func idTable(t testing.TB, g *rdf.Graph, width int, rows [][]rdf.ID) []byte {
+	t.Helper()
+	term := func(id rdf.ID) (rdf.ID, rdf.Term, error) { return id, g.TermOf(id), nil }
+	blob, n, err := AppendIDRows(nil, width, term, func(yield func(row []rdf.ID) bool) {
+		for _, row := range rows {
+			if !yield(row) {
+				return
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(rows) {
+		t.Fatalf("encoded %d rows, want %d", n, len(rows))
+	}
+	return blob
+}
+
+// collect reads blob with EachRow, copying each row out.
+func collect(blob []byte) (rows [][]rdf.Term, width int, err error) {
+	err = EachRow(blob, func(_, w int) error { width = w; return nil }, func(row []rdf.Term) bool {
+		rows = append(rows, slices.Clone(row))
+		return true
+	})
+	return rows, width, err
+}
+
+// TestTriplesRoundTrip: triples of every term kind, encoded from IDs at
+// each of the eight wildcard masks as a scan answers them — the wildcard
+// positions only, in s, p, o order — are the bytes EncodeRows writes for
+// the same terms, and read back as DecodeTerm(EncodeTerm(t)) gives each
+// term, every distinct term sent once.
+func TestTriplesRoundTrip(t *testing.T) {
+	g := rdf.NewGraph()
+	subjects := []rdf.ID{g.Intern(rdf.IRI("http://ex/s")), g.Intern(rdf.Blank("b9"))}
+	pred := g.Intern(rdf.IRI("http://ex/p"))
+	var triples [][3]rdf.ID
+	for i, term := range everyKind() {
+		// Twice each: the second row must reuse the dictionary entry.
+		for range 2 {
+			triples = append(triples, [3]rdf.ID{subjects[i%2], pred, g.Intern(term)})
+		}
+	}
+	for mask := range 8 {
+		var open []int
+		for c := range 3 {
+			if mask&(1<<c) != 0 {
+				open = append(open, c)
+			}
+		}
+		matches := triples
+		if len(open) == 0 {
+			matches = triples[:1] // a ground pattern matches at most once
+		}
+		var ids [][]rdf.ID
+		var terms [][]rdf.Term
+		distinct := map[rdf.ID]bool{}
+		for _, tr := range matches {
+			var row []rdf.ID
+			var want []rdf.Term
+			for _, c := range open {
+				row, want = append(row, tr[c]), append(want, g.TermOf(tr[c]))
+				distinct[tr[c]] = true
+			}
+			ids, terms = append(ids, row), append(terms, want)
+		}
+		blob := idTable(t, g, len(open), ids)
+		viaTerms, err := EncodeRows(terms, len(open))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(blob, viaTerms) {
+			t.Errorf("mask %03b: the ID table differs from EncodeRows' for the same terms", mask)
+		}
+		if ndict := binary.LittleEndian.Uint32(blob); int(ndict) != len(distinct) {
+			t.Errorf("mask %03b: dictionary holds %d entries, want %d", mask, ndict, len(distinct))
+		}
+		got, width, err := collect(blob)
+		if err != nil || width != len(open) || len(got) != len(matches) {
+			t.Fatalf("mask %03b: %d rows %d wide, %v; want %d rows %d wide", mask, len(got), width, err, len(matches), len(open))
+		}
+		for i, row := range got {
+			for c, cell := range row {
+				if want := viaTerm(t, terms[i][c]); !identical(cell, want) {
+					t.Errorf("mask %03b row %d cell %d: %v, want %v", mask, i, c, cell, want)
+				}
+			}
+		}
+	}
+}
+
+// TestTriplesGroundAndEmpty: a width-0 table holds a ground match or
+// none, a scan with no matches is an empty table of its width, and emit
+// can stop the replay.
+func TestTriplesGroundAndEmpty(t *testing.T) {
+	g := rdf.NewGraph()
+	a := g.Intern(rdf.IRI("http://ex/a"))
+	for _, tc := range []struct {
+		name         string
+		width, nrows int
+	}{{"ground triple present", 0, 1}, {"ground triple absent", 0, 0}, {"empty scan", 3, 0}} {
+		blob := idTable(t, g, tc.width, make([][]rdf.ID, tc.nrows))
+		rows, width, err := collect(blob)
+		if err != nil || width != tc.width || len(rows) != tc.nrows {
+			t.Errorf("%s: %d rows %d wide, %v", tc.name, len(rows), width, err)
+		}
+		for _, row := range rows {
+			if len(row) != 0 {
+				t.Errorf("%s: a ground row of %d cells", tc.name, len(row))
+			}
+		}
+	}
+	many := idTable(t, g, 1, [][]rdf.ID{{a}, {a}, {a}})
+	seen := 0
+	if err := EachRow(many, func(int, int) error { return nil }, func([]rdf.Term) bool { seen++; return false }); err != nil || seen != 1 {
+		t.Errorf("early stop: %d rows, err %v", seen, err)
+	}
+	// start sees the shape before any row, and its error is the answer.
+	refuse := errors.New("not this shape")
+	if err := EachRow(many, func(n, w int) error {
+		if n != 3 || w != 1 {
+			t.Errorf("start saw %d rows %d wide, want 3 and 1", n, w)
+		}
+		return refuse
+	}, func([]rdf.Term) bool { seen++; return true }); err != refuse || seen != 1 {
+		t.Errorf("refused shape: %v after %d rows", err, seen-1)
+	}
+}
+
 // TestDecodeRowsHostile: whatever the bytes, an error — not a panic, not
 // an allocation sized by a count they cannot back.
 func TestDecodeRowsHostile(t *testing.T) {
@@ -227,6 +385,8 @@ func TestDecodeRowsHostile(t *testing.T) {
 		"huge width":                 header(0, 1, 1<<31, 0),
 		"huge rows of width 0":       header(0, 1<<31, 0, 0),
 		"huge dictionary":            header(1<<31, 1, 1, 1, kindBool, 1),
+		"huge ground count":          header(0, 1<<31, 0),
+		"huge ground terms":          header(1<<31, 0, 0),
 	}
 	for n := 1; n < len(good); n++ {
 		cases[fmt.Sprintf("truncated at %d", n)] = good[:n]
@@ -236,12 +396,13 @@ func TestDecodeRowsHostile(t *testing.T) {
 			t.Errorf("%s: decoded %v without error", name, rows)
 		}
 	}
-	// 2^31 announced rows, cells or terms would be tens of GiB. Bytes, not
+	// 2^31 announced rows, cells or terms would be tens of GiB, also in a
+	// table of width 0, a fully-bound scan's answer. Bytes, not
 	// an allocation count, so the race detector's bookkeeping does not
 	// move the reading.
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for _, name := range []string{"huge row count", "huge width", "huge rows of width 0", "huge dictionary"} {
+	for _, name := range []string{"huge row count", "huge width", "huge rows of width 0", "huge dictionary", "huge ground count", "huge ground terms"} {
 		_, _ = DecodeRows(cases[name])
 	}
 	runtime.ReadMemStats(&after)
@@ -272,10 +433,13 @@ func FuzzDecodeRows(f *testing.F) {
 		{rdf.Blank("co1-2"), p, rdf.Float(math.NaN())},
 		{rdf.Blank("co1-2"), p, arr},
 	}
+	// Scan answers: one cell per wildcard of a pattern, a ground match
+	// of width 0.
+	scans := [][][]rdf.Term{{{}}, {{rdf.IRI("http://ex/s")}}, {{p, arr}, {p, rdf.Blank("co1-2")}}}
 	for _, tc := range []struct {
 		rows  [][]rdf.Term
 		width int
-	}{{rows, 2}, {[][]rdf.Term{{}, {}}, 0}, {nil, 3}, {writes, 3}, {writes[2:3], 3}} {
+	}{{rows, 2}, {[][]rdf.Term{{}, {}}, 0}, {nil, 3}, {writes, 3}, {writes[2:3], 3}, {scans[0], 0}, {scans[1], 1}, {scans[2], 2}} {
 		blob, err := EncodeRows(tc.rows, tc.width)
 		if err != nil {
 			f.Fatal(err)
@@ -308,4 +472,101 @@ func FuzzDecodeRows(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestGuardEachRowAllocsPerRow: the dictionary is decoded once, rows
+// replay for free.
+func TestGuardEachRowAllocsPerRow(t *testing.T) {
+	g := rdf.NewGraph()
+	var rows [][]rdf.ID
+	for i := 0; i < 1000; i++ {
+		rows = append(rows, []rdf.ID{g.Intern(rdf.IRI(fmt.Sprintf("http://ex/d%d", i))), g.Intern(rdf.Integer(1990 + i%30))})
+	}
+	blob := idTable(t, g, 2, rows)
+	n := 0
+	allocs := testing.AllocsPerRun(5, func() {
+		_ = EachRow(blob, func(int, int) error { return nil }, func([]rdf.Term) bool { n++; return true })
+	})
+	// 1 000 rows over 1 030 distinct terms: one box per term, the texts
+	// sharing the table's memory and the term list pooled (1 031 with a
+	// list made per table).
+	if allocs > 1030+4 {
+		t.Errorf("%.0f allocations for 1000 rows over 1030 distinct terms", allocs)
+	}
+	t.Logf("%d-byte table, %.0f allocations per decode", len(blob), allocs)
+}
+
+// TestEachRowRecyclesItsList: EachRow's pooled term list holds no term
+// once the call returns, however it returns — at the end, when emit
+// stops it, or at any malformed-table exit — so the pool pins no blob;
+// and a well-formed table decoded right after each bad one reads exactly
+// as it does alone.
+func TestEachRowRecyclesItsList(t *testing.T) {
+	g := rdf.NewGraph()
+	var rows [][]rdf.ID
+	for _, term := range everyKind() {
+		for range 2 {
+			rows = append(rows, []rdf.ID{g.Intern(term)})
+		}
+	}
+	good := idTable(t, g, 1, rows)
+	decode := func(b []byte, stop int) (cells []rdf.Term, err error) {
+		err = EachRow(b, func(int, int) error { return nil }, func(row []rdf.Term) bool {
+			cells = append(cells, row[0])
+			return len(cells) != stop
+		})
+		return cells, err
+	}
+	pinned := func() bool {
+		list := termLists.Get().(*[]rdf.Term)
+		defer termLists.Put(list)
+		return slices.ContainsFunc((*list)[:cap(*list)], func(t rdf.Term) bool { return t != nil })
+	}
+	want, err := decode(good, -1)
+	if err != nil || len(want) != len(rows) {
+		t.Fatalf("good table: %d rows, %v", len(want), err)
+	}
+	if pinned() {
+		t.Fatal("a decoded table left terms in the pooled list")
+	}
+	if got, err := decode(good, 3); err != nil || len(got) != 3 || pinned() {
+		t.Fatalf("stopped after %d rows (%v); list pinned: %v", len(got), err, pinned())
+	}
+	header := func(ndict, nrows uint32, payload ...byte) []byte {
+		b := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, ndict), nrows)
+		return append(binary.LittleEndian.AppendUint32(b, 1), payload...)
+	}
+	withDict := func(d uint32) []byte {
+		b := slices.Clone(good)
+		binary.LittleEndian.PutUint32(b, d)
+		return b
+	}
+	ndict := binary.LittleEndian.Uint32(good)
+	bad := map[string][]byte{
+		"index out of range": header(1, 2, 1, kindBool, 1, 9),
+		"more terms":         withDict(ndict - 1),
+		"fewer terms":        withDict(ndict + 1),
+		"unknown kind":       header(2, 2, 1, kindBool, 1, 1, 99, 0),
+		"stray bytes":        append(slices.Clone(good), 1),
+	}
+	for n := rowsHeader + 1; n < len(good); n++ {
+		bad[fmt.Sprintf("truncated at %d", n)] = good[:n]
+	}
+	for name, b := range bad {
+		if _, err := decode(b, -1); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("%s: %v, want a malformed-table error", name, err)
+		}
+		if pinned() {
+			t.Fatalf("%s: the bad table left terms in the pooled list", name)
+		}
+		got, err := decode(good, -1)
+		if err != nil || len(got) != len(want) {
+			t.Fatalf("after %s: %d rows, %v", name, len(got), err)
+		}
+		for i := range got {
+			if !identical(got[i], want[i]) {
+				t.Fatalf("after %s: row %d cell %v, want %v", name, i, got[i], want[i])
+			}
+		}
+	}
 }

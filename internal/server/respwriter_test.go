@@ -28,9 +28,11 @@ func TestRespWriterMatchesEncodingJSON(t *testing.T) {
 		{OK: false, Error: "bad <request>: \"x\"", Code: protocol.CodeError},
 		{OK: true, Vars: []string{"s", "o"}, Rows: table(1), NRows: 1},
 		{OK: true, Vars: []string{"s"}, Rows: table(2), NRows: 2, Explain: "plan"},
-		{OK: true, Count: 3, Triples: table(3)},
-		{OK: true, Rows: table(4999), NRows: 9, Triples: table(5000), Stats: &protocol.Stats{Triples: 4}},
-		{OK: true, Rows: table(2*wireChunk + 1), NRows: 3, Triples: table(wireChunk)},
+		{OK: true, Count: 3, Rows: table(3)},
+		{OK: true, Rows: table(4999), NRows: 9, Stats: &protocol.Stats{Triples: 4}},
+		{OK: true, Rows: table(5000)},
+		{OK: true, Rows: table(2*wireChunk + 1), NRows: 3},
+		{OK: true, Rows: table(wireChunk)},
 	}
 	for i, resp := range resps {
 		var got bytes.Buffer

@@ -211,8 +211,7 @@ func (s *Server) serve(conn net.Conn) {
 		}
 		resp := s.handle(&req)
 		err := w.write(resp)
-		// A scan's batch and a result table are pooled; w has copied them.
-		protocol.Release(resp.Triples)
+		// A result or scan table is pooled; w has copied it.
 		protocol.Release(resp.Rows)
 		if err != nil {
 			return
@@ -229,8 +228,8 @@ func (s *Server) serve(conn net.Conn) {
 }
 
 // respWriter writes a connection's responses, one JSON object per
-// line. encoding/json encodes the envelope into head; Rows and Triples,
-// which can run to megabytes, are base64-encoded behind it into a
+// line. encoding/json encodes the envelope into head; Rows, which can
+// run to megabytes, is base64-encoded behind it into a
 // pooled buffer that goes to bw whenever a chunk has filled it. A
 // response under a chunk is one write, as it was, and no buffer grows
 // with the answer: encoding/json takes its buffers from one
@@ -250,19 +249,18 @@ const wireChunk = 48 << 10 // a multiple of 3: no padding mid-table
 var b64Bufs = sync.Pool{New: func() any { return new([]byte) }}
 
 func (w *respWriter) write(resp *protocol.Response) error {
-	rows, triples := resp.Rows, resp.Triples
-	resp.Rows, resp.Triples = nil, nil
+	rows := resp.Rows
+	resp.Rows = nil
 	w.head.Reset()
 	err := w.enc.Encode(resp)
-	resp.Rows, resp.Triples = rows, triples
+	resp.Rows = rows
 	if err != nil {
 		return err
 	}
 	bp := b64Bufs.Get().(*[]byte)
 	// head is "{…}\n" and never "{}": ok is always there.
 	b := append((*bp)[:0], w.head.Bytes()[:w.head.Len()-2]...)
-	b = w.field(b, "rows", rows)
-	b = append(w.field(b, "triples", triples), "}\n"...)
+	b = append(w.field(b, "rows", rows), "}\n"...)
 	_, err = w.bw.Write(b)
 	*bp = b
 	b64Bufs.Put(bp)
@@ -480,9 +478,6 @@ func (s *Server) handle(req *protocol.Request) *protocol.Response {
 		in.errors.With(resp.Code).Inc()
 	}
 	rows := resp.NRows
-	if req.Op == protocol.OpScan {
-		rows = resp.Count // a scan's rows are the triples in its batch
-	}
 	in.rows.Add(int64(rows))
 	if queryClass(req.Op) {
 		s.Observe(in.latency, in.slow, dur, func() (string, []any) {
@@ -588,10 +583,10 @@ func (s *Server) handleOp(ctx context.Context, req *protocol.Request) *protocol.
 var errNotLeaf = errors.New("scan: this server coordinates shards and holds no triples of its own; scan its leaf shards")
 
 // scan answers OpScan straight from a snapshot of the default graph's
-// indexes — no parser, query cache or engine — as one dictionary-coded
-// batch. It honours the request's guards like a query does: the
-// deadline is polled per MatchIDs batch, and a batch over the row cap
-// is a resource_limit error, never a truncated answer.
+// indexes — no parser, query cache or engine — as one row table of the
+// wildcard positions. It honours the request's guards like a query does:
+// the deadline is polled per MatchIDs batch, and a match over the row
+// cap is a resource_limit error, never a truncated answer.
 func (s *Server) scan(ctx context.Context, req *protocol.Request, lim engine.Limits) *protocol.Response {
 	if s.DB.Distributor() != nil {
 		return fail(errNotLeaf)
@@ -609,29 +604,40 @@ func (s *Server) scan(ctx context.Context, req *protocol.Request, lim engine.Lim
 	g := s.DB.Dataset.Default.Snapshot()
 	var (
 		ids   [3]rdf.ID
-		wild  [3]bool
+		open  []int  // the wildcard positions, the answer's columns
 		known = true // false: a ground term this graph never saw, so nothing matches
 	)
 	for i, t := range pattern {
-		if wild[i] = t == nil; wild[i] {
+		if t == nil {
+			open = append(open, i)
 			continue
 		}
 		var ok bool
 		ids[i], ok = g.Lookup(t)
 		known = known && ok
 	}
+	term := func(id rdf.ID) (rdf.ID, rdf.Term, error) { return id, g.TermOf(id), nil }
 	var overrun error
-	blob, n, err := protocol.EncodeTriples(g, wild, func(yield func(s, p, o []rdf.ID) bool) {
+	blob, n, err := protocol.AppendIDRows(nil, len(open), term, func(yield func(row []rdf.ID) bool) {
 		if !known {
 			return
 		}
-		rows := 0
+		rows, row := 0, make([]rdf.ID, len(open))
 		g.MatchIDs(ctx, ids[0], ids[1], ids[2], 0, func(s, p, o []rdf.ID) bool {
 			if rows += len(s); lim.MaxResultRows > 0 && rows > lim.MaxResultRows {
 				overrun = fmt.Errorf("%w: scan exceeds %d triples", engine.ErrResourceLimit, lim.MaxResultRows)
 				return false
 			}
-			return yield(s, p, o)
+			cols := [3][]rdf.ID{s, p, o}
+			for i := range s {
+				for c, at := range open {
+					row[c] = cols[at][i]
+				}
+				if !yield(row) {
+					return false
+				}
+			}
+			return true
 		})
 	})
 	if err == nil {
@@ -641,10 +647,10 @@ func (s *Server) scan(ctx context.Context, req *protocol.Request, lim engine.Lim
 		err = engine.ContextErr(ctx)
 	}
 	if err != nil {
-		protocol.Release(blob) // an overrun or a timeout leaves a partial batch behind
+		protocol.Release(blob) // an overrun or a timeout leaves a partial table behind
 		return fail(err)
 	}
-	return &protocol.Response{OK: true, Triples: blob, Count: n}
+	return &protocol.Response{OK: true, Rows: blob, NRows: n}
 }
 
 // scanPattern decodes OpScan's pattern: one row of three cells, an

@@ -42,16 +42,16 @@ func TestGuardGatherBytesPerRow(t *testing.T) {
 
 // TestGuardRemoteGatherBytesPerRow is the same join over four loopback
 // servers, so the bytes include both ends of every leg: the peer's scan
-// and batch encoding, the JSON frame, and the coordinator's decoding.
-// With each leg one dictionary-coded batch decoded through a pooled term
-// list, the scratch dataset recycled and the engine's join columns
-// pooled, that is 97–119 B per row (forty runs; 99–125 with a fresh
+// and table encoding, the JSON frame, and the coordinator's decoding.
+// With each leg one row table decoded through a pooled term list, the
+// scratch dataset recycled and the engine's join columns pooled, that is
+// 97–119 B per row (forty runs; 99–125 with a fresh
 // column slab per join output, so the bound stays above that spread);
 // before the recycling 245–281 B, with the graph built as
 // three tries 395–491 B, with a Key() string per interned cell as well
 // 437–543 B, with the graph built by a transaction 692 B.
 //
-// The collector is off for this test: the peers' batch buffers and the
+// The collector is off for this test: the peers' table buffers and the
 // coordinator's scratch are pooled, a collection empties the pools, and
 // with one running 2 of 40 readings were 776 B (691-732 B without)
 // before the one-pass build. The guard therefore reads warm pools; what

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"scisparql/internal/array"
 	"scisparql/internal/core"
 	"scisparql/internal/rdf"
 	"scisparql/internal/server"
@@ -211,6 +212,88 @@ func TestRemoteScanGroundTermsMatchLocal(t *testing.T) {
 		}
 		if !slices.Equal(got, want) {
 			t.Errorf("%s: remote shard matched %q, local %q", tc.name, got, want)
+		}
+	}
+}
+
+// TestRemoteScanEveryKindEveryMask: for a triple of every term kind and
+// each of the eight wildcard masks over it, a remote scan — a row table
+// of the wildcard positions, the bound ones filled back in by the
+// client — matches what the local shard matches. An array is compared
+// by content, and is never a bound position: its identity is the
+// resident value, which a peer does not share.
+func TestRemoteScanEveryKindEveryMask(t *testing.T) {
+	db := core.Open()
+	srv := server.New(db)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	remote, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { remote.Close() })
+	local := NewLocalShard("local", db)
+
+	ints, _ := array.FromInts([]int64{1, 2, 3, 4, 5, 6}, 2, 3)
+	objects := []rdf.Term{
+		rdf.IRI("http://ex/o"), rdf.Blank("b1"), rdf.String{Val: "plain"}, rdf.String{Val: "say \"hej\"\n", Lang: "sv"},
+		rdf.Integer(math.MinInt64), rdf.Float(math.NaN()), rdf.Float(math.Copysign(0, -1)), rdf.Boolean(false),
+		rdf.DateTime{T: time.Date(2012, 4, 1, 12, 30, 0, 123456789, time.FixedZone("", 3600))},
+		rdf.Typed{Lexical: "a\"b\\c", Datatype: rdf.IRI("http://ex/dt")}, rdf.NewArray(ints),
+	}
+	g := db.Dataset.Default
+	var triples [][3]rdf.Term
+	for i, o := range objects {
+		s := rdf.Term(rdf.IRI(fmt.Sprintf("http://ex/s%d", i)))
+		if i%2 == 1 {
+			s = rdf.Blank(fmt.Sprintf("s%d", i))
+		}
+		tr := [3]rdf.Term{s, rdf.IRI(fmt.Sprintf("http://ex/p%d", i%3)), o}
+		g.Add(tr[0], tr[1], tr[2])
+		triples = append(triples, tr)
+	}
+	key := func(t rdf.Term) string {
+		if a, ok := t.(rdf.Array); ok {
+			b, err := array.AppendMarshal(nil, a.A)
+			if err != nil {
+				panic(err)
+			}
+			return fmt.Sprintf("array %x", b)
+		}
+		return t.Key()
+	}
+	scan := func(sh Shard, pat [3]rdf.Term) []string {
+		var rows []string
+		if err := sh.Scan(context.Background(), pat[0], pat[1], pat[2], func(s, p, o rdf.Term) bool {
+			rows = append(rows, key(s)+" "+key(p)+" "+key(o))
+			return true
+		}); err != nil {
+			t.Fatalf("%v on %s: %v", pat, sh.Name(), err)
+		}
+		sort.Strings(rows)
+		return rows
+	}
+	for _, tr := range triples {
+		for mask := range 8 {
+			pat := tr
+			for c := range pat {
+				if mask&(1<<c) != 0 {
+					pat[c] = nil
+				}
+			}
+			if _, ok := pat[2].(rdf.Array); ok {
+				continue
+			}
+			got, want := scan(remote, pat), scan(local, pat)
+			if len(want) == 0 {
+				t.Errorf("mask %03b of %v: the local shard matched nothing", mask, tr)
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("mask %03b of %v: remote shard matched %q, local %q", mask, tr, got, want)
+			}
 		}
 	}
 }

@@ -123,7 +123,7 @@ func guards(lim engine.Limits) ssdmclient.Guards {
 
 // Scan implements Shard with the wire protocol's scan op: the pattern
 // goes out as terms, never as query text, and the matching triples come
-// back as one dictionary-coded batch replayed through emit.
+// back as one row table of the wildcard positions replayed through emit.
 func (r *RemoteShard) Scan(ctx context.Context, s, p, o rdf.Term, emit func(s, p, o rdf.Term) bool) error {
 	return r.c.Scan(ctx, s, p, o, emit)
 }

@@ -436,13 +436,16 @@ func (c *Client) QueryGuarded(ctx context.Context, q string, g Guards) (*Result,
 // pattern (nil positions are wildcards) through emit; returning false
 // from emit stops the replay. It is the wire form of a shard scan: the
 // server answers from its indexes without parsing or planning anything,
-// and the answer is one dictionary-coded batch (protocol.EncodeTriples)
-// whose distinct terms are decoded once. ctx's deadline travels with
-// the request, so a scan that outlives it fails typed
-// (engine.ErrQueryTimeout) on a connection that stays usable.
-// Idempotent: retried per the reconnect policy, and emit sees nothing
-// until a whole answer has arrived. A server that coordinates shards
-// refuses the op; one that predates it answers "unknown op scan".
+// and the answer is one row table of the wildcard positions
+// (protocol.EachRow), whose distinct terms are decoded once; the bound
+// positions are filled back in from the pattern. An answer of any other
+// width, with an unbound cell, or with more than one match of a
+// fully-bound pattern is protocol.ErrMalformed. ctx's deadline travels with the request, so a
+// scan that outlives it fails typed (engine.ErrQueryTimeout) on a
+// connection that stays usable. Idempotent: retried per the reconnect
+// policy, and emit sees nothing until a whole answer has arrived. A
+// server that coordinates shards refuses the op; one that predates it
+// answers "unknown op scan".
 func (c *Client) Scan(ctx context.Context, s, p, o rdf.Term, emit func(s, p, o rdf.Term) bool) error {
 	pattern, err := protocol.EncodeRows([][]rdf.Term{{s, p, o}}, 3)
 	if err != nil {
@@ -453,7 +456,38 @@ func (c *Client) Scan(ctx context.Context, s, p, o rdf.Term, emit func(s, p, o r
 	if err != nil {
 		return err
 	}
-	return protocol.DecodeTriples(resp.Triples, s, p, o, emit)
+	if resp.Rows == nil {
+		return fmt.Errorf("%w: the scan answer holds no row table", protocol.ErrMalformed)
+	}
+	var open []int // the wildcard positions, the answer's columns
+	for i, t := range [3]rdf.Term{s, p, o} {
+		if t == nil {
+			open = append(open, i)
+		}
+	}
+	var unbound error
+	err = protocol.EachRow(resp.Rows, func(nrows, width int) error {
+		switch {
+		case width != len(open):
+			return fmt.Errorf("%w: a scan answer %d cells wide for a pattern with %d wildcards", protocol.ErrMalformed, width, len(open))
+		case width == 0 && nrows > 1:
+			return fmt.Errorf("%w: %d matches of a fully-bound pattern", protocol.ErrMalformed, nrows)
+		}
+		return nil
+	}, func(row []rdf.Term) bool {
+		t := [3]rdf.Term{s, p, o}
+		for c, at := range open {
+			if t[at] = row[c]; t[at] == nil {
+				unbound = fmt.Errorf("%w: an unbound cell in a scan answer", protocol.ErrMalformed)
+				return false
+			}
+		}
+		return emit(t[0], t[1], t[2])
+	})
+	if err == nil {
+		err = unbound
+	}
+	return err
 }
 
 // Explain fetches the server's execution strategy for a query (join

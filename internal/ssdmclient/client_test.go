@@ -3,6 +3,7 @@ package ssdmclient
 import (
 	"bufio"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"net"
@@ -405,11 +406,8 @@ func TestScanOnTheWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	g := rdf.NewGraph()
-	s1, p1, o1 := g.Intern(rdf.IRI("http://ex/s")), g.Intern(rdf.IRI("http://ex/p")), g.Intern(rdf.Integer(-7))
-	blob, _, err := protocol.EncodeTriples(g, [3]bool{true, false, true}, func(yield func(s, p, o []rdf.ID) bool) {
-		yield([]rdf.ID{s1, s1}, []rdf.ID{p1, p1}, []rdf.ID{o1, s1})
-	})
+	subj := rdf.IRI("http://ex/s")
+	blob, err := protocol.EncodeRows([][]rdf.Term{{subj, rdf.Integer(-7)}, {subj, subj}}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +430,7 @@ func TestScanOnTheWire(t *testing.T) {
 			reqs <- req
 			switch i {
 			case 0:
-				enc.Encode(protocol.Response{OK: true, Triples: blob, Count: 2})
+				enc.Encode(protocol.Response{OK: true, Rows: blob, NRows: 2})
 			case 1:
 				enc.Encode(protocol.Response{OK: false, Error: "unknown op scan", Code: protocol.CodeError})
 			case 2:
@@ -500,6 +498,70 @@ func TestScanOnTheWire(t *testing.T) {
 	}
 	if req := <-reqs; req.TimeoutMS < 1 || req.TimeoutMS > 20 {
 		t.Fatalf("timeout_ms %d under a 20 ms deadline", req.TimeoutMS)
+	}
+}
+
+// TestScanAnswerShape: Scan fills the bound positions back in from its
+// pattern, and an answer that is not a table of the pattern's wildcards
+// — an old peer's batch, another width, two matches of a ground
+// pattern, an unbound cell, bytes that do not decode — fails as
+// protocol.ErrMalformed, not a panic, on a connection that stays usable.
+func TestScanAnswerShape(t *testing.T) {
+	s, p, o := rdf.IRI("http://ex/s"), rdf.IRI("http://ex/p"), rdf.Integer(7)
+	table := func(rows [][]rdf.Term, width int) []byte {
+		blob, err := protocol.EncodeRows(rows, width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	ground := table([][]rdf.Term{{}}, 0)
+	answers := []string{
+		`{"ok":true,"rows":"` + base64.StdEncoding.EncodeToString(ground) + `","nrows":1}`,
+		`{"ok":true,"count":1,"triples":"AAAAAAABAAAA"}`,
+		`{"ok":true,"rows":"` + base64.StdEncoding.EncodeToString(table([][]rdf.Term{{s}}, 1)) + `","nrows":1}`,
+		`{"ok":true,"rows":"` + base64.StdEncoding.EncodeToString(table([][]rdf.Term{{}, {}}, 0)) + `","nrows":2}`,
+		`{"ok":true,"rows":"` + base64.StdEncoding.EncodeToString(table([][]rdf.Term{{s, nil}}, 2)) + `","nrows":1}`,
+		`{"ok":true,"rows":"` + base64.StdEncoding.EncodeToString(ground[:len(ground)-1]) + `","nrows":1}`,
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		r := bufio.NewReader(conn)
+		for _, answer := range answers {
+			if _, err := r.ReadBytes('\n'); err != nil {
+				return
+			}
+			conn.Write([]byte(answer + "\n"))
+		}
+	}()
+	cl, err := Connect(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	var got []rdf.Term
+	collect := func(gs, gp, gobj rdf.Term) bool {
+		got = append(got, gs, gp, gobj)
+		return true
+	}
+	if err := cl.Scan(context.Background(), s, p, o, collect); err != nil || !slices.Equal(got, []rdf.Term{s, p, o}) {
+		t.Fatalf("ground scan replayed %v, %v; want the pattern itself", got, err)
+	}
+	for i, pattern := range [][3]rdf.Term{{s, p, o}, {s, p, o}, {s, p, o}, {nil, p, nil}, {s, p, o}} {
+		got = nil
+		err := cl.Scan(context.Background(), pattern[0], pattern[1], pattern[2], collect)
+		if !errors.Is(err, protocol.ErrMalformed) {
+			t.Errorf("answer %d = %v, want protocol.ErrMalformed", i+1, err)
+		}
 	}
 }
 

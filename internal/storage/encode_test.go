@@ -2,6 +2,7 @@ package storage_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -123,7 +124,11 @@ func TestStoreRoundTrip(t *testing.T) {
 						t.Fatal(err)
 					}
 					n := storage.NumChunks(v.Count(), ce)
-					chunks, err := b.ReadChunks(id, []spd.Run{{Start: 0, Stride: 1, Count: n}})
+					chunks := make(map[int][]byte)
+					err = b.ReadChunksCtx(context.Background(), id, []spd.Run{{Start: 0, Stride: 1, Count: n}}, func(c int, data []byte) error {
+						chunks[c] = data
+						return nil
+					})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -189,8 +194,8 @@ func TestEncodeChunksReusesOneBuffer(t *testing.T) {
 // downSource fails every read.
 type downSource struct{}
 
-func (downSource) ReadChunks(int64, []spd.Run) (map[int][]byte, error) {
-	return nil, errors.New("back-end down")
+func (downSource) ReadChunksCtx(context.Context, int64, []spd.Run, func(int, []byte) error) error {
+	return errors.New("back-end down")
 }
 
 func (downSource) AggregateWhole(int64) (*array.AggState, bool, error) { return nil, false, nil }

@@ -92,8 +92,12 @@ func (s *Store) path(id int64) string {
 	return filepath.Join(s.dir, fmt.Sprintf("a%d.ssdm", id))
 }
 
+// writers holds Store's 64 KiB buffered writers, each reset to one file
+// at a time.
+var writers = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 64*1024) }}
+
 // Store implements storage.Backend: it writes the header, then the
-// chunks, through one 64 KiB buffered writer (a write(2) per chunk
+// chunks, through a pooled 64 KiB buffered writer (a write(2) per chunk
 // would cost several times the calls at small chunk sizes). A file
 // Store fails to finish is removed.
 func (s *Store) Store(a *array.Array, chunkElems int) (int64, error) {
@@ -117,13 +121,17 @@ func (s *Store) Store(a *array.Array, chunkElems int) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	w := bufio.NewWriterSize(f, 64*1024)
+	w := writers.Get().(*bufio.Writer)
+	w.Reset(f)
 	w.Write(head) // a failed write fails every later one, and Flush
 	err = array.EncodeChunks(a, chunkElems, func(_ int, payload []byte) error {
 		_, err := w.Write(payload)
 		return err
 	})
-	if err = errors.Join(err, w.Flush(), f.Close()); err != nil {
+	err = errors.Join(err, w.Flush(), f.Close())
+	w.Reset(nil) // hold no file while pooled
+	writers.Put(w)
+	if err != nil {
 		_ = os.Remove(f.Name()) // best effort: err is what the caller needs
 		return 0, err
 	}
@@ -252,19 +260,6 @@ func (s *Store) Close() error {
 	return first
 }
 
-// ReadChunks implements array.ChunkSource with positioned reads.
-func (s *Store) ReadChunks(arrayID int64, runs []spd.Run) (map[int][]byte, error) {
-	out := make(map[int][]byte)
-	err := s.ReadChunksCtx(context.Background(), arrayID, runs, func(chunkNo int, data []byte) error {
-		out[chunkNo] = data
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // readUnit is one physical read request: a span of count consecutive
 // chunks starting at chunk start (count 1 for strided access).
 type readUnit struct {
@@ -282,13 +277,14 @@ func (s *Store) RecycleChunk(data []byte) {
 	}
 }
 
-// ReadChunksCtx implements array.ChunkSourceCtx. The runs are cut into
-// read units — one pread per contiguous run, one per chunk when runs
-// are strided or SimulatedLatency models per-request cost — and the
-// units are issued concurrently by up to storage.Parallelism() workers
-// sharing the array's file handle via ReadAt, which is safe and
-// position-independent. Payloads are emitted serially on the calling
-// goroutine; cancelling ctx stops the in-flight workers.
+// ReadChunksCtx implements array.ChunkSource with positioned reads. The
+// runs are cut into read units — one pread per contiguous run, one per
+// chunk when runs are strided or SimulatedLatency models per-request
+// cost — and the units are issued concurrently by up to
+// storage.Parallelism() workers sharing the array's file handle via
+// ReadAt, which is safe and position-independent. Payloads are emitted
+// serially on the calling goroutine; cancelling ctx stops the in-flight
+// workers.
 func (s *Store) ReadChunksCtx(ctx context.Context, arrayID int64, runs []spd.Run, emit func(chunkNo int, data []byte) error) error {
 	m, err := s.meta(arrayID)
 	if err != nil {

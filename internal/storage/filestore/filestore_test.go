@@ -1,6 +1,7 @@
 package filestore
 
 import (
+	"context"
 	"os"
 	"testing"
 	"testing/quick"
@@ -161,7 +162,7 @@ func TestShortFinalChunk(t *testing.T) {
 		t.Fatalf("got %v", v)
 	}
 	// The short chunk is a full-size frame sliced to its length.
-	got, err := s.ReadChunks(id, []spd.Run{{Start: 9, Stride: 1, Count: 1}})
+	got, err := readChunks(s, id, []spd.Run{{Start: 9, Stride: 1, Count: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,11 +192,11 @@ func TestHeaderKeptUntilClose(t *testing.T) {
 	}
 	f.Close()
 	run := []spd.Run{{Start: 0, Stride: 1, Count: 10}}
-	if _, err := s.ReadChunks(id, run); err != nil {
+	if _, err := readChunks(s, id, run); err != nil {
 		t.Fatalf("read with the kept header: %v", err)
 	}
 	s.Close()
-	if _, err := s.ReadChunks(id, run); err == nil {
+	if _, err := readChunks(s, id, run); err == nil {
 		t.Fatal("after Close the header is read again, and a spoiled one must fail")
 	}
 }
@@ -259,4 +260,14 @@ func TestFileRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// readChunks drains ReadChunksCtx into a map by chunk number.
+func readChunks(s *Store, id int64, runs []spd.Run) (map[int][]byte, error) {
+	out := make(map[int][]byte)
+	err := s.ReadChunksCtx(context.Background(), id, runs, func(chunkNo int, data []byte) error {
+		out[chunkNo] = data
+		return nil
+	})
+	return out, err
 }

@@ -46,11 +46,11 @@ func checkChunks(t *testing.T, got map[int][]byte, chunkElems int, want []int) {
 	}
 }
 
-// TestReadChunksCtxMatchesReadChunks: the streaming context read and
-// the blocking map read return identical payloads, for contiguous,
-// strided and mixed run sets, with and without per-request latency
-// (which switches between coalesced and per-chunk read units).
-func TestReadChunksCtxMatchesReadChunks(t *testing.T) {
+// TestReadChunksCtxReadUnits: the streaming read returns every chunk's
+// stored payload, for contiguous, strided and mixed run sets, with and
+// without per-request latency (which switches between coalesced and
+// per-chunk read units).
+func TestReadChunksCtxReadUnits(t *testing.T) {
 	const chunkElems = 16
 	s := newStore(t)
 	id, err := s.Store(intArray(t, 40*chunkElems), chunkElems)
@@ -65,22 +65,11 @@ func TestReadChunksCtxMatchesReadChunks(t *testing.T) {
 	for _, latency := range []time.Duration{0, 50 * time.Microsecond} {
 		s.SimulatedLatency = latency
 		for _, runs := range runSets {
-			want := spd.Expand(runs)
-			blocking, err := s.ReadChunks(id, runs)
+			streamed, err := readChunks(s, id, runs)
 			if err != nil {
 				t.Fatalf("latency %v runs %v: %v", latency, runs, err)
 			}
-			checkChunks(t, blocking, chunkElems, want)
-
-			streamed := make(map[int][]byte)
-			err = s.ReadChunksCtx(context.Background(), id, runs, func(chunkNo int, data []byte) error {
-				streamed[chunkNo] = data
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("latency %v runs %v: %v", latency, runs, err)
-			}
-			checkChunks(t, streamed, chunkElems, want)
+			checkChunks(t, streamed, chunkElems, spd.Expand(runs))
 		}
 	}
 }

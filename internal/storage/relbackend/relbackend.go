@@ -209,20 +209,6 @@ func (b *Backend) Delete(id int64) error {
 	return nil
 }
 
-// ReadChunks implements array.ChunkSource by formulating SQL according
-// to the configured strategy.
-func (b *Backend) ReadChunks(arrayID int64, runs []spd.Run) (map[int][]byte, error) {
-	out := make(map[int][]byte)
-	err := b.ReadChunksCtx(context.Background(), arrayID, runs, func(chunkNo int, data []byte) error {
-		out[chunkNo] = data
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // unitStmt is the SQL of one retrieval unit under the strategy: a
 // per-chunk point SELECT (SINGLE and SPD singletons), an IN list
 // (BUFFER), or a BETWEEN range with an optional MOD stride filter
@@ -232,7 +218,8 @@ type unitStmt struct {
 	params []relstore.Value
 }
 
-// ReadChunksCtx implements array.ChunkSourceCtx. Retrieval units —
+// ReadChunksCtx implements array.ChunkSource by formulating SQL
+// according to the configured strategy. Retrieval units —
 // one statement under the strategy's formulation rules — execute
 // concurrently on up to storage.Parallelism() workers, so independent
 // statement round trips overlap and row decoding of one result set

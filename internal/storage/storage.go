@@ -157,20 +157,7 @@ func (m *Memory) Delete(id int64) error {
 	return nil
 }
 
-// ReadChunks implements array.ChunkSource.
-func (m *Memory) ReadChunks(arrayID int64, runs []spd.Run) (map[int][]byte, error) {
-	out := make(map[int][]byte)
-	err := m.ReadChunksCtx(context.Background(), arrayID, runs, func(chunkNo int, data []byte) error {
-		out[chunkNo] = data
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ReadChunksCtx implements array.ChunkSourceCtx. Chunks already live in
+// ReadChunksCtx implements array.ChunkSource. Chunks already live in
 // process memory, so there is no latency to hide: payloads are emitted
 // sequentially with a cancellation check per chunk. The inflight gauge
 // tracks concurrent ReadChunksCtx calls (parallel queries), not worker

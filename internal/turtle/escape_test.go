@@ -57,9 +57,9 @@ func TestBadUCHAREscapes(t *testing.T) {
 }
 
 // TestControlCharRoundTrip: literals holding control characters must
-// survive load → serialize → load unchanged, in both Turtle and
-// N-Triples. The old writer emitted Go-syntax \x escapes here, which
-// no RDF parser (including ours) accepts.
+// survive load → serialize → load unchanged. The old writer emitted
+// Go-syntax \x escapes here, which no RDF parser (including ours)
+// accepts.
 func TestControlCharRoundTrip(t *testing.T) {
 	g := rdf.NewGraph()
 	nasty := "ctl:\x01\x02 bell:\x07 tab:\t nl:\n del:\x7F fin"
@@ -67,40 +67,32 @@ func TestControlCharRoundTrip(t *testing.T) {
 	g.Add(rdf.IRI("http://ex/s"), rdf.IRI("http://ex/q"),
 		rdf.Typed{Lexical: "v\x0B", Datatype: rdf.IRI("http://ex/dt")})
 
-	for _, mode := range []string{"turtle", "ntriples"} {
-		t.Run(mode, func(t *testing.T) {
-			var sb strings.Builder
-			var err error
-			if mode == "turtle" {
-				err = Write(&sb, g, nil)
-			} else {
-				err = WriteNTriples(&sb, g)
+	t.Run("turtle", func(t *testing.T) {
+		var sb strings.Builder
+		if err := Write(&sb, g, nil); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		back := rdf.NewGraph()
+		if err := sparql.ParseTurtle(sb.String(), back); err != nil {
+			t.Fatalf("reparse of our own output failed: %v\noutput:\n%s", err, sb.String())
+		}
+		var got, gotTyped string
+		back.Triples(func(s, p, o rdf.Term) bool {
+			switch v := o.(type) {
+			case rdf.String:
+				got = v.Val
+			case rdf.Typed:
+				gotTyped = v.Lexical
 			}
-			if err != nil {
-				t.Fatalf("write: %v", err)
-			}
-			back := rdf.NewGraph()
-			if err := sparql.ParseTurtle(sb.String(), back); err != nil {
-				t.Fatalf("reparse of our own output failed: %v\noutput:\n%s", err, sb.String())
-			}
-			var got, gotTyped string
-			back.Triples(func(s, p, o rdf.Term) bool {
-				switch v := o.(type) {
-				case rdf.String:
-					got = v.Val
-				case rdf.Typed:
-					gotTyped = v.Lexical
-				}
-				return true
-			})
-			if got != nasty {
-				t.Errorf("string literal mangled: %q != %q", got, nasty)
-			}
-			if gotTyped != "v\x0B" {
-				t.Errorf("typed literal mangled: %q", gotTyped)
-			}
+			return true
 		})
-	}
+		if got != nasty {
+			t.Errorf("string literal mangled: %q != %q", got, nasty)
+		}
+		if gotTyped != "v\x0B" {
+			t.Errorf("typed literal mangled: %q", gotTyped)
+		}
+	})
 }
 
 // TestIRIEscapeRoundTrip: IRIs holding characters the IRIREF grammar

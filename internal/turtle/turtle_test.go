@@ -223,7 +223,7 @@ func TestWriterNonFiniteDoubles(t *testing.T) {
 }
 
 // TestWriterKeepsFractionalSeconds: a dateTime written out and read back
-// (Turtle and N-Triples) is the same term, nanoseconds and all; a
+// is the same term, nanoseconds and all; a
 // whole-second one is written as before.
 func TestWriterKeepsFractionalSeconds(t *testing.T) {
 	s, p := rdf.IRI("http://ex/s"), rdf.IRI("http://ex/p")
@@ -236,8 +236,7 @@ func TestWriterKeepsFractionalSeconds(t *testing.T) {
 		g := rdf.NewGraph()
 		g.Add(s, p, o)
 		for name, write := range map[string]func(*strings.Builder) error{
-			"turtle":   func(sb *strings.Builder) error { return Write(sb, g, nil) },
-			"ntriples": func(sb *strings.Builder) error { return WriteNTriples(sb, g) },
+			"turtle": func(sb *strings.Builder) error { return Write(sb, g, nil) },
 		} {
 			var sb strings.Builder
 			if err := write(&sb); err != nil {
@@ -338,7 +337,7 @@ func TestWriteParseRoundTripProperty(t *testing.T) {
 }
 
 // TestWriteReadRoundTripGenerated: each generated dataset, written as
-// Turtle (with and without prefixes) and as N-Triples, reads back with
+// Turtle with and without prefixes, reads back with
 // the same ground triples and as many triples with blanks — so the
 // writer never abbreviates a name the reader would split. Local names
 // a prefixed name cannot carry whole ride along.
@@ -359,7 +358,6 @@ func TestWriteReadRoundTripGenerated(t *testing.T) {
 		for name, write := range map[string]func(*strings.Builder) error{
 			"turtle":          func(sb *strings.Builder) error { return Write(sb, g, nil) },
 			"turtle+prefixes": func(sb *strings.Builder) error { return Write(sb, g, prefixes) },
-			"ntriples":        func(sb *strings.Builder) error { return WriteNTriples(sb, g) },
 		} {
 			var sb strings.Builder
 			if err := write(&sb); err != nil {

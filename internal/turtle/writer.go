@@ -1,5 +1,5 @@
-// Package turtle writes graphs as Turtle and N-Triples, the
-// serializations the dissertation uses for RDF examples (§3.1.1).
+// Package turtle writes graphs as Turtle, the serialization the
+// dissertation uses for RDF examples (§3.1.1).
 // Arrays are written in the condensed collection syntax that
 // SciSPARQL's loader consolidates back into arrays (§5.3.2). Documents
 // are read by sparql.ParseTurtle, on the SPARQL lexer and term rules.
