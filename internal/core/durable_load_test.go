@@ -34,6 +34,46 @@ func biblioDoc(docs int) string {
 	return sb.String()
 }
 
+// BenchmarkLoadTurtle times LoadTurtle of the 156 669-triple benchmark
+// document into a fresh instance — the staged load the benchmark's set-up
+// times — on a plain instance and on one with a WAL (fsync off), and
+// reports triples/s.
+func BenchmarkLoadTurtle(b *testing.B) {
+	src := biblioDoc(20000)
+	for _, c := range []struct {
+		name string
+		open func() *SSDM
+	}{
+		{"plain", Open},
+		{"wal", func() *SSDM {
+			db := OpenWith(Options{WALDir: b.TempDir(), WALSync: "none"})
+			if _, err := db.EnableWAL(); err != nil {
+				b.Fatal(err)
+			}
+			return db
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				b.StopTimer() // opening and closing the instance is not the load
+				db := c.open()
+				b.StartTimer()
+				if err := db.LoadTurtle(src, ""); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if n := db.Dataset.Default.Size(); n != 156669 {
+					b.Fatalf("loaded %d triples, want 156 669", n)
+				}
+				db.CloseWAL()
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(156669*b.N)/b.Elapsed().Seconds(), "triples/s")
+		})
+	}
+}
+
 // TestGuardDurableLoadCopiesOnce: a durable LoadTurtle parses the
 // document into a stage over the target's dictionary and logs it from
 // IDs, so it allocates a plain load's bytes plus one pass over IDs —

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 
@@ -134,6 +135,12 @@ func AppendIDRows(blob []byte, width int, term func(rdf.ID) (rdf.ID, rdf.Term, e
 		}
 		if width == 0 {
 			blob = append(blob, 0)
+		}
+		// A large table doubles, where append would grow it by a quarter
+		// at a time and copy it about five times over (a durable load's
+		// batch record is one table of the whole document).
+		if len(blob) >= 256 && cap(blob)-len(blob) < 64 {
+			blob = slices.Grow(blob, len(blob))
 		}
 		for _, id := range row {
 			key, t, e := term(id)

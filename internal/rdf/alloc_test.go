@@ -234,7 +234,7 @@ func txBytesPerTriple(t *testing.T, g *Graph, from, to int) float64 {
 	runtime.ReadMemStats(&before)
 	tx := g.Begin()
 	for _, tr := range ids {
-		tx.addIDs(tr.S, tr.P, tr.O)
+		tx.AddIDs(tr.S, tr.P, tr.O)
 	}
 	tx.Commit()
 	runtime.ReadMemStats(&after)
@@ -326,13 +326,13 @@ func TestGuardNewPairAllocatesNoSet(t *testing.T) {
 	tx := g.Begin()
 	defer tx.Abort()
 	for j := range preds {
-		tx.addIDs(sB, preds[j], oB)
-		tx.addIDs(sC, pC, objs[j])
+		tx.AddIDs(sB, preds[j], oB)
+		tx.AddIDs(sC, pC, objs[j])
 	}
 	cycle := func() {
 		for j := range preds {
 			n := tx.Changed()
-			if tx.addIDs(s, preds[j], objs[j]); tx.Changed() != n+1 {
+			if tx.AddIDs(s, preds[j], objs[j]); tx.Changed() != n+1 {
 				t.Fatal("test triple already present")
 			}
 		}
@@ -363,7 +363,7 @@ func TestTxLogGrowsByDoubling(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := range ID(n) {
-		tx.addIDs(i+1, 1, i+2)
+		tx.AddIDs(i+1, 1, i+2)
 	}
 	runtime.ReadMemStats(&after)
 	final := uint64(cap(tx.log)) * uint64(unsafe.Sizeof(Triple{}))
@@ -374,8 +374,8 @@ func TestTxLogGrowsByDoubling(t *testing.T) {
 	}
 	small := NewGraph().Begin()
 	defer small.Abort()
-	small.addIDs(1, 2, 3)
-	small.addIDs(1, 2, 4)
+	small.AddIDs(1, 2, 3)
+	small.AddIDs(1, 2, 4)
 	if c := cap(small.log); c != cap(append([]Triple{{}}, Triple{})) {
 		t.Fatalf("a two-triple log has capacity %d", c)
 	}

@@ -151,7 +151,7 @@ func BenchmarkBuildTx(b *testing.B) {
 	for b.Loop() {
 		tx := NewGraph().Begin()
 		for _, t := range ts {
-			tx.addIDs(t.S, t.P, t.O)
+			tx.AddIDs(t.S, t.P, t.O)
 		}
 		tx.Commit()
 	}

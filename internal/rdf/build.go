@@ -70,13 +70,14 @@ func sortedSet(ts, tmp []Triple) []Triple {
 	return slices.Compact(ts)
 }
 
-// rotate turns a batch in trie order one place (turn) and re-sorts it;
-// it was in order by what is now O, so only P and S take passes.
-func rotate(ts, tmp []Triple) {
+// turnLast turns a batch in trie order two places (turn), so its last
+// component leads, and re-sorts it: it was in order by what are now P
+// and O, so only S takes passes. SPO gives OSP, and OSP gives POS.
+func turnLast(ts, tmp []Triple) {
 	for i, t := range ts {
-		ts[i] = turn(t, 1)
+		ts[i] = turn(t, 2)
 	}
-	sortTrie(ts, tmp, 1)
+	sortTrie(ts, tmp, 2)
 }
 
 // turn moves t's components k places left: one place turns (a, b, c)
@@ -240,13 +241,18 @@ func (b *base) run(k int) []Triple {
 func (b *base) fill(ts []Triple) {
 	n := len(ts)
 	b.rows = b.rows[:3*n]
-	osp := b.rows[2*n:] // the sort buffer until its own rows are copied in
+	pos := b.rows[n : 2*n] // the sort buffer until its own rows are copied in
 	copy(b.rows, ts)
-	rotate(ts, osp)
-	copy(b.rows[n:], ts)
-	rotate(ts, osp)
-	copy(osp, ts)
+	turnLast(ts, pos)
+	copy(b.rows[2*n:], ts)
+	turnLast(ts, pos)
+	copy(pos, ts)
+	b.index()
+}
 
+// index builds lead and preds over the rows.
+func (b *base) index() {
+	n := len(b.rows) / 3
 	var size [3]int
 	for _, t := range b.rows[:n] {
 		size = [3]int{max(size[0], int(t.S)), max(size[1], int(t.P)), max(size[2], int(t.O))}

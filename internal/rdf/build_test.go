@@ -3,6 +3,7 @@ package rdf
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 )
@@ -62,7 +63,7 @@ func bulk(t *testing.T, ts []Triple) *Graph {
 	g := NewGraph()
 	tx := g.Begin()
 	for _, tr := range slices.Concat(ts, ts) {
-		tx.addIDs(tr.S, tr.P, tr.O)
+		tx.AddIDs(tr.S, tr.P, tr.O)
 	}
 	want := len(sortedSet(slices.Clone(ts), make([]Triple, len(ts))))
 	changed := want
@@ -73,8 +74,8 @@ func bulk(t *testing.T, ts []Triple) *Graph {
 		if !tx.deleteIDs(tr.S, tr.P, tr.O) {
 			t.Fatalf("Delete%v: absent from the staged state", tr)
 		}
-		tx.addIDs(tr.S, tr.P, tr.O)
-		tx.addIDs(tr.S, tr.P, tr.O)
+		tx.AddIDs(tr.S, tr.P, tr.O)
+		tx.AddIDs(tr.S, tr.P, tr.O)
 		changed += 2
 	}
 	if tx.Size() != want || tx.Changed() != changed {
@@ -258,4 +259,50 @@ func FuzzBuild(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkBuild(t, poolTriples(data))
 	})
+}
+
+// rotate is how fill derived two of the permutations before turnLast:
+// POS from SPO and OSP from POS, each turned one place and re-sorted on
+// two fields.
+func rotate(ts, tmp []Triple) {
+	for i, t := range ts {
+		ts[i] = turn(t, 1)
+	}
+	sortTrie(ts, tmp, 1)
+}
+
+// TestFillMatchesRotateChain: fill, which sorts OSP from SPO and POS
+// from OSP on the leading field alone, lays out and indexes the base the
+// rotate chain does — rows, lead and preds — over 48 generated batches:
+// a one-row batch, IDs within one chunk and past 2¹⁵ (up to five chunk
+// levels), and duplicates.
+func TestFillMatchesRotateChain(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for batch := range 48 {
+		n, span := 1+rng.Intn(3000), []int{30, 1 << 12, 1 << 17, 1 << 24}[batch%4]
+		if batch == 0 {
+			n = 1
+		}
+		ts := make([]Triple, n)
+		for i := range ts {
+			ts[i] = Triple{ID(1 + rng.Intn(span)), ID(1 + rng.Intn(span/8+1)), ID(1 + rng.Intn(span))}
+			if i > 0 && rng.Intn(5) == 0 {
+				ts[i] = ts[rng.Intn(i)]
+			}
+		}
+		set := sortedSet(ts, make([]Triple, n))
+		m := len(set)
+		got := &base{rows: make([]Triple, 3*m)}
+		got.fill(slices.Clone(set))
+		want, tmp := &base{rows: make([]Triple, 3*m)}, make([]Triple, m)
+		copy(want.rows, set)
+		rotate(set, tmp)
+		copy(want.rows[m:], set)
+		rotate(set, tmp)
+		copy(want.rows[2*m:], set)
+		want.index()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("batch %d (%d rows, %d distinct, IDs below %d): fill's base differs from the rotate chain's", batch, n, m, span)
+		}
+	}
 }

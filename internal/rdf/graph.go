@@ -693,7 +693,7 @@ func (t *Tx) Size() int { t.settle(); return t.st.size + len(t.log) }
 // Add stages a triple insert. Whether it changes anything shows in
 // Changed.
 func (t *Tx) Add(s, p, o Term) {
-	t.addIDs(t.g.Intern(s), t.g.Intern(p), t.g.Intern(o))
+	t.AddIDs(t.g.Intern(s), t.g.Intern(p), t.g.Intern(o))
 }
 
 // AddGraph stages every triple of src, a Stage of the transaction's
@@ -703,7 +703,7 @@ func (t *Tx) AddGraph(src *Graph) {
 	if src.dict != t.g.dict {
 		panic("rdf: AddGraph from a graph over another dictionary")
 	}
-	st, add := src.cur(), t.addIDs
+	st, add := src.cur(), t.AddIDs
 	if t.st.size == 0 && len(t.log) == 0 {
 		t.st, t.st.sealed, add = *st, false, t.added
 		if t.record {
@@ -716,12 +716,14 @@ func (t *Tx) AddGraph(src *Graph) {
 	})
 }
 
-// addIDs is Add for a triple of already-interned IDs. An add goes to the
-// log once Commit would build a base anyway: the staged state holds
+// AddIDs is Add for a triple of IDs the transaction's graph interned
+// (Graph.Intern), so a reader that interns each of its terms once stages
+// a repeated one without a dictionary lookup. An add goes to the log
+// once Commit would build a base anyway: the staged state holds
 // nothing to merge, or its delta is past publication's cap. A full log
 // of 256 rows or more doubles, where append would grow a large one by a
 // quarter at a time and copy it about five times over.
-func (t *Tx) addIDs(s, p, o ID) {
+func (t *Tx) AddIDs(s, p, o ID) {
 	if t.st.size == 0 || t.st.spilled() {
 		if len(t.log) == cap(t.log) && cap(t.log) >= 256 {
 			t.log = append(make([]Triple, 0, 2*cap(t.log)), t.log...)

@@ -153,7 +153,7 @@ func TestBuildAfterResetMatchesTx(t *testing.T) {
 		added := NewGraph()
 		tx := added.Begin()
 		for _, tr := range ts {
-			tx.addIDs(tr.S, tr.P, tr.O)
+			tx.AddIDs(tr.S, tr.P, tr.O)
 		}
 		tx.Commit()
 		sameGraph(t, g, added, append(slices.Clone(ts), Triple{1, 2, 3}))

@@ -26,20 +26,20 @@ func biblioInto(g *Graph, docs int) *Graph {
 	credit := r.Perm(authors)
 	tx := g.Begin()
 	for a := 0; a < authors; a++ {
-		tx.addIDs(b("author%d", a), typ, person)
-		tx.addIDs(b("author%d", a), name, g.Intern(String{Val: fmt.Sprintf("Author %d", a)}))
+		tx.AddIDs(b("author%d", a), typ, person)
+		tx.AddIDs(b("author%d", a), name, g.Intern(String{Val: fmt.Sprintf("Author %d", a)}))
 	}
 	for d := 0; d < docs; d++ {
 		doc, cell := b("doc%d", d), r.Intn(12*20)
-		tx.addIDs(doc, typ, article)
-		tx.addIDs(doc, journal, b("journal%d", cell/20))
-		tx.addIDs(doc, year, g.Intern(Integer(int64(1990+cell%20))))
-		tx.addIDs(doc, title, g.Intern(String{Val: fmt.Sprintf("Title %d", d)}))
+		tx.AddIDs(doc, typ, article)
+		tx.AddIDs(doc, journal, b("journal%d", cell/20))
+		tx.AddIDs(doc, year, g.Intern(Integer(int64(1990+cell%20))))
+		tx.AddIDs(doc, title, g.Intern(String{Val: fmt.Sprintf("Title %d", d)}))
 		for k := 0; k < 3; k++ {
-			tx.addIDs(doc, creator, b("author%d", credit[(3*d+k)%authors]))
+			tx.AddIDs(doc, creator, b("author%d", credit[(3*d+k)%authors]))
 		}
 		if d%3 == 0 {
-			tx.addIDs(doc, abstract, g.Intern(String{Val: fmt.Sprintf("Abstract of doc %d", d)}))
+			tx.AddIDs(doc, abstract, g.Intern(String{Val: fmt.Sprintf("Abstract of doc %d", d)}))
 		}
 	}
 	tx.Commit()

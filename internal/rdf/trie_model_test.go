@@ -133,7 +133,7 @@ func (m *trieModel) apply(add bool, tr Triple) {
 	switch {
 	case add && m.tx != nil:
 		n := m.tx.Changed()
-		m.tx.addIDs(tr.S, tr.P, tr.O)
+		m.tx.AddIDs(tr.S, tr.P, tr.O)
 		did = m.tx.Changed() != n
 	case add:
 		did = m.g.addIDs(tr.S, tr.P, tr.O)

@@ -129,7 +129,7 @@ func snapshotsFrozenUnderTx(t *testing.T) {
 			if (i+round)%3 == 0 {
 				tx.Delete(g.TermOf(s), g.TermOf(p), g.TermOf(o))
 			} else {
-				tx.addIDs(s, p, o)
+				tx.AddIDs(s, p, o)
 			}
 			// Mid-transaction pins see the last commit, never the
 			// staged edits.
@@ -162,7 +162,7 @@ func TestPredicateScanFrozenWhileSetsGrow(t *testing.T) {
 	p, extra, first, objs := ids[0], ids[1], ids[2:2+objects], ids[2+objects:]
 	tx := g.Begin()
 	for i, o := range objs {
-		tx.addIDs(first[i], p, o)
+		tx.AddIDs(first[i], p, o)
 	}
 	tx.Commit()
 
@@ -188,7 +188,7 @@ func TestPredicateScanFrozenWhileSetsGrow(t *testing.T) {
 		tx := g.Begin()
 		for i, o := range objs {
 			if i%2 == round%2 {
-				tx.addIDs(extra, p, o)
+				tx.AddIDs(extra, p, o)
 			}
 		}
 		if round%4 == 3 {
@@ -277,7 +277,7 @@ func TestAbortLeavesStateUntouched(t *testing.T) {
 	}
 	tx := g.Begin()
 	for i := 0; i < 300; i++ {
-		tx.addIDs(ids[i%20], ids[5+i%5], ids[i])
+		tx.AddIDs(ids[i%20], ids[5+i%5], ids[i])
 	}
 	tx.Commit()
 
@@ -285,7 +285,7 @@ func TestAbortLeavesStateUntouched(t *testing.T) {
 	before := dumpState(st)
 	tx = g.Begin()
 	for i := 0; i < 400; i++ {
-		tx.addIDs(ids[i%25], ids[i%11], ids[(i*7)%400])
+		tx.AddIDs(ids[i%25], ids[i%11], ids[(i*7)%400])
 		tx.Delete(g.TermOf(ids[i%20]), g.TermOf(ids[i%5]), g.TermOf(ids[i]))
 	}
 	if tx.Changed() == 0 {

@@ -24,11 +24,12 @@ const (
 	tPunct // structural characters and operators
 )
 
+// tok is one token; off is the byte offset of its first character, from
+// which an error about it computes its line and column.
 type tok struct {
 	kind tokKind
 	text string
-	line int
-	col  int
+	off  int
 }
 
 func (t tok) String() string {
@@ -48,58 +49,95 @@ func (t tok) isPunct(s string) bool {
 }
 
 // sLexer scans SPARQL and Turtle text alike: Turtle 1.1 reuses
-// SPARQL's terminals, so both readers share one set of token rules.
+// SPARQL's terminals, so both readers share one set of token rules. It
+// steps over ASCII name characters and spaces by the ascii table and
+// decodes a rune only at a byte of 0x80 or more.
 type sLexer struct {
 	src    string
 	pos    int
-	line   int
-	col    int
 	syntax string // names the grammar in error messages: "sciSPARQL" or "turtle"
 }
 
-func newSLexer(src, syntax string) *sLexer {
-	return &sLexer{src: src, line: 1, col: 1, syntax: syntax}
-}
+// The classes of an ASCII byte in the ascii table.
+const (
+	cSpace = 1 << iota // unicode.IsSpace
+	cName              // isNameChar: a letter, a digit, '_' or '-'
+)
+
+var ascii = func() (t [256]uint8) {
+	for c := range utf8.RuneSelf {
+		if unicode.IsSpace(rune(c)) {
+			t[c] |= cSpace
+		}
+		if isNameChar(rune(c)) {
+			t[c] |= cName
+		}
+	}
+	return t
+}()
+
+func newSLexer(src, syntax string) *sLexer { return &sLexer{src: src, syntax: syntax} }
 
 func (l *sLexer) errorf(format string, args ...any) error {
-	return fmt.Errorf("%s: line %d col %d: %s", l.syntax, l.line, l.col, fmt.Sprintf(format, args...))
+	return l.errorAt(l.pos, format, args...)
 }
 
-func (l *sLexer) peekAt(off int) rune {
-	if l.pos+off >= len(l.src) {
-		return -1
-	}
-	r, _ := utf8.DecodeRuneInString(l.src[l.pos+off:])
-	return r
+// errorAt builds an error at byte offset off, which it places by line
+// (one more than the newlines before it) and column (one more than the
+// runes since the last of them).
+func (l *sLexer) errorAt(off int, format string, args ...any) error {
+	before := l.src[:off]
+	line := 1 + strings.Count(before, "\n")
+	col := 1 + utf8.RuneCountInString(before[strings.LastIndexByte(before, '\n')+1:])
+	return fmt.Errorf("%s: line %d col %d: %s", l.syntax, line, col, fmt.Sprintf(format, args...))
 }
+
+// runeAt decodes the rune at byte offset i and its width, -1 at the
+// end of input; an ASCII byte is its own rune.
+func (l *sLexer) runeAt(i int) (rune, int) {
+	if i >= len(l.src) {
+		return -1, 0
+	}
+	if c := l.src[i]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	return utf8.DecodeRuneInString(l.src[i:])
+}
+
+func (l *sLexer) peekAt(off int) rune { r, _ := l.runeAt(l.pos + off); return r }
 
 func (l *sLexer) peek() rune { return l.peekAt(0) }
 
 func (l *sLexer) advance() rune {
-	if l.pos >= len(l.src) {
-		return -1
-	}
-	r, w := utf8.DecodeRuneInString(l.src[l.pos:])
+	r, w := l.runeAt(l.pos)
 	l.pos += w
-	if r == '\n' {
-		l.line++
-		l.col = 1
-	} else {
-		l.col++
-	}
 	return r
+}
+
+// skip steps over the run of ASCII bytes of class c at the position.
+func (l *sLexer) skip(c uint8) {
+	for l.pos < len(l.src) && ascii[l.src[l.pos]]&c != 0 {
+		l.pos++
+	}
+}
+
+// skipTo steps to the next ASCII byte a or b, or to the end of input;
+// neither is part of a multi-byte rune, so it decodes none.
+func (l *sLexer) skipTo(a, b byte) {
+	for l.pos < len(l.src) && l.src[l.pos] != a && l.src[l.pos] != b {
+		l.pos++
+	}
 }
 
 func (l *sLexer) skipSpace() {
 	for {
+		l.skip(cSpace)
 		r := l.peek()
-		if r == '#' {
-			for r != '\n' && r != -1 {
-				r = l.advance()
-			}
+		if r == '#' { // to the newline, which the next skip takes
+			l.skipTo('\n', '\n')
 			continue
 		}
-		if r == -1 || !unicode.IsSpace(r) {
+		if r < utf8.RuneSelf || !unicode.IsSpace(r) {
 			return
 		}
 		l.advance()
@@ -111,6 +149,17 @@ func isNameChar(r rune) bool {
 	return r == '_' || r == '-' || unicode.IsLetter(r) || unicode.IsDigit(r)
 }
 
+// skipNameChars consumes a run of name characters.
+func (l *sLexer) skipNameChars() {
+	for {
+		l.skip(cName)
+		if r := l.peek(); r < utf8.RuneSelf || !isNameChar(r) {
+			return
+		}
+		l.advance()
+	}
+}
+
 // scanName consumes name characters, and colons when colons is set. A
 // run of dots belongs to the name when a name character (or a colon
 // where colons are) follows it and dots are allowed here — in a blank
@@ -120,9 +169,8 @@ func isNameChar(r rune) bool {
 // consumed.
 func (l *sLexer) scanName(colons bool) (hasColon bool) {
 	for {
-		c := l.peek()
-		switch {
-		case isNameChar(c):
+		l.skipNameChars()
+		switch c := l.peek(); {
 		case c == ':' && colons:
 			hasColon = true
 		case c == '.' && (hasColon || !colons):
@@ -133,9 +181,7 @@ func (l *sLexer) scanName(colons bool) (hasColon bool) {
 			if r := l.peekAt(n); !isNameChar(r) && !(colons && r == ':') {
 				return hasColon
 			}
-			for ; n > 1; n-- {
-				l.advance()
-			}
+			l.pos += n - 1
 		default:
 			return hasColon
 		}
@@ -162,24 +208,20 @@ func (l *sLexer) looksLikeIRI() bool {
 
 func (l *sLexer) next() (tok, error) {
 	l.skipSpace()
-	line, col := l.line, l.col
-	mk := func(k tokKind, text string) tok { return tok{kind: k, text: text, line: line, col: col} }
+	off := l.pos
+	mk := func(k tokKind, text string) tok { return tok{kind: k, text: text, off: off} }
 	r := l.peek()
 	switch {
 	case r == -1:
 		return mk(tEOF, ""), nil
 	case r == '<' && l.looksLikeIRI():
-		l.advance()
+		l.pos++
 		start := l.pos
-		for c := l.peek(); c != '>' && c != '\\' && c != -1; c = l.peek() {
-			l.advance()
-		}
-		if l.peek() == '>' {
-			// No escapes: the text is the source's (copied, so a term
-			// kept by a graph does not pin the whole document).
-			text := strings.Clone(l.src[start:l.pos])
-			l.advance()
-			return mk(tIRI, text), nil
+		if l.skipTo('>', '\\'); l.peek() == '>' {
+			// No escapes: the text is the source's (the reader that
+			// keeps it as a term copies it).
+			l.pos++
+			return mk(tIRI, l.src[start:l.pos-1]), nil
 		}
 		var sb strings.Builder
 		sb.WriteString(l.src[start:l.pos])
@@ -209,14 +251,12 @@ func (l *sLexer) next() (tok, error) {
 		}
 	case r == '?' || r == '$':
 		if isNameStart(l.peekAt(1)) || unicode.IsDigit(l.peekAt(1)) {
-			l.advance()
+			l.pos++
 			start := l.pos
-			for isNameChar(l.peek()) {
-				l.advance()
-			}
+			l.skipNameChars()
 			return mk(tVar, l.src[start:l.pos]), nil
 		}
-		l.advance()
+		l.pos++
 		return mk(tPunct, "?"), nil
 	case r == '"' || r == '\'':
 		s, err := l.scanString()
@@ -226,16 +266,13 @@ func (l *sLexer) next() (tok, error) {
 		return mk(tString, s), nil
 	case r == '@':
 		// A language tag, or Turtle's @prefix / @base directive.
-		l.advance()
+		l.pos++
 		start := l.pos
-		for isNameChar(l.peek()) {
-			l.advance()
-		}
+		l.skipNameChars()
 		return mk(tLang, strings.Clone(l.src[start:l.pos])), nil
 	case r == '_':
 		if l.peekAt(1) == ':' {
-			l.advance()
-			l.advance()
+			l.pos += 2
 			start := l.pos
 			l.scanName(false)
 			if l.pos == start {
@@ -243,69 +280,37 @@ func (l *sLexer) next() (tok, error) {
 			}
 			return mk(tBlank, l.src[start:l.pos]), nil
 		}
-		l.advance()
+		l.pos++
 		return mk(tPunct, "_"), nil
 	case unicode.IsDigit(r):
-		return l.scanNumber(line, col)
-	case r == '^':
-		l.advance()
-		if l.peek() == '^' {
-			l.advance()
-			return mk(tPunct, "^^"), nil
-		}
-		return mk(tPunct, "^"), nil
+		return l.scanNumber(off), nil
 	case r == '&':
-		l.advance()
+		l.pos++
 		if l.peek() != '&' {
 			return tok{}, l.errorf("expected '&&'")
 		}
-		l.advance()
+		l.pos++
 		return mk(tPunct, "&&"), nil
-	case r == '|':
-		l.advance()
-		if l.peek() == '|' {
-			l.advance()
-			return mk(tPunct, "||"), nil
-		}
-		return mk(tPunct, "|"), nil
-	case r == '!':
-		l.advance()
-		if l.peek() == '=' {
-			l.advance()
-			return mk(tPunct, "!="), nil
-		}
-		return mk(tPunct, "!"), nil
-	case r == '<':
-		l.advance()
-		if l.peek() == '=' {
-			l.advance()
-			return mk(tPunct, "<="), nil
-		}
-		return mk(tPunct, "<"), nil
-	case r == '>':
-		l.advance()
-		if l.peek() == '=' {
-			l.advance()
-			return mk(tPunct, ">="), nil
-		}
-		return mk(tPunct, ">"), nil
-	case strings.ContainsRune("{}()[],;.=*/+-", r):
-		l.advance()
-		// Negative numeric literals are produced by the parser from
+	case strings.ContainsRune("{}()[],;.=*/+-^|!<>", r):
+		// One character, or one of the pairs "^^", "||", "!=", "<=" and
+		// ">=". Negative numeric literals are produced by the parser from
 		// unary minus; '.' is always punctuation here because bare
 		// decimals start with a digit in SPARQL.
-		return mk(tPunct, string(r)), nil
+		l.pos++
+		if c := l.peek(); c == r && (r == '^' || r == '|') || c == '=' && strings.ContainsRune("!<>", r) {
+			l.pos++
+		}
+		return mk(tPunct, l.src[off:l.pos]), nil
 	case r == ':' && !isNameStart(l.peekAt(1)):
 		// A bare ':' (e.g. inside array subscripts) is punctuation; a
 		// ':' followed by a name char opens an empty-prefix PName.
-		l.advance()
+		l.pos++
 		return mk(tPunct, ":"), nil
 	case isNameStart(r) || r == ':':
-		start := l.pos
 		if l.scanName(true) {
-			return mk(tPName, l.src[start:l.pos]), nil
+			return mk(tPName, l.src[off:l.pos]), nil
 		}
-		return mk(tWord, l.src[start:l.pos]), nil
+		return mk(tWord, l.src[off:l.pos]), nil
 	default:
 		return tok{}, l.errorf("unexpected character %q", r)
 	}
@@ -315,22 +320,20 @@ func (l *sLexer) scanString() (string, error) {
 	quote := l.advance()
 	long := false
 	if l.peek() == quote {
-		l.advance()
+		l.pos++
 		if l.peek() != quote {
 			return "", nil
 		}
-		l.advance()
+		l.pos++
 		long = true
 	}
 	// Most strings hold no escape and no quote of their kind: take them
 	// from the source (copied, so a stored literal does not pin it).
 	start := l.pos
-	for c := l.peek(); c != quote && c != '\\' && c != -1; c = l.peek() {
-		l.advance()
-	}
+	l.skipTo(byte(quote), '\\')
 	if !long && l.peek() == quote {
 		s := strings.Clone(l.src[start:l.pos])
-		l.advance()
+		l.pos++
 		return s, nil
 	}
 	var sb strings.Builder
@@ -432,8 +435,7 @@ func hexVal(r rune) int {
 	}
 }
 
-func (l *sLexer) scanNumber(line, col int) (tok, error) {
-	start := l.pos
+func (l *sLexer) scanNumber(off int) tok {
 	kind := tInt
 	for unicode.IsDigit(l.peek()) {
 		l.advance()
@@ -447,19 +449,17 @@ func (l *sLexer) scanNumber(line, col int) (tok, error) {
 	}
 	if p := l.peek(); p == 'e' || p == 'E' {
 		// Only an exponent when followed by digits (or sign+digits).
-		off := 1
+		n := 1
 		if s := l.peekAt(1); s == '+' || s == '-' {
-			off = 2
+			n = 2
 		}
-		if unicode.IsDigit(l.peekAt(off)) {
+		if unicode.IsDigit(l.peekAt(n)) {
 			kind = tDbl
-			for i := 0; i < off; i++ {
-				l.advance()
-			}
+			l.pos += n
 			for unicode.IsDigit(l.peek()) {
 				l.advance()
 			}
 		}
 	}
-	return tok{kind: kind, text: l.src[start:l.pos], line: line, col: col}, nil
+	return tok{kind: kind, text: l.src[off:l.pos], off: off}
 }

@@ -19,12 +19,9 @@ type Parser struct {
 	lex      *sLexer
 	tok      tok
 	prefixes map[string]string
-	// pnames memoizes expandPName until a prefix is declared; only Turtle
-	// makes it (a query's few names cost more to memoize than they save).
-	pnames  map[string]rdf.IRI
-	base    string
-	blankNo int
-	varNo   int
+	base     string
+	blankNo  int
+	varNo    int
 }
 
 // ParseQuery parses a single SELECT/ASK/CONSTRUCT/DESCRIBE query.
@@ -87,7 +84,7 @@ func (p *Parser) advance() error {
 }
 
 func (p *Parser) errorf(format string, args ...any) error {
-	return fmt.Errorf("%s: line %d col %d: %s", p.lex.syntax, p.tok.line, p.tok.col, fmt.Sprintf(format, args...))
+	return p.lex.errorAt(p.tok.off, format, args...)
 }
 
 func (p *Parser) expectPunct(s string) error {
@@ -181,7 +178,6 @@ func (p *Parser) prefixDecl() error {
 		return p.errorf("expected namespace IRI, found %s", p.tok)
 	}
 	p.prefixes[name] = string(p.resolveIRI(p.tok.text))
-	clear(p.pnames)
 	return p.advance()
 }
 
@@ -208,9 +204,6 @@ func (p *Parser) snapshotPrefixes() map[string]string {
 }
 
 func (p *Parser) expandPName(pname string) (rdf.IRI, error) {
-	if iri, ok := p.pnames[pname]; ok {
-		return iri, nil
-	}
 	i := strings.Index(pname, ":")
 	if i < 0 {
 		return "", p.errorf("malformed prefixed name %q", pname)
@@ -219,11 +212,7 @@ func (p *Parser) expandPName(pname string) (rdf.IRI, error) {
 	if !ok {
 		return "", p.errorf("undefined prefix %q", pname[:i])
 	}
-	iri := rdf.IRI(ns + pname[i+1:])
-	if p.pnames != nil {
-		p.pnames[pname] = iri
-	}
-	return iri, nil
+	return rdf.IRI(ns + pname[i+1:]), nil
 }
 
 // resolveIRI resolves an IRI reference against the base in force by
@@ -231,10 +220,11 @@ func (p *Parser) expandPName(pname string) (rdf.IRI, error) {
 // written; any other is merged with the base and its dot segments
 // removed. It works on the text and percent-encodes nothing, so
 // non-ASCII IRIs stay as written. With no base a reference is kept
-// verbatim.
+// verbatim, copied: a token's text is the source's, and a term kept by a
+// graph must not pin the whole document.
 func (p *Parser) resolveIRI(ref string) rdf.IRI {
 	if p.base == "" || hasScheme(ref) {
-		return rdf.IRI(ref)
+		return rdf.IRI(strings.Clone(ref))
 	}
 	// The base as scheme "s:", authority "//a", path and query "?q"
 	// (its fragment never counts); the reference as path and suffix.

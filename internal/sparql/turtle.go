@@ -17,10 +17,11 @@ import (
 // fails to parse adds nothing.
 func ParseTurtle(src string, g *rdf.Graph) error {
 	r := &turtleReader{
-		Parser: Parser{lex: newSLexer(src, "turtle"), prefixes: map[string]string{}, pnames: map[string]rdf.IRI{}},
+		Parser: Parser{lex: newSLexer(src, "turtle"), prefixes: map[string]string{}},
 		graph:  g,
 		tx:     g.Begin(),
-		blanks: map[string]rdf.Blank{},
+		blanks: map[string]rdf.ID{},
+		names:  map[string]rdf.ID{},
 	}
 	defer r.tx.Abort() // a no-op once committed
 	if err := r.advance(); err != nil {
@@ -38,33 +39,39 @@ func ParseTurtle(src string, g *rdf.Graph) error {
 // turtleReader is the Turtle statement loop over the query parser: it
 // adds what the parser has no use for — directives ended by '.',
 // per-document blank labels, and blank node property lists and
-// collections that emit triples as they are read.
+// collections that emit triples as they are read. It reads terms as the
+// graph's IDs, and stages triples by ID.
 type turtleReader struct {
 	Parser
 	graph  *rdf.Graph
 	tx     *rdf.Tx // the document's triples, published together at the end
-	blanks map[string]rdf.Blank
+	blanks map[string]rdf.ID
+	// names maps the source text of an IRI ref, a prefixed name or an
+	// unsigned number to its ID, so a repeated one costs one map hit: no
+	// expansion, no boxing, no dictionary lookup. A prefix or base
+	// declaration can change what a name means, so each clears it.
+	names map[string]rdf.ID
 }
 
 // statement reads one directive or one triples statement.
 func (r *turtleReader) statement() error {
 	switch {
 	case r.tok.kind == tLang && r.tok.text == "prefix":
-		if err := r.prefixDecl(); err != nil {
+		if err := r.directive(r.prefixDecl); err != nil {
 			return err
 		}
 		return r.expectPunct(".")
 	case r.tok.kind == tLang && r.tok.text == "base":
-		if err := r.baseDecl(); err != nil {
+		if err := r.directive(r.baseDecl); err != nil {
 			return err
 		}
 		return r.expectPunct(".")
 	case r.tok.isWord("PREFIX"):
-		return r.prefixDecl()
+		return r.directive(r.prefixDecl)
 	case r.tok.isWord("BASE"):
-		return r.baseDecl()
+		return r.directive(r.baseDecl)
 	}
-	var subj rdf.Term
+	var subj rdf.ID
 	var err error
 	switch {
 	case r.tok.isPunct("["), r.tok.isPunct("("):
@@ -79,7 +86,7 @@ func (r *turtleReader) statement() error {
 		subj = r.blankFor(r.tok.text)
 		err = r.advance()
 	default:
-		subj, err = r.iriRef()
+		subj, err = r.iri()
 	}
 	if err != nil {
 		return err
@@ -90,27 +97,32 @@ func (r *turtleReader) statement() error {
 	return r.expectPunct(".")
 }
 
+// directive reads a prefix or base declaration by decl and forgets the
+// names read under the old ones.
+func (r *turtleReader) directive(decl func() error) error {
+	clear(r.names)
+	return decl()
+}
+
 // predicateObjects reads "p o, o; p o …" about subj.
-func (r *turtleReader) predicateObjects(subj rdf.Term) error {
+func (r *turtleReader) predicateObjects(subj rdf.ID) error {
 	for {
-		var pred rdf.Term = rdf.RDFType
+		var pred rdf.ID
+		var err error
 		if r.tok.kind == tWord && r.tok.text == "a" {
-			if err := r.advance(); err != nil {
-				return err
-			}
+			pred, err = r.named()
 		} else {
-			iri, err := r.iriRef()
-			if err != nil {
-				return err
-			}
-			pred = iri
+			pred, err = r.iri()
+		}
+		if err != nil {
+			return err
 		}
 		for {
 			obj, err := r.object()
 			if err != nil {
 				return err
 			}
-			r.tx.Add(subj, pred, obj)
+			r.tx.AddIDs(subj, pred, obj)
 			if !r.tok.isPunct(",") {
 				break
 			}
@@ -132,40 +144,88 @@ func (r *turtleReader) predicateObjects(subj rdf.Term) error {
 }
 
 // object reads an object: a blank node label, property list or
-// collection here, any other term by the parser's nodeTerm.
-func (r *turtleReader) object() (rdf.Term, error) {
-	switch {
-	case r.tok.kind == tBlank:
+// collection here, an IRI or an unsigned number through names, any
+// other term by the parser's nodeTerm.
+func (r *turtleReader) object() (rdf.ID, error) {
+	switch r.tok.kind {
+	case tBlank:
 		b := r.blankFor(r.tok.text)
 		return b, r.advance()
-	case r.tok.isPunct("["):
-		return r.blankPropertyList()
-	case r.tok.isPunct("("):
-		return r.collection()
+	case tIRI, tPName, tInt, tDec, tDbl:
+		return r.named()
+	case tPunct:
+		switch {
+		case r.tok.isPunct("["):
+			return r.blankPropertyList()
+		case r.tok.isPunct("("):
+			return r.collection()
+		}
 	}
 	n, err := r.nodeTerm(false)
-	return n.Term, err
+	if err != nil {
+		return 0, err
+	}
+	return r.graph.Intern(n.Term), nil
+}
+
+// iri reads an IRI ref or prefixed name as its ID.
+func (r *turtleReader) iri() (rdf.ID, error) {
+	if r.tok.kind != tIRI && r.tok.kind != tPName {
+		_, err := r.iriRef() // the parser's error
+		return 0, err
+	}
+	return r.named()
+}
+
+// named reads the IRI ref, prefixed name, unsigned number or predicate
+// "a" at the token as its ID, through names. The key is the token's
+// source text — an IRI ref's with its brackets, so <b:x> and b:x stay
+// apart; the parser holds one token, so the lexer stands just past it.
+func (r *turtleReader) named() (rdf.ID, error) {
+	key := r.lex.src[r.tok.off:r.lex.pos]
+	if id, ok := r.names[key]; ok {
+		return id, r.advance()
+	}
+	var t rdf.Term
+	var err error
+	switch r.tok.kind {
+	case tWord:
+		t, err = rdf.RDFType, r.advance()
+	case tInt, tDec, tDbl:
+		t, err = r.number("")
+	default:
+		t, err = r.iriRef()
+	}
+	if err != nil {
+		return 0, err
+	}
+	id := r.graph.Intern(t)
+	r.names[key] = id
+	return id, nil
 }
 
 // blankFor maps a document's blank label to its graph-unique blank.
-func (r *turtleReader) blankFor(label string) rdf.Blank {
-	if b, ok := r.blanks[label]; ok {
-		return b
+func (r *turtleReader) blankFor(label string) rdf.ID {
+	if id, ok := r.blanks[label]; ok {
+		return id
 	}
-	b := r.graph.NewBlank()
-	r.blanks[label] = b
-	return b
+	id := r.newBlank()
+	r.blanks[label] = id
+	return id
 }
 
+// newBlank interns a fresh graph-unique blank.
+func (r *turtleReader) newBlank() rdf.ID { return r.graph.Intern(r.graph.NewBlank()) }
+
 // blankPropertyList reads "[ p o ; … ]" into a fresh blank.
-func (r *turtleReader) blankPropertyList() (rdf.Term, error) {
+func (r *turtleReader) blankPropertyList() (rdf.ID, error) {
 	if err := r.advance(); err != nil { // '['
-		return nil, err
+		return 0, err
 	}
-	node := r.graph.NewBlank()
+	node := r.newBlank()
 	if !r.tok.isPunct("]") {
 		if err := r.predicateObjects(node); err != nil {
-			return nil, err
+			return 0, err
 		}
 	}
 	return node, r.expectPunct("]")
@@ -173,38 +233,38 @@ func (r *turtleReader) blankPropertyList() (rdf.Term, error) {
 
 // collection reads "( o1 o2 … )" into the rdf:first/rdf:rest list
 // encoding (§2.3.5.1) and returns the head node.
-func (r *turtleReader) collection() (rdf.Term, error) {
+func (r *turtleReader) collection() (rdf.ID, error) {
 	if err := r.advance(); err != nil { // '('
-		return nil, err
+		return 0, err
 	}
-	var items []rdf.Term
+	var items []rdf.ID
 	for !r.tok.isPunct(")") {
 		if r.tok.kind == tEOF {
-			return nil, r.errorf("unterminated collection")
+			return 0, r.errorf("unterminated collection")
 		}
 		obj, err := r.object()
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		items = append(items, obj)
 	}
 	if err := r.advance(); err != nil {
-		return nil, err
+		return 0, err
 	}
 	if len(items) == 0 {
-		return rdf.RDFNil, nil
+		return r.graph.Intern(rdf.RDFNil), nil
 	}
-	head := rdf.Term(r.graph.NewBlank())
+	head := r.newBlank()
+	first, rest, end := r.graph.Intern(rdf.RDFFirst), r.graph.Intern(rdf.RDFRest), r.graph.Intern(rdf.RDFNil)
 	cur := head
 	for i, item := range items {
-		r.tx.Add(cur, rdf.RDFFirst, item)
-		if i == len(items)-1 {
-			r.tx.Add(cur, rdf.RDFRest, rdf.RDFNil)
-		} else {
-			next := r.graph.NewBlank()
-			r.tx.Add(cur, rdf.RDFRest, next)
-			cur = next
+		r.tx.AddIDs(cur, first, item)
+		next := end
+		if i < len(items)-1 {
+			next = r.newBlank()
 		}
+		r.tx.AddIDs(cur, rest, next)
+		cur = next
 	}
 	return head, nil
 }
