@@ -428,9 +428,11 @@ func (a *Array) PrefetchCtx(ctx context.Context) error {
 }
 
 // TouchedChunks returns the sorted, deduplicated chunk numbers covered
-// by the view, for the given chunk size in elements.
+// by the view, for the given chunk size in elements. An element in the
+// chunk of the one before it adds nothing, so a row-major walk appends
+// each chunk once.
 func (a *Array) TouchedChunks(chunkElems int) []int {
-	seen := make(map[int]struct{})
+	var out []int
 	idx := make([]int, len(a.Shape))
 	n := a.Count()
 	for i := 0; i < n; i++ {
@@ -438,12 +440,10 @@ func (a *Array) TouchedChunks(chunkElems int) []int {
 		for d, x := range idx {
 			lin += x * a.Strides[d]
 		}
-		seen[lin/chunkElems] = struct{}{}
+		if c := lin / chunkElems; len(out) == 0 || out[len(out)-1] != c {
+			out = append(out, c)
+		}
 		incIndex(idx, a.Shape)
-	}
-	out := make([]int, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
 	}
 	return spd.Normalize(out)
 }

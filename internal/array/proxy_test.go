@@ -3,6 +3,8 @@ package array
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"scisparql/internal/spd"
@@ -231,6 +233,53 @@ func TestTouchedChunks(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("got %v, want %v", got, want)
+		}
+	}
+}
+
+// touchedByMap is TouchedChunks as a set of every element's chunk,
+// sorted: the reference the run-skipping walk is held to.
+func touchedByMap(a *Array, chunkElems int) []int {
+	seen := map[int]bool{}
+	idx := make([]int, len(a.Shape))
+	for range a.Count() {
+		lin := a.Offset
+		for d, x := range idx {
+			lin += x * a.Strides[d]
+		}
+		seen[lin/chunkElems] = true
+		incIndex(idx, a.Shape)
+	}
+	return slices.Sorted(maps.Keys(seen))
+}
+
+// TestTouchedChunksMatchesSet: on row-major, strided, transposed and
+// single-element views, and at chunk sizes that do and do not divide a
+// row, TouchedChunks names exactly the chunks of the view's elements.
+func TestTouchedChunksMatchesSet(t *testing.T) {
+	base := NewFloat(12, 10)
+	views := map[string]*Array{"row-major": base}
+	add := func(name string, v *Array, err error) {
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		views[name] = v
+	}
+	v, err := base.Deref([]Range{SpanStep(1, 12, 3), SpanStep(0, 10, 4)})
+	add("strided", v, err)
+	v, err = base.Transpose(nil)
+	add("transposed", v, err)
+	v, err = views["strided"].Transpose(nil)
+	add("strided transposed", v, err)
+	v, err = base.Deref([]Range{Idx(7), Idx(3)})
+	add("single element", v, err)
+	v, err = base.Deref([]Range{Span(2, 9), Idx(5)})
+	add("column", v, err)
+	for name, v := range views {
+		for _, chunk := range []int{1, 3, 7, 10, 16, 200} {
+			if got, want := v.TouchedChunks(chunk), touchedByMap(v, chunk); !slices.Equal(got, want) {
+				t.Errorf("%s, %d-element chunks: TouchedChunks = %v, want %v", name, chunk, got, want)
+			}
 		}
 	}
 }

@@ -106,7 +106,7 @@ func TestBatchBytesMatchTermEncoder(t *testing.T) {
 			graph      rdf.IRI
 			dels, adds []rdf.Triple
 		}{{"", nil, ts}, {"http://ex/g", ts[:cut], ts[cut:]}, {"", ts, nil}, {"", nil, nil}} {
-			got, err := appendBatch(nil, g, c.graph, c.dels, c.adds)
+			got, err := appendBatch(nil, g, c.graph, tripleRows(c.dels), tripleRows(c.adds))
 			if err != nil {
 				t.Fatalf("seed %d: appendBatch: %v", seed, err)
 			}
@@ -125,7 +125,7 @@ func TestBatchBytesMatchTermEncoder(t *testing.T) {
 			t.Fatal(err)
 		}
 		partial := rdf.Triple{S: g.Intern(rdf.IRI("http://ex/s0")), P: g.Intern(p), O: g.Intern(rdf.NewArray(view))}
-		if _, err := appendBatch(nil, g, "", nil, []rdf.Triple{partial}); err == nil || !strings.Contains(err.Error(), "partial proxied view") {
+		if _, err := appendBatch(nil, g, "", tripleRows(nil), tripleRows([]rdf.Triple{partial})); err == nil || !strings.Contains(err.Error(), "partial proxied view") {
 			t.Fatalf("seed %d: a partial proxied view encoded (%v)", seed, err)
 		}
 	}

@@ -170,7 +170,7 @@ func (s *SSDM) encodeImage(w io.Writer, lsn uint64) error {
 		// Every graph gets at least one record, so that an empty named
 		// graph and a blank-node counter come back too.
 		flush := func() (err error) {
-			batch, err = appendBatch(batch[:0], g, name, nil, rows)
+			batch, err = appendBatch(batch[:0], g, name, tripleRows(nil), tripleRows(rows))
 			rows = rows[:0]
 			return put(wal.RecBatch, batch, err)
 		}

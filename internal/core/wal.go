@@ -67,18 +67,18 @@ type recDefine struct {
 }
 
 // appendBatch appends to dst the body of a batch record of dels and
-// adds, triples of g's IDs, on g named graph.
-func appendBatch(dst []byte, g *rdf.Graph, graph rdf.IRI, dels, adds []rdf.Triple) ([]byte, error) {
+// adds, rows of three of g's IDs (tripleRows, opRows), on g named graph.
+func appendBatch(dst []byte, g *rdf.Graph, graph rdf.IRI, dels, adds func(yield func(row []rdf.ID) bool)) ([]byte, error) {
 	dst = append(binary.AppendUvarint(dst, uint64(len(graph))), graph...)
 	dst = binary.AppendUvarint(dst, uint64(g.BlankNo()))
 	terms := batchTerms{g: g, links: map[int64]rdf.ID{}}
-	table, _, err := protocol.AppendIDRows(nil, 3, terms.term, tripleRows(dels))
+	table, _, err := protocol.AppendIDRows(nil, 3, terms.term, dels)
 	if err != nil {
 		return nil, err
 	}
 	dst = append(binary.AppendUvarint(dst, uint64(len(table))), table...)
 	protocol.Release(table)
-	dst, _, err = protocol.AppendIDRows(dst, 3, terms.term, tripleRows(adds))
+	dst, _, err = protocol.AppendIDRows(dst, 3, terms.term, adds)
 	return dst, err
 }
 
@@ -88,6 +88,20 @@ func tripleRows(ts []rdf.Triple) func(yield func(row []rdf.ID) bool) {
 		var row [3]rdf.ID
 		for _, t := range ts {
 			row = [3]rdf.ID{t.S, t.P, t.O}
+			if !yield(row[:]) {
+				return
+			}
+		}
+	}
+}
+
+// opRows hands a transaction's recorded ops to yield as rows of three
+// IDs, their kinds left out.
+func opRows(ops []rdf.Op) func(yield func(row []rdf.ID) bool) {
+	return func(yield func(row []rdf.ID) bool) {
+		var row [3]rdf.ID
+		for _, op := range ops {
+			row = [3]rdf.ID{op.S, op.P, op.O}
 			if !yield(row[:]) {
 				return
 			}
@@ -175,7 +189,6 @@ func (s *SSDM) walAppend(typ byte, body []byte) (uint64, error) {
 // walAppendBatch appends the batch record of a transaction's recorded
 // ops against graph: its deletes, then its adds.
 func (s *SSDM) walAppendBatch(graph rdf.IRI, ops []rdf.Op) (uint64, error) {
-	rows := make([]rdf.Triple, len(ops))
 	ndel := 0
 	for i, op := range ops {
 		if op.Kind == rdf.OpDelete {
@@ -184,9 +197,8 @@ func (s *SSDM) walAppendBatch(graph rdf.IRI, ops []rdf.Op) (uint64, error) {
 			}
 			ndel++
 		}
-		rows[i] = rdf.Triple{S: op.S, P: op.P, O: op.O}
 	}
-	body, err := appendBatch(nil, s.targetGraph(graph), graph, rows[:ndel], rows[ndel:])
+	body, err := appendBatch(nil, s.targetGraph(graph), graph, opRows(ops[:ndel]), opRows(ops[ndel:]))
 	if err != nil {
 		return 0, err
 	}

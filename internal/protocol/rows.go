@@ -114,9 +114,10 @@ func appendRows(blob []byte, index map[any]uint32, rows [][]rdf.Term, width int)
 // number of rows it holds. term resolves a cell's ID to the term it
 // carries and to the ID it is deduped on — the ID itself, or one the
 // caller resolves to an equal term — so the bytes are those EncodeRows
-// writes for the resolved rows. A nil blob starts a pooled buffer: hand
-// the table to Release once it has been written out. On error no table
-// is returned.
+// writes for the resolved rows. term runs once per distinct cell ID: the
+// index maps each cell ID, as well as each key, to its term's entry. A
+// nil blob starts a pooled buffer: hand the table to Release once it has
+// been written out. On error no table is returned.
 func AppendIDRows(blob []byte, width int, term func(rdf.ID) (rdf.ID, rdf.Term, error), rows func(yield func(row []rdf.ID) bool)) ([]byte, int, error) {
 	index := idIndexes.Get().(map[rdf.ID]uint32)
 	defer putIndex(&idIndexes, index)
@@ -126,7 +127,7 @@ func AppendIDRows(blob []byte, width int, term func(rdf.ID) (rdf.ID, rdf.Term, e
 	}
 	at := len(blob)
 	blob = append(blob, make([]byte, rowsHeader)...)
-	n := 0
+	n, ndict := 0, 0
 	var err error
 	rows(func(row []rdf.ID) bool {
 		if len(row) != width {
@@ -143,14 +144,25 @@ func AppendIDRows(blob []byte, width int, term func(rdf.ID) (rdf.ID, rdf.Term, e
 			blob = slices.Grow(blob, len(blob))
 		}
 		for _, id := range row {
-			key, t, e := term(id)
-			if e == nil {
-				blob, e = appendCell(blob, index, key, t)
+			ix, ok := index[id]
+			if !ok {
+				key, t, e := term(id)
+				if e == nil {
+					if ix, ok = index[key]; !ok {
+						ix, ndict = uint32(ndict), ndict+1
+						blob, e = appendDictTerm(append(blob, 1), t)
+					}
+				}
+				if e != nil {
+					err = e
+					return false
+				}
+				index[id], index[key] = ix, ix
+				if !ok {
+					continue
+				}
 			}
-			if e != nil {
-				err = e
-				return false
-			}
+			blob = binary.AppendUvarint(blob, uint64(ix)+2)
 		}
 		n++
 		return true
@@ -161,13 +173,13 @@ func AppendIDRows(blob []byte, width int, term func(rdf.ID) (rdf.ID, rdf.Term, e
 		}
 		return nil, 0, err
 	}
-	putHeader(blob[at:], len(index), n, width)
+	putHeader(blob[at:], ndict, n, width)
 	return blob, n, nil
 }
 
 // appendCell appends a bound cell: a reference to index's entry for key,
 // or else a new entry for t. On error it returns blob as it was.
-func appendCell[K comparable](blob []byte, index map[K]uint32, key K, t rdf.Term) ([]byte, error) {
+func appendCell(blob []byte, index map[any]uint32, key any, t rdf.Term) ([]byte, error) {
 	if ix, ok := index[key]; ok {
 		return binary.AppendUvarint(blob, uint64(ix)+2), nil
 	}

@@ -206,3 +206,49 @@ func BenchmarkGraphCountMatchOneBound(b *testing.B) {
 		}
 	}
 }
+
+// dictTerms returns n distinct terms shaped like a metadata store's: IRIs
+// with a shared prefix and plain strings, alternating, boxed beforehand
+// so the benchmarks time the dictionary alone.
+func dictTerms(n int) []Term {
+	ts := make([]Term, n)
+	for i := range ts {
+		if i%2 == 0 {
+			ts[i] = IRI(fmt.Sprintf("http://bench/doc%d", i))
+		} else {
+			ts[i] = String{Val: fmt.Sprintf("Title %d", i)}
+		}
+	}
+	return ts
+}
+
+// BenchmarkDictIntern interns 60 000 fresh terms into an empty graph per
+// op: every intern a miss, the identity index growing from nothing.
+func BenchmarkDictIntern(b *testing.B) {
+	ts := dictTerms(60000)
+	b.ReportAllocs()
+	for b.Loop() {
+		g := NewGraph()
+		for _, t := range ts {
+			g.Intern(t)
+		}
+	}
+}
+
+// BenchmarkDictLookup is one hit per op, over 60 000 interned terms
+// visited in a shuffled order. The terms looked up are equal copies, not
+// the values interned, as a parsed query's or document's are.
+func BenchmarkDictLookup(b *testing.B) {
+	ts := dictTerms(60000)
+	g := NewGraph()
+	for _, t := range dictTerms(len(ts)) {
+		g.Intern(t)
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(ts), func(i, j int) { ts[i], ts[j] = ts[j], ts[i] })
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		if _, ok := g.Lookup(ts[i%len(ts)]); !ok {
+			b.Fatal("lost a term")
+		}
+	}
+}

@@ -40,7 +40,7 @@ func (g *Graph) Build(ts []Triple) {
 const maxScratch = 1 << 16
 
 // Reset empties a graph Build filled, or one still empty, for the next
-// Build: the identity maps are cleared in place, the term array and the
+// Build: the identity table is cleared in place, the term array and the
 // base's arrays keep their capacity, the numeric memo goes, IDs restart
 // at 1 and the generation moves on. The caller must hold the only
 // reference to the graph. A live graph with triples, and a Snapshot,

@@ -188,40 +188,48 @@ type dict struct {
 }
 
 // termOverheadBytes approximates the fixed per-entry dictionary cost
-// beyond the term's text: the terms-slice element (interface header),
-// the identity-index entry (a string header or the term's struct, the
-// ID, a bucket share), and the boxed term value itself.
-const termOverheadBytes = 64
+// beyond the term's text: the terms-slice element (an interface header,
+// 16 B), the boxed term value (a string header for an IRI or a blank,
+// 16 B; 8 B for a number, 32 B for a two-string literal) and the entry's
+// share of the identity table (an 8 B slot, 3/8 to 3/4 of them used:
+// 11–21 B, about 16).
+const termOverheadBytes = 48
 
 func newDict() *dict { return &dict{} }
 
 func (d *dict) lookup(t Term) (ID, bool) {
-	return d.find(t, foreignKey(t))
+	return d.find(probeOf(t))
 }
 
-// find is lookup with foreignKey(t) already built.
-func (d *dict) find(t Term, key string) (ID, bool) {
+// find is lookup with the term's probe already built.
+func (d *dict) find(p probe) (ID, bool) {
 	d.mu.RLock()
-	id := d.index.get(t, key)
+	id := d.index.get(p, d.all())
 	d.mu.RUnlock()
 	return id, id != 0
 }
 
+// all returns the terms, the one at ID i at i-1.
+func (d *dict) all() []Term {
+	if p := d.terms.Load(); p != nil {
+		return (*p)[:d.n.Load()]
+	}
+	return nil
+}
+
 // intern returns the ID for a term, assigning a fresh one when new
-// (the bool reports a fresh assignment).
+// (the bool reports a fresh assignment). The term is hashed once, for
+// the lookup under the read lock and the one under the write lock.
 func (d *dict) intern(t Term) (ID, bool) {
-	key := foreignKey(t)
-	if id, ok := d.find(t, key); ok {
+	p := probeOf(t)
+	if id, ok := d.find(p); ok {
 		return id, false
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if id := d.index.get(t, key); id != 0 {
+	terms := d.all()
+	if id := d.index.get(p, terms); id != 0 {
 		return id, false
-	}
-	var terms []Term
-	if p := d.terms.Load(); p != nil {
-		terms = (*p)[:d.n.Load()]
 	}
 	grown := append(terms, t)
 	if cap(grown) != cap(terms) {
@@ -229,8 +237,8 @@ func (d *dict) intern(t Term) (ID, bool) {
 		d.terms.Store(&moved)
 	}
 	id := ID(d.n.Add(1))
-	d.index.put(t, key, id)
-	d.bytes.Add(int64(textBytes(t, key)) + termOverheadBytes)
+	d.index.put(p, id)
+	d.bytes.Add(int64(textBytes(t, p.key)) + termOverheadBytes)
 	return id, true
 }
 
@@ -244,15 +252,16 @@ func (d *dict) termOf(id ID) Term {
 
 // rebind binds each ids[i] to to[i], an array over the elements of the
 // one it replaces, in one copy of the terms array, so a reader holding
-// the old copy still reads the old term; index and bytes follow.
+// the old copy still reads the old term; index and bytes follow. Arrays
+// are keyed by Key(), so only the index's key map changes.
 func (d *dict) rebind(ids []ID, to []Term) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	terms := append([]Term(nil), (*d.terms.Load())[:d.n.Load()]...)
+	terms := slices.Clone(d.all())
 	for i, id := range ids {
-		old, key, nkey := terms[id-1], foreignKey(terms[id-1]), foreignKey(to[i])
+		old, key, nkey := terms[id-1], terms[id-1].Key(), to[i].Key()
 		delete(d.index.keyed, key)
-		d.index.put(to[i], nkey, id)
+		d.index.keyed[nkey] = id
 		d.bytes.Add(int64(textBytes(to[i], nkey) - textBytes(old, key)))
 		terms[id-1] = to[i]
 	}
@@ -262,7 +271,8 @@ func (d *dict) rebind(ids []ID, to []Term) {
 func (d *dict) len() int { return int(d.n.Load()) }
 
 // reset empties the dictionary for Graph.Reset; past maxScratch terms it
-// starts from nothing, since clearing a map costs its capacity.
+// starts from nothing, so one large graph pins neither its terms array
+// nor its table, nor makes each later reset clear them.
 func (d *dict) reset() {
 	if n := d.n.Load(); n > maxScratch {
 		d.index = termIndex{}
@@ -270,16 +280,9 @@ func (d *dict) reset() {
 	} else if n > 0 {
 		clear((*d.terms.Load())[:n])
 	}
-	clear(d.index.iris)
-	clear(d.index.blanks)
-	clear(d.index.plain)
-	clear(d.index.langs)
-	clear(d.index.ints)
-	clear(d.index.floats)
-	clear(d.index.times)
-	clear(d.index.typed)
+	clear(d.index.slots)
 	clear(d.index.keyed)
-	d.index.bools = [2]ID{}
+	d.index.used, d.index.bools = 0, [2]ID{}
 	d.n.Store(0)
 	d.bytes.Store(0)
 	d.num.table.Store(nil)

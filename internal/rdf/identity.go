@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"hash/maphash"
 	"math"
 	"strings"
 	"time"
@@ -8,33 +9,73 @@ import (
 	"scisparql/internal/array"
 )
 
-// termIndex is a dictionary's identity index: one map per kind, each
-// keyed by the term's own value, holding one entry per distinct Key().
-// A lookup builds no key and an entry retains no second copy of the
-// term's text.
+// termIndex is a dictionary's identity index, one entry per distinct
+// Key(). The terms of this package's kinds but booleans share one
+// open-addressing table, which holds no pointer for the collector to
+// scan: a slot holds an ID and the term's 32-bit hash, which picks the
+// slot and screens a probe before the term at the ID is compared by
+// SameTerm. Each kind is hashed from its own value (probeOf), so a lookup
+// builds no key and an entry keeps no second copy of the term's text:
 //
-//   - IRIs, blanks and plain strings: their text (the map key shares
-//     the term's bytes);
-//   - language-tagged strings and typed literals: the struct value;
+//   - IRIs, blanks and plain strings: their text;
+//   - language-tagged strings and typed literals: both of their strings;
 //   - integers: the value; doubles: the bits, with every NaN one key
 //     (Key renders them all "f:NaN"; ±0 stay apart, as their keys do);
-//   - booleans: two slots;
-//   - dateTimes: the instant (Key renders it in UTC);
-//   - arrays and foreign terms: Key().
+//   - dateTimes: the instant (Key renders it in UTC).
 //
-// Maps are made on first insert, so a dictionary pays only for the kinds
-// it holds.
+// Booleans have two slots; arrays and foreign terms a map keyed by Key().
 type termIndex struct {
-	iris   map[IRI]ID
-	blanks map[Blank]ID
-	plain  map[string]ID
-	langs  map[String]ID
-	ints   map[Integer]ID
-	floats map[uint64]ID
-	bools  [2]ID
-	times  map[instant]ID
-	typed  map[Typed]ID
-	keyed  map[string]ID
+	slots []uint64 // hash<<32 | ID; a power of two of them, at most 3/4 used; 0 is empty
+	used  int
+	bools [2]ID
+	keyed map[string]ID
+}
+
+// probe is what the index places a term by: its hash when the table
+// holds its kind, its Key() when the key map does. A dictionary operation
+// builds it once for both of its lookups.
+type probe struct {
+	t   Term
+	h   uint32
+	key string
+}
+
+var hashSeed = maphash.MakeSeed()
+
+func probeOf(t Term) probe {
+	text := func(s string) uint64 { return maphash.String(hashSeed, s) }
+	var h uint64
+	switch v := t.(type) {
+	case IRI:
+		h = text(string(v))
+	case Blank:
+		h = ^text(string(v))
+	case String:
+		if h = text(v.Val); v.Lang != "" {
+			h ^= mix(text(v.Lang))
+		}
+	case Integer:
+		h = mix(uint64(v))
+	case Float:
+		h = ^mix(floatBits(v))
+	case DateTime:
+		at := instantOf(v.T)
+		h = mix(uint64(at.sec) ^ mix(uint64(at.nsec)))
+	case Typed:
+		h = mix(text(v.Lexical)) ^ text(string(v.Datatype))
+	case Boolean:
+	default:
+		return probe{t: t, key: t.Key()}
+	}
+	return probe{t: t, h: uint32(h >> 32)}
+}
+
+// mix is MurmurHash3's 64-bit finalizer: every bit of x reaches the high
+// bits the table keeps.
+func mix(x uint64) uint64 {
+	x = (x ^ x>>33) * 0xff51afd7ed558ccd
+	x = (x ^ x>>33) * 0xc4ceb9fe1a85ec53
+	return x ^ x>>33
 }
 
 // instant is a dateTime's identity: its UTC seconds and nanoseconds.
@@ -62,82 +103,65 @@ func boolSlot(b Boolean) int {
 	return 0
 }
 
-// foreignKey returns t.Key() when that is t's identity in the index — an
-// Array or a term of another implementation — and "" otherwise, so a
-// dictionary operation builds such a key once, not per index access.
-func foreignKey(t Term) string {
-	switch t.(type) {
-	case IRI, Blank, String, Integer, Float, Boolean, DateTime, Typed:
-		return ""
-	}
-	return t.Key()
-}
-
-// get returns t's ID, or 0 when t has none; key is foreignKey(t).
-func (x *termIndex) get(t Term, key string) ID {
-	switch v := t.(type) {
-	case IRI:
-		return x.iris[v]
-	case Blank:
-		return x.blanks[v]
-	case String:
-		if v.Lang == "" {
-			return x.plain[v.Val]
-		}
-		return x.langs[v]
-	case Integer:
-		return x.ints[v]
-	case Float:
-		return x.floats[floatBits(v)]
+// get returns the ID of p's term, or 0 when it has none; terms are the
+// dictionary's, which the table's IDs index.
+func (x *termIndex) get(p probe, terms []Term) ID {
+	switch v := p.t.(type) {
 	case Boolean:
 		return x.bools[boolSlot(v)]
-	case DateTime:
-		return x.times[instantOf(v.T)]
-	case Typed:
-		return x.typed[v]
-	default:
-		return x.keyed[key]
+	case IRI, Blank, String, Integer, Float, DateTime, Typed:
+		for i, step, mask := int(p.h), 1, len(x.slots)-1; x.used > 0; i, step = i+step, step+1 {
+			s := x.slots[i&mask]
+			if s == 0 {
+				return 0
+			}
+			if uint32(s>>32) == p.h && SameTerm(p.t, terms[ID(s)-1]) {
+				return ID(s)
+			}
+		}
+		return 0
 	}
+	return x.keyed[p.key]
 }
 
-// put records id as t's ID; key is foreignKey(t).
-func (x *termIndex) put(t Term, key string, id ID) {
-	switch v := t.(type) {
-	case IRI:
-		putKey(&x.iris, v, id)
-	case Blank:
-		putKey(&x.blanks, v, id)
-	case String:
-		if v.Lang == "" {
-			putKey(&x.plain, v.Val, id)
-		} else {
-			putKey(&x.langs, v, id)
-		}
-	case Integer:
-		putKey(&x.ints, v, id)
-	case Float:
-		putKey(&x.floats, floatBits(v), id)
+// put records id as the ID of p's term, which the index does not hold.
+func (x *termIndex) put(p probe, id ID) {
+	switch v := p.t.(type) {
 	case Boolean:
 		x.bools[boolSlot(v)] = id
-	case DateTime:
-		putKey(&x.times, instantOf(v.T), id)
-	case Typed:
-		putKey(&x.typed, v, id)
+	case IRI, Blank, String, Integer, Float, DateTime, Typed:
+		if 4*(x.used+1) > 3*len(x.slots) {
+			old := x.slots
+			x.slots = make([]uint64, max(2*len(old), 16))
+			for _, s := range old {
+				if s != 0 {
+					x.slots[x.free(uint32(s>>32))] = s
+				}
+			}
+		}
+		x.slots[x.free(p.h)] = uint64(p.h)<<32 | uint64(id)
+		x.used++
 	default:
-		putKey(&x.keyed, key, id)
+		if x.keyed == nil {
+			x.keyed = make(map[string]ID)
+		}
+		x.keyed[p.key] = id
 	}
 }
 
-func putKey[K comparable](m *map[K]ID, k K, id ID) {
-	if *m == nil {
-		*m = make(map[K]ID)
+// free returns the first empty slot on h's probe sequence. Its steps
+// grow by one, so it visits every slot of a power-of-two table.
+func (x *termIndex) free(h uint32) int {
+	i, step, mask := int(h), 1, len(x.slots)-1
+	for x.slots[i&mask] != 0 {
+		i, step = i+step, step+1
 	}
-	(*m)[k] = id
+	return i & mask
 }
 
 // textBytes is what a dictionary entry holds for t beyond the fixed
-// per-entry overhead: its text (an array's or a foreign term's key,
-// foreignKey(t), is that text), and a resident array's elements.
+// per-entry overhead: its text (an array's or a foreign term's key is
+// that text), and a resident array's elements.
 func textBytes(t Term, key string) int {
 	switch v := t.(type) {
 	case IRI:

@@ -162,7 +162,7 @@ func TestBuildAfterResetMatchesTx(t *testing.T) {
 
 // TestResetDropsOversizedScratch: past maxScratch rows or terms, Reset
 // keeps nothing for the next Build — neither the run array nor the term
-// array nor the identity maps — so one huge gather neither pins its
+// array nor the identity table — so one huge gather neither pins its
 // memory in a pool nor makes every later Reset clear it.
 func TestResetDropsOversizedScratch(t *testing.T) {
 	for _, n := range []int{maxScratch, maxScratch + 1} {
@@ -175,11 +175,15 @@ func TestResetDropsOversizedScratch(t *testing.T) {
 		g.Build(ts)
 		g.Reset()
 		spare := g.spare != nil
-		kept := spare && g.dict.terms.Load() != nil && g.dict.index.iris != nil
-		dropped := !spare && g.dict.terms.Load() == nil && g.dict.index.iris == nil
+		table := g.dict.index.slots != nil
+		kept := spare && g.dict.terms.Load() != nil && table
+		dropped := !spare && g.dict.terms.Load() == nil && !table
 		if n <= maxScratch && !kept || n > maxScratch && !dropped {
-			t.Errorf("%d rows and terms: kept base %v, terms %v, IRI map %v", n,
-				spare, g.dict.terms.Load() != nil, g.dict.index.iris != nil)
+			t.Errorf("%d rows and terms: kept base %v, terms %v, identity table %v", n,
+				spare, g.dict.terms.Load() != nil, table)
+		}
+		if table && (g.dict.index.used != 0 || slices.ContainsFunc(g.dict.index.slots, func(s uint64) bool { return s != 0 })) {
+			t.Errorf("%d terms: Reset kept a used identity table", n)
 		}
 	}
 }

@@ -49,10 +49,11 @@ func biblioInto(g *Graph, docs int) *Graph {
 // TestGuardResidentBytesPerTriple pins what a loaded graph keeps on the heap
 // per triple, dictionary included: 357 B with four permutations and a
 // pset behind every set, 178 B with three and one-member sets inline,
-// 162 B once the middle level dropped its key count, and 78 B (forty
-// readings, all 78) since the load's commit compacts the tries into a
+// 162 B once the middle level dropped its key count, 78 B (forty
+// readings, all 78) once the load's commit compacted the tries into a
 // sorted base — 39 B of it the base's runs and ID index, 39 B the
-// dictionary.
+// dictionary — and 68 B since the dictionary's identity index is a table
+// of IDs rather than a string-keyed map per kind (29 B the dictionary).
 func TestGuardResidentBytesPerTriple(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow memory is not what this measures")
@@ -62,8 +63,8 @@ func TestGuardResidentBytesPerTriple(t *testing.T) {
 	got := float64(heap()-before) / float64(g.Size())
 	runtime.KeepAlive(g)
 	t.Logf("%d triples, %d terms: %.0f B/triple resident", g.Size(), g.dict.len(), got)
-	if got > 95 {
-		t.Errorf("resident heap is %.0f B/triple, want <= 95", got)
+	if got > 72 {
+		t.Errorf("resident heap is %.0f B/triple, want <= 72", got)
 	}
 }
 
@@ -99,8 +100,8 @@ func TestGuardBulkCommitLeavesBase(t *testing.T) {
 			t.Fatalf("seeded %v: %d triples committed as base %v, %d adds and %d tombstones", seeded, st.size, st.base != nil, st.adds.n, st.dels.n)
 		}
 		t.Logf("seeded %v: %d triples, %.0f B/triple resident", seeded, g.Size(), got)
-		if got > 95 {
-			t.Errorf("seeded %v: resident heap is %.0f B/triple, want <= 95", seeded, got)
+		if got > 72 {
+			t.Errorf("seeded %v: resident heap is %.0f B/triple, want <= 72", seeded, got)
 		}
 	}
 }
