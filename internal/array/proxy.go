@@ -427,12 +427,19 @@ func (a *Array) PrefetchCtx(ctx context.Context) error {
 	return p.fetchMissingCtx(ctx, chunks)
 }
 
+// touchedFloor is the list length below which TouchedChunks never
+// normalizes its list on the way.
+const touchedFloor = 64
+
 // TouchedChunks returns the sorted, deduplicated chunk numbers covered
 // by the view, for the given chunk size in elements. An element in the
 // chunk of the one before it adds nothing, so a row-major walk appends
-// each chunk once.
+// each chunk once; a walk that keeps changing chunks (a transposed view)
+// normalizes the list in place whenever it reaches twice its distinct
+// chunks, or the floor, so the list stays within twice the chunk count.
 func (a *Array) TouchedChunks(chunkElems int) []int {
 	var out []int
+	limit := touchedFloor
 	idx := make([]int, len(a.Shape))
 	n := a.Count()
 	for i := 0; i < n; i++ {
@@ -441,7 +448,10 @@ func (a *Array) TouchedChunks(chunkElems int) []int {
 			lin += x * a.Strides[d]
 		}
 		if c := lin / chunkElems; len(out) == 0 || out[len(out)-1] != c {
-			out = append(out, c)
+			if out = append(out, c); len(out) >= limit {
+				out = spd.Normalize(out)
+				limit = max(touchedFloor, 2*len(out))
+			}
 		}
 		incIndex(idx, a.Shape)
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -281,6 +283,33 @@ func TestTouchedChunksMatchesSet(t *testing.T) {
 				t.Errorf("%s, %d-element chunks: TouchedChunks = %v, want %v", name, chunk, got, want)
 			}
 		}
+	}
+}
+
+// TestTouchedChunksBoundedByChunks: the transposed view of a 1000x1000
+// array at 1000-element chunks changes chunk at every element, yet
+// TouchedChunks allocates within 128 B per chunk (it reads 60 B), not
+// 8 B per element.
+func TestTouchedChunksBoundedByChunks(t *testing.T) {
+	v, err := NewFloat(1000, 1000).Transpose(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The least of three runs, so a background allocation does not count.
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got := v.TouchedChunks(1000)
+		runtime.ReadMemStats(&after)
+		if len(got) != 1000 {
+			t.Fatalf("%d chunks, want 1000", len(got))
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("%d B for 1000 chunks", least)
+	if least > 128*1000 {
+		t.Fatalf("TouchedChunks allocated %d B for 1000 chunks, want <= %d", least, 128*1000)
 	}
 }
 

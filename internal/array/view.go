@@ -160,8 +160,3 @@ func (a *Array) Reshape(shape ...int) (*Array, error) {
 		Strides: RowMajorStrides(shape),
 	}, nil
 }
-
-// Flatten returns the view's elements as a 1-D array.
-func (a *Array) Flatten() (*Array, error) {
-	return a.Reshape(a.Count())
-}

@@ -15,6 +15,7 @@
 package bistab
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -44,13 +45,15 @@ func DefaultConfig() Config {
 // Tasks returns the number of generated tasks.
 func (c Config) Tasks() int { return c.Cases * c.Realizations }
 
-// Generate builds the BISTAB dataset in a fresh SSDM instance. With a
-// non-nil backend the trajectory arrays are externalized.
+// Generate builds the BISTAB dataset in a fresh SSDM instance, written
+// as one transaction. With a non-nil backend the trajectory arrays are
+// externalized.
 func Generate(cfg Config, backend storage.Backend) (*core.SSDM, error) {
 	db := core.Open()
 	db.Opts.ChunkBytes = cfg.ChunkBytes
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	g := db.Dataset.Default
+	var rows [][]rdf.Term
+	add := func(s, p, o rdf.Term) { rows = append(rows, []rdf.Term{s, p, o}) }
 
 	taskNo := 0
 	for c := 0; c < cfg.Cases; c++ {
@@ -60,20 +63,23 @@ func Generate(cfg Config, backend storage.Backend) (*core.SSDM, error) {
 		kd := 1e8 + rng.Float64()*9e8 // 1e8..1e9
 		k4 := 40 + rng.Float64()*40   // 40..80
 		caseIRI := rdf.IRI(fmt.Sprintf("%scase%d", NS, c+1))
-		g.Add(caseIRI, rdf.RDFType, rdf.IRI(NS+"ParameterCase"))
+		add(caseIRI, rdf.RDFType, rdf.IRI(NS+"ParameterCase"))
 		for r := 0; r < cfg.Realizations; r++ {
 			taskNo++
 			task := rdf.IRI(fmt.Sprintf("%stask%d", NS, taskNo))
-			g.Add(task, rdf.RDFType, rdf.IRI(NS+"Task"))
-			g.Add(task, rdf.IRI(NS+"case"), caseIRI)
-			g.Add(task, rdf.IRI(NS+"k_1"), rdf.Float(k1))
-			g.Add(task, rdf.IRI(NS+"k_a"), rdf.Float(ka))
-			g.Add(task, rdf.IRI(NS+"k_d"), rdf.Float(kd))
-			g.Add(task, rdf.IRI(NS+"k_4"), rdf.Float(k4))
-			g.Add(task, rdf.IRI(NS+"realization"), rdf.Integer(int64(r+1)))
+			add(task, rdf.RDFType, rdf.IRI(NS+"Task"))
+			add(task, rdf.IRI(NS+"case"), caseIRI)
+			add(task, rdf.IRI(NS+"k_1"), rdf.Float(k1))
+			add(task, rdf.IRI(NS+"k_a"), rdf.Float(ka))
+			add(task, rdf.IRI(NS+"k_d"), rdf.Float(kd))
+			add(task, rdf.IRI(NS+"k_4"), rdf.Float(k4))
+			add(task, rdf.IRI(NS+"realization"), rdf.Integer(int64(r+1)))
 			traj := simulate(cfg.Steps, k1, k4, rng)
-			g.Add(task, rdf.IRI(NS+"result"), rdf.NewArray(traj))
+			add(task, rdf.IRI(NS+"result"), rdf.NewArray(traj))
 		}
+	}
+	if _, err := db.WriteTriples(context.Background(), rows, false); err != nil {
+		return nil, err
 	}
 	if backend != nil {
 		db.AttachBackend(backend)

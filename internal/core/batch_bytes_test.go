@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -78,7 +79,7 @@ func TestBatchBytesMatchTermEncoder(t *testing.T) {
 		g := db.Dataset.Default
 		p := rdf.IRI("http://ex/data")
 		ints, _ := array.FromInts([]int64{1, 2, 3, int64(seed)}, 2, 2)
-		g.Add(rdf.IRI("http://ex/s0"), p, rdf.NewArray(ints))
+		addTriple(g, rdf.IRI("http://ex/s0"), p, rdf.NewArray(ints))
 		backend := storage.NewMemory()
 		id, err := backend.Store(ints, 2)
 		if err != nil {
@@ -89,10 +90,10 @@ func TestBatchBytesMatchTermEncoder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g.Add(rdf.IRI(fmt.Sprintf("http://ex/s%d", i+1)), p, rdf.NewArray(a))
+			addTriple(g, rdf.IRI(fmt.Sprintf("http://ex/s%d", i+1)), p, rdf.NewArray(a))
 		}
 		if seed%2 == 0 {
-			g.Add(rdf.IRI("http://ex/s3"), p, rdf.Typed{Lexical: strconv.FormatInt(id, 10), Datatype: rdf.SSDMFileLink})
+			addTriple(g, rdf.IRI("http://ex/s3"), p, rdf.Typed{Lexical: strconv.FormatInt(id, 10), Datatype: rdf.SSDMFileLink})
 		}
 		var ts []rdf.Triple
 		g.Match(0, 0, 0, func(tr rdf.Triple) bool {
@@ -148,7 +149,7 @@ func TestWALBatchRecordsMatchTermEncoder(t *testing.T) {
 		}
 	}
 	ints, _ := array.FromInts([]int64{4, 5}, 2)
-	if err := db.AddArrayTriple(rdf.IRI("http://ex/a"), rdf.IRI("http://ex/data"), ints); err != nil {
+	if _, err := db.WriteTriples(context.Background(), [][]rdf.Term{{rdf.IRI("http://ex/a"), rdf.IRI("http://ex/data"), rdf.NewArray(ints)}}, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.CloseWAL(); err != nil {

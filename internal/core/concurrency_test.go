@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sync"
@@ -82,7 +83,7 @@ func concurrentQueriesAndUpdates(t *testing.T, db *SSDM) {
 						t.Error(err)
 						return
 					}
-					if err := db.AddArrayTriple(rdf.IRI(fmt.Sprintf("http://ex/arr%d", id)), "http://ex/data", a); err != nil {
+					if _, err := db.WriteTriples(context.Background(), [][]rdf.Term{{rdf.IRI(fmt.Sprintf("http://ex/arr%d", id)), rdf.IRI("http://ex/data"), rdf.NewArray(a)}}, false); err != nil {
 						t.Error(err)
 						return
 					}

@@ -92,8 +92,8 @@ func TestExternalizeSharedArray(t *testing.T) {
 	db := Open()
 	g := db.Dataset.Default
 	a, _ := array.FromFloats([]float64{1, 2, 3}, 3)
-	g.Add(rdf.IRI("http://ex/x"), rdf.IRI("http://ex/data"), rdf.NewArray(a))
-	g.Add(rdf.IRI("http://ex/y"), rdf.IRI("http://ex/data"), rdf.NewArray(a))
+	addTriple(g, rdf.IRI("http://ex/x"), rdf.IRI("http://ex/data"), rdf.NewArray(a))
+	addTriple(g, rdf.IRI("http://ex/y"), rdf.IRI("http://ex/data"), rdf.NewArray(a))
 	const q = `PREFIX ex: <http://ex/> SELECT ?x ?y WHERE { ?x ex:data ?a . ?y ex:data ?a }`
 	if n := countRows(t, db, q); n != 4 {
 		t.Fatalf("before: %d rows, want 4", n)
@@ -128,7 +128,7 @@ func TestGuardExternalizeFreesResident(t *testing.T) {
 	db := Open()
 	base := func() weak.Pointer[array.BaseArray] {
 		a := array.NewFloat(1 << 12)
-		db.Dataset.Default.Add(rdf.IRI("http://ex/s"), rdf.IRI("http://ex/data"), rdf.NewArray(a))
+		addTriple(db.Dataset.Default, rdf.IRI("http://ex/s"), rdf.IRI("http://ex/data"), rdf.NewArray(a))
 		return weak.Make(a.Base)
 	}()
 	runtime.GC()
@@ -165,7 +165,7 @@ func TestGuardStoreCopiesOnce(t *testing.T) {
 		db := Open()
 		db.Opts.ChunkBytes = chunkBytes
 		for i := range arrays {
-			db.Dataset.Default.Add(rdf.IRI(fmt.Sprintf("http://ex/s%d", i)), rdf.IRI("http://ex/data"), rdf.NewArray(array.NewFloat(2, 16384)))
+			addTriple(db.Dataset.Default, rdf.IRI(fmt.Sprintf("http://ex/s%d", i)), rdf.IRI("http://ex/data"), rdf.NewArray(array.NewFloat(2, 16384)))
 		}
 		db.AttachBackend(b)
 		var before, after runtime.MemStats
@@ -208,7 +208,7 @@ func TestExternalizeReadersAcrossRebind(t *testing.T) {
 		}
 		a, _ := array.FromFloats(vals, elems)
 		s := rdf.IRI(fmt.Sprintf("http://ex/s%d", i))
-		g.Add(s, data, rdf.NewArray(a))
+		addTriple(g, s, data, rdf.NewArray(a))
 		id, _ := g.Lookup(s)
 		want[id] = sumOf(t, a)
 	}
@@ -335,4 +335,11 @@ func TestExternalizeBackendFailsPartWay(t *testing.T) {
 			}
 		})
 	}
+}
+
+// addTriple commits (s, p, o) to g as a one-triple transaction.
+func addTriple(g *rdf.Graph, s, p, o rdf.Term) {
+	tx := g.Begin()
+	tx.Add(s, p, o)
+	tx.Commit()
 }

@@ -16,7 +16,7 @@ func bigSSDM(t *testing.T, opts Options, n int) *SSDM {
 	t.Helper()
 	db := OpenWith(opts)
 	for i := 0; i < n; i++ {
-		db.Dataset.Default.Add(rdf.IRI(fmt.Sprintf("http://ex/s%d", i)), rdf.IRI("http://ex/p"), rdf.Integer(i))
+		addTriple(db.Dataset.Default, rdf.IRI(fmt.Sprintf("http://ex/s%d", i)), rdf.IRI("http://ex/p"), rdf.Integer(i))
 	}
 	return db
 }

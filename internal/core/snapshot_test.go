@@ -63,7 +63,7 @@ func TestSnapshotWithProxiedArrays(t *testing.T) {
 	db := Open()
 	db.AttachBackend(mem)
 	a, _ := array.FromFloats([]float64{5, 6, 7, 8}, 4)
-	if err := db.AddArrayTriple(rdf.IRI("http://ex/s"), rdf.IRI("http://ex/d"), a); err != nil {
+	if _, err := db.WriteTriples(context.Background(), [][]rdf.Term{{rdf.IRI("http://ex/s"), rdf.IRI("http://ex/d"), rdf.NewArray(a)}}, false); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "image")

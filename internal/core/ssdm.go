@@ -239,15 +239,6 @@ func (s *SSDM) loadTurtleLocked(src string, graph rdf.IRI) error {
 	return nil
 }
 
-// LoadTurtleReader is LoadTurtle over an io.Reader.
-func (s *SSDM) LoadTurtleReader(r io.Reader, graph rdf.IRI) error {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return err
-	}
-	return s.LoadTurtle(string(b), graph)
-}
-
 // LoadTurtleFile loads a Turtle file from disk.
 func (s *SSDM) LoadTurtleFile(path string, graph rdf.IRI) error {
 	b, err := os.ReadFile(path)
@@ -653,18 +644,10 @@ func (s *SSDM) StoreArray(a *array.Array) (int64, error) {
 	return b.Store(a, storage.ChunkElemsFor(s.Opts.ChunkBytes))
 }
 
-// AddArrayTriple attaches an array value to (s, p) in the default
-// graph: resident when no back-end is attached, externalized
-// otherwise. It is WriteTriples' one-row call.
-func (s *SSDM) AddArrayTriple(subj rdf.Term, prop rdf.IRI, a *array.Array) error {
-	_, err := s.WriteTriples(context.Background(), [][]rdf.Term{{subj, prop, rdf.NewArray(a)}}, false)
-	return err
-}
-
 // WriteTriples adds ground triples — rows of subject, predicate and
 // object — to the default graph (with del, removes them) as one
 // transaction and reports how many changed; blank labels are kept as
-// given and added arrays go to the back-end, as in AddArrayTriple. A row
+// given and an added array goes to the attached back-end, if any. A row
 // that is not three bound terms with an IRI predicate fails the call
 // before anything applies. With a WAL it is one batch record, awaited
 // outside the lock as updates are. A coordinator routes the rows.

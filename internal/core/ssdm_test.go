@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -165,7 +166,7 @@ func TestStoreArrayAndAddTriple(t *testing.T) {
 	mem := storage.NewMemory()
 	db.AttachBackend(mem)
 	a, _ := array.FromFloats([]float64{1, 2, 3}, 3)
-	if err := db.AddArrayTriple(rdf.IRI("http://ex/s"), rdf.IRI("http://ex/data"), a); err != nil {
+	if _, err := db.WriteTriples(context.Background(), [][]rdf.Term{{rdf.IRI("http://ex/s"), rdf.IRI("http://ex/data"), rdf.NewArray(a)}}, false); err != nil {
 		t.Fatal(err)
 	}
 	res, err := db.Query(`PREFIX ex: <http://ex/> SELECT (acount(?a) AS ?n) WHERE { ex:s ex:data ?a }`)

@@ -333,7 +333,7 @@ func TestWALRecoversArrays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.AddArrayTriple(rdf.IRI("http://ex/sensor"), rdf.IRI("http://ex/data"), a); err != nil {
+	if _, err := db.WriteTriples(context.Background(), [][]rdf.Term{{rdf.IRI("http://ex/sensor"), rdf.IRI("http://ex/data"), rdf.NewArray(a)}}, false); err != nil {
 		t.Fatal(err)
 	}
 	db.CloseWAL()

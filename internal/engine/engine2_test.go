@@ -100,8 +100,8 @@ ex:a ex:next ex:b . ex:b ex:next ex:c .
 func TestPathUnderGraphClause(t *testing.T) {
 	e := newEngine(t, "")
 	g := e.Dataset.Named(rdf.IRI("http://ex/g"), true)
-	g.Add(rdf.IRI("http://ex/a"), rdf.IRI("http://ex/n"), rdf.IRI("http://ex/b"))
-	g.Add(rdf.IRI("http://ex/b"), rdf.IRI("http://ex/n"), rdf.IRI("http://ex/c"))
+	addTriple(g, rdf.IRI("http://ex/a"), rdf.IRI("http://ex/n"), rdf.IRI("http://ex/b"))
+	addTriple(g, rdf.IRI("http://ex/b"), rdf.IRI("http://ex/n"), rdf.IRI("http://ex/c"))
 	res := query(t, e, `PREFIX ex: <http://ex/>
 SELECT ?y WHERE { GRAPH <http://ex/g> { ex:a ex:n+ ?y } }`)
 	if res.Len() != 2 {
@@ -266,7 +266,7 @@ func TestBatchedPrefetchCorrectness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g.Add(rdf.IRI("http://ex/s"), rdf.IRI("http://ex/d"), rdf.NewArray(opened))
+		addTriple(g, rdf.IRI("http://ex/s"), rdf.IRI("http://ex/d"), rdf.NewArray(opened))
 	}
 	res := query(t, e, `PREFIX ex: <http://ex/>
 SELECT (?a[7] + ?a[93] AS ?v) WHERE { ex:s ex:d ?a } ORDER BY ?v`)

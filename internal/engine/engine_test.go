@@ -360,9 +360,9 @@ func TestDescribe(t *testing.T) {
 func TestGraphClause(t *testing.T) {
 	e := newEngine(t, "")
 	g1 := e.Dataset.Named(rdf.IRI("http://ex/g1"), true)
-	g1.Add(rdf.IRI("http://ex/s"), rdf.IRI("http://ex/p"), rdf.Integer(1))
+	addTriple(g1, rdf.IRI("http://ex/s"), rdf.IRI("http://ex/p"), rdf.Integer(1))
 	g2 := e.Dataset.Named(rdf.IRI("http://ex/g2"), true)
-	g2.Add(rdf.IRI("http://ex/s"), rdf.IRI("http://ex/p"), rdf.Integer(2))
+	addTriple(g2, rdf.IRI("http://ex/s"), rdf.IRI("http://ex/p"), rdf.Integer(2))
 
 	res := query(t, e, `SELECT ?v WHERE { GRAPH <http://ex/g2> { ?s ?p ?v } }`)
 	if res.Len() != 1 || res.Rows[0][0] != rdf.Integer(2) {
@@ -377,7 +377,7 @@ func TestGraphClause(t *testing.T) {
 func TestFromClause(t *testing.T) {
 	e := newEngine(t, "")
 	g1 := e.Dataset.Named(rdf.IRI("http://ex/g1"), true)
-	g1.Add(rdf.IRI("http://ex/s"), rdf.IRI("http://ex/p"), rdf.Integer(1))
+	addTriple(g1, rdf.IRI("http://ex/s"), rdf.IRI("http://ex/p"), rdf.Integer(1))
 	res := query(t, e, `SELECT ?v FROM <http://ex/g1> WHERE { ?s ?p ?v }`)
 	if res.Len() != 1 {
 		t.Fatalf("%v", res.Rows)
@@ -495,12 +495,12 @@ func arrayGraph(t *testing.T) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Add(rdf.IRI("http://ex/s"), rdf.IRI("http://ex/data"), rdf.NewArray(m))
+	addTriple(g, rdf.IRI("http://ex/s"), rdf.IRI("http://ex/data"), rdf.NewArray(m))
 	v, err := array.FromInts([]int64{10, 20, 30}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Add(rdf.IRI("http://ex/s"), rdf.IRI("http://ex/vec"), rdf.NewArray(v))
+	addTriple(g, rdf.IRI("http://ex/s"), rdf.IRI("http://ex/vec"), rdf.NewArray(v))
 	return e
 }
 
@@ -673,4 +673,11 @@ func TestVariablePredicate(t *testing.T) {
 	if res.Len() != 3 { // type, name, age
 		t.Fatalf("%v", res.Rows)
 	}
+}
+
+// addTriple commits (s, p, o) to g as a one-triple transaction.
+func addTriple(g *rdf.Graph, s, p, o rdf.Term) {
+	tx := g.Begin()
+	tx.Add(s, p, o)
+	tx.Commit()
 }

@@ -18,7 +18,7 @@ func bigEngine(t *testing.T, n int) *Engine {
 	t.Helper()
 	ds := rdf.NewDataset()
 	for i := 0; i < n; i++ {
-		ds.Default.Add(rdf.IRI(fmt.Sprintf("http://ex/s%d", i)), rdf.IRI("http://ex/p"), rdf.Integer(i))
+		addTriple(ds.Default, rdf.IRI(fmt.Sprintf("http://ex/s%d", i)), rdf.IRI("http://ex/p"), rdf.Integer(i))
 	}
 	return New(ds)
 }
@@ -104,7 +104,7 @@ func TestDeadlineStopsPropertyPath(t *testing.T) {
 	const n = 600
 	for i := 0; i < n; i++ {
 		for _, d := range []int{1, 7, 31, 101} {
-			ds.Default.Add(
+			addTriple(ds.Default,
 				rdf.IRI(fmt.Sprintf("http://ex/n%d", i)),
 				rdf.IRI("http://ex/knows"),
 				rdf.IRI(fmt.Sprintf("http://ex/n%d", (i+d)%n)))
@@ -196,7 +196,7 @@ func TestMaxResultRowsIncremental(t *testing.T) {
 func TestMaxResultRowsNotEagerWithLimitOrDistinct(t *testing.T) {
 	ds := rdf.NewDataset()
 	for i := 0; i < 100; i++ {
-		ds.Default.Add(rdf.IRI(fmt.Sprintf("http://ex/s%d", i)), rdf.IRI("http://ex/p"), rdf.Integer(i%3))
+		addTriple(ds.Default, rdf.IRI(fmt.Sprintf("http://ex/s%d", i)), rdf.IRI("http://ex/p"), rdf.Integer(i%3))
 	}
 	e := New(ds)
 

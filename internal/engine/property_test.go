@@ -20,7 +20,7 @@ func randomGraphEngine(raw []uint8) *Engine {
 		s := rdf.IRI(fmt.Sprintf("http://ex/s%d", raw[i]%6))
 		p := rdf.IRI(fmt.Sprintf("http://ex/p%d", raw[i+1]%3))
 		o := rdf.Integer(int64(raw[i+2] % 8))
-		g.Add(s, p, o)
+		addTriple(g, s, p, o)
 	}
 	return New(ds)
 }

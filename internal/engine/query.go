@@ -117,13 +117,9 @@ func (e *Engine) QueryString(src string) (*Results, error) {
 	return e.Query(q)
 }
 
-// QueryWith executes a SELECT query with variables pre-bound — the
-// execution path of parameterized views and prepared statements.
-func (e *Engine) QueryWith(q *sparql.Query, initial Binding) (*Results, error) {
-	return e.QueryWithContext(context.Background(), q, initial, Limits{})
-}
-
-// QueryWithContext is QueryWith under a context and per-query limits.
+// QueryWithContext executes a SELECT query with variables pre-bound —
+// the execution path of parameterized views and prepared statements —
+// under a context and per-query limits.
 func (e *Engine) QueryWithContext(ctx context.Context, q *sparql.Query, initial Binding, lim Limits) (res *Results, err error) {
 	if q.Form != sparql.FormSelect {
 		return nil, fmt.Errorf("engine: parameterized execution requires a SELECT query")

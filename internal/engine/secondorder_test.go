@@ -200,7 +200,7 @@ func TestGuardSecondOrderBytesPerElem(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := newEngine(t, "")
-	e.Dataset.Default.Add(rdf.IRI("http://ex/s"), rdf.IRI("http://ex/vec"), rdf.NewArray(v))
+	addTriple(e.Dataset.Default, rdf.IRI("http://ex/s"), rdf.IRI("http://ex/vec"), rdf.NewArray(v))
 	update(t, e, `DEFINE FUNCTION bmax(?a, ?b) AS if(?a > ?b, ?a, ?b)`)
 	for _, tc := range []struct {
 		expr  string

@@ -64,9 +64,9 @@ SELECT ?age WHERE {
 func TestFromNamedRestrictsGraphIteration(t *testing.T) {
 	e := newEngine(t, "")
 	g1 := e.Dataset.Named(rdf.IRI("http://ex/g1"), true)
-	g1.Add(rdf.IRI("http://ex/s"), rdf.IRI("http://ex/p"), rdf.Integer(1))
+	addTriple(g1, rdf.IRI("http://ex/s"), rdf.IRI("http://ex/p"), rdf.Integer(1))
 	g2 := e.Dataset.Named(rdf.IRI("http://ex/g2"), true)
-	g2.Add(rdf.IRI("http://ex/s"), rdf.IRI("http://ex/p"), rdf.Integer(2))
+	addTriple(g2, rdf.IRI("http://ex/s"), rdf.IRI("http://ex/p"), rdf.Integer(2))
 
 	// Without FROM NAMED both graphs are visible.
 	all := query(t, e, `SELECT ?g WHERE { GRAPH ?g { ?s ?p ?o } }`)
@@ -164,7 +164,7 @@ func TestLimitPushdownStopsEarly(t *testing.T) {
 	ds := rdf.NewDataset()
 	g := ds.Default
 	for i := 0; i < 5000; i++ {
-		g.Add(rdf.IRI(fmt.Sprintf("http://ex/s%d", i)), rdf.IRI("http://ex/p"), rdf.Integer(int64(i)))
+		addTriple(g, rdf.IRI(fmt.Sprintf("http://ex/s%d", i)), rdf.IRI("http://ex/p"), rdf.Integer(int64(i)))
 	}
 	e := New(ds)
 	res, err := e.QueryString(`SELECT ?s WHERE { ?s <http://ex/p> ?v } LIMIT 3`)

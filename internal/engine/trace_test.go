@@ -15,9 +15,9 @@ func traceTestEngine(t *testing.T) *Engine {
 	g := ds.Default
 	for i := 0; i < 10; i++ {
 		s := rdf.IRI("http://ex/s" + string(rune('0'+i)))
-		g.Add(s, rdf.IRI("http://ex/p"), rdf.Integer(int64(i)))
+		addTriple(g, s, rdf.IRI("http://ex/p"), rdf.Integer(int64(i)))
 		if i%2 == 0 {
-			g.Add(s, rdf.IRI("http://ex/q"), rdf.Integer(int64(i*10)))
+			addTriple(g, s, rdf.IRI("http://ex/q"), rdf.Integer(int64(i*10)))
 		}
 	}
 	return New(ds)
@@ -251,7 +251,7 @@ func TestTracingOffZeroAllocBoundProbe(t *testing.T) {
 func TestGraphClauseTracePropagates(t *testing.T) {
 	ds := rdf.NewDataset()
 	ng := ds.Named(rdf.IRI("http://ex/g1"), true)
-	ng.Add(rdf.IRI("http://ex/a"), rdf.IRI("http://ex/p"), rdf.Integer(1))
+	addTriple(ng, rdf.IRI("http://ex/a"), rdf.IRI("http://ex/p"), rdf.Integer(1))
 	e := New(ds)
 	q := mustParse(t, `PREFIX ex: <http://ex/> SELECT ?s WHERE { GRAPH ex:g1 { ?s ex:p ?v } }`)
 	res, tr, err := e.QueryTraced(context.Background(), q, Limits{})

@@ -428,6 +428,7 @@ func (Closure) Kind() rdf.Kind { return rdf.KindTyped }
 // Key implements rdf.Term.
 func (c Closure) Key() string { return "closure:" + c.Fn }
 
+// String implements rdf.Term: #closure(FN).
 func (c Closure) String() string { return "#closure(" + c.Fn + ")" }
 
 // FuncValue resolves a term used in function position: a Closure, or

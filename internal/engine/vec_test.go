@@ -27,25 +27,25 @@ func vecTestEngine(t testing.TB) *Engine {
 	person := rdf.IRI("http://ex/Person")
 	for i := 0; i < 30; i++ {
 		s := rdf.IRI("http://ex/p" + itoa(i))
-		g.Add(s, rdf.IRI("http://ex/type"), person)
+		addTriple(g, s, rdf.IRI("http://ex/type"), person)
 		if i%2 == 0 {
-			g.Add(s, rdf.IRI("http://ex/age"), rdf.Integer(int64(20+i%7)))
+			addTriple(g, s, rdf.IRI("http://ex/age"), rdf.Integer(int64(20+i%7)))
 		} else {
 			// Odd subjects carry float ages: FILTER(?age = 23) must
 			// match 23.0 via value equality even though the IDs differ.
-			g.Add(s, rdf.IRI("http://ex/age"), rdf.Float(float64(20+i%7)))
+			addTriple(g, s, rdf.IRI("http://ex/age"), rdf.Float(float64(20+i%7)))
 		}
-		g.Add(s, rdf.IRI("http://ex/knows"), rdf.IRI("http://ex/p"+itoa((i+3)%30)))
+		addTriple(g, s, rdf.IRI("http://ex/knows"), rdf.IRI("http://ex/p"+itoa((i+3)%30)))
 		if i%3 == 0 {
-			g.Add(s, rdf.IRI("http://ex/email"), rdf.String{Val: "p" + itoa(i) + "@ex.org"})
+			addTriple(g, s, rdf.IRI("http://ex/email"), rdf.String{Val: "p" + itoa(i) + "@ex.org"})
 		}
 		if i%5 == 0 {
-			g.Add(s, rdf.IRI("http://ex/boss"), rdf.IRI("http://ex/p"+itoa((i+1)%30)))
+			addTriple(g, s, rdf.IRI("http://ex/boss"), rdf.IRI("http://ex/p"+itoa((i+1)%30)))
 		}
 	}
 	// A self-loop so patterns with a repeated variable (?x knows ?x)
 	// have a hit.
-	g.Add(rdf.IRI("http://ex/loop"), rdf.IRI("http://ex/knows"), rdf.IRI("http://ex/loop"))
+	addTriple(g, rdf.IRI("http://ex/loop"), rdf.IRI("http://ex/knows"), rdf.IRI("http://ex/loop"))
 	addBiblio(g, 36)
 	return New(ds)
 }
@@ -58,20 +58,20 @@ func addBiblio(g *rdf.Graph, docs int) {
 	b := func(local string) rdf.IRI { return rdf.IRI("http://bench/" + local) }
 	nAuthors := docs/4 + 1
 	for a := 0; a < nAuthors; a++ {
-		g.Add(b("author"+itoa(a)), b("type"), b("Person"))
-		g.Add(b("author"+itoa(a)), b("name"), rdf.String{Val: "Author " + itoa(a)})
+		addTriple(g, b("author"+itoa(a)), b("type"), b("Person"))
+		addTriple(g, b("author"+itoa(a)), b("name"), rdf.String{Val: "Author " + itoa(a)})
 	}
 	for d := 0; d < docs; d++ {
 		doc := b("doc" + itoa(d))
-		g.Add(doc, b("type"), b("Article"))
-		g.Add(doc, b("journal"), b("journal"+itoa(d%12)))
-		g.Add(doc, b("year"), rdf.Integer(int64(1990+d%20)))
-		g.Add(doc, b("title"), rdf.String{Val: "Title " + itoa(d)})
+		addTriple(g, doc, b("type"), b("Article"))
+		addTriple(g, doc, b("journal"), b("journal"+itoa(d%12)))
+		addTriple(g, doc, b("year"), rdf.Integer(int64(1990+d%20)))
+		addTriple(g, doc, b("title"), rdf.String{Val: "Title " + itoa(d)})
 		for k := 0; k < 3; k++ {
-			g.Add(doc, b("creator"), b("author"+itoa((d*3+k*7)%nAuthors)))
+			addTriple(g, doc, b("creator"), b("author"+itoa((d*3+k*7)%nAuthors)))
 		}
 		if d%3 == 0 {
-			g.Add(doc, b("abstract"), rdf.String{Val: "Abstract of doc " + itoa(d)})
+			addTriple(g, doc, b("abstract"), rdf.String{Val: "Abstract of doc " + itoa(d)})
 		}
 	}
 }
@@ -464,7 +464,7 @@ func TestVecPlanRefreshAfterMutation(t *testing.T) {
 	if res.Len() != 0 {
 		t.Fatalf("empty graph returned %d rows", res.Len())
 	}
-	ds.Default.Add(rdf.IRI("http://ex/a"), rdf.IRI("http://ex/newpred"), rdf.Integer(7))
+	addTriple(ds.Default, rdf.IRI("http://ex/a"), rdf.IRI("http://ex/newpred"), rdf.Integer(7))
 	res, err = e.Query(q)
 	if err != nil {
 		t.Fatal(err)
@@ -551,7 +551,7 @@ func TestGuardVecAggSteadyStateAllocs(t *testing.T) {
 		ds := rdf.NewDataset()
 		g := ds.Default
 		for i := 0; i < n; i++ {
-			g.Add(rdf.IRI("http://ex/s"+itoa(i)), rdf.IRI("http://ex/val"), rdf.Integer(int64(i%13)))
+			addTriple(g, rdf.IRI("http://ex/s"+itoa(i)), rdf.IRI("http://ex/val"), rdf.Integer(int64(i%13)))
 		}
 		return New(ds)
 	}
@@ -650,7 +650,7 @@ func TestVecUnionOptionalPlanRefresh(t *testing.T) {
 	} {
 		ds := rdf.NewDataset()
 		g := ds.Default
-		g.Add(rdf.IRI("http://ex/s1"), rdf.IRI("http://ex/a"), rdf.Integer(1))
+		addTriple(g, rdf.IRI("http://ex/s1"), rdf.IRI("http://ex/a"), rdf.Integer(1))
 		e := New(ds)
 		q := mustParse(t, src)
 		c := &evalCtx{eng: e, graph: g}
@@ -673,7 +673,7 @@ func TestVecUnionOptionalPlanRefresh(t *testing.T) {
 		}
 		// ex:b enters the dictionary only now; the cached plan's branch
 		// pattern must pick up its fresh ID.
-		g.Add(rdf.IRI("http://ex/s1"), rdf.IRI("http://ex/b"), rdf.Integer(2))
+		addTriple(g, rdf.IRI("http://ex/s1"), rdf.IRI("http://ex/b"), rdf.Integer(2))
 		want := 2
 		if strings.Contains(src, "OPTIONAL") {
 			want = 1 // still one left row, now with ?v bound
@@ -766,8 +766,8 @@ func highIDEngine(filler int) *Engine {
 	}
 	for i := 0; i < 64; i++ {
 		doc := rdf.IRI("http://ex/doc" + itoa(i))
-		g.Add(doc, rdf.IRI("http://ex/journal"), rdf.IRI("http://ex/j"+itoa(i%4)))
-		g.Add(doc, rdf.IRI("http://ex/pages"), rdf.Integer(int64(1000+i)))
+		addTriple(g, doc, rdf.IRI("http://ex/journal"), rdf.IRI("http://ex/j"+itoa(i%4)))
+		addTriple(g, doc, rdf.IRI("http://ex/pages"), rdf.Integer(int64(1000+i)))
 	}
 	return New(ds)
 }
@@ -891,7 +891,7 @@ func TestGuardCountLeavesNumericMemoAlone(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ds := rdf.NewDataset()
 	for i := 0; i < 20000; i++ {
-		ds.Default.Add(rdf.IRI("http://ex/doc"+itoa(i)), rdf.IRI("http://ex/journal"), rdf.IRI("http://ex/j"+itoa(i%4)))
+		addTriple(ds.Default, rdf.IRI("http://ex/doc"+itoa(i)), rdf.IRI("http://ex/journal"), rdf.IRI("http://ex/j"+itoa(i%4)))
 	}
 	e := New(ds)
 	q := mustParse(t, `PREFIX ex: <http://ex/> SELECT ?j (COUNT(?d) AS ?n) (SAMPLE(?d) AS ?x) WHERE { ?d ex:journal ?j } GROUP BY ?j`)

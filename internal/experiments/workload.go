@@ -18,6 +18,7 @@ package experiments
 // Experiments 1–3 and ablations A2/A3 are parameter sweeps over it.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -93,7 +94,7 @@ func build(w workload, backend storage.Backend) (*core.SSDM, error) {
 	db := core.Open()
 	db.Opts.ChunkBytes = w.ChunkBytes
 	rng := rand.New(rand.NewSource(w.Seed))
-	g := db.Dataset.Default
+	var rows [][]rdf.Term
 	for i := 1; i <= w.NumArrays; i++ {
 		data := make([]float64, w.elements())
 		for j := range data {
@@ -104,8 +105,12 @@ func build(w workload, backend storage.Backend) (*core.SSDM, error) {
 			return nil, err
 		}
 		subj := iri(fmt.Sprintf("array%d", i))
-		g.Add(subj, iri("id"), rdf.Integer(int64(i)))
-		g.Add(subj, iri("data"), rdf.NewArray(a))
+		rows = append(rows,
+			[]rdf.Term{subj, iri("id"), rdf.Integer(int64(i))},
+			[]rdf.Term{subj, iri("data"), rdf.NewArray(a)})
+	}
+	if _, err := db.WriteTriples(context.Background(), rows, false); err != nil {
+		return nil, err
 	}
 	if backend != nil {
 		db.AttachBackend(backend)

@@ -26,7 +26,7 @@ import (
 func blockingTenantDB(t *testing.T) (db *core.SSDM, entered chan struct{}, release chan struct{}) {
 	t.Helper()
 	db = core.Open()
-	db.Dataset.Default.Add(rdf.IRI("http://ex/s"), rdf.IRI("http://ex/p"), rdf.Integer(1))
+	addTriple(db.Dataset.Default, rdf.IRI("http://ex/s"), rdf.IRI("http://ex/p"), rdf.Integer(1))
 	entered = make(chan struct{}, 16)
 	release = make(chan struct{})
 	db.RegisterForeign("block", 1, 1, func(args []rdf.Term) (rdf.Term, error) {
@@ -52,7 +52,7 @@ const blockingQuery = `SELECT (block(?v) AS ?b) WHERE { ?s <http://ex/p> ?v }`
 // tenant keeps answering; once the slot frees, acme serves again.
 func TestTenantCap429(t *testing.T) {
 	defDB := core.Open()
-	defDB.Dataset.Default.Add(rdf.IRI("http://ex/d"), rdf.IRI("http://ex/p"), rdf.Integer(7))
+	addTriple(defDB.Dataset.Default, rdf.IRI("http://ex/d"), rdf.IRI("http://ex/p"), rdf.Integer(7))
 	acmeDB, entered, release := blockingTenantDB(t)
 
 	f := New(NewTenants(defDB))
@@ -149,7 +149,7 @@ func TestGlobalCap429(t *testing.T) {
 func TestDrainRefusesAndCancels(t *testing.T) {
 	db := core.Open()
 	for i := 0; i < 300; i++ {
-		db.Dataset.Default.Add(rdf.IRI(fmt.Sprintf("http://ex/s%d", i)), rdf.IRI("http://ex/p"), rdf.Integer(i))
+		addTriple(db.Dataset.Default, rdf.IRI(fmt.Sprintf("http://ex/s%d", i)), rdf.IRI("http://ex/p"), rdf.Integer(i))
 	}
 	f := New(NewTenants(db))
 	f.Metrics = metrics.NewRegistry()
@@ -230,7 +230,7 @@ func TestConfigBuild(t *testing.T) {
 	}
 
 	db := core.Open()
-	db.Dataset.Default.Add(rdf.IRI("http://ex/d"), rdf.IRI("http://ex/p"), rdf.Integer(1))
+	addTriple(db.Dataset.Default, rdf.IRI("http://ex/d"), rdf.IRI("http://ex/p"), rdf.Integer(1))
 	cfg := &Config{
 		DefaultMaxInflight: 3,
 		Tenants: []TenantConfig{
@@ -268,7 +268,7 @@ func TestConfigBuild(t *testing.T) {
 func TestTenantProfileEnforced(t *testing.T) {
 	db := core.Open()
 	for i := 0; i < 50; i++ {
-		db.Dataset.Default.Add(rdf.IRI(fmt.Sprintf("http://ex/s%d", i)), rdf.IRI("http://ex/p"), rdf.Integer(i))
+		addTriple(db.Dataset.Default, rdf.IRI(fmt.Sprintf("http://ex/s%d", i)), rdf.IRI("http://ex/p"), rdf.Integer(i))
 	}
 	f := New(NewTenants(core.Open()))
 	f.Metrics = metrics.NewRegistry()
@@ -302,7 +302,7 @@ func TestTenantProfileEnforced(t *testing.T) {
 // exercises the semaphore paths for data races.
 func TestConcurrentAdmissionAccounting(t *testing.T) {
 	db := core.Open()
-	db.Dataset.Default.Add(rdf.IRI("http://ex/s"), rdf.IRI("http://ex/p"), rdf.Integer(1))
+	addTriple(db.Dataset.Default, rdf.IRI("http://ex/s"), rdf.IRI("http://ex/p"), rdf.Integer(1))
 	f := New(NewTenants(core.Open()))
 	f.Metrics = metrics.NewRegistry()
 	f.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -348,4 +348,11 @@ func TestConcurrentAdmissionAccounting(t *testing.T) {
 	if served == 0 {
 		t.Fatal("cap rejected everything; admission is not admitting")
 	}
+}
+
+// addTriple commits (s, p, o) to g as a one-triple transaction.
+func addTriple(g *rdf.Graph, s, p, o rdf.Term) {
+	tx := g.Begin()
+	tx.Add(s, p, o)
+	tx.Commit()
 }

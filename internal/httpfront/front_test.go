@@ -428,7 +428,7 @@ func TestParseErrorPosition(t *testing.T) {
 func TestGuardErrorsOverHTTP(t *testing.T) {
 	db := core.Open()
 	for i := 0; i < 200; i++ {
-		db.Dataset.Default.Add(rdf.IRI(fmt.Sprintf("http://ex/s%d", i)), rdf.IRI("http://ex/p"), rdf.Integer(i))
+		addTriple(db.Dataset.Default, rdf.IRI(fmt.Sprintf("http://ex/s%d", i)), rdf.IRI("http://ex/p"), rdf.Integer(i))
 	}
 	f := New(NewTenants(db))
 	f.Metrics = metrics.NewRegistry()

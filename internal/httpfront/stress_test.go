@@ -26,7 +26,7 @@ import (
 func TestMixedProtocolStress(t *testing.T) {
 	db := core.Open()
 	for i := 0; i < 50; i++ {
-		db.Dataset.Default.Add(rdf.IRI(fmt.Sprintf("http://ex/s%d", i)), rdf.IRI("http://ex/p"), rdf.Integer(i))
+		addTriple(db.Dataset.Default, rdf.IRI(fmt.Sprintf("http://ex/s%d", i)), rdf.IRI("http://ex/p"), rdf.Integer(i))
 	}
 
 	// Framed-TCP door.

@@ -6,7 +6,8 @@
 // Consolidation rewrites the graph in place: the 13-triple encoding of
 // a 2x2 matrix (§2.3.5.1) collapses to a single triple whose value is
 // an array term, drastically shrinking the graph and making the data
-// available to SciSPARQL's array operations.
+// available to SciSPARQL's array operations. Each rewrite reads the
+// graph as it stands and applies its edits as one transaction.
 package loader
 
 import (
@@ -23,29 +24,45 @@ import (
 // triple is a collected (s,p,o) for deferred deletion.
 type triple struct{ s, p, o rdf.Term }
 
+// rewrite is the edits of one consolidation, collected while it reads
+// the graph and applied together.
+type rewrite struct{ dels, adds []triple }
+
+// apply commits the rewrite to g as one transaction, every delete before
+// every add: a delete after an add the transaction logged would fold the
+// log into its state.
+func (rw *rewrite) apply(g *rdf.Graph) {
+	if len(rw.dels) == 0 && len(rw.adds) == 0 {
+		return
+	}
+	tx := g.Begin()
+	for _, t := range rw.dels {
+		tx.Delete(t.s, t.p, t.o)
+	}
+	for _, t := range rw.adds {
+		tx.Add(t.s, t.p, t.o)
+	}
+	tx.Commit()
+}
+
 // ConsolidateCollections finds triples whose object is the head of a
 // well-formed nested numeric RDF collection, replaces the object with
 // a consolidated array term and removes the list-cell triples
-// (§5.3.2). It returns the number of arrays consolidated.
+// (§5.3.2). Every list is read from the graph as given, so a list that
+// two triples share becomes an array for each. It returns the number
+// of arrays consolidated.
 func ConsolidateCollections(g *rdf.Graph) (int, error) {
-	consolidated := 0
+	var rw rewrite
 	for _, cand := range collectionCandidates(g) {
 		arr, cells, ok := parseNumericList(g, cand.o)
 		if !ok {
 			continue
 		}
-		pi, isIRI := cand.p.(rdf.IRI)
-		if !isIRI {
-			continue
-		}
-		g.Delete(cand.s, pi, cand.o)
-		g.Add(cand.s, pi, rdf.NewArray(arr))
-		for _, c := range cells {
-			g.Delete(c.s, c.p, c.o)
-		}
-		consolidated++
+		rw.dels = append(append(rw.dels, cand), cells...)
+		rw.adds = append(rw.adds, triple{cand.s, cand.p, rdf.NewArray(arr)})
 	}
-	return consolidated, nil
+	rw.apply(g)
+	return len(rw.adds), nil
 }
 
 // collectionCandidates returns the triples whose object has an rdf:first
@@ -238,10 +255,10 @@ func ResolveFileLinks(g *rdf.Graph, backend storage.Backend) (int, error) {
 		return true
 	})
 	opened := map[rdf.ID]rdf.Term{}
-	tx := g.Begin()
-	defer tx.Abort() // a no-op once committed
+	var rw rewrite
 	for _, l := range links {
-		lex := g.TermOf(l.O).(rdf.Typed).Lexical
+		link := g.TermOf(l.O)
+		lex := link.(rdf.Typed).Lexical
 		if _, ok := opened[l.O]; !ok {
 			id, err := strconv.ParseInt(lex, 10, 64)
 			if err != nil {
@@ -253,24 +270,12 @@ func ResolveFileLinks(g *rdf.Graph, backend storage.Backend) (int, error) {
 			}
 			opened[l.O] = rdf.NewArray(a)
 		}
-		tx.Delete(g.TermOf(l.S), g.TermOf(l.P), g.TermOf(l.O))
+		s, p := g.TermOf(l.S), g.TermOf(l.P)
+		rw.dels = append(rw.dels, triple{s, p, link})
+		rw.adds = append(rw.adds, triple{s, p, opened[l.O]})
 	}
-	for _, l := range links {
-		tx.Add(g.TermOf(l.S), g.TermOf(l.P), opened[l.O])
-	}
-	tx.Commit()
+	rw.apply(g)
 	return len(links), nil
-}
-
-// LinkArray attaches an externally stored array to the graph as a
-// proxied value of (s, p).
-func LinkArray(g *rdf.Graph, s rdf.Term, p rdf.IRI, backend storage.Backend, id int64) error {
-	a, err := backend.Open(id)
-	if err != nil {
-		return err
-	}
-	g.Add(s, p, rdf.NewArray(a))
-	return nil
 }
 
 // DropProxyCaches discards the chunk caches of every proxied array in
@@ -298,30 +303,32 @@ func DropProxyCaches(g *rdf.Graph) int {
 //	                     qb:order N ;
 //	                     ssdm:index [dictionary array or collection] ]
 //
-// It returns the number of datasets consolidated.
+// Every dataset is read from the graph as given, and all of them are
+// rewritten in one transaction. It returns the number of datasets
+// consolidated.
 func ConsolidateDataCube(g *rdf.Graph) (int, error) {
 	datasets := map[string]rdf.Term{}
 	g.MatchTerms(nil, rdf.QBDataSetProp, nil, func(_, _, ds rdf.Term) bool {
 		datasets[ds.Key()] = ds
 		return true
 	})
+	var rw rewrite
 	n := 0
 	for _, ds := range datasets {
-		ok, err := consolidateOneCube(g, ds)
-		if err != nil {
-			return n, err
-		}
-		if ok {
+		if consolidateOneCube(g, ds, &rw) {
 			n++
 		}
 	}
+	rw.apply(g)
 	return n, nil
 }
 
-func consolidateOneCube(g *rdf.Graph, ds rdf.Term) (bool, error) {
+// consolidateOneCube adds dataset ds's rewrite to rw and reports whether
+// it has one.
+func consolidateOneCube(g *rdf.Graph, ds rdf.Term, rw *rewrite) bool {
 	dims, measures := cubeStructure(g, ds)
 	if len(dims) == 0 || len(measures) == 0 {
-		return false, nil
+		return false
 	}
 	// Collect observations.
 	var obs []rdf.Term
@@ -330,7 +337,7 @@ func consolidateOneCube(g *rdf.Graph, ds rdf.Term) (bool, error) {
 		return true
 	})
 	if len(obs) == 0 {
-		return false, nil
+		return false
 	}
 	// Dimension dictionaries: distinct values per dimension, sorted by
 	// key for determinism (numeric dimensions sort numerically).
@@ -366,7 +373,7 @@ func consolidateOneCube(g *rdf.Graph, ds rdf.Term) (bool, error) {
 	for d := range dims {
 		shape[d] = len(dicts[d])
 		if shape[d] == 0 {
-			return false, nil
+			return false
 		}
 	}
 	// One dense float array per measure.
@@ -405,34 +412,30 @@ func consolidateOneCube(g *rdf.Graph, ds rdf.Term) (bool, error) {
 	}
 	// Remove observation triples.
 	for _, o := range obs {
-		var cell []triple
 		g.MatchTerms(o, nil, nil, func(s, p, v rdf.Term) bool {
-			cell = append(cell, triple{s, p, v})
+			rw.dels = append(rw.dels, triple{s, p, v})
 			return true
 		})
-		for _, c := range cell {
-			g.Delete(c.s, c.p.(rdf.IRI), c.o)
-		}
 	}
 	// Attach consolidated arrays and dimension dictionaries.
 	for m, measIRI := range measures {
-		g.Add(ds, measIRI, rdf.NewArray(arrays[m]))
+		rw.adds = append(rw.adds, triple{ds, measIRI, rdf.NewArray(arrays[m])})
 	}
 	for d, dimIRI := range dims {
 		bn := g.NewBlank()
-		g.Add(ds, rdf.SSDMDimension, bn)
-		g.Add(bn, rdf.QBDimensionProp, dimIRI)
-		g.Add(bn, rdf.QBOrderProp, rdf.Integer(int64(d+1)))
+		rw.adds = append(rw.adds,
+			triple{ds, rdf.SSDMDimension, bn},
+			triple{bn, rdf.QBDimensionProp, dimIRI},
+			triple{bn, rdf.QBOrderProp, rdf.Integer(int64(d + 1))})
 		if dict, ok := numericDict(dicts[d]); ok {
-			g.Add(bn, rdf.SSDMIndex, rdf.NewArray(dict))
+			rw.adds = append(rw.adds, triple{bn, rdf.SSDMIndex, rdf.NewArray(dict)})
 		} else {
 			// Non-numeric dictionary: keep the values as an ordered RDF
 			// collection.
-			head := buildCollection(g, dicts[d])
-			g.Add(bn, rdf.SSDMIndex, head)
+			rw.adds = append(rw.adds, triple{bn, rdf.SSDMIndex, buildCollection(g, rw, dicts[d])})
 		}
 	}
-	return true, nil
+	return true
 }
 
 // cubeStructure finds the dimension and measure properties of a
@@ -502,19 +505,21 @@ func numericDict(vals []rdf.Term) (*array.Array, bool) {
 	return a, true
 }
 
-func buildCollection(g *rdf.Graph, vals []rdf.Term) rdf.Term {
+// buildCollection adds to rw the RDF collection of vals, its cells
+// blank nodes of g, and returns its head.
+func buildCollection(g *rdf.Graph, rw *rewrite, vals []rdf.Term) rdf.Term {
 	if len(vals) == 0 {
 		return rdf.RDFNil
 	}
 	head := rdf.Term(g.NewBlank())
 	cur := head
 	for i, v := range vals {
-		g.Add(cur, rdf.RDFFirst, v)
+		rw.adds = append(rw.adds, triple{cur, rdf.RDFFirst, v})
 		if i == len(vals)-1 {
-			g.Add(cur, rdf.RDFRest, rdf.RDFNil)
+			rw.adds = append(rw.adds, triple{cur, rdf.RDFRest, rdf.RDFNil})
 		} else {
 			next := g.NewBlank()
-			g.Add(cur, rdf.RDFRest, next)
+			rw.adds = append(rw.adds, triple{cur, rdf.RDFRest, next})
 			cur = next
 		}
 	}

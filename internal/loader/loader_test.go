@@ -23,6 +23,14 @@ func parseTTL(t *testing.T, src string) *rdf.Graph {
 	return g
 }
 
+// graphOf returns a graph of ts, committed as one transaction.
+func graphOf(ts ...triple) *rdf.Graph {
+	g := rdf.NewGraph()
+	rw := rewrite{adds: ts}
+	rw.apply(g)
+	return g
+}
+
 func arrayOf(t *testing.T, g *rdf.Graph, s, p rdf.Term) *array.Array {
 	t.Helper()
 	var out *array.Array
@@ -142,6 +150,7 @@ func scanCandidates(g *rdf.Graph) []triple {
 // subject.
 func listGraph(rng *rand.Rand) *rdf.Graph {
 	g := rdf.NewGraph()
+	tx := g.Begin()
 	var heads []rdf.Term
 	blanks := 0
 	blank := func() rdf.Term { blanks++; return rdf.Blank(fmt.Sprintf("b%d", blanks)) }
@@ -162,8 +171,8 @@ func listGraph(rng *rand.Rand) *rdf.Graph {
 			if i < n-1 {
 				next = blank()
 			}
-			g.Add(cur, rdf.RDFFirst, item)
-			g.Add(cur, rdf.RDFRest, next)
+			tx.Add(cur, rdf.RDFFirst, item)
+			tx.Add(cur, rdf.RDFRest, next)
 			cur = next
 		}
 		heads = append(heads, head)
@@ -183,8 +192,9 @@ func listGraph(rng *rand.Rand) *rdf.Graph {
 		case r == 3 && len(heads) > 0:
 			o = heads[rng.Intn(len(heads))]
 		}
-		g.Add(s, rdf.IRI(fmt.Sprintf("http://ex/p%d", rng.Intn(3))), o)
+		tx.Add(s, rdf.IRI(fmt.Sprintf("http://ex/p%d", rng.Intn(3))), o)
 	}
+	tx.Commit()
 	return g
 }
 
@@ -203,10 +213,10 @@ func sameCandidates(t *testing.T, g *rdf.Graph) {
 
 // TestCollectionCandidatesMatchFullScan: the index-driven candidate search
 // finds what a scan of every triple finds, in the same order, so the same
-// collections consolidate in the same order — which decides the outcome
-// when two triples share a list. A fixed document with nested, shared and
-// non-numeric lists beside unrelated triples pins that outcome; 200
-// random graphs pin the candidates; a graph without rdf:first has none.
+// collections consolidate in the same order. A fixed document with
+// nested, shared and non-numeric lists beside unrelated triples pins the
+// outcome; 200 random graphs pin the candidates; a graph without
+// rdf:first has none.
 func TestCollectionCandidatesMatchFullScan(t *testing.T) {
 	if got := collectionCandidates(parseTTL(t, `<http://ex/s> <http://ex/p> 1, 2 .`)); got != nil {
 		t.Fatalf("candidates %v in a graph without collections", got)
@@ -219,8 +229,8 @@ _:shared <http://www.w3.org/1999/02/22-rdf-syntax-ns#first> 5 ; <http://www.w3.o
 ex:d ex:p (1 "two" 3) .
 ex:e ex:p (8 9) . ex:e ex:r 10 .`)
 	sameCandidates(t, g)
-	if n, err := ConsolidateCollections(g); err != nil || n != 3 {
-		t.Fatalf("consolidated %d (%v), want 3", n, err)
+	if n, err := ConsolidateCollections(g); err != nil || n != 4 {
+		t.Fatalf("consolidated %d (%v), want 4", n, err)
 	}
 	arrays, shared := 0, 0
 	g.Triples(func(s, p, o rdf.Term) bool {
@@ -232,11 +242,10 @@ ex:e ex:p (8 9) . ex:e ex:r 10 .`)
 		}
 		return true
 	})
-	// ex:a, ex:e and one of ex:b and ex:c get an array; the other keeps
-	// the blank head, whose cells went with the first; ex:d's triple and
-	// its list's 3 cells of 2 triples each stay, and so do the 3
-	// unrelated triples.
-	if arrays != 3 || shared != 1 || g.Size() != 3+1+(1+2*3)+3 {
+	// ex:a, ex:e, ex:b and ex:c get an array each, the shared list's
+	// cells go; ex:d's triple and its list's 3 cells of 2 triples each
+	// stay, and so do the 3 unrelated triples.
+	if arrays != 4 || shared != 0 || g.Size() != 4+(1+2*3)+3 {
 		t.Fatalf("%d arrays, %d shared heads left, %d triples", arrays, shared, g.Size())
 	}
 	if a := arrayOf(t, g, rdf.IRI("http://ex/a"), rdf.IRI("http://ex/p")); !array.ShapeEqual(a.Shape, []int{2, 2}) {
@@ -247,6 +256,27 @@ ex:e ex:p (8 9) . ex:e ex:r 10 .`)
 	}
 }
 
+// TestSharedListBecomesTwoArrays: a list that two triples share
+// consolidates into an array for each, and no triple is left pointing at
+// the list's blank head, whose cells are gone.
+func TestSharedListBecomesTwoArrays(t *testing.T) {
+	g := parseTTL(t, `@prefix ex: <http://ex/> .
+@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .
+ex:a ex:p _:l . ex:b ex:p _:l .
+_:l rdf:first 1 ; rdf:rest _:m . _:m rdf:first 2 ; rdf:rest rdf:nil .`)
+	if n, err := ConsolidateCollections(g); err != nil || n != 2 {
+		t.Fatalf("consolidated %d (%v), want 2", n, err)
+	}
+	if g.Size() != 2 {
+		t.Fatalf("%d triples left, want 2", g.Size())
+	}
+	for _, s := range []rdf.IRI{"http://ex/a", "http://ex/b"} {
+		if a := arrayOf(t, g, s, rdf.IRI("http://ex/p")); a.String() != "[1 2]" {
+			t.Fatalf("%v's array is %v, want [1 2]", s, a)
+		}
+	}
+}
+
 func TestFileLinks(t *testing.T) {
 	mem := storage.NewMemory()
 	src, _ := array.FromFloats([]float64{1, 2, 3, 4}, 4)
@@ -254,9 +284,8 @@ func TestFileLinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := rdf.NewGraph()
-	g.Add(rdf.IRI("http://ex/s"), rdf.IRI("http://ex/data"),
-		rdf.Typed{Lexical: "1", Datatype: rdf.SSDMFileLink})
+	g := graphOf(triple{rdf.IRI("http://ex/s"), rdf.IRI("http://ex/data"),
+		rdf.Typed{Lexical: "1", Datatype: rdf.SSDMFileLink}})
 	_ = id
 	n, err := ResolveFileLinks(g, mem)
 	if err != nil {
@@ -280,30 +309,13 @@ func TestFileLinks(t *testing.T) {
 
 func TestFileLinkErrors(t *testing.T) {
 	mem := storage.NewMemory()
-	g := rdf.NewGraph()
-	g.Add(rdf.IRI("s"), rdf.IRI("p"), rdf.Typed{Lexical: "notanum", Datatype: rdf.SSDMFileLink})
+	g := graphOf(triple{rdf.IRI("s"), rdf.IRI("p"), rdf.Typed{Lexical: "notanum", Datatype: rdf.SSDMFileLink}})
 	if _, err := ResolveFileLinks(g, mem); err == nil {
 		t.Fatal("bad lexical should fail")
 	}
-	g2 := rdf.NewGraph()
-	g2.Add(rdf.IRI("s"), rdf.IRI("p"), rdf.Typed{Lexical: "99", Datatype: rdf.SSDMFileLink})
+	g2 := graphOf(triple{rdf.IRI("s"), rdf.IRI("p"), rdf.Typed{Lexical: "99", Datatype: rdf.SSDMFileLink}})
 	if _, err := ResolveFileLinks(g2, mem); err == nil {
 		t.Fatal("unknown id should fail")
-	}
-}
-
-func TestLinkArray(t *testing.T) {
-	mem := storage.NewMemory()
-	src, _ := array.FromInts([]int64{7, 8}, 2)
-	id, _ := mem.Store(src, 2)
-	g := rdf.NewGraph()
-	if err := LinkArray(g, rdf.IRI("s"), rdf.IRI("p"), mem, id); err != nil {
-		t.Fatal(err)
-	}
-	a := arrayOf(t, g, rdf.IRI("s"), rdf.IRI("p"))
-	v, _ := a.At(1)
-	if v.Intval() != 8 {
-		t.Fatalf("got %v", v)
 	}
 }
 
@@ -398,8 +410,8 @@ ex:o1 qb:dataSet ex:ds ; ex:x 1 .
 }
 
 // resolvePerLink is ResolveFileLinks as it was before it worked in one
-// transaction: a term scan, then a Delete and an Add, each published
-// alone, and one Open, per link triple. It is the reference the one-pass
+// transaction: a term scan, then per link triple one Open and a
+// transaction of a Delete and an Add. It is the reference the one-pass
 // version must agree with.
 func resolvePerLink(g *rdf.Graph, backend storage.Backend) (int, error) {
 	var links []triple
@@ -418,8 +430,10 @@ func resolvePerLink(g *rdf.Graph, backend storage.Backend) (int, error) {
 		if err != nil {
 			return i, err
 		}
-		g.Delete(l.s, l.p.(rdf.IRI), l.o)
-		g.Add(l.s, l.p.(rdf.IRI), rdf.NewArray(a))
+		tx := g.Begin()
+		tx.Delete(l.s, l.p, l.o)
+		tx.Add(l.s, l.p, rdf.NewArray(a))
+		tx.Commit()
 	}
 	return len(links), nil
 }

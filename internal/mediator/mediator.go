@@ -41,9 +41,11 @@ type Mapping struct {
 	Skip map[string]bool
 }
 
-// Import materializes the mapped RDF view of the table into g and
-// returns the number of triples added. BLOB columns are skipped (bulk
-// data belongs to the array back-end, not the metadata graph).
+// Import materializes the mapped RDF view of the table into g as one
+// transaction and returns the number of triples added. BLOB columns are
+// skipped (bulk data belongs to the array back-end, not the metadata
+// graph). A row that cannot be mapped fails the import and leaves g as
+// it was.
 func Import(db *relstore.Database, m Mapping, g *rdf.Graph) (int, error) {
 	if m.Table == "" {
 		return 0, fmt.Errorf("mediator: empty table name")
@@ -61,16 +63,15 @@ func Import(db *relstore.Database, m Mapping, g *rdf.Graph) (int, error) {
 			return 0, fmt.Errorf("mediator: key column %q not in table %s", k, m.Table)
 		}
 	}
-	added := 0
+	tx := g.Begin()
+	defer tx.Abort() // a no-op once committed
 	for _, row := range res.Rows {
 		subj, err := m.subjectFor(g, row, colIdx)
 		if err != nil {
-			return added, err
+			return 0, err
 		}
 		if m.Class != "" {
-			if g.Add(subj, rdf.RDFType, m.Class) {
-				added++
-			}
+			tx.Add(subj, rdf.RDFType, m.Class)
 		}
 		for i, col := range res.Cols {
 			if m.Skip[col] {
@@ -84,11 +85,11 @@ func Import(db *relstore.Database, m Mapping, g *rdf.Graph) (int, error) {
 			if !ok {
 				prop = rdf.IRI(m.PropNS + col)
 			}
-			if g.Add(subj, prop, termFor(v)) {
-				added++
-			}
+			tx.Add(subj, prop, termFor(v))
 		}
 	}
+	added := tx.Changed()
+	tx.Commit()
 	return added, nil
 }
 

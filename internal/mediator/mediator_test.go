@@ -153,3 +153,28 @@ func TestImportCompositeKey(t *testing.T) {
 		t.Fatal("composite key subject missing")
 	}
 }
+
+// TestImportFailureLeavesGraph: a row that cannot be mapped (a NULL key)
+// after rows that could fails the import, and the graph keeps exactly the
+// triples it had.
+func TestImportFailureLeavesGraph(t *testing.T) {
+	db := employeeDB(t)
+	if _, err := db.Exec(`INSERT INTO emp VALUES (4, 'dave', NULL, 4000.0, NULL)`); err != nil {
+		t.Fatal(err)
+	}
+	g := rdf.NewGraph()
+	if _, err := Import(db, Mapping{Table: "emp", SubjectPrefix: "http://ex/emp/", KeyCols: []string{"id"}, PropNS: "http://ex/"}, g); err != nil {
+		t.Fatal(err)
+	}
+	before := g.Size()
+	n, err := Import(db, Mapping{Table: "emp", Class: rdf.IRI("http://ex/Dept"), SubjectPrefix: "http://ex/dept/", KeyCols: []string{"dept"}, PropNS: "http://ex/d/"}, g)
+	if err == nil {
+		t.Fatal("a NULL key should fail the import")
+	}
+	if n != 0 || g.Size() != before {
+		t.Fatalf("a failed import reports %d and leaves %d triples, want 0 and %d", n, g.Size(), before)
+	}
+	if g.Has(rdf.IRI("http://ex/dept/research"), rdf.RDFType, rdf.IRI("http://ex/Dept")) {
+		t.Fatal("a failed import published a row mapped before the failing one")
+	}
+}

@@ -98,10 +98,10 @@ func countMatchConstant(t *testing.T, compacted bool) {
 	g := NewGraph()
 	p1t, p2t := IRI("http://ex/p1"), IRI("http://ex/p2")
 	s1t, s2t := IRI("http://ex/a"), IRI("http://ex/b")
-	g.Add(s1t, p1t, Integer(1))
-	g.Add(s1t, p2t, Integer(2))
-	g.Add(s2t, p1t, Integer(1))
-	g.Add(s2t, p1t, Integer(3))
+	addTriple(g, s1t, p1t, Integer(1))
+	addTriple(g, s1t, p2t, Integer(2))
+	addTriple(g, s2t, p1t, Integer(1))
+	addTriple(g, s2t, p1t, Integer(3))
 	if compacted {
 		compact(g)
 	}
@@ -130,11 +130,11 @@ func countMatchConstant(t *testing.T, compacted bool) {
 	check(0, 0, o1, 2)
 	check(0, 0, 0, 4)
 
-	g.Delete(s2t, p1t, Integer(3))
+	deleteTriple(g, s2t, p1t, Integer(3))
 	check(0, p1, 0, 2)
 	check(s2, 0, 0, 1)
 
-	g.Delete(s2t, p1t, Integer(1))
+	deleteTriple(g, s2t, p1t, Integer(1))
 	check(s2, 0, 0, 0)
 	check(0, 0, o1, 1)
 
@@ -144,10 +144,10 @@ func countMatchConstant(t *testing.T, compacted bool) {
 
 	// Counters must stay O(1)-consistent through a mixed workload.
 	for i := 0; i < 50; i++ {
-		g.Add(IRI(fmt.Sprintf("http://ex/m%d", i%7)), p1t, Integer(int64(i)))
+		addTriple(g, IRI(fmt.Sprintf("http://ex/m%d", i%7)), p1t, Integer(int64(i)))
 	}
 	for i := 0; i < 50; i += 2 {
-		g.Delete(IRI(fmt.Sprintf("http://ex/m%d", i%7)), p1t, Integer(int64(i)))
+		deleteTriple(g, IRI(fmt.Sprintf("http://ex/m%d", i%7)), p1t, Integer(int64(i)))
 		if compacted && i == 24 {
 			compact(g)
 		}
@@ -168,8 +168,8 @@ func TestGuardMergedReadAllocFree(t *testing.T) {
 	}
 	g := compact(benchGraph(500))
 	for i := 0; i < 500; i += 10 {
-		g.Delete(IRI(fmt.Sprintf("http://ex/s%d", i)), IRI("http://ex/val"), Integer(int64(i%100)))
-		g.Add(IRI(fmt.Sprintf("http://ex/s%d", i)), IRI("http://ex/val"), Integer(-1))
+		deleteTriple(g, IRI(fmt.Sprintf("http://ex/s%d", i)), IRI("http://ex/val"), Integer(int64(i%100)))
+		addTriple(g, IRI(fmt.Sprintf("http://ex/s%d", i)), IRI("http://ex/val"), Integer(-1))
 	}
 	if st := g.cur(); len(st.base.rows) == 0 || st.adds.n == 0 || st.dels.n == 0 {
 		t.Fatalf("base %d, adds %d, tombstones %d: want all three", len(st.base.rows), st.adds.n, st.dels.n)
@@ -264,7 +264,7 @@ func TestGuardTxAddBytesPerTriple(t *testing.T) {
 	}
 	g := NewGraph()
 	seed := g.Intern(IRI("http://ex/seed"))
-	g.addIDs(seed, seed, seed)
+	addTripleIDs(g, seed, seed, seed)
 	if got := txBytesPerTriple(t, g, 0, 20000); got > 800 {
 		t.Errorf("20000-triple Tx into a one-triple graph allocates %.0f B/triple, want <= 800", got)
 	}
@@ -320,9 +320,13 @@ func TestGuardNewPairAllocatesNoSet(t *testing.T) {
 	preds, objs := ids[6:6+n], ids[6+n:]
 	// Anchors keep s, every predicate and every object present in the
 	// indexes they lead, with pairs the test triples do not share. The
-	// first is published, so the transaction starts on a non-empty graph
-	// and writes its tries, not its log.
-	g.addIDs(s, pA, oA)
+	// first is published into the tries: a seed triple, whose commit into
+	// the empty graph builds a one-row base, goes first. So the
+	// transaction starts on a non-empty graph and writes its tries, not
+	// its log.
+	seed := g.Intern(IRI("http://ex/seed"))
+	addTripleIDs(g, seed, seed, seed)
+	addTripleIDs(g, s, pA, oA)
 	tx := g.Begin()
 	defer tx.Abort()
 	for j := range preds {

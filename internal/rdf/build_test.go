@@ -27,8 +27,9 @@ func poolTriples(data []byte) []Triple {
 	return ts
 }
 
-// checkBuild builds ts four ways — Build, bare writes adding the
-// triples one by one into the tries, bare writes under a delta cap of
+// checkBuild builds ts four ways — Build, one-triple transactions adding
+// the triples one by one (the first builds a one-row base, the rest go
+// into the tries), one-triple transactions under a delta cap of
 // four that reach them through compactions, with decoys added and
 // deleted and every other triple deleted and added back, and a Tx under
 // that cap whose adds mostly go to its log (bulk) — and requires the
@@ -39,7 +40,7 @@ func checkBuild(t *testing.T, ts []Triple) {
 	t.Helper()
 	added := NewGraph()
 	for _, tr := range ts {
-		added.addIDs(tr.S, tr.P, tr.O)
+		addTripleIDs(added, tr.S, tr.P, tr.O)
 	}
 	built := NewGraph()
 	built.Build(slices.Clone(ts))
@@ -85,8 +86,8 @@ func bulk(t *testing.T, ts []Triple) *Graph {
 	return g
 }
 
-// compacting reaches ts's triples by bare writes under a delta cap of
-// four, so the graph it returns holds them as a base, adds and
+// compacting reaches ts's triples by one-triple transactions under a
+// delta cap of four, so the graph it returns holds them as a base, adds and
 // tombstones.
 func compacting(t *testing.T, ts []Triple) *Graph {
 	lowerDeltaCap(t, 4)
@@ -96,20 +97,20 @@ func compacting(t *testing.T, ts []Triple) *Graph {
 		in[tr] = true
 	}
 	for _, tr := range ts {
-		g.addIDs(tr.S, tr.P, tr.O)
-		g.addIDs(tr.O, tr.S, tr.P)
+		addTripleIDs(g, tr.S, tr.P, tr.O)
+		addTripleIDs(g, tr.O, tr.S, tr.P)
 	}
 	for i, tr := range ts {
 		if decoy := (Triple{tr.O, tr.S, tr.P}); !in[decoy] {
-			g.DeleteIDs(decoy.S, decoy.P, decoy.O)
+			deleteTripleIDs(g, decoy.S, decoy.P, decoy.O)
 		}
 		if i%2 == 0 {
-			g.DeleteIDs(tr.S, tr.P, tr.O)
+			deleteTripleIDs(g, tr.S, tr.P, tr.O)
 		}
 	}
 	for i, tr := range ts {
 		if i%2 == 0 {
-			g.addIDs(tr.S, tr.P, tr.O)
+			addTripleIDs(g, tr.S, tr.P, tr.O)
 		}
 	}
 	return g
@@ -207,8 +208,8 @@ func TestBuiltGraphIsReadOnly(t *testing.T) {
 	s, p, o := g.Intern(IRI("http://ex/s")), g.Intern(IRI("http://ex/p")), g.Intern(Integer(1))
 	g.Build([]Triple{{s, p, o}})
 	for name, write := range map[string]func(){
-		"Add":    func() { g.Add(IRI("http://ex/s"), IRI("http://ex/p"), Integer(2)) },
-		"Delete": func() { g.Delete(IRI("http://ex/s"), IRI("http://ex/p"), Integer(1)) },
+		"Add":    func() { addTriple(g, IRI("http://ex/s"), IRI("http://ex/p"), Integer(2)) },
+		"Delete": func() { deleteTriple(g, IRI("http://ex/s"), IRI("http://ex/p"), Integer(1)) },
 		"Begin":  func() { g.Begin() },
 		"Clear":  func() { g.Clear() },
 		"Build":  func() { g.Build([]Triple{{s, p, s}}) },
@@ -249,7 +250,7 @@ func TestBuiltMatchStopsWhenCancelled(t *testing.T) {
 }
 
 // FuzzBuild reads three pool indexes per triple (poolTriples); the
-// oracle is bare writes adding the same triples one by one.
+// oracle is one-triple transactions adding the same triples one by one.
 func FuzzBuild(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 0, 1, 2, 0, 1, 2})

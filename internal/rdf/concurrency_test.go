@@ -17,7 +17,7 @@ func TestGraphSizeDuringMutation(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 2000; i++ {
-			g.Add(IRI(fmt.Sprintf("http://ex/s%d", i)), IRI("http://ex/p"), Integer(int64(i)))
+			addTriple(g, IRI(fmt.Sprintf("http://ex/s%d", i)), IRI("http://ex/p"), Integer(int64(i)))
 		}
 		close(stop)
 	}()
@@ -52,7 +52,7 @@ func TestGraphConcurrentReadersAndWriters(t *testing.T) {
 	g := NewGraph()
 	p := IRI("http://ex/p")
 	for i := 0; i < 200; i++ {
-		g.Add(IRI(fmt.Sprintf("http://ex/s%d", i)), p, Integer(int64(i)))
+		addTriple(g, IRI(fmt.Sprintf("http://ex/s%d", i)), p, Integer(int64(i)))
 	}
 	pid, _ := g.Lookup(p)
 
@@ -65,7 +65,7 @@ func TestGraphConcurrentReadersAndWriters(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 200; i < 1200; i++ {
-			g.Add(IRI(fmt.Sprintf("http://ex/s%d", i)), p, Integer(int64(i)))
+			addTriple(g, IRI(fmt.Sprintf("http://ex/s%d", i)), p, Integer(int64(i)))
 		}
 	}()
 	wg.Add(1)
@@ -74,8 +74,8 @@ func TestGraphConcurrentReadersAndWriters(t *testing.T) {
 		for round := 0; round < 50; round++ {
 			for i := 0; i < 20; i++ {
 				s := IRI(fmt.Sprintf("http://ex/s%d", i))
-				g.Delete(s, p, Integer(int64(i)))
-				g.Add(s, p, Integer(int64(i)))
+				deleteTriple(g, s, p, Integer(int64(i)))
+				addTriple(g, s, p, Integer(int64(i)))
 			}
 		}
 		close(stop)
@@ -124,13 +124,13 @@ func TestGraphMutationInsideMatch(t *testing.T) {
 	g := NewGraph()
 	p := IRI("http://ex/p")
 	for i := 0; i < 10; i++ {
-		g.Add(IRI(fmt.Sprintf("http://ex/s%d", i)), p, Integer(int64(i)))
+		addTriple(g, IRI(fmt.Sprintf("http://ex/s%d", i)), p, Integer(int64(i)))
 	}
 	pid, _ := g.Lookup(p)
 	seen := 0
 	g.Match(0, pid, 0, func(tr Triple) bool {
 		seen++
-		g.DeleteIDs(tr.S, tr.P, tr.O)
+		deleteTripleIDs(g, tr.S, tr.P, tr.O)
 		return true
 	})
 	if seen != 10 {

@@ -307,8 +307,8 @@ type Graph struct {
 	dict  *dict
 	state atomic.Pointer[graphState]
 
-	// wmu serializes writers: bare Add/Delete, transactions (held from
-	// Begin to Commit/Abort) and Clear.
+	// wmu serializes writers: transactions (held from Begin to
+	// Commit/Abort), Clear, MoveArrays, Build and Reset.
 	wmu sync.Mutex
 
 	// frozen marks a Snapshot: writes panic, reads serve the pinned
@@ -516,46 +516,6 @@ func (st *graphState) restat(tag uint32, s, p, o ID, d int32) {
 	default:
 		st.stats, _ = pmSet(st.stats, tag, 0, pmSlot[predDelta]{key: uint32(p), val: m})
 	}
-}
-
-// Add inserts a triple of terms; it returns false when the triple was
-// already present. The triple appears atomically to readers.
-func (g *Graph) Add(s, p, o Term) bool {
-	g.checkWritable()
-	return g.addIDs(g.Intern(s), g.Intern(p), g.Intern(o))
-}
-
-// addIDs inserts a triple of already-interned IDs.
-func (g *Graph) addIDs(s, p, o ID) bool {
-	g.checkWritable()
-	g.wmu.Lock()
-	defer g.wmu.Unlock()
-	st := *g.cur()
-	if !st.add(0, s, p, o) {
-		return false
-	}
-	g.publish(&st)
-	return true
-}
-
-// Delete removes a triple; it returns false when it was absent.
-func (g *Graph) Delete(s, p, o Term) bool {
-	g.checkWritable()
-	si, pi, oi, ok := g.lookup3(s, p, o)
-	return ok && g.DeleteIDs(si, pi, oi)
-}
-
-// DeleteIDs removes a triple of interned IDs.
-func (g *Graph) DeleteIDs(s, p, o ID) bool {
-	g.checkWritable()
-	g.wmu.Lock()
-	defer g.wmu.Unlock()
-	st := *g.cur()
-	if !st.del(0, s, p, o) {
-		return false
-	}
-	g.publish(&st)
-	return true
 }
 
 // Clear atomically removes every triple, returning how many there

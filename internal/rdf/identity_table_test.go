@@ -138,7 +138,7 @@ func TestIdentityTableMatchesKeyMap(t *testing.T) {
 		s, o := IRI("http://ex/s"+strconv.Itoa(i)), NewArray(array.NewFloat(i+1))
 		ref.check(t, g, s)
 		ref.check(t, g, o)
-		g.Add(s, p, o)
+		addTriple(g, s, p, o)
 	}
 	before := termsOf(ref, g)
 	calls := 0

@@ -30,11 +30,11 @@ func TestMoveArraysRebindsIDs(t *testing.T) {
 	shared, _ := array.FromFloats([]float64{1, 2, 3}, 3)
 	own, _ := array.FromFloats([]float64{4, 5}, 2)
 	gone, _ := array.FromFloats([]float64{6}, 1)
-	g.Add(IRI("http://ex/x"), p, NewArray(shared))
-	g.Add(IRI("http://ex/y"), p, NewArray(shared))
-	g.Add(IRI("http://ex/z"), p, NewArray(own))
-	g.Add(IRI("http://ex/w"), p, NewArray(gone))
-	g.Delete(IRI("http://ex/w"), p, NewArray(gone))
+	addTriple(g, IRI("http://ex/x"), p, NewArray(shared))
+	addTriple(g, IRI("http://ex/y"), p, NewArray(shared))
+	addTriple(g, IRI("http://ex/z"), p, NewArray(own))
+	addTriple(g, IRI("http://ex/w"), p, NewArray(gone))
+	deleteTriple(g, IRI("http://ex/w"), p, NewArray(gone))
 	sharedID, _ := g.Lookup(NewArray(shared))
 	goneID, _ := g.Lookup(NewArray(gone))
 	size, gen, terms := g.Size(), g.Generation(), g.DictStats().Terms
@@ -77,7 +77,7 @@ func TestMoveArraysKeepsWhatMovedBeforeAFailure(t *testing.T) {
 	p := IRI("http://ex/data")
 	for _, s := range []IRI{"http://ex/a", "http://ex/b"} {
 		a, _ := array.FromFloats([]float64{1}, 1)
-		g.Add(s, p, NewArray(a))
+		addTriple(g, s, p, NewArray(a))
 	}
 	mem, calls, fail := storage.NewMemory(), 0, errors.New("full")
 	n, err := g.MoveArrays(func(a *array.Array) (*array.Array, error) {
@@ -104,10 +104,10 @@ func TestMoveArraysKeepsWhatMovedBeforeAFailure(t *testing.T) {
 func TestDictBytesCountResidentArrays(t *testing.T) {
 	const elems = 1 << 10
 	g := NewGraph()
-	g.Add(IRI("http://ex/s"), IRI("http://ex/data"), IRI("http://ex/o"))
+	addTriple(g, IRI("http://ex/s"), IRI("http://ex/data"), IRI("http://ex/o"))
 	before := g.DictStats().Bytes
 	a := array.NewFloat(elems)
-	g.Add(IRI("http://ex/s"), IRI("http://ex/data"), NewArray(a))
+	addTriple(g, IRI("http://ex/s"), IRI("http://ex/data"), NewArray(a))
 	resident := g.DictStats().Bytes
 	if grew := resident - before; grew < elems*array.ElemSize {
 		t.Fatalf("a resident array of %d bytes grew the dictionary by %d", elems*array.ElemSize, grew)

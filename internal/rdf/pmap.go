@@ -12,8 +12,8 @@ import "math/bits"
 // (sortTrie), which lets a read merge the two.
 //
 // Ownership: every node and every pset/pmid header carries the edit
-// tag of the transaction that made it (0: made by a bare, single-triple
-// write). A mutator called with a non-zero tag writes in place what
+// tag of the transaction that made it (0: made once the tags ran out,
+// see txTags). A mutator called with a non-zero tag writes in place what
 // carries that tag and copies — tagging the copy — anything else, so a
 // transaction pays one path copy on its first touch of a published
 // node and nothing on later touches. A tag is drawn once at Begin and

@@ -85,13 +85,13 @@ func TestGraphAddAndMatch(t *testing.T) {
 	g := NewGraph()
 	s := IRI("http://ex/s")
 	p := IRI("http://ex/p")
-	if !g.Add(s, p, Integer(1)) {
+	if !addTriple(g, s, p, Integer(1)) {
 		t.Fatal("first add should succeed")
 	}
-	if g.Add(s, p, Integer(1)) {
+	if addTriple(g, s, p, Integer(1)) {
 		t.Fatal("duplicate add should report false")
 	}
-	g.Add(s, p, Integer(2))
+	addTriple(g, s, p, Integer(2))
 	if g.Size() != 2 {
 		t.Fatalf("size %d", g.Size())
 	}
@@ -110,9 +110,9 @@ func TestGraphMatchAllPatterns(t *testing.T) {
 	s1, s2 := IRI("s1"), IRI("s2")
 	p1, p2 := IRI("p1"), IRI("p2")
 	o1, o2 := Integer(1), Integer(2)
-	g.Add(s1, p1, o1)
-	g.Add(s1, p2, o2)
-	g.Add(s2, p1, o2)
+	addTriple(g, s1, p1, o1)
+	addTriple(g, s1, p2, o2)
+	addTriple(g, s2, p1, o2)
 
 	count := func(s, p, o Term) int {
 		n := 0
@@ -146,7 +146,7 @@ func TestGraphMatchAllPatterns(t *testing.T) {
 func TestGraphMatchEarlyStop(t *testing.T) {
 	g := NewGraph()
 	for i := 0; i < 10; i++ {
-		g.Add(IRI("s"), IRI("p"), Integer(int64(i)))
+		addTriple(g, IRI("s"), IRI("p"), Integer(int64(i)))
 	}
 	n := 0
 	g.MatchTerms(IRI("s"), IRI("p"), nil, func(_, _, _ Term) bool {
@@ -161,20 +161,20 @@ func TestGraphMatchEarlyStop(t *testing.T) {
 func TestGraphDelete(t *testing.T) {
 	g := NewGraph()
 	s, p, o := IRI("s"), IRI("p"), Integer(1)
-	g.Add(s, p, o)
+	addTriple(g, s, p, o)
 	if !g.Has(s, p, o) {
 		t.Fatal("triple should exist")
 	}
-	if !g.Delete(s, p, o) {
+	if !deleteTriple(g, s, p, o) {
 		t.Fatal("delete should succeed")
 	}
 	if g.Has(s, p, o) || g.Size() != 0 {
 		t.Fatal("triple should be gone")
 	}
-	if g.Delete(s, p, o) {
+	if deleteTriple(g, s, p, o) {
 		t.Fatal("second delete should fail")
 	}
-	if g.Delete(IRI("nope"), p, o) {
+	if deleteTriple(g, IRI("nope"), p, o) {
 		t.Fatal("unknown subject delete should fail")
 	}
 }
@@ -185,9 +185,9 @@ func TestCountMatch(t *testing.T) {
 	p := g.Intern(IRI("p"))
 	q := g.Intern(IRI("q"))
 	for i := 0; i < 5; i++ {
-		g.addIDs(s, p, g.Intern(Integer(int64(i))))
+		addTripleIDs(g, s, p, g.Intern(Integer(int64(i))))
 	}
-	g.addIDs(s, q, g.Intern(Integer(0)))
+	addTripleIDs(g, s, q, g.Intern(Integer(0)))
 	if got := g.CountMatch(s, p, 0); got != 5 {
 		t.Fatalf("got %d", got)
 	}
@@ -217,9 +217,9 @@ func TestPredStats(t *testing.T) {
 	p := g.Intern(IRI("p"))
 	s1 := g.Intern(IRI("s1"))
 	s2 := g.Intern(IRI("s2"))
-	g.addIDs(s1, p, g.Intern(Integer(1)))
-	g.addIDs(s1, p, g.Intern(Integer(2)))
-	g.addIDs(s2, p, g.Intern(Integer(2)))
+	addTripleIDs(g, s1, p, g.Intern(Integer(1)))
+	addTripleIDs(g, s1, p, g.Intern(Integer(2)))
+	addTripleIDs(g, s2, p, g.Intern(Integer(2)))
 	count, ds, do := g.PredStats(p)
 	if count != 3 || ds != 2 || do != 2 {
 		t.Fatalf("got %d %d %d", count, ds, do)
@@ -284,7 +284,7 @@ func TestGraphSetSemanticsProperty(t *testing.T) {
 		for i := 0; i+2 < len(raw); i += 3 {
 			k := key{raw[i] % 8, raw[i+1] % 4, raw[i+2] % 8}
 			distinct[k] = true
-			g.Add(Integer(int64(k.s)), IRI(string(rune('a'+k.p))), Integer(int64(k.o)))
+			addTriple(g, Integer(int64(k.s)), IRI(string(rune('a'+k.p))), Integer(int64(k.o)))
 		}
 		if g.Size() != len(distinct) {
 			return false
@@ -299,4 +299,34 @@ func TestGraphSetSemanticsProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// addTriple commits (s, p, o) as a one-triple transaction and reports
+// whether it was new. Into an empty graph the commit builds a one-row
+// base; into a non-empty one the triple joins the trie delta.
+func addTriple(g *Graph, s, p, o Term) bool {
+	return addTripleIDs(g, g.Intern(s), g.Intern(p), g.Intern(o))
+}
+
+// addTripleIDs is addTriple for interned IDs.
+func addTripleIDs(g *Graph, s, p, o ID) bool {
+	tx := g.Begin()
+	defer tx.Commit()
+	tx.AddIDs(s, p, o)
+	return tx.Changed() > 0
+}
+
+// deleteTriple commits the removal of (s, p, o) as a one-triple
+// transaction and reports whether it was present.
+func deleteTriple(g *Graph, s, p, o Term) bool {
+	tx := g.Begin()
+	defer tx.Commit()
+	return tx.Delete(s, p, o)
+}
+
+// deleteTripleIDs is deleteTriple for interned IDs.
+func deleteTripleIDs(g *Graph, s, p, o ID) bool {
+	tx := g.Begin()
+	defer tx.Commit()
+	return tx.deleteIDs(s, p, o)
 }

@@ -126,7 +126,7 @@ func TestResetNumericOfReusedID(t *testing.T) {
 // are still empty; a live graph with triples and a snapshot refuse it.
 func TestResetPanicsOnLiveGraphs(t *testing.T) {
 	live := NewGraph()
-	live.Add(IRI("http://ex/s"), IRI("http://ex/p"), Integer(1))
+	addTriple(live, IRI("http://ex/s"), IRI("http://ex/p"), Integer(1))
 	for name, g := range map[string]*Graph{"live": live, "snapshot": NewGraph().Snapshot()} {
 		func() {
 			defer func() {

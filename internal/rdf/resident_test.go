@@ -92,7 +92,7 @@ func TestGuardBulkCommitLeavesBase(t *testing.T) {
 		g := NewGraph()
 		if seeded {
 			seed := g.Intern(IRI("http://bench/seed"))
-			g.addIDs(seed, seed, seed)
+			addTripleIDs(g, seed, seed, seed)
 		}
 		biblioInto(g, 20000)
 		got := float64(heap()-before) / float64(g.Size())

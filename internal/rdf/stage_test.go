@@ -35,7 +35,7 @@ func stageAddGraph(t *testing.T, rng *rand.Rand) {
 	if rng.Intn(3) != 0 {
 		for range rng.Intn(40) {
 			s, p, o := term(), term(), term()
-			g.Add(s, p, o)
+			addTriple(g, s, p, o)
 			held[Triple{g.Intern(s), g.Intern(p), g.Intern(o)}] = struct{}{}
 		}
 	}
@@ -52,7 +52,7 @@ func stageAddGraph(t *testing.T, rng *rand.Rand) {
 	// Deletes leave the stage with tombstones or a smaller base.
 	stage.Match(0, 0, 0, func(tr Triple) bool {
 		if rng.Intn(5) == 0 {
-			stage.DeleteIDs(tr.S, tr.P, tr.O)
+			deleteTripleIDs(stage, tr.S, tr.P, tr.O)
 		}
 		return true
 	})
@@ -91,7 +91,7 @@ func stageAddGraph(t *testing.T, rng *rand.Rand) {
 
 	oracle := g.Stage()
 	for tr := range want {
-		oracle.addIDs(tr.S, tr.P, tr.O)
+		addTripleIDs(oracle, tr.S, tr.P, tr.O)
 	}
 	_, wantSum := digest(oracle)
 	if n, sum := digest(g); n != len(want) || sum != wantSum {
@@ -128,7 +128,7 @@ func stageAddGraph(t *testing.T, rng *rand.Rand) {
 // nothing.
 func TestAddGraphRefusesForeignDictionary(t *testing.T) {
 	g, other := NewGraph(), NewGraph()
-	other.Add(IRI("http://ex/s"), IRI("http://ex/p"), Integer(1))
+	addTriple(other, IRI("http://ex/s"), IRI("http://ex/p"), Integer(1))
 	tx := g.Begin()
 	func() {
 		defer func() {

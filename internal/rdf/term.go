@@ -164,15 +164,18 @@ func (t Typed) String() string {
 
 // Array is the RDF-with-Arrays extension: a numeric multidimensional
 // array attached as a value in a triple. Array terms are identified by
-// the identity of their base array — consolidation (§5.3) produces one
-// base per logical array.
+// the identity of their base array and the view over it — offset, shape
+// and strides — so a view and its transpose are two terms; consolidation
+// (§5.3) produces one base per logical array.
 type Array struct {
 	A *array.Array
 }
 
 func (Array) Kind() Kind { return KindArray }
 
-func (t Array) Key() string { return fmt.Sprintf("a:%p:%d:%v", t.A.Base, t.A.Offset, t.A.Shape) }
+func (t Array) Key() string {
+	return fmt.Sprintf("a:%p:%d:%v:%v", t.A.Base, t.A.Offset, t.A.Shape, t.A.Strides)
+}
 
 func (t Array) String() string { return t.A.String() }
 

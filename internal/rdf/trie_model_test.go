@@ -9,14 +9,15 @@ import (
 	"testing"
 )
 
-// The tries have one mutator (pmap.go) reached three ways: a bare
-// Add/Delete (tag 0, every node copied), a long transaction (almost
-// every node its own, edited in place) and short ones (a mix, plus
-// Abort). The model test drives all three, and a long transaction of
-// mostly adds, with the same random sequences and compares the graph
-// with a plain map after every step — once with the delta's default
-// cap, where these short sequences never leave the tries, and once with
-// a cap so low that publication keeps compacting them into a base,
+// The tries have one mutator (pmap.go) reached three ways: bare writes
+// (one transaction per triple, so every published node it touches is
+// copied), a long transaction (almost every node its own, edited in
+// place) and short ones (a mix, plus Abort). The model test drives all
+// three, and a long transaction of mostly adds, with the same random
+// sequences and compares the graph with a plain map after every step —
+// once with the delta's default cap, where these short sequences stay in
+// the tries past the first commit into an empty graph (a base), and once
+// with a cap so low that publication keeps compacting them into a base,
 // which later writes then delete from, and a transaction's adds go to
 // its log once its delta passes the cap.
 
@@ -119,8 +120,8 @@ func (m *trieModel) pin() {
 	m.pins = append(m.pins, pinned{m.g.Snapshot(), maps.Clone(m.committed)})
 }
 
-// apply adds or deletes tr through the open transaction, or bare when
-// there is none, checks the reported outcome, and compares every view
+// apply adds or deletes tr through the open transaction, or as a
+// one-triple transaction when there is none, checks the reported outcome, and compares every view
 // with its model.
 func (m *trieModel) apply(add bool, tr Triple) {
 	m.t.Helper()
@@ -136,11 +137,11 @@ func (m *trieModel) apply(add bool, tr Triple) {
 		m.tx.AddIDs(tr.S, tr.P, tr.O)
 		did = m.tx.Changed() != n
 	case add:
-		did = m.g.addIDs(tr.S, tr.P, tr.O)
+		did = addTripleIDs(m.g, tr.S, tr.P, tr.O)
 	case m.tx != nil:
 		did = m.tx.Delete(m.g.TermOf(tr.S), m.g.TermOf(tr.P), m.g.TermOf(tr.O))
 	default:
-		did = m.g.DeleteIDs(tr.S, tr.P, tr.O)
+		did = deleteTripleIDs(m.g, tr.S, tr.P, tr.O)
 	}
 	if did != (had != add) {
 		m.t.Fatalf("add=%v %v reported %v with the triple present=%v", add, tr, did, had)

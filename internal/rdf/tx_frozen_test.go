@@ -150,7 +150,7 @@ func snapshotsFrozenUnderTx(t *testing.T) {
 // pos[p], whose sets here have one subject each — members that live in
 // the slots of nodes the snapshot shares with the writer's next states.
 // The writer gives every object a second subject and takes it away
-// again, through committed and aborted transactions and bare writes,
+// again, through committed and aborted transactions and one-triple ones,
 // while readers keep re-scanning snapshots pinned at every stage.
 func TestPredicateScanFrozenWhileSetsGrow(t *testing.T) {
 	const objects = 200
@@ -184,7 +184,7 @@ func TestPredicateScanFrozenWhileSetsGrow(t *testing.T) {
 
 	take(objects)
 	for round := 0; round < 8; round++ {
-		// One member to two: in one transaction, or one bare write each.
+		// One member to two: in one transaction, or one transaction each.
 		tx := g.Begin()
 		for i, o := range objs {
 			if i%2 == round%2 {
@@ -200,14 +200,14 @@ func TestPredicateScanFrozenWhileSetsGrow(t *testing.T) {
 		take(objects + objects/2)
 		for i, o := range objs {
 			if i%2 != round%2 {
-				g.addIDs(extra, p, o)
+				addTripleIDs(g, extra, p, o)
 			}
 		}
 		take(2 * objects)
 		// And back to one, the other way round.
 		for i, o := range objs {
 			if i%2 == round%2 {
-				g.DeleteIDs(extra, p, o)
+				deleteTripleIDs(g, extra, p, o)
 			}
 		}
 		take(objects + objects/2)
@@ -270,10 +270,10 @@ func TestAbortLeavesStateUntouched(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		ids = append(ids, g.Intern(Integer(int64(i))))
 	}
-	// Some nodes from bare adds (tag 0), some from a committed
-	// transaction (a dead tag).
+	// Some nodes from one-triple transactions, some from a larger
+	// committed one (dead tags all).
 	for i := 0; i < 300; i++ {
-		g.addIDs(ids[i%20], ids[i%5], ids[i])
+		addTripleIDs(g, ids[i%20], ids[i%5], ids[i])
 	}
 	tx := g.Begin()
 	for i := 0; i < 300; i++ {

@@ -26,16 +26,16 @@ func TestSaveLoadAllValueTypes(t *testing.T) {
 	g := rdf.NewGraph()
 	s := rdf.IRI("http://ex/s")
 	a, _ := array.FromFloats([]float64{1, 2, 3, 4}, 2, 2)
-	g.Add(s, rdf.IRI("http://ex/iri"), rdf.IRI("http://ex/o"))
-	g.Add(s, rdf.IRI("http://ex/blank"), rdf.Blank("b1"))
-	g.Add(s, rdf.IRI("http://ex/str"), rdf.String{Val: "hej", Lang: "sv"})
-	g.Add(s, rdf.IRI("http://ex/int"), rdf.Integer(-5))
-	g.Add(s, rdf.IRI("http://ex/float"), rdf.Float(2.5))
-	g.Add(s, rdf.IRI("http://ex/bool"), rdf.Boolean(true))
-	g.Add(s, rdf.IRI("http://ex/when"), rdf.DateTime{T: time.Date(2026, 7, 4, 1, 2, 3, 0, time.UTC)})
-	g.Add(s, rdf.IRI("http://ex/typed"), rdf.Typed{Lexical: "x", Datatype: rdf.IRI("http://dt")})
-	g.Add(s, rdf.IRI("http://ex/arr"), rdf.NewArray(a))
-	g.Add(rdf.Blank("sub"), rdf.IRI("http://ex/int"), rdf.Integer(1))
+	addTriple(g, s, rdf.IRI("http://ex/iri"), rdf.IRI("http://ex/o"))
+	addTriple(g, s, rdf.IRI("http://ex/blank"), rdf.Blank("b1"))
+	addTriple(g, s, rdf.IRI("http://ex/str"), rdf.String{Val: "hej", Lang: "sv"})
+	addTriple(g, s, rdf.IRI("http://ex/int"), rdf.Integer(-5))
+	addTriple(g, s, rdf.IRI("http://ex/float"), rdf.Float(2.5))
+	addTriple(g, s, rdf.IRI("http://ex/bool"), rdf.Boolean(true))
+	addTriple(g, s, rdf.IRI("http://ex/when"), rdf.DateTime{T: time.Date(2026, 7, 4, 1, 2, 3, 0, time.UTC)})
+	addTriple(g, s, rdf.IRI("http://ex/typed"), rdf.Typed{Lexical: "x", Datatype: rdf.IRI("http://dt")})
+	addTriple(g, s, rdf.IRI("http://ex/arr"), rdf.NewArray(a))
+	addTriple(g, rdf.Blank("sub"), rdf.IRI("http://ex/int"), rdf.Integer(1))
 
 	n, err := st.SaveGraph(g, 2)
 	if err != nil {
@@ -135,7 +135,7 @@ func TestAlreadyProxiedArraysKeepTheirID(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := rdf.NewGraph()
-	g.Add(rdf.IRI("http://ex/s"), rdf.IRI("http://ex/d"), rdf.NewArray(proxied))
+	addTriple(g, rdf.IRI("http://ex/s"), rdf.IRI("http://ex/d"), rdf.NewArray(proxied))
 	if _, err := st.SaveGraph(g, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -152,4 +152,11 @@ func TestNodeKeyErrors(t *testing.T) {
 	if _, err := nodeFromKey("garbage"); err == nil {
 		t.Fatal("corrupt key should fail")
 	}
+}
+
+// addTriple commits (s, p, o) to g as a one-triple transaction.
+func addTriple(g *rdf.Graph, s, p, o rdf.Term) {
+	tx := g.Begin()
+	tx.Add(s, p, o)
+	tx.Commit()
 }

@@ -127,7 +127,7 @@ func TestWireResourceLimit(t *testing.T) {
 // connection and on new ones.
 func TestForeignPanicIsolated(t *testing.T) {
 	db := core.Open()
-	db.Dataset.Default.Add(rdf.IRI("http://ex/s"), rdf.IRI("http://ex/p"), rdf.Integer(1))
+	addTriple(db.Dataset.Default, rdf.IRI("http://ex/s"), rdf.IRI("http://ex/p"), rdf.Integer(1))
 	db.RegisterForeign("boom", 1, 1, func(args []rdf.Term) (rdf.Term, error) {
 		panic("deliberate test panic")
 	})
@@ -227,7 +227,7 @@ func TestTriplesAllOrNothing(t *testing.T) {
 	present := []rdf.Term{s, p, rdf.Float(math.NaN())}
 	fresh := []rdf.Term{rdf.Blank("b"), p, rdf.Integer(1)}
 	db := core.Open()
-	db.Dataset.Default.Add(present[0], present[1], present[2])
+	addTriple(db.Dataset.Default, present[0], present[1], present[2])
 	srv := New(db)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -333,7 +333,7 @@ func startGuardedServer(t *testing.T, opts core.Options, n int) func() *ssdmclie
 	t.Helper()
 	db := core.OpenWith(opts)
 	for i := 0; i < n; i++ {
-		db.Dataset.Default.Add(rdf.IRI(fmt.Sprintf("http://ex/s%d", i)), rdf.IRI("http://ex/p"), rdf.Integer(i))
+		addTriple(db.Dataset.Default, rdf.IRI(fmt.Sprintf("http://ex/s%d", i)), rdf.IRI("http://ex/p"), rdf.Integer(i))
 	}
 	srv := New(db)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -524,4 +524,11 @@ func TestScanGuards(t *testing.T) {
 	if resp := srv.handle(&protocol.Request{Op: protocol.OpScan, Rows: good}); !resp.OK {
 		t.Errorf("scan with a good pattern = %+v", resp)
 	}
+}
+
+// addTriple commits (s, p, o) to g as a one-triple transaction.
+func addTriple(g *rdf.Graph, s, p, o rdf.Term) {
+	tx := g.Begin()
+	tx.Add(s, p, o)
+	tx.Commit()
 }

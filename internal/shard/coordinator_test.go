@@ -345,11 +345,11 @@ ex:m3 ex:author [ ex:name "Ed" ; ex:data ((1 2) (3 4)) ] .`, ""); err != nil {
 	}
 	ints, _ := array.FromInts([]int64{7, 8, 9}, 3)
 	floats, _ := array.FromFloats([]float64{math.NaN(), -0.5, math.Inf(-1), 1e-300}, 2, 2)
-	if err := node.AddArrayTriple(rdf.IRI("http://ex/r1"), "http://ex/result", ints); err != nil {
-		t.Fatalf("AddArrayTriple: %v", err)
+	if _, err := node.WriteTriples(context.Background(), [][]rdf.Term{{rdf.IRI("http://ex/r1"), rdf.IRI("http://ex/result"), rdf.NewArray(ints)}}, false); err != nil {
+		t.Fatalf("WriteTriples: %v", err)
 	}
-	if err := node.AddArrayTriple(rdf.Blank("r2"), "http://ex/result", floats); err != nil {
-		t.Fatalf("AddArrayTriple: %v", err)
+	if _, err := node.WriteTriples(context.Background(), [][]rdf.Term{{rdf.Blank("r2"), rdf.IRI("http://ex/result"), rdf.NewArray(floats)}}, false); err != nil {
+		t.Fatalf("WriteTriples: %v", err)
 	}
 
 	// The triples op, sent to a server in front of the node.
@@ -392,13 +392,13 @@ ex:m3 ex:author [ ex:name "Ed" ; ex:data ((1 2) (3 4)) ] .`, ""); err != nil {
 }
 
 // TestRoutedInsertKeepsFractionalSeconds: every way a write enters a
-// node — INSERT DATA, DELETE DATA, a Turtle load, AddArrayTriple and the
+// node — INSERT DATA, DELETE DATA, a Turtle load, a one-row WriteTriples and the
 // triples op over the wire — leaves a coordinator's shards holding what
 // a single node holds after the same writes, up to blank labels, over
 // 1, 2 and 4 local or remote shards. Routed as Turtle text, a dateTime
 // lost its fractional seconds, a NaN or a control character failed the
 // statement, blank nodes split or merged across shards, an array on a
-// blank subject could not be routed and AddArrayTriple wrote to the
+// blank subject could not be routed and a one-row array write went to the
 // coordinator's own graph, which no query reads.
 func TestRoutedInsertKeepsFractionalSeconds(t *testing.T) {
 	single := core.Open()

@@ -169,10 +169,10 @@ func TestRemoteScanGroundTermsMatchLocal(t *testing.T) {
 	for i, o := range []rdf.Term{stamp, quote, typed, rdf.Integer(-42), rdf.Float(1e-7), rdf.Boolean(true),
 		rdf.DateTime{T: stamp.T.Truncate(time.Second)}, rdf.String{Val: quote.Val}, rdf.Integer(42), rdf.Boolean(false),
 		rdf.Float(math.NaN()), rdf.Float(math.Inf(1))} {
-		g.Add(rdf.IRI(fmt.Sprintf("http://ex/s%d", i)), p, o)
+		addTriple(g, rdf.IRI(fmt.Sprintf("http://ex/s%d", i)), p, o)
 	}
-	g.Add(rdf.Blank("b7"), q, doc)
-	g.Add(doc, q, rdf.Blank("b7"))
+	addTriple(g, rdf.Blank("b7"), q, doc)
+	addTriple(g, doc, q, rdf.Blank("b7"))
 
 	for _, tc := range []struct {
 		name    string
@@ -252,7 +252,7 @@ func TestRemoteScanEveryKindEveryMask(t *testing.T) {
 			s = rdf.Blank(fmt.Sprintf("s%d", i))
 		}
 		tr := [3]rdf.Term{s, rdf.IRI(fmt.Sprintf("http://ex/p%d", i%3)), o}
-		g.Add(tr[0], tr[1], tr[2])
+		addTriple(g, tr[0], tr[1], tr[2])
 		triples = append(triples, tr)
 	}
 	key := func(t rdf.Term) string {
@@ -338,4 +338,11 @@ func TestScanRefusedByCoordinator(t *testing.T) {
 	if !errors.Is(err, core.ErrShardUnavailable) || !strings.Contains(err.Error(), addr) {
 		t.Fatalf("gather over a coordinator = %v, want ErrShardUnavailable naming %s", err, addr)
 	}
+}
+
+// addTriple commits (s, p, o) to g as a one-triple transaction.
+func addTriple(g *rdf.Graph, s, p, o rdf.Term) {
+	tx := g.Begin()
+	tx.Add(s, p, o)
+	tx.Commit()
 }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -161,10 +162,10 @@ func TestRestoreRoutesKeepEveryKind(t *testing.T) {
 		dir := t.TempDir()
 		src := durable(t, dir, b)
 		routedWrites(t, src)
-		if err := src.AddArrayTriple(rdf.IRI("http://ex/strided"), "http://ex/result", strided); err != nil {
+		if _, err := src.WriteTriples(context.Background(), [][]rdf.Term{{rdf.IRI("http://ex/strided"), rdf.IRI("http://ex/result"), rdf.NewArray(strided)}}, false); err != nil {
 			t.Fatal(err)
 		}
-		if err := src.AddArrayTriple(rdf.Blank("r3"), "http://ex/result", floats); err != nil {
+		if _, err := src.WriteTriples(context.Background(), [][]rdf.Term{{rdf.Blank("r3"), rdf.IRI("http://ex/result"), rdf.NewArray(floats)}}, false); err != nil {
 			t.Fatal(err)
 		}
 		if c.compact {

@@ -63,8 +63,8 @@ func TestBadUCHAREscapes(t *testing.T) {
 func TestControlCharRoundTrip(t *testing.T) {
 	g := rdf.NewGraph()
 	nasty := "ctl:\x01\x02 bell:\x07 tab:\t nl:\n del:\x7F fin"
-	g.Add(rdf.IRI("http://ex/s"), rdf.IRI("http://ex/p"), rdf.String{Val: nasty})
-	g.Add(rdf.IRI("http://ex/s"), rdf.IRI("http://ex/q"),
+	addTriple(g, rdf.IRI("http://ex/s"), rdf.IRI("http://ex/p"), rdf.String{Val: nasty})
+	addTriple(g, rdf.IRI("http://ex/s"), rdf.IRI("http://ex/q"),
 		rdf.Typed{Lexical: "v\x0B", Datatype: rdf.IRI("http://ex/dt")})
 
 	t.Run("turtle", func(t *testing.T) {
@@ -100,7 +100,7 @@ func TestControlCharRoundTrip(t *testing.T) {
 func TestIRIEscapeRoundTrip(t *testing.T) {
 	g := rdf.NewGraph()
 	iri := rdf.IRI("http://ex/with space/and<angle>")
-	g.Add(iri, rdf.IRI("http://ex/p"), rdf.Integer(1))
+	addTriple(g, iri, rdf.IRI("http://ex/p"), rdf.Integer(1))
 	var sb strings.Builder
 	if err := Write(&sb, g, nil); err != nil {
 		t.Fatalf("write: %v", err)

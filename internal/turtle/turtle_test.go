@@ -202,7 +202,7 @@ func TestWriterRoundTrip(t *testing.T) {
 func TestWriterNonFiniteDoubles(t *testing.T) {
 	g := rdf.NewGraph()
 	for i, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1.5} {
-		g.Add(rdf.IRI(fmt.Sprintf("http://ex/s%d", i)), rdf.IRI("http://ex/p"), rdf.Float(f))
+		addTriple(g, rdf.IRI(fmt.Sprintf("http://ex/s%d", i)), rdf.IRI("http://ex/p"), rdf.Float(f))
 	}
 	var sb strings.Builder
 	if err := Write(&sb, g, nil); err != nil {
@@ -234,7 +234,7 @@ func TestWriterKeepsFractionalSeconds(t *testing.T) {
 	} {
 		o := rdf.DateTime{T: tm}
 		g := rdf.NewGraph()
-		g.Add(s, p, o)
+		addTriple(g, s, p, o)
 		for name, write := range map[string]func(*strings.Builder) error{
 			"turtle": func(sb *strings.Builder) error { return Write(sb, g, nil) },
 		} {
@@ -260,7 +260,7 @@ func TestWriterKeepsFractionalSeconds(t *testing.T) {
 func TestWriterRendersArraysAsCollections(t *testing.T) {
 	g := rdf.NewGraph()
 	a, _ := array.FromInts([]int64{1, 2, 3, 4}, 2, 2)
-	g.Add(rdf.IRI("http://ex/s"), rdf.IRI("http://ex/p"), rdf.NewArray(a))
+	addTriple(g, rdf.IRI("http://ex/s"), rdf.IRI("http://ex/p"), rdf.NewArray(a))
 	var sb strings.Builder
 	if err := Write(&sb, g, nil); err != nil {
 		t.Fatal(err)
@@ -308,7 +308,7 @@ func TestWriteParseRoundTripProperty(t *testing.T) {
 			default:
 				o = rdf.Boolean(raw[i+2]%2 == 0)
 			}
-			g.Add(s, p, o)
+			addTriple(g, s, p, o)
 		}
 		var sb strings.Builder
 		if err := Write(&sb, g, map[string]string{"ex": "http://ex/"}); err != nil {
@@ -350,10 +350,10 @@ func TestWriteReadRoundTripGenerated(t *testing.T) {
 		}
 		g := rdf.NewGraph()
 		for _, tp := range st.(*sparql.InsertData).Triples {
-			g.Add(tp.S.Term, tp.Path.(sparql.PathIRI).IRI, tp.O.Term)
+			addTriple(g, tp.S.Term, tp.Path.(sparql.PathIRI).IRI, tp.O.Term)
 		}
 		for _, local := range []string{"x.y", "end.", "1a", "-a", ""} {
-			g.Add(rdf.IRI("http://ex/"+local), rdf.IRI("http://ex/p."+local), rdf.IRI("http://ex/s0"))
+			addTriple(g, rdf.IRI("http://ex/"+local), rdf.IRI("http://ex/p."+local), rdf.IRI("http://ex/s0"))
 		}
 		for name, write := range map[string]func(*strings.Builder) error{
 			"turtle":          func(sb *strings.Builder) error { return Write(sb, g, nil) },
@@ -392,4 +392,11 @@ func splitByBlanks(g *rdf.Graph) (ground []string, blank int) {
 	})
 	sort.Strings(ground)
 	return ground, blank
+}
+
+// addTriple commits (s, p, o) to g as a one-triple transaction.
+func addTriple(g *rdf.Graph, s, p, o rdf.Term) {
+	tx := g.Begin()
+	tx.Add(s, p, o)
+	tx.Commit()
 }

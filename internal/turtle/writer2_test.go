@@ -13,7 +13,7 @@ import (
 func TestWriterFloatArrayRendering(t *testing.T) {
 	g := rdf.NewGraph()
 	a, _ := array.FromFloats([]float64{1.5, 2, 3.25}, 3)
-	g.Add(rdf.IRI("http://ex/s"), rdf.IRI("http://ex/p"), rdf.NewArray(a))
+	addTriple(g, rdf.IRI("http://ex/s"), rdf.IRI("http://ex/p"), rdf.NewArray(a))
 	var sb strings.Builder
 	if err := Write(&sb, g, nil); err != nil {
 		t.Fatal(err)
@@ -31,8 +31,8 @@ func TestWriterFloatArrayRendering(t *testing.T) {
 func TestWriterDateTimeAndTypedRoundTrip(t *testing.T) {
 	g := rdf.NewGraph()
 	s := rdf.IRI("http://ex/s")
-	g.Add(s, rdf.IRI("http://ex/when"), rdf.DateTime{T: time.Date(2026, 7, 4, 10, 0, 0, 0, time.UTC)})
-	g.Add(s, rdf.IRI("http://ex/raw"), rdf.Typed{Lexical: "payload", Datatype: rdf.IRI("http://ex/custom")})
+	addTriple(g, s, rdf.IRI("http://ex/when"), rdf.DateTime{T: time.Date(2026, 7, 4, 10, 0, 0, 0, time.UTC)})
+	addTriple(g, s, rdf.IRI("http://ex/raw"), rdf.Typed{Lexical: "payload", Datatype: rdf.IRI("http://ex/custom")})
 	var sb strings.Builder
 	if err := Write(&sb, g, nil); err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestWriterDateTimeAndTypedRoundTrip(t *testing.T) {
 func TestWriterUnsafeLocalNamesStayFullIRIs(t *testing.T) {
 	g := rdf.NewGraph()
 	// Local part contains '.', which our prefix abbreviation refuses.
-	g.Add(rdf.IRI("http://ex/a.b"), rdf.IRI("http://ex/p"), rdf.Integer(1))
+	addTriple(g, rdf.IRI("http://ex/a.b"), rdf.IRI("http://ex/p"), rdf.Integer(1))
 	var sb strings.Builder
 	if err := Write(&sb, g, map[string]string{"ex": "http://ex/"}); err != nil {
 		t.Fatal(err)
@@ -76,7 +76,7 @@ func TestWriterUnsafeLocalNamesStayFullIRIs(t *testing.T) {
 func TestWriterBlankNodeSubjects(t *testing.T) {
 	g := rdf.NewGraph()
 	b := g.NewBlank()
-	g.Add(b, rdf.IRI("http://ex/p"), rdf.String{Val: "v"})
+	addTriple(g, b, rdf.IRI("http://ex/p"), rdf.String{Val: "v"})
 	var sb strings.Builder
 	if err := Write(&sb, g, nil); err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestWriterBlankNodeSubjects(t *testing.T) {
 
 func TestWriterRDFTypeAbbreviatedAsA(t *testing.T) {
 	g := rdf.NewGraph()
-	g.Add(rdf.IRI("http://ex/s"), rdf.RDFType, rdf.IRI("http://ex/T"))
+	addTriple(g, rdf.IRI("http://ex/s"), rdf.RDFType, rdf.IRI("http://ex/T"))
 	var sb strings.Builder
 	if err := Write(&sb, g, nil); err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestWriterRDFTypeAbbreviatedAsA(t *testing.T) {
 
 func TestWriterEscapesStrings(t *testing.T) {
 	g := rdf.NewGraph()
-	g.Add(rdf.IRI("http://ex/s"), rdf.IRI("http://ex/p"), rdf.String{Val: "line\n\"quoted\""})
+	addTriple(g, rdf.IRI("http://ex/s"), rdf.IRI("http://ex/p"), rdf.String{Val: "line\n\"quoted\""})
 	var sb strings.Builder
 	if err := Write(&sb, g, nil); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package scisparql
 
 import (
+	"context"
 	"testing"
 )
 
@@ -28,7 +29,9 @@ func TestPublicArrayConstruction(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := Open()
-	db.Dataset.Default.Add(IRI("http://ex/s"), IRI("http://ex/p"), NewArrayTerm(a))
+	if _, err := db.WriteTriples(context.Background(), [][]Term{{IRI("http://ex/s"), IRI("http://ex/p"), NewArrayTerm(a)}}, false); err != nil {
+		t.Fatal(err)
+	}
 	res, err := db.Query(`SELECT (?a[2,2] AS ?v) WHERE { <http://ex/s> <http://ex/p> ?a }`)
 	if err != nil {
 		t.Fatal(err)
