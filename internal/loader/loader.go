@@ -307,9 +307,14 @@ func DropProxyCaches(g *rdf.Graph) int {
 // rewritten in one transaction. It returns the number of datasets
 // consolidated.
 func ConsolidateDataCube(g *rdf.Graph) (int, error) {
-	datasets := map[string]rdf.Term{}
+	// The datasets in the order Match yields them, so that the labels a
+	// load mints do not depend on map order.
+	var datasets []rdf.Term
+	seen := map[string]bool{}
 	g.MatchTerms(nil, rdf.QBDataSetProp, nil, func(_, _, ds rdf.Term) bool {
-		datasets[ds.Key()] = ds
+		if k := ds.Key(); !seen[k] {
+			seen[k], datasets = true, append(datasets, ds)
+		}
 		return true
 	})
 	var rw rewrite

@@ -370,6 +370,36 @@ func TestConsolidateDataCube(t *testing.T) {
 	}
 }
 
+// TestDataCubeLabelsReproducible: a document with two datasets
+// consolidates to the same triples, blank labels included, on every
+// load: the datasets are taken in the order the graph yields them, so
+// the labels minted for their dimension nodes do not depend on map
+// order. 20 loads print byte-identical Triples output.
+func TestDataCubeLabelsReproducible(t *testing.T) {
+	doc := cubeTTL + `
+ex:ds2 a qb:DataSet ; qb:structure ex:dsd .
+ex:q1 qb:dataSet ex:ds2 ; ex:year 2012 ; ex:region "east" ; ex:population 300 .
+ex:q2 qb:dataSet ex:ds2 ; ex:year 2013 ; ex:region "west" ; ex:population 310 .
+`
+	var first string
+	for load := range 20 {
+		g := parseTTL(t, doc)
+		if n, err := ConsolidateDataCube(g); err != nil || n != 2 {
+			t.Fatalf("load %d: consolidated %d datasets, %v", load, n, err)
+		}
+		var out strings.Builder
+		g.Triples(func(s, p, o rdf.Term) bool {
+			fmt.Fprintf(&out, "%s %s %s .\n", s, p, o)
+			return true
+		})
+		if load == 0 {
+			first = out.String()
+		} else if out.String() != first {
+			t.Fatalf("load %d prints other triples than load 0:\n%s\nwant:\n%s", load, out.String(), first)
+		}
+	}
+}
+
 func TestDataCubeNumericDictionary(t *testing.T) {
 	g := parseTTL(t, cubeTTL)
 	if _, err := ConsolidateDataCube(g); err != nil {

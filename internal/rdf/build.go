@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"sync/atomic"
 )
 
 // Build fills an empty graph with a batch of interned (non-zero) IDs,
@@ -24,19 +25,35 @@ func (g *Graph) Build(ts []Triple) {
 	if len(ts) == 0 {
 		return
 	}
-	// The base's rows go into the array Reset kept when it fits; its last
-	// third sorts the batch before the duplicates go.
-	m, b := len(ts), g.spare
-	if g.spare = nil; b == nil || cap(b.rows) < 3*m {
-		b = &base{rows: make([]Triple, 3*m)}
+	// The base goes into the arrays Reset kept, where they fit, and sorts
+	// in the graph's own buffer, or sortSlot's, or a new one.
+	b, tmp := g.spare, g.sortBuf
+	if g.spare, g.sortBuf = nil, nil; b == nil {
+		b = new(base)
 	}
-	ts = sortedSet(ts, b.rows[2*m:3*m])
-	b.fill(ts)
-	g.publish(&graphState{base: b, size: len(ts), sealed: true})
+	if tmp == nil {
+		if tmp = sortSlot.Swap(nil); tmp == nil {
+			tmp = new([]Triple)
+		}
+	}
+	*tmp = grow(*tmp, len(ts))
+	b.fill(sortedSet(ts, *tmp), *tmp)
+	if len(*tmp) <= maxScratch && !sortSlot.CompareAndSwap(nil, tmp) {
+		g.sortBuf = tmp
+	}
+	g.publish(&graphState{base: b, size: len(b.pairs) / 3, sealed: true})
 }
 
+// sortSlot holds a sort buffer of up to maxScratch rows for the next
+// Build. A Build puts its buffer back there, or keeps it with its graph
+// when the slot is full, so Builds on one goroutine share one buffer,
+// concurrent ones each come to keep their own, and no collection empties
+// either, as one would a sync.Pool.
+var sortSlot atomic.Pointer[[]Triple]
+
 // maxScratch bounds, in rows or terms, what Reset keeps for the next
-// Build; the shard and protocol packages' pools share the bound.
+// Build and what a sort buffer holds; the shard and protocol packages'
+// pools share the bound.
 const maxScratch = 1 << 16
 
 // Reset empties a graph Build filled, or one still empty, for the next
@@ -51,7 +68,7 @@ func (g *Graph) Reset() {
 	}
 	g.wmu.Lock()
 	defer g.wmu.Unlock()
-	if st := g.cur(); st.sealed && cap(st.base.rows) <= 3*maxScratch {
+	if st := g.cur(); st.sealed && cap(st.base.pairs) <= 3*maxScratch {
 		g.spare = st.base
 	}
 	g.dict.reset()
@@ -172,150 +189,150 @@ func before(a, b Triple, n int) bool {
 	return trieLess(x, y)
 }
 
-// search returns the index of the first row of run that does not sort
-// before key on the first n components or, with past, of the first row
-// key sorts before. It gallops: the answer is sought in a window at the
-// start of run, widened fourfold until the row at its end is past it,
-// so an answer a few rows in costs a few steps, not a search of the
-// whole run.
-func search(run []Triple, key Triple, n int, past bool) int {
-	lo, hi := 0, 4
-	for ; hi < len(run); lo, hi = hi+1, hi*4 {
-		if a, b := order(run[hi], key, past); before(a, b, n) == past {
-			break
-		}
-	}
-	for hi = min(hi, len(run)); lo < hi; {
-		m := int(uint(lo+hi) >> 1)
-		if a, b := order(run[m], key, past); before(a, b, n) != past {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo
-}
-
-// order puts a row and search's key in the order search compares them:
-// the row lies before the answer when the first sorts before the second
-// (past false), or does not (past true).
-func order(row, key Triple, past bool) (Triple, Triple) {
-	if past {
-		return key, row
-	}
-	return row, key
-}
-
 // base is the immutable part of a graph's triples: the three
-// permutations as runs of one array, each row turned to lead with its
-// run's key — SPO as (s, p, o), POS as (p, o, s), OSP as (o, s, p) —
-// and sorted in trie order, so a base enumerates every pattern in the
-// order the delta's tries do. It holds no pointer the collector must
-// follow past its slice headers.
+// permutations, each triple turned to lead with its run's key — SPO as
+// (s, p, o), POS as (p, o, s), OSP as (o, s, p) — and sorted in trie
+// order, so a base enumerates every pattern in the order the delta's
+// tries do. A run is stored in compressed sparse row form: its rows'
+// two trailing IDs, and a directory of its distinct leading IDs, each
+// with its first row. It holds no pointer the collector must follow
+// past its slice headers.
 type base struct {
-	rows []Triple
-	// lead[k][id] is one more than the row of run k where the rows led by
-	// id start, 0 when there are none. It covers IDs up to the number of
-	// rows (dictionary IDs are dense from 1); a key past its end is
-	// searched for. The three share one array, lead[0]'s.
+	// pairs holds the three runs' rows without their keys, n pairs each:
+	// SPO's, then POS's, then OSP's.
+	pairs []pair
+	// keys[k] is run k's directory: its distinct leading IDs in trie
+	// order. The rows keys[k][d] leads are starts[k][d] up to
+	// starts[k][d+1], whose last entry is n.
+	keys   [3][]ID
+	starts [3][]uint32
+	// lead[k][id] is one more than id's index in keys[k], 0 when id leads
+	// no row. It covers IDs up to n (dictionary IDs are dense from 1); a
+	// key past its end is searched for in keys[k].
 	lead [3][]uint32
-	// preds holds, in trie order of p, each predicate's numbers of
-	// distinct subjects and objects.
+	// preds[d] holds the numbers of distinct subjects and objects of the
+	// predicate keys[1][d].
 	preds []predStats
 }
 
-type predStats struct {
-	p                 ID
-	subjects, objects int32
-}
+// pair is a base row without its key.
+type pair [2]ID
+
+type predStats struct{ subjects, objects int32 }
 
 // run returns permutation k's rows: 0 SPO, 1 POS, 2 OSP.
-func (b *base) run(k int) []Triple {
-	n := len(b.rows) / 3
-	return b.rows[k*n : (k+1)*n : (k+1)*n]
+func (b *base) run(k int) []pair {
+	n := len(b.pairs) / 3
+	return b.pairs[k*n : (k+1)*n : (k+1)*n]
+}
+
+// rowsOf returns the rows of run k that its d-th key leads.
+func (b *base) rowsOf(k, d int) []pair {
+	return b.run(k)[b.starts[k][d]:b.starts[k][d+1]]
+}
+
+// grow returns s with n elements, in a new array when s has not room.
+func grow[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, n)
+	}
+	return s[:n]
 }
 
 // fill lays ts — sorted in trie order, without duplicates — out as the
-// base, in the rows array it has (of capacity 3·len(ts) or more), and
-// indexes it. ts is its scratch: its contents are unspecified afterwards.
-func (b *base) fill(ts []Triple) {
+// base in the arrays it has, new ones where they are short, and indexes
+// it. tmp (len(ts) triples) is the sort buffer; the contents of ts and
+// tmp are unspecified afterwards.
+func (b *base) fill(ts, tmp []Triple) {
 	n := len(ts)
-	b.rows = b.rows[:3*n]
-	pos := b.rows[n : 2*n] // the sort buffer until its own rows are copied in
-	copy(b.rows, ts)
-	turnLast(ts, pos)
-	copy(b.rows[2*n:], ts)
-	turnLast(ts, pos)
-	copy(pos, ts)
-	b.index()
-}
-
-// index builds lead and preds over the rows.
-func (b *base) index() {
-	n := len(b.rows) / 3
-	var size [3]int
-	for _, t := range b.rows[:n] {
-		size = [3]int{max(size[0], int(t.S)), max(size[1], int(t.P)), max(size[2], int(t.O))}
-	}
-	for k := range size {
-		size[k] = min(size[k], n) + 1
-	}
-	ids := append(b.lead[0][:0], make([]uint32, size[0]+size[1]+size[2])...)
-	for k, from := 0, 0; k < 3; k++ {
-		idx, run := ids[from:from+size[k]], b.run(k)
-		for i, t := range run {
-			if int(t.S) < len(idx) && (i == 0 || t.S != run[i-1].S) {
-				idx[t.S] = uint32(i + 1)
+	b.pairs = grow(b.pairs, 3*n)
+	for i, k := range [3]int{0, 2, 1} { // turnLast takes SPO to OSP, OSP to POS
+		if i != 0 {
+			turnLast(ts, tmp)
+		}
+		keys, top := 0, ID(0)
+		for r, t := range ts {
+			if r == 0 || t.S != ts[r-1].S {
+				keys, top = keys+1, max(top, t.S)
 			}
 		}
-		b.lead[k], from = idx, from+size[k]
+		b.keys[k], b.starts[k] = grow(b.keys[k], keys)[:0], grow(b.starts[k], keys+1)[:0]
+		b.lead[k] = grow(b.lead[k], min(int(top), n)+1)
+		clear(b.lead[k])
+		run := b.run(k)
+		for r, t := range ts {
+			if r == 0 || t.S != ts[r-1].S {
+				if int(t.S) < len(b.lead[k]) {
+					b.lead[k][t.S] = uint32(len(b.keys[k]) + 1)
+				}
+				b.keys[k], b.starts[k] = append(b.keys[k], t.S), append(b.starts[k], uint32(r))
+			}
+			run[r] = pair{t.P, t.O}
+		}
+		b.starts[k] = append(b.starts[k], uint32(n))
 	}
 
-	b.preds = b.preds[:0]
-	pos := b.run(1)
-	for i, t := range pos {
-		if i == 0 || t.S != pos[i-1].S {
-			b.preds = append(b.preds, predStats{p: t.S})
+	b.preds = grow(b.preds, len(b.keys[1]))
+	for d := range b.keys[1] {
+		e, rows := predStats{}, b.rowsOf(1, d)
+		for r := range rows {
+			if r == 0 || rows[r][0] != rows[r-1][0] {
+				e.objects++
+			}
 		}
-		if i == 0 || t.S != pos[i-1].S || t.P != pos[i-1].P {
-			b.preds[len(b.preds)-1].objects++
-		}
+		b.preds[d] = e
 	}
-	spo := b.run(0)
-	for i, t := range spo {
-		if i == 0 || t.S != spo[i-1].S || t.P != spo[i-1].P {
-			b.pred(t.P).subjects++
+	for d := range b.keys[0] {
+		rows := b.rowsOf(0, d)
+		for r := range rows {
+			if r == 0 || rows[r][0] != rows[r-1][0] {
+				b.preds[b.find(1, rows[r][0])].subjects++
+			}
 		}
 	}
 }
 
-// pred returns p's entry in preds, nil when p leads no triple.
-func (b *base) pred(p ID) *predStats {
-	i := sort.Search(len(b.preds), func(i int) bool { return !trieLess(b.preds[i].p, p) })
-	if i == len(b.preds) || b.preds[i].p != p {
-		return nil
+// find returns id's index in run k's directory, -1 when id leads no row.
+func (b *base) find(k int, id ID) int {
+	if lead := b.lead[k]; int(id) < len(lead) {
+		return int(lead[id]) - 1
 	}
-	return &b.preds[i]
+	keys := b.keys[k]
+	d := sort.Search(len(keys), func(i int) bool { return !trieLess(keys[i], id) })
+	if d == len(keys) || keys[d] != id {
+		return -1
+	}
+	return d
 }
 
-// span returns the rows of run k (perm) whose first n components are
-// key's.
-func (b *base) span(k int, key Triple, n int) []Triple {
-	run := b.run(k)
+// span returns the rows of run k whose first n components are key's:
+// rows lo up to hi, led by the run's d-th key (by every key from the
+// first on when n is 0).
+func (b *base) span(k int, key Triple, n int) (d, lo, hi int) {
 	if n == 0 {
-		return run
+		return 0, 0, len(b.pairs) / 3
 	}
-	if idx := b.lead[k]; int(key.S) < len(idx) {
-		if idx[key.S] == 0 {
-			return nil
-		}
-		run = run[idx[key.S]-1:]
+	if d = b.find(k, key.S); d < 0 {
+		return 0, 0, 0
 	}
-	lo := search(run, key, n, false)
-	return run[lo : lo+search(run[lo:], key, n, true)]
+	lo, hi = int(b.starts[k][d]), int(b.starts[k][d+1])
+	if n > 1 { // the key's rows, compared with an S of 0 on both sides
+		run, want := b.run(k)[lo:hi], Triple{P: key.P, O: key.O}
+		i := sort.Search(len(run), func(i int) bool { return !before(Triple{P: run[i][0], O: run[i][1]}, want, n) })
+		j := i + sort.Search(len(run)-i, func(j int) bool {
+			x := run[i+j]
+			return x[0] != key.P || n == 3 && x[1] != key.O
+		})
+		lo, hi = lo+i, lo+j
+	}
+	return d, lo, hi
 }
 
 // has reports whether the base holds (s, p, o).
 func (b *base) has(s, p, o ID) bool {
-	return b != nil && len(b.span(0, Triple{s, p, o}, 3)) != 0
+	if b == nil {
+		return false
+	}
+	_, lo, hi := b.span(0, Triple{s, p, o}, 3)
+	return lo < hi
 }

@@ -1,10 +1,11 @@
 package rdf
 
 import (
+	"cmp"
 	"context"
 	"math/rand"
-	"reflect"
 	"slices"
+	"sync"
 	"testing"
 )
 
@@ -249,6 +250,35 @@ func TestBuiltMatchStopsWhenCancelled(t *testing.T) {
 	}
 }
 
+// TestConcurrentBuilds: Builds on several graphs at once, each graph
+// Reset and built again from batches of varying size, pass the sort
+// buffer between them through sortSlot and their graphs, and every
+// built graph holds exactly its batch, in trie order. Run it under
+// -race.
+func TestConcurrentBuilds(t *testing.T) {
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g := NewGraph()
+			for round := range 50 {
+				ts := gatherShaped(50 + 40*((w+round)%5))
+				want := sortedSet(slices.Clone(ts), make([]Triple, len(ts)))
+				g.Reset()
+				g.Build(ts)
+				var got []Triple
+				g.Match(0, 0, 0, func(x Triple) bool { got = append(got, x); return true })
+				if !slices.Equal(got, want) {
+					t.Errorf("builder %d, round %d: %d triples, want %d", w, round, len(got), len(want))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // FuzzBuild reads three pool indexes per triple (poolTriples); the
 // oracle is one-triple transactions adding the same triples one by one.
 func FuzzBuild(f *testing.F) {
@@ -262,23 +292,18 @@ func FuzzBuild(f *testing.F) {
 	})
 }
 
-// rotate is how fill derived two of the permutations before turnLast:
-// POS from SPO and OSP from POS, each turned one place and re-sorted on
-// two fields.
-func rotate(ts, tmp []Triple) {
-	for i, t := range ts {
-		ts[i] = turn(t, 1)
-	}
-	sortTrie(ts, tmp, 1)
-}
-
-// TestFillMatchesRotateChain: fill, which sorts OSP from SPO and POS
-// from OSP on the leading field alone, lays out and indexes the base the
-// rotate chain does — rows, lead and preds — over 48 generated batches:
-// a one-row batch, IDs within one chunk and past 2¹⁵ (up to five chunk
-// levels), and duplicates.
-func TestFillMatchesRotateChain(t *testing.T) {
+// TestFillMatchesSortedSet: a base enumerates exactly its batch. For
+// each of 48 generated batches — a one-row batch, IDs within one chunk
+// and past 2¹⁷ and 2²⁴ (keys past lead's cap, found in the directory),
+// and duplicates — three graphs hold the batch: a new graph's Build, a
+// Build after Reset into one graph reused across the batches, and a
+// base whose delta both adds and tombstones. For all 8 bound masks of
+// each probe, Match must yield the batch's sorted set filtered by the
+// pattern, in the trie order of the permutation it leads (an oracle
+// sort of its own), and CountMatch and PredStats must count that set.
+func TestFillMatchesSortedSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	reused := NewGraph()
 	for batch := range 48 {
 		n, span := 1+rng.Intn(3000), []int{30, 1 << 12, 1 << 17, 1 << 24}[batch%4]
 		if batch == 0 {
@@ -291,19 +316,99 @@ func TestFillMatchesRotateChain(t *testing.T) {
 				ts[i] = ts[rng.Intn(i)]
 			}
 		}
-		set := sortedSet(ts, make([]Triple, n))
-		m := len(set)
-		got := &base{rows: make([]Triple, 3*m)}
-		got.fill(slices.Clone(set))
-		want, tmp := &base{rows: make([]Triple, 3*m)}, make([]Triple, m)
-		copy(want.rows, set)
-		rotate(set, tmp)
-		copy(want.rows[m:], set)
-		rotate(set, tmp)
-		copy(want.rows[2*m:], set)
-		want.index()
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("batch %d (%d rows, %d distinct, IDs below %d): fill's base differs from the rotate chain's", batch, n, m, span)
+		set := sortedSet(slices.Clone(ts), make([]Triple, n))
+		built := NewGraph()
+		built.Build(slices.Clone(ts))
+		reused.Reset()
+		reused.Build(slices.Clone(ts))
+		probes := []Triple{{}, {ID(span + 1), ID(span + 1), ID(span + 1)}}
+		for range 12 {
+			x := set[rng.Intn(len(set))]
+			probes = append(probes, x, Triple{x.O, x.S, x.P})
+		}
+		for name, g := range map[string]*Graph{"built": built, "after reset": reused, "delta": withDelta(t, set)} {
+			for _, x := range probes {
+				for mask := range 8 {
+					pat := Triple{x.S * ID(mask&1), x.P * ID(mask>>1&1), x.O * ID(mask>>2&1)}
+					want := trieFilter(set, pat)
+					var got []Triple
+					g.Match(pat.S, pat.P, pat.O, func(t Triple) bool { got = append(got, t); return true })
+					if !slices.Equal(got, want) {
+						t.Fatalf("batch %d (%d distinct, IDs below %d), %s: Match%v yields %d triples, want %d", batch, len(set), span, name, pat, len(got), len(want))
+					}
+					if c := g.CountMatch(pat.S, pat.P, pat.O); c != len(want) {
+						t.Fatalf("batch %d, %s: CountMatch%v = %d, want %d", batch, name, pat, c, len(want))
+					}
+				}
+				if x.P == 0 {
+					continue
+				}
+				subjects, objects := map[ID]bool{}, map[ID]bool{}
+				for _, y := range trieFilter(set, Triple{P: x.P}) {
+					subjects[y.S], objects[y.O] = true, true
+				}
+				if c, ds, do := g.PredStats(x.P); ds != len(subjects) || do != len(objects) || c != g.CountMatch(0, x.P, 0) {
+					t.Fatalf("batch %d, %s: PredStats(%d) = %d,%d,%d, want %d distinct subjects and %d objects", batch, name, x.P, c, ds, do, len(subjects), len(objects))
+				}
+			}
 		}
 	}
+}
+
+// withDelta returns a graph of set whose state is a base and a delta of
+// both kinds: one Tx commits every other triple of set with decoys into
+// a base, and a second adds the rest and deletes the decoys.
+func withDelta(t *testing.T, set []Triple) *Graph {
+	in := map[Triple]bool{}
+	for _, x := range set {
+		in[x] = true
+	}
+	g, tx := NewGraph(), (*Tx)(nil)
+	for round := range 2 {
+		tx = g.Begin()
+		for i, x := range set {
+			if decoy := (Triple{x.O, x.S, x.P}); !in[decoy] && i%3 == 0 {
+				if round == 0 {
+					tx.AddIDs(decoy.S, decoy.P, decoy.O)
+				} else {
+					tx.deleteIDs(decoy.S, decoy.P, decoy.O)
+				}
+			}
+			if i%2 == round {
+				tx.AddIDs(x.S, x.P, x.O)
+			}
+		}
+		tx.Commit()
+	}
+	if st := g.cur(); len(set) > 8 && (st.base == nil || st.adds.n == 0 || st.dels.n == 0) {
+		t.Fatalf("%d triples: want a base, adds and tombstones, have %d adds and %d tombstones", len(set), st.adds.n, st.dels.n)
+	}
+	return g
+}
+
+// trieFilter returns set's triples that match pat (0 a wildcard) in the
+// order Match yields them: turned to lead with the permutation pat
+// leads (perm), sorted by each component's chunks lowest first, and
+// turned back.
+func trieFilter(set []Triple, pat Triple) []Triple {
+	k, _, _ := perm(pat.S, pat.P, pat.O)
+	var out []Triple
+	for _, x := range set {
+		if (pat.S == 0 || x.S == pat.S) && (pat.P == 0 || x.P == pat.P) && (pat.O == 0 || x.O == pat.O) {
+			out = append(out, turn(x, k))
+		}
+	}
+	chunks := func(id ID) (v uint64) {
+		for l := range 7 {
+			v = v<<5 | uint64(id>>(5*l)&31)
+		}
+		return v
+	}
+	slices.SortFunc(out, func(a, b Triple) int {
+		return cmp.Or(cmp.Compare(chunks(a.S), chunks(b.S)), cmp.Compare(chunks(a.P), chunks(b.P)), cmp.Compare(chunks(a.O), chunks(b.O)))
+	})
+	for i := range out {
+		out[i] = turn(out[i], (3-k)%3)
+	}
+	return out
 }

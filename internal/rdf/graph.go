@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -92,7 +93,8 @@ func (st *graphState) count(s, p, o ID) int {
 		c = mid.get(key.P).len()
 	}
 	if st.base != nil {
-		c += len(st.base.span(k, key, n)) - idxGet(st.dels.idx[k], key.S).count(key.P)
+		_, lo, hi := st.base.span(k, key, n)
+		c += hi - lo - idxGet(st.dels.idx[k], key.S).count(key.P)
 	}
 	return c
 }
@@ -119,12 +121,15 @@ func (st *graphState) merged(log []Triple) *graphState {
 	n := st.size + len(log)
 	ts := make([]Triple, 0, n)
 	st.match(nil, 0, 0, 0, func(t Triple) bool {
-		i := search(log, t, 3, false)
+		i := 0
+		for i < len(log) && before(log[i], t, 3) {
+			i++
+		}
 		ts, log = append(append(ts, log[:i]...), t), log[i:]
 		return true
 	})
-	b := &base{rows: make([]Triple, 3*n)}
-	b.fill(append(ts, log...))
+	b := new(base)
+	b.fill(append(ts, log...), make([]Triple, n))
 	return &graphState{base: b, size: n}
 }
 
@@ -315,6 +320,9 @@ type Graph struct {
 	// state forever.
 	frozen bool
 	spare  *base // what Reset kept for the next Build; guarded by wmu
+	// sortBuf is Build's sort buffer when sortSlot held another; guarded
+	// by wmu.
+	sortBuf *[]Triple
 
 	// gen is a monotonic version counter bumped on every mutation that
 	// could change what a compiled ID-based plan would see: a new
@@ -715,7 +723,7 @@ func (t *Tx) settle() {
 	tmp := make([]Triple, len(t.log))
 	n := t.settled
 	for _, tr := range sortedSet(t.log[n:], tmp) {
-		if i := search(t.log[:t.settled], tr, 3, false); i < t.settled && t.log[i] == tr || t.st.has(tr.S, tr.P, tr.O) {
+		if i := sort.Search(t.settled, func(i int) bool { return !before(t.log[i], tr, 3) }); i < t.settled && t.log[i] == tr || t.st.has(tr.S, tr.P, tr.O) {
 			continue
 		}
 		t.log[n] = tr
@@ -838,16 +846,16 @@ func (g *Graph) MatchCtx(ctx context.Context, s, p, o ID, yield func(Triple) boo
 // side has none, it walks the other alone.
 func (st *graphState) match(ctx context.Context, s, p, o ID, yield func(Triple) bool) {
 	k, key, n := perm(s, p, o)
-	var rows []Triple
-	if st.base != nil {
-		rows = st.base.span(k, key, n)
+	b, d, lo, hi := st.base, 0, 0, 0
+	if b != nil {
+		d, lo, hi = b.span(k, key, n)
 	}
-	if len(rows) == 0 {
+	if lo == hi {
 		w := walker{ctx: ctx}
 		st.adds.walk(&w, k, key, n, yield)
 		return
 	}
-	m := merge{walker: walker{ctx: ctx}, rows: rows, back: (3 - k) % 3, dels: &st.dels}
+	m := merge{walker: walker{ctx: ctx}, keys: b.keys[k][d:], starts: b.starts[k][d:], pairs: b.run(k), at: lo, end: hi, back: (3 - k) % 3, dels: &st.dels}
 	switch {
 	case st.adds.n == 0:
 		m.upto(Triple{}, true, yield)
@@ -882,25 +890,35 @@ type walker struct {
 	n   int
 }
 
-// merge is a walker over a base range: rows, turned back places from
-// (s, p, o), yielded between the delta's adds, tombstoned ones skipped.
+// merge is a walker over a base range: rows at up to end of a run's
+// pairs, led by keys[0] up to row starts[1], then by keys[1], and so on,
+// each rebuilt as (key, a, b) and turned back places to (s, p, o),
+// yielded between the delta's adds, tombstoned ones skipped.
 type merge struct {
 	walker
-	rows []Triple
-	back int
-	dels *tries
+	keys    []ID
+	starts  []uint32
+	pairs   []pair
+	at, end int
+	back    int
+	dels    *tries
 }
 
 // upto yields the rows that sort before t, a triple turned as the rows
 // are, or with last every row left.
 func (m *merge) upto(t Triple, last bool, yield func(Triple) bool) bool {
-	for ; len(m.rows) != 0 && (last || before(m.rows[0], t, 3)); m.rows = m.rows[1:] {
-		x := turn(m.rows[0], m.back)
-		if m.dels.n != 0 && m.dels.has(x.S, x.P, x.O) {
-			continue
-		}
-		if !yield(x) || m.ctx != nil && m.cancelled() {
-			return false
+	for ; m.at < m.end; m.keys, m.starts = m.keys[1:], m.starts[1:] {
+		for key, stop := m.keys[0], min(int(m.starts[1]), m.end); m.at < stop; m.at++ {
+			x := Triple{key, m.pairs[m.at][0], m.pairs[m.at][1]}
+			if !last && !before(x, t, 3) {
+				return true
+			}
+			if x = turn(x, m.back); m.dels.n != 0 && m.dels.has(x.S, x.P, x.O) {
+				continue
+			}
+			if !yield(x) || m.ctx != nil && m.cancelled() {
+				return false
+			}
 		}
 	}
 	return true
@@ -1020,11 +1038,12 @@ func (g *Graph) PredStats(p ID) (count, distinctS, distinctO int) {
 	}
 	// count(0, p, 0), spelt out: the optimizer calls this per BGP.
 	count = idxGet(st.adds.idx[1], p).triples()
-	if st.base != nil {
-		count += len(st.base.span(1, Triple{S: p}, 1)) - idxGet(st.dels.idx[1], p).triples()
-		if e := st.base.pred(p); e != nil {
-			distinctS, distinctO = int(e.subjects), int(e.objects)
+	if b := st.base; b != nil {
+		if d := b.find(1, p); d >= 0 {
+			count += int(b.starts[1][d+1] - b.starts[1][d])
+			distinctS, distinctO = int(b.preds[d].subjects), int(b.preds[d].objects)
 		}
+		count -= idxGet(st.dels.idx[1], p).triples()
 	}
 	if sl := pmFind(st.stats, uint32(p)); sl != nil {
 		distinctS += int(sl.val.subjects)

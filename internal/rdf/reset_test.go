@@ -189,11 +189,11 @@ func TestResetDropsOversizedScratch(t *testing.T) {
 }
 
 // TestGuardBuildAfterResetAllocatesNoRuns: a Build after Reset of a
-// graph built from as many rows or more lays its runs out in the array
-// Reset kept, sorting in its last third, and its ID index in the one
-// Reset kept, so it allocates no run array, no index and no sort buffer:
+// graph built from as many rows or more lays its runs, key directories
+// and ID index out in the arrays Reset kept, and sorts in the buffer the
+// last Build left in sortBuf, so it allocates no run array, no index and no sort buffer:
 // 112 B (the published state), where a new graph's Build of these rows
-// takes 263 KB. The bound leaves room for what
+// takes 218 KB. The bound leaves room for what
 // other goroutines allocate meanwhile (a 5 KiB reading was seen once).
 func TestGuardBuildAfterResetAllocatesNoRuns(t *testing.T) {
 	if raceEnabled {
