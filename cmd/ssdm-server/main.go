@@ -1,7 +1,7 @@
 // Command ssdm-server runs SSDM as a network service: the
 // client-server deployment mode of the system. Clients (including the
 // Go equivalent of the Matlab integration, internal/ssdmclient) speak
-// the JSON protocol of internal/protocol.
+// the framed protocol of internal/protocol.
 //
 // Usage:
 //

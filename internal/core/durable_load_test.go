@@ -80,9 +80,11 @@ func BenchmarkLoadTurtle(b *testing.B) {
 // not a second interning of the document and a term table. Over the
 // 156 669-triple benchmark document, the durable load's bytes against a
 // plain load's read 3.40× when the stage had a dictionary of its own and
-// the log encoded terms, then 1.46–1.47× over forty readings, and 1.52×
-// since the dictionary's identity table took 4 MB off the plain load and
-// the log stopped copying a transaction's ops into triples.
+// the log encoded terms, then 1.46–1.47× over forty readings, 1.52×
+// once the dictionary's identity table took 4 MB off the plain load and
+// the log stopped copying a transaction's ops into triples, and 1.42×
+// (five readings) since the log writes a large record's body as it is
+// instead of copying it into a frame buffer. The bound is that plus 5 %.
 func TestGuardDurableLoadCopiesOnce(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's allocator overhead is not what this measures")
@@ -107,7 +109,7 @@ func TestGuardDurableLoadCopiesOnce(t *testing.T) {
 	durable := allocated(db)
 	ratio := float64(durable) / float64(plain)
 	t.Logf("durable %d B, plain %d B: %.2f×", durable, plain, ratio)
-	if ratio > 1.6 {
+	if ratio > 1.49 {
 		t.Errorf("a durable load allocates %.2f× a plain one (%d vs %d B): it copies the document again", ratio, durable, plain)
 	}
 }

@@ -1,19 +1,32 @@
 // Package protocol defines the wire format between an SSDM server and
-// its clients (dissertation §5.1, §7.3): newline-delimited JSON
-// request/response pairs over TCP, with arrays — and whole query
-// answers — carried as base64-encoded binary so that numeric payloads
-// do not suffer JSON number inflation.
+// its clients (dissertation §5.1, §7.3): request/response pairs over
+// TCP, each one length-prefixed frame, with arrays — and whole query
+// answers — carried as raw binary so that numeric payloads do not suffer
+// JSON number inflation.
 //
 // This is the protocol the Matlab integration of chapter 7 speaks; the
 // Go client in internal/ssdmclient plays Matlab's role.
 //
+// # Frames
+//
+// Each request and response is one frame, read and written by Wire:
+//
+//	byte    version 1 (never '{': a JSON-lines peer fails at its first
+//	        frame, ErrFrame, and nothing it sent is applied)
+//	uint32  e, uint32 p: the lengths below (little-endian), e + p ≤ 2^28
+//	e bytes the envelope: the Request or Response as JSON, less its
+//	        binary field
+//	p bytes the payload, raw: the row table of Request.Rows or
+//	        Response.Rows, or OpStoreArray's array.AppendMarshal bytes
+//
+// No base64 travels on the wire.
+//
 // # Row tables
 //
 // Every binary table on the wire has one layout, the row table. A
-// solution table — the answer to query, execute, and explain with
-// Analyze — is one row table, Response.Rows, base64 on the wire like an
-// array, plus Response.NRows, the number of rows in it; a solution with
-// no rows sends no table. EncodeRows and AppendIDRows write the layout,
+// solution — the answer to query, execute, and explain with Analyze — is
+// one row table, Response.Rows, plus Response.NRows, the number of rows
+// in it; a solution with no rows sends no table. EncodeRows and AppendIDRows write the layout,
 // from terms and from a graph's IDs; EachRow is the only code that
 // reads it, and DecodeRows collects what it reads:
 //
@@ -48,29 +61,21 @@
 // Ground triples travel the other way in the same table: OpTriples adds
 // Request.Rows (subject, predicate, object; with Request.Delete, removes
 // them) as one transaction, blank labels as given, and answers the count
-// changed. A table that does not decode, is not three cells wide, has an
-// unbound cell or a non-IRI predicate gets code "error" and applies
-// nothing. It is how a coordinator routes writes to its shards.
+// changed; a table that is not three cells wide and ground, with IRI
+// predicates, gets code "error" and applies nothing. It is how a
+// coordinator routes writes to its shards.
 //
 // # Shard scans
 //
-// A shard coordinator's gather legs are triple-pattern matches, and
-// they follow the same rule: OpScan sends the pattern as Request.Rows,
-// one row of three cells whose unbound cells are the wildcards, and is
-// answered from the default graph's indexes, with no query text,
-// parser, plan or engine on either side, by one row table —
-// Response.Rows, sent even when it has no rows — plus Response.NRows.
-// The answer's width is the pattern's number of wildcards, its cells
-// the matches' terms at those positions in s, p, o order; bound
-// positions are not sent, so a fully-bound pattern is answered by a
-// table of width 0 holding at most one row. A pattern that is not one
-// row of three cells gets code "error". Only a leaf answers: a server
-// that itself coordinates shards refuses the op, and a server that
-// predates it answers "unknown op scan"; there is no version field and
-// no fallback, and an answer of any other shape is ErrMalformed. The
-// request's TimeoutMS and the instance's row cap apply as they do to a
-// query (codes "timeout" and "resource_limit"; a table is never
-// truncated).
+// A shard coordinator's gather legs are triple-pattern matches: OpScan
+// sends Request.Rows, one row of three cells whose unbound cells are the
+// wildcards, and a leaf answers from its default graph's indexes by one
+// row table, Response.Rows (sent even with no rows), of the matches'
+// terms at the wildcard positions in s, p, o order — a fully-bound
+// pattern gets a table of width 0 with at most one row. Another pattern
+// shape gets code "error", another answer shape is ErrMalformed, and the
+// guards apply as to a query ("timeout", "resource_limit"; a table is
+// never truncated).
 //
 // The write-ahead log and checkpoint images store triples as row tables
 // too (see core's WAL integration). No request, response or record
@@ -102,6 +107,18 @@ const (
 	OpScan       = "scan"        // Rows: one triple pattern -> Rows, NRows (leaf shards only)
 )
 
+// QueryClass reports whether op runs a query, an update, a triple write
+// or a scan: the ops the server bounds by Request.TimeoutMS (a typed
+// timeout once it passes) and times in its latency histogram and
+// slow-query log. The others run to completion whatever the request says.
+func QueryClass(op string) bool {
+	switch op {
+	case OpQuery, OpExecute, OpUpdate, OpTriples, OpExplain, OpScan:
+		return true
+	}
+	return false
+}
+
 // Request is one client request. The guard fields bound the request's
 // execution server-side; zero values fall back to the server's
 // configured defaults (they can tighten the defaults, never loosen
@@ -110,57 +127,39 @@ type Request struct {
 	Op    string `json:"op"`
 	Text  string `json:"text,omitempty"`
 	Graph string `json:"graph,omitempty"`
-	Array string `json:"array,omitempty"` // base64(array.AppendMarshal)
+	Array []byte `json:"-"` // OpStoreArray's payload: array.AppendMarshal
 
-	// Rows is a table (see EncodeRows), base64 on the wire: OpTriples'
+	// Rows is a table (see EncodeRows), the frame's payload: OpTriples'
 	// triples, which with Delete the op removes instead of adding, or
 	// OpScan's pattern, one row of three cells, an unbound cell a
 	// wildcard.
-	Rows   []byte `json:"rows,omitempty"`
+	Rows   []byte `json:"-"`
 	Delete bool   `json:"delete,omitempty"`
 
-	// TimeoutMS is the wall-clock deadline for this request in
-	// milliseconds (0 = server default).
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// MaxRows caps result rows (0 = server default).
-	MaxRows int `json:"max_rows,omitempty"`
-	// MaxBindings caps intermediate bindings (0 = server default).
-	MaxBindings int64 `json:"max_bindings,omitempty"`
+	TimeoutMS   int64 `json:"timeout_ms,omitempty"`   // wall-clock deadline in milliseconds
+	MaxRows     int   `json:"max_rows,omitempty"`     // cap on result rows
+	MaxBindings int64 `json:"max_bindings,omitempty"` // cap on intermediate bindings
 
-	// Analyze upgrades an OpExplain request from plan-only to EXPLAIN
-	// ANALYZE: the query is executed and the response carries the
-	// executed plan annotated with timings and counters (Trace) along
-	// with the result rows.
+	// Analyze makes OpExplain EXPLAIN ANALYZE: the query runs, and the
+	// response carries its rows and the plan annotated (Trace).
 	Analyze bool `json:"analyze,omitempty"`
 }
 
 // Error codes carried in Response.Code so clients can classify
 // failures without parsing message text.
 const (
-	// CodeError is a generic request failure (parse error, unknown
-	// graph, bad payload, ...).
-	CodeError = "error"
-	// CodeTimeout reports that the query exceeded its deadline.
-	CodeTimeout = "timeout"
-	// CodeResourceLimit reports that a result-row or bindings budget
-	// was exceeded.
-	CodeResourceLimit = "resource_limit"
-	// CodeCancelled reports that the request's context was cancelled
-	// (client disconnect, server shutdown).
-	CodeCancelled = "cancelled"
-	// CodeInternal reports a trapped server-side panic; the server
-	// keeps serving.
-	CodeInternal = "internal"
-	// CodeShutdown reports that the server is draining and no longer
-	// accepts work.
-	CodeShutdown = "shutdown"
-	// CodeDurability reports that an update could not be made durable
-	// (write-ahead log append or sync failed); the update was not
-	// applied and the client may retry once the operator intervenes.
+	CodeError         = "error"          // a generic failure: parse error, unknown graph, bad payload
+	CodeTimeout       = "timeout"        // the request exceeded its deadline
+	CodeResourceLimit = "resource_limit" // a result-row or bindings budget was exceeded
+	CodeCancelled     = "cancelled"      // the request's context was cancelled (disconnect, shutdown)
+	CodeInternal      = "internal"       // a trapped server-side panic; the server keeps serving
+	CodeShutdown      = "shutdown"       // the server is draining and accepts no work
+	// CodeDurability: an update could not be made durable (WAL append or
+	// sync failed) and was not applied; retry once the operator has
+	// intervened.
 	CodeDurability = "durability"
-	// CodeShardUnavailable reports that a shard of a partitioned
-	// deployment could not be reached; partial results were suppressed
-	// and the request may be retried once the shard is back.
+	// CodeShardUnavailable: a shard could not be reached; partial results
+	// were suppressed, and the request may be retried once it is back.
 	CodeShardUnavailable = "shard_unavailable"
 )
 
@@ -188,10 +187,10 @@ type Response struct {
 	ArrayID int64    `json:"array_id,omitempty"`
 	Stats   *Stats   `json:"stats,omitempty"`
 
-	// Rows is a row table (see EncodeRows), base64 on the wire: a
+	// Rows is a row table (see EncodeRows), the frame's payload: a
 	// solution, absent when it has no rows, or OpScan's matches, always
 	// there. NRows is the number of rows in it.
-	Rows  []byte `json:"rows,omitempty"`
+	Rows  []byte `json:"-"`
 	NRows int    `json:"nrows,omitempty"`
 
 	// Explain carries the rendered plan for OpExplain (static plan, or
@@ -219,13 +218,9 @@ type TraceInfo struct {
 	MatchCalls int64 `json:"match_calls"`
 	Matched    int64 `json:"matched"`
 
-	// Vectorized-execution counters: whether any part of the query ran
-	// batch-at-a-time, and the batches/rows its pipelines emitted.
-	Vectorized bool  `json:"vectorized,omitempty"`
-	VecBatches int64 `json:"vec_batches,omitempty"`
-	VecRows    int64 `json:"vec_rows,omitempty"`
-
-	// Batch-native aggregation / vectorized ORDER BY counters.
+	Vectorized   bool  `json:"vectorized,omitempty"`
+	VecBatches   int64 `json:"vec_batches,omitempty"`
+	VecRows      int64 `json:"vec_rows,omitempty"`
 	VecAggGroups int64 `json:"vec_agg_groups,omitempty"`
 	VecSortRows  int64 `json:"vec_sort_rows,omitempty"`
 	VecSortTopK  int64 `json:"vec_sort_topk,omitempty"`
@@ -233,9 +228,7 @@ type TraceInfo struct {
 	ChunkFetches int64 `json:"chunk_fetches"`
 	ChunkWaitNS  int64 `json:"chunk_wait_ns"`
 
-	// Distributed-execution counters, set when the query ran through a
-	// shard coordinator: the dispatch mode ("pushdown" or "gather"),
-	// the topology width, and the per-query shard traffic.
+	// Set when the query ran through a shard coordinator.
 	ShardMode  string `json:"shard_mode,omitempty"`
 	Shards     int    `json:"shards,omitempty"`
 	ShardCalls int64  `json:"shard_calls,omitempty"`
@@ -407,7 +400,8 @@ func DecodeTerm(t Term) (rdf.Term, error) {
 	}
 }
 
-// EncodeArray serializes an array for the wire.
+// EncodeArray serializes an array as base64 text, a codec of its own: on
+// the wire an array travels raw.
 func EncodeArray(a *array.Array) (string, error) {
 	b, err := array.AppendMarshal(nil, a)
 	if err != nil {

@@ -60,9 +60,8 @@ func cellKey(t rdf.Term) (key any, ok bool) {
 // missing trailing cell being unbound — as one row table (the layout is
 // in the package doc). It encodes every cell or none: a term with no
 // wire form, or a row wider than width, fails the whole table. The
-// table goes on the wire as a []byte JSON field, which encoding/json
-// writes as base64. It is a pooled buffer: hand it to Release once it
-// has been written out.
+// table goes on the wire as a frame's payload. It is a pooled buffer:
+// hand it to Release once it has been written out.
 func EncodeRows(rows [][]rdf.Term, width int) ([]byte, error) {
 	index := rowIndexes.Get().(map[any]uint32)
 	defer putIndex(&rowIndexes, index)
@@ -75,8 +74,9 @@ func EncodeRows(rows [][]rdf.Term, width int) ([]byte, error) {
 	return blob, nil
 }
 
-// appendRows appends the cells of rows to blob, deduping terms through
-// index. On error it returns the buffer it was writing to, for Release.
+// appendRows appends the cells of rows to blob, a bound cell as a
+// reference to index's entry for its term or else a new entry. On error
+// it returns the buffer it was writing to, for Release.
 func appendRows(blob []byte, index map[any]uint32, rows [][]rdf.Term, width int) ([]byte, error) {
 	for _, row := range rows {
 		if len(row) > width {
@@ -98,7 +98,12 @@ func appendRows(blob []byte, index map[any]uint32, rows [][]rdf.Term, width int)
 			if !ok {
 				return blob, fmt.Errorf("protocol: cannot encode %T", t)
 			}
-			b, err := appendCell(blob, index, key, t)
+			if ix, ok := index[key]; ok {
+				blob = binary.AppendUvarint(blob, uint64(ix)+2)
+				continue
+			}
+			index[key] = uint32(len(index))
+			b, err := appendDictTerm(append(blob, 1), t)
 			if err != nil {
 				return blob, err
 			}
@@ -175,20 +180,6 @@ func AppendIDRows(blob []byte, width int, term func(rdf.ID) (rdf.ID, rdf.Term, e
 	}
 	putHeader(blob[at:], ndict, n, width)
 	return blob, n, nil
-}
-
-// appendCell appends a bound cell: a reference to index's entry for key,
-// or else a new entry for t. On error it returns blob as it was.
-func appendCell(blob []byte, index map[any]uint32, key any, t rdf.Term) ([]byte, error) {
-	if ix, ok := index[key]; ok {
-		return binary.AppendUvarint(blob, uint64(ix)+2), nil
-	}
-	index[key] = uint32(len(index))
-	b, err := appendDictTerm(append(blob, 1), t)
-	if err != nil {
-		return blob, err
-	}
-	return b, nil
 }
 
 // termLists holds EachRow's term lists — a row's cells, then the

@@ -11,7 +11,7 @@ import (
 // allocations, over the tries and over a base: a bound probe is a
 // lookup, not a scan.
 func TestBoundProbeAllocFree(t *testing.T) {
-	for _, g := range []*Graph{benchGraph(1000), compact(benchGraph(1000))} {
+	for _, g := range []*Graph{deltaGraph(1000), benchGraph(1000)} {
 		boundProbeAllocFree(t, g)
 	}
 }
@@ -51,7 +51,7 @@ func TestEarlyTerminationAllocBounded(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race; allocation counts are not meaningful")
 	}
-	for _, g := range []*Graph{benchGraph(5000), compact(benchGraph(5000))} { // 10000 triples
+	for _, g := range []*Graph{deltaGraph(5000), benchGraph(5000)} { // 10000 triples
 		earlyTerminationAllocBounded(t, g)
 	}
 }
@@ -166,7 +166,7 @@ func TestGuardMergedReadAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race; allocation counts are not meaningful")
 	}
-	g := compact(benchGraph(500))
+	g := benchGraph(500)
 	for i := 0; i < 500; i += 10 {
 		deleteTriple(g, IRI(fmt.Sprintf("http://ex/s%d", i)), IRI("http://ex/val"), Integer(int64(i%100)))
 		addTriple(g, IRI(fmt.Sprintf("http://ex/s%d", i)), IRI("http://ex/val"), Integer(-1))

@@ -8,18 +8,34 @@ import (
 )
 
 // benchGraph builds a graph shaped like a metadata store: n subjects,
-// a handful of predicates, object values drawn from a small domain.
+// each with a type triple and an integer value, committed as one
+// transaction into an empty graph, so it is one sorted base — the form
+// a loaded graph takes.
 func benchGraph(n int) *Graph {
 	g := NewGraph()
+	tx := g.Begin()
+	addBench(tx.Add, n)
+	tx.Commit()
+	return g
+}
+
+// deltaGraph holds benchGraph's triples in the delta's tries over a
+// one-row base: each is its own transaction, below deltaCap.
+func deltaGraph(n int) *Graph {
+	g := NewGraph()
+	addBench(func(s, p, o Term) { addTriple(g, s, p, o) }, n)
+	return g
+}
+
+func addBench(add func(s, p, o Term), n int) {
 	typ := IRI("http://ex/type")
 	val := IRI("http://ex/val")
 	thing := IRI("http://ex/Thing")
 	for i := 0; i < n; i++ {
 		s := IRI(fmt.Sprintf("http://ex/s%d", i))
-		addTriple(g, s, typ, thing)
-		addTriple(g, s, val, Integer(int64(i%100)))
+		add(s, typ, thing)
+		add(s, val, Integer(int64(i%100)))
 	}
-	return g
 }
 
 // BenchmarkGraphBoundProbe is the fully-bound membership probe (the

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -239,14 +238,14 @@ func TestTriplesAllOrNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	enc, dec := json.NewEncoder(conn), json.NewDecoder(conn)
+	w := protocol.NewWire(conn, conn)
 	send := func(req protocol.Request) protocol.Response {
 		t.Helper()
 		var resp protocol.Response
-		if err := enc.Encode(req); err != nil {
+		if err := w.Write(&req); err != nil {
 			t.Fatal(err)
 		}
-		if err := dec.Decode(&resp); err != nil {
+		if err := w.Read(&resp); err != nil {
 			t.Fatal(err)
 		}
 		return resp

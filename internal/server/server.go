@@ -1,15 +1,11 @@
 // Package server exposes an SSDM instance as a TCP service speaking
-// the JSON protocol of internal/protocol — SSDM's client-server
+// the framed protocol of internal/protocol — SSDM's client-server
 // deployment mode (dissertation §5.1), and the server side of the
 // Matlab integration of chapter 7.
 package server
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/base64"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -18,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"scisparql/internal/array"
 	"scisparql/internal/core"
 	"scisparql/internal/engine"
 	"scisparql/internal/metrics"
@@ -34,11 +31,9 @@ import (
 // that pipelines an update before a query.
 //
 // Failure containment: every request runs in the request shell
-// (core.Shell): under a context that shutdown cancels, plus any
-// per-request deadline, so shutdown and timeouts cancel in-flight
-// queries cooperatively; a panic inside request handling is trapped per
-// request (stack logged, error response sent) and can never take down
-// the process.
+// (core.Shell), under a context that shutdown and the request's
+// deadline cancel, and a panic in it is trapped (stack logged, error
+// response sent) without taking down the process.
 type Server struct {
 	DB *core.SSDM
 
@@ -99,7 +94,7 @@ func (s *Server) Listen(addr string) (string, error) {
 // returned. The server cannot be reused afterwards.
 func (s *Server) Shutdown(ctx context.Context) error {
 	_ = s.beginShutdown() // a failed listener close leaves nothing to undo: drain anyway
-	// Unblock connections idle in Decode: an immediately expiring read
+	// Unblock connections idle in Read: an immediately expiring read
 	// deadline fails the pending (or next) read while leaving writes —
 	// the response being flushed to a draining client — unaffected.
 	s.mu.Lock()
@@ -193,30 +188,23 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
-// serve runs one connection's request loop. Responses go through a
-// buffered writer flushed once per response, so a row batch costs one
-// syscall instead of one per JSON encoder write.
+// serve runs one connection's request loop: one frame in, one frame out
+// (protocol.Wire).
 func (s *Server) serve(conn net.Conn) {
-	dec := json.NewDecoder(bufio.NewReader(conn))
-	w := &respWriter{bw: bufio.NewWriter(conn)}
-	w.enc = json.NewEncoder(&w.head)
+	w := protocol.NewWire(conn, conn)
 	for {
 		var req protocol.Request
-		if err := dec.Decode(&req); err != nil {
+		if err := w.Read(&req); err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !s.Draining() {
-				_ = w.write(&protocol.Response{OK: false, Error: "bad request: " + err.Error(), Code: protocol.CodeError})
-				_ = w.bw.Flush()
+				_ = w.Write(&protocol.Response{OK: false, Error: "bad request: " + err.Error(), Code: protocol.CodeError})
 			}
 			return
 		}
 		resp := s.handle(&req)
-		err := w.write(resp)
-		// A result or scan table is pooled; w has copied it.
+		err := w.Write(resp)
+		// A result or scan table is pooled; the write is done with it.
 		protocol.Release(resp.Rows)
 		if err != nil {
-			return
-		}
-		if err := w.bw.Flush(); err != nil {
 			return
 		}
 		if s.Draining() {
@@ -224,65 +212,6 @@ func (s *Server) serve(conn net.Conn) {
 			// its response and a clean EOF instead of a mid-frame cut.
 			return
 		}
-	}
-}
-
-// respWriter writes a connection's responses, one JSON object per
-// line. encoding/json encodes the envelope into head; Rows, which can
-// run to megabytes, is base64-encoded behind it into a
-// pooled buffer that goes to bw whenever a chunk has filled it. A
-// response under a chunk is one write, as it was, and no buffer grows
-// with the answer: encoding/json takes its buffers from one
-// process-wide pool, and a large answer that drew one a small encode
-// had left there regrew it from empty.
-type respWriter struct {
-	bw   *bufio.Writer
-	head bytes.Buffer
-	enc  *json.Encoder // into head
-}
-
-// wireChunk is how much of a table is encoded before a write: one
-// write per chunk rather than per 4 KiB of bw, and a buffer drawn
-// small from b64Bufs regrows to no more than a chunk's encoding.
-const wireChunk = 48 << 10 // a multiple of 3: no padding mid-table
-
-var b64Bufs = sync.Pool{New: func() any { return new([]byte) }}
-
-func (w *respWriter) write(resp *protocol.Response) error {
-	rows := resp.Rows
-	resp.Rows = nil
-	w.head.Reset()
-	err := w.enc.Encode(resp)
-	resp.Rows = rows
-	if err != nil {
-		return err
-	}
-	bp := b64Bufs.Get().(*[]byte)
-	// head is "{…}\n" and never "{}": ok is always there.
-	b := append((*bp)[:0], w.head.Bytes()[:w.head.Len()-2]...)
-	b = append(w.field(b, "rows", rows), "}\n"...)
-	_, err = w.bw.Write(b)
-	*bp = b
-	b64Bufs.Put(bp)
-	return err
-}
-
-// field appends `,"name":"<base64 of data>"` to b, or nothing for an
-// empty data (the fields are omitempty), writing b out each time a
-// chunk has filled it. bw keeps its first error for write to report.
-func (w *respWriter) field(b []byte, name string, data []byte) []byte {
-	if len(data) == 0 {
-		return b
-	}
-	b = append(append(append(b, `,"`...), name...), `":"`...)
-	for {
-		n := min(len(data), wireChunk)
-		b = base64.StdEncoding.AppendEncode(b, data[:n])
-		if data = data[n:]; len(data) == 0 {
-			return append(b, '"')
-		}
-		w.bw.Write(b)
-		b = b[:0]
 	}
 }
 
@@ -449,16 +378,6 @@ func (s *Server) stats() *protocol.Stats {
 	return st
 }
 
-// queryClass reports whether an op runs queries/updates — the requests
-// the latency histogram and slow-query log cover.
-func queryClass(op string) bool {
-	switch op {
-	case protocol.OpQuery, protocol.OpExecute, protocol.OpUpdate, protocol.OpTriples, protocol.OpExplain, protocol.OpScan:
-		return true
-	}
-	return false
-}
-
 // handle runs handleOp in the request shell and adds the server's
 // observability: per-op request counters, error-code counters, and for
 // query-class ops the latency histogram and slow-query log.
@@ -477,29 +396,34 @@ func (s *Server) handle(req *protocol.Request) *protocol.Response {
 	if !resp.OK {
 		in.errors.With(resp.Code).Inc()
 	}
-	rows := resp.NRows
-	in.rows.Add(int64(rows))
-	if queryClass(req.Op) {
+	in.rows.Add(int64(resp.NRows))
+	if protocol.QueryClass(req.Op) {
 		s.Observe(in.latency, in.slow, dur, func() (string, []any) {
 			outcome := "ok"
 			if !resp.OK {
 				outcome = resp.Code
 			}
-			return queryText(req), []any{"op", req.Op, "rows", rows, "outcome", outcome}
+			return queryText(req), []any{"op", req.Op, "rows", resp.NRows, "outcome", outcome}
 		})
 	}
 	return resp
 }
 
-// handleOp executes one request against the SSDM instance. It takes no
-// server-level lock: concurrency control lives in core.SSDM, whose
-// reader-writer lock lets queries from many connections run in
-// parallel.
+// handleOp executes one request against the SSDM instance, taking no
+// server-level lock (concurrency control lives in core.SSDM).
 func (s *Server) handleOp(ctx context.Context, req *protocol.Request) *protocol.Response {
 	lim := engine.Limits{
 		MaxResultRows: req.MaxRows,
 		MaxBindings:   req.MaxBindings,
 		Timeout:       time.Duration(req.TimeoutMS) * time.Millisecond,
+	}
+	if req.Op == protocol.OpTriples || req.Op == protocol.OpScan {
+		// Neither runs through a query, which bounds itself.
+		if lim = s.DB.FillLimits(lim); lim.Timeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, lim.Timeout)
+			defer cancel()
+		}
 	}
 	switch req.Op {
 	case protocol.OpPing:
@@ -527,7 +451,7 @@ func (s *Server) handleOp(ctx context.Context, req *protocol.Request) *protocol.
 		}
 		return &protocol.Response{OK: true}
 	case protocol.OpStoreArray:
-		a, err := protocol.DecodeArray(req.Array)
+		a, err := array.Unmarshal(req.Array)
 		if err != nil {
 			return fail(err)
 		}
@@ -540,11 +464,6 @@ func (s *Server) handleOp(ctx context.Context, req *protocol.Request) *protocol.
 		rows, err := protocol.DecodeRows(req.Rows)
 		if err != nil {
 			return fail(err)
-		}
-		if lim = s.DB.FillLimits(lim); lim.Timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, lim.Timeout)
-			defer cancel()
 		}
 		n, err := s.DB.WriteTriples(ctx, protocol.OwnTerms(rows), req.Delete)
 		if err != nil {
@@ -584,9 +503,10 @@ var errNotLeaf = errors.New("scan: this server coordinates shards and holds no t
 
 // scan answers OpScan straight from a snapshot of the default graph's
 // indexes — no parser, query cache or engine — as one row table of the
-// wildcard positions. It honours the request's guards like a query does:
-// the deadline is polled per MatchIDs batch, and a match over the row
-// cap is a resource_limit error, never a truncated answer.
+// wildcard positions. It honours lim, filled from the instance's
+// defaults, like a query does: ctx's deadline is polled per MatchIDs
+// batch, and a match over the row cap is a resource_limit error, never
+// a truncated answer.
 func (s *Server) scan(ctx context.Context, req *protocol.Request, lim engine.Limits) *protocol.Response {
 	if s.DB.Distributor() != nil {
 		return fail(errNotLeaf)
@@ -594,12 +514,6 @@ func (s *Server) scan(ctx context.Context, req *protocol.Request, lim engine.Lim
 	pattern, err := scanPattern(req)
 	if err != nil {
 		return fail(err)
-	}
-	lim = s.DB.FillLimits(lim)
-	if lim.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, lim.Timeout)
-		defer cancel()
 	}
 	g := s.DB.Dataset.Default.Snapshot()
 	var (

@@ -33,8 +33,7 @@ const (
 
 // Query is a parsed SciSPARQL query.
 type Query struct {
-	Base     string
-	Prefixes map[string]string
+	Base string
 
 	Form     Form
 	Distinct bool
@@ -456,22 +455,19 @@ func (*Query) isStatement() {}
 
 // InsertData is INSERT DATA { triples }.
 type InsertData struct {
-	Prefixes map[string]string
-	Graph    rdf.IRI // "" = default graph
-	Triples  []TriplePattern
+	Graph   rdf.IRI // "" = default graph
+	Triples []TriplePattern
 }
 
 // DeleteData is DELETE DATA { triples }.
 type DeleteData struct {
-	Prefixes map[string]string
-	Graph    rdf.IRI
-	Triples  []TriplePattern
+	Graph   rdf.IRI
+	Triples []TriplePattern
 }
 
 // Modify is DELETE {tpl} INSERT {tpl} WHERE { ... } (either template
 // may be absent).
 type Modify struct {
-	Prefixes  map[string]string
 	Graph     rdf.IRI
 	DeleteTpl []TriplePattern
 	InsertTpl []TriplePattern
@@ -495,20 +491,18 @@ type Clear struct {
 //	DEFINE FUNCTION ex:name(?a ?b) AS expression
 //	DEFINE FUNCTION ex:name(?a) AS SELECT ?x WHERE { ... }
 type DefineFunction struct {
-	Prefixes map[string]string
-	Name     string // expanded IRI or plain name
-	Params   []string
-	Expr     Expression // exclusive with Body
-	Body     *Query
+	Name   string // expanded IRI or plain name
+	Params []string
+	Expr   Expression // exclusive with Body
+	Body   *Query
 }
 
 // DefineAggregate declares a user aggregate over a bag of values,
 // implemented by a functional view mapped over the group (§4.2).
 type DefineAggregate struct {
-	Prefixes map[string]string
-	Name     string
-	Param    string
-	Expr     Expression
+	Name  string
+	Param string
+	Expr  Expression
 }
 
 func (*InsertData) isStatement()      {}

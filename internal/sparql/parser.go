@@ -195,14 +195,6 @@ func (p *Parser) baseDecl() error {
 	return p.advance()
 }
 
-func (p *Parser) snapshotPrefixes() map[string]string {
-	out := make(map[string]string, len(p.prefixes))
-	for k, v := range p.prefixes {
-		out[k] = v
-	}
-	return out
-}
-
 func (p *Parser) expandPName(pname string) (rdf.IRI, error) {
 	i := strings.Index(pname, ":")
 	if i < 0 {
@@ -313,7 +305,7 @@ func removeDotSegments(path string) string {
 // --- queries ---
 
 func (p *Parser) query() (*Query, error) {
-	q := &Query{Prefixes: p.snapshotPrefixes(), Base: p.base, Limit: -1}
+	q := &Query{Base: p.base, Limit: -1}
 	switch {
 	case p.acceptWord("SELECT"):
 		q.Form = FormSelect

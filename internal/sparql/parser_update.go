@@ -14,7 +14,7 @@ func (p *Parser) insertStmt() (Statement, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &InsertData{Prefixes: p.snapshotPrefixes(), Graph: graph, Triples: triples}, nil
+		return &InsertData{Graph: graph, Triples: triples}, nil
 	}
 	tpl, err := p.templateBlock()
 	if err != nil {
@@ -27,7 +27,7 @@ func (p *Parser) insertStmt() (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Modify{Prefixes: p.snapshotPrefixes(), InsertTpl: tpl, Where: g}, nil
+	return &Modify{InsertTpl: tpl, Where: g}, nil
 }
 
 // deleteStmt parses DELETE DATA, DELETE WHERE, or DELETE {tpl}
@@ -41,7 +41,7 @@ func (p *Parser) deleteStmt() (Statement, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &DeleteData{Prefixes: p.snapshotPrefixes(), Graph: graph, Triples: triples}, nil
+		return &DeleteData{Graph: graph, Triples: triples}, nil
 	}
 	if p.acceptWord("WHERE") {
 		// DELETE WHERE { pattern }: the pattern doubles as template.
@@ -53,13 +53,13 @@ func (p *Parser) deleteStmt() (Statement, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Modify{Prefixes: p.snapshotPrefixes(), DeleteTpl: tpl, Where: g}, nil
+		return &Modify{DeleteTpl: tpl, Where: g}, nil
 	}
 	tpl, err := p.templateBlock()
 	if err != nil {
 		return nil, err
 	}
-	m := &Modify{Prefixes: p.snapshotPrefixes(), DeleteTpl: tpl}
+	m := &Modify{DeleteTpl: tpl}
 	if p.acceptWord("INSERT") {
 		ins, err := p.templateBlock()
 		if err != nil {
@@ -246,7 +246,7 @@ func (p *Parser) defineStmt() (Statement, error) {
 		if err := p.expectWord("AS"); err != nil {
 			return nil, err
 		}
-		def := &DefineFunction{Prefixes: p.snapshotPrefixes(), Name: name, Params: params}
+		def := &DefineFunction{Name: name, Params: params}
 		if p.tok.isWord("SELECT") {
 			q, err := p.query()
 			if err != nil {
@@ -286,7 +286,7 @@ func (p *Parser) defineStmt() (Statement, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &DefineAggregate{Prefixes: p.snapshotPrefixes(), Name: name, Param: param, Expr: e}, nil
+		return &DefineAggregate{Name: name, Param: param, Expr: e}, nil
 	default:
 		return nil, p.errorf("expected FUNCTION or AGGREGATE after DEFINE")
 	}

@@ -7,9 +7,7 @@
 package ssdmclient
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
@@ -25,8 +23,8 @@ import (
 // concurrent use; requests are issued one at a time over the single
 // connection.
 //
-// The protocol is a framed JSON stream with no request IDs, so after a
-// transport-level encode or decode failure the stream may be
+// The protocol is a stream of frames with no request IDs, so after a
+// transport-level write or read failure the stream may be
 // desynchronized (a partial frame on the wire would pair responses
 // with the wrong requests). The client marks itself broken on such a
 // failure and closes the connection — but unlike a hard failure, a
@@ -43,8 +41,7 @@ type Client struct {
 	mu      sync.Mutex
 	addr    string
 	conn    net.Conn
-	enc     *json.Encoder
-	dec     *json.Decoder
+	wire    *protocol.Wire
 	timeout time.Duration
 	broken  error // first transport failure; nil while usable
 
@@ -68,18 +65,7 @@ func Connect(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{addr: addr, attempts: defaultAttempts, backoff: defaultBackoff}
-	c.install(conn)
-	return c, nil
-}
-
-// install wires a fresh connection into the client. Caller holds c.mu
-// (or is the constructor).
-func (c *Client) install(conn net.Conn) {
-	c.conn = conn
-	c.enc = json.NewEncoder(conn)
-	c.dec = json.NewDecoder(bufio.NewReader(conn))
-	c.broken = nil
+	return &Client{addr: addr, conn: conn, wire: protocol.NewWire(conn, conn), attempts: defaultAttempts, backoff: defaultBackoff}, nil
 }
 
 // SetTimeout bounds each subsequent round trip: the deadline covers
@@ -160,19 +146,6 @@ func (g Guards) apply(req *protocol.Request) {
 	req.MaxBindings = g.MaxBindings
 }
 
-// peerTimed reports whether the server bounds op by the request's
-// timeout_ms and answers a typed timeout once it passes: the ops that
-// run a query, an update, a triple write or a scan. Every other op
-// (ping, stats, loads, array uploads) runs to completion on the server
-// whatever the request says.
-func peerTimed(op string) bool {
-	switch op {
-	case protocol.OpQuery, protocol.OpExplain, protocol.OpExecute, protocol.OpUpdate, protocol.OpTriples, protocol.OpScan:
-		return true
-	}
-	return false
-}
-
 // peerGrace is how long past ctx's deadline the socket of a peer-timed
 // round trip stays open for the peer's typed timeout reply. It has to
 // cover the peer noticing the deadline (it polls between batches of
@@ -188,14 +161,14 @@ const peerGrace = 250 * time.Millisecond
 // retrying per the reconnect policy. idempotent marks requests that
 // are safe to re-send after a mid-call transport failure.
 //
-// Who enforces ctx's deadline follows from the op. A peerTimed request
-// carries what remains of the deadline at send time as timeout_ms
-// (never loosening a Guards.Timeout already on it), so the peer stops
-// working when it passes and answers a typed timeout on a stream that
-// stays aligned; the socket deadline trails by peerGrace to let that
-// answer arrive. For any other op the deadline cuts the socket, which
-// breaks the connection. Cancellation pokes the socket at once either
-// way.
+// Who enforces ctx's deadline follows from the op. A request of a
+// protocol.QueryClass op carries what remains of the deadline at send
+// time as timeout_ms (never loosening a Guards.Timeout already on it),
+// so the peer stops working when it passes and answers a typed timeout
+// on a stream that stays aligned; the socket deadline trails by
+// peerGrace to let that answer arrive. For any other op the deadline
+// cuts the socket, which breaks the connection. Cancellation pokes the
+// socket at once either way.
 func (c *Client) roundTrip(ctx context.Context, req *protocol.Request, idempotent bool) (*protocol.Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -253,7 +226,7 @@ func (c *Client) roundTrip(ctx context.Context, req *protocol.Request, idempoten
 	return nil, fmt.Errorf("ssdm: giving up after %d attempts: %w", tries, lastErr)
 }
 
-// attemptLocked performs one encode/decode round trip on the current
+// attemptLocked performs one frame round trip on the current
 // connection, breaking it on transport failure. Caller holds c.mu.
 func (c *Client) attemptLocked(ctx context.Context, req *protocol.Request) (*protocol.Response, error) {
 	// Capture the connection this attempt runs on: the cancellation
@@ -265,7 +238,7 @@ func (c *Client) attemptLocked(ctx context.Context, req *protocol.Request) (*pro
 		deadline = time.Now().Add(c.timeout)
 	}
 	d, hasDeadline := ctx.Deadline()
-	byPeer := hasDeadline && peerTimed(req.Op)
+	byPeer := hasDeadline && protocol.QueryClass(req.Op)
 	if byPeer {
 		// Rounded up: 0 would mean "no deadline" to the peer.
 		left := max(1, int64((time.Until(d)+time.Millisecond-1)/time.Millisecond))
@@ -298,11 +271,11 @@ func (c *Client) attemptLocked(ctx context.Context, req *protocol.Request) (*pro
 			<-pokeDone
 		}
 	}()
-	if err := c.enc.Encode(req); err != nil {
+	if err := c.wire.Write(req); err != nil {
 		return nil, c.breakConn(err)
 	}
 	var resp protocol.Response
-	if err := c.dec.Decode(&resp); err != nil {
+	if err := c.wire.Read(&resp); err != nil {
 		return nil, c.breakConn(err)
 	}
 	return &resp, nil
@@ -312,11 +285,10 @@ func (c *Client) attemptLocked(ctx context.Context, req *protocol.Request) (*pro
 // c.mu.
 func (c *Client) redial(ctx context.Context) error {
 	conn, err := (&net.Dialer{}).DialContext(ctx, "tcp", c.addr)
-	if err != nil {
-		return err
+	if err == nil {
+		c.conn, c.wire, c.broken = conn, protocol.NewWire(conn, conn), nil
 	}
-	c.install(conn)
-	return nil
+	return err
 }
 
 // breakConn records the transport failure and closes the connection so
@@ -351,20 +323,16 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // Ping checks connectivity.
 func (c *Client) Ping() error { return c.PingContext(context.Background()) }
 
-// PingContext is Ping under a context. Idempotent: retried with
-// backoff per the reconnect policy.
+// PingContext is Ping under a context. Idempotent.
 func (c *Client) PingContext(ctx context.Context) error {
 	_, err := c.roundTrip(ctx, &protocol.Request{Op: protocol.OpPing}, true)
 	return err
 }
 
 // Stats fetches the server statistics snapshot: compiled-query cache
-// counters and the default-graph size.
-func (c *Client) Stats() (*protocol.Stats, error) { return c.StatsContext(context.Background()) }
-
-// StatsContext is Stats under a context. Idempotent.
-func (c *Client) StatsContext(ctx context.Context) (*protocol.Stats, error) {
-	resp, err := c.roundTrip(ctx, &protocol.Request{Op: protocol.OpStats}, true)
+// counters and the default-graph size. Idempotent.
+func (c *Client) Stats() (*protocol.Stats, error) {
+	resp, err := c.roundTrip(context.Background(), &protocol.Request{Op: protocol.OpStats}, true)
 	if err != nil {
 		return nil, err
 	}
@@ -434,18 +402,15 @@ func (c *Client) QueryGuarded(ctx context.Context, q string, g Guards) (*Result,
 
 // Scan streams the triples of the server's default graph that match one
 // pattern (nil positions are wildcards) through emit; returning false
-// from emit stops the replay. It is the wire form of a shard scan: the
-// server answers from its indexes without parsing or planning anything,
-// and the answer is one row table of the wildcard positions
-// (protocol.EachRow), whose distinct terms are decoded once; the bound
-// positions are filled back in from the pattern. An answer of any other
-// width, with an unbound cell, or with more than one match of a
-// fully-bound pattern is protocol.ErrMalformed. ctx's deadline travels with the request, so a
-// scan that outlives it fails typed (engine.ErrQueryTimeout) on a
-// connection that stays usable. Idempotent: retried per the reconnect
-// policy, and emit sees nothing until a whole answer has arrived. A
-// server that coordinates shards refuses the op; one that predates it
-// answers "unknown op scan".
+// from emit stops the replay. It is the wire form of a shard scan (see
+// the protocol package doc): the answer's distinct terms are decoded
+// once, and the bound positions are filled back in from the pattern. An
+// answer of any other width, with an unbound cell, or with more than one
+// match of a fully-bound pattern is protocol.ErrMalformed. ctx's deadline
+// travels with the request, so a scan that outlives it fails typed
+// (engine.ErrQueryTimeout) on a connection that stays usable. Idempotent:
+// retried per the reconnect policy, and emit sees nothing until a whole
+// answer has arrived.
 func (c *Client) Scan(ctx context.Context, s, p, o rdf.Term, emit func(s, p, o rdf.Term) bool) error {
 	pattern, err := protocol.EncodeRows([][]rdf.Term{{s, p, o}}, 3)
 	if err != nil {
@@ -493,12 +458,7 @@ func (c *Client) Scan(ctx context.Context, s, p, o rdf.Term, emit func(s, p, o r
 // Explain fetches the server's execution strategy for a query (join
 // order, filter placement) without running it. Idempotent.
 func (c *Client) Explain(q string) (string, error) {
-	return c.ExplainContext(context.Background(), q)
-}
-
-// ExplainContext is Explain under a context.
-func (c *Client) ExplainContext(ctx context.Context, q string) (string, error) {
-	resp, err := c.roundTrip(ctx, &protocol.Request{Op: protocol.OpExplain, Text: q}, true)
+	resp, err := c.roundTrip(context.Background(), &protocol.Request{Op: protocol.OpExplain, Text: q}, true)
 	if err != nil {
 		return "", err
 	}
@@ -518,35 +478,27 @@ func (c *Client) ExplainAnalyze(ctx context.Context, q string, g Guards) (*Resul
 	req := &protocol.Request{Op: protocol.OpExplain, Text: q, Analyze: true}
 	g.apply(req)
 	resp, err := c.roundTrip(ctx, req, true)
-	if err != nil {
-		if resp != nil {
-			return nil, resp.Trace, err
-		}
+	switch {
+	case resp == nil:
 		return nil, nil, err
-	}
-	res, err := decodeResult(resp)
-	if err != nil {
+	case err != nil:
 		return nil, resp.Trace, err
 	}
-	return res, resp.Trace, nil
+	res, err := decodeResult(resp)
+	return res, resp.Trace, err
 }
 
 // Execute runs ';'-separated statements; the last query's result is
-// returned (nil when none).
+// returned (nil when none). Scripts may contain updates, so Execute is
+// NOT retried after a mid-call transport failure (the server may have
+// run part of the script).
 func (c *Client) Execute(text string) (*Result, error) {
-	return c.ExecuteContext(context.Background(), text)
+	return c.ExecuteGuarded(context.Background(), text, Guards{})
 }
 
-// ExecuteContext is Execute under a context. Scripts may contain
-// updates, so Execute is NOT retried after a mid-call transport
-// failure (the server may have run part of the script).
-func (c *Client) ExecuteContext(ctx context.Context, text string) (*Result, error) {
-	return c.ExecuteGuarded(ctx, text, Guards{})
-}
-
-// ExecuteGuarded is ExecuteContext with per-request execution bounds
-// enforced server-side on every statement in the script — queries and
-// the WHERE evaluation of updates alike.
+// ExecuteGuarded is Execute under a context, with per-request execution
+// bounds enforced server-side on every statement in the script —
+// queries and the WHERE evaluation of updates alike.
 func (c *Client) ExecuteGuarded(ctx context.Context, text string, g Guards) (*Result, error) {
 	req := &protocol.Request{Op: protocol.OpExecute, Text: text}
 	g.apply(req)
@@ -582,32 +534,22 @@ func (c *Client) UpdateGuarded(ctx context.Context, text string, g Guards) (int,
 }
 
 // LoadTurtle ships a Turtle document to the server ("" = default
-// graph).
+// graph). Not idempotent (documents with blank nodes load fresh nodes
+// each time).
 func (c *Client) LoadTurtle(doc string, graph rdf.IRI) error {
-	return c.LoadTurtleContext(context.Background(), doc, graph)
-}
-
-// LoadTurtleContext is LoadTurtle under a context. Not idempotent
-// (documents with blank nodes load fresh nodes each time).
-func (c *Client) LoadTurtleContext(ctx context.Context, doc string, graph rdf.IRI) error {
-	_, err := c.roundTrip(ctx, &protocol.Request{Op: protocol.OpLoadTurtle, Text: doc, Graph: string(graph)}, false)
+	_, err := c.roundTrip(context.Background(), &protocol.Request{Op: protocol.OpLoadTurtle, Text: doc, Graph: string(graph)}, false)
 	return err
 }
 
 // StoreArray uploads an array to the server's storage back-end and
-// returns its array ID.
+// returns its array ID. Not idempotent: a retry would allocate a second
+// array ID.
 func (c *Client) StoreArray(a *array.Array) (int64, error) {
-	return c.StoreArrayContext(context.Background(), a)
-}
-
-// StoreArrayContext is StoreArray under a context. Not idempotent: a
-// retry would allocate a second array ID.
-func (c *Client) StoreArrayContext(ctx context.Context, a *array.Array) (int64, error) {
-	payload, err := protocol.EncodeArray(a)
+	payload, err := array.AppendMarshal(nil, a)
 	if err != nil {
 		return 0, err
 	}
-	resp, err := c.roundTrip(ctx, &protocol.Request{Op: protocol.OpStoreArray, Array: payload}, false)
+	resp, err := c.roundTrip(context.Background(), &protocol.Request{Op: protocol.OpStoreArray, Array: payload}, false)
 	if err != nil {
 		return 0, err
 	}

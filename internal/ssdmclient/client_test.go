@@ -3,8 +3,6 @@ package ssdmclient
 import (
 	"bufio"
 	"context"
-	"encoding/base64"
-	"encoding/json"
 	"errors"
 	"net"
 	"slices"
@@ -19,7 +17,7 @@ import (
 )
 
 // garbageServer accepts connections and answers every request with
-// bytes that are not valid protocol JSON, desynchronizing the stream.
+// bytes that are not a frame, desynchronizing the stream.
 func garbageServer(t *testing.T) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -35,13 +33,13 @@ func garbageServer(t *testing.T) string {
 			}
 			go func(conn net.Conn) {
 				defer conn.Close()
-				dec := json.NewDecoder(bufio.NewReader(conn))
+				w := protocol.NewWire(conn, conn)
 				for {
 					var req protocol.Request
-					if err := dec.Decode(&req); err != nil {
+					if err := w.Read(&req); err != nil {
 						return
 					}
-					if _, err := conn.Write([]byte("!!not json!!\n")); err != nil {
+					if _, err := conn.Write([]byte("!!not a frame!!\n")); err != nil {
 						return
 					}
 				}
@@ -75,6 +73,37 @@ func TestBrokenStreamFailsFast(t *testing.T) {
 	}
 }
 
+// TestJSONLinesServerFailsTyped: a server on the JSON-lines format, the
+// one before frames, answers a ping with a line the client refuses as
+// protocol.ErrFrame, whatever the line says.
+func TestJSONLinesServerFailsTyped(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		r := bufio.NewReader(conn)
+		r.Peek(1) // a request has arrived
+		conn.Write([]byte(`{"ok":true}` + "\n"))
+		r.ReadByte()
+	}()
+	cl, err := Connect(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cl.SetReconnect(0, 0)
+	if err := cl.Ping(); !errors.Is(err, protocol.ErrFrame) {
+		t.Fatalf("ping of a JSON-lines server: %v, want protocol.ErrFrame", err)
+	}
+}
+
 // TestReconnectHealsBrokenStream: with the default policy a broken
 // client redials. The flaky server poisons its first connection with
 // garbage but serves later connections correctly, so the same Ping
@@ -95,18 +124,17 @@ func TestReconnectHealsBrokenStream(t *testing.T) {
 			poisoned := conns.Add(1) == 1
 			go func(conn net.Conn, poisoned bool) {
 				defer conn.Close()
-				dec := json.NewDecoder(bufio.NewReader(conn))
-				enc := json.NewEncoder(conn)
+				w := protocol.NewWire(conn, conn)
 				for {
 					var req protocol.Request
-					if err := dec.Decode(&req); err != nil {
+					if err := w.Read(&req); err != nil {
 						return
 					}
 					if poisoned {
-						conn.Write([]byte("!!not json!!\n"))
+						conn.Write([]byte("!!not a frame!!\n"))
 						return
 					}
-					enc.Encode(protocol.Response{OK: true})
+					w.Write(&protocol.Response{OK: true})
 				}
 			}(conn, poisoned)
 		}
@@ -144,21 +172,20 @@ func TestNonIdempotentNotRetried(t *testing.T) {
 			poisoned := conns.Add(1) == 1
 			go func(conn net.Conn, poisoned bool) {
 				defer conn.Close()
-				dec := json.NewDecoder(bufio.NewReader(conn))
-				enc := json.NewEncoder(conn)
+				w := protocol.NewWire(conn, conn)
 				for {
 					var req protocol.Request
-					if err := dec.Decode(&req); err != nil {
+					if err := w.Read(&req); err != nil {
 						return
 					}
 					if req.Op == protocol.OpUpdate {
 						updates.Add(1)
 					}
 					if poisoned {
-						conn.Write([]byte("!!not json!!\n"))
+						conn.Write([]byte("!!not a frame!!\n"))
 						return
 					}
-					enc.Encode(protocol.Response{OK: true})
+					w.Write(&protocol.Response{OK: true})
 				}
 			}(conn, poisoned)
 		}
@@ -195,20 +222,19 @@ func TestServerErrorDoesNotBreakClient(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		dec := json.NewDecoder(bufio.NewReader(conn))
-		enc := json.NewEncoder(conn)
+		w := protocol.NewWire(conn, conn)
 		first := true
 		for {
 			var req protocol.Request
-			if err := dec.Decode(&req); err != nil {
+			if err := w.Read(&req); err != nil {
 				return
 			}
 			if first {
 				first = false
-				enc.Encode(protocol.Response{OK: false, Error: "synthetic failure"})
+				w.Write(&protocol.Response{OK: false, Error: "synthetic failure"})
 				continue
 			}
-			enc.Encode(protocol.Response{OK: true})
+			w.Write(&protocol.Response{OK: true})
 		}
 	}()
 	cl, err := Connect(ln.Addr().String())
@@ -239,14 +265,13 @@ func TestWireCodeMapsToTypedError(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		dec := json.NewDecoder(bufio.NewReader(conn))
-		enc := json.NewEncoder(conn)
+		w := protocol.NewWire(conn, conn)
 		for _, code := range codes {
 			var req protocol.Request
-			if err := dec.Decode(&req); err != nil {
+			if err := w.Read(&req); err != nil {
 				return
 			}
-			enc.Encode(protocol.Response{OK: false, Error: "synthetic " + code, Code: code})
+			w.Write(&protocol.Response{OK: false, Error: "synthetic " + code, Code: code})
 		}
 	}()
 	cl, err := Connect(ln.Addr().String())
@@ -362,15 +387,14 @@ func TestLatePokeDoesNotClobberNextRoundTrip(t *testing.T) {
 			}
 			go func(conn net.Conn) {
 				defer conn.Close()
-				dec := json.NewDecoder(bufio.NewReader(conn))
-				enc := json.NewEncoder(conn)
+				w := protocol.NewWire(conn, conn)
 				for {
 					var req protocol.Request
-					if err := dec.Decode(&req); err != nil {
+					if err := w.Read(&req); err != nil {
 						return
 					}
 					time.Sleep(time.Millisecond)
-					if enc.Encode(protocol.Response{OK: true}) != nil {
+					if w.Write(&protocol.Response{OK: true}) != nil {
 						return
 					}
 				}
@@ -420,21 +444,20 @@ func TestScanOnTheWire(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		dec := json.NewDecoder(bufio.NewReader(conn))
-		enc := json.NewEncoder(conn)
+		w := protocol.NewWire(conn, conn)
 		for i := 0; ; i++ {
 			var req protocol.Request
-			if err := dec.Decode(&req); err != nil {
+			if err := w.Read(&req); err != nil {
 				return
 			}
 			reqs <- req
 			switch i {
 			case 0:
-				enc.Encode(protocol.Response{OK: true, Rows: blob, NRows: 2})
+				w.Write(&protocol.Response{OK: true, Rows: blob, NRows: 2})
 			case 1:
-				enc.Encode(protocol.Response{OK: false, Error: "unknown op scan", Code: protocol.CodeError})
+				w.Write(&protocol.Response{OK: false, Error: "unknown op scan", Code: protocol.CodeError})
 			case 2:
-				enc.Encode(protocol.Response{OK: true})
+				w.Write(&protocol.Response{OK: true})
 			default:
 				<-hold
 			}
@@ -503,7 +526,7 @@ func TestScanOnTheWire(t *testing.T) {
 
 // TestScanAnswerShape: Scan fills the bound positions back in from its
 // pattern, and an answer that is not a table of the pattern's wildcards
-// — an old peer's batch, another width, two matches of a ground
+// — no table at all, another width, two matches of a ground
 // pattern, an unbound cell, bytes that do not decode — fails as
 // protocol.ErrMalformed, not a panic, on a connection that stays usable.
 func TestScanAnswerShape(t *testing.T) {
@@ -516,13 +539,13 @@ func TestScanAnswerShape(t *testing.T) {
 		return blob
 	}
 	ground := table([][]rdf.Term{{}}, 0)
-	answers := []string{
-		`{"ok":true,"rows":"` + base64.StdEncoding.EncodeToString(ground) + `","nrows":1}`,
-		`{"ok":true,"count":1,"triples":"AAAAAAABAAAA"}`,
-		`{"ok":true,"rows":"` + base64.StdEncoding.EncodeToString(table([][]rdf.Term{{s}}, 1)) + `","nrows":1}`,
-		`{"ok":true,"rows":"` + base64.StdEncoding.EncodeToString(table([][]rdf.Term{{}, {}}, 0)) + `","nrows":2}`,
-		`{"ok":true,"rows":"` + base64.StdEncoding.EncodeToString(table([][]rdf.Term{{s, nil}}, 2)) + `","nrows":1}`,
-		`{"ok":true,"rows":"` + base64.StdEncoding.EncodeToString(ground[:len(ground)-1]) + `","nrows":1}`,
+	answers := []protocol.Response{
+		{OK: true, Rows: ground, NRows: 1},
+		{OK: true, Count: 1},
+		{OK: true, Rows: table([][]rdf.Term{{s}}, 1), NRows: 1},
+		{OK: true, Rows: table([][]rdf.Term{{}, {}}, 0), NRows: 2},
+		{OK: true, Rows: table([][]rdf.Term{{s, nil}}, 2), NRows: 1},
+		{OK: true, Rows: ground[:len(ground)-1], NRows: 1},
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -535,12 +558,12 @@ func TestScanAnswerShape(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		r := bufio.NewReader(conn)
+		w := protocol.NewWire(conn, conn)
 		for _, answer := range answers {
-			if _, err := r.ReadBytes('\n'); err != nil {
+			if err := w.Read(&protocol.Request{}); err != nil {
 				return
 			}
-			conn.Write([]byte(answer + "\n"))
+			w.Write(&answer)
 		}
 	}()
 	cl, err := Connect(ln.Addr().String())
@@ -582,15 +605,14 @@ func TestDeadlineTravelsWithPeerTimedOps(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		dec := json.NewDecoder(bufio.NewReader(conn))
-		enc := json.NewEncoder(conn)
+		w := protocol.NewWire(conn, conn)
 		for {
 			var req protocol.Request
-			if dec.Decode(&req) != nil {
+			if w.Read(&req) != nil {
 				return
 			}
 			reqs <- req
-			enc.Encode(protocol.Response{OK: true})
+			w.Write(&protocol.Response{OK: true})
 		}
 	}()
 	cl, err := Connect(ln.Addr().String())
@@ -610,10 +632,9 @@ func TestDeadlineTravelsWithPeerTimedOps(t *testing.T) {
 		{"looser guard", func() error { _, err := cl.QueryGuarded(ctx, q, Guards{Timeout: time.Hour}); return err }, 59_001, 60_000},
 		{"tighter guard", func() error { _, err := cl.QueryGuarded(ctx, q, Guards{Timeout: 5 * time.Second}); return err }, 5_000, 5_000},
 		{"update", func() error { _, err := cl.UpdateContext(ctx, "DELETE WHERE { ?s ?p ?o }"); return err }, 59_001, 60_000},
-		{"execute", func() error { _, err := cl.ExecuteContext(ctx, q); return err }, 59_001, 60_000},
+		{"execute", func() error { _, err := cl.ExecuteGuarded(ctx, q, Guards{}); return err }, 59_001, 60_000},
 		{"no deadline", func() error { _, err := cl.Query(q); return err }, 0, 0},
 		{"ping", func() error { return cl.PingContext(ctx) }, 0, 0},
-		{"load", func() error { return cl.LoadTurtleContext(ctx, "", "") }, 0, 0},
 	} {
 		if err := tc.call(); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)

@@ -377,14 +377,23 @@ var (
 // writes, and what a checkpoint image is a file of. A body too large
 // for a frame is an error, and dst is returned unchanged.
 func AppendFrame(dst []byte, typ byte, body []byte) ([]byte, error) {
+	dst, err := appendHead(dst, typ, body)
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, body...), nil
+}
+
+// appendHead appends what precedes body in its frame: the length, the
+// CRC of the type byte and body, and the type byte.
+func appendHead(dst []byte, typ byte, body []byte) ([]byte, error) {
 	if len(body)+1 > maxFrameLen {
 		return dst, fmt.Errorf("wal: record of %d bytes exceeds frame limit", len(body))
 	}
-	at := len(dst)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)+1))
-	dst = append(dst, 0, 0, 0, 0, typ) // CRC placeholder, then the payload
-	dst = append(dst, body...)
-	binary.LittleEndian.PutUint32(dst[at+4:], crc32.Checksum(dst[at+frameHeader:], castagnoli))
+	dst = append(dst, 0, 0, 0, 0, typ) // CRC placeholder, then the type
+	crc := crc32.Update(crc32.Checksum(dst[len(dst)-1:], castagnoli), castagnoli, body)
+	binary.LittleEndian.PutUint32(dst[len(dst)-5:], crc)
 	return dst, nil
 }
 
@@ -425,26 +434,36 @@ func (l *Log) Append(typ byte, body []byte) (uint64, error) {
 	if l.f == nil {
 		return 0, fmt.Errorf("wal: log is closed")
 	}
-	buf, err := AppendFrame(l.buf[:0], typ, body)
+	// A small record goes out in one write from the kept buffer; a
+	// larger one as its head, then its body as it is, never copied.
+	buf, err := appendHead(l.buf[:0], typ, body)
 	if err != nil {
 		return 0, err
+	}
+	if len(buf)+len(body) <= maxKeptBuf {
+		buf, body = append(buf, body...), nil
 	}
 	if cap(buf) <= maxKeptBuf {
 		l.buf = buf
 	}
-	if l.segOff > 0 && l.segOff+int64(len(buf)) > l.segBytes {
+	size := int64(len(buf) + len(body))
+	if l.segOff > 0 && l.segOff+size > l.segBytes {
 		if err := l.rotateLocked(); err != nil {
 			return 0, err
 		}
 	}
 	lsn := l.tailLocked()
-	if _, err := l.f.Write(buf); err != nil {
+	_, err = l.f.Write(buf)
+	if err == nil && len(body) > 0 {
+		_, err = l.f.Write(body)
+	}
+	if err != nil {
 		l.err = fmt.Errorf("wal: append: %w", err)
 		return 0, l.err
 	}
-	l.segOff += int64(len(buf))
+	l.segOff += size
 	l.appends.Add(1)
-	l.appendedBytes.Add(int64(len(buf)))
+	l.appendedBytes.Add(size)
 	return lsn, nil
 }
 

@@ -427,6 +427,50 @@ func FuzzWALDecode(f *testing.F) {
 	})
 }
 
+// TestTornLargeRecordRecovers: a record too large for the kept buffer
+// goes out as its head, then its body; a segment cut after the head, or
+// halfway through the body, recovers to the record before it, and the
+// whole record reads back as written.
+func TestTornLargeRecordRecovers(t *testing.T) {
+	master := t.TempDir()
+	l := openT(t, master, Options{Policy: SyncNone})
+	appendT(t, l, RecBatch, "before")
+	at := l.TailLSN()
+	large := bytes.Repeat([]byte("0123456789abcdef"), maxKeptBuf/8)
+	appendT(t, l, RecBatch, string(large))
+	l.Close()
+	segs, err := (&Log{dir: master}).listSegments()
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("%d segments: %v", len(segs), err)
+	}
+	data, err := os.ReadFile(segs[0].path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cut := range []int{int(at) + frameHeader + 1, int(at) + frameHeader + 1 + len(large)/2, len(data)} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(segs[0].path)), data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		lr := openT(t, dir, Options{Policy: SyncNone})
+		var got [][]byte
+		if err := lr.Replay(0, func(_ uint64, _ byte, body []byte) error {
+			got = append(got, bytes.Clone(body))
+			return nil
+		}); err != nil {
+			t.Fatalf("cut at %d: %v", cut, err)
+		}
+		lr.Close()
+		want := [][]byte{[]byte("before")}
+		if cut == len(data) {
+			want = append(want, large)
+		}
+		if len(got) != len(want) || !bytes.Equal(got[0], want[0]) || len(want) == 2 && !bytes.Equal(got[1], large) {
+			t.Fatalf("cut at %d of %d bytes: recovered %d records, want %d", cut, len(data), len(got), len(want))
+		}
+	}
+}
+
 // TestAppendDropsLargeFrameBuffer: a large record's frame buffer is not
 // kept after it is written, while small appends keep reusing theirs.
 func TestAppendDropsLargeFrameBuffer(t *testing.T) {
