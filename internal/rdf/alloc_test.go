@@ -171,8 +171,8 @@ func TestGuardMergedReadAllocFree(t *testing.T) {
 		deleteTriple(g, IRI(fmt.Sprintf("http://ex/s%d", i)), IRI("http://ex/val"), Integer(int64(i%100)))
 		addTriple(g, IRI(fmt.Sprintf("http://ex/s%d", i)), IRI("http://ex/val"), Integer(-1))
 	}
-	if st := g.cur(); len(st.base.pairs) == 0 || st.adds.n == 0 || st.dels.n == 0 {
-		t.Fatalf("base %d, adds %d, tombstones %d: want all three", len(st.base.pairs), st.adds.n, st.dels.n)
+	if st := g.cur(); st.base.n == 0 || st.adds.n == 0 || st.dels.n == 0 {
+		t.Fatalf("base %d rows, adds %d, tombstones %d: want all three", st.base.n, st.adds.n, st.dels.n)
 	}
 	s, _ := g.Lookup(IRI("http://ex/s10"))
 	p, _ := g.Lookup(IRI("http://ex/val"))
@@ -275,12 +275,13 @@ func TestGuardTxAddBytesPerTriple(t *testing.T) {
 
 // TestGuardBuildBytesPerRow pins what Build into a new graph allocates
 // per triple of a gather-shaped batch (6 501 triples): one array of three
-// runs of 8-byte pairs, the runs' key directories (8 B per key, 3 505
-// keys), their ID index (4 B per term and run) and a few headers — 33.5 B
+// runs of rows packed at twice the bit length of the largest ID (12 bits
+// here, 3 B per row), the runs' key directories (8 B per key, 3 505
+// keys), their ID index (4 B per term and run) and a few headers — 18.4 B
 // per triple; the sort buffer is the one the first Build left in
-// sortBuf. With 12-byte rows, the last third of them the sort buffer, it
-// was 40.4 B; laid out as three tries, every node, slot array and set
-// header allocated at its final size, 158.
+// sortBuf. With 8-byte pairs it was 33.5 B; with 12-byte rows, the last
+// third of them the sort buffer, 40.4 B; laid out as three tries, every
+// node, slot array and set header allocated at its final size, 158.
 func TestGuardBuildBytesPerRow(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's allocator overhead is not what this measures")
@@ -298,8 +299,8 @@ func TestGuardBuildBytesPerRow(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	got := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(ts))
 	t.Logf("%.1f B per triple", got)
-	if got > 36 {
-		t.Errorf("Build allocates %.1f B per triple, want <= 36", got)
+	if got > 22 {
+		t.Errorf("Build allocates %.1f B per triple, want <= 22", got)
 	}
 }
 

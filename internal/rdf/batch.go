@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"context"
+	"slices"
 	"sync"
 )
 
@@ -73,6 +74,16 @@ func (g *Graph) MatchIDs(ctx context.Context, s, p, o ID, bs int, yield func(s, 
 	}
 	buf := getTripleBatch(bs)
 	defer putTripleBatch(buf)
+	if r, ok := g.cur().bare(s, p, o); ok {
+		for r.lo < r.hi {
+			buf.Reset()
+			r.next(buf, bs)
+			if !yield(buf.S, buf.P, buf.O) || ctxDone(ctx) {
+				return
+			}
+		}
+		return
+	}
 	stopped := false
 	g.cur().match(nil, s, p, o, func(t Triple) bool {
 		buf.append(t.S, t.P, t.O)
@@ -94,6 +105,12 @@ func (g *Graph) MatchIDs(ctx context.Context, s, p, o ID, bs int, yield func(s, 
 // expected fan-out is the pattern's selectivity, not the graph size.
 func (g *Graph) MatchAppend(s, p, o ID, dst *TripleBatch) int {
 	before := dst.Len()
+	if r, ok := g.cur().bare(s, p, o); ok {
+		if r.lo < r.hi {
+			r.next(dst, r.hi-r.lo)
+		}
+		return dst.Len() - before
+	}
 	g.cur().match(nil, s, p, o, func(t Triple) bool {
 		dst.append(t.S, t.P, t.O)
 		return true
@@ -105,4 +122,37 @@ func (g *Graph) MatchAppend(s, p, o ID, dst *TripleBatch) int {
 // zero-allocation membership probe of the vectorized join path.
 func (g *Graph) HasIDs(s, p, o ID) bool {
 	return g.cur().has(s, p, o)
+}
+
+// bare returns the base rows matching a pattern when st has no delta to
+// merge with them, so a batch read decodes them straight into its
+// columns; ok is false when it has one.
+func (st *graphState) bare(s, p, o ID) (r baseRows, ok bool) {
+	if st.adds.n+st.dels.n != 0 {
+		return r, false
+	}
+	k, key, n := perm(s, p, o)
+	return st.base.rows(k, key, n), true
+}
+
+// next moves up to max rows to dst's columns, each rebuilt as (key, a,
+// b) and turned back: the key goes to column k, a and b to the two
+// after it.
+func (r *baseRows) next(dst *TripleBatch, max int) {
+	n, at := min(r.hi-r.lo, max), len(dst.S)
+	dst.S, dst.P, dst.O = slices.Grow(dst.S, n)[:at+n], slices.Grow(dst.P, n)[:at+n], slices.Grow(dst.O, n)[:at+n]
+	cols := [3][]ID{dst.S[at:], dst.P[at:], dst.O[at:]}
+	keys, xs, ys := cols[r.k], cols[(r.k+1)%3][:n], cols[(r.k+2)%3][:n]
+	b, k, d := r.b, r.k, r.d
+	bit, step, stop := b.bit(k, r.lo), 2*b.w, int(b.starts[k][d+1]) // key d leads rows up to stop
+	for i := range keys {
+		if r.lo+i == stop {
+			d++
+			stop = int(b.starts[k][d+1])
+		}
+		keys[i] = b.keys[k][d]
+		xs[i], ys[i] = b.at(bit)
+		bit += step
+	}
+	r.lo, r.d = r.lo+n, d
 }

@@ -41,7 +41,7 @@ func (g *Graph) Build(ts []Triple) {
 	if len(*tmp) <= maxScratch && !sortSlot.CompareAndSwap(nil, tmp) {
 		g.sortBuf = tmp
 	}
-	g.publish(&graphState{base: b, size: len(b.pairs) / 3, sealed: true})
+	g.publish(&graphState{base: b, size: b.n, sealed: true})
 }
 
 // sortSlot holds a sort buffer of up to maxScratch rows for the next
@@ -68,7 +68,7 @@ func (g *Graph) Reset() {
 	}
 	g.wmu.Lock()
 	defer g.wmu.Unlock()
-	if st := g.cur(); st.sealed && cap(st.base.pairs) <= 3*maxScratch {
+	if st := g.cur(); st.sealed && st.base.n <= maxScratch {
 		g.spare = st.base
 	}
 	g.dict.reset()
@@ -198,9 +198,15 @@ func before(a, b Triple, n int) bool {
 // with its first row. It holds no pointer the collector must follow
 // past its slice headers.
 type base struct {
-	// pairs holds the three runs' rows without their keys, n pairs each:
-	// SPO's, then POS's, then OSP's.
-	pairs []pair
+	// words packs the three runs' rows without their keys, n rows each:
+	// SPO's, then POS's, then OSP's. A row is 2w bits, w the bit length
+	// of the base's largest ID (mask is w ones): its first ID in the low
+	// w, its second in the high w, back to back, a row straddling two
+	// words where it falls, and one word of padding at the end.
+	words []uint64
+	n     int
+	w     uint
+	mask  uint64
 	// keys[k] is run k's directory: its distinct leading IDs in trie
 	// order. The rows keys[k][d] leads are starts[k][d] up to
 	// starts[k][d+1], whose last entry is n.
@@ -215,21 +221,22 @@ type base struct {
 	preds []predStats
 }
 
-// pair is a base row without its key.
-type pair [2]ID
-
 type predStats struct{ subjects, objects int32 }
 
-// run returns permutation k's rows: 0 SPO, 1 POS, 2 OSP.
-func (b *base) run(k int) []pair {
-	n := len(b.pairs) / 3
-	return b.pairs[k*n : (k+1)*n : (k+1)*n]
+// at decodes the row that starts at bit: every read of a base row goes
+// through it. It reads the row's word and the next (the padding word
+// backs the last row); the next is shifted by 63-sh and 1 more, so a
+// row that starts a word (sh 0) takes nothing from it, and w&63 spares
+// the shift by w a range check.
+func (b *base) at(bit uint) (x, y ID) {
+	i, sh := bit/64, bit%64
+	two := b.words[i : i+2 : i+2]
+	v := two[0]>>sh | two[1]<<(63-sh)<<1
+	return ID(v & b.mask), ID(v >> (b.w & 63) & b.mask)
 }
 
-// rowsOf returns the rows of run k that its d-th key leads.
-func (b *base) rowsOf(k, d int) []pair {
-	return b.run(k)[b.starts[k][d]:b.starts[k][d+1]]
-}
+// bit is where row r of run k (0 SPO, 1 POS, 2 OSP) starts in words.
+func (b *base) bit(k, r int) uint { return uint(k*b.n+r) * 2 * b.w }
 
 // grow returns s with n elements, in a new array when s has not room.
 func grow[E any](s []E, n int) []E {
@@ -244,8 +251,15 @@ func grow[E any](s []E, n int) []E {
 // it. tmp (len(ts) triples) is the sort buffer; the contents of ts and
 // tmp are unspecified afterwards.
 func (b *base) fill(ts, tmp []Triple) {
-	n := len(ts)
-	b.pairs = grow(b.pairs, 3*n)
+	n, largest := len(ts), ID(0)
+	for _, t := range ts {
+		largest = max(largest, t.S, t.P, t.O)
+	}
+	b.n, b.w = n, uint(bits.Len32(uint32(largest)))
+	b.mask = 1<<b.w - 1
+	b.words = grow(b.words, (3*n*2*int(b.w)+63)/64+1)
+	// Rows are OR-ed in: adjacent runs share the word where they meet.
+	clear(b.words)
 	for i, k := range [3]int{0, 2, 1} { // turnLast takes SPO to OSP, OSP to POS
 		if i != 0 {
 			turnLast(ts, tmp)
@@ -259,7 +273,7 @@ func (b *base) fill(ts, tmp []Triple) {
 		b.keys[k], b.starts[k] = grow(b.keys[k], keys)[:0], grow(b.starts[k], keys+1)[:0]
 		b.lead[k] = grow(b.lead[k], min(int(top), n)+1)
 		clear(b.lead[k])
-		run := b.run(k)
+		at := b.bit(k, 0)
 		for r, t := range ts {
 			if r == 0 || t.S != ts[r-1].S {
 				if int(t.S) < len(b.lead[k]) {
@@ -267,26 +281,31 @@ func (b *base) fill(ts, tmp []Triple) {
 				}
 				b.keys[k], b.starts[k] = append(b.keys[k], t.S), append(b.starts[k], uint32(r))
 			}
-			run[r] = pair{t.P, t.O}
+			v := uint64(t.P) | uint64(t.O)<<b.w
+			b.words[at/64] |= v << (at % 64)
+			b.words[at/64+1] |= v >> (63 - at%64) >> 1
+			at += 2 * b.w
 		}
 		b.starts[k] = append(b.starts[k], uint32(n))
 	}
 
+	// A predicate's distinct objects are the distinct first IDs of its POS
+	// rows, its distinct subjects the SPO keys with a row that it leads.
 	b.preds = grow(b.preds, len(b.keys[1]))
-	for d := range b.keys[1] {
-		e, rows := predStats{}, b.rowsOf(1, d)
-		for r := range rows {
-			if r == 0 || rows[r][0] != rows[r-1][0] {
-				e.objects++
+	clear(b.preds)
+	for _, k := range [2]int{1, 0} {
+		for r, bit, d, last := 0, b.bit(k, 0), -1, ID(0); r < n; r, bit = r+1, bit+2*b.w {
+			if r == int(b.starts[k][d+1]) {
+				d, last = d+1, 0 // a new key: no ID is 0
 			}
-		}
-		b.preds[d] = e
-	}
-	for d := range b.keys[0] {
-		rows := b.rowsOf(0, d)
-		for r := range rows {
-			if r == 0 || rows[r][0] != rows[r-1][0] {
-				b.preds[b.find(1, rows[r][0])].subjects++
+			x, _ := b.at(bit)
+			if x == last {
+				continue
+			}
+			if last = x; k == 1 {
+				b.preds[d].objects++
+			} else {
+				b.preds[b.find(1, x)].subjects++
 			}
 		}
 	}
@@ -307,25 +326,56 @@ func (b *base) find(k int, id ID) int {
 
 // span returns the rows of run k whose first n components are key's:
 // rows lo up to hi, led by the run's d-th key (by every key from the
-// first on when n is 0).
+// first on when n is 0). Below the key, one search finds the first row
+// not before the rest of it; a full key is that row or none, and a
+// (key, a) prefix runs on while the row's first ID is a.
 func (b *base) span(k int, key Triple, n int) (d, lo, hi int) {
 	if n == 0 {
-		return 0, 0, len(b.pairs) / 3
+		return 0, 0, b.n
 	}
 	if d = b.find(k, key.S); d < 0 {
 		return 0, 0, 0
 	}
-	lo, hi = int(b.starts[k][d]), int(b.starts[k][d+1])
-	if n > 1 { // the key's rows, compared with an S of 0 on both sides
-		run, want := b.run(k)[lo:hi], Triple{P: key.P, O: key.O}
-		i := sort.Search(len(run), func(i int) bool { return !before(Triple{P: run[i][0], O: run[i][1]}, want, n) })
-		j := i + sort.Search(len(run)-i, func(j int) bool {
-			x := run[i+j]
-			return x[0] != key.P || n == 3 && x[1] != key.O
-		})
-		lo, hi = lo+i, lo+j
+	lo, end := int(b.starts[k][d]), int(b.starts[k][d+1])
+	if n == 1 {
+		return d, lo, end
 	}
-	return d, lo, hi
+	for rows := end - lo; rows > 0; { // the first row not before the rest of key
+		half := rows / 2
+		if x, y := b.at(b.bit(k, lo+half)); before(Triple{x, y, 0}, Triple{key.P, key.O, 0}, n-1) {
+			lo, rows = lo+half+1, rows-half-1
+		} else {
+			rows = half
+		}
+	}
+	if n == 3 {
+		if lo < end {
+			if x, y := b.at(b.bit(k, lo)); x == key.P && y == key.O {
+				return d, lo, lo + 1
+			}
+		}
+		return d, lo, lo
+	}
+	return d, lo, lo + sort.Search(end-lo, func(i int) bool {
+		x, _ := b.at(b.bit(k, lo+i))
+		return x != key.P
+	})
+}
+
+// baseRows is a span of base rows: rows lo up to hi of b's run k, the
+// one at lo led by its d-th key.
+type baseRows struct {
+	b            *base
+	k, d, lo, hi int
+}
+
+// rows returns the span of the rows of run k whose first n components
+// are key's; a nil base has none.
+func (b *base) rows(k int, key Triple, n int) (r baseRows) {
+	if r.b, r.k = b, k; b != nil {
+		r.d, r.lo, r.hi = b.span(k, key, n)
+	}
+	return r
 }
 
 // has reports whether the base holds (s, p, o).

@@ -3,6 +3,7 @@ package rdf
 import (
 	"cmp"
 	"context"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
@@ -411,4 +412,169 @@ func trieFilter(set []Triple, pat Triple) []Triple {
 		out[i] = turn(out[i], (3-k)%3)
 	}
 	return out
+}
+
+// TestPackedWidthEdges: a base packs each row at twice the bit length of
+// its largest ID. For bases whose largest ID needs 1, 2, 16, 17, 31 and
+// 32 bits — a one-term graph, IDs 65 535 and 65 536, 2³¹−1 and 2³²−1 —
+// where at 17 and 31 bits rows straddle word boundaries, and for the
+// same triples as adds alone, as a base with adds and as a base with
+// tombstones, every bound mask of each probe must yield the batch's
+// sorted set filtered by the pattern (trieFilter), CountMatch and
+// PredStats must count it, and MatchIDs at batch sizes 1, 3 and 1024 and
+// MatchAppend must yield exactly what Match yields.
+func TestPackedWidthEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, c := range []struct {
+		top  ID
+		bits uint
+	}{{1, 1}, {3, 2}, {1<<16 - 1, 16}, {1 << 16, 17}, {1<<31 - 1, 31}, {1<<32 - 1, 32}} {
+		pool := []ID{c.top, c.top - c.top/2, 1, 2, 31, 32, 33}
+		for range 20 {
+			pool = append(pool, 1+ID(rng.Int63n(int64(c.top))))
+		}
+		pool = slices.DeleteFunc(pool, func(id ID) bool { return id == 0 || id > c.top })
+		ts := []Triple{{c.top, c.top, c.top}}
+		for range 4 * int(min(c.top, 100)-1) { // over IDs 1 to 3, some triples left out
+			ts = append(ts, Triple{pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool)/2+1)], pool[rng.Intn(len(pool))]})
+		}
+		set := sortedSet(slices.Clone(ts), make([]Triple, len(ts)))
+		built := NewGraph()
+		built.Build(slices.Clone(ts))
+		b := built.cur().base
+		if b.w != c.bits {
+			t.Fatalf("largest ID %d: rows packed at %d bits per ID, want %d", c.top, b.w, c.bits)
+		}
+		straddles := false
+		for r := range 3 * b.n {
+			straddles = straddles || uint(r)*2*b.w%64+2*b.w > 64
+		}
+		if want := 64%(2*c.bits) != 0 && len(set) > 1; straddles != want {
+			t.Fatalf("%d bits: rows straddle a word %v, want %v", c.bits, straddles, want)
+		}
+		graphs := map[string]*Graph{"built": built, "adds only": addsOnly(t, set)}
+		if len(set) > 1 {
+			graphs["base and adds"], graphs["base and tombstones"] = splitBase(t, set, false), splitBase(t, set, true)
+		}
+		probes := []Triple{{}, {c.top, c.top, c.top}, {c.top - 1, 2, c.top}}
+		for range 8 {
+			x := set[rng.Intn(len(set))]
+			probes = append(probes, x, Triple{x.O, x.S, x.P})
+		}
+		for name, g := range graphs {
+			for _, x := range probes {
+				for mask := range 8 {
+					pat := Triple{x.S * ID(mask&1), x.P * ID(mask>>1&1), x.O * ID(mask>>2&1)}
+					want := trieFilter(set, pat)
+					checkReaders(t, fmt.Sprintf("%d bits, %s: %v", c.bits, name, pat), g, pat, want)
+				}
+				subjects, objects := map[ID]bool{}, map[ID]bool{}
+				for _, y := range trieFilter(set, Triple{P: x.P}) {
+					subjects[y.S], objects[y.O] = true, true
+				}
+				if n, ds, do := g.PredStats(x.P); x.P != 0 && (n != len(trieFilter(set, Triple{P: x.P})) || ds != len(subjects) || do != len(objects)) {
+					t.Fatalf("%d bits, %s: PredStats(%d) = %d,%d,%d, want %d distinct subjects and %d objects", c.bits, name, x.P, n, ds, do, len(subjects), len(objects))
+				}
+			}
+		}
+	}
+}
+
+// checkReaders requires every reader of g's triples matching pat to
+// yield want: Match, CountMatch, MatchIDs at batch sizes 1, 3 and 1024,
+// and MatchAppend after rows already in its batch.
+func checkReaders(t *testing.T, what string, g *Graph, pat Triple, want []Triple) {
+	t.Helper()
+	var got []Triple
+	g.Match(pat.S, pat.P, pat.O, func(x Triple) bool { got = append(got, x); return true })
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: Match yields %d triples, want %d", what, len(got), len(want))
+	}
+	if c := g.CountMatch(pat.S, pat.P, pat.O); c != len(want) {
+		t.Fatalf("%s: CountMatch = %d, want %d", what, c, len(want))
+	}
+	for _, bs := range []int{1, 3, 1024} {
+		got = got[:0]
+		g.MatchIDs(nil, pat.S, pat.P, pat.O, bs, func(s, p, o []ID) bool {
+			if len(s) > bs || len(p) != len(s) || len(o) != len(s) {
+				t.Fatalf("%s: MatchIDs at batch size %d yields columns of %d, %d, %d", what, bs, len(s), len(p), len(o))
+			}
+			for i := range s {
+				got = append(got, Triple{s[i], p[i], o[i]})
+			}
+			return true
+		})
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: MatchIDs at batch size %d yields %d triples, want %d", what, bs, len(got), len(want))
+		}
+	}
+	dst := TripleBatch{S: []ID{7}, P: []ID{8}, O: []ID{9}}
+	if n := g.MatchAppend(pat.S, pat.P, pat.O, &dst); n != len(want) || dst.Len() != 1+len(want) {
+		t.Fatalf("%s: MatchAppend appended %d rows (batch %d), want %d", what, n, dst.Len(), len(want))
+	}
+	for i, x := range want {
+		if y := (Triple{dst.S[1+i], dst.P[1+i], dst.O[1+i]}); y != x {
+			t.Fatalf("%s: MatchAppend row %d is %v, want %v", what, i, y, x)
+		}
+	}
+}
+
+// addsOnly returns a graph of set whose state holds it as adds alone,
+// with no base: one Tx stages every triple in its tries.
+func addsOnly(t *testing.T, set []Triple) *Graph {
+	g := NewGraph()
+	tx := g.Begin()
+	for _, x := range set {
+		if tx.st.add(tx.tag, x.S, x.P, x.O) {
+			tx.added(x.S, x.P, x.O)
+		}
+	}
+	tx.Commit()
+	if st := g.cur(); st.base != nil || st.adds.n != len(set) {
+		t.Fatalf("%d triples: want adds alone, have a base %v and %d adds", len(set), st.base != nil, st.adds.n)
+	}
+	return g
+}
+
+// splitBase returns a graph of set whose state is a base and a delta of
+// one kind: one Tx commits a base, and a second either adds the rest of
+// set (every other triple was left out) or, with tombstones, deletes
+// decoys the first committed beside all of set.
+func splitBase(t *testing.T, set []Triple, tombstones bool) *Graph {
+	in := map[Triple]bool{}
+	for _, x := range set {
+		in[x] = true
+	}
+	var decoys []Triple
+	for _, x := range set {
+		if d := (Triple{x.O, x.S, x.P}); tombstones && !in[d] && !slices.Contains(decoys, d) {
+			decoys = append(decoys, d)
+		}
+	}
+	g, tx := NewGraph(), (*Tx)(nil)
+	tx = g.Begin()
+	for i, x := range set {
+		if tombstones || i%2 == 0 {
+			tx.AddIDs(x.S, x.P, x.O)
+		}
+	}
+	for _, d := range decoys {
+		tx.AddIDs(d.S, d.P, d.O)
+	}
+	tx.Commit()
+	tx = g.Begin()
+	for i, x := range set {
+		if !tombstones && i%2 != 0 {
+			tx.AddIDs(x.S, x.P, x.O)
+		}
+	}
+	for _, d := range decoys {
+		tx.deleteIDs(d.S, d.P, d.O)
+	}
+	tx.Commit()
+	st := g.cur()
+	if st.base == nil || st.size != len(set) || tombstones != (st.dels.n != 0) || tombstones == (st.adds.n != 0) {
+		t.Fatalf("%d triples, tombstones %v: have a base %v, %d adds, %d tombstones", len(set), tombstones, st.base != nil, st.adds.n, st.dels.n)
+	}
+	return g
 }

@@ -846,17 +846,11 @@ func (g *Graph) MatchCtx(ctx context.Context, s, p, o ID, yield func(Triple) boo
 // side has none, it walks the other alone.
 func (st *graphState) match(ctx context.Context, s, p, o ID, yield func(Triple) bool) {
 	k, key, n := perm(s, p, o)
-	b, d, lo, hi := st.base, 0, 0, 0
-	if b != nil {
-		d, lo, hi = b.span(k, key, n)
-	}
-	if lo == hi {
-		w := walker{ctx: ctx}
-		st.adds.walk(&w, k, key, n, yield)
-		return
-	}
-	m := merge{walker: walker{ctx: ctx}, keys: b.keys[k][d:], starts: b.starts[k][d:], pairs: b.run(k), at: lo, end: hi, back: (3 - k) % 3, dels: &st.dels}
+	var m merge // set field by field: a literal would be built aside and copied in
+	m.ctx, m.baseRows, m.back, m.dels = ctx, st.base.rows(k, key, n), (3-k)%3, &st.dels
 	switch {
+	case m.lo == m.hi:
+		st.adds.walk(&m.walker, k, key, n, yield)
 	case st.adds.n == 0:
 		m.upto(Triple{}, true, yield)
 	case st.adds.walk(&m.walker, k, key, n, func(t Triple) bool {
@@ -890,38 +884,41 @@ type walker struct {
 	n   int
 }
 
-// merge is a walker over a base range: rows at up to end of a run's
-// pairs, led by keys[0] up to row starts[1], then by keys[1], and so on,
-// each rebuilt as (key, a, b) and turned back places to (s, p, o),
-// yielded between the delta's adds, tombstoned ones skipped.
+// merge is a walker over base rows, each rebuilt as (key, a, b) and
+// turned back places to (s, p, o), yielded between the delta's adds,
+// tombstoned ones skipped.
 type merge struct {
 	walker
-	keys    []ID
-	starts  []uint32
-	pairs   []pair
-	at, end int
-	back    int
-	dels    *tries
+	baseRows
+	back int
+	dels *tries
 }
 
 // upto yields the rows that sort before t, a triple turned as the rows
-// are, or with last every row left.
+// are, or with last every row left. It walks them in locals and stores
+// them back on the way out: fields read through m would be loaded again
+// after every yield.
 func (m *merge) upto(t Triple, last bool, yield func(Triple) bool) bool {
-	for ; m.at < m.end; m.keys, m.starts = m.keys[1:], m.starts[1:] {
-		for key, stop := m.keys[0], min(int(m.starts[1]), m.end); m.at < stop; m.at++ {
-			x := Triple{key, m.pairs[m.at][0], m.pairs[m.at][1]}
-			if !last && !before(x, t, 3) {
-				return true
+	b, k, d, lo, more := m.b, m.k, m.d, m.lo, true
+	bit := b.bit(k, lo)
+rows:
+	for ; lo < m.hi; d++ {
+		for key, stop := b.keys[k][d], min(int(b.starts[k][d+1]), m.hi); lo < stop; lo, bit = lo+1, bit+2*b.w {
+			x := Triple{S: key}
+			if x.P, x.O = b.at(bit); !last && !before(x, t, 3) {
+				break rows
 			}
 			if x = turn(x, m.back); m.dels.n != 0 && m.dels.has(x.S, x.P, x.O) {
 				continue
 			}
 			if !yield(x) || m.ctx != nil && m.cancelled() {
-				return false
+				more = false
+				break rows
 			}
 		}
 	}
-	return true
+	m.d, m.lo = d, lo
+	return more
 }
 
 // set yields a bound-pair pattern: the members of one innermost set —

@@ -80,20 +80,6 @@ func (db *Database) ResetStats() {
 	db.stats = Stats{}
 }
 
-// Table returns the named table's row count, for tests and tooling.
-func (db *Database) TableSize(name string) (int, bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	t, ok := db.tables[name]
-	if !ok {
-		return 0, false
-	}
-	if t.index != nil {
-		return t.index.size, true
-	}
-	return len(t.heap), true
-}
-
 // Exec parses and runs one SQL statement with positional parameters.
 func (db *Database) Exec(sql string, params ...Value) (*Result, error) {
 	st, err := parseSQL(sql)

@@ -82,7 +82,7 @@ func TestHeapDeleteAll(t *testing.T) {
 	if res.RowsAffected != 2 {
 		t.Fatalf("deleted %d", res.RowsAffected)
 	}
-	if n, _ := db.TableSize("log"); n != 0 {
+	if n := rowCount(t, db, "log"); n != 0 {
 		t.Fatalf("size %d", n)
 	}
 }

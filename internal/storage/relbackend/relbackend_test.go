@@ -220,8 +220,8 @@ func TestDeleteRemovesArray(t *testing.T) {
 	if err := b.Delete(id); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := b.DB.TableSize("chunks"); n != 0 {
-		t.Fatalf("chunks left: %d", n)
+	if res, err := b.DB.Exec(`SELECT COUNT(*) FROM chunks`); err != nil || res.Rows[0][0].Int() != 0 {
+		t.Fatalf("chunks left: %v (%v)", res, err)
 	}
 	if err := b.Delete(id); err == nil {
 		t.Fatal("double delete should fail")
