@@ -1,10 +1,15 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
+	"scisparql/internal/difftest"
 	"scisparql/internal/rdf"
 	"scisparql/internal/sparql"
 )
@@ -249,5 +254,60 @@ func TestQueryCacheConcurrentHits(t *testing.T) {
 	st := db.QueryCacheStats()
 	if st.Hits == 0 {
 		t.Fatalf("stats %+v, want concurrent readers to share cached parses", st)
+	}
+}
+
+// TestCachedQueryAfterInterleavedUpdate: a compiled query cached before
+// an update answers after it from the cache, and as the updated data
+// demands. For each of forty generated datasets (difftest.Data), every
+// generated query text (difftest.Queries) runs once to fill the cache;
+// then a generated INSERT DATA and a DELETE DATA of some of the
+// dataset's ground triples apply, and each text runs again: it must be
+// a cache hit, and its answer (difftest.Canon) must be that of a fresh
+// instance loaded with the post-update triples.
+func TestCachedQueryAfterInterleavedUpdate(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		data, queries, insert := difftest.Data(rng), difftest.Queries(rng), difftest.Data(rng)
+		var del []string
+		for i, line := range strings.Split(data, "\n") {
+			if i%3 == 1 && strings.HasSuffix(line, " .") && !strings.Contains(line, "_:") {
+				del = append(del, line)
+			}
+		}
+		db := Open()
+		mustUpdate(t, db, difftest.Prefixes+data)
+		for _, q := range queries {
+			if _, err := db.Query(difftest.Prefixes + q); err != nil {
+				t.Fatalf("seed %d: %s: %v", seed, q, err)
+			}
+		}
+		mustUpdate(t, db, difftest.Prefixes+insert)
+		mustUpdate(t, db, difftest.Prefixes+"DELETE DATA {\n"+strings.Join(del, "\n")+"\n}")
+		all, err := db.Query(`SELECT ?s ?p ?o WHERE { ?s ?p ?o }`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := Open()
+		if _, err := fresh.WriteTriples(context.Background(), all.Rows, false); err != nil {
+			t.Fatalf("seed %d: loading %d triples: %v", seed, len(all.Rows), err)
+		}
+		for _, q := range queries {
+			hits := db.QueryCacheStats().Hits
+			got, err := db.Query(difftest.Prefixes + q)
+			if err != nil {
+				t.Fatalf("seed %d: %s: %v", seed, q, err)
+			}
+			if h := db.QueryCacheStats().Hits; h != hits+1 {
+				t.Fatalf("seed %d: %s: after the updates %d cache hits, want %d", seed, q, h, hits+1)
+			}
+			want, err := fresh.Query(difftest.Prefixes + q)
+			if err != nil {
+				t.Fatalf("seed %d: %s on a fresh instance: %v", seed, q, err)
+			}
+			if g, w := difftest.Canon(got.Rows), difftest.Canon(want.Rows); !slices.Equal(g, w) {
+				t.Fatalf("seed %d: %s: cached plan after the updates answers\n%q\nwant\n%q", seed, q, g, w)
+			}
+		}
 	}
 }

@@ -274,14 +274,16 @@ func TestGuardTxAddBytesPerTriple(t *testing.T) {
 }
 
 // TestGuardBuildBytesPerRow pins what Build into a new graph allocates
-// per triple of a gather-shaped batch (6 501 triples): one array of three
-// runs of rows packed at twice the bit length of the largest ID (12 bits
-// here, 3 B per row), the runs' key directories (8 B per key, 3 505
-// keys), their ID index (4 B per term and run) and a few headers — 18.4 B
-// per triple; the sort buffer is the one the first Build left in
-// sortBuf. With 8-byte pairs it was 33.5 B; with 12-byte rows, the last
-// third of them the sort buffer, 40.4 B; laid out as three tries, every
-// node, slot array and set header allocated at its final size, 158.
+// per triple of a gather-shaped batch (6 501 triples): the three runs'
+// rows, their key directories and their ID index, every array packed at
+// the bit length of its largest value (rows of 13, 24 and 13 bits, a
+// predicate a 1-bit rank; 6.3 B of rows and 3 B of the rest per row),
+// and a few headers — 9.8 B per triple; the sort buffer is the one the
+// first Build left in sortBuf. With rows at twice the bit length of the
+// largest ID and 32-bit directories it was 18.4 B; with 8-byte pairs,
+// 33.5 B; with 12-byte rows, the last third of them the sort buffer,
+// 40.4 B; laid out as three tries, every node, slot array and set
+// header allocated at its final size, 158.
 func TestGuardBuildBytesPerRow(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's allocator overhead is not what this measures")
@@ -299,8 +301,8 @@ func TestGuardBuildBytesPerRow(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	got := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(ts))
 	t.Logf("%.1f B per triple", got)
-	if got > 22 {
-		t.Errorf("Build allocates %.1f B per triple, want <= 22", got)
+	if got > 12 {
+		t.Errorf("Build allocates %.1f B per triple, want <= 12", got)
 	}
 }
 

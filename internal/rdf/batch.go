@@ -144,15 +144,14 @@ func (r *baseRows) next(dst *TripleBatch, max int) {
 	cols := [3][]ID{dst.S[at:], dst.P[at:], dst.O[at:]}
 	keys, xs, ys := cols[r.k], cols[(r.k+1)%3][:n], cols[(r.k+2)%3][:n]
 	b, k, d := r.b, r.k, r.d
-	bit, step, stop := b.bit(k, r.lo), 2*b.w, int(b.starts[k][d+1]) // key d leads rows up to stop
+	rows, key, stop := &b.runs[k], ID(b.keys[k].at(d)), int(b.starts[k].at(d+1)) // key d leads rows up to stop
 	for i := range keys {
 		if r.lo+i == stop {
 			d++
-			stop = int(b.starts[k][d+1])
+			key, stop = ID(b.keys[k].at(d)), int(b.starts[k].at(d+1))
 		}
-		keys[i] = b.keys[k][d]
-		xs[i], ys[i] = b.at(bit)
-		bit += step
+		keys[i] = key
+		xs[i], ys[i] = b.ids(k, rows.at(r.lo+i))
 	}
 	r.lo, r.d = r.lo+n, d
 }

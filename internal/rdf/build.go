@@ -195,48 +195,97 @@ func before(a, b Triple, n int) bool {
 // order, so a base enumerates every pattern in the order the delta's
 // tries do. A run is stored in compressed sparse row form: its rows'
 // two trailing IDs, and a directory of its distinct leading IDs, each
-// with its first row. It holds no pointer the collector must follow
-// past its slice headers.
+// with its first row. Every array but preds is a vec packed at the bit
+// length of its largest value. It holds no pointer the collector must
+// follow past its slice headers.
 type base struct {
-	// words packs the three runs' rows without their keys, n rows each:
-	// SPO's, then POS's, then OSP's. A row is 2w bits, w the bit length
-	// of the base's largest ID (mask is w ones): its first ID in the low
-	// w, its second in the high w, back to back, a row straddling two
-	// words where it falls, and one word of padding at the end.
+	n int
+	// runs[k] holds run k's rows without their keys: a row's first ID in
+	// its low split[k] bits, its second above them. SPO's and OSP's rows
+	// hold a predicate as its rank, its index in keys[1].
+	runs  [3]vec
+	split [3]uint
+	// keys[k] is run k's directory: its distinct leading IDs in trie
+	// order. The rows keys[k][d] leads are starts[k][d] up to
+	// starts[k][d+1], whose last entry is n.
+	keys, starts [3]vec
+	// lead[k][id] is one more than id's index in keys[k], 0 when id leads
+	// no row. It covers IDs up to n (dictionary IDs are dense from 1); a
+	// key past its end is searched for in keys[k].
+	lead [3]vec
+	// preds[d] is the predicate keys[1][d], which ids turns a rank d back
+	// into, and its numbers of distinct subjects and objects.
+	preds []predStats
+}
+
+type predStats struct{ id, subjects, objects ID }
+
+// vec is a packed vector: n values of w bits (mask is w ones), value i
+// at bit i*w of words, a value straddling two words where it falls, and
+// a word of padding at the end.
+type vec struct {
 	words []uint64
 	n     int
 	w     uint
 	mask  uint64
-	// keys[k] is run k's directory: its distinct leading IDs in trie
-	// order. The rows keys[k][d] leads are starts[k][d] up to
-	// starts[k][d+1], whose last entry is n.
-	keys   [3][]ID
-	starts [3][]uint32
-	// lead[k][id] is one more than id's index in keys[k], 0 when id leads
-	// no row. It covers IDs up to n (dictionary IDs are dense from 1); a
-	// key past its end is searched for in keys[k].
-	lead [3][]uint32
-	// preds[d] holds the numbers of distinct subjects and objects of the
-	// predicate keys[1][d].
-	preds []predStats
 }
 
-type predStats struct{ subjects, objects int32 }
-
-// at decodes the row that starts at bit: every read of a base row goes
-// through it. It reads the row's word and the next (the padding word
-// backs the last row); the next is shifted by 63-sh and 1 more, so a
-// row that starts a word (sh 0) takes nothing from it, and w&63 spares
-// the shift by w a range check.
-func (b *base) at(bit uint) (x, y ID) {
-	i, sh := bit/64, bit%64
-	two := b.words[i : i+2 : i+2]
-	v := two[0]>>sh | two[1]<<(63-sh)<<1
-	return ID(v & b.mask), ID(v >> (b.w & 63) & b.mask)
+// at decodes value i: every read of a vec goes through it. It reads the
+// value's word and the next (the padding word backs the last); the next
+// is shifted by 63-sh and 1 more, so a value that starts a word (sh 0)
+// takes nothing from it.
+func (v *vec) at(i int) uint64 {
+	j, sh := uint(i)*v.w/64, uint(i)*v.w%64
+	two := v.words[j : j+2 : j+2]
+	return (two[0]>>sh | two[1]<<(63-sh)<<1) & v.mask
 }
 
-// bit is where row r of run k (0 SPO, 1 POS, 2 OSP) starts in words.
-func (b *base) bit(k, r int) uint { return uint(k*b.n+r) * 2 * b.w }
+// pack lays v out afresh for n values of w bits, in its array when that
+// has room, and returns the writer that fills it front to back.
+func (v *vec) pack(n int, w uint) packer {
+	v.words, v.n, v.w, v.mask = grow(v.words, n*int(w)/64+2), n, w, 1<<w-1
+	return packer{words: v.words, w: w}
+}
+
+// packer gathers values in acc and stores each word once, when it is
+// full: used bits of acc are taken, and i is the next word.
+type packer struct {
+	words   []uint64
+	w, used uint
+	acc     uint64
+	i       int
+}
+
+// put appends x, which fits in w bits.
+func (p *packer) put(x uint64) {
+	p.acc |= x << p.used
+	if p.used += p.w; p.used >= 64 {
+		p.used -= 64
+		p.words[p.i], p.acc = p.acc, x>>(p.w-p.used)
+		p.i++
+	}
+}
+
+// flush stores the last, partly filled word and the padding.
+func (p *packer) flush() {
+	for ; p.i < len(p.words); p.i++ {
+		p.words[p.i], p.acc = p.acc, 0
+	}
+}
+
+// ids decodes a row of run k, as at read it, into its two IDs, turning
+// a rank back into its predicate: every read of a base row goes through
+// it.
+func (b *base) ids(k int, v uint64) (x, y ID) {
+	x, y = ID(v)&(1<<b.split[k]-1), ID(v>>b.split[k])
+	switch k {
+	case 0:
+		x = b.preds[x].id
+	case 2:
+		y = b.preds[y].id
+	}
+	return x, y
+}
 
 // grow returns s with n elements, in a new array when s has not room.
 func grow[E any](s []E, n int) []E {
@@ -248,77 +297,137 @@ func grow[E any](s []E, n int) []E {
 
 // fill lays ts — sorted in trie order, without duplicates — out as the
 // base in the arrays it has, new ones where they are short, and indexes
-// it. tmp (len(ts) triples) is the sort buffer; the contents of ts and
-// tmp are unspecified afterwards.
+// it. tmp (at least len(ts) triples) is the sort buffer and, between
+// sorts, scratch; the contents of ts and tmp are unspecified afterwards.
 func (b *base) fill(ts, tmp []Triple) {
-	n, largest := len(ts), ID(0)
-	for _, t := range ts {
-		largest = max(largest, t.S, t.P, t.O)
-	}
-	b.n, b.w = n, uint(bits.Len32(uint32(largest)))
-	b.mask = 1<<b.w - 1
-	b.words = grow(b.words, (3*n*2*int(b.w)+63)/64+1)
-	// Rows are OR-ed in: adjacent runs share the word where they meet.
-	clear(b.words)
+	b.n, tmp = len(ts), tmp[:len(ts)]
+	b.rank(ts, tmp)
 	for i, k := range [3]int{0, 2, 1} { // turnLast takes SPO to OSP, OSP to POS
 		if i != 0 {
 			turnLast(ts, tmp)
 		}
-		keys, top := 0, ID(0)
-		for r, t := range ts {
-			if r == 0 || t.S != ts[r-1].S {
-				keys, top = keys+1, max(top, t.S)
-			}
-		}
-		b.keys[k], b.starts[k] = grow(b.keys[k], keys)[:0], grow(b.starts[k], keys+1)[:0]
-		b.lead[k] = grow(b.lead[k], min(int(top), n)+1)
-		clear(b.lead[k])
-		at := b.bit(k, 0)
-		for r, t := range ts {
-			if r == 0 || t.S != ts[r-1].S {
-				if int(t.S) < len(b.lead[k]) {
-					b.lead[k][t.S] = uint32(len(b.keys[k]) + 1)
-				}
-				b.keys[k], b.starts[k] = append(b.keys[k], t.S), append(b.starts[k], uint32(r))
-			}
-			v := uint64(t.P) | uint64(t.O)<<b.w
-			b.words[at/64] |= v << (at % 64)
-			b.words[at/64+1] |= v >> (63 - at%64) >> 1
-			at += 2 * b.w
-		}
-		b.starts[k] = append(b.starts[k], uint32(n))
+		b.run(k, ts, tmp)
 	}
+}
 
-	// A predicate's distinct objects are the distinct first IDs of its POS
-	// rows, its distinct subjects the SPO keys with a row that it leads.
-	b.preds = grow(b.preds, len(b.keys[1]))
-	clear(b.preds)
-	for _, k := range [2]int{1, 0} {
-		for r, bit, d, last := 0, b.bit(k, 0), -1, ID(0); r < n; r, bit = r+1, bit+2*b.w {
-			if r == int(b.starts[k][d+1]) {
-				d, last = d+1, 0 // a new key: no ID is 0
-			}
-			x, _ := b.at(bit)
-			if x == last {
-				continue
-			}
-			if last = x; k == 1 {
-				b.preds[d].objects++
-			} else {
-				b.preds[b.find(1, x)].subjects++
-			}
+// rank lays POS's directory, its ID index and preds out ahead of the
+// runs, which look ranks up in them (run lays the first two out again
+// for POS, the same). It lists the predicates in tmp's S
+// fields, sorts them in trie order and drops repeats; a predicate is
+// listed again only when another with its ID mod 64 was listed since,
+// so a few predicates are listed once each.
+func (b *base) rank(ts, tmp []Triple) {
+	var seen [64]ID
+	top, m := ID(0), 0
+	for _, t := range ts {
+		if p := t.P; seen[p%64] != p {
+			seen[p%64], tmp[m].S, m, top = p, p, m+1, max(top, p)
 		}
 	}
+	ps := tmp[:m]
+	slices.SortFunc(ps, func(x, y Triple) int {
+		if trieLess(x.S, y.S) {
+			return -1
+		}
+		return min(int(x.S^y.S), 1)
+	})
+	ps = slices.CompactFunc(ps, func(x, y Triple) bool { return x.S == y.S })
+	marked, kw := marks(tmp, top), b.keys[1].pack(len(ps), uint(bits.Len32(uint32(top))))
+	b.preds = grow(b.preds, len(ps))
+	for d, t := range ps {
+		if kw.put(uint64(t.S)); int(t.S) <= len(marked) {
+			marked[t.S-1].O = ID(d + 1)
+		}
+		b.preds[d] = predStats{id: t.S}
+	}
+	kw.flush()
+	b.index(1, marked)
+}
+
+// marks returns tmp's first min(top, len(tmp)) triples with their O
+// fields zeroed: a scratch array that tmp[id-1].O indexes by ID.
+func marks(tmp []Triple, top ID) []Triple {
+	marked := tmp[:min(int(top), len(tmp))]
+	for i := range marked {
+		marked[i].O = 0
+	}
+	return marked
+}
+
+// run lays ts, turned to lead with run k's key and sorted, out as the
+// run: its directory, ID index and rows, each front to back. It counts
+// the predicates' distinct subjects, their (s, p) pairs, in SPO and
+// their distinct objects, their (p, o) pairs, in POS. tmp is scratch.
+func (b *base) run(k int, ts, tmp []Triple) {
+	keys, top, ta, tb := 0, ID(0), ID(0), ID(0)
+	for r, t := range ts {
+		if r == 0 || t.S != ts[r-1].S {
+			keys, top = keys+1, max(top, t.S)
+		}
+		ta, tb = max(ta, t.P), max(tb, t.O)
+	}
+	w := [2]uint{uint(bits.Len32(uint32(ta))), uint(bits.Len32(uint32(tb)))}
+	if k != 1 { // the rank column: SPO's first, OSP's second
+		w[k/2] = uint(bits.Len(uint(max(len(b.preds), 1) - 1)))
+	}
+	b.split[k] = w[0]
+	marked := marks(tmp, top)
+	kw, sw, rw := b.keys[k].pack(keys, uint(bits.Len32(uint32(top)))), b.starts[k].pack(keys+1, uint(bits.Len(uint(len(ts))))), b.runs[k].pack(len(ts), w[0]+w[1])
+	d, last, lead := -1, ID(0), &b.lead[1]
+	rank := func(p ID) ID { // find, its common case inlined
+		if int(p) < lead.n {
+			return ID(lead.at(int(p)) - 1)
+		}
+		return ID(b.find(1, p))
+	}
+	for r, t := range ts {
+		xy := [2]ID{t.P, t.O}
+		if k != 1 {
+			xy[k/2] = rank(xy[k/2])
+		}
+		x, fresh := xy[0], r == 0 || t.S != ts[r-1].S
+		if fresh {
+			d++
+			kw.put(uint64(t.S))
+			sw.put(uint64(r))
+			if int(t.S) <= len(marked) {
+				marked[t.S-1].O = ID(d + 1)
+			}
+		}
+		if k == 0 && (fresh || x != last) {
+			b.preds[x].subjects++
+		} else if k == 1 && (fresh || x != last) {
+			b.preds[d].objects++
+		}
+		last = x
+		rw.put(uint64(x) | uint64(xy[1])<<w[0])
+	}
+	sw.put(uint64(len(ts)))
+	kw.flush()
+	sw.flush()
+	rw.flush()
+	b.index(k, marked)
+}
+
+// index writes run k's ID index from marked, whose entry id-1 holds id's
+// in its O field.
+func (b *base) index(k int, marked []Triple) {
+	lw := b.lead[k].pack(len(marked)+1, uint(bits.Len(uint(b.keys[k].n))))
+	lw.put(0)
+	for _, t := range marked {
+		lw.put(uint64(t.O))
+	}
+	lw.flush()
 }
 
 // find returns id's index in run k's directory, -1 when id leads no row.
 func (b *base) find(k int, id ID) int {
-	if lead := b.lead[k]; int(id) < len(lead) {
-		return int(lead[id]) - 1
+	if lead := &b.lead[k]; int(id) < lead.n {
+		return int(lead.at(int(id))) - 1
 	}
-	keys := b.keys[k]
-	d := sort.Search(len(keys), func(i int) bool { return !trieLess(keys[i], id) })
-	if d == len(keys) || keys[d] != id {
+	keys := &b.keys[k]
+	d := sort.Search(keys.n, func(i int) bool { return !trieLess(ID(keys.at(i)), id) })
+	if d == keys.n || ID(keys.at(d)) != id {
 		return -1
 	}
 	return d
@@ -336,28 +445,29 @@ func (b *base) span(k int, key Triple, n int) (d, lo, hi int) {
 	if d = b.find(k, key.S); d < 0 {
 		return 0, 0, 0
 	}
-	lo, end := int(b.starts[k][d]), int(b.starts[k][d+1])
+	lo, end := int(b.starts[k].at(d)), int(b.starts[k].at(d+1))
 	if n == 1 {
 		return d, lo, end
 	}
-	for rows := end - lo; rows > 0; { // the first row not before the rest of key
-		half := rows / 2
-		if x, y := b.at(b.bit(k, lo+half)); before(Triple{x, y, 0}, Triple{key.P, key.O, 0}, n-1) {
-			lo, rows = lo+half+1, rows-half-1
+	rows := &b.runs[k]
+	for c := end - lo; c > 0; { // the first row not before the rest of key
+		half := c / 2
+		if x, y := b.ids(k, rows.at(lo+half)); before(Triple{x, y, 0}, Triple{key.P, key.O, 0}, n-1) {
+			lo, c = lo+half+1, c-half-1
 		} else {
-			rows = half
+			c = half
 		}
 	}
 	if n == 3 {
 		if lo < end {
-			if x, y := b.at(b.bit(k, lo)); x == key.P && y == key.O {
+			if x, y := b.ids(k, rows.at(lo)); x == key.P && y == key.O {
 				return d, lo, lo + 1
 			}
 		}
 		return d, lo, lo
 	}
 	return d, lo, lo + sort.Search(end-lo, func(i int) bool {
-		x, _ := b.at(b.bit(k, lo+i))
+		x, _ := b.ids(k, rows.at(lo+i))
 		return x != key.P
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sync"
@@ -414,15 +415,17 @@ func trieFilter(set []Triple, pat Triple) []Triple {
 	return out
 }
 
-// TestPackedWidthEdges: a base packs each row at twice the bit length of
-// its largest ID. For bases whose largest ID needs 1, 2, 16, 17, 31 and
+// TestPackedWidthEdges: a base packs each array at the bit length of
+// its largest value, a predicate in SPO's and OSP's rows as its rank in
+// POS's directory. For bases whose largest ID needs 1, 2, 16, 17, 31 and
 // 32 bits — a one-term graph, IDs 65 535 and 65 536, 2³¹−1 and 2³²−1 —
-// where at 17 and 31 bits rows straddle word boundaries, and for the
-// same triples as adds alone, as a base with adds and as a base with
-// tombstones, every bound mask of each probe must yield the batch's
-// sorted set filtered by the pattern (trieFilter), CountMatch and
-// PredStats must count it, and MatchIDs at batch sizes 1, 3 and 1024 and
-// MatchAppend must yield exactly what Match yields.
+// where POS's rows of two such IDs straddle word boundaries at 17 and 31
+// bits, and for bases whose widths sit at their edges — one predicate
+// (a rank of 0 bits, an ID index of 1 bit), 32 predicates (a directory
+// of 2⁵ keys) and 33 (ranks past a 5-bit trie chunk), their IDs a
+// shuffled range whose trie order is not their order — checkBase must
+// hold of the built graph and of the same triples as adds alone, as a
+// base with adds and as a base with tombstones.
 func TestPackedWidthEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, c := range []struct {
@@ -439,45 +442,86 @@ func TestPackedWidthEdges(t *testing.T) {
 			ts = append(ts, Triple{pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool)/2+1)], pool[rng.Intn(len(pool))]})
 		}
 		set := sortedSet(slices.Clone(ts), make([]Triple, len(ts)))
-		built := NewGraph()
-		built.Build(slices.Clone(ts))
-		b := built.cur().base
-		if b.w != c.bits {
-			t.Fatalf("largest ID %d: rows packed at %d bits per ID, want %d", c.top, b.w, c.bits)
+		b := checkBase(t, fmt.Sprintf("%d bits", c.bits), set, rng)
+		if w := b.runs[1].w; w != 2*c.bits {
+			t.Fatalf("largest ID %d: POS rows packed at %d bits, want %d", c.top, w, 2*c.bits)
 		}
 		straddles := false
-		for r := range 3 * b.n {
-			straddles = straddles || uint(r)*2*b.w%64+2*b.w > 64
+		for r := range b.n {
+			straddles = straddles || uint(r)*b.runs[1].w%64+b.runs[1].w > 64
 		}
 		if want := 64%(2*c.bits) != 0 && len(set) > 1; straddles != want {
 			t.Fatalf("%d bits: rows straddle a word %v, want %v", c.bits, straddles, want)
 		}
-		graphs := map[string]*Graph{"built": built, "adds only": addsOnly(t, set)}
-		if len(set) > 1 {
-			graphs["base and adds"], graphs["base and tombstones"] = splitBase(t, set, false), splitBase(t, set, true)
+	}
+	for _, preds := range []int{1, 32, 33} {
+		ps := make([]ID, preds)
+		for i, j := range rng.Perm(preds) {
+			ps[i] = ID(60 + j)
 		}
-		probes := []Triple{{}, {c.top, c.top, c.top}, {c.top - 1, 2, c.top}}
-		for range 8 {
-			x := set[rng.Intn(len(set))]
-			probes = append(probes, x, Triple{x.O, x.S, x.P})
+		var ts []Triple
+		for s := ID(1); s <= 50; s++ {
+			for range 1 + rng.Intn(12) {
+				ts = append(ts, Triple{s, ps[rng.Intn(preds)], ID(1 + rng.Intn(120))})
+			}
 		}
-		for name, g := range graphs {
-			for _, x := range probes {
-				for mask := range 8 {
-					pat := Triple{x.S * ID(mask&1), x.P * ID(mask>>1&1), x.O * ID(mask>>2&1)}
-					want := trieFilter(set, pat)
-					checkReaders(t, fmt.Sprintf("%d bits, %s: %v", c.bits, name, pat), g, pat, want)
-				}
-				subjects, objects := map[ID]bool{}, map[ID]bool{}
-				for _, y := range trieFilter(set, Triple{P: x.P}) {
-					subjects[y.S], objects[y.O] = true, true
-				}
-				if n, ds, do := g.PredStats(x.P); x.P != 0 && (n != len(trieFilter(set, Triple{P: x.P})) || ds != len(subjects) || do != len(objects)) {
-					t.Fatalf("%d bits, %s: PredStats(%d) = %d,%d,%d, want %d distinct subjects and %d objects", c.bits, name, x.P, n, ds, do, len(subjects), len(objects))
-				}
+		for _, p := range ps {
+			ts = append(ts, Triple{ID(1 + rng.Intn(50)), p, 7})
+		}
+		set := sortedSet(ts, make([]Triple, len(ts)))
+		b := checkBase(t, fmt.Sprintf("%d predicates", preds), set, rng)
+		rank := uint(bits.Len(uint(preds - 1)))
+		if b.keys[1].n != preds || b.split[0] != rank || b.runs[2].w != b.split[2]+rank || b.lead[1].w != uint(bits.Len(uint(preds))) {
+			t.Fatalf("%d predicates: a directory of %d, ranks of %d and %d bits, ID index of %d bits", preds, b.keys[1].n, b.split[0], b.runs[2].w-b.split[2], b.lead[1].w)
+		}
+		inOrder := true
+		for d := 1; d < preds; d++ {
+			inOrder = inOrder && b.keys[1].at(d-1) < b.keys[1].at(d)
+		}
+		if preds > 1 && inOrder {
+			t.Fatalf("%d predicates: ranks in ID order, want trie order", preds)
+		}
+	}
+}
+
+// checkBase builds set (sorted, distinct) into a graph and requires, of
+// it and of set as adds alone (addsOnly) and as a base with adds and
+// with tombstones (splitBase), that every bound mask of each probe yield
+// set filtered by the pattern (trieFilter) through every reader
+// (checkReaders) and that PredStats count it; it returns the built base.
+func checkBase(t *testing.T, what string, set []Triple, rng *rand.Rand) *base {
+	t.Helper()
+	built := NewGraph()
+	built.Build(slices.Clone(set))
+	graphs := map[string]*Graph{"built": built, "adds only": addsOnly(t, set)}
+	if len(set) > 1 {
+		graphs["base and adds"], graphs["base and tombstones"] = splitBase(t, set, false), splitBase(t, set, true)
+	}
+	top := ID(0)
+	for _, x := range set {
+		top = max(top, x.S, x.P, x.O)
+	}
+	probes := []Triple{{}, {top, top, top}, {top - 1, 2, top}}
+	for range 8 {
+		x := set[rng.Intn(len(set))]
+		probes = append(probes, x, Triple{x.O, x.S, x.P})
+	}
+	for name, g := range graphs {
+		for _, x := range probes {
+			for mask := range 8 {
+				pat := Triple{x.S * ID(mask&1), x.P * ID(mask>>1&1), x.O * ID(mask>>2&1)}
+				checkReaders(t, fmt.Sprintf("%s, %s: %v", what, name, pat), g, pat, trieFilter(set, pat))
+			}
+			subjects, objects := map[ID]bool{}, map[ID]bool{}
+			for _, y := range trieFilter(set, Triple{P: x.P}) {
+				subjects[y.S], objects[y.O] = true, true
+			}
+			if n, ds, do := g.PredStats(x.P); x.P != 0 && (n != len(trieFilter(set, Triple{P: x.P})) || ds != len(subjects) || do != len(objects)) {
+				t.Fatalf("%s, %s: PredStats(%d) = %d,%d,%d, want %d distinct subjects and %d objects", what, name, x.P, n, ds, do, len(subjects), len(objects))
 			}
 		}
 	}
+	return built.cur().base
 }
 
 // checkReaders requires every reader of g's triples matching pat to

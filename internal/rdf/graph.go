@@ -900,12 +900,12 @@ type merge struct {
 // after every yield.
 func (m *merge) upto(t Triple, last bool, yield func(Triple) bool) bool {
 	b, k, d, lo, more := m.b, m.k, m.d, m.lo, true
-	bit := b.bit(k, lo)
+	rows := &b.runs[k]
 rows:
 	for ; lo < m.hi; d++ {
-		for key, stop := b.keys[k][d], min(int(b.starts[k][d+1]), m.hi); lo < stop; lo, bit = lo+1, bit+2*b.w {
+		for key, stop := ID(b.keys[k].at(d)), min(int(b.starts[k].at(d+1)), m.hi); lo < stop; lo++ {
 			x := Triple{S: key}
-			if x.P, x.O = b.at(bit); !last && !before(x, t, 3) {
+			if x.P, x.O = b.ids(k, rows.at(lo)); !last && !before(x, t, 3) {
 				break rows
 			}
 			if x = turn(x, m.back); m.dels.n != 0 && m.dels.has(x.S, x.P, x.O) {
@@ -1037,7 +1037,7 @@ func (g *Graph) PredStats(p ID) (count, distinctS, distinctO int) {
 	count = idxGet(st.adds.idx[1], p).triples()
 	if b := st.base; b != nil {
 		if d := b.find(1, p); d >= 0 {
-			count += int(b.starts[1][d+1] - b.starts[1][d])
+			count += int(b.starts[1].at(d+1) - b.starts[1].at(d))
 			distinctS, distinctO = int(b.preds[d].subjects), int(b.preds[d].objects)
 		}
 		count -= idxGet(st.dels.idx[1], p).triples()
